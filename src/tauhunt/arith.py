@@ -2,9 +2,9 @@
 
 Everything here is pure integer / rational arithmetic: deterministic
 primality testing, factorization (trial division + Pollard rho),
-divisor power sums, perfect-power tests, integer roots of univariate
-polynomials, and certified continued-fraction convergents of real
-algebraic numbers.  No floating point participates in any decision.
+divisor power sums, perfect-power tests, and certified
+continued-fraction convergents of real algebraic numbers.  No floating
+point participates in any decision.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ __all__ = [
     "perfect_power_root",
     "prime_power_root",
     "primes_up_to",
-    "poly_eval",
-    "poly_derivative",
-    "integer_roots",
     "RealAlgebraic",
-    "sqrt_algebraic",
     "continued_fraction_convergents",
 ]
 
@@ -316,19 +312,8 @@ def prime_power_root(n: int, e: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Z (little-endian coefficient lists)
+# Real algebraic numbers and certified continued fractions
 # ---------------------------------------------------------------------------
-
-
-def poly_eval(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
 def _strip(coeffs):
@@ -336,72 +321,6 @@ def _strip(coeffs):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _floor_cover(coeffs, lo: int, hi: int) -> set[int]:
-    """A superset of { floor(r) : p(r) = 0, lo <= r <= hi }.
-
-    Recursion on the derivative: between consecutive breakpoints taken
-    from the derivative's root floors, p is monotone, so a sign change
-    pins each root to a unit interval by bisection.  Unit gaps that may
-    hide critical points are added wholesale, which only enlarges the
-    cover.
-    """
-    p = _strip(coeffs)
-    if len(p) <= 1 or lo > hi:
-        return set()
-    if len(p) == 2:
-        b, a = p
-        f = math.floor(Fraction(-b, a))
-        return {f} if lo <= f <= hi else set()
-    dcover = _floor_cover(poly_derivative(p), lo, hi)
-    points = {lo, hi}
-    for c in dcover:
-        if lo <= c <= hi:
-            points.add(c)
-        if lo <= c + 1 <= hi:
-            points.add(c + 1)
-    bps = sorted(points)
-    cover: set[int] = set()
-    vals = {b: poly_eval(p, b) for b in bps}
-    for b in bps:
-        if vals[b] == 0:
-            cover.add(b)
-    for a, b in zip(bps, bps[1:]):
-        if b == a + 1:
-            # may contain critical points; any root inside has floor a
-            cover.add(a)
-            continue
-        fa, fb = vals[a], vals[b]
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            continue
-        x0, x1 = a, b
-        while x1 - x0 > 1:
-            mid = (x0 + x1) // 2
-            fm = poly_eval(p, mid)
-            if fm == 0:
-                cover.add(mid)
-                break
-            if (fm > 0) == (fa > 0):
-                x0 = mid
-            else:
-                x1 = mid
-        else:
-            cover.add(x0)
-    return cover
-
-
-def integer_roots(coeffs, lo: int, hi: int) -> list[int]:
-    """All integer roots of the polynomial in [lo, hi], ascending."""
-    p = _strip(coeffs)
-    if not p:
-        raise DomainError("integer_roots of the zero polynomial")
-    return sorted(c for c in _floor_cover(p, lo, hi) if poly_eval(p, c) == 0)
-
-
-# ---------------------------------------------------------------------------
-# Real algebraic numbers and certified continued fractions
-# ---------------------------------------------------------------------------
 
 
 def _scaled_value(coeffs, num: int, den: int) -> int:
@@ -450,31 +369,6 @@ class RealAlgebraic:
             raise DomainError("empty isolating interval")
         if sign_at(self.coeffs, self.lo) * sign_at(self.coeffs, self.hi) >= 0:
             raise DomainError("polynomial must change sign across the interval")
-
-    def refined(self, max_width: Fraction) -> "RealAlgebraic":
-        lo, hi = self.lo, self.hi
-        slo = sign_at(self.coeffs, lo)
-        while hi - lo >= max_width:
-            mid = (lo + hi) / 2
-            sm = sign_at(self.coeffs, mid)
-            if sm == 0:
-                raise RationalNumberError(f"refinement collapsed onto {mid}")
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        return RealAlgebraic(self.coeffs, lo, hi)
-
-    def float_approx(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
-
-def sqrt_algebraic(n: int) -> RealAlgebraic:
-    """sqrt(n) for a nonsquare n >= 2 as a RealAlgebraic."""
-    if n < 2 or is_perfect_square(n) is not None:
-        raise DomainError("sqrt_algebraic wants a nonsquare n >= 2")
-    r = math.isqrt(n)
-    return RealAlgebraic((-n, 0, 1), Fraction(r), Fraction(r + 1))
 
 
 def _rational_cf(x: Fraction) -> list[int]:
@@ -561,10 +455,3 @@ def continued_fraction_convergents(x: RealAlgebraic, qmax: int) -> list[tuple[in
             cand = _simplest_rational(lo, hi)
             if sign_at(coeffs, cand) == 0:
                 raise RationalNumberError(f"{cand} is rational")
-
-
-def _certified_quality(x: RealAlgebraic, p: int, q: int) -> bool:
-    """Check |x - p/q| < 1/q^2 via the isolating interval."""
-    r = Fraction(p, q)
-    err = max(abs(x.lo - r), abs(x.hi - r))
-    return err < Fraction(1, q * q)

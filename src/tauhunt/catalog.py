@@ -1,0 +1,48 @@
+"""The shipped JSON catalogs and the one check of a catalog against a
+bounded search.
+
+Every catalog (Thue solutions, curve points, Lucas defects) is read
+through load, once per process.  Set TAUHUNT_DATA_DIR to read the files
+from another directory instead of the package data.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from functools import lru_cache
+from importlib import resources
+
+__all__ = ["load", "clip", "compare"]
+
+
+@lru_cache(maxsize=None)
+def load(name: str) -> dict:
+    """The parsed catalog file `name`, e.g. "thue_tables.json"."""
+    override = os.environ.get("TAUHUNT_DATA_DIR")
+    if override:
+        with open(os.path.join(override, name), "rb") as fh:
+            return json.load(fh)
+    return json.loads(resources.files("tauhunt.data").joinpath(name).read_text())
+
+
+def clip(points, bound: int, unsigned_x: bool) -> list[list[int]]:
+    """The distinct points with |x| <= bound, sorted; x is replaced by
+    |x| when unsigned_x (catalogs that list |x| only)."""
+    return [list(p) for p in sorted(
+        {(abs(x) if unsigned_x else x, y) for x, y in points if abs(x) <= bound}
+    )]
+
+
+def compare(listed, found, bound: int, unsigned_x: bool) -> dict | None:
+    """None when the catalog and the search agree on every point with
+    |x| <= bound, else a discrepancy record holding both clipped sets.
+
+    A search only covers its bound, so points beyond it on either side
+    are not compared.
+    """
+    want = clip(listed, bound, unsigned_x)
+    got = clip(found, bound, unsigned_x)
+    if want == got:
+        return None
+    return {"bound": bound, "listed": want, "found": got}

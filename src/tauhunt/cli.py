@@ -2,7 +2,7 @@
 and prints one deterministic JSON document to stdout.
 
 Exit codes: 0 success, 1 domain error (bad mathematical input), 2 usage
-error.  Output is byte-identical across repeated runs and worker counts.
+error.  Output is byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--reduced-p", type=int, dest="reduced_p")
     p.add_argument("--rhs", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     _add_bounds(p)
 
     p = sub.add_parser("curve-search", help="integer points on Y^2 = f(X)")
@@ -177,7 +176,7 @@ def _run(args) -> dict | list:
                 "coeffs_by_x_power": list(form.coeffs)}
     if verb == "thue-solve":
         form = _pick_form(args)
-        res = thue.solve_bounded(form, args.rhs, args.x_small, args.x_mid, jobs=args.jobs)
+        res = thue.solve_bounded(form, args.rhs, args.x_small, args.x_mid)
         out = res.to_dict()
         out["bounds"] = {"x_small": args.x_small, "x_mid": args.x_mid}
         return out

@@ -11,13 +11,10 @@ fixture and verify_tables replays every row against a bounded search.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
-
+from . import catalog
 from .arith import DomainError, integer_nth_root, is_perfect_square
 
 __all__ = [
@@ -26,7 +23,6 @@ __all__ = [
     "search_points",
     "verify_tables",
     "lucas_pell_points",
-    "curve_catalog",
 ]
 
 _SQUARE_MODULI = (64, 63, 65, 11)
@@ -107,7 +103,8 @@ def _scan_square(spec: CurveSpec, xs) -> list[tuple[int, int]]:
                 acc = (acc * base) % m
             base = (base * base) % m
             e >>= 1
-        val = (acc * (spec.lead % m) + spec.constant) % m
+        # reduce the constant first: it may not fit in int64
+        val = (acc * (spec.lead % m) + spec.constant % m) % m
         keep &= mask[val]
         if not keep.any():
             return []
@@ -165,18 +162,9 @@ def search_points(spec: CurveSpec, x_max: int, chunk: int = 1 << 15) -> CurveSea
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def curve_catalog() -> dict:
-    override = os.environ.get("TAUHUNT_DATA_DIR")
-    if override:
-        with open(os.path.join(override, "curve_tables.json"), "rb") as fh:
-            return json.load(fh)
-    return json.loads(resources.files("tauhunt.data").joinpath("curve_tables.json").read_text())
-
-
 def catalog_c_points(weight_exponent: int, ell: int, sign: int) -> list[list[int]] | None:
     """Cataloged points of Y^2 = X^(2k-1) +- ell, or None if uncovered."""
-    cat = curve_catalog()
+    cat = catalog.load("curve_tables.json")
     if weight_exponent == 11 and ell == 691:
         for row in cat["ell691"]:
             if row["family"] == "C" and row["sign"] == sign:
@@ -191,7 +179,7 @@ def catalog_c_points(weight_exponent: int, ell: int, sign: int) -> list[list[int
 
 def catalog_h_entry(half_exponent: int, ell: int, sign: int) -> dict | None:
     """Catalog entry for Y^2 = 5X^(2d) +- 4 ell: {points (|x|,|y|), status}."""
-    cat = curve_catalog()
+    cat = catalog.load("curve_tables.json")
     if ell == 5:
         pts = list(cat["ell5"]["plus"]) if sign > 0 else list(cat["ell5"]["minus"])
         if sign > 0 and half_exponent == 2:
@@ -218,13 +206,7 @@ def _verify_row(spec: CurveSpec, listed: list[list[int]], x_max: int,
         if not any(spec.rhs(xx) == y * y for xx in xs):
             problems.append(f"listed point ({x}, {y}) fails the equation")
     found = search_points(spec, x_max).points
-    in_range = [(x, y) for x, y in listed if abs(x) <= x_max]
-    if unsigned_x:
-        found_keys = sorted({(abs(x), y) for x, y in found})
-        listed_keys = sorted({(abs(x), y) for x, y in in_range})
-    else:
-        found_keys = sorted({(x, y) for x, y in found})
-        listed_keys = sorted({(x, int(y)) for x, y in in_range})
+    found_keys = catalog.clip(found, x_max, unsigned_x)
     out = {
         "curve": spec.label,
         "listed": len(listed),
@@ -233,12 +215,13 @@ def _verify_row(spec: CurveSpec, listed: list[list[int]], x_max: int,
     }
     if status == "open":
         out["status"] = "unknown"
-        out["bounded_findings"] = [list(p) for p in found_keys]
+        out["bounded_findings"] = found_keys
         out["problems"] = problems
         return out
-    if found_keys != listed_keys:
+    mismatch = catalog.compare(listed, found, x_max, unsigned_x)
+    if mismatch is not None:
         problems.append(
-            f"bounded search found {found_keys}, catalog lists {listed_keys}"
+            f"bounded search found {mismatch['found']}, catalog lists {mismatch['listed']}"
         )
     out_status = {"known": "verified", "grh": "conditional-grh"}[status]
     out["status"] = out_status if not problems else "discrepancy"
@@ -253,7 +236,7 @@ def verify_tables(x_max: int = 100000) -> dict:
     (the bounded findings are still reported); any mismatch is a
     discrepancy entry, never silently dropped.
     """
-    cat = curve_catalog()
+    cat = catalog.load("curve_tables.json")
     rows = []
     for sign, key in ((1, "mordell_plus"), (-1, "mordell_minus")):
         for ell_s, per_d in sorted(cat[key].items(), key=lambda kv: int(kv[0])):

@@ -10,11 +10,13 @@ Diophantine condition:
     d = 5   (p, 2 a_f(p)^2 - 3 p^(2k-1)) on Y^2 = 5 X^(2(2k-1)) + 4 alpha
     d >= 7  (p^(2k-1), a_f(p)^2)       solves F_{d-1}(X, Y) = alpha
 
-with alpha = sign * ell^m.  check_admissibility searches every
-condition within explicit bounds, applies the exact modularity filters
-to each hit, and assembles a bound-stamped verdict.  For the built-in
-discriminant form the classical congruences mod 9, 5, 7 and 691 prune
-conditions whose rank of apparition is impossible.
+with alpha = sign * ell^m.  Every Thue condition is solved as
+Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, which is exact
+because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).  check_admissibility
+searches every condition within explicit bounds, applies the exact
+modularity filters to each hit, and assembles a bound-stamped verdict.
+For the built-in discriminant form the classical congruences mod 9, 5,
+7 and 691 prune conditions whose rank of apparition is impossible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import curves, thue
+from . import catalog, curves, thue
 from .arith import (
     DomainError,
     factor,
@@ -341,6 +343,7 @@ def _predicted(spec: NewformSpec, p: int, d: int) -> list[int]:
 def _verdict_curve(spec, cond, bounds) -> ConditionVerdict:
     curve = cond.curve
     search = curves.search_points(curve, bounds.x_max)
+    cert = dict(search.certificate)
     grh = False
     source = f"bounded search on {curve.label}"
     mode = "search"
@@ -351,60 +354,42 @@ def _verdict_curve(spec, cond, bounds) -> ConditionVerdict:
         else:
             entry = curves.catalog_h_entry(spec.weight - 1, cond.ell, cond.sign)
         if entry is not None and entry.get("status", "known") != "open":
-            mode = "fixture+search"
-            source = f"integer-point catalog for {curve.label} + bounded search"
-            grh = entry.get("status") == "grh"
-            unsigned = cond.kind == "curve-H"
-            listed = entry["points"]
-            if unsigned:
-                cat = sorted({(abs(px), py) for px, py in listed})
-                got = sorted({(abs(px), py) for px, py in search.points})
+            mismatch = catalog.compare(
+                entry["points"], search.points, bounds.x_max, cond.kind == "curve-H"
+            )
+            if mismatch is None:
+                mode = "fixture+search"
+                source = f"integer-point catalog for {curve.label} + bounded search"
+                grh = entry.get("status") == "grh"
             else:
-                cat = sorted({(px, py) for px, py in listed})
-                got = sorted({(px, py) for px, py in search.points})
-            if cat != got:
-                raise ArithmeticError(
-                    f"catalog and bounded search disagree on {curve.label}: {cat} vs {got}"
-                )
+                cert["catalog_discrepancy"] = mismatch
     hits = search.points
     disp = tuple(
         (_dispose_c_hit if cond.kind == "curve-C" else _dispose_h_hit)(spec, cond, x, y)
         for x, y in hits
     )
-    return ConditionVerdict(cond, mode, source, grh, hits, disp, search.certificate)
+    return ConditionVerdict(cond, mode, source, grh, hits, disp, cert)
 
 
 def _verdict_thue(spec, cond, bounds) -> ConditionVerdict:
     d = cond.d
-    # reduced forms keep coefficients small for large prime degree
-    use_reduced = d >= 31
-    if use_reduced:
-        form = thue.build_reduced_form(d)
-        res = thue.solve_bounded(form, cond.alpha, bounds.x_small, bounds.x_mid)
-        hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
-        source = f"bounded search via reduced form Fhat_{d}"
-    else:
-        form = thue.build_form((d - 1) // 2)
-        res = thue.solve_bounded(form, cond.alpha, bounds.x_small, bounds.x_mid)
-        hits = res.solutions
-        source = f"bounded search on F_{d - 1}"
-    mode = "search"
-    grh = False
+    res = thue.solve_bounded(
+        thue.build_reduced_form(d), cond.alpha, bounds.x_small, bounds.x_mid
+    )
+    hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
+    source = f"bounded search via reduced form Fhat_{d}"
+    cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
+    mode, grh = "search", False
     row = thue.catalog_lookup(d, cond.alpha)
     if row is not None:
-        mode = "fixture+search"
-        grh = row["grh"]
-        source += " + solution catalog"
-        cat = sorted(tuple(s) for s in row["solutions"])
-        got = [h for h in hits if abs(h[0]) <= bounds.x_small]
-        if sorted(got) != [h for h in cat if abs(h[0]) <= bounds.x_small]:
-            raise ArithmeticError(
-                f"catalog and bounded search disagree on F_{d-1} = {cond.alpha}"
-            )
+        # only the exhaustive range is complete, so only it is compared
+        mismatch = catalog.compare(row["solutions"], hits, bounds.x_small, False)
+        if mismatch is None:
+            mode, grh = "fixture+search", row["grh"]
+            source += " + solution catalog"
+        else:
+            cert["catalog_discrepancy"] = mismatch
     disp = tuple(_dispose_thue_hit(spec, cond, x, y) for x, y in hits)
-    cert = dict(res.certificate)
-    if d >= 31:
-        cert["note"] = "solved through the reduced form; solutions mapped back"
     return ConditionVerdict(cond, mode, source, grh, hits, disp, cert)
 
 

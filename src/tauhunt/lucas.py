@@ -12,13 +12,10 @@ ship as a JSON fixture.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources
 
+from . import catalog
 from .arith import DomainError, factor, is_prime, sigma
 
 __all__ = [
@@ -41,22 +38,6 @@ __all__ = [
 # Every Lucas term u_n with n > 30 has a primitive prime divisor
 # (Bilu-Hanrot-Voutier).
 BILU_HANROT_VOUTIER_BOUND = 30
-
-
-def _data_dir():
-    override = os.environ.get("TAUHUNT_DATA_DIR")
-    if override:
-        return override
-    return None
-
-
-@lru_cache(maxsize=None)
-def _load_table(name: str) -> dict:
-    override = _data_dir()
-    if override:
-        with open(os.path.join(override, name), "rb") as fh:
-            return json.load(fh)
-    return json.loads(resources.files("tauhunt.data").joinpath(name).read_text())
 
 
 @dataclass(frozen=True)
@@ -306,7 +287,7 @@ def classify_defects(pair: LucasPair) -> list[DefectRecord]:
     if not pair.satisfies_modularity:
         raise DomainError("pair must satisfy B = p^(2k-1), A^2 <= 4B")
     records: dict[int, DefectRecord] = {}
-    table = _load_table("defect_tables.json")
+    table = catalog.load("defect_tables.json")
     a = abs(pair.A)
     for row in table["sporadic"]:
         if row["A"] == a and row["B"] == pair.B:
@@ -335,7 +316,7 @@ def sigma_hat(coeff_a: int, B: int, m: int) -> int:
         raise DomainError("m must be >= 1")
     s0 = sigma(0, m + 1)
     a = abs(coeff_a)
-    rows = _load_table("defect_tables.json")["omega_discounts"]["rows"]
+    rows = catalog.load("defect_tables.json")["omega_discounts"]["rows"]
     family = None
     for row in rows:
         if row.get("pair") == [a, B]:

@@ -5,7 +5,8 @@ F_2 = Y - X, and F_{2m} = (Y - 2X) F_{2m-2} - X^2 F_{2m-4}.  Their roots
 in Y/X are 4 cos^2(pi k/(2m+1)).  For odd primes p the reduced form
 Fhat_p(X, Y) = prod (Y - 2X cos(2 pi k/p)) satisfies
 F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller coefficients;
-it is the practical route to F_690.
+every Thue condition F_{d-1} = alpha of the decision pipeline (d >= 7)
+is solved through Fhat_d.
 
 solve_bounded is deliberately a *bounded verifier*: an exhaustive scan
 for |x| <= x_small (exact; a word-size modular filter only prunes
@@ -18,15 +19,12 @@ of a real root of F(1, t).  Every result carries its bound certificate.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
-
+from . import catalog
 from .arith import (
     DomainError,
     RealAlgebraic,
@@ -188,34 +186,31 @@ def _y_window(form: ThueForm, x: int, r: int) -> tuple[int, int]:
     return (-r, 4 * x + r)
 
 
-def _scan_exhaustive(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:
-    """All solutions of F = rhs with x_lo <= |x| <= x_hi, by full scan.
+def _scan_exhaustive(form: ThueForm, rhs: int, x_hi: int) -> list[tuple[int, int]]:
+    """All solutions of F = rhs with |x| <= x_hi, by full scan.
 
     Scans x > 0 and uses F(-x, -y) = (-1)^deg F(x, y) for the negative
-    side; x = 0 is handled when the range includes it.  The modular
-    filter is exact: residues are compared against both admissible
-    targets and every survivor is confirmed with big integers.
+    side; x = 0 is solved directly.  The modular filter is exact:
+    residues are compared against both admissible targets and every
+    survivor is confirmed with big integers.
     """
     m = form.degree
     import numpy as np
 
     mirror = rhs if m % 2 == 0 else -rhs
     out = []
-    if x_lo <= 0 <= x_hi:
-        # F(0, y) = y^m
-        for target, flip in ((rhs, False), (mirror, True)):
-            if target == 0:
-                continue
-            r = integer_nth_root(abs(target), m)
-            for y in {r, -r}:
-                if y**m == target:
-                    out.append((0, -y) if flip else (0, y))
+    # F(0, y) = y^m
+    for target, flip in ((rhs, False), (mirror, True)):
+        r = integer_nth_root(abs(target), m)
+        for y in {r, -r}:
+            if y**m == target:
+                out.append((0, -y) if flip else (0, y))
     r = integer_nth_root(abs(rhs), m) + 2
     cmods = [np.array([c % M for c in form.coeffs], dtype=np.int64) for M in _FILTER_PRIMES]
     targets = [
         (np.int64(rhs % M), np.int64(mirror % M)) for M in _FILTER_PRIMES
     ]
-    for x in range(max(1, x_lo), x_hi + 1):
+    for x in range(1, x_hi + 1):
         ylo, yhi = _y_window(form, x, r)
         ys = np.arange(ylo, yhi + 1, dtype=np.int64)
         mask = np.ones(len(ys), dtype=bool)
@@ -274,7 +269,6 @@ def solve_bounded(
     rhs: int,
     x_small: int = 1000,
     x_mid: int = 10000,
-    jobs: int = 1,
 ) -> ThueSolutions:
     """All solutions with |x| <= x_small (exhaustive) plus all with
     x_small < |x| <= x_mid lying on continued-fraction convergents of the
@@ -282,16 +276,10 @@ def solve_bounded(
     """
     if rhs == 0:
         raise DomainError("rhs must be nonzero")
-    if x_small > x_mid:
-        raise DomainError("x_small must be <= x_mid")
+    if not 0 <= x_small <= x_mid:
+        raise DomainError("need 0 <= x_small <= x_mid")
     m = form.degree
-    sols: set[tuple[int, int]] = set()
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
-    chunks = _split_range(1, x_small, jobs)
-    for lo, hi in chunks:
-        first = lo == chunks[0][0]
-        sols.update(_scan_exhaustive(form, rhs, 0 if first else lo, hi))
+    sols = set(_scan_exhaustive(form, rhs, x_small))
     cert = {
         "x_small": x_small,
         "x_mid": x_mid,
@@ -326,31 +314,14 @@ def solve_bounded(
     return ThueSolutions(form.name, rhs, tuple(sorted(sols)), cert)
 
 
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    if hi < lo:
-        return [(lo, hi)]
-    parts = max(1, min(parts, hi - lo + 1))
-    step = (hi - lo + 1 + parts - 1) // parts
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
 # ---------------------------------------------------------------------------
 # Solution catalogs (literature-backed tables for F_{d-1} = +-ell)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _catalog() -> dict:
-    override = os.environ.get("TAUHUNT_DATA_DIR")
-    if override:
-        with open(os.path.join(override, "thue_tables.json"), "rb") as fh:
-            return json.load(fh)
-    return json.loads(resources.files("tauhunt.data").joinpath("thue_tables.json").read_text())
-
-
 def catalog_rows() -> list[dict]:
     """All catalog rows: {d, D, solutions, grh, source}."""
-    return _catalog()["rows"]
+    return catalog.load("thue_tables.json")["rows"]
 
 
 def catalog_lookup(d: int, D: int) -> dict | None:

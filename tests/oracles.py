@@ -27,9 +27,113 @@ Polynomials in (A, B) are dicts {(i, j): c} for c * A^i * B^j.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from tauhunt.arith import factor, is_perfect_square, poly_derivative, poly_eval, _floor_cover
+from tauhunt.arith import DomainError, RealAlgebraic, factor, is_perfect_square
+
+
+# ---------------------------------------------------------------------------
+# Univariate polynomials over Z (little-endian coefficient lists)
+# ---------------------------------------------------------------------------
+
+
+def poly_eval(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _strip(coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _floor_cover(coeffs, lo: int, hi: int) -> set[int]:
+    """A superset of { floor(r) : p(r) = 0, lo <= r <= hi }.
+
+    Recursion on the derivative: between consecutive breakpoints taken
+    from the derivative's root floors, p is monotone, so a sign change
+    pins each root to a unit interval by bisection.  Unit gaps that may
+    hide critical points are added wholesale, which only enlarges the
+    cover.
+    """
+    p = _strip(coeffs)
+    if len(p) <= 1 or lo > hi:
+        return set()
+    if len(p) == 2:
+        b, a = p
+        f = math.floor(Fraction(-b, a))
+        return {f} if lo <= f <= hi else set()
+    dcover = _floor_cover(poly_derivative(p), lo, hi)
+    points = {lo, hi}
+    for c in dcover:
+        if lo <= c <= hi:
+            points.add(c)
+        if lo <= c + 1 <= hi:
+            points.add(c + 1)
+    bps = sorted(points)
+    cover: set[int] = set()
+    vals = {b: poly_eval(p, b) for b in bps}
+    for b in bps:
+        if vals[b] == 0:
+            cover.add(b)
+    for a, b in zip(bps, bps[1:]):
+        if b == a + 1:
+            # may contain critical points; any root inside has floor a
+            cover.add(a)
+            continue
+        fa, fb = vals[a], vals[b]
+        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+            continue
+        x0, x1 = a, b
+        while x1 - x0 > 1:
+            mid = (x0 + x1) // 2
+            fm = poly_eval(p, mid)
+            if fm == 0:
+                cover.add(mid)
+                break
+            if (fm > 0) == (fa > 0):
+                x0 = mid
+            else:
+                x1 = mid
+        else:
+            cover.add(x0)
+    return cover
+
+
+def integer_roots(coeffs, lo: int, hi: int) -> list[int]:
+    """All integer roots of the polynomial in [lo, hi], ascending."""
+    p = _strip(coeffs)
+    if not p:
+        raise DomainError("integer_roots of the zero polynomial")
+    return sorted(c for c in _floor_cover(p, lo, hi) if poly_eval(p, c) == 0)
+
+
+def sqrt_algebraic(n: int) -> RealAlgebraic:
+    """sqrt(n) for a nonsquare n >= 2 as a RealAlgebraic."""
+    if n < 2 or is_perfect_square(n) is not None:
+        raise DomainError("sqrt_algebraic wants a nonsquare n >= 2")
+    r = math.isqrt(n)
+    return RealAlgebraic((-n, 0, 1), Fraction(r), Fraction(r + 1))
+
+
+def curve_points(lead: int, exponent: int, constant: int, x_max: int) -> list[tuple[int, int]]:
+    """All (x, y), |x| <= x_max, y >= 0, with y^2 = lead x^exponent + constant,
+    by testing every x with math.isqrt."""
+    out = []
+    for x in range(-x_max, x_max + 1):
+        v = lead * x**exponent + constant
+        if v >= 0 and math.isqrt(v) ** 2 == v:
+            out.append((x, math.isqrt(v)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from oracles import curve_points
 from tauhunt.cli import main
 
 
@@ -62,6 +63,49 @@ def test_admissible(capsys):
     assert data["target"] == -3
 
 
+def test_admissible_catalog_point_beyond_bound(capsys):
+    # the cataloged point (2, 45) on Y^2 = X^11 - 23 lies outside |x| <= 1
+    code, out = run_cli(
+        ["admissible", "--target", "-23", "--xmax", "1", "--x-small", "1", "--x-mid", "2"],
+        capsys)
+    assert code == 0
+    d3 = next(c for c in json.loads(out)["conditions"] if c["d"] == 3)
+    assert d3["mode"] == "fixture+search" and d3["raw_hits"] == []
+
+
+def test_catalog_discrepancy_reported(data_dir, capsys):
+    path = data_dir / "curve_tables.json"
+    table = json.loads(path.read_text())
+    table["mordell_minus"]["23"]["6"] = []       # drop (2, 45) from Y^2 = X^11 - 23
+    path.write_text(json.dumps(table))
+    code, out = run_cli(["verify-tables", "--xmax", "100"], capsys)
+    assert code == 0
+    row = next(r for r in json.loads(out)["rows"] if r["curve"] == "C-[11,23^1]")
+    assert row["status"] == "discrepancy"
+    code, out = run_cli(
+        ["admissible", "--target", "-23", "--xmax", "100", "--x-small", "20", "--x-mid", "40"],
+        capsys)
+    assert code == 0
+    d3 = next(c for c in json.loads(out)["conditions"] if c["d"] == 3)
+    assert d3["mode"] == "search" and d3["grh_conditional"] is False
+    assert d3["raw_hits"] == [[2, 45]]
+    assert d3["certificate"]["catalog_discrepancy"] == {
+        "bound": 100, "listed": [], "found": [[2, 45]]}
+
+
+def test_constants_beyond_int64(capsys):
+    code, out = run_cli(["admissible", "--target", str(-(3**45))], capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "EXCLUDED_WITHIN_BOUNDS"
+    # Y^2 = X^3 + 3^42, constant above 2^63
+    code, out = run_cli(
+        ["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
+         "--m", "42", "--xmax", "2000"], capsys)
+    assert code == 0
+    points = [tuple(p) for p in json.loads(out)["points"]]
+    assert points == curve_points(1, 3, 3**42, 2000) and (0, 3**21) in points
+
+
 def test_admissible_rejects_composite(capsys):
     code = main(["admissible", "--form", "delta", "--target", "-15"])
     assert code == 1
@@ -93,13 +137,6 @@ def test_spec_file_ingestion(tmp_path, capsys):
     )
     code, out = run_cli(["coeff", "--spec", str(spec), "--n", "9"], capsys)
     assert json.loads(out)["coefficient"] == 8 * 8 - 27
-
-
-def test_deterministic_output_across_jobs(capsys):
-    args = ["thue-solve", "--m", "3", "--rhs", "13", "--x-small", "80", "--x-mid", "120"]
-    _, out1 = run_cli(args + ["--jobs", "1"], capsys)
-    _, out2 = run_cli(args + ["--jobs", "4"], capsys)
-    assert out1 == out2
 
 
 def test_repeated_runs_byte_identical(capsys):

@@ -193,19 +193,26 @@ def test_sigma_hat():
         L.sigma_hat(3, 8, 0)
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
-    """TAUHUNT_DATA_DIR points the loaders at alternate fixture files."""
-    from importlib import resources
+def test_data_dir_override(data_dir, monkeypatch):
+    """TAUHUNT_DATA_DIR points the one catalog loader at alternate files."""
+    from tauhunt import catalog, curves, thue
 
-    src = resources.files("tauhunt.data").joinpath("defect_tables.json")
-    table = json.loads(src.read_text())
-    table["sporadic"] = [r for r in table["sporadic"] if (r["A"], r["B"]) != (3, 8)]
-    (tmp_path / "defect_tables.json").write_text(json.dumps(table))
-    monkeypatch.setenv("TAUHUNT_DATA_DIR", str(tmp_path))
-    L._load_table.cache_clear()
-    try:
-        assert L.classify_defects(L.LucasPair(3, 8)) == []
-    finally:
-        monkeypatch.delenv("TAUHUNT_DATA_DIR")
-        L._load_table.cache_clear()
+    edits = {
+        "defect_tables.json": lambda t: t.update(
+            sporadic=[r for r in t["sporadic"] if (r["A"], r["B"]) != (3, 8)]),
+        "thue_tables.json": lambda t: t.update(
+            rows=[r for r in t["rows"] if (r["d"], r["D"]) != (7, 7)]),
+        "curve_tables.json": lambda t: t["mordell_plus"]["3"].update({"2": []}),
+    }
+    for name, edit in edits.items():
+        table = json.loads((data_dir / name).read_text())
+        edit(table)
+        (data_dir / name).write_text(json.dumps(table))
+    assert L.classify_defects(L.LucasPair(3, 8)) == []
+    assert thue.catalog_lookup(7, 7) is None
+    assert curves.catalog_c_points(3, 3, 1) == []
+    monkeypatch.delenv("TAUHUNT_DATA_DIR")
+    catalog.load.cache_clear()
     assert [d.n for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
+    assert thue.catalog_lookup(7, 7) is not None
+    assert curves.catalog_c_points(3, 3, 1) == [[1, 2]]

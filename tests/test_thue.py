@@ -56,6 +56,15 @@ def test_reduction_identity():
             x, y = rng.randint(-9, 9), rng.randint(-9, 9)
             assert T.evaluate(F, x, y) == T.evaluate(Fh, x, y - 2 * x)
         assert T.evaluate(F, 1, 1) == T.evaluate(Fh, 1, -1)
+    # solving through Fhat_p and mapping back by (x, z + 2x) is exact
+    for p in (7, 11, 13):
+        Fh = T.build_reduced_form(p)
+        F = T.build_form((p - 1) // 2)
+        for rhs in (7, -7, 13, -13, 29, -343):
+            got = T.solve_bounded(Fh, rhs, x_small=30, x_mid=300)
+            want = T.solve_bounded(F, rhs, x_small=30, x_mid=300)
+            assert tuple(sorted((x, z + 2 * x) for x, z in got.solutions)) == want.solutions
+            assert got.certificate == want.certificate
 
 
 def test_reduced_small_forms():
@@ -104,13 +113,6 @@ def test_pruning_soundness_f6():
         full = T.solve_bounded(F6, rhs, x_small=1000, x_mid=1000)
         pruned = T.solve_bounded(F6, rhs, x_small=50, x_mid=1000)
         assert full.solutions == pruned.solutions, rhs
-
-
-def test_jobs_determinism():
-    F6 = T.build_form(3)
-    a = T.solve_bounded(F6, 13, x_small=200, x_mid=400, jobs=1)
-    b = T.solve_bounded(F6, 13, x_small=200, x_mid=400, jobs=3)
-    assert a.solutions == b.solutions
 
 
 def test_catalog_rows_evaluate():
