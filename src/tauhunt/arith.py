@@ -45,7 +45,7 @@ class RationalNumberError(DomainError):
 # Primality and factorization
 # ---------------------------------------------------------------------------
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_BITS = 20  # trial division by the primes below 2^20
 
 # Strong-pseudoprime bases proven sufficient for n < 3_317_044_064_679_887_385_961_981
 # (Sorenson-Webster).  Above that bound the same bases are combined with a
@@ -217,7 +217,8 @@ def factor(n: int) -> Factorization:
         raise DomainError("cannot factor 0")
     m = abs(n)
     found: dict[int, int] = {}
-    for p in primes_up_to(min(_TRIAL_LIMIT, math.isqrt(m) + 1)):
+    # a power-of-two sieve limit keeps the cached sieves to about 21
+    for p in primes_up_to(1 << min(_TRIAL_BITS, (math.isqrt(m) + 1).bit_length())):
         if p * p > m:
             break
         while m % p == 0:

@@ -59,12 +59,20 @@ def _bounds_from(args) -> lehmer.SearchBounds:
     )
 
 
-def _add_bounds(p, xmax=100000):
-    p.add_argument("--xmax", type=int, default=xmax, help="curve search bound on |x|")
+def _add_curve_bound(p):
+    p.add_argument("--xmax", type=int, default=100000, help="curve search bound on |x|")
+
+
+def _add_thue_bounds(p):
     p.add_argument("--x-small", type=int, default=1000, dest="x_small",
                    help="exhaustive Thue bound on |x|")
     p.add_argument("--x-mid", type=int, default=10000, dest="x_mid",
                    help="convergent-pruned Thue bound on |x|")
+
+
+def _add_bounds(p):
+    _add_curve_bound(p)
+    _add_thue_bounds(p)
 
 
 def _add_form(p):
@@ -102,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--reduced-p", type=int, dest="reduced_p")
     p.add_argument("--rhs", type=int, required=True)
-    _add_bounds(p)
+    _add_thue_bounds(p)
 
     p = sub.add_parser("curve-search", help="integer points on Y^2 = f(X)")
     p.add_argument("--family", choices=["C", "H"], required=True)
@@ -111,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--sign", choices=["plus", "minus"], required=True)
     p.add_argument("--m", type=int, default=1)
-    _add_bounds(p)
+    _add_curve_bound(p)
 
     p = sub.add_parser("verify-tables", help="replay the point catalogs")
-    _add_bounds(p)
+    _add_curve_bound(p)
 
     p = sub.add_parser("admissible", help="can sign*ell^m be a coefficient?")
     _add_form(p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from .arith import DomainError, integer_nth_root, is_perfect_square
+from .arith import DomainError, integer_nth_root, is_perfect_square, is_prime
 
 __all__ = [
     "CurveSpec",
@@ -46,6 +46,7 @@ class CurveSpec:
         """Y^2 = X^(2k-1) + sign * ell^m."""
         if weight_exponent < 3 or weight_exponent % 2 == 0:
             raise DomainError("exponent 2k-1 must be odd and >= 3")
+        _check_prime_power(ell, m)
         tag = "+" if sign > 0 else "-"
         return cls("C", 1, weight_exponent, sign * ell**m,
                    f"C{tag}[{weight_exponent},{ell}^{m}]")
@@ -55,9 +56,17 @@ class CurveSpec:
         """Y^2 = 5 X^(2d) + 4 * sign * ell^m."""
         if half_exponent < 1:
             raise DomainError("d must be >= 1")
+        _check_prime_power(ell, m)
         tag = "+" if sign > 0 else "-"
         return cls("H", 5, 2 * half_exponent, 4 * sign * ell**m,
                    f"H{tag}[{half_exponent},{ell}^{m}]")
+
+
+def _check_prime_power(ell: int, m: int) -> None:
+    if ell < 3 or not is_prime(ell):
+        raise DomainError("ell must be an odd prime")
+    if m < 1:
+        raise DomainError("m must be >= 1")
 
 
 @dataclass(frozen=True)

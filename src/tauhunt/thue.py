@@ -8,13 +8,22 @@ F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller coefficients;
 every Thue condition F_{d-1} = alpha of the decision pipeline (d >= 7)
 is solved through Fhat_d.
 
+Both phases rest on certified root enclosures: each closed-form root is
+rounded to c/2^44 and [(c - 1)/2^44, (c + 1)/2^44] is kept once two
+exact signs show F(1, t) changing sign across it (real_roots).
+
 solve_bounded is deliberately a *bounded verifier*: an exhaustive scan
-for |x| <= x_small (exact; a word-size modular filter only prunes
-evaluations, every survivor is confirmed in big-integer arithmetic), and
-a convergent-pruned search for x_small < |x| <= x_mid justified by the
-classical gap criterion for Thue equations (Tzanakis-de Weger Lemma 1.1
-/ Bilu-Hanrot): large solutions make y/x a continued-fraction convergent
-of a real root of F(1, t).  Every result carries its bound certificate.
+for |x| <= x_small, and a convergent-pruned search for
+x_small < |x| <= x_mid justified by the classical gap criterion for
+Thue equations (Tzanakis-de Weger Lemma 1.1 / Bilu-Hanrot): large
+solutions make y/x a continued-fraction convergent of a real root of
+F(1, t).  The exhaustive scan uses |F(x, y)| = prod |y - theta_i x| for
+these monic, totally real forms: a solution of |F| = k has some
+|y - theta_i x| <= k^(1/m), so for each x only the y within
+R = ceil(k^(1/m)) of an enclosure times x are scanned (exact; a
+word-size modular filter only prunes evaluations, every survivor is
+confirmed in big-integer arithmetic).  One scan serves both F = k and
+F = -k.  Every result carries its bound certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .arith import (
     integer_nth_root,
     is_prime,
     perfect_power_root,
-    sign_at,
+    sign_at,  # noqa: F401  unused here; perfbench's tracer test wraps thue.sign_at
 )
 
 __all__ = [
@@ -126,35 +135,48 @@ def _dehomogenized(form: ThueForm) -> list[int]:
     return poly
 
 
-def _root_estimates(form: ThueForm) -> list[float]:
-    m = form.degree
+_ROOT_BITS = 44  # enclosures are [(c - 1)/2^44, (c + 1)/2^44]
+
+
+def _root_estimates(form: ThueForm) -> list[int]:
+    """Dyadic numerators c ~ theta * 2^44 of the closed-form roots, ascending.
+
+    Fhat_p has roots 2 cos(2 pi k/p); F_{2m} has 4 cos^2(pi k/(2m+1)) =
+    2 + 2 cos(2 pi k/(2m+1)), added as the exact dyadic shift 2, so the
+    enclosures of F_{p-1} are those of Fhat_p moved by exactly 2.
+    """
     if form.kind == "reduced":
-        return sorted(2 * math.cos(2 * math.pi * k / form.p) for k in range(1, m + 1))
-    return sorted(4 * math.cos(math.pi * k / (2 * m + 1)) ** 2 for k in range(1, m + 1))
+        n, shift = form.p, 0
+    else:
+        n, shift = 2 * form.degree + 1, 2 << _ROOT_BITS
+    return sorted(
+        round(2 * math.cos(2 * math.pi * k / n) * (1 << _ROOT_BITS)) + shift
+        for k in range(1, form.degree + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def real_roots(form: ThueForm) -> tuple[RealAlgebraic, ...]:
-    """Isolating intervals for the m real roots of F(1, t).
+    """Isolating intervals of width 2^-43 for the m real roots of F(1, t).
 
-    Float estimates only *propose* separators; the alternating exact
-    signs of the polynomial at the separators certify the isolation.
+    Each closed-form root, rounded to c/2^44, only *proposes* the
+    enclosure [(c - 1)/2^44, (c + 1)/2^44].  RealAlgebraic certifies a
+    sign change across it with two exact signs, so it holds a root; the
+    m enclosures are pairwise disjoint and F(1, t) is monic of degree m,
+    so each holds exactly one.
     """
     poly = tuple(_dehomogenized(form))
-    est = _root_estimates(form)
-    seps = [Fraction(math.floor(est[0]) - 1)]
-    for a, b in zip(est, est[1:]):
-        # dyadic separators keep exact sign evaluation shift-based
-        seps.append(Fraction(round((a + b) / 2 * (1 << 48)), 1 << 48))
-    seps.append(Fraction(math.ceil(est[-1]) + 1))
-    signs = [sign_at(poly, s) for s in seps]
-    if any(s == 0 for s in signs) or any(
-        signs[i] * signs[i + 1] >= 0 for i in range(len(signs) - 1)
-    ):
-        raise ArithmeticError("root separators not certified")  # pragma: no cover
-    return tuple(
-        RealAlgebraic(poly, lo, hi) for lo, hi in zip(seps, seps[1:])
-    )
+    centers = _root_estimates(form)
+    if any(b - a <= 2 for a, b in zip(centers, centers[1:])):
+        raise ArithmeticError("root enclosures overlap")  # pragma: no cover
+    den = 1 << _ROOT_BITS
+    try:
+        return tuple(
+            RealAlgebraic(poly, Fraction(c - 1, den), Fraction(c + 1, den))
+            for c in centers
+        )
+    except DomainError as exc:  # pragma: no cover
+        raise ArithmeticError("root enclosures not certified") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -178,41 +200,58 @@ class ThueSolutions:
         }
 
 
-def _y_window(form: ThueForm, x: int, r: int) -> tuple[int, int]:
-    # all real roots of F(x, .) = rhs lie within r of the cone of F(x, .)'s
-    # roots: [0, 4x] (standard) or [-2|x|, 2|x|] (reduced), x > 0
-    if form.kind == "reduced":
-        return (-2 * x - r, 2 * x + r)
-    return (-r, 4 * x + r)
+def _y_candidates(los: list[int], his: list[int], x: int, r: int):
+    """Every integer y within r of some x * [lo_i, hi_i], for x > 0.
+
+    lo_i = los[i] / 2^44 and hi_i = his[i] / 2^44, ascending, so the
+    window ends floor(x lo_i) - r and ceil(x hi_i) + r are exact integer
+    shifts and come out sorted; overlapping windows are merged.
+    """
+    import numpy as np
+
+    starts = np.array([(x * a >> _ROOT_BITS) - r for a in los], dtype=np.int64)
+    ends = np.array([-(-x * b >> _ROOT_BITS) + r for b in his], dtype=np.int64)
+    gap = starts[1:] > ends[:-1] + 1
+    starts = np.concatenate((starts[:1], starts[1:][gap]))
+    ends = np.concatenate((ends[:-1][gap], ends[-1:]))
+    lengths = ends - starts + 1
+    # consecutive integers within each window, windows back to back
+    offsets = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(offsets, lengths)
 
 
-def _scan_exhaustive(form: ThueForm, rhs: int, x_hi: int) -> list[tuple[int, int]]:
-    """All solutions of F = rhs with |x| <= x_hi, by full scan.
+@lru_cache(maxsize=64)
+def _scan_exhaustive(
+    form: ThueForm, k: int, x_hi: int
+) -> tuple[tuple[tuple[int, int, int], ...], dict]:
+    """(x, y, F(x, y)) for every solution of F = +-k with 0 <= x <= x_hi.
 
-    Scans x > 0 and uses F(-x, -y) = (-1)^deg F(x, y) for the negative
-    side; x = 0 is solved directly.  The modular filter is exact:
-    residues are compared against both admissible targets and every
-    survivor is confirmed with big integers.
+    Solutions with x < 0 follow from F(-x, -y) = (-1)^deg F(x, y); x = 0
+    is solved directly.  For x > 0, |F(x, y)| = prod |y - theta_i x|
+    (F is monic in Y and totally real), so a solution has
+    min_i |y - theta_i x| <= k^(1/m) <= R and only y within R of some
+    x * enclosure is scanned.  The modular filter is exact: residues are
+    compared against both +-k and every survivor is confirmed with big
+    integers.  The info dict counts the (x, y) pairs scanned and the
+    confirmed solutions.
     """
     m = form.degree
     import numpy as np
 
-    mirror = rhs if m % 2 == 0 else -rhs
-    out = []
-    # F(0, y) = y^m
-    for target, flip in ((rhs, False), (mirror, True)):
-        r = integer_nth_root(abs(target), m)
-        for y in {r, -r}:
-            if y**m == target:
-                out.append((0, -y) if flip else (0, y))
-    r = integer_nth_root(abs(rhs), m) + 2
+    r = integer_nth_root(k, m)
+    exact = r**m == k
+    out = [(0, y, y**m) for y in (-r, r)] if exact else []  # F(0, y) = y^m
+    radius = r if exact else r + 1
+    den = 1 << _ROOT_BITS
+    roots = real_roots(form)
+    los = [int(root.lo * den) for root in roots]
+    his = [int(root.hi * den) for root in roots]
     cmods = [np.array([c % M for c in form.coeffs], dtype=np.int64) for M in _FILTER_PRIMES]
-    targets = [
-        (np.int64(rhs % M), np.int64(mirror % M)) for M in _FILTER_PRIMES
-    ]
+    targets = [(np.int64(k % M), np.int64(-k % M)) for M in _FILTER_PRIMES]
+    scanned = 0
     for x in range(1, x_hi + 1):
-        ylo, yhi = _y_window(form, x, r)
-        ys = np.arange(ylo, yhi + 1, dtype=np.int64)
+        ys = _y_candidates(los, his, x, radius)
+        scanned += len(ys)
         mask = np.ones(len(ys), dtype=bool)
         for (M, cm, (t1, t2)) in zip(_FILTER_PRIMES, cmods, targets):
             xp = np.empty(m + 1, dtype=np.int64)
@@ -233,13 +272,10 @@ def _scan_exhaustive(form: ThueForm, rhs: int, x_hi: int) -> list[tuple[int, int
                 break
         for y in ys[mask]:
             v = evaluate(form, x, int(y))
-            if v == rhs:
-                out.append((x, int(y)))
-            if v == mirror and mirror != rhs:
-                out.append((-x, -int(y)))
-            elif v == rhs and m % 2 == 0 and mirror == rhs:
-                out.append((-x, -int(y)))
-    return out
+            if abs(v) == k:
+                out.append((x, int(y), v))
+    info = {"window_radius": radius, "candidates": scanned, "confirmed": len(out)}
+    return tuple(out), info
 
 
 def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:
@@ -273,17 +309,28 @@ def solve_bounded(
     """All solutions with |x| <= x_small (exhaustive) plus all with
     x_small < |x| <= x_mid lying on continued-fraction convergents of the
     real roots of F(1, t).  Results are deterministic and sorted.
+
+    certificate["exhaustive"] holds the scan's work counts: the window
+    radius R, the (x, y) pairs scanned and the solutions of F = +-|rhs|
+    it confirmed (shared by rhs and -rhs).
     """
     if rhs == 0:
         raise DomainError("rhs must be nonzero")
     if not 0 <= x_small <= x_mid:
         raise DomainError("need 0 <= x_small <= x_mid")
     m = form.degree
-    sols = set(_scan_exhaustive(form, rhs, x_small))
+    found, info = _scan_exhaustive(form, abs(rhs), x_small)
+    sols = set()
+    for x, y, v in found:
+        if v == rhs:
+            sols.add((x, y))
+        if (-1) ** m * v == rhs:
+            sols.add((-x, -y))
     cert = {
         "x_small": x_small,
         "x_mid": x_mid,
         "method": "exhaustive scan + convergent pruning (Thue gap criterion)",
+        "exhaustive": dict(info),
     }
     if x_mid > x_small:
         if m == 1:

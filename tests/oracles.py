@@ -136,6 +136,37 @@ def curve_points(lead: int, exponent: int, constant: int, x_max: int) -> list[tu
     return out
 
 
+def form_value(coeffs, x: int, y: int) -> int:
+    """sum c_i x^i y^(m-i) (coeffs as in ThueForm), by Horner in x."""
+    acc, yp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * x + c * yp
+        yp *= y
+    return acc
+
+
+def dense_thue_solutions(coeffs, targets, x_bound: int) -> dict[int, list[tuple[int, int]]]:
+    """For each target k, all (x, y) with F(x, y) = k and |x| <= x_bound.
+
+    Pure Python, no root enclosures: every root of F(1, t) lies in
+    [-4, 4] for the forms used here, so F monic in Y gives
+    |F(x, y)| >= dist(y, [-4|x|, 4|x|])^m, and every y within
+    R = ceil(max |k|^(1/m)) of that cone is evaluated.
+    """
+    m = len(coeffs) - 1
+    big = max(abs(k) for k in targets)
+    r = 0
+    while r**m < big:
+        r += 1
+    out: dict[int, list[tuple[int, int]]] = {k: [] for k in targets}
+    for x in range(-x_bound, x_bound + 1):
+        for y in range(-4 * abs(x) - r, 4 * abs(x) + r + 1):
+            v = form_value(coeffs, x, y)
+            if v in out:
+                out[v].append((x, y))
+    return {k: sorted(v) for k, v in out.items()}
+
+
 # ---------------------------------------------------------------------------
 # Bivariate polynomials over Z
 # ---------------------------------------------------------------------------

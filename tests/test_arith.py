@@ -26,6 +26,14 @@ def test_factor_roundtrip_random():
         assert f.big_omega >= f.omega
 
 
+def test_factor_keeps_few_sieves():
+    A.primes_up_to.cache_clear()
+    rng = random.Random(7)
+    for n in rng.sample(range(2, 10**12), 200):
+        assert A.factor(n).verify()
+    assert A.primes_up_to.cache_info().currsize <= 21
+
+
 def test_factor_certifies_large_prime():
     v = 80561663527802406257321747
     assert A.is_prime(v)

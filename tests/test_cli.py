@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from oracles import curve_points
 from tauhunt.cli import main
 
@@ -104,6 +106,27 @@ def test_constants_beyond_int64(capsys):
     assert code == 0
     points = [tuple(p) for p in json.loads(out)["points"]]
     assert points == curve_points(1, 3, 3**42, 2000) and (0, 3**21) in points
+
+
+def test_bound_flags_per_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["thue-solve", "--m", "3", "--rhs", "7", "--xmax", "5"])
+    assert exc.value.code == 2
+    for verb in (["verify-tables"],
+                 ["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--x-small", "5"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_curve_search_rejects_bad_prime_power(capsys):
+    base = ["curve-search", "--family", "C", "--d", "2", "--sign", "plus", "--xmax", "3"]
+    for extra in (["--ell", "3", "--m", "0"], ["--ell", "4"]):
+        assert main(base + extra) == 1
+        assert "error:" in capsys.readouterr().err
+    assert main(["curve-search", "--family", "H", "--d", "2", "--ell", "9", "--sign", "minus",
+                 "--xmax", "3"]) == 1
 
 
 def test_admissible_rejects_composite(capsys):

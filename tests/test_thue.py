@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import dense_thue_solutions, form_value
 from tauhunt import thue as T
 from tauhunt.arith import DomainError
 
@@ -138,3 +140,75 @@ def test_certificate_shape():
     assert "midsize" in res.certificate
     d = res.to_dict()
     assert set(d) == {"form", "rhs", "solutions", "certificate"}
+
+
+def _isolation_forms():
+    yield from (T.build_form(m) for m in range(1, 13))
+    yield from (T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                                   37, 41, 43, 47, 53, 59, 61, 67, 71,
+                                                   73, 79, 83, 89, 97, 101, 691))
+
+
+def test_real_roots_isolate():
+    for form in _isolation_forms():
+        roots = T.real_roots(form)
+        assert len(roots) == form.degree, form.name
+        for root in roots:
+            assert root.hi - root.lo <= Fraction(1, 2**42)
+            # sign of F(1, t) at t = a/b, b > 0, is the sign of F(b, a)
+            lo = form_value(form.coeffs, root.lo.denominator, root.lo.numerator)
+            hi = form_value(form.coeffs, root.hi.denominator, root.hi.numerator)
+            assert lo * hi < 0, form.name
+        assert all(a.hi < b.lo for a, b in zip(roots, roots[1:])), form.name
+
+
+@pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
+                                  T.build_reduced_form(11), T.build_reduced_form(13),
+                                  T.build_reduced_form(23)], ids=lambda f: f.name)
+def test_scan_matches_dense_oracle(form):
+    # F_4(2, 3) = -5 lies sqrt(5) from both 2 theta_i, at the edge of the windows
+    targets = (7, -7, 13, -13, 13**5, -343, -5)
+    dense = dense_thue_solutions(form.coeffs, targets, 60)
+    for rhs in targets:
+        got = T.solve_bounded(form, rhs, x_small=60, x_mid=60)
+        assert list(got.solutions) == dense[rhs], (form.name, rhs)
+
+
+def test_planted_solutions_found():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    forms = [T.build_form(m) for m in range(1, 8)] + [
+        T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.sampled_from(forms), st.integers(1, 40), st.booleans(),
+                      st.integers(-200, 200))
+    def planted(form, ax, negative, y):
+        x = -ax if negative else ax
+        rhs = T.evaluate(form, x, y)
+        hypothesis.assume(rhs != 0)
+        assert (x, y) in T.solve_bounded(form, rhs, x_small=40, x_mid=40).solutions
+
+    planted()
+
+
+def test_odd_degree_sign_symmetry():
+    for form in (T.build_form(3), T.build_form(5), T.build_reduced_form(7),
+                 T.build_reduced_form(11), T.build_reduced_form(23)):
+        for k in (1, 7, 13, 29, 343, 13**5):
+            plus = T.solve_bounded(form, k, x_small=40, x_mid=400).solutions
+            minus = T.solve_bounded(form, -k, x_small=40, x_mid=400).solutions
+            assert minus == tuple(sorted((-x, -y) for x, y in plus)), (form.name, k)
+
+
+def test_exhaustive_counts_in_certificate():
+    # F_6 = 7, R = ceil(7^(1/3)) = 2; roots 0.198.., 1.555.., 3.247..
+    # x = 1: [-2, 3] u [-1, 4] u [1, 6] = [-2, 6], 9 values
+    # x = 2: [-2, 3] u [1, 6] u [4, 9] = [-2, 9], 12 values
+    res = T.solve_bounded(T.build_form(3), 7, x_small=2, x_mid=2)
+    assert res.certificate["exhaustive"] == {
+        "window_radius": 2, "candidates": 21, "confirmed": 2}
+    # the windows skip most of the cone [-2, 4x + 2] once x grows
+    res = T.solve_bounded(T.build_form(3), -7, x_small=10, x_mid=10)
+    assert res.certificate["exhaustive"] == {
+        "window_radius": 2, "candidates": 162, "confirmed": 3}
