@@ -217,13 +217,19 @@ def factor(n: int) -> Factorization:
         raise DomainError("cannot factor 0")
     m = abs(n)
     found: dict[int, int] = {}
-    # a power-of-two sieve limit keeps the cached sieves to about 21
-    for p in primes_up_to(1 << min(_TRIAL_BITS, (math.isqrt(m) + 1).bit_length())):
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    # trial division stops as soon as the cofactor is 1 or prime; a
+    # power-of-two sieve limit keeps the cached sieves to about 21
+    if m > 1 and not is_prime(m):
+        for p in primes_up_to(1 << min(_TRIAL_BITS, (math.isqrt(m) + 1).bit_length())):
+            if p * p > m:
+                break
+            if m % p:
+                continue
+            while m % p == 0:
+                found[p] = found.get(p, 0) + 1
+                m //= p
+            if m == 1 or is_prime(m):
+                break
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
@@ -410,18 +416,24 @@ def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
     return flo + 1 / _simplest_rational(1 / b, 1 / a)
 
 
-def continued_fraction_convergents(x: RealAlgebraic, qmax: int) -> list[tuple[int, int]]:
+def continued_fraction_convergents(
+    x: RealAlgebraic | Fraction, qmax: int
+) -> list[tuple[int, int]]:
     """All continued-fraction convergents p/q of x with q <= qmax.
 
-    Partial quotients are certified by exact interval refinement: a
-    quotient is accepted only once both interval endpoints share it.
-    Rational inputs are rejected (RationalNumberError), detected either
-    when bisection lands exactly on the root or when the interval keeps
-    straddling the simplest rational it contains and that rational is a
-    root of the defining polynomial.
+    A Fraction gives the convergents of its finite expansion.  For a
+    RealAlgebraic, partial quotients are certified by exact interval
+    refinement: a quotient is accepted only once both interval endpoints
+    share it.  A RealAlgebraic whose root is rational is rejected
+    (RationalNumberError), detected either when bisection lands exactly
+    on the root or when the interval keeps straddling the simplest
+    rational it contains and that rational is a root of the defining
+    polynomial.
     """
     if qmax < 1:
         raise DomainError("qmax must be >= 1")
+    if isinstance(x, Fraction):
+        return [pq for pq in _convergents(_rational_cf(x)) if pq[1] <= qmax]
     coeffs = x.coeffs
     lo, hi = x.lo, x.hi
     slo = sign_at(coeffs, lo)

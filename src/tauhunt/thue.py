@@ -20,9 +20,10 @@ solutions make y/x a continued-fraction convergent of a real root of
 F(1, t).  The exhaustive scan uses |F(x, y)| = prod |y - theta_i x| for
 these monic, totally real forms: a solution of |F| = k has some
 |y - theta_i x| <= k^(1/m), so for each x only the y within
-R = ceil(k^(1/m)) of an enclosure times x are scanned (exact; a
-word-size modular filter only prunes evaluations, every survivor is
-confirmed in big-integer arithmetic).  One scan serves both F = k and
+R = ceil(k^(1/m)) of an enclosure times x are scanned.  Each candidate
+costs one table lookup keyed on t = y/x mod q, T_q[t] = F(1, t) mod q,
+for two small primes q; the tables only prune, and every survivor is
+confirmed in big-integer arithmetic.  One scan serves both F = k and
 F = -k.  Every result carries its bound certificate.
 """
 
@@ -41,7 +42,7 @@ from .arith import (
     integer_nth_root,
     is_prime,
     perfect_power_root,
-    sign_at,  # noqa: F401  unused here; perfbench's tracer test wraps thue.sign_at
+    sign_at,
 )
 
 __all__ = [
@@ -54,7 +55,12 @@ __all__ = [
     "catalog_rows",
 ]
 
-_FILTER_PRIMES = (67108859, 67108837)  # < 2^26, keeps numpy Horner in int64
+# F(1, t) mod q is tabulated for every t < q; q < 2^15 keeps the tables int16
+_TABLE_PRIMES = (4093, 4091)
+# y values scanned for one x; a larger window would allocate GiBs
+_CANDIDATE_BUDGET = 1 << 22
+# about this many candidates are built and filtered per numpy pass
+_BLOCK_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -200,24 +206,58 @@ class ThueSolutions:
         }
 
 
-def _y_candidates(los: list[int], his: list[int], x: int, r: int):
-    """Every integer y within r of some x * [lo_i, hi_i], for x > 0.
+def _floor_scaled(xs, nums):
+    """floor(x * a / 2^44) for x in the column xs and a in the row nums.
 
-    lo_i = los[i] / 2^44 and hi_i = his[i] / 2^44, ascending, so the
-    window ends floor(x lo_i) - r and ceil(x hi_i) + r are exact integer
-    shifts and come out sorted; overlapping windows are merged.
+    Exact in int64 for 0 < x < 2^38 and |a| <= 2^46 (every root lies in
+    [-4, 4]): a = a1 2^22 + a0 with 0 <= a0 < 2^22, and
+    floor(x a / 2^44) = floor((x a1 + floor(x a0 / 2^22)) / 2^22).
+    """
+    h = _ROOT_BITS // 2
+    return (xs * (nums >> h) + (xs * (nums & ((1 << h) - 1)) >> h)) >> h
+
+
+def _y_candidates(los, his, xs, r: int):
+    """(x, y) for every integer y within r of some x * [lo_i, hi_i], x in xs.
+
+    lo_i = los[i] / 2^44 and hi_i = his[i] / 2^44 are ascending int64
+    numerators, so each x's window ends floor(x lo_i) - r and
+    ceil(x hi_i) + r come out sorted; overlapping windows of one x are
+    merged.  Raises DomainError, before the y are allocated, when the
+    merged windows of one x hold more than _CANDIDATE_BUDGET values.
     """
     import numpy as np
 
-    starts = np.array([(x * a >> _ROOT_BITS) - r for a in los], dtype=np.int64)
-    ends = np.array([-(-x * b >> _ROOT_BITS) + r for b in his], dtype=np.int64)
-    gap = starts[1:] > ends[:-1] + 1
-    starts = np.concatenate((starts[:1], starts[1:][gap]))
-    ends = np.concatenate((ends[:-1][gap], ends[-1:]))
-    lengths = ends - starts + 1
+    too_many = DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
+    # every window holds at least 2r + 1 values; tested before r meets int64
+    if 2 * r + 1 > _CANDIDATE_BUDGET:
+        raise too_many
+    col = xs[:, None]
+    starts = _floor_scaled(col, los) - r
+    ends = r - _floor_scaled(col, -his)
+    # a window opens a merged run unless it overlaps the previous one of its x
+    opens = np.ones(starts.shape, dtype=bool)
+    opens[:, 1:] = starts[:, 1:] > ends[:, :-1] + 1
+    closes = np.ones(starts.shape, dtype=bool)
+    closes[:, :-1] = opens[:, 1:]
+    wx = np.broadcast_to(col, starts.shape)[opens]
+    starts, lengths = starts[opens], ends[closes] - starts[opens] + 1
+    if np.bincount(wx - xs[0], weights=lengths).max() > _CANDIDATE_BUDGET:
+        raise too_many
     # consecutive integers within each window, windows back to back
     offsets = starts - (np.cumsum(lengths) - lengths)
-    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(offsets, lengths)
+    return np.repeat(wx, lengths), np.arange(lengths.sum()) + np.repeat(offsets, lengths)
+
+
+def _residue_table(form: ThueForm, q: int):
+    """F(1, t) mod q for t = 0 .. q - 1 (int16: q < 2^15)."""
+    import numpy as np
+
+    t = np.arange(q, dtype=np.int64)
+    acc = np.zeros(q, dtype=np.int64)
+    for c in form.coeffs:
+        acc = (acc * t + c % q) % q
+    return acc.astype(np.int16)
 
 
 @lru_cache(maxsize=64)
@@ -230,50 +270,48 @@ def _scan_exhaustive(
     is solved directly.  For x > 0, |F(x, y)| = prod |y - theta_i x|
     (F is monic in Y and totally real), so a solution has
     min_i |y - theta_i x| <= k^(1/m) <= R and only y within R of some
-    x * enclosure is scanned.  The modular filter is exact: residues are
-    compared against both +-k and every survivor is confirmed with big
-    integers.  The info dict counts the (x, y) pairs scanned and the
-    confirmed solutions.
+    x * enclosure is scanned.  Each candidate then passes a residue-table
+    filter keyed on t = y/x mod q: for x prime to q,
+    F(x, y) = x^m F(1, y x^-1) (mod q), so F = +-k needs
+    T_q[y x^-1 mod q] = +-k x^-m mod q, with T_q[t] = F(1, t) mod q
+    tabulated once per scan (a prime dividing x is skipped for that x).
+    The filter is only a necessary condition: every survivor is
+    confirmed with big integers.  The x are taken in blocks of about
+    _BLOCK_CANDIDATES candidates.  The info dict counts the (x, y) pairs
+    scanned and the confirmed solutions.
     """
-    m = form.degree
     import numpy as np
 
+    m = form.degree
     r = integer_nth_root(k, m)
     exact = r**m == k
     out = [(0, y, y**m) for y in (-r, r)] if exact else []  # F(0, y) = y^m
     radius = r if exact else r + 1
+    if x_hi >= 1 << 38:
+        raise DomainError("x_small must be below 2^38")
     den = 1 << _ROOT_BITS
     roots = real_roots(form)
-    los = [int(root.lo * den) for root in roots]
-    his = [int(root.hi * den) for root in roots]
-    cmods = [np.array([c % M for c in form.coeffs], dtype=np.int64) for M in _FILTER_PRIMES]
-    targets = [(np.int64(k % M), np.int64(-k % M)) for M in _FILTER_PRIMES]
+    los = np.array([int(root.lo * den) for root in roots], dtype=np.int64)
+    his = np.array([int(root.hi * den) for root in roots], dtype=np.int64)
+    tables = [(q, _residue_table(form, q)) for q in _TABLE_PRIMES]
+    # each of the m windows of an x < 2^43 holds at most 2R + 3 values
+    step = max(1, _BLOCK_CANDIDATES // (m * (2 * radius + 3)))
     scanned = 0
-    for x in range(1, x_hi + 1):
-        ys = _y_candidates(los, his, x, radius)
+    for x0 in range(1, x_hi + 1, step):
+        x1 = min(x0 + step, x_hi + 1)
+        xs, ys = _y_candidates(los, his, np.arange(x0, x1, dtype=np.int64), radius)
         scanned += len(ys)
-        mask = np.ones(len(ys), dtype=bool)
-        for (M, cm, (t1, t2)) in zip(_FILTER_PRIMES, cmods, targets):
-            xp = np.empty(m + 1, dtype=np.int64)
-            v = 1
-            for i in range(m + 1):
-                xp[i] = v
-                v = (v * x) % M
-            cy = (cm * xp) % M  # coefficient of y^(m-i) is coeffs[i] x^i
-            ysm = np.mod(ys, M)
-            acc = np.zeros(mask.sum(), dtype=np.int64)
-            ysel = ysm[mask]
-            for i in range(m + 1):
-                acc = np.mod(acc * ysel + cy[i], M)
-            keep = (acc == t1) | (acc == t2)
-            idx = np.flatnonzero(mask)
-            mask[idx[~keep]] = False
-            if not mask.any():
-                break
-        for y in ys[mask]:
-            v = evaluate(form, x, int(y))
+        for q, table in tables:
+            inv = [pow(x, -1, q) if x % q else 0 for x in range(x0, x1)]
+            want = np.array([k * pow(v, m, q) % q for v in inv])[xs - x0]
+            inv = np.array(inv)[xs - x0]
+            got = table[ys % q * inv % q]
+            keep = (got == want) | (got == (q - want) % q) | (inv == 0)
+            xs, ys = xs[keep], ys[keep]
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            v = evaluate(form, x, y)
             if abs(v) == k:
-                out.append((x, int(y), v))
+                out.append((x, y, v))
     info = {"window_radius": radius, "candidates": scanned, "confirmed": len(out)}
     return tuple(out), info
 
@@ -294,7 +332,11 @@ def _convergent_candidates(form: ThueForm, x_mid: int) -> tuple[tuple[tuple[int,
     cands = []
     roots = real_roots(form)
     for root in roots:
-        for pnum, q in continued_fraction_convergents(root, x_mid):
+        # a rational root of the monic F(1, t) is an integer; the only one,
+        # 1 on F_{2m} with 3 | 2m + 1, is the exact center of its enclosure
+        center = (root.lo + root.hi) / 2
+        rational = center.denominator == 1 and sign_at(root.coeffs, center) == 0
+        for pnum, q in continued_fraction_convergents(center if rational else root, x_mid):
             cands.append((pnum, q, evaluate(form, q, pnum)))
     info = {"roots": len(roots), "convergents": len(cands)}
     return tuple(cands), info

@@ -125,6 +125,13 @@ def sqrt_algebraic(n: int) -> RealAlgebraic:
     return RealAlgebraic((-n, 0, 1), Fraction(r), Fraction(r + 1))
 
 
+def is_prime_by_trial(n: int) -> bool:
+    """Primality by trial division up to isqrt(n), independent of arith."""
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def curve_points(lead: int, exponent: int, constant: int, x_max: int) -> list[tuple[int, int]]:
     """All (x, y), |x| <= x_max, y >= 0, with y^2 = lead x^exponent + constant,
     by testing every x with math.isqrt."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import integer_roots, sqrt_algebraic
+from oracles import integer_roots, is_prime_by_trial, sqrt_algebraic
 from tauhunt import arith as A
 
 
@@ -32,6 +32,20 @@ def test_factor_keeps_few_sieves():
     for n in rng.sample(range(2, 10**12), 200):
         assert A.factor(n).verify()
     assert A.primes_up_to.cache_info().currsize <= 21
+
+
+def test_factor_small_prime_times_large_prime():
+    # the trial division stops once the cofactor is prime
+    rng = random.Random(5)
+    small = [p for p in range(2, 50) if is_prime_by_trial(p)]
+    for _ in range(4):
+        big = rng.randrange(10**11, 10**12)
+        while not is_prime_by_trial(big):
+            big += 1
+        p = rng.choice(small)
+        assert A.factor(p * big).pairs == ((p, 1), (big, 1))
+        assert A.factor(-(p**3) * big).pairs == ((p, 3), (big, 1))
+        assert A.factor(big).pairs == ((big, 1),)
 
 
 def test_factor_certifies_large_prime():
@@ -118,6 +132,14 @@ def test_convergents_golden_ratio():
     assert A.continued_fraction_convergents(phi, 5) == [
         (1, 1), (2, 1), (3, 2), (5, 3), (8, 5)
     ]
+
+
+def test_convergents_of_fraction():
+    # 355/113 = [3; 7, 16]
+    assert A.continued_fraction_convergents(Fraction(355, 113), 1000) == [
+        (3, 1), (22, 7), (355, 113)]
+    assert A.continued_fraction_convergents(Fraction(355, 113), 100) == [(3, 1), (22, 7)]
+    assert A.continued_fraction_convergents(Fraction(1), 20) == [(1, 1)]
 
 
 def test_convergents_qmax_one():

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
-from oracles import curve_points
+from oracles import curve_points, dense_thue_solutions, form_value
+from tauhunt import thue
 from tauhunt.cli import main
 
 
@@ -188,6 +191,34 @@ def test_domain_error_exit_code(capsys):
     assert main(["lucas", "--a", "2", "--b", "4"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_thue_solve_candidate_budget(capsys):
+    # R = ceil(3^20.5) ~ 6.3e9: the windows at x = 1 alone would hold ~1.2e10 y
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["thue-solve", "--m", "2", "--rhs", str(3**41)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("m,rhs", [(4, 7), (4, 19), (4, 1), (7, 29)])
+def test_thue_solve_rational_root(m, rhs, capsys):
+    # F_8(1, t) and F_14(1, t) have the exact root 1, since 3 | 2m + 1
+    code, out = run_cli(["thue-solve", "--m", str(m), "--rhs", str(rhs),
+                         "--x-small", "10", "--x-mid", "20"], capsys)
+    assert code == 0
+    coeffs = thue.build_form(m).coeffs
+    sols = [tuple(s) for s in json.loads(out)["solutions"]]
+    assert all(form_value(coeffs, x, y) == rhs for x, y in sols)
+    assert [s for s in sols if abs(s[0]) <= 10] == dense_thue_solutions(coeffs, [rhs], 10)[rhs]
 
 
 def test_reproduce_smoke(capsys):

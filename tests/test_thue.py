@@ -212,3 +212,48 @@ def test_exhaustive_counts_in_certificate():
     res = T.solve_bounded(T.build_form(3), -7, x_small=10, x_mid=10)
     assert res.certificate["exhaustive"] == {
         "window_radius": 2, "candidates": 162, "confirmed": 3}
+
+
+@pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
+                                  T.build_reduced_form(11), T.build_reduced_form(13)],
+                         ids=lambda f: f.name)
+def test_table_filter_tiny_primes(form, monkeypatch):
+    # q in (5, 7): x = 0 (mod q) skips a table, k = 0 (mod q) makes both targets 0
+    monkeypatch.setattr(T, "_TABLE_PRIMES", (5, 7))
+    T._scan_exhaustive.cache_clear()
+    try:
+        targets = (7, -7, 35, -5, 13, -49, 1)
+        dense = dense_thue_solutions(form.coeffs, targets, 40)
+        for rhs in targets:
+            got = T.solve_bounded(form, rhs, x_small=40, x_mid=40)
+            assert list(got.solutions) == dense[rhs], (form.name, rhs)
+    finally:
+        T._scan_exhaustive.cache_clear()
+
+
+def test_exhaustive_counts_fhat691():
+    res = T.solve_bounded(T.build_reduced_form(691), 691, x_small=1000, x_mid=1000)
+    assert res.certificate["exhaustive"] == {
+        "window_radius": 2, "candidates": 1361056, "confirmed": 1}
+    assert res.solutions == ((1, 2),)
+
+
+def test_candidate_budget(monkeypatch):
+    monkeypatch.setattr(T, "_CANDIDATE_BUDGET", 40)
+    T._scan_exhaustive.cache_clear()
+    try:
+        form = T.build_reduced_form(5)
+        # R = 11: the merged windows hold 26, 29 and 30 values at x = 1, 2, 3,
+        # and 41 at x = 8
+        got = T.solve_bounded(form, 121, x_small=3, x_mid=3)
+        assert list(got.solutions) == dense_thue_solutions(form.coeffs, [121], 3)[121]
+        with pytest.raises(DomainError):
+            T.solve_bounded(form, 121, x_small=20, x_mid=20)
+        # R = 21: one window alone holds 43 > 40 values
+        assert T.solve_bounded(form, 441, x_small=0, x_mid=0).solutions == ((0, -21), (0, 21))
+        with pytest.raises(DomainError):
+            T.solve_bounded(form, 441, x_small=1, x_mid=1)
+    finally:
+        T._scan_exhaustive.cache_clear()
+    with pytest.raises(DomainError):
+        T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
