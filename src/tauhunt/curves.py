@@ -6,7 +6,8 @@ the B-curves attached to defective Lucas families.  The searcher tests
 rhs(x) for squareness exactly; a vectorized quadratic-residue filter
 over a few word-size moduli merely prunes candidates before the exact
 isqrt check.  Point catalogs for the table-covered cases ship as a JSON
-fixture and verify_tables replays every row against a bounded search.
+fixture; catalog_entry is its one lookup, and verify_tables replays
+every row through it against a bounded search.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ __all__ = [
     "CurveSpec",
     "CurveSearch",
     "search_points",
+    "catalog_entry",
     "verify_tables",
     "lucas_pell_points",
 ]
 
 _SQUARE_MODULI = (64, 63, 65, 11)
+# x values per numpy pass of the square filter
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -128,12 +132,12 @@ def _scan_square(spec: CurveSpec, xs) -> list[tuple[int, int]]:
     return out
 
 
-def search_points(spec: CurveSpec, x_max: int, chunk: int = 1 << 15) -> CurveSearch:
+def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     """All integer points with |x| <= x_max, y reported nonnegative.
 
     Negative x is clipped where rhs < 0 (odd exponents); even exponents
-    are scanned on x >= 0 and mirrored.  Deterministic sorted output
-    regardless of chunking.
+    are scanned on x >= 0 and mirrored.  The x range is scanned in
+    chunks of _CHUNK values; the sorted output does not depend on it.
     """
     if x_max < 0:
         raise DomainError("x_max must be >= 0")
@@ -148,16 +152,10 @@ def search_points(spec: CurveSpec, x_max: int, chunk: int = 1 << 15) -> CurveSea
             lo = -min(x_max, bound)
         else:
             lo = 0  # rhs < 0 for all x <= 0
-    ranges = []
-    a = lo
-    while a <= x_max:
-        b = min(a + chunk - 1, x_max)
-        ranges.append((a, b))
-        a = b + 1
     import numpy as np
 
-    for a, b in ranges:
-        xs = np.arange(a, b + 1, dtype=np.int64)
+    for a in range(lo, x_max + 1, _CHUNK):
+        xs = np.arange(a, min(a + _CHUNK, x_max + 1), dtype=np.int64)
         for x, y in _scan_square(spec, xs):
             pts.add((x, y))
             if even and x > 0:
@@ -171,44 +169,38 @@ def search_points(spec: CurveSpec, x_max: int, chunk: int = 1 << 15) -> CurveSea
 # ---------------------------------------------------------------------------
 
 
-def catalog_c_points(weight_exponent: int, ell: int, sign: int) -> list[list[int]] | None:
-    """Cataloged points of Y^2 = X^(2k-1) +- ell, or None if uncovered."""
+def catalog_entry(family: str, w: int, ell: int, sign: int) -> dict | None:
+    """Catalog entry {points, status} for Y^2 = X^w +- ell (family "C")
+    or Y^2 = 5X^(2w) +- 4 ell (family "H", points listed as (|x|, |y|)),
+    or None if the catalog does not cover the curve."""
     cat = catalog.load("curve_tables.json")
-    if weight_exponent == 11 and ell == 691:
+    if ell == 691 and w == 11:
         for row in cat["ell691"]:
-            if row["family"] == "C" and row["sign"] == sign:
-                return [list(p) for p in row["points"]]
-    d = (weight_exponent + 1) // 2
-    table = cat["mordell_plus" if sign > 0 else "mordell_minus"]
-    row = table.get(str(ell))
-    if row is None or str(d) not in row:
-        return None
-    return [list(p) for p in row[str(d)]]
-
-
-def catalog_h_entry(half_exponent: int, ell: int, sign: int) -> dict | None:
-    """Catalog entry for Y^2 = 5X^(2d) +- 4 ell: {points (|x|,|y|), status}."""
-    cat = catalog.load("curve_tables.json")
-    if ell == 5:
-        pts = list(cat["ell5"]["plus"]) if sign > 0 else list(cat["ell5"]["minus"])
-        if sign > 0 and half_exponent == 2:
-            pts = pts + list(cat["ell5"]["plus_d2_extra"])
-        return {"points": pts, "status": "known"}
-    if ell == 691 and half_exponent == 11:
-        for row in cat["ell691"]:
-            if row["family"] == "H" and row["sign"] == sign:
+            if row["family"] == family and row["sign"] == sign:
                 return {"points": [list(p) for p in row["points"]], "status": row["status"]}
+    if family == "C":
+        pts = cat["mordell_plus" if sign > 0 else "mordell_minus"].get(str(ell), {}).get(
+            str((w + 1) // 2))
+        return None if pts is None else {"points": [list(p) for p in pts], "status": "known"}
+    if ell == 5:
+        pts = list(cat["ell5"]["plus" if sign > 0 else "minus"])
+        if sign > 0 and w == 2:
+            pts += cat["ell5"]["plus_d2_extra"]
+        return {"points": pts, "status": "known"}
     for row in cat["pell_power"]:
-        if row["ell"] == ell and row["d"] == half_exponent and row["sign"] == sign:
+        if (row["ell"], row["d"], row["sign"]) == (ell, w, sign):
             return {"points": [list(p) for p in row["points"]], "status": row["status"]}
     return None
 
 
-def _verify_row(spec: CurveSpec, listed: list[list[int]], x_max: int,
-                unsigned_x: bool, status: str) -> dict:
-    """Check every listed point satisfies the equation and the bounded
-    search finds nothing else.  Rows the source leaves open are never
-    compared, only reported with our bounded findings."""
+def _verify_row(family: str, w: int, ell: int, sign: int, x_max: int) -> dict:
+    """Check every listed point of the catalog entry satisfies the
+    equation and the bounded search finds nothing else.  Rows the source
+    leaves open are never compared, only reported with our bounded
+    findings."""
+    spec = (CurveSpec.c_family if family == "C" else CurveSpec.h_family)(w, ell, sign)
+    entry = catalog_entry(family, w, ell, sign)
+    listed, status, unsigned_x = entry["points"], entry["status"], family == "H"
     problems = []
     for x, y in listed:
         xs = (x, -x) if unsigned_x else (x,)
@@ -246,27 +238,16 @@ def verify_tables(x_max: int = 100000) -> dict:
     discrepancy entry, never silently dropped.
     """
     cat = catalog.load("curve_tables.json")
-    rows = []
-    for sign, key in ((1, "mordell_plus"), (-1, "mordell_minus")):
-        for ell_s, per_d in sorted(cat[key].items(), key=lambda kv: int(kv[0])):
-            for d_s, pts in sorted(per_d.items(), key=lambda kv: int(kv[0])):
-                spec = CurveSpec.c_family(2 * int(d_s) - 1, int(ell_s), sign)
-                rows.append(_verify_row(spec, pts, x_max, False, "known"))
-    for row in cat["pell_power"]:
-        spec = CurveSpec.h_family(row["d"], row["ell"], row["sign"])
-        rows.append(_verify_row(spec, row["points"], x_max, True, row["status"]))
-    for d in (2, 3, 5, 7, 11, 13):
-        for sign in (1, -1):
-            entry = catalog_h_entry(d, 5, sign)
-            spec = CurveSpec.h_family(d, 5, sign)
-            rows.append(_verify_row(spec, entry["points"], x_max, True, "known"))
-    for row in cat["ell691"]:
-        if row["family"] == "C":
-            spec = CurveSpec.c_family(11, 691, row["sign"])
-            rows.append(_verify_row(spec, row["points"], x_max, False, row["status"]))
-        else:
-            spec = CurveSpec.h_family(11, 691, row["sign"])
-            rows.append(_verify_row(spec, row["points"], x_max, True, row["status"]))
+    keys = [
+        ("C", 2 * int(d_s) - 1, int(ell_s), sign)
+        for sign, table in ((1, "mordell_plus"), (-1, "mordell_minus"))
+        for ell_s, per_d in sorted(cat[table].items(), key=lambda kv: int(kv[0]))
+        for d_s in sorted(per_d, key=int)
+    ]
+    keys += [("H", row["d"], row["ell"], row["sign"]) for row in cat["pell_power"]]
+    keys += [("H", d, 5, sign) for d in (2, 3, 5, 7, 11, 13) for sign in (1, -1)]
+    keys += [(row["family"], 11, 691, row["sign"]) for row in cat["ell691"]]
+    rows = [_verify_row(*key, x_max) for key in keys]
     counts = {"verified": 0, "conditional-grh": 0, "unknown": 0, "discrepancy": 0}
     for r in rows:
         counts[r["status"]] += 1

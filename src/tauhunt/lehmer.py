@@ -12,16 +12,25 @@ Diophantine condition:
 
 with alpha = sign * ell^m.  Every Thue condition is solved as
 Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, which is exact
-because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).  check_admissibility
-searches every condition within explicit bounds, applies the exact
-modularity filters to each hit, and assembles a bound-stamped verdict.
-For the built-in discriminant form the classical congruences mod 9, 5,
-7 and 691 prune conditions whose rank of apparition is impossible.
+because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).
+
+check_admissibility takes every condition down one path.  _verdict
+runs its bounded search (the curve scan or the Fhat_d solve), compares
+the search with the condition's catalog entry through catalog.compare,
+and hands every point to _dispose.  _dispose recovers p and the
+possible |a_f(p)| behind the point, then runs one eigenvalue check on
+each magnitude: the Deligne bound, the stored a_f(p) and the
+trivial-mod-2 parity.  The flag is trusted only while no stored a_f(p),
+p not dividing 2N, is odd.  For the built-in discriminant form the
+classical congruences mod 9, 5, 7 and 691 prune conditions whose rank
+of apparition is impossible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import catalog, curves, thue
@@ -33,7 +42,7 @@ from .arith import (
     prime_power_root,
 )
 from .lucas import sigma_hat
-from .newform import NewformSpec
+from .newform import NewformSpec, parity_check
 
 __all__ = [
     "SearchBounds",
@@ -72,10 +81,20 @@ def unit_set(spec: NewformSpec) -> tuple[int, ...]:
     odd-level forms with a_f(2) = +-3 (then a_f(4) = 1)."""
     if not spec.trivial_mod2:
         raise DomainError("unit classification needs the trivial-mod-2 flag")
+    _check_even_eigenvalues(spec)
     units = [1]
     if spec.weight == 4 and spec.level % 2 == 1 and spec.ap.get(2) in (3, -3):
         units.append(4)
     return tuple(units)
+
+
+def _check_even_eigenvalues(spec: NewformSpec) -> None:
+    """The trivial-mod-2 flag is trusted only when every stored a_f(p),
+    p not dividing 2N, is even."""
+    odd = parity_check(spec).violations
+    if odd:
+        listed = ", ".join(f"a_f({p}) = {spec.ap[p]}" for p in odd)
+        raise DomainError(f"trivial_mod2 is set but {listed} is odd")
 
 
 @dataclass(frozen=True)
@@ -88,7 +107,6 @@ class DiophantineCondition:
     sign: int
     weight: int
     curve: curves.CurveSpec | None = None
-    thue_degree: int = 0
 
     def describe(self) -> str:
         w = self.weight - 1
@@ -114,26 +132,12 @@ def enumerate_conditions(
     out = []
     divisors = sorted(p for p, _ in factor(ell * (ell * ell - 1)).pairs if p > 2)
     for d in divisors:
+        kind, curve = "thue", None
         if d == 3:
-            out.append(
-                DiophantineCondition(
-                    d, "curve-C", alpha, ell, m, sign, spec.weight,
-                    curve=curves.CurveSpec.c_family(w, ell, sign, m),
-                )
-            )
+            kind, curve = "curve-C", curves.CurveSpec.c_family(w, ell, sign, m)
         elif d == 5:
-            out.append(
-                DiophantineCondition(
-                    d, "curve-H", alpha, ell, m, sign, spec.weight,
-                    curve=curves.CurveSpec.h_family(w, ell, sign, m),
-                )
-            )
-        else:
-            out.append(
-                DiophantineCondition(
-                    d, "thue", alpha, ell, m, sign, spec.weight, thue_degree=(d - 1) // 2
-                )
-            )
+            kind, curve = "curve-H", curves.CurveSpec.h_family(w, ell, sign, m)
+        out.append(DiophantineCondition(d, kind, alpha, ell, m, sign, spec.weight, curve))
     return out
 
 
@@ -252,144 +256,102 @@ class AdmissibilityReport:
         }
 
 
-def _dispose_c_hit(spec: NewformSpec, cond, x: int, y: int) -> dict:
+def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> dict:
+    """Recover p and the possible |a_f(p)| behind one point, then test
+    each magnitude against the Deligne bound, the stored a_f(p) and the
+    trivial-mod-2 parity.  The points are (p, |a|) on C,
+    (+-p, +-(2a^2 - 3p^w)) on H and (p^w, a^2) for Thue, w = 2k - 1."""
     w = spec.weight - 1
-    base = {"point": [x, y]}
-    if x < 2 or not is_prime(x):
-        return base | {"status": "filtered", "reason": "X is not a positive prime"}
-    if spec.level % x == 0:
-        return base | {"status": "filtered", "reason": "p divides the level"}
-    if y * y > 4 * x**w:
-        return base | {"status": "filtered", "reason": "Deligne bound violated (non-modular point)"}
-    if x in spec.ap and abs(spec.ap[x]) != y:
-        return base | {
-            "status": "filtered",
-            "reason": f"stored a_f({x}) = {spec.ap[x]} differs from +-{y}",
-        }
-    if spec.trivial_mod2 and (2 * spec.level) % x != 0 and y % 2 == 1:
-        return base | {"status": "filtered", "reason": "a_f(p) must be even (trivial mod 2)"}
-    return base | {"status": "candidate", "p": x, "predicted_n": _predicted(spec, x, 3)}
 
+    def filtered(reason: str) -> dict:
+        return {"point": [x, y], "status": "filtered", "reason": reason}
 
-def _dispose_h_hit(spec: NewformSpec, cond, x: int, y: int) -> dict:
-    w = spec.weight - 1
-    base = {"point": [x, y]}
-    x = abs(x)
-    if x < 2 or not is_prime(x):
-        return base | {"status": "filtered", "reason": "X is not a positive prime"}
-    if spec.level % x == 0:
-        return base | {"status": "filtered", "reason": "p divides the level"}
-    B = x**w
-    # recover a_f(p) from Y = +-(2 a^2 - 3 B)
-    eigsq = []
-    for s in (1, -1):
-        num = s * y + 3 * B
-        if num >= 0 and num % 2 == 0:
-            sq = is_perfect_square(num // 2)
-            if sq is not None:
-                eigsq.append(sq)
-    if not eigsq:
-        return base | {"status": "filtered", "reason": "no integer a_f(p) with 2a^2 - 3p^(2k-1) = +-Y"}
-    ok = []
-    for a in eigsq:
+    if cond.kind == "thue":
+        p = prime_power_root(x, w)
+        if p is None:
+            return filtered(f"X must equal p^{w} for a prime p" if x < 2
+                            else f"X is not a prime power p^{w}")
+    else:
+        p = abs(x) if cond.kind == "curve-H" else x
+        if p < 2 or not is_prime(p):
+            return filtered("X is not a positive prime")
+    if spec.level % p == 0:
+        return filtered("p divides the level")
+    B = p**w
+    if cond.kind == "curve-C":
+        magnitudes = [y]
+    elif cond.kind == "curve-H":
+        # a^2 = (3B +- Y) / 2
+        halves = [3 * B + s * y for s in (1, -1)]
+        magnitudes = [is_perfect_square(h // 2) for h in halves if h % 2 == 0]
+        magnitudes = [a for a in magnitudes if a is not None]
+        if not magnitudes:
+            return filtered("no integer a_f(p) with 2a^2 - 3p^(2k-1) = +-Y")
+    else:
+        if y < 0:
+            return filtered("Y = a_f(p)^2 must be nonnegative")
+        a = is_perfect_square(y)
+        if a is None:
+            return filtered("Y = a_f(p)^2 must be a perfect square")
+        magnitudes = [a]
+    ok, faults = [], []
+    for a in magnitudes:
         if a * a > 4 * B:
-            continue
-        if x in spec.ap and abs(spec.ap[x]) != a:
-            continue
-        if spec.trivial_mod2 and (2 * spec.level) % x != 0 and a % 2 == 1:
-            continue
-        ok.append(a)
+            faults.append("Deligne bound violated (non-modular point)")
+        elif p in spec.ap and abs(spec.ap[p]) != a:
+            faults.append(f"stored a_f({p}) = {spec.ap[p]} differs from +-{a}")
+        elif spec.trivial_mod2 and (2 * spec.level) % p != 0 and a % 2 == 1:
+            faults.append("a_f(p) must be even (trivial mod 2)")
+        else:
+            ok.append(a)
     if not ok:
-        return base | {"status": "filtered", "reason": "every recovered a_f(p) fails Deligne/data/parity"}
-    return base | {
+        return filtered(faults[0])
+    return {
+        "point": [x, y],
         "status": "candidate",
-        "p": x,
+        "p": p,
         "eigenvalue_magnitudes": sorted(ok),
-        "predicted_n": _predicted(spec, x, 5),
+        "predicted_n": [m0 * p ** (cond.d - 1) for m0 in unit_set(spec)
+                        if math.gcd(m0, p) == 1],
     }
 
 
-def _dispose_thue_hit(spec: NewformSpec, cond, x: int, y: int) -> dict:
-    w = spec.weight - 1
-    base = {"point": [x, y]}
-    if x < 2:
-        return base | {"status": "filtered", "reason": f"X must equal p^{w} for a prime p"}
-    p = prime_power_root(x, w)
-    if p is None:
-        return base | {"status": "filtered", "reason": f"X is not a prime power p^{w}"}
-    if spec.level % p == 0:
-        return base | {"status": "filtered", "reason": "p divides the level"}
-    if y < 0:
-        return base | {"status": "filtered", "reason": "Y = a_f(p)^2 must be nonnegative"}
-    a = is_perfect_square(y)
-    if a is None:
-        return base | {"status": "filtered", "reason": "Y = a_f(p)^2 must be a perfect square"}
-    if y > 4 * x:
-        return base | {"status": "filtered", "reason": "Deligne bound Y <= 4X violated (non-modular point)"}
-    if p in spec.ap and abs(spec.ap[p]) != a:
-        return base | {
-            "status": "filtered",
-            "reason": f"stored a_f({p}) = {spec.ap[p]} differs from +-{a}",
-        }
-    if spec.trivial_mod2 and (2 * spec.level) % p != 0 and a % 2 == 1:
-        return base | {"status": "filtered", "reason": "a_f(p) must be even (trivial mod 2)"}
-    return base | {"status": "candidate", "p": p, "predicted_n": _predicted(spec, p, cond.d)}
-
-
-def _predicted(spec: NewformSpec, p: int, d: int) -> list[int]:
-    return [m0 * p ** (d - 1) for m0 in unit_set(spec) if math.gcd(m0, p) == 1]
-
-
-def _verdict_curve(spec, cond, bounds) -> ConditionVerdict:
-    curve = cond.curve
-    search = curves.search_points(curve, bounds.x_max)
-    cert = dict(search.certificate)
-    grh = False
-    source = f"bounded search on {curve.label}"
-    mode = "search"
-    if cond.m == 1:
-        if cond.kind == "curve-C":
-            listed = curves.catalog_c_points(spec.weight - 1, cond.ell, cond.sign)
-            entry = {"points": listed} if listed is not None else None
-        else:
-            entry = curves.catalog_h_entry(spec.weight - 1, cond.ell, cond.sign)
-        if entry is not None and entry.get("status", "known") != "open":
-            mismatch = catalog.compare(
-                entry["points"], search.points, bounds.x_max, cond.kind == "curve-H"
-            )
-            if mismatch is None:
-                mode = "fixture+search"
-                source = f"integer-point catalog for {curve.label} + bounded search"
-                grh = entry.get("status") == "grh"
-            else:
-                cert["catalog_discrepancy"] = mismatch
-    hits = search.points
-    disp = tuple(
-        (_dispose_c_hit if cond.kind == "curve-C" else _dispose_h_hit)(spec, cond, x, y)
-        for x, y in hits
-    )
-    return ConditionVerdict(cond, mode, source, grh, hits, disp, cert)
-
-
-def _verdict_thue(spec, cond, bounds) -> ConditionVerdict:
-    d = cond.d
-    res = thue.solve_bounded(
-        thue.build_reduced_form(d), cond.alpha, bounds.x_small, bounds.x_mid
-    )
-    hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
-    source = f"bounded search via reduced form Fhat_{d}"
-    cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
+def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
+             ) -> ConditionVerdict:
+    """Search the condition, compare the search with its catalog entry
+    (if any) and dispose of every point found."""
+    listed = None  # (points, grh, compared bound) of a usable catalog entry
+    if cond.curve is None:
+        res = thue.solve_bounded(
+            thue.build_reduced_form(cond.d), cond.alpha, bounds.x_small, bounds.x_mid
+        )
+        hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
+        cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
+        source = f"bounded search via reduced form Fhat_{cond.d}"
+        fixture_source = source + " + solution catalog"
+        row = thue.catalog_lookup(cond.d, cond.alpha)
+        if row is not None:
+            # only the exhaustive range is complete, so only it is compared
+            listed = (row["solutions"], row["grh"], bounds.x_small)
+    else:
+        search = curves.search_points(cond.curve, bounds.x_max)
+        hits, cert = search.points, dict(search.certificate)
+        source = f"bounded search on {cond.curve.label}"
+        fixture_source = f"integer-point catalog for {cond.curve.label} + bounded search"
+        entry = None if cond.m > 1 else curves.catalog_entry(
+            cond.curve.family, spec.weight - 1, cond.ell, cond.sign
+        )
+        if entry is not None and entry["status"] != "open":
+            listed = (entry["points"], entry["status"] == "grh", bounds.x_max)
     mode, grh = "search", False
-    row = thue.catalog_lookup(d, cond.alpha)
-    if row is not None:
-        # only the exhaustive range is complete, so only it is compared
-        mismatch = catalog.compare(row["solutions"], hits, bounds.x_small, False)
+    if listed is not None:
+        points, listed_grh, bound = listed
+        mismatch = catalog.compare(points, hits, bound, cond.kind == "curve-H")
         if mismatch is None:
-            mode, grh = "fixture+search", row["grh"]
-            source += " + solution catalog"
+            mode, source, grh = "fixture+search", fixture_source, listed_grh
         else:
             cert["catalog_discrepancy"] = mismatch
-    disp = tuple(_dispose_thue_hit(spec, cond, x, y) for x, y in hits)
+    disp = tuple(_dispose(spec, cond, x, y) for x, y in hits)
     return ConditionVerdict(cond, mode, source, grh, hits, disp, cert)
 
 
@@ -410,6 +372,7 @@ def check_admissibility(
     """
     if not spec.trivial_mod2:
         raise DomainError("admissibility requires the trivial-mod-2 flag")
+    _check_even_eigenvalues(spec)
     conds = enumerate_conditions(spec, ell, m, sign)
     use_congruences = spec.is_delta and ell in RAMANUJAN_PRIMES
     verdicts = []
@@ -427,10 +390,7 @@ def check_admissibility(
                 )
             )
             continue
-        if cond.kind in ("curve-C", "curve-H"):
-            verdict = _verdict_curve(spec, cond, bounds)
-        else:
-            verdict = _verdict_thue(spec, cond, bounds)
+        verdict = _verdict(spec, cond, bounds)
         if use_congruences:
             verdict.certificate["congruence_rank_possible"] = True
         verdicts.append(verdict)
@@ -466,6 +426,7 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
             total += max(0, sigma_hat(spec.ap[p], p ** (spec.weight - 1), e))
         else:
             if spec.trivial_mod2 and p != 2:
+                _check_even_eigenvalues(spec)
                 total += 1
             elif p == 2 and 2 in spec.ap and abs(spec.ap[2]) != 1:
                 total += 1
@@ -479,24 +440,21 @@ def decompose_odd_target(spec: NewformSpec, alpha: int) -> dict:
     if alpha % 2 == 0 or abs(alpha) <= 1:
         raise DomainError("alpha must be odd with |alpha| > 1")
     sign = 1 if alpha > 0 else -1
-    blocks_per_prime = []
-    for ell, e in factor(alpha).pairs:
-        parts = _partitions(e)
-        blocks_per_prime.append((ell, parts))
-    scenarios = set()
-    def expand(i, acc):
-        if i == len(blocks_per_prime):
-            # distribute signs over the blocks with the right product
-            _sign_patterns(tuple(acc), sign, scenarios)
-            return
-        ell, parts = blocks_per_prime[i]
-        for part in parts:
-            expand(i + 1, acc + [(ell, mm) for mm in part])
-    expand(0, [])
-    out = sorted(
-        [sorted(s) for s in scenarios],
-        key=lambda sc: (len(sc), sc),
-    )
+    pairs = factor(alpha).pairs
+    scenarios = []
+    for parts in itertools.product(*(_partitions(e) for _, e in pairs)):
+        # each distinct block (ell, m) occurring c times has 0..c negative copies
+        blocks = sorted(Counter(
+            (ell, mm) for (ell, _), part in zip(pairs, parts) for mm in part
+        ).items())
+        for negs in itertools.product(*(range(c + 1) for _, c in blocks)):
+            if (-1) ** sum(negs) == sign:
+                scenarios.append(sorted(
+                    (s, ell, mm)
+                    for ((ell, mm), c), k in zip(blocks, negs)
+                    for s in [-1] * k + [1] * (c - k)
+                ))
+    out = sorted(scenarios, key=lambda sc: (len(sc), sc))
     return {
         "target": alpha,
         "unit_set": list(unit_set(spec)) if spec.trivial_mod2 else [1],
@@ -519,15 +477,3 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
             rec(rest - part, part, acc + [part])
     rec(e, e, [])
     return out
-
-
-def _sign_patterns(blocks, sign, scenarios):
-    n = len(blocks)
-    for bits in range(1 << n):
-        signs = [1 if not (bits >> i) & 1 else -1 for i in range(n)]
-        prod = 1
-        for s in signs:
-            prod *= s
-        if prod != sign:
-            continue
-        scenarios.add(tuple(sorted((signs[i], blocks[i][0], blocks[i][1]) for i in range(n))))

@@ -317,13 +317,11 @@ def _scan_exhaustive(
 
 
 def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:
-    # degree 1: y + c1 x = rhs
+    # degree 1: y + c1 x = rhs has one solution for each x, two per |x|
+    if 2 * (x_hi - x_lo + 1) > _CANDIDATE_BUDGET:
+        raise DomainError(f"a linear form would list more than {_CANDIDATE_BUDGET} solutions")
     c1 = form.coeffs[1]
-    out = []
-    for x in range(-x_hi, x_hi + 1):
-        if x_lo <= abs(x) <= x_hi:
-            out.append((x, rhs - c1 * x))
-    return out
+    return [(x, rhs - c1 * x) for a in range(x_lo, x_hi + 1) for x in (a, -a)]
 
 
 @lru_cache(maxsize=64)

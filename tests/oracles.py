@@ -174,6 +174,35 @@ def dense_thue_solutions(coeffs, targets, x_bound: int) -> dict[int, list[tuple[
     return {k: sorted(v) for k, v in out.items()}
 
 
+def signed_block_scenarios(alpha: int) -> list[list[tuple[int, int, int]]]:
+    """Every way to write odd alpha as a product of signed prime-power
+    blocks (sign, ell, m), each sorted, in (length, blocks) order.
+
+    Splits each exponent into every partition, then tries all 2^n sign
+    vectors of the n blocks and removes duplicates through a set.
+    """
+    sign = 1 if alpha > 0 else -1
+
+    def partitions(e: int, top: int):
+        if e == 0:
+            yield ()
+        for part in range(min(e, top), 0, -1):
+            for rest in partitions(e - part, part):
+                yield (part,) + rest
+
+    block_lists = [[]]
+    for ell, e in factor(alpha).pairs:
+        block_lists = [bl + [(ell, mm) for mm in part]
+                       for bl in block_lists for part in partitions(e, e)]
+    scenarios = set()
+    for blocks in block_lists:
+        for bits in range(1 << len(blocks)):
+            signs = [-1 if bits >> i & 1 else 1 for i in range(len(blocks))]
+            if math.prod(signs) == sign:
+                scenarios.add(tuple(sorted((s, ell, mm) for s, (ell, mm) in zip(signs, blocks))))
+    return sorted((list(sc) for sc in scenarios), key=lambda sc: (len(sc), sc))
+
+
 # ---------------------------------------------------------------------------
 # Bivariate polynomials over Z
 # ---------------------------------------------------------------------------

@@ -147,6 +147,33 @@ def test_decompose(capsys):
     assert len(json.loads(out)["scenarios"]) == 2
 
 
+def test_trivial_mod2_with_odd_eigenvalue(tmp_path, capsys):
+    spec = tmp_path / "odd.json"
+    spec.write_text('{"weight": 4, "level": 5, "ap": {"3": 1, "7": 3}, "trivial_mod2": true}')
+    code, out = run_cli(["coeff", "--spec", str(spec), "--n", "21"], capsys)
+    assert code == 0 and json.loads(out)["coefficient"] == 3
+    for args in (["omega-bound", "--n", "21"], ["admissible", "--target", "3"]):
+        assert main(args + ["--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+
+def test_decompose_large_exponent(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(["decompose", "--target", str(3**18)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and len(json.loads(out)["scenarios"]) == 6130
+
+
+def test_thue_solve_linear_budget(capsys):
+    start = time.perf_counter()
+    code = main(["thue-solve", "--m", "1", "--rhs", "7", "--x-small", "1",
+                 "--x-mid", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_weight_bound(capsys):
     code, out = run_cli(["weight-bound", "--ell", "3", "--m", "2", "--sign", "minus"], capsys)
     data = json.loads(out)

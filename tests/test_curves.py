@@ -33,10 +33,12 @@ def test_substitution_closure():
             assert y >= 0
 
 
-def test_chunking_determinism():
+def test_chunking_determinism(monkeypatch):
     spec = C.CurveSpec.c_family(3, 17, 1)
-    a = C.search_points(spec, 6000, chunk=1 << 6)
-    b = C.search_points(spec, 6000, chunk=1 << 14)
+    monkeypatch.setattr(C, "_CHUNK", 1 << 6)
+    a = C.search_points(spec, 6000)
+    monkeypatch.setattr(C, "_CHUNK", 1 << 14)
+    b = C.search_points(spec, 6000)
     assert a.points == b.points
 
 
@@ -65,16 +67,16 @@ def test_open_cells_report_findings():
 
 
 def test_catalog_lookup_helpers():
-    assert C.catalog_c_points(3, 3, 1) == [[1, 2]]
-    assert C.catalog_c_points(11, 691, 1) == []
-    assert C.catalog_c_points(11, 691, -1) == []
-    assert C.catalog_c_points(9, 3, 1) is None      # exponent 9 not cataloged
-    entry = C.catalog_h_entry(3, 11, 1)
+    assert C.catalog_entry("C", 3, 3, 1)["points"] == [[1, 2]]
+    assert C.catalog_entry("C", 11, 691, 1)["points"] == []
+    assert C.catalog_entry("C", 11, 691, -1)["points"] == []
+    assert C.catalog_entry("C", 9, 3, 1) is None      # exponent 9 not cataloged
+    entry = C.catalog_entry("H", 3, 11, 1)
     assert entry["points"] == [[1, 7], [7, 767]] and entry["status"] == "known"
-    assert C.catalog_h_entry(11, 691, -1)["points"] == []
-    assert C.catalog_h_entry(3, 5, 1)["points"] == [[1, 5]]
-    assert C.catalog_h_entry(2, 5, 1)["points"] == [[1, 5], [2, 10]]
-    assert C.catalog_h_entry(7, 5, -1)["points"] == []
+    assert C.catalog_entry("H", 11, 691, -1)["points"] == []
+    assert C.catalog_entry("H", 3, 5, 1)["points"] == [[1, 5]]
+    assert C.catalog_entry("H", 2, 5, 1)["points"] == [[1, 5], [2, 10]]
+    assert C.catalog_entry("H", 7, 5, -1)["points"] == []
 
 
 def test_supplemented_points_are_real():
@@ -82,9 +84,9 @@ def test_supplemented_points_are_real():
     assert 2**5 + 17 == 7 * 7
     assert 2**13 + 89 == 91 * 91
     assert 18**3 + 97 == 77 * 77
-    assert C.catalog_c_points(5, 17, 1) == [[-1, 4], [2, 7]]
-    assert C.catalog_c_points(13, 89, 1) == [[2, 91]]
-    assert C.catalog_c_points(3, 97, 1) == [[18, 77]]
+    assert C.catalog_entry("C", 5, 17, 1)["points"] == [[-1, 4], [2, 7]]
+    assert C.catalog_entry("C", 13, 89, 1)["points"] == [[2, 91]]
+    assert C.catalog_entry("C", 3, 97, 1)["points"] == [[18, 77]]
 
 
 def test_lucas_pell_split():

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import signed_block_scenarios
 from tauhunt import lehmer as LE
 from tauhunt.arith import DomainError, primes_up_to
 from tauhunt.newform import NewformSpec, coeff_prime_power, delta_newform
@@ -21,6 +22,9 @@ def test_unit_set():
     assert LE.unit_set(w6) == (1,)
     with pytest.raises(DomainError):
         LE.unit_set(NewformSpec(weight=4, level=1, ap={2: 3}))
+    # the flag is not trusted against a stored odd eigenvalue
+    with pytest.raises(DomainError, match=r"a_f\(3\) = 1"):
+        LE.unit_set(NewformSpec(weight=4, level=5, ap={3: 1, 7: 3}, trivial_mod2=True))
 
 
 def test_enumerate_conditions():
@@ -212,6 +216,68 @@ def test_decompose_examples():
         LE.decompose_odd_target(DELTA, 14)
     with pytest.raises(DomainError):
         LE.decompose_odd_target(DELTA, 1)
+
+
+# weight 4, level 5, units (1, 4): a candidate at p predicts n = p^(d-1) and 4 p^(d-1)
+LVL5 = NewformSpec(weight=4, level=5, ap={2: 3, 3: 2}, bad_signs={5: 1}, trivial_mod2=True)
+
+
+def _filtered(point, reason):
+    return {"point": list(point), "status": "filtered", "reason": reason}
+
+
+def _candidate(point, p, magnitudes, predicted):
+    return {"point": list(point), "status": "candidate", "p": p,
+            "eigenvalue_magnitudes": magnitudes, "predicted_n": predicted}
+
+
+DELIGNE = "Deligne bound violated (non-modular point)"
+PARITY = "a_f(p) must be even (trivial mod 2)"
+
+
+@pytest.mark.parametrize("kind,point,expected", [
+    # C: the point is (p, |a_f(p)|)
+    ("curve-C", (4, 2), _filtered((4, 2), "X is not a positive prime")),
+    ("curve-C", (-3, 2), _filtered((-3, 2), "X is not a positive prime")),
+    ("curve-C", (5, 2), _filtered((5, 2), "p divides the level")),
+    ("curve-C", (7, 40), _filtered((7, 40), DELIGNE)),          # 40^2 > 4 * 7^3
+    ("curve-C", (3, 4), _filtered((3, 4), "stored a_f(3) = 2 differs from +-4")),
+    ("curve-C", (7, 3), _filtered((7, 3), PARITY)),
+    ("curve-C", (7, 4), _candidate((7, 4), 7, [4], [49, 196])),
+    ("curve-C", (2, 3), _candidate((2, 3), 2, [3], [4])),       # p = 2 escapes parity
+    # H: the point is (+-p, +-(2 a^2 - 3 p^3))
+    ("curve-H", (1, 5), _filtered((1, 5), "X is not a positive prime")),
+    ("curve-H", (-5, 1), _filtered((-5, 1), "p divides the level")),
+    ("curve-H", (7, 1), _filtered(
+        (7, 1), "no integer a_f(p) with 2a^2 - 3p^(2k-1) = +-Y")),
+    ("curve-H", (-7, 1859), _filtered((-7, 1859), DELIGNE)),     # a = 38
+    ("curve-H", (3, 49), _filtered((3, 49), "stored a_f(3) = 2 differs from +-4")),
+    ("curve-H", (7, 1011), _filtered((7, 1011), PARITY)),        # a = 3
+    ("curve-H", (-7, 997), _candidate((-7, 997), 7, [4], [7**4, 4 * 7**4])),
+    # Thue: the point is (p^3, a_f(p)^2)
+    ("thue", (1, 4), _filtered((1, 4), "X must equal p^3 for a prime p")),
+    ("thue", (64, 4), _filtered((64, 4), "X is not a prime power p^3")),
+    ("thue", (125, 4), _filtered((125, 4), "p divides the level")),
+    ("thue", (343, -4), _filtered((343, -4), "Y = a_f(p)^2 must be nonnegative")),
+    ("thue", (343, 5), _filtered((343, 5), "Y = a_f(p)^2 must be a perfect square")),
+    ("thue", (343, 1444), _filtered((343, 1444), DELIGNE)),
+    ("thue", (27, 16), _filtered((27, 16), "stored a_f(3) = 2 differs from +-4")),
+    ("thue", (343, 9), _filtered((343, 9), PARITY)),
+    ("thue", (343, 16), _candidate((343, 16), 7, [4], [7**6, 4 * 7**6])),
+])
+def test_dispose_branches(kind, point, expected):
+    # 29 * (29^2 - 1) = 2^3 * 3 * 5 * 7 * 29: conditions C (d = 3), H (d = 5), Thue (d = 7)
+    cond = next(c for c in LE.enumerate_conditions(LVL5, 29, 1, 1) if c.kind == kind)
+    assert LE._dispose(LVL5, cond, *point) == expected
+
+
+def test_decompose_matches_sign_vector_oracle():
+    targets = [t for t in range(-3001, 3002, 2) if abs(t) > 1]
+    targets += [3**4 * 5**3 * 7**2, -(3**6) * 5**2, 3**5 * 11**3, -(5**4) * 7**3, 3**10]
+    for t in targets:
+        got = [[(b["sign"], b["ell"], b["m"]) for b in sc]
+               for sc in LE.decompose_odd_target(DELTA, t)["scenarios"]]
+        assert got == signed_block_scenarios(t), t
 
 
 def test_report_serialization():

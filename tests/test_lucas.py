@@ -210,9 +210,9 @@ def test_data_dir_override(data_dir, monkeypatch):
         (data_dir / name).write_text(json.dumps(table))
     assert L.classify_defects(L.LucasPair(3, 8)) == []
     assert thue.catalog_lookup(7, 7) is None
-    assert curves.catalog_c_points(3, 3, 1) == []
+    assert curves.catalog_entry("C", 3, 3, 1)["points"] == []
     monkeypatch.delenv("TAUHUNT_DATA_DIR")
     catalog.load.cache_clear()
     assert [d.n for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
     assert thue.catalog_lookup(7, 7) is not None
-    assert curves.catalog_c_points(3, 3, 1) == [[1, 2]]
+    assert curves.catalog_entry("C", 3, 3, 1)["points"] == [[1, 2]]
