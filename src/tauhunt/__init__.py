@@ -13,7 +13,7 @@ from .arith import (
     prime_power_root,
     sigma,
 )
-from .bounds import bw_constant, threshold_T, threshold_U, weight_bound_M
+from .bounds import weight_bound_M
 from .curves import CurveSpec, search_points, verify_tables
 from .lehmer import (
     AdmissibilityReport,
@@ -22,20 +22,17 @@ from .lehmer import (
     decompose_odd_target,
     enumerate_conditions,
     omega_lower_bound,
-    ramanujan_filter,
     unit_set,
 )
 from .lucas import (
     LucasPair,
     classify_defects,
-    has_primitive_prime_divisor,
     lucas_terms,
     rank_of_apparition,
     sigma_hat,
 )
 from .newform import (
     NewformSpec,
-    QSeries,
     coeff,
     coeff_prime_power,
     delta_expansion,

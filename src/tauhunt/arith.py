@@ -21,8 +21,6 @@ __all__ = [
     "is_prime",
     "factor",
     "sigma",
-    "omega",
-    "big_omega",
     "is_perfect_square",
     "integer_nth_root",
     "perfect_power_root",
@@ -188,27 +186,9 @@ class Factorization:
     n: int
     pairs: tuple[tuple[int, int], ...]
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     @property
     def omega(self) -> int:
         return len(self.pairs)
-
-    @property
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.pairs)
-
-    def ord_p(self, p: int) -> int:
-        return self.as_dict().get(p, 0)
-
-    def verify(self) -> bool:
-        prod = 1
-        for p, e in self.pairs:
-            if e < 1 or not is_prime(p):
-                return False
-            prod *= p**e
-        return prod == abs(self.n)
 
 
 def factor(n: int) -> Factorization:
@@ -258,14 +238,6 @@ def sigma(nu: int, n: int) -> int:
             pe = p**nu
             total *= (pe ** (e + 1) - 1) // (pe - 1)
     return total
-
-
-def omega(n: int) -> int:
-    return factor(n).omega
-
-
-def big_omega(n: int) -> int:
-    return factor(n).big_omega
 
 
 # ---------------------------------------------------------------------------

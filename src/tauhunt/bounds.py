@@ -1,11 +1,11 @@
-"""Effective constants for the weight-aspect exclusions.
+"""The weight-aspect exclusion bound M^+-(ell, m).
 
-Everything is exact: the thresholds all have the shape a*m + c*sqrt(m)
-(+ const) with integer a and c a power of ten, kept symbolically as
-rational coefficient triples; square roots and logarithms are evaluated
-only as certified rational enclosures with directed rounding, so
-comparisons across the 10^13..10^32 range never pass through floating
-point.
++-ell^m (ell in {3, 5}) is not a coefficient of an eligible newform of
+weight 2k > M^+-(ell, m).  Every case of the table has the shape
+a*m + c*sqrt(m) + const, kept symbolically as an exact rational
+coefficient triple; sqrt(m) is evaluated only as a certified rational
+enclosure, so comparisons across the 10^13..10^32 range never pass
+through floating point.
 """
 
 from __future__ import annotations
@@ -14,32 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, is_perfect_square
+from .arith import DomainError
 
-__all__ = [
-    "PreconditionError",
-    "EffectiveBound",
-    "threshold_T",
-    "threshold_U",
-    "weight_bound_M",
-    "BWConstant",
-    "bw_constant",
-    "lambda_bound_check",
-    "excluded_weight_range",
-    "sqrt_interval",
-    "log_interval",
-    "PI_LO",
-    "PI_HI",
-]
-
-
-class PreconditionError(DomainError):
-    """A stated hypothesis of an inequality is violated."""
-
-
-# pi to 18 digits, outward-rounded
-PI_LO = Fraction(314159265358979323, 10**17)
-PI_HI = Fraction(314159265358979324, 10**17)
+__all__ = ["EffectiveBound", "weight_bound_M", "sqrt_interval"]
 
 
 def sqrt_interval(x: int | Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
@@ -58,52 +35,6 @@ def sqrt_interval(x: int | Fraction, bits: int = 64) -> tuple[Fraction, Fraction
         return (lo, lo)
     hi = Fraction(r + 1, 1 << bits)
     return (lo, hi)
-
-
-def _atanh_interval(z: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    # atanh(z) = sum z^(2k+1)/(2k+1), 0 < z <= 1/3; tail < term * 9/8
-    acc = Fraction(0)
-    zp = z
-    z2 = z * z
-    for k in range(terms):
-        acc += zp / (2 * k + 1)
-        zp *= z2
-    tail_hi = zp / (2 * terms + 1) * Fraction(9, 8)
-    return (acc, acc + tail_hi)
-
-
-_LN2 = None
-
-
-def _ln2(terms: int = 40) -> tuple[Fraction, Fraction]:
-    global _LN2
-    if _LN2 is None:
-        lo, hi = _atanh_interval(Fraction(1, 3), terms)
-        _LN2 = (2 * lo, 2 * hi)
-    return _LN2
-
-
-def log_interval(x: int | Fraction, terms: int = 40) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of ln(x) for rational x > 0."""
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("log of a nonpositive number")
-    if x < 1:
-        lo, hi = log_interval(1 / x, terms)
-        return (-hi, -lo)
-    e = 0
-    while x >= 2:
-        x /= 2
-        e += 1
-    # x in [1, 2): ln x = 2 atanh((x-1)/(x+1)), argument in [0, 1/3)
-    alo, ahi = _atanh_interval((x - 1) / (x + 1), terms)
-    l2lo, l2hi = _ln2(terms)
-    return (e * l2lo + 2 * alo, e * l2hi + 2 * ahi)
-
-
-# ---------------------------------------------------------------------------
-# Threshold tables
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -130,43 +61,6 @@ class EffectiveBound:
         if self.const:
             s += f" + {self.const}"
         return s
-
-
-def threshold_T(epsilon: int, ell: int, m: int) -> EffectiveBound:
-    """Exponent threshold for X^2 + eps*ell^m = Y^n, ell in {3, 5}."""
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    odd = m % 2 == 1
-    if ell == 3:
-        if epsilon == 1:
-            c = 10**32
-        else:
-            c = 10**23 if odd else 10**13
-        a = 2
-    elif ell == 5:
-        if odd:
-            c = 10**24
-        else:
-            c = 10**30 if epsilon == 1 else 10**13
-        a = 3
-    else:
-        raise DomainError("threshold_T is tabulated only for ell in {3, 5}")
-    return EffectiveBound("T", (epsilon, ell, m), Fraction(a), Fraction(c))
-
-
-def threshold_U(epsilon: int, m: int) -> EffectiveBound:
-    """Exponent threshold for X^2 + eps*4*5^m = Y^n."""
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +1 or -1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if m % 2 == 1:
-        c = 10**24
-    else:
-        c = 10**30 if epsilon == 1 else 10**13
-    return EffectiveBound("U", (epsilon, m), Fraction(3), Fraction(c))
 
 
 def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> EffectiveBound:
@@ -200,133 +94,3 @@ def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> E
     else:
         raise DomainError("weight_bound_M is tabulated only for ell in {3, 5}")
     return EffectiveBound("M", (sign, ell, m), Fraction(a), Fraction(c))
-
-
-# ---------------------------------------------------------------------------
-# The Baker-Wustholz constant
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BWConstant:
-    r: int
-    d: int
-    integer_part: int  # 18 (r+1)! r^(r+1) (32 d)^(r+2)
-    log_argument: int  # 2 r d
-    log_lo: Fraction
-    log_hi: Fraction
-
-    def value_interval(self) -> tuple[Fraction, Fraction]:
-        return (self.integer_part * self.log_lo, self.integer_part * self.log_hi)
-
-
-def bw_constant(r: int, d: int) -> BWConstant:
-    """C(r, d) = 18 (r+1)! r^(r+1) (32 d)^(r+2) log(2 r d), the linear-forms
-    -in-logarithms constant; integer part exact, log certified."""
-    if r < 1 or d < 1:
-        raise DomainError("r and d must be >= 1")
-    integer_part = 18 * math.factorial(r + 1) * r ** (r + 1) * (32 * d) ** (r + 2)
-    lo, hi = log_interval(2 * r * d)
-    return BWConstant(r, d, integer_part, 2 * r * d, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Inequality checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LambdaCheck:
-    bound_lo: Fraction
-    bound_hi: Fraction
-    below_pi: bool
-
-
-def lambda_bound_check(ell: int, m: int, n: int, Y: int, case: str = "T") -> LambdaCheck:
-    """Certified evaluation of the linear-form bound C * sqrt(ell^m) / |Y|^(n/2).
-
-    case "T": C = 2.78, requires |Y|^n > 16 ell^m (the n-hypothesis in
-    exact integer form).  case "U": ell = 5, C = 5.56, requires
-    |Y|^n > 64 * 5^m.  Returns the enclosure and whether it is < pi.
-    """
-    ay = abs(Y)
-    if ay < 2:
-        raise PreconditionError("|Y| must be >= 2")
-    if m < 1 or n < 1:
-        raise PreconditionError("m, n must be >= 1")
-    if case == "T":
-        if ay**n <= 16 * ell**m:
-            raise PreconditionError("requires n > 2 log(4 sqrt(ell^m)) / log |Y|")
-        cnum = Fraction(278, 100)
-    elif case == "U":
-        if ell != 5:
-            raise DomainError("the U case is the ell = 5 family")
-        if ay**n <= 64 * 5**m:
-            raise PreconditionError("requires n > 2 log(8 sqrt(5^m)) / log |Y|")
-        cnum = Fraction(556, 100)
-    else:
-        raise DomainError("case must be 'T' or 'U'")
-    bits = 64
-    while True:
-        num_lo, num_hi = sqrt_interval(ell**m, bits)
-        den_lo, den_hi = sqrt_interval(ay**n, bits)
-        lo = cnum * num_lo / den_hi
-        hi = cnum * num_hi / den_lo
-        if hi < PI_LO:
-            return LambdaCheck(lo, hi, True)
-        if lo > PI_HI:
-            return LambdaCheck(lo, hi, False)
-        bits *= 2  # pragma: no cover - enclosures above are already tight
-
-
-def excluded_weight_range(ell: int, m: int, sign: int, scan_y: int = 200, scan_n: int = 20) -> dict:
-    """Machine-readable exclusion statement plus a small empirical scan.
-
-    The statement: for n > T^sign(ell, m), the equation
-    X^2 + sign*ell^m = Y^n has no integer solutions with Y outside
-    {0, +-1}; consequently 2k > M^sign(ell, m) excludes sign*ell^m as a
-    coefficient of the eligible even-level newforms.  The scan reports
-    every small solution (|Y| <= scan_y, 3 <= n <= scan_n) for the record;
-    these live far below the threshold.
-    """
-    t = threshold_T(sign, ell, m)
-    mb = weight_bound_M(sign, ell, m)
-    statements = [
-        {
-            "equation": f"X^2 + ({sign * ell**m}) = Y^n",
-            "threshold": {"family": "T", "value": t.describe(), "coefficients":
-                          [str(c) for c in t.coefficients()]},
-            "claim": "no integer solutions with Y not in {0, +1, -1} once n exceeds the threshold",
-        },
-        {
-            "weight_bound": {"family": "M", "value": mb.describe(), "coefficients":
-                             [str(c) for c in mb.coefficients()]},
-            "claim": f"{sign * ell**m:+d} is not a coefficient of any eligible newform of weight 2k above the bound",
-        },
-    ]
-    if ell == 5:
-        u = threshold_U(sign, m)
-        statements.append(
-            {
-                "equation": f"X^2 + ({4 * sign * 5**m}) = Y^n",
-                "threshold": {"family": "U", "value": u.describe(), "coefficients":
-                              [str(c) for c in u.coefficients()]},
-                "claim": "no integer solutions with Y != 0 once n exceeds the threshold",
-            }
-        )
-    found = []
-    c = sign * ell**m
-    for n in range(3, scan_n + 1):
-        for y in range(2, scan_y + 1):
-            v = y**n - c
-            if v >= 0:
-                x = is_perfect_square(v)
-                if x is not None:
-                    found.append({"X": x, "Y": y, "n": n})
-    return {
-        "ell": ell,
-        "m": m,
-        "sign": sign,
-        "statements": statements,
-        "empirical_scan": {"y_max": scan_y, "n_max": scan_n, "solutions": found},
-    }

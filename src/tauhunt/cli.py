@@ -29,9 +29,6 @@ def _load_form(args) -> newform.NewformSpec:
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             return newform.NewformSpec.from_json(fh.read())
-    name = getattr(args, "form", "delta")
-    if name != "delta":
-        raise DomainError("the only built-in form is 'delta'; use --spec for others")
     if "delta" not in _FORM_CACHE:
         _FORM_CACHE["delta"] = newform.delta_newform(1000)
     return _FORM_CACHE["delta"]
@@ -59,14 +56,18 @@ def _bounds_from(args) -> lehmer.SearchBounds:
     )
 
 
+_DEFAULT_BOUNDS = lehmer.SearchBounds()
+
+
 def _add_curve_bound(p):
-    p.add_argument("--xmax", type=int, default=100000, help="curve search bound on |x|")
+    p.add_argument("--xmax", type=int, default=_DEFAULT_BOUNDS.x_max,
+                   help="curve search bound on |x|")
 
 
 def _add_thue_bounds(p):
-    p.add_argument("--x-small", type=int, default=1000, dest="x_small",
+    p.add_argument("--x-small", type=int, default=_DEFAULT_BOUNDS.x_small, dest="x_small",
                    help="exhaustive Thue bound on |x|")
-    p.add_argument("--x-mid", type=int, default=10000, dest="x_mid",
+    p.add_argument("--x-mid", type=int, default=_DEFAULT_BOUNDS.x_mid, dest="x_mid",
                    help="convergent-pruned Thue bound on |x|")
 
 
@@ -76,7 +77,6 @@ def _add_bounds(p):
 
 
 def _add_form(p):
-    p.add_argument("--form", default="delta", help="built-in form name")
     p.add_argument("--spec", help="path to a newform JSON description")
 
 
@@ -153,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> dict | list:
     verb = args.verb
     if verb == "tau":
-        series = newform.delta_expansion(args.up_to)
-        return list(series.coefficients)
+        return list(newform.delta_expansion(args.up_to))
     if verb == "coeff":
         spec = _load_form(args)
         return {"form": spec.name or "custom", "n": args.n,
@@ -224,7 +223,7 @@ def _run(args) -> dict | list:
             else "rounded case table",
         }
     if verb == "reproduce":
-        spec = _load_form(argparse.Namespace(form="delta", spec=None))
+        spec = _load_form(args)
         b = _bounds_from(args)
         reports = []
         all_excluded = True

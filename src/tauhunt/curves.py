@@ -258,7 +258,7 @@ def _verify_row(family: str, w: int, ell: int, sign: int, x_max: int) -> dict:
     return out
 
 
-def verify_tables(x_max: int = 100000) -> dict:
+def verify_tables(x_max: int) -> dict:
     """Replay every catalog row: substitution checks plus bounded search.
 
     GRH-backed rows come out as conditional-grh, open cells as unknown

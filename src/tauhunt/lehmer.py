@@ -49,7 +49,6 @@ __all__ = [
     "unit_set",
     "DiophantineCondition",
     "enumerate_conditions",
-    "ramanujan_filter",
     "achievable_ranks",
     "AdmissibilityReport",
     "check_admissibility",
@@ -68,6 +67,8 @@ RAMANUJAN_PRIMES = (3, 5, 7, 691)
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """The bounds of one run; the defaults are also the CLI's."""
+
     x_max: int = 100000  # curve searches
     x_small: int = 1000  # exhaustive Thue range
     x_mid: int = 10000   # convergent-pruned Thue range
@@ -91,7 +92,7 @@ def unit_set(spec: NewformSpec) -> tuple[int, ...]:
 def _check_even_eigenvalues(spec: NewformSpec) -> None:
     """The trivial-mod-2 flag is trusted only when every stored a_f(p),
     p not dividing 2N, is even."""
-    odd = parity_check(spec).violations
+    odd = parity_check(spec)
     if odd:
         listed = ", ".join(f"a_f({p}) = {spec.ap[p]}" for p in odd)
         raise DomainError(f"trivial_mod2 is set but {listed} is odd")
@@ -139,33 +140,6 @@ def enumerate_conditions(
             kind, curve = "curve-H", curves.CurveSpec.h_family(w, ell, sign, m)
         out.append(DiophantineCondition(d, kind, alpha, ell, m, sign, spec.weight, curve))
     return out
-
-
-def ramanujan_filter(ell: int, p: int) -> int:
-    """Rank of apparition of ell in tau(p), tau(p^2), ... from the
-    classical congruences; ell must be 3, 5, 7 or 691."""
-    if not is_prime(p) or p == 2:
-        raise DomainError("p must be an odd prime")
-    if p == ell:
-        raise DomainError("p must differ from ell")
-    if ell == 3:
-        return 2 if p % 3 == 1 else 1
-    if ell == 5:
-        r = p % 5
-        return 1 if r == 4 else (3 if r in (2, 3) else 4)
-    if ell == 7:
-        return 6 if p % 7 in (1, 2, 4) else 1
-    if ell == 691:
-        # smallest n with 1 + p^11 + ... + p^(11 n) = 0 mod 691
-        t = pow(p, 11, 691)
-        s, tp = 1, 1
-        for n in range(1, 691):
-            tp = tp * t % 691
-            s = (s + tp) % 691
-            if s == 0:
-                return n
-        raise ArithmeticError("no rank below 691")  # pragma: no cover
-    raise DomainError("congruence filters exist only for ell in {3, 5, 7, 691}")
 
 
 def achievable_ranks(ell: int) -> set[int]:

@@ -4,10 +4,10 @@ defective terms.
 A LucasPair holds the integers A = alpha + beta and B = alpha*beta.  The
 pairs of interest have B = p^(2k-1) an odd prime power with A^2 <= 4B,
 which is exactly the shape produced by Hecke eigenvalues.  The module
-generates terms, finds ranks of apparition, detects primitive prime
-divisors, and classifies defective terms (those without a primitive
-prime divisor) against the Bilu-Hanrot-Voutier / Abouzaid tables, which
-ship as a JSON fixture.
+generates terms, finds ranks of apparition, and classifies defective
+terms (those without a primitive prime divisor) by lookup in the
+Bilu-Hanrot-Voutier / Abouzaid tables, which ship as a JSON fixture;
+sigma_hat turns the classification into Omega lower bounds.
 """
 
 from __future__ import annotations
@@ -24,20 +24,10 @@ __all__ = [
     "lucas_terms",
     "RankResult",
     "rank_of_apparition",
-    "PropBRecord",
-    "check_prop_b",
     "classify_defects",
     "family_memberships",
-    "has_primitive_prime_divisor",
-    "primitive_part",
-    "brute_force_defect_indices",
     "sigma_hat",
-    "BILU_HANROT_VOUTIER_BOUND",
 ]
-
-# Every Lucas term u_n with n > 30 has a primitive prime divisor
-# (Bilu-Hanrot-Voutier).
-BILU_HANROT_VOUTIER_BOUND = 30
 
 
 @dataclass(frozen=True)
@@ -123,81 +113,6 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
         prev, cur = cur, (pair.A * cur - pair.B * prev) % ell
         n += 1
     raise DomainError(f"no rank below {ell + 1}; scan cap exceeded")  # unreachable for valid pairs
-
-
-@dataclass(frozen=True)
-class PropBRecord:
-    ell: int
-    rank: int
-    case: str  # "discriminant" (ell | D, rank = ell) or "order" (rank | ell -+ 1)
-    ok: bool
-
-
-def check_prop_b(pair: LucasPair, ell: int) -> PropBRecord:
-    """Verify the rank-of-apparition constraints for ell coprime to B.
-
-    With m = rank > 2: ell | (A^2-4B) forces m = ell, otherwise
-    m | (ell-1) or m | (ell+1).
-    """
-    res = rank_of_apparition(pair, ell)
-    if res.rank is None:
-        raise DomainError("ell divides B")
-    m = res.rank
-    if m <= 2:
-        raise DomainError("check requires rank > 2 (ell divides A otherwise)")
-    if pair.discriminant % ell == 0:
-        return PropBRecord(ell, m, "discriminant", m == ell)
-    return PropBRecord(ell, m, "order", (ell - 1) % m == 0 or (ell + 1) % m == 0)
-
-
-# ---------------------------------------------------------------------------
-# Primitive prime divisors
-# ---------------------------------------------------------------------------
-
-
-def _strip_common(value: int, other: int) -> int:
-    """Remove from |value| every prime that divides other."""
-    v = abs(value)
-    g = math.gcd(v, abs(other))
-    while g > 1:
-        while v % g == 0:
-            v //= g
-        g = math.gcd(v, g)
-        if g == 1:
-            g = math.gcd(v, abs(other))
-    return v
-
-
-def primitive_part(pair: LucasPair, n: int, terms: list[int] | None = None) -> int:
-    """|u_n| with every prime dividing (A^2-4B) u_1 ... u_{n-1} removed."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if terms is None:
-        terms = lucas_terms(pair, n)
-    v = abs(terms[n - 1])
-    if v == 0:
-        raise DomainError("u_n = 0: degenerate pair")
-    v = _strip_common(v, pair.discriminant)
-    for k in range(2, n):
-        if v == 1:
-            break
-        v = _strip_common(v, terms[k - 1])
-    return v
-
-
-def has_primitive_prime_divisor(pair: LucasPair, n: int) -> bool:
-    """True iff some prime divides u_n but neither (A^2-4B) nor any u_k, k < n."""
-    return primitive_part(pair, n) > 1
-
-
-def brute_force_defect_indices(pair: LucasPair, n_max: int = BILU_HANROT_VOUTIER_BOUND) -> list[int]:
-    """Defective indices 3 <= n <= n_max by direct primitive-part computation."""
-    terms = lucas_terms(pair, n_max)
-    return [
-        n
-        for n in range(3, n_max + 1)
-        if primitive_part(pair, n, terms) == 1
-    ]
 
 
 # ---------------------------------------------------------------------------

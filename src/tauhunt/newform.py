@@ -12,21 +12,18 @@ recursion, and general indices follow multiplicativity.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .arith import DomainError, factor, is_prime, primes_up_to
 
 __all__ = [
     "InsufficientCoefficientData",
-    "QSeries",
     "NewformSpec",
     "delta_expansion",
     "delta_newform",
     "coeff_prime_power",
     "coeff",
     "parity_check",
-    "ParityReport",
 ]
 
 
@@ -99,27 +96,11 @@ def _tau_list(bound: int) -> list[int]:
     return _DELTA_CACHE[:bound]
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Integer q-expansion coefficients for indices 1..truncation_bound."""
-
-    coefficients: tuple[int, ...]
-    truncation_bound: int
-
-    def coefficient(self, n: int) -> int:
-        if not 1 <= n <= self.truncation_bound:
-            raise DomainError(f"index {n} outside [1, {self.truncation_bound}]")
-        return self.coefficients[n - 1]
-
-    def items(self):
-        return ((i + 1, c) for i, c in enumerate(self.coefficients))
-
-
-def delta_expansion(bound: int) -> QSeries:
-    """tau(n) for 1 <= n <= bound, exactly."""
+def delta_expansion(bound: int) -> tuple[int, ...]:
+    """(tau(1), ..., tau(bound)), exactly."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    return QSeries(tuple(_tau_list(bound)), bound)
+    return tuple(_tau_list(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +161,6 @@ class NewformSpec:
             name=str(data.get("name", "")),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weight": self.weight,
-                "level": self.level,
-                "ap": {str(p): a for p, a in sorted(self.ap.items())},
-                "bad_signs": {str(p): s for p, s in sorted(self.bad_signs.items())},
-                "trivial_mod2": self.trivial_mod2,
-                "name": self.name,
-            },
-            sort_keys=True,
-        )
-
 
 def delta_newform(prime_bound: int = 1000) -> NewformSpec:
     """The built-in Delta form with eigenvalue data for p <= prime_bound."""
@@ -236,40 +204,9 @@ def coeff(spec: NewformSpec, n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    violations: tuple[int, ...]
-    checked_primes: int
-    odd_square_check: bool | None  # Delta only: tau(n) odd iff n an odd square
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.odd_square_check is not False
-
-
-def parity_check(spec: NewformSpec, series_bound: int = 0) -> ParityReport:
-    """Report eigenvalue parity: a_f(p) must be even for p not dividing 2N.
-
-    For the built-in Delta and a positive series_bound, additionally
-    verifies tau(n) is odd exactly when n is an odd square, using the
-    exact q-expansion.
-    """
-    violations = []
-    checked = 0
-    for p, a in sorted(spec.ap.items()):
-        if (2 * spec.level) % p == 0:
-            continue
-        checked += 1
-        if a % 2:
-            violations.append(p)
-    square_ok = None
-    if spec.is_delta and series_bound:
-        series = delta_expansion(series_bound)
-        square_ok = True
-        for n, c in series.items():
-            r = math.isqrt(n)
-            expect_odd = r * r == n and n % 2 == 1
-            if (c % 2 == 1) != expect_odd:
-                square_ok = False
-                break
-    return ParityReport(tuple(violations), checked, square_ok)
+def parity_check(spec: NewformSpec) -> tuple[int, ...]:
+    """The primes p not dividing 2N whose stored a_f(p) is odd; the
+    trivial-mod-2 flag asserts there are none."""
+    return tuple(
+        p for p, a in sorted(spec.ap.items()) if (2 * spec.level) % p and a % 2
+    )

@@ -61,6 +61,13 @@ _TABLE_PRIMES = (4093, 4091)
 _CANDIDATE_BUDGET = 1 << 22
 # about this many candidates are built and filtered per numpy pass
 _BLOCK_CANDIDATES = 1 << 16
+# Cost of the exhaustive scan, rounded up: 2.2-3.5 us per x plus 9-70 ns
+# per candidate of the bound m * (2R + 3) per x, over F_2..F_12 and
+# Fhat_5..Fhat_691 on a 2-vCPU Xeon.  A scan estimated above the budget,
+# about a minute, is refused before it starts.
+_SCAN_NS_PER_X = 4000
+_SCAN_NS_PER_CANDIDATE = 40
+_SCAN_BUDGET_NS = 60 * 10**9
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,9 @@ def _scan_exhaustive(
     tabulated once per scan (a prime dividing x is skipped for that x).
     The filter is only a necessary condition: every survivor is
     confirmed with big integers.  The x are taken in blocks of about
-    _BLOCK_CANDIDATES candidates.  The info dict counts the (x, y) pairs
-    scanned and the confirmed solutions.
+    _BLOCK_CANDIDATES candidates.  A scan estimated to take more than
+    _SCAN_BUDGET_NS, about a minute, is refused before it starts.  The
+    info dict counts the (x, y) pairs scanned and the confirmed solutions.
     """
     import numpy as np
 
@@ -287,15 +295,21 @@ def _scan_exhaustive(
     exact = r**m == k
     out = [(0, y, y**m) for y in (-r, r)] if exact else []  # F(0, y) = y^m
     radius = r if exact else r + 1
-    if x_hi >= 1 << 38:
-        raise DomainError("x_small must be below 2^38")
+    # each of the m windows of an x < 2^43 holds at most 2R + 3 values; the
+    # budget also keeps x_hi below 2^38, which _floor_scaled needs
+    per_x = m * (2 * radius + 3)
+    ns = x_hi * (_SCAN_NS_PER_X + per_x * _SCAN_NS_PER_CANDIDATE)
+    if ns > _SCAN_BUDGET_NS:
+        raise DomainError(
+            f"exhaustive Thue scan of {x_hi} x values and up to {x_hi * per_x} "
+            f"candidates would take about {ns / 6e10:.3g} min; the budget is about a minute"
+        )
     den = 1 << _ROOT_BITS
     roots = real_roots(form)
     los = np.array([int(root.lo * den) for root in roots], dtype=np.int64)
     his = np.array([int(root.hi * den) for root in roots], dtype=np.int64)
     tables = [(q, _residue_table(form, q)) for q in _TABLE_PRIMES]
-    # each of the m windows of an x < 2^43 holds at most 2R + 3 values
-    step = max(1, _BLOCK_CANDIDATES // (m * (2 * radius + 3)))
+    step = max(1, _BLOCK_CANDIDATES // per_x)
     scanned = 0
     for x0 in range(1, x_hi + 1, step):
         x1 = min(x0 + step, x_hi + 1)
@@ -340,12 +354,7 @@ def _convergent_candidates(form: ThueForm, x_mid: int) -> tuple[tuple[tuple[int,
     return tuple(cands), info
 
 
-def solve_bounded(
-    form: ThueForm,
-    rhs: int,
-    x_small: int = 1000,
-    x_mid: int = 10000,
-) -> ThueSolutions:
+def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSolutions:
     """All solutions with |x| <= x_small (exhaustive) plus all with
     x_small < |x| <= x_mid lying on continued-fraction convergents of the
     real roots of F(1, t).  Results are deterministic and sorted.

@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from tauhunt.arith import DomainError, RealAlgebraic, factor, is_perfect_square
+from tauhunt.lucas import LucasPair, lucas_terms
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +405,60 @@ def solve_exact(g: list[int], targets, lo: int, hi: int) -> set[int]:
             if x is not None and poly_eval(g, x) == t:
                 out.add(x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Primitive prime divisors (the blind defect oracle)
+# ---------------------------------------------------------------------------
+
+# Every Lucas term u_n with n > 30 has a primitive prime divisor
+# (Bilu-Hanrot-Voutier).
+BILU_HANROT_VOUTIER_BOUND = 30
+
+
+def _strip_common(value: int, other: int) -> int:
+    """Remove from |value| every prime that divides other."""
+    v = abs(value)
+    g = math.gcd(v, abs(other))
+    while g > 1:
+        while v % g == 0:
+            v //= g
+        g = math.gcd(v, g)
+        if g == 1:
+            g = math.gcd(v, abs(other))
+    return v
+
+
+def primitive_part(pair: LucasPair, n: int, terms: list[int] | None = None) -> int:
+    """|u_n| with every prime dividing (A^2-4B) u_1 ... u_{n-1} removed."""
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if terms is None:
+        terms = lucas_terms(pair, n)
+    v = abs(terms[n - 1])
+    if v == 0:
+        raise DomainError("u_n = 0: degenerate pair")
+    v = _strip_common(v, pair.discriminant)
+    for k in range(2, n):
+        if v == 1:
+            break
+        v = _strip_common(v, terms[k - 1])
+    return v
+
+
+def has_primitive_prime_divisor(pair: LucasPair, n: int) -> bool:
+    """True iff some prime divides u_n but neither (A^2-4B) nor any u_k, k < n."""
+    return primitive_part(pair, n) > 1
+
+
+def brute_force_defect_indices(pair: LucasPair, n_max: int = BILU_HANROT_VOUTIER_BOUND) -> list[int]:
+    """Defective indices 3 <= n <= n_max by direct primitive-part computation."""
+    terms = lucas_terms(pair, n_max)
+    return [
+        n
+        for n in range(3, n_max + 1)
+        if primitive_part(pair, n, terms) == 1
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,17 @@ from oracles import integer_roots, is_prime_by_trial, sqrt_algebraic
 from tauhunt import arith as A
 
 
+def verified(f):
+    """Prime factors with positive exponents whose product is |n|."""
+    return (all(e >= 1 and A.is_prime(p) for p, e in f.pairs)
+            and math.prod(p**e for p, e in f.pairs) == abs(f.n))
+
+
 def test_factor_basic():
-    assert A.factor(6048).as_dict() == {2: 5, 3: 3, 7: 1}
+    assert A.factor(6048).pairs == ((2, 5), (3, 3), (7, 1))
     assert A.factor(1).pairs == ()
-    assert A.factor(691).as_dict() == {691: 1}
-    assert A.factor(-12).as_dict() == {2: 2, 3: 1}
+    assert A.factor(691).pairs == ((691, 1),)
+    assert A.factor(-12).pairs == ((2, 2), (3, 1))
     with pytest.raises(A.DomainError):
         A.factor(0)
 
@@ -22,15 +28,15 @@ def test_factor_roundtrip_random():
     for _ in range(200):
         n = rng.randint(2, 10**12)
         f = A.factor(n)
-        assert f.verify()
-        assert f.big_omega >= f.omega
+        assert verified(f)
+        assert sum(e for _, e in f.pairs) >= f.omega
 
 
 def test_factor_keeps_few_sieves():
     A.primes_up_to.cache_clear()
     rng = random.Random(7)
     for n in rng.sample(range(2, 10**12), 200):
-        assert A.factor(n).verify()
+        assert verified(A.factor(n))
     assert A.primes_up_to.cache_info().currsize <= 21
 
 
@@ -52,7 +58,7 @@ def test_factor_certifies_large_prime():
     v = 80561663527802406257321747
     assert A.is_prime(v)
     f = A.factor(v)
-    assert f.pairs == ((v, 1),) and f.big_omega == 1
+    assert f.pairs == ((v, 1),) and sum(e for _, e in f.pairs) == 1
 
 
 def test_is_prime_agrees_with_trial_division():

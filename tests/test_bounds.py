@@ -1,30 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from tauhunt import bounds as B
-
-
-def test_threshold_T_all_cases():
-    cases = {
-        (1, 3, 1): (2, 10**32), (1, 3, 2): (2, 10**32),
-        (-1, 3, 1): (2, 10**23), (-1, 3, 2): (2, 10**13),
-        (1, 5, 1): (3, 10**24), (-1, 5, 1): (3, 10**24),
-        (1, 5, 2): (3, 10**30), (-1, 5, 2): (3, 10**13),
-    }
-    for (eps, ell, m), (a, c) in cases.items():
-        got = B.threshold_T(eps, ell, m)
-        assert got.coefficients() == (a, c, 0), (eps, ell, m)
-    with pytest.raises(B.DomainError):
-        B.threshold_T(1, 7, 1)
-
-
-def test_threshold_U_all_cases():
-    assert B.threshold_U(1, 3).coefficients() == (3, 10**24, 0)
-    assert B.threshold_U(-1, 5).coefficients() == (3, 10**24, 0)
-    assert B.threshold_U(1, 2).coefficients() == (3, 10**30, 0)
-    assert B.threshold_U(-1, 4).coefficients() == (3, 10**13, 0)
 
 
 def test_weight_bound_M_all_cases():
@@ -38,6 +16,22 @@ def test_weight_bound_M_all_cases():
         assert B.weight_bound_M(sign, ell, m).coefficients() == (a, c, 0)
     with pytest.raises(B.DomainError):
         B.weight_bound_M(1, 7, 1)
+
+
+def test_threshold_T_all_cases():
+    """T(eps, ell, m), the exponent threshold for X^2 + eps ell^m = Y^n,
+    is M(-eps, ell, m) in all 8 cases."""
+    cases = {
+        (1, 3, 1): (2, 10**32), (1, 3, 2): (2, 10**32),
+        (-1, 3, 1): (2, 10**23), (-1, 3, 2): (2, 10**13),
+        (1, 5, 1): (3, 10**24), (-1, 5, 1): (3, 10**24),
+        (1, 5, 2): (3, 10**30), (-1, 5, 2): (3, 10**13),
+    }
+    for (eps, ell, m), (a, c) in cases.items():
+        got = B.weight_bound_M(-eps, ell, m)
+        assert got.coefficients() == (a, c, 0), (eps, ell, m)
+    with pytest.raises(B.DomainError):
+        B.weight_bound_M(-1, 7, 1)
 
 
 def test_pre_rounding_variant():
@@ -63,35 +57,11 @@ def test_pre_rounding_vs_rounded_relation():
 
 
 def test_evaluate_interval():
-    b = B.threshold_T(-1, 3, 1)
+    b = B.weight_bound_M(1, 3, 1)
     lo, hi = b.evaluate(1)
     assert lo <= 2 + 10**23 <= hi
     lo, hi = b.evaluate(4)
     assert lo == hi == 2 * 4 + 10**23 * 2  # sqrt(4) exact
-
-
-def test_bw_constant():
-    bw = B.bw_constant(3, 2)
-    assert bw.integer_part == 18 * 24 * 81 * 64**5 == 37572373905408
-    assert bw.log_argument == 12
-    assert Fraction(24849, 10**4) < bw.log_lo <= bw.log_hi < Fraction(24850, 10**4)
-    assert bw.log_hi - bw.log_lo < Fraction(1, 10**12)
-    bw11 = B.bw_constant(1, 1)
-    assert bw11.integer_part == 18 * 2 * 1 * 32**3
-    lo, hi = B.log_interval(2)
-    assert bw11.log_lo == lo and bw11.log_hi == hi
-    # monotonicity spot check
-    assert B.bw_constant(3, 2).value_interval()[0] > B.bw_constant(2, 2).value_interval()[1]
-    with pytest.raises(B.DomainError):
-        B.bw_constant(0, 1)
-
-
-def test_log_interval_certified():
-    for x in (2, 3, 12, 100, Fraction(1, 2), Fraction(7, 3)):
-        lo, hi = B.log_interval(x)
-        assert lo <= hi
-        assert float(lo) <= math.log(float(x)) <= float(hi) or hi - lo < Fraction(1, 10**10)
-        assert hi - lo < Fraction(1, 10**9)
 
 
 def test_sqrt_interval_certified():
@@ -99,44 +69,3 @@ def test_sqrt_interval_certified():
         lo, hi = B.sqrt_interval(n)
         assert lo * lo <= n <= hi * hi
         assert hi - lo <= Fraction(1, 2**64)
-
-
-def test_lambda_bound_check():
-    chk = B.lambda_bound_check(3, 1, 10, 2)
-    ref = 2.78 * math.sqrt(3) / 2**5
-    assert chk.below_pi
-    assert abs(float(chk.bound_lo) - ref) < 1e-12
-    with pytest.raises(B.PreconditionError):
-        B.lambda_bound_check(3, 1, 2, 2)     # 2^2 <= 16 * 3
-    with pytest.raises(B.PreconditionError):
-        B.lambda_bound_check(3, 1, 10, 1)    # |Y| < 2
-    chk = B.lambda_bound_check(5, 2, 12, 3, case="U")
-    assert chk.below_pi
-    ref = 5.56 * 5 / 3**6
-    assert abs(float(chk.bound_hi) - ref) < 1e-12
-    with pytest.raises(B.DomainError):
-        B.lambda_bound_check(3, 1, 10, 2, case="U")
-
-
-def test_lambda_consistency_with_thresholds():
-    """Well above the exponent hypotheses, the linear-form bound is far
-    inside (0, pi): sampled n just past small proxies of the thresholds."""
-    for ell in (3, 5):
-        for m in (1, 2, 3):
-            for Y in (2, 3, 10):
-                n = 4 * m + 40
-                chk = B.lambda_bound_check(ell, m, n, Y)
-                assert chk.below_pi and chk.bound_hi < B.PI_LO
-
-
-def test_excluded_weight_range():
-    rec = B.excluded_weight_range(3, 1, -1)
-    t = rec["statements"][0]["threshold"]
-    assert t["coefficients"] == ["2", str(10**23), "0"]
-    assert rec["empirical_scan"]["solutions"] == []
-    rec = B.excluded_weight_range(5, 2, 1)
-    fams = [s["threshold"]["family"] for s in rec["statements"] if "threshold" in s]
-    assert fams == ["T", "U"]
-    rec = B.excluded_weight_range(3, 1, 1, scan_y=50, scan_n=10)
-    for sol in rec["empirical_scan"]["solutions"]:
-        assert sol["X"] ** 2 + 3 == sol["Y"] ** sol["n"]

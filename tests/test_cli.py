@@ -24,7 +24,7 @@ def test_tau(capsys):
 
 
 def test_coeff(capsys):
-    code, out = run_cli(["coeff", "--form", "delta", "--n", "63001"], capsys)
+    code, out = run_cli(["coeff", "--n", "63001"], capsys)
     assert code == 0
     assert json.loads(out)["coefficient"] == -80561663527802406257321747
 
@@ -60,7 +60,7 @@ def test_curve_search(capsys):
 
 def test_admissible(capsys):
     code, out = run_cli(
-        ["admissible", "--form", "delta", "--target", "-3",
+        ["admissible", "--target", "-3",
          "--xmax", "3000", "--x-small", "100", "--x-mid", "200"], capsys)
     data = json.loads(out)
     assert code == 0
@@ -133,12 +133,12 @@ def test_curve_search_rejects_bad_prime_power(capsys):
 
 
 def test_admissible_rejects_composite(capsys):
-    code = main(["admissible", "--form", "delta", "--target", "-15"])
+    code = main(["admissible", "--target", "-15"])
     assert code == 1
 
 
 def test_omega_bound(capsys):
-    code, out = run_cli(["omega-bound", "--form", "delta", "--n", "63001"], capsys)
+    code, out = run_cli(["omega-bound", "--n", "63001"], capsys)
     assert json.loads(out)["omega_lower_bound"] == 1
 
 
@@ -169,6 +169,16 @@ def test_thue_solve_linear_budget(capsys):
     start = time.perf_counter()
     code = main(["thue-solve", "--m", "1", "--rhs", "7", "--x-small", "1",
                  "--x-mid", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_thue_solve_work_budget(capsys):
+    # x_small = 2^38 - 1 bounds the scan by about 5*10^12 candidates, days of work
+    start = time.perf_counter()
+    code = main(["thue-solve", "--m", "2", "--rhs", "7", "--x-small", "274877906943",
+                 "--x-mid", "274877906943"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from oracles import brute_force_defect_indices, has_primitive_prime_divisor, primitive_part
 from tauhunt import lucas as L
 from tauhunt.arith import DomainError, primes_up_to
 
@@ -56,13 +57,22 @@ def test_rank_of_apparition():
     assert all(u % 3 for u in L.lucas_terms(L.LucasPair(2, 27), 30))
 
 
+def prop_b_holds(pair, ell, rank):
+    """With rank > 2: ell | (A^2 - 4B) forces rank = ell, otherwise
+    rank | (ell - 1) or rank | (ell + 1)."""
+    if pair.discriminant % ell == 0:
+        return rank == ell
+    return (ell - 1) % rank == 0 or (ell + 1) % rank == 0
+
+
 def test_prop_b_cases():
-    rec = L.check_prop_b(L.LucasPair(1, 2), 3)
-    assert rec.ok and rec.case == "order" and rec.rank == 4
-    # discriminant case: ell | A^2 - 4B forces rank ell
     pair = L.LucasPair(1, 2)   # D = -7
-    rec = L.check_prop_b(pair, 7)
-    assert rec.ok and rec.case == "discriminant" and rec.rank == 7
+    # order case: 3 does not divide D, and the rank 4 divides 3 + 1
+    rank = L.rank_of_apparition(pair, 3).rank
+    assert rank == 4 and pair.discriminant % 3 != 0 and prop_b_holds(pair, 3, rank)
+    # discriminant case: ell | A^2 - 4B forces rank ell
+    rank = L.rank_of_apparition(pair, 7).rank
+    assert rank == 7 and pair.discriminant % 7 == 0 and prop_b_holds(pair, 7, rank)
 
 
 def test_prop_b_randomized():
@@ -76,7 +86,7 @@ def test_prop_b_randomized():
         res = L.rank_of_apparition(pair, ell)
         if res.rank is None or res.rank <= 2:
             continue
-        assert L.check_prop_b(pair, ell).ok, (pair, ell)
+        assert prop_b_holds(pair, ell, res.rank), (pair, ell)
         checked += 1
 
 
@@ -93,10 +103,10 @@ def test_divisibility_property():
 
 def test_primitive_divisors_basic():
     pair = L.LucasPair(1, 2)
-    assert not L.has_primitive_prime_divisor(pair, 5)   # u_5 = -1
-    assert not L.has_primitive_prime_divisor(pair, 7)   # u_7 = 7 divides D = -7
-    assert L.has_primitive_prime_divisor(pair, 6)       # u_6 = 5
-    assert L.brute_force_defect_indices(pair) == [3, 5, 7, 8, 12, 13, 18, 30]
+    assert not has_primitive_prime_divisor(pair, 5)   # u_5 = -1
+    assert not has_primitive_prime_divisor(pair, 7)   # u_7 = 7 divides D = -7
+    assert has_primitive_prime_divisor(pair, 6)       # u_6 = 5
+    assert brute_force_defect_indices(pair) == [3, 5, 7, 8, 12, 13, 18, 30]
 
 
 def test_bhv_bound_property():
@@ -106,7 +116,7 @@ def test_bhv_bound_property():
         pair = random_modularity_pair(rng)
         terms = L.lucas_terms(pair, 40)
         for n in range(31, 41):
-            assert L.primitive_part(pair, n, terms) > 1, (pair, n)
+            assert primitive_part(pair, n, terms) > 1, (pair, n)
 
 
 def test_sporadic_values_match_recomputation():
@@ -132,7 +142,7 @@ def test_classification_examples():
     recs = L.classify_defects(L.LucasPair(7, 27))
     assert [(d.n, d.source) for d in recs] == [(6, "B4")]
     assert recs[0].value == -4928
-    assert L.brute_force_defect_indices(L.LucasPair(7, 27)) == [6]
+    assert brute_force_defect_indices(L.LucasPair(7, 27)) == [6]
     # B1 instance: 16 = 13 + 3
     assert [(d.n, d.source) for d in L.classify_defects(L.LucasPair(4, 13))] == [(3, "B1")]
 
@@ -140,7 +150,7 @@ def test_classification_examples():
 def test_no_defects_case():
     pair = L.LucasPair(2, 27)
     assert L.classify_defects(pair) == []
-    assert L.brute_force_defect_indices(pair) == []
+    assert brute_force_defect_indices(pair) == []
 
 
 def test_weight2_exclusions_are_pinned():
@@ -163,7 +173,7 @@ def test_weight2_exclusions_are_pinned():
             if a == 0 or math.gcd(a, p) != 1 or a * a in (p, 2 * p, 3 * p, 4 * p):
                 continue
             pair = L.LucasPair(a, p)
-            brute = L.brute_force_defect_indices(pair)
+            brute = brute_force_defect_indices(pair)
             cls = sorted(d.n for d in L.classify_defects(pair))
             missing = sorted(set(brute) - set(cls))
             assert not set(cls) - set(brute), (a, p, cls, brute)

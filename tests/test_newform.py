@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -17,9 +18,8 @@ def sigma_sieve(bound, nu):
 
 
 def test_delta_leading_coefficients():
-    q = N.delta_expansion(5)
-    assert list(q.coefficients) == [1, -24, 252, -1472, 4830]
-    assert N.delta_expansion(1).coefficient(1) == 1
+    assert N.delta_expansion(5) == (1, -24, 252, -1472, 4830)
+    assert N.delta_expansion(1) == (1,)
 
 
 def test_square_truncated_matches_naive():
@@ -40,7 +40,7 @@ def test_tau_multiplicative_samples():
         a = rng.randint(2, 60)
         b = rng.randint(2, 33)
         if math.gcd(a, b) == 1 and a * b <= 2000:
-            assert q.coefficient(a * b) == q.coefficient(a) * q.coefficient(b)
+            assert q[a * b - 1] == q[a - 1] * q[b - 1]
 
 
 def test_tau_against_niebur_formula():
@@ -53,7 +53,7 @@ def test_tau_against_niebur_formula():
             i * i * (35 * i * i - 52 * i * n + 18 * n * n) * s[i] * s[n - i]
             for i in range(1, n)
         )
-        assert q.coefficient(n) == n**4 * s[n] - 24 * total
+        assert q[n - 1] == n**4 * s[n] - 24 * total
 
 
 def test_hecke_recursion_consistency():
@@ -62,7 +62,7 @@ def test_hecke_recursion_consistency():
     for p in (2, 3, 5, 7, 11, 13, 17, 19):
         for m in range(0, 7):
             if p**m <= 10000:
-                assert N.coeff_prime_power(spec, p, m) == q.coefficient(p**m)
+                assert N.coeff_prime_power(spec, p, m) == q[p**m - 1]
 
 
 def test_lehmer_prime_value():
@@ -74,19 +74,19 @@ def test_lehmer_prime_value():
 def test_coeff_multiplicativity():
     spec = N.delta_newform(200)
     q = N.delta_expansion(5000)
-    assert N.coeff(spec, 12) == -370944 == q.coefficient(12)
+    assert N.coeff(spec, 12) == -370944 == q[11]
     assert N.coeff(spec, 1) == 1
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randint(2, 5000)
         if all(p <= 200 for p, _ in factor(n).pairs):
-            assert N.coeff(spec, n) == q.coefficient(n)
+            assert N.coeff(spec, n) == q[n - 1]
 
 
 def test_deligne_bound_on_series():
     q = N.delta_expansion(3000)
     for p in primes_up_to(3000):
-        assert q.coefficient(p) ** 2 <= 4 * p**11
+        assert q[p - 1] ** 2 <= 4 * p**11
 
 
 def test_congruence_suite_sample():
@@ -96,7 +96,7 @@ def test_congruence_suite_sample():
     s3 = sigma_sieve(bound, 3)
     s11 = sigma_sieve(bound, 11)
     for n in range(1, bound + 1):
-        t = q.coefficient(n)
+        t = q[n - 1]
         assert (t - s11[n]) % 691 == 0
         assert (t - n * n * s1[n]) % 9 == 0
         assert (t - n * s1[n]) % 5 == 0
@@ -105,15 +105,14 @@ def test_congruence_suite_sample():
 
 def test_parity_delta():
     spec = N.delta_newform(100)
-    rep = N.parity_check(spec, 100)
-    assert rep.ok and rep.violations == () and rep.odd_square_check is True
-    odd = [n for n, c in N.delta_expansion(100).items() if c % 2]
+    assert N.parity_check(spec) == ()
+    odd = [n for n, c in enumerate(N.delta_expansion(100), 1) if c % 2]
     assert odd == [1, 9, 25, 49, 81]
 
 
 def test_parity_violation_reported():
     bad = N.NewformSpec(weight=4, level=1, ap={3: 5}, trivial_mod2=True)
-    assert N.parity_check(bad).violations == (3,)
+    assert N.parity_check(bad) == (3,)
 
 
 def test_bad_prime_coefficients():
@@ -150,8 +149,9 @@ def test_spec_validation():
 def test_json_roundtrip():
     spec = N.NewformSpec(weight=6, level=5, ap={2: -8, 3: 6}, bad_signs={5: 1},
                          trivial_mod2=True, name="toy")
-    again = N.NewformSpec.from_json(spec.to_json())
-    assert again == spec
+    text = json.dumps({"weight": 6, "level": 5, "ap": {"2": -8, "3": 6},
+                       "bad_signs": {"5": 1}, "trivial_mod2": True, "name": "toy"})
+    assert N.NewformSpec.from_json(text) == spec
     parsed = N.NewformSpec.from_json(
         '{"weight": 4, "level": 5, "ap": {"2": -3}, "bad_signs": {"5": -1}, "trivial_mod2": true}'
     )

@@ -105,7 +105,7 @@ def test_solve_empty_row():
 
 def test_rhs_zero_rejected():
     with pytest.raises(DomainError):
-        T.solve_bounded(T.build_form(2), 0)
+        T.solve_bounded(T.build_form(2), 0, 10, 10)
 
 
 def test_pruning_soundness_f6():
@@ -257,3 +257,16 @@ def test_candidate_budget(monkeypatch):
         T._scan_exhaustive.cache_clear()
     with pytest.raises(DomainError):
         T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
+
+
+def test_scan_work_budget(monkeypatch):
+    # F_6 = 7 has R = 2: x_small = 10 bounds the scan by 10 * 3 * (2R + 3) = 210
+    # candidates, estimated at 10 * 4000 + 210 * 40 = 48400 ns
+    form = T.build_form(3)
+    T._scan_exhaustive.cache_clear()
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 48400)
+    assert T.solve_bounded(form, 7, 10, 10).solutions == ((-3, -5), (1, 4), (2, 1))
+    T._scan_exhaustive.cache_clear()
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 48399)
+    with pytest.raises(DomainError, match="10 x values and up to 210 candidates"):
+        T.solve_bounded(form, 7, 10, 10)
