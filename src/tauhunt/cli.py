@@ -18,7 +18,12 @@ _FORM_CACHE: dict[str, newform.NewformSpec] = {}
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except ValueError:  # json writes ints with str(), which has this digit limit
+        raise DomainError(
+            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -156,6 +161,11 @@ def _run(args) -> dict | list:
         return list(newform.delta_expansion(args.up_to))
     if verb == "coeff":
         spec = _load_form(args)
+        if not args.spec and args.n > 1:
+            # the built-in Delta stores a_f(p) for p <= 1000; extend it to n's largest prime
+            p = factor(args.n).pairs[-1][0]
+            if p not in spec.ap and p <= newform.MAX_TAU_BOUND:
+                spec = newform.delta_newform(p)
         return {"form": spec.name or "custom", "n": args.n,
                 "coefficient": newform.coeff(spec, args.n)}
     if verb == "lucas":
@@ -275,14 +285,10 @@ def _pick_form(args) -> thue.ThueForm:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result = _run(args)
-    except DomainError as exc:
+        _emit(_run(args), args.out)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(result, args.out)
     return 0
 
 

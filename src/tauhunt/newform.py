@@ -1,9 +1,11 @@
 """Exact newform Fourier coefficients.
 
 The discriminant form Delta(z) = q prod (1-q^n)^24 is built in: its
-coefficients tau(n) are computed exactly by cubing the Euler product via
-the Jacobi triple product (a sparse series) and squaring three times
-with big-integer polynomial arithmetic.  Arbitrary newforms are
+coefficients tau(n), n <= 10^6, are computed exactly from the cube of
+the Euler product given by the Jacobi triple product (a sparse series),
+squared three times.  Each squaring packs the series into the base-10^w
+digits of one Decimal, which libmpdec squares with an exact
+number-theoretic transform.  Arbitrary newforms are
 described by a NewformSpec holding weight, level and Hecke eigenvalue
 data a_f(p); coefficients at prime powers follow the Hecke three-term
 recursion, and general indices follow multiplicativity.
@@ -11,6 +13,7 @@ recursion, and general indices follow multiplicativity.
 
 from __future__ import annotations
 
+import decimal
 import json
 from dataclasses import dataclass, field
 
@@ -32,42 +35,48 @@ class InsufficientCoefficientData(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# Dense integer series arithmetic (Kronecker substitution)
+# Dense integer series arithmetic (Kronecker substitution in base 10^w)
 # ---------------------------------------------------------------------------
+
+# libmpdec multiplies large operands with an exact number-theoretic
+# transform; this context keeps every product exact.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_BLOCK = 4096  # slots formatted per string join, so no list of n strings is held
 
 
 def _square_truncated(coeffs: list[int], bound: int) -> list[int]:
     """Exact coefficients of (sum c_i q^i)^2 truncated to length bound.
 
-    The polynomial is packed into a single big integer with fixed-width
-    two's-complement-style slots; one big multiplication then replaces
-    the O(n^2) coefficient convolution.
+    The coefficients become the base-B digits (B = 10^w) of one Decimal,
+    which is squared once.  w is the digit count of 2 n max|c_i|^2, so
+    every product coefficient lies in (-B/2, B/2) and is decoded from
+    its slot by a signed carry pass.
     """
     n = min(len(coeffs), bound)
-    c = coeffs[:n]
-    maxc = max((abs(v) for v in c), default=0) or 1
-    bits = 2 * maxc.bit_length() + n.bit_length() + 2
-    nb = (bits + 7) // 8
-    b = nb * 8
-    half = 1 << (b - 1)
-    pos = bytearray(n * nb)
-    neg = bytearray(n * nb)
-    for i, v in enumerate(c):
-        if v > 0:
-            pos[i * nb : i * nb + (v.bit_length() + 7) // 8] = v.to_bytes(
-                (v.bit_length() + 7) // 8, "little"
-            )
-        elif v < 0:
-            w = -v
-            neg[i * nb : i * nb + (w.bit_length() + 7) // 8] = w.to_bytes(
-                (w.bit_length() + 7) // 8, "little"
-            )
-    packed = int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
-    square = packed * packed
+    w = len(str(2 * n * (max(map(abs, coeffs[:n]), default=0) or 1) ** 2))
+    base, fmt = 10**w, f"%0{w}d"
+    blocks, carry = [], 0
+    for lo in range(0, n, _BLOCK):
+        digits = []
+        for v in coeffs[lo : min(lo + _BLOCK, n)]:
+            carry, d = divmod(v + carry, base)
+            digits.append(fmt % d)
+        blocks.append("".join(reversed(digits)))
+    x = decimal.Decimal("".join(reversed(blocks)))
+    del blocks
+    if carry:  # the digits read D, and the series is D - B^n
+        x = _EXACT.subtract(x, decimal.Decimal((0, (1,), n * w)))
     m = min(2 * n - 1, bound)
-    offset = ((1 << (b * m)) - 1) // ((1 << b) - 1) * half
-    raw = ((square & ((1 << (b * m)) - 1)) + offset).to_bytes(m * nb + 8, "little")
-    return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") - half for i in range(m)]
+    # shift by 0 under precision m*w keeps the low m*w digits (slots 0..m-1)
+    low = decimal.Context(prec=m * w, Emax=decimal.MAX_EMAX).shift(_EXACT.multiply(x, x), 0)
+    del x
+    text = str(low).zfill(m * w)
+    del low
+    half, out, carry = base // 2, [], 0
+    for i in range(m * w, 0, -w):
+        carry, v = divmod(int(text[i - w : i]) + carry + half, base)
+        out.append(v - half)
+    return out
 
 
 def _jacobi_cube(bound: int) -> list[int]:
@@ -81,18 +90,19 @@ def _jacobi_cube(bound: int) -> list[int]:
 
 
 _DELTA_CACHE: list[int] = []
+MAX_TAU_BOUND = 10**6  # tau --up-to 10^6: about 14 s and 256 MiB on a 2-vCPU Xeon
 
 
 def _tau_list(bound: int) -> list[int]:
     """[tau(1), ..., tau(bound)] via ((prod (1-q^n)^3)^8, shifted by q."""
     global _DELTA_CACHE
+    if bound > MAX_TAU_BOUND:
+        raise DomainError(f"tau is computed only up to n = {MAX_TAU_BOUND}, not {bound}")
     if len(_DELTA_CACHE) < bound:
         j = _jacobi_cube(bound)
-        j2 = _square_truncated(j, bound)
-        j4 = _square_truncated(j2, bound)
-        j8 = _square_truncated(j4, bound)
-        j8 += [0] * (bound - len(j8))
-        _DELTA_CACHE = j8[:bound]
+        for _ in range(3):
+            j = _square_truncated(j, bound)
+        _DELTA_CACHE = j
     return _DELTA_CACHE[:bound]
 
 

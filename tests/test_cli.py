@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 import pytest
 
 from oracles import curve_points, dense_thue_solutions, form_value
-from tauhunt import thue
+from tauhunt import newform, thue
 from tauhunt.cli import main
 
 
@@ -23,10 +24,54 @@ def test_tau(capsys):
     assert json.loads(out) == [1, -24, 252, -1472, 4830]
 
 
+def test_tau_output_pinned(capsys):
+    code, out = run_cli(["tau", "--up-to", "100000"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cad017ab0e324df5cbed035ee8f3b79aa7ecbf10b4e5572644dfbae7654e8dbe")
+
+
+def test_tau_bound_refused(capsys):
+    start = time.perf_counter()
+    code = main(["tau", "--up-to", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_coeff(capsys):
     code, out = run_cli(["coeff", "--n", "63001"], capsys)
     assert code == 0
     assert json.loads(out)["coefficient"] == -80561663527802406257321747
+
+
+@pytest.mark.parametrize("n", [1009, 3 * 1013, 100003])
+def test_coeff_prime_above_stored_eigenvalues(n, capsys):
+    code, out = run_cli(["coeff", "--n", str(n)], capsys)
+    assert code == 0
+    assert json.loads(out)["coefficient"] == newform.delta_expansion(n)[-1]
+
+
+def test_coeff_1009_value(capsys):
+    code, out = run_cli(["coeff", "--n", "1009"], capsys)
+    assert json.loads(out)["coefficient"] == -14140474408719790
+
+
+def test_coeff_prime_past_tau_bound(capsys):
+    assert main(["coeff", "--n", "1000003"]) == 1
+    assert "error: no a_f(1000003) stored" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--n", str(2**3000)],
+    ["lucas", "--a", "1", "--b", "2", "--count", "30000"],
+    ["lucas", "--a", "1", "--b", "2", "--count", "1000000000"],
+])
+def test_too_long_integers_refused(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_lucas_verb(capsys):
@@ -225,6 +270,11 @@ def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run_cli(["--out", str(path), "tau", "--up-to", "3"], capsys)
     assert path.read_text() == out
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "missing" / "r.json"), "tau", "--up-to", "3"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,53 @@ def test_square_truncated_matches_naive():
             for j in range(n - i):
                 ref[i + j] += a[i] * a[j]
         assert N._square_truncated(a, n) == ref
+
+
+def naive_square(a, bound):
+    """O(n^2) truncated square of the series sum a_i q^i."""
+    n = min(len(a), bound)
+    out = [0] * min(2 * n - 1, bound)
+    for i in range(n):
+        for j in range(min(n, len(out) - i)):
+            out[i + j] += a[i] * a[j]
+    return out
+
+
+def test_square_truncated_matches_naive_convolution():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    big = 1 << 200
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(st.integers(-big, big), min_size=1, max_size=80),
+                      st.integers(1, 170))
+    def agrees(a, bound):
+        assert N._square_truncated(a, bound) == naive_square(a, bound)
+
+    agrees()
+
+
+@pytest.mark.parametrize("a", [
+    [0],
+    [5, 0, 0, 0],
+    [-7, 3, 0, 0, 0],
+    [1, -1, 0],
+    [10**40, -1, 0, 0, 0, 0],
+    [0, 0, 2**200, 0, 0, 0, 0],
+])
+def test_square_truncated_zero_top_slots(a):
+    # the product's top slots are zero, so its decimal string is short
+    for bound in range(1, 2 * len(a) + 1):
+        assert N._square_truncated(a, bound) == naive_square(a, bound)
+
+
+@pytest.mark.parametrize("n,mx", [(1, 1), (9, 9), (50, 99999), (80, 2**200)])
+def test_square_truncated_all_negative_max(n, mx):
+    # the middle coefficient of the square reaches n * mx^2, the slot's limit
+    a = [-mx] * n
+    got = N._square_truncated(a, 2 * n)
+    assert got == naive_square(a, 2 * n)
+    assert got[n - 1] == n * mx * mx
 
 
 def test_tau_multiplicative_samples():
@@ -101,6 +149,44 @@ def test_congruence_suite_sample():
         assert (t - n * n * s1[n]) % 9 == 0
         assert (t - n * s1[n]) % 5 == 0
         assert (t - n * s3[n]) % 7 == 0
+
+
+def sigma_mod_sieve(bound, nu, mod):
+    out = [0] * (bound + 1)
+    for d in range(1, bound + 1):
+        step = pow(d, nu, mod)
+        for k in range(d, bound + 1, d):
+            out[k] += step
+    return out
+
+
+def test_congruences_to_100000():
+    # blind check of the whole expansion, no Diophantine reduction involved
+    bound = 100000
+    q = N.delta_expansion(bound)
+    s11 = sigma_mod_sieve(bound, 11, 691)
+    s1 = sigma_mod_sieve(bound, 1, 45)
+    s3 = sigma_mod_sieve(bound, 3, 7)
+    for n in range(1, bound + 1):
+        t = q[n - 1]
+        assert (t - s11[n]) % 691 == 0
+        assert (t - n * n * s1[n]) % 9 == 0
+        assert (t - n * s1[n]) % 5 == 0
+        assert (t - n * s3[n]) % 7 == 0
+    assert q[63000] == -80561663527802406257321747  # tau(251^2)
+
+
+def test_tau_bound_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="1000000"):
+            N.delta_expansion(N.MAX_TAU_BOUND + 1)
+        with pytest.raises(DomainError, match="1000000"):
+            N.delta_newform(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parity_delta():
