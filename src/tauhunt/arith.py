@@ -408,7 +408,7 @@ def continued_fraction_convergents(
         return [pq for pq in _convergents(_rational_cf(x)) if pq[1] <= qmax]
     coeffs = x.coeffs
     lo, hi = x.lo, x.hi
-    slo = sign_at(coeffs, lo)
+    slo = 0  # the sign at lo, computed once bisection starts
     rounds = 0
     while True:
         cl = _rational_cf(lo)
@@ -431,6 +431,7 @@ def continued_fraction_convergents(
         sm = sign_at(coeffs, mid)
         if sm == 0:
             raise RationalNumberError(f"refinement collapsed onto {mid}")
+        slo = slo or sign_at(coeffs, lo)
         if sm == slo:
             lo = mid
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import bounds, curves, lehmer, lucas, newform, thue
 from .arith import DomainError, factor
@@ -85,6 +86,7 @@ def _add_form(p):
     p.add_argument("--spec", help="path to a newform JSON description")
 
 
+@lru_cache(maxsize=1)  # parse_args leaves the parser unchanged; built once per process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tauhunt",

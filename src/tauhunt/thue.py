@@ -17,14 +17,17 @@ for |x| <= x_small, and a convergent-pruned search for
 x_small < |x| <= x_mid justified by the classical gap criterion for
 Thue equations (Tzanakis-de Weger Lemma 1.1 / Bilu-Hanrot): large
 solutions make y/x a continued-fraction convergent of a real root of
-F(1, t).  The exhaustive scan uses |F(x, y)| = prod |y - theta_i x| for
+F(1, t).  A convergent p/q gives only the solutions (lam q, lam p) with
+lam^m |F(q, p)| = k, so F(q, p) is evaluated exactly only when some
+lam q can lie in (x_small, x_mid] and the enclosures cannot already
+show |F(q, p)| = prod |p - theta_i q| > k.  The exhaustive scan uses |F(x, y)| = prod |y - theta_i x| for
 these monic, totally real forms: a solution of |F| = k has some
 |y - theta_i x| <= k^(1/m), so for each x only the y within
 R = ceil(k^(1/m)) of an enclosure times x are scanned.  Each candidate
 costs one table lookup keyed on t = y/x mod q, T_q[t] = F(1, t) mod q,
 for two small primes q; the tables only prune, and every survivor is
-confirmed in big-integer arithmetic.  One scan serves both F = k and
-F = -k.  Every result carries its bound certificate.
+confirmed in big-integer arithmetic.  Each phase runs once for both
+F = k and F = -k.  Every result carries its bound certificate.
 """
 
 from __future__ import annotations
@@ -90,37 +93,33 @@ class ThueForm:
         return f"F_{2 * self.degree}"
 
 
+def _three_term(m: int, c1: int, a: int) -> tuple[int, ...]:
+    """G_m for G_0 = 1, G_1 = Y + c1 X and G_j = (Y + a X) G_{j-1} - X^2 G_{j-2}."""
+    prev, cur = [1], [1, c1]
+    for _ in range(m - 1):
+        prev, cur = cur, [u + a * v - w for u, v, w in zip(cur + [0], [0] + cur, [0, 0] + prev)]
+    return tuple(cur)
+
+
 @lru_cache(maxsize=None)
 def build_form(m: int) -> ThueForm:
     """F_{2m}(X, Y), exact integer coefficients, total degree m."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    prev, cur = [1], [1, -1]
-    for _ in range(m - 1):
-        nxt = [0] * (len(cur) + 1)
-        for i, c in enumerate(cur):
-            nxt[i] += c
-            nxt[i + 1] -= 2 * c
-        for i, c in enumerate(prev):
-            nxt[i + 2] -= c
-        prev, cur = cur, nxt
-    return ThueForm(m, tuple(cur))
+    return ThueForm(m, _three_term(m, -1, -2))
 
 
 @lru_cache(maxsize=None)
 def build_reduced_form(p: int) -> ThueForm:
-    """Fhat_p with F_{p-1}(X, Y) = Fhat_p(X, Y - 2X), for odd prime p."""
+    """Fhat_p with F_{p-1}(X, Y) = Fhat_p(X, Y - 2X), for odd prime p.
+
+    Substituting Y -> Y + 2X in the recurrence of F_{2m} gives
+    Fhat = Y Fhat' - X^2 Fhat'' from Fhat_3 = Y + X and 1.
+    """
     if p < 3 or not is_prime(p):
         raise DomainError("p must be an odd prime")
-    base = build_form((p - 1) // 2).coeffs
     m = (p - 1) // 2
-    out = [0] * (m + 1)
-    # substitute Y -> Y + 2X in F_{p-1}
-    for i, c in enumerate(base):
-        d = m - i
-        for j in range(d + 1):
-            out[m - j] += c * math.comb(d, j) * (1 << (d - j))
-    return ThueForm(m, tuple(out), kind="reduced", p=p)
+    return ThueForm(m, _three_term(m, 1, 0), kind="reduced", p=p)
 
 
 def evaluate(form: ThueForm, x: int, y: int) -> int:
@@ -151,7 +150,8 @@ def _dehomogenized(form: ThueForm) -> list[int]:
 _ROOT_BITS = 44  # enclosures are [(c - 1)/2^44, (c + 1)/2^44]
 
 
-def _root_estimates(form: ThueForm) -> list[int]:
+@lru_cache(maxsize=None)
+def _root_estimates(form: ThueForm) -> tuple[int, ...]:
     """Dyadic numerators c ~ theta * 2^44 of the closed-form roots, ascending.
 
     Fhat_p has roots 2 cos(2 pi k/p); F_{2m} has 4 cos^2(pi k/(2m+1)) =
@@ -162,10 +162,10 @@ def _root_estimates(form: ThueForm) -> list[int]:
         n, shift = form.p, 0
     else:
         n, shift = 2 * form.degree + 1, 2 << _ROOT_BITS
-    return sorted(
+    return tuple(sorted(
         round(2 * math.cos(2 * math.pi * k / n) * (1 << _ROOT_BITS)) + shift
         for k in range(1, form.degree + 1)
-    )
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -339,19 +339,69 @@ def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tu
 
 
 @lru_cache(maxsize=64)
-def _convergent_candidates(form: ThueForm, x_mid: int) -> tuple[tuple[tuple[int, int, int], ...], dict]:
-    """(p, q, F(q, p)) for every convergent p/q, q <= x_mid, of every root."""
-    cands = []
-    roots = real_roots(form)
-    for root in roots:
+def _convergents(form: ThueForm, x_mid: int) -> tuple[tuple[int, int], ...]:
+    """(p, q) for every convergent p/q, q <= x_mid, of every root."""
+    out = []
+    for root in real_roots(form):
         # a rational root of the monic F(1, t) is an integer; the only one,
         # 1 on F_{2m} with 3 | 2m + 1, is the exact center of its enclosure
         center = (root.lo + root.hi) / 2
         rational = center.denominator == 1 and sign_at(root.coeffs, center) == 0
-        for pnum, q in continued_fraction_convergents(center if rational else root, x_mid):
-            cands.append((pnum, q, evaluate(form, q, pnum)))
-    info = {"roots": len(roots), "convergents": len(cands)}
-    return tuple(cands), info
+        out.extend(continued_fraction_convergents(center if rational else root, x_mid))
+    return tuple(out)
+
+
+def _log2_lower_bound(form: ThueForm, p: int, q: int) -> int | None:
+    """An integer b <= log2 |F(q, p)| for q > 0, or None when p/q may lie
+    in a root enclosure.
+
+    |F(q, p)| = prod |p - theta_i q| and |theta_i 2^44 - c_i| < 1, so
+    |p - theta_i q| 2^44 > D_i = |p 2^44 - c_i q| - q, and D_i > 0 gives
+    log2 |p - theta_i q| >= bitlength(D_i) - 1 - 44.
+    """
+    shifted = p << _ROOT_BITS
+    dists = [abs(shifted - c * q) - q for c in _root_estimates(form)]
+    if min(dists) <= 0:
+        return None
+    return sum(map(int.bit_length, dists)) - (_ROOT_BITS + 1) * len(dists)
+
+
+@lru_cache(maxsize=64)
+def _scan_convergents(
+    form: ThueForm, k: int, x_small: int, x_mid: int
+) -> tuple[tuple[tuple[int, int, int], ...], dict]:
+    """(x, y, F(x, y)) for every solution of F = +-k at x = lam q, y = lam p,
+    x_small < x <= x_mid, for a convergent p/q of a root and lam >= 1.
+
+    F(lam q, lam p) = lam^m F(q, p), so lam <= lam_max =
+    min(x_mid // q, floor(k^(1/m))).  F(q, p) is evaluated exactly only
+    when lam_max q > x_small and the enclosures do not prove
+    |F(q, p)| > k (_log2_lower_bound >= bitlength(k) > log2 k).
+    """
+    m = form.degree
+    convs = _convergents(form, x_mid)
+    lam_cap = integer_nth_root(k, m)
+    out = []
+    info = {"roots": m, "convergents": len(convs),
+            "skipped_multiplier": 0, "skipped_bound": 0, "evaluated": 0}
+    for pnum, q in convs:
+        if min(x_mid // q, lam_cap) * q <= x_small:
+            info["skipped_multiplier"] += 1
+            continue
+        bound = _log2_lower_bound(form, pnum, q)
+        if bound is not None and bound >= k.bit_length():
+            info["skipped_bound"] += 1
+            continue
+        info["evaluated"] += 1
+        base = evaluate(form, q, pnum)
+        if base == 0:
+            continue
+        for target in (k, -k):
+            quot, rem = divmod(target, base)
+            lam = None if rem else perfect_power_root(quot, m)  # None for quot <= 0
+            if lam is not None and x_small < lam * q <= x_mid:
+                out.append((lam * q, lam * pnum, target))
+    return tuple(out), info
 
 
 def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSolutions:
@@ -361,7 +411,8 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
 
     certificate["exhaustive"] holds the scan's work counts: the window
     radius R, the (x, y) pairs scanned and the solutions of F = +-|rhs|
-    it confirmed (shared by rhs and -rhs).
+    it confirmed (shared by rhs and -rhs); certificate["midsize"] counts
+    the roots, their convergents, the two skips and the exact evaluations.
     """
     if rhs == 0:
         raise DomainError("rhs must be nonzero")
@@ -369,44 +420,26 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
         raise DomainError("need 0 <= x_small <= x_mid")
     m = form.degree
     found, info = _scan_exhaustive(form, abs(rhs), x_small)
-    sols = set()
-    for x, y, v in found:
-        if v == rhs:
-            sols.add((x, y))
-        if (-1) ** m * v == rhs:
-            sols.add((-x, -y))
     cert = {
         "x_small": x_small,
         "x_mid": x_mid,
         "method": "exhaustive scan + convergent pruning (Thue gap criterion)",
         "exhaustive": dict(info),
     }
+    sols = set()
     if x_mid > x_small:
         if m == 1:
             sols.update(_linear_solutions(form, rhs, x_small + 1, x_mid))
             cert["midsize"] = "linear form solved directly"
         else:
-            mirror = rhs if m % 2 == 0 else -rhs
-            cands, info = _convergent_candidates(form, x_mid)
+            more, info = _scan_convergents(form, abs(rhs), x_small, x_mid)
+            found += more
             cert["midsize"] = dict(info)
-            # homogeneity: F(lam q, lam p) = lam^m F(q, p), so each convergent
-            # contributes at most the multipliers lam with lam^m * F(q,p) = rhs
-            for pnum, q, base in cands:
-                if base == 0:
-                    continue
-                for target in {rhs, mirror}:
-                    quot, rem = divmod(target, base)
-                    if rem or quot <= 0:
-                        continue
-                    lam = perfect_power_root(quot, m) if quot > 1 else 1
-                    if lam is None or not x_small < lam * q <= x_mid:
-                        continue
-                    x, y = lam * q, lam * pnum
-                    v = evaluate(form, x, y)
-                    if v == rhs:
-                        sols.add((x, y))
-                    if v == mirror:
-                        sols.add((-x, -y))
+    for x, y, v in found:
+        if v == rhs:
+            sols.add((x, y))
+        if (-1) ** m * v == rhs:
+            sols.add((-x, -y))
     return ThueSolutions(form.name, rhs, tuple(sorted(sols)), cert)
 
 

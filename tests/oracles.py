@@ -194,6 +194,49 @@ def dense_thue_solutions(coeffs, targets, x_bound: int) -> dict[int, list[tuple[
     return {k: sorted(v) for k, v in out.items()}
 
 
+def reduced_form_by_substitution(p: int) -> tuple[int, ...]:
+    """Coefficients of Fhat_p(X, Y) = F_{p-1}(X, Y + 2X), as in ThueForm.
+
+    F_{2m} = sum_k (-1)^k C(2m - k, k) X^k Y^(m - k) is read off the
+    generating function 1/(1 - sqrt(Y) T + X T^2); Y -> Y + 2X is then
+    applied to F_{p-1}(1, t) by m rounds of synthetic division (Taylor
+    shift by 2).
+    """
+    m = (p - 1) // 2
+    a = [(-1) ** k * math.comb(2 * m - k, k) for k in range(m + 1)]  # a[i]: t^(m-i)
+    for i in range(m):
+        for j in range(1, m + 1 - i):
+            a[j] += a[j - 1] << 1
+    return tuple(a)
+
+
+def convergent_solutions(form, rhs: int, x_small: int, x_mid: int) -> list[tuple[int, int]]:
+    """Solutions of F = rhs with x_small < |x| <= x_mid on convergents,
+    F(q, p) evaluated exactly for every convergent p/q of every root
+    (no pruning), and each multiple (lam q, lam p) confirmed exactly."""
+    from tauhunt.arith import continued_fraction_convergents, perfect_power_root
+    from tauhunt.thue import real_roots
+
+    m = form.degree
+    sols = set()
+    for root in real_roots(form):
+        center = (root.lo + root.hi) / 2
+        rational = center.denominator == 1 and form_value(form.coeffs, 1, int(center)) == 0
+        for pnum, q in continued_fraction_convergents(center if rational else root, x_mid):
+            base = form_value(form.coeffs, q, pnum)
+            for target in (rhs, -rhs):
+                if base == 0 or target % base or target // base <= 0:
+                    continue
+                lam = perfect_power_root(target // base, m)
+                if lam is None or not x_small < lam * q <= x_mid:
+                    continue
+                for sign in (1, -1):
+                    x, y = sign * lam * q, sign * lam * pnum
+                    if form_value(form.coeffs, x, y) == rhs:
+                        sols.add((x, y))
+    return sorted(sols)
+
+
 def signed_block_scenarios(alpha: int) -> list[list[tuple[int, int, int]]]:
     """Every way to write odd alpha as a product of signed prime-power
     blocks (sign, ell, m), each sorted, in (length, blocks) order.

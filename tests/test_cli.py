@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +285,20 @@ def test_usage_error_exit_code():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # main builds its parser once per process; each verb must still parse
+    # as in a process of its own
+    calls = [["thue-solve", "--m", "3", "--rhs", "7", "--x-small", "5", "--x-mid", "60"],
+             ["lucas", "--a", "1", "--b", "2", "--count", "12"],
+             ["thue-solve", "--m", "2", "--rhs", "11"]]
+    src = str(Path(thue.__file__).parent.parent)
+    for argv in calls:
+        assert main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "tauhunt.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert capsys.readouterr().out == fresh.stdout, argv
 
 
 def test_domain_error_exit_code(capsys):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_thue_solutions, form_value
+from oracles import (convergent_solutions, dense_thue_solutions, form_value,
+                     reduced_form_by_substitution)
 from tauhunt import thue as T
-from tauhunt.arith import DomainError
+from tauhunt.arith import DomainError, is_prime
+from tauhunt.lehmer import SearchBounds
 
 
 def test_form_displays():
@@ -72,6 +74,12 @@ def test_reduction_identity():
 def test_reduced_small_forms():
     assert T.build_reduced_form(3).coeffs == (1, 1)          # Y + X
     assert T.build_reduced_form(5).coeffs == (1, 1, -1)      # Y^2 + XY - X^2
+
+
+def test_reduced_form_recurrence_matches_substitution():
+    for p in range(3, 1000, 2):
+        if is_prime(p):
+            assert T.build_reduced_form(p).coeffs == reduced_form_by_substitution(p), p
 
 
 def test_f690_values():
@@ -270,3 +278,97 @@ def test_scan_work_budget(monkeypatch):
     monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 48399)
     with pytest.raises(DomainError, match="10 x values and up to 210 candidates"):
         T.solve_bounded(form, 7, 10, 10)
+
+
+def test_midsize_counters_fhat691():
+    # at default bounds no convergent of Fhat_691 can carry a solution of
+    # F = +-691: 2,202 have no multiplier lam q in (x_small, x_mid] with
+    # lam^345 <= 691, and the enclosures put |F(q, p)| above 691 for the rest
+    bounds = SearchBounds()
+    form = T.build_reduced_form(691)
+    for rhs in (691, -691):
+        res = T.solve_bounded(form, rhs, bounds.x_small, bounds.x_mid)
+        assert res.certificate["midsize"] == {
+            "roots": 345, "convergents": 2853, "skipped_multiplier": 2202,
+            "skipped_bound": 651, "evaluated": 0}
+        assert res.solutions == ((rhs // 691, 2 * rhs // 691),)
+
+
+def test_midsize_counters_evaluated():
+    # F_10 = 11 with nothing scanned: (1, 4) lies on the convergent 4/1 of
+    # the root 4 cos^2(pi/11) = 3.68.., and the 12 convergents the
+    # enclosures cannot put above 11 are evaluated
+    res = T.solve_bounded(T.build_form(5), 11, x_small=0, x_mid=100000)
+    assert res.solutions == ((1, 4),)
+    assert res.certificate["midsize"] == {
+        "roots": 5, "convergents": 53, "skipped_multiplier": 0,
+        "skipped_bound": 41, "evaluated": 12}
+    # lam = 1 is the only multiplier (2^5 > 11), so x_small = 5 skips the
+    # 14 convergents with q <= 5
+    res = T.solve_bounded(T.build_form(5), 11, x_small=5, x_mid=100000)
+    assert res.certificate["midsize"] == {
+        "roots": 5, "convergents": 53, "skipped_multiplier": 14,
+        "skipped_bound": 38, "evaluated": 1}
+
+
+_PRUNED_FORMS = [T.build_form(m) for m in range(2, 7)] + [
+    T.build_reduced_form(p) for p in range(5, 102, 2) if is_prime(p)]
+
+
+def test_midsize_matches_unpruned_oracle():
+    """The pruned pass finds exactly what evaluating every convergent finds,
+    on right sides planted as lam^m F(q, p) at a convergent p/q."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS), st.integers(0, 2), st.integers(20, 1000),
+                      st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.booleans())
+    def planted(form, x_small, x_mid, pick, lam, negative, plant):
+        m = form.degree
+        convs = [(p, q) for p, q in T._convergents(form, x_mid) if x_small < lam * q <= x_mid]
+        hypothesis.assume(convs)
+        pnum, q = convs[pick % len(convs)]
+        x, y = (-lam * q, -lam * pnum) if negative else (lam * q, lam * pnum)
+        rhs = form_value(form.coeffs, x, y)
+        # unplanted: a right side no bigger than the planted one
+        rhs = rhs if plant else rhs // 2 + 1
+        hypothesis.assume(rhs != 0)
+        got = T.solve_bounded(form, rhs, x_small, x_mid).solutions
+        assert [s for s in got if abs(s[0]) > x_small] == convergent_solutions(
+            form, rhs, x_small, x_mid), (form.name, rhs)
+        assert not plant or (x, y) in got
+
+    planted()
+
+
+def _assert_bound_holds(form, pnum, q):
+    b = T._log2_lower_bound(form, pnum, q)
+    if b is not None:
+        value = form_value(form.coeffs, q, pnum)
+        assert value != 0 and abs(value).bit_length() - 1 >= b, (form.name, pnum, q)
+    return b
+
+
+def test_enclosure_bound_on_deep_convergents():
+    # past q ~ 2^22 a convergent lies closer to its root than the
+    # enclosure's width times q, the case the "- q" in D_i is there for
+    for form in _PRUNED_FORMS[:12]:
+        bounds = [_assert_bound_holds(form, p, q) for p, q in T._convergents(form, 10**12)]
+        assert None in bounds and set(bounds) != {None}, form.name
+
+
+def test_enclosure_bound_below_exact_value():
+    """_log2_lower_bound never exceeds log2 |F(q, p)|."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS), st.integers(0, 10**6),
+                      st.integers(1, 10**15), st.integers(-3, 3))
+    def bound(form, pick, q, offset):
+        centers = T._root_estimates(form)
+        # p next to theta q for one root theta ~ c / 2^44
+        _assert_bound_holds(form, (centers[pick % len(centers)] * q >> 44) + offset, q)
+
+    bound()
