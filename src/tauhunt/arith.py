@@ -9,6 +9,7 @@ point participates in any decision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +65,7 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return tuple(i for i, v in enumerate(sieve) if v)
+    return tuple(itertools.compress(itertools.count(), sieve))
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -337,6 +338,9 @@ class RealAlgebraic:
     The interval must contain exactly one (simple) root and the
     polynomial must have opposite nonzero signs at the endpoints, so
     bisection with exact rational arithmetic refines it indefinitely.
+    Every sign, here and in continued_fraction_convergents, comes from
+    sign(); a subclass may override it with a cheaper proof of the same
+    sign.
     """
 
     coeffs: tuple[int, ...]
@@ -346,8 +350,12 @@ class RealAlgebraic:
     def __post_init__(self):
         if self.lo >= self.hi:
             raise DomainError("empty isolating interval")
-        if sign_at(self.coeffs, self.lo) * sign_at(self.coeffs, self.hi) >= 0:
+        if self.sign(self.lo) * self.sign(self.hi) >= 0:
             raise DomainError("polynomial must change sign across the interval")
+
+    def sign(self, x: Fraction) -> int:
+        """The sign of the polynomial at x, exact."""
+        return sign_at(self.coeffs, x)
 
 
 def _rational_cf(x: Fraction) -> list[int]:
@@ -406,7 +414,6 @@ def continued_fraction_convergents(
         raise DomainError("qmax must be >= 1")
     if isinstance(x, Fraction):
         return [pq for pq in _convergents(_rational_cf(x)) if pq[1] <= qmax]
-    coeffs = x.coeffs
     lo, hi = x.lo, x.hi
     slo = 0  # the sign at lo, computed once bisection starts
     rounds = 0
@@ -428,10 +435,10 @@ def continued_fraction_convergents(
                 ):
                     return good
         mid = (lo + hi) / 2
-        sm = sign_at(coeffs, mid)
+        sm = x.sign(mid)
         if sm == 0:
             raise RationalNumberError(f"refinement collapsed onto {mid}")
-        slo = slo or sign_at(coeffs, lo)
+        slo = slo or x.sign(lo)
         if sm == slo:
             lo = mid
         else:
@@ -439,5 +446,5 @@ def continued_fraction_convergents(
         rounds += 1
         if rounds % 32 == 0:
             cand = _simplest_rational(lo, hi)
-            if sign_at(coeffs, cand) == 0:
+            if x.sign(cand) == 0:
                 raise RationalNumberError(f"{cand} is rational")

@@ -349,9 +349,15 @@ def check_admissibility(
     _check_even_eigenvalues(spec)
     conds = enumerate_conditions(spec, ell, m, sign)
     use_congruences = spec.is_delta and ell in RAMANUJAN_PRIMES
+    excluded = {cond.d for cond in conds
+                if use_congruences and (cond.d - 1) not in achievable_ranks(ell)}
+    # a Thue form over its degree budget refuses the check before any search
+    for cond in conds:
+        if cond.curve is None and cond.d not in excluded:
+            thue.check_degree((cond.d - 1) // 2)  # the degree of Fhat_d
     verdicts = []
     for cond in conds:
-        if use_congruences and (cond.d - 1) not in achievable_ranks(ell):
+        if cond.d in excluded:
             verdicts.append(
                 ConditionVerdict(
                     cond,

@@ -10,7 +10,12 @@ is solved through Fhat_d.
 
 Both phases rest on certified root enclosures: each closed-form root is
 rounded to c/2^44 and [(c - 1)/2^44, (c + 1)/2^44] is kept once two
-exact signs show F(1, t) changing sign across it (real_roots).
+proven signs show F(1, t) changing sign across it (real_roots).  Both
+families are G_m(t + a) for the recurrence G_0 = 1, G_1 = s + 1,
+G_j = s G_{j-1} - G_{j-2} (a = 0 for Fhat_p, a = -2 for F_{2m}), so a
+sign at a dyadic point with |s| <= 2 is proven by running it in fixed
+point, whose error is below m(m-1)/2 units (_recurrence_sign); exact
+Horner is the fallback where that bound does not decide.
 
 solve_bounded is deliberately a *bounded verifier*: an exhaustive scan
 for |x| <= x_small, and a convergent-pruned search for
@@ -71,6 +76,12 @@ _BLOCK_CANDIDATES = 1 << 16
 _SCAN_NS_PER_X = 4000
 _SCAN_NS_PER_CANDIDATE = 40
 _SCAN_BUDGET_NS = 60 * 10**9
+# Cost of building a form and certifying its roots, rounded up: 0.27-0.31 us
+# per m^2 for real_roots and 0.02-0.08 ns per m^3 for the recurrence on
+# m-bit coefficients, over F_500..F_10000 and Fhat_503..Fhat_10007 on a
+# 2-vCPU Xeon.  A form estimated above _SCAN_BUDGET_NS is refused unbuilt.
+_FORM_NS_PER_M2 = 400
+_FORM_NS_PER_M3 = 0.1
 
 
 @dataclass(frozen=True)
@@ -101,11 +112,24 @@ def _three_term(m: int, c1: int, a: int) -> tuple[int, ...]:
     return tuple(cur)
 
 
+def check_degree(m: int) -> None:
+    """Refuse (DomainError) a form of degree m whose build and root
+    certification are estimated to take more than the budget, about a
+    minute."""
+    ns = m * m * (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 * m)
+    if ns > _SCAN_BUDGET_NS:
+        raise DomainError(
+            f"a Thue form of degree {m} would take about {ns / 6e10:.3g} min to build "
+            f"and certify; the budget is about a minute"
+        )
+
+
 @lru_cache(maxsize=None)
 def build_form(m: int) -> ThueForm:
     """F_{2m}(X, Y), exact integer coefficients, total degree m."""
     if m < 1:
         raise DomainError("m must be >= 1")
+    check_degree(m)
     return ThueForm(m, _three_term(m, -1, -2))
 
 
@@ -119,6 +143,7 @@ def build_reduced_form(p: int) -> ThueForm:
     if p < 3 or not is_prime(p):
         raise DomainError("p must be an odd prime")
     m = (p - 1) // 2
+    check_degree(m)
     return ThueForm(m, _three_term(m, 1, 0), kind="reduced", p=p)
 
 
@@ -168,27 +193,95 @@ def _root_estimates(form: ThueForm) -> tuple[int, ...]:
     ))
 
 
+# fractional bits kept beyond those of the point in _recurrence_sign; the
+# rounding error stays below m(m-1)/2 units whatever this is, so it only
+# sets how often a sign is left to the exact fallback
+_GUARD_BITS = 32
+
+
+def _recurrence_sign(m: int, a: int, x: Fraction) -> int | None:
+    """The sign of G_m(s) at s = x + a, proven in fixed point, or None.
+
+    G_0 = 1, G_1 = s + 1 and G_j = s G_{j-1} - G_{j-2}; F(1, t) =
+    G_m(t + a) with a = 0 for Fhat_p and a = -2 for F_{2m}.  For dyadic
+    x = u/2^b and |s| <= 2, g_j ~ 2^f G_j with f = b + _GUARD_BITS is run
+    with floor rounding, g_j = floor(s g_{j-1}) - g_{j-2}.  The error is
+    g_m - 2^f G_m = -sum_j delta_j U_{m-j}(s/2) with 0 <= delta_j < 1 and
+    |U_k(s/2)| <= k + 1, so it is smaller than m(m-1)/2 in absolute
+    value, and |g_m| > m(m-1)/2 proves the sign of G_m.  Otherwise (x
+    not dyadic, |s| > 2, or g_m too small) the result is None.
+    """
+    den = x.denominator
+    if den & (den - 1):
+        return None
+    b = den.bit_length() - 1
+    s = x.numerator + (a << b)  # s * 2^b
+    if abs(s) > 2 << b:
+        return None
+    one = 1 << (b + _GUARD_BITS)
+    prev, cur = one, (s << _GUARD_BITS) + one
+    for _ in range(m - 1):
+        prev, cur = cur, ((s * cur) >> b) - prev
+    if abs(cur) <= m * (m - 1) // 2:
+        return None
+    return 1 if cur > 0 else -1
+
+
+@dataclass(frozen=True)
+class _RecurrenceRoot(RealAlgebraic):
+    """A root of F(1, t) = G_m(t + shift) whose signs come from
+    _recurrence_sign where it proves them, else from exact Horner."""
+
+    shift: int
+
+    def sign(self, x: Fraction) -> int:
+        s = _recurrence_sign(len(self.coeffs) - 1, self.shift, x)
+        return super().sign(x) if s is None else s
+
+
+def _recurrence_shift(form: ThueForm) -> int | None:
+    """a with F(1, t) = G_m(t + a) when the coefficients are the
+    recurrence's for the form's kind, else None (a hand-built form)."""
+    try:
+        if form.kind == "reduced":
+            ref, shift = build_reduced_form(form.p), 0
+        else:
+            ref, shift = build_form(form.degree), -2
+    except DomainError:
+        return None
+    return shift if ref.coeffs == form.coeffs else None
+
+
 @lru_cache(maxsize=None)
 def real_roots(form: ThueForm) -> tuple[RealAlgebraic, ...]:
     """Isolating intervals of width 2^-43 for the m real roots of F(1, t).
 
     Each closed-form root, rounded to c/2^44, only *proposes* the
     enclosure [(c - 1)/2^44, (c + 1)/2^44].  RealAlgebraic certifies a
-    sign change across it with two exact signs, so it holds a root; the
-    m enclosures are pairwise disjoint and F(1, t) is monic of degree m,
-    so each holds exactly one.
+    sign change across it, so it holds a root; the m enclosures are
+    pairwise disjoint and F(1, t) is monic of degree m, so each holds
+    exactly one.  When the coefficients are those of the three-term
+    recurrence, the signs (of the certificate and of later bisection)
+    are proven by _recurrence_sign in about 100-bit integers and fall
+    back to exact Horner only where that bound is undecided; any other
+    form is checked with exact signs throughout.
     """
     poly = tuple(_dehomogenized(form))
     centers = _root_estimates(form)
     if any(b - a <= 2 for a, b in zip(centers, centers[1:])):
         raise ArithmeticError("root enclosures overlap")  # pragma: no cover
     den = 1 << _ROOT_BITS
+    shift = _recurrence_shift(form)
+
+    def enclosure(c: int) -> RealAlgebraic:
+        lo, hi = Fraction(c - 1, den), Fraction(c + 1, den)
+        if shift is None:
+            return RealAlgebraic(poly, lo, hi)
+        return _RecurrenceRoot(poly, lo, hi, shift)
+
     try:
-        return tuple(
-            RealAlgebraic(poly, Fraction(c - 1, den), Fraction(c + 1, den))
-            for c in centers
-        )
-    except DomainError as exc:  # pragma: no cover
+        return tuple(map(enclosure, centers))
+    except DomainError as exc:
         raise ArithmeticError("root enclosures not certified") from exc
 
 

@@ -178,3 +178,28 @@ def test_convergents_negative_number():
     convs = A.continued_fraction_convergents(x, 100)
     for p, q in convs:
         assert abs(-math.sqrt(2) - p / q) < 1 / q**2
+
+
+def test_primes_up_to_matches_trial_division():
+    for n in (0, 1, 2, 3, 4, 97, 100, 2048):
+        got = A.primes_up_to(n)
+        assert isinstance(got, tuple)
+        assert got == tuple(p for p in range(n + 1) if is_prime_by_trial(p))
+
+
+def test_real_algebraic_signs_go_through_sign():
+    # a subclass that overrides sign() sees every sign of the isolation
+    # check and of the bisection, and exact signs give the same convergents
+    seen = []
+
+    class Counted(A.RealAlgebraic):
+        def sign(self, x):
+            seen.append(x)
+            return super().sign(x)
+
+    x = Counted((-2, 0, 1), Fraction(1), Fraction(2))
+    assert seen == [1, 2]
+    convs = A.continued_fraction_convergents(x, 10**6)
+    assert len(seen) > 2
+    assert convs == A.continued_fraction_convergents(sqrt_algebraic(2), 10**6)
+    assert A.RealAlgebraic((-2, 0, 1), Fraction(1), Fraction(2)).sign(Fraction(3, 2)) == 1

@@ -231,6 +231,22 @@ def test_thue_solve_work_budget(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["thue-gen", "--m", "100000"],
+    ["thue-solve", "--reduced-p", "100003", "--rhs", "7"],
+    # Fhat_20011 (degree 10005) is over the budget; Fhat_5003 of the same
+    # target must not be searched first
+    ["admissible", "--target", "20011"],
+])
+def test_thue_degree_budget(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error:" in captured.err and "min to build and certify" in captured.err
+
+
 def test_curve_search_work_budget(capsys):
     for args in (["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
                   "--xmax", "1000000000000"],

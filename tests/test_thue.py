@@ -6,7 +6,8 @@ import pytest
 from oracles import (convergent_solutions, dense_thue_solutions, form_value,
                      reduced_form_by_substitution)
 from tauhunt import thue as T
-from tauhunt.arith import DomainError, is_prime
+from tauhunt.arith import (DomainError, RationalNumberError, RealAlgebraic,
+                           continued_fraction_convergents, is_prime)
 from tauhunt.lehmer import SearchBounds
 
 
@@ -372,3 +373,112 @@ def test_enclosure_bound_below_exact_value():
         _assert_bound_holds(form, (centers[pick % len(centers)] * q >> 44) + offset, q)
 
     bound()
+
+
+def _shift(form):
+    """a with F(1, t) = G_m(t + a): 0 for Fhat_p, -2 for F_{2m}."""
+    return 0 if form.kind == "reduced" else -2
+
+
+def _exact_sign(form, x: Fraction) -> int:
+    # sign of F(1, a/b), b > 0, is the sign of F(b, a)
+    v = form_value(form.coeffs, x.denominator, x.numerator)
+    return (v > 0) - (v < 0)
+
+
+def _recurrence_matches_near_roots(max_examples, check_root):
+    """Draw dyadic points 2^-b apart, b in 44..120, at small and large
+    offsets from a closed-form root (computed with mpmath), and check
+    every sign _recurrence_sign proves, and with check_root the sign of
+    a certified root (which falls back to exact Horner), against exact
+    Horner."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mpmath = pytest.importorskip("mpmath")
+    forms = [T.build_form(m) for m in range(1, 21)] + [
+        T.build_reduced_form(p) for p in range(3, 998) if is_prime(p)]
+
+    @hypothesis.settings(max_examples=max_examples, deadline=None)
+    @hypothesis.given(st.sampled_from(forms), st.data(), st.integers(44, 120),
+                      st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40)))
+    def agree(form, data, bits, offset):
+        k = data.draw(st.integers(1, form.degree))
+        n = form.p if form.kind == "reduced" else 2 * form.degree + 1
+        with mpmath.workdps(60):
+            theta = 2 * mpmath.cos(2 * mpmath.pi * k / n) - _shift(form)
+            u = int(mpmath.floor(theta * mpmath.mpf(2) ** bits))
+        x = Fraction(u + offset, 1 << bits)
+        got = T._recurrence_sign(form.degree, _shift(form), x)
+        if got is not None:
+            assert got == _exact_sign(form, x), (form.name, x)
+        if check_root:
+            assert T.real_roots(form)[0].sign(x) == _exact_sign(form, x)
+
+    agree()
+
+
+def test_recurrence_sign_matches_exact_near_roots():
+    _recurrence_matches_near_roots(300, check_root=True)
+
+
+def test_recurrence_sign_sound_with_few_guard_bits(monkeypatch):
+    # with f = b the rounding error is often larger than the value, so
+    # only the m(m-1)/2 margin keeps the proven signs right
+    monkeypatch.setattr(T, "_GUARD_BITS", 0)
+    _recurrence_matches_near_roots(300, check_root=False)
+
+
+def test_recurrence_sign_decides_every_enclosure_endpoint():
+    for form in _isolation_forms():
+        for root in T.real_roots(form):
+            assert type(root) is T._RecurrenceRoot
+            for x in (root.lo, root.hi):
+                assert T._recurrence_sign(form.degree, _shift(form), x) == _exact_sign(form, x)
+
+
+def test_recurrence_sign_defers_to_exact():
+    F8, Fhat7 = T.build_form(4), T.build_reduced_form(7)
+    deferred = [
+        (F8, Fraction(1)),  # the rational root of F_8 (3 | 9): G_4(-1) = 0
+        (F8, Fraction(-1, 2**50)), (F8, Fraction(2**46 + 1, 2**44)),  # |s| > 2
+        (Fhat7, Fraction(-9, 4)), (Fhat7, Fraction(2**45 + 1, 2**44)),  # |s| > 2
+        (F8, Fraction(7, 5)), (Fhat7, Fraction(1, 3)), (Fhat7, Fraction(-5, 3)),  # not dyadic
+    ]
+    for form, x in deferred:
+        assert T._recurrence_sign(form.degree, _shift(form), x) is None, (form.name, x)
+        assert T.real_roots(form)[0].sign(x) == _exact_sign(form, x), (form.name, x)
+    # |s| = 2 is still inside the bound
+    for form, x in ((F8, Fraction(0)), (F8, Fraction(4)), (Fhat7, Fraction(-2)),
+                    (Fhat7, Fraction(2))):
+        assert T._recurrence_sign(form.degree, _shift(form), x) == _exact_sign(form, x)
+
+
+def test_hand_built_form_keeps_exact_signs():
+    fhat7 = T.build_reduced_form(7)
+    relabelled = T.ThueForm(3, fhat7.coeffs, kind="reduced", p=7)
+    assert T.real_roots(relabelled) == T.real_roots(fhat7)
+    # Fhat_7 = Y^3 + X Y^2 - 2 X^2 Y - X^3 with the X^3 term dropped has the
+    # roots 0, 1 and -2: none lies in the enclosures of 2 cos(2 pi k/7)
+    perturbed = T.ThueForm(3, (1, 1, -2, 0), kind="reduced", p=7)
+    assert T._recurrence_shift(perturbed) is None
+    with pytest.raises(ArithmeticError):
+        T.real_roots(perturbed)
+    assert T._recurrence_shift(T.ThueForm(3, T.build_form(3).coeffs, kind="reduced", p=7)) is None
+    assert T._recurrence_shift(T.ThueForm(2, T.build_form(2).coeffs)) == -2
+
+
+def _convergents_or_rational(x):
+    try:
+        return continued_fraction_convergents(x, 10**30)
+    except RationalNumberError:
+        return "rational"
+
+
+def test_convergents_match_exact_signs():
+    # the two ends and the middle root of each form; every root of
+    # Fhat_691 to 10^30 with exact signs alone takes over a minute
+    for form in _isolation_forms():
+        roots = T.real_roots(form)
+        for root in {roots[0], roots[len(roots) // 2], roots[-1]}:
+            plain = RealAlgebraic(root.coeffs, root.lo, root.hi)
+            assert _convergents_or_rational(root) == _convergents_or_rational(plain), form.name
