@@ -428,9 +428,10 @@ def continued_fraction_convergents(
             convs = _convergents(cl[: k - 1])
             if convs[-1][1] > qmax:
                 good = [pq for pq in convs if pq[1] <= qmax]
+                # |e - p/q| < 1/q^2 for e = a/b, b > 0, is |a q - p b| q < b
+                a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
                 if all(
-                    max(abs(lo - Fraction(pnum, q)), abs(hi - Fraction(pnum, q)))
-                    < Fraction(1, q * q)
+                    abs(a0 * q - pnum * b0) * q < b0 and abs(a1 * q - pnum * b1) * q < b1
                     for pnum, q in good
                 ):
                     return good

@@ -8,8 +8,11 @@ error.  Output is byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import shutil
 import sys
+import tempfile
 from functools import lru_cache
 
 from . import bounds, curves, lehmer, lucas, newform, thue
@@ -18,17 +21,34 @@ from .arith import DomainError, factor
 _FORM_CACHE: dict[str, newform.NewformSpec] = {}
 
 
+# encoder chunks joined into one write
+_EMIT_BATCH = 1 << 12
+
+
 def _emit(obj, out_path: str | None) -> None:
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    except ValueError:  # json writes ints with str(), which has this digit limit
-        raise DomainError(
-            f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    """Write obj as indented JSON to out_path, if given, and to stdout.
+
+    The encoder's chunks go in batches to an unnamed temporary file, so
+    the text is never held whole, and are copied out once encoding has
+    finished: an integer too long for str() or an out_path that cannot be
+    opened raises before anything is written.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with tempfile.TemporaryFile("w+") as spool:
+        try:
+            while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
+                spool.write(batch)
+        except ValueError:  # json writes ints with str(), which has this digit limit
+            raise DomainError(
+                f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from None
+        spool.write("\n")
+        if out_path:
+            with open(out_path, "w") as fh:
+                spool.seek(0)
+                shutil.copyfileobj(spool, fh)
+        spool.seek(0)
+        shutil.copyfileobj(spool, sys.stdout)
 
 
 def _load_form(args) -> newform.NewformSpec:

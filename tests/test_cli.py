@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import curve_points, dense_thue_solutions, form_value
-from tauhunt import newform, thue
+from tauhunt import cli, newform, thue
 from tauhunt.cli import main
 
 
@@ -292,7 +292,27 @@ def test_out_file(tmp_path, capsys):
 
 def test_unwritable_out_path(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "missing" / "r.json"), "tau", "--up-to", "3"]) == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["tau", "--up-to", "5000"], ["reproduce", "thm1.2"],
+                                  ["admissible", "--target", "691"]], ids=lambda a: a[0])
+def test_streamed_output_matches_dumps(argv, tmp_path, capsys):
+    # the encoder's chunks are written in batches, never joined whole
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path), *argv]) == 0
+    out = capsys.readouterr().out
+    want = json.dumps(cli._run(cli.build_parser().parse_args(argv)), indent=2, sort_keys=True)
+    assert out == want + "\n"
+    assert path.read_text() == out
+
+
+def test_too_long_integer_leaves_out_path_unwritten(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["--out", str(path), "lucas", "--a", "1", "--b", "2", "--count", "30000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and not path.exists()
 
 
 def test_usage_error_exit_code():

@@ -45,3 +45,26 @@ def test_every_library_name_is_used_by_the_library():
         if used[node.name] == _references(node)[node.name]
     ]
     assert not unused, "referenced only from outside the package: " + ", ".join(unused)
+
+
+def _is_lru_cache(decorator) -> bool:
+    """@lru_cache, @lru_cache(...), @functools.lru_cache(...) or @cache."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.id if isinstance(decorator, ast.Name) else getattr(decorator, "attr", "")
+    return name in ("lru_cache", "cache")
+
+
+def test_thue_caches_take_no_form():
+    """Per-form Thue state lives in the form's one context: no lru_cache
+    function of thue.py takes a form, which would hash the whole form on
+    every lookup and keep a second copy of that state."""
+    tree = ast.parse((SRC / "thue.py").read_text())
+    keyed = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg == "form" or "ThueForm" in ast.unparse(arg.annotation or ast.Constant(""))
+    ]
+    assert not keyed, "lru_cache keyed on a form: " + ", ".join(keyed)

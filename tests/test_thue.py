@@ -7,7 +7,7 @@ from oracles import (convergent_solutions, dense_thue_solutions, form_value,
                      reduced_form_by_substitution)
 from tauhunt import thue as T
 from tauhunt.arith import (DomainError, RationalNumberError, RealAlgebraic,
-                           continued_fraction_convergents, is_prime)
+                           continued_fraction_convergents, integer_nth_root, is_prime)
 from tauhunt.lehmer import SearchBounds
 
 
@@ -210,17 +210,52 @@ def test_odd_degree_sign_symmetry():
             assert minus == tuple(sorted((-x, -y) for x, y in plus)), (form.name, k)
 
 
+def _exact_window_candidates(form, k, x_hi):
+    """(r, number of (x, y) scanned for 1 <= x <= x_hi) of the exhaustive
+    scan of F = +-k, counted from exact rational windows: for each x, the
+    integers y with |y - t x| <= min(k^(1/m), rho_i) for some t in an
+    enclosure [lo_i, hi_i], where rho_i = 2^(m-1) k / (x^(m-1) 2^L_i) and
+    L_i = sum_{j != i} floor(log2(|c_i - c_j| - 2)) - 44 (m - 1).  The
+    radius k^(1/m) < r + 1 enters as floor(x lo_i) - r <= y <= ceil(x hi_i) + r."""
+    m = form.degree
+    r = integer_nth_root(k, m)
+    cs = [int(root.lo * 2**44) + 1 for root in T.real_roots(form)]
+    logs = [sum((abs(c - d) - 2).bit_length() - 1 for d in cs if d != c) - 44 * (m - 1)
+            for c in cs]
+    total = 0
+    for x in range(1, x_hi + 1):
+        ys = set()
+        power = x ** (m - 1)
+        for c, log in zip(cs, logs):
+            # rho_i = num / den; x lo_i - rho_i = (x (c - 1) den - num 2^44) / (2^44 den)
+            num, den = 2 ** (m - 1) * k << max(-log, 0), power << max(log, 0)
+            lo, hi = x * (c - 1), x * (c + 1)  # 2^44 x lo_i and 2^44 x hi_i
+            start = max((lo >> 44) - r, -(((num << 44) - lo * den) // (den << 44)))
+            end = min(-(-hi >> 44) + r, (hi * den + (num << 44)) // (den << 44))
+            ys.update(range(start, end + 1))
+        total += len(ys)
+    return r, total
+
+
 def test_exhaustive_counts_in_certificate():
-    # F_6 = 7, R = ceil(7^(1/3)) = 2; roots 0.198.., 1.555.., 3.247..
-    # x = 1: [-2, 3] u [-1, 4] u [1, 6] = [-2, 6], 9 values
-    # x = 2: [-2, 3] u [1, 6] u [4, 9] = [-2, 9], 12 values
+    # F_6 = 7: r = floor(7^(1/3)) = 1; roots 0.198.., 1.555.., 3.247..
+    # x = 1: [-1, 2] u [0, 3] u [2, 5] = [-1, 5], 7 values
+    # x = 2: rho_i(2) = 4 * 7 / (4 * 2^L_i) >= 3.5 > r (L_i = 1, 0, 1), so
+    # [-1, 2] u [2, 5] u [5, 8] = [-1, 8], 10 values
+    assert _exact_window_candidates(T.build_form(3), 7, 2) == (1, 17)
     res = T.solve_bounded(T.build_form(3), 7, x_small=2, x_mid=2)
     assert res.certificate["exhaustive"] == {
-        "window_radius": 2, "candidates": 21, "confirmed": 2}
-    # the windows skip most of the cone [-2, 4x + 2] once x grows
+        "window_radius": 1, "candidates": 17, "confirmed": 2}
+    # the windows shrink like 1/x^2 once x grows
+    r, count = _exact_window_candidates(T.build_form(3), 7, 10)
     res = T.solve_bounded(T.build_form(3), -7, x_small=10, x_mid=10)
     assert res.certificate["exhaustive"] == {
-        "window_radius": 2, "candidates": 162, "confirmed": 3}
+        "window_radius": r, "candidates": count, "confirmed": 3}
+
+
+def _fresh(form):
+    """An equal form with a context of its own, so nothing is reused."""
+    return T.ThueForm(form.degree, form.coeffs, form.kind, form.p)
 
 
 @pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
@@ -229,56 +264,53 @@ def test_exhaustive_counts_in_certificate():
 def test_table_filter_tiny_primes(form, monkeypatch):
     # q in (5, 7): x = 0 (mod q) skips a table, k = 0 (mod q) makes both targets 0
     monkeypatch.setattr(T, "_TABLE_PRIMES", (5, 7))
-    T._scan_exhaustive.cache_clear()
-    try:
-        targets = (7, -7, 35, -5, 13, -49, 1)
-        dense = dense_thue_solutions(form.coeffs, targets, 40)
-        for rhs in targets:
-            got = T.solve_bounded(form, rhs, x_small=40, x_mid=40)
-            assert list(got.solutions) == dense[rhs], (form.name, rhs)
-    finally:
-        T._scan_exhaustive.cache_clear()
+    form = _fresh(form)
+    targets = (7, -7, 35, -5, 13, -49, 1)
+    dense = dense_thue_solutions(form.coeffs, targets, 40)
+    for rhs in targets:
+        got = T.solve_bounded(form, rhs, x_small=40, x_mid=40)
+        assert list(got.solutions) == dense[rhs], (form.name, rhs)
 
 
 def test_exhaustive_counts_fhat691():
-    res = T.solve_bounded(T.build_reduced_form(691), 691, x_small=1000, x_mid=1000)
+    # the 344 floors put L_i 149..215 bits below log2 |P'(theta_i)|, yet
+    # rho_i(x) < 2^-44 for every root once x >= 4: past x = 3 a window holds
+    # an integer only if one lies in x [lo_i, hi_i] widened by 2^-44
+    form = T.build_reduced_form(691)
+    r, count = _exact_window_candidates(form, 691, 1000)
+    assert r == 1 and count < 10**3
+    res = T.solve_bounded(form, 691, x_small=1000, x_mid=1000)
     assert res.certificate["exhaustive"] == {
-        "window_radius": 2, "candidates": 1361056, "confirmed": 1}
+        "window_radius": r, "candidates": count, "confirmed": 1}
     assert res.solutions == ((1, 2),)
 
 
 def test_candidate_budget(monkeypatch):
     monkeypatch.setattr(T, "_CANDIDATE_BUDGET", 40)
-    T._scan_exhaustive.cache_clear()
-    try:
-        form = T.build_reduced_form(5)
-        # R = 11: the merged windows hold 26, 29 and 30 values at x = 1, 2, 3,
-        # and 41 at x = 8
-        got = T.solve_bounded(form, 121, x_small=3, x_mid=3)
-        assert list(got.solutions) == dense_thue_solutions(form.coeffs, [121], 3)[121]
-        with pytest.raises(DomainError):
-            T.solve_bounded(form, 121, x_small=20, x_mid=20)
-        # R = 21: one window alone holds 43 > 40 values
-        assert T.solve_bounded(form, 441, x_small=0, x_mid=0).solutions == ((0, -21), (0, 21))
-        with pytest.raises(DomainError):
-            T.solve_bounded(form, 441, x_small=1, x_mid=1)
-    finally:
-        T._scan_exhaustive.cache_clear()
+    form = _fresh(T.build_reduced_form(5))
+    # R = 11 (and rho_i(x) = 121 / x > R up to x = 10): the merged windows
+    # hold 26, 29 and 30 values at x = 1, 2, 3, and 41 at x = 8
+    got = T.solve_bounded(form, 121, x_small=3, x_mid=3)
+    assert list(got.solutions) == dense_thue_solutions(form.coeffs, [121], 3)[121]
+    with pytest.raises(DomainError):
+        T.solve_bounded(form, 121, x_small=20, x_mid=20)
+    # R = 21: one window alone holds 43 > 40 values
+    assert T.solve_bounded(form, 441, x_small=0, x_mid=0).solutions == ((0, -21), (0, 21))
+    with pytest.raises(DomainError):
+        T.solve_bounded(form, 441, x_small=1, x_mid=1)
     with pytest.raises(DomainError):
         T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
 
 
 def test_scan_work_budget(monkeypatch):
-    # F_6 = 7 has R = 2: x_small = 10 bounds the scan by 10 * 3 * (2R + 3) = 210
-    # candidates, estimated at 10 * 4000 + 210 * 40 = 48400 ns
-    form = T.build_form(3)
-    T._scan_exhaustive.cache_clear()
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 48400)
-    assert T.solve_bounded(form, 7, 10, 10).solutions == ((-3, -5), (1, 4), (2, 1))
-    T._scan_exhaustive.cache_clear()
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 48399)
-    with pytest.raises(DomainError, match="10 x values and up to 210 candidates"):
-        T.solve_bounded(form, 7, 10, 10)
+    # F_6 = 7 has R = floor(7^(1/3)) = 1: x_small = 10 bounds the scan by
+    # 10 * 3 * (2R + 3) = 150 candidates, estimated at 10 * 4000 + 150 * 40 = 46000 ns
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 46000)
+    assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
+        (-3, -5), (1, 4), (2, 1))
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 45999)
+    with pytest.raises(DomainError, match="10 x values and up to 150 candidates"):
+        T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
 
 
 def test_midsize_counters_fhat691():
@@ -297,19 +329,25 @@ def test_midsize_counters_fhat691():
 
 def test_midsize_counters_evaluated():
     # F_10 = 11 with nothing scanned: (1, 4) lies on the convergent 4/1 of
-    # the root 4 cos^2(pi/11) = 3.68.., and the 12 convergents the
-    # enclosures cannot put above 11 are evaluated
-    res = T.solve_bounded(T.build_form(5), 11, x_small=0, x_mid=100000)
+    # the root 4 cos^2(pi/11) = 3.68.., and the 14 convergents the O(1)
+    # bound cannot put above 11 are evaluated
+    form = T.build_form(5)
+    convs = form._context.convergents(100000)
+    res = T.solve_bounded(form, 11, x_small=0, x_mid=100000)
     assert res.solutions == ((1, 4),)
     assert res.certificate["midsize"] == {
-        "roots": 5, "convergents": 53, "skipped_multiplier": 0,
-        "skipped_bound": 41, "evaluated": 12}
+        "roots": 5, "convergents": len(convs), "skipped_multiplier": 0,
+        "skipped_bound": 39, "evaluated": 14}
+    # every convergent skipped by its bound has |F(q, p)| > 11
+    big = sum(abs(form_value(form.coeffs, q, p)) > 11 for p, q, _ in convs)
+    assert big >= 39
     # lam = 1 is the only multiplier (2^5 > 11), so x_small = 5 skips the
-    # 14 convergents with q <= 5
-    res = T.solve_bounded(T.build_form(5), 11, x_small=5, x_mid=100000)
+    # convergents with q <= 5
+    res = T.solve_bounded(form, 11, x_small=5, x_mid=100000)
     assert res.certificate["midsize"] == {
-        "roots": 5, "convergents": 53, "skipped_multiplier": 14,
-        "skipped_bound": 38, "evaluated": 1}
+        "roots": 5, "convergents": len(convs),
+        "skipped_multiplier": sum(q <= 5 for _, q, _ in convs),
+        "skipped_bound": 37, "evaluated": 2}
 
 
 _PRUNED_FORMS = [T.build_form(m) for m in range(2, 7)] + [
@@ -327,7 +365,8 @@ def test_midsize_matches_unpruned_oracle():
                       st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.booleans())
     def planted(form, x_small, x_mid, pick, lam, negative, plant):
         m = form.degree
-        convs = [(p, q) for p, q in T._convergents(form, x_mid) if x_small < lam * q <= x_mid]
+        convs = [(p, q) for p, q, _ in form._context.convergents(x_mid)
+                 if x_small < lam * q <= x_mid]
         hypothesis.assume(convs)
         pnum, q = convs[pick % len(convs)]
         x, y = (-lam * q, -lam * pnum) if negative else (lam * q, lam * pnum)
@@ -343,8 +382,97 @@ def test_midsize_matches_unpruned_oracle():
     planted()
 
 
-def _assert_bound_holds(form, pnum, q):
-    b = T._log2_lower_bound(form, pnum, q)
+def test_shrunk_windows_match_dense_oracle():
+    """The exhaustive scan finds what the dense oracle finds, on right
+    sides planted next to a root (where rho_i(x) sets the window) or
+    anywhere in the cone (where the 2^(m-1) of the nearest-root
+    inequality matters), with |x| <= 2, where the windows are still
+    full, and up to 40."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS),
+                      st.one_of(st.integers(0, 2), st.integers(3, 40)), st.data())
+    def planted(form, x_small, data):
+        x = data.draw(st.integers(-x_small, x_small))
+        if data.draw(st.booleans()):
+            c = data.draw(st.sampled_from(form._context.centers))
+            y = (c * x >> 44) + data.draw(st.integers(-3, 3))
+        else:
+            y = data.draw(st.integers(-4 * abs(x) - 2, 4 * abs(x) + 2))
+        rhs = form_value(form.coeffs, x, y)
+        hypothesis.assume(rhs != 0)
+        got = T.solve_bounded(form, rhs, x_small, x_small).solutions
+        assert list(got) == dense_thue_solutions(form.coeffs, [rhs], x_small)[rhs], (form.name, rhs)
+        assert (x, y) in got
+
+    planted()
+
+
+def test_rho_units_bound_rho():
+    """_rho_units bounds 2^44 rho_i(x) = 2^(44 + m - 1) k / (x^(m-1) 2^L_i)
+    from above, within a factor 1 + 2^-40 plus the rounding up, or is 0
+    where that is above the cap."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cap = T._RHO_UNITS_CAP
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS + [T.build_reduced_form(691)]),
+                      st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)),
+                      st.integers(1, 3000), st.integers(1, 4))
+    def bound(form, k, x0, width):
+        m, logs = form.degree, form._context.log2_deriv
+        units = T._rho_units(logs, k, x0, x0 + width)
+        for x, row in zip(range(x0, x0 + width), units.tolist()):
+            for u, log in zip(row, logs):
+                # 2^44 rho_i(x) = num / den
+                num = k << (44 + m - 1 + max(-log, 0))
+                den = x ** (m - 1) << max(log, 0)
+                if u == 0:
+                    assert num << 40 > cap * den * ((1 << 40) - 1), (form.name, k, x)
+                else:
+                    assert u * den >= num, (form.name, k, x)
+                    assert (u - 1) * den << 40 <= num * ((1 << 40) + 1), (form.name, k, x)
+
+    bound()
+
+
+def test_log2_derivatives_below_mpmath():
+    """L_i <= log2 |P'(theta_i)| for every root of Fhat_p, p < 1000, and of
+    F_2..F_200, with |P'(theta_k)| = n / (4 sin(phi/2) sin(phi)),
+    phi = 2 pi k/n (n = p, or 2m + 1 for F_{2m}), from
+    P(2 cos phi) = sin(n phi/2) / sin(phi/2)."""
+    mpmath = pytest.importorskip("mpmath")
+    forms = [T.build_reduced_form(p) for p in range(3, 1000) if is_prime(p)]
+    forms += [T.build_form(m) for m in range(1, 101)]
+    with mpmath.workdps(30):
+        for form in (T.build_reduced_form(7), T.build_form(5), T.build_reduced_form(101)):
+            # the closed form against the product of the root differences
+            n = form.p if form.kind == "reduced" else 2 * form.degree + 1
+            shift = 0 if form.kind == "reduced" else 2
+            thetas = [2 * mpmath.cos(2 * mpmath.pi * k / n) + shift
+                      for k in range(1, form.degree + 1)]
+            for k, t in enumerate(thetas, 1):
+                phi = 2 * mpmath.pi * k / n
+                prod = mpmath.fprod(abs(t - u) for u in thetas if u != t)
+                closed = n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi))
+                assert abs(prod / closed - 1) < mpmath.mpf(10) ** -20, (form.name, k)
+            assert form._context.log2_deriv == T._log2_derivatives(T._root_estimates(form))
+        for form in forms:
+            n = form.p if form.kind == "reduced" else 2 * form.degree + 1
+            logs = T._log2_derivatives(T._root_estimates(form))
+            # the ascending roots are 2 cos(2 pi k/n) (+ 2) for k = m .. 1
+            for log, k in zip(logs, range(form.degree, 0, -1)):
+                phi = 2 * mpmath.pi * k / n
+                exact = mpmath.log(n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi)), 2)
+                # 10^-20 is far above the 30-digit error; |P'| = 1 on F_2
+                assert log <= exact + mpmath.mpf(10) ** -20, (form.name, k)
+
+
+def _assert_bound_holds(form, pnum, q, i):
+    b = form._context.log2_lower_bound(pnum, q, i)
     if b is not None:
         value = form_value(form.coeffs, q, pnum)
         assert value != 0 and abs(value).bit_length() - 1 >= b, (form.name, pnum, q)
@@ -353,14 +481,25 @@ def _assert_bound_holds(form, pnum, q):
 
 def test_enclosure_bound_on_deep_convergents():
     # past q ~ 2^22 a convergent lies closer to its root than the
-    # enclosure's width times q, the case the "- q" in D_i is there for
+    # enclosure's width times q, where the bound gives None
     for form in _PRUNED_FORMS[:12]:
-        bounds = [_assert_bound_holds(form, p, q) for p, q in T._convergents(form, 10**12)]
+        bounds = [_assert_bound_holds(form, p, q, i)
+                  for p, q, i in form._context.convergents(10**12)]
         assert None in bounds and set(bounds) != {None}, form.name
 
 
+def test_enclosure_bound_on_every_small_point():
+    # every p/q with q < 25 in the cone, against every root: far from
+    # theta_i the separation factor (1 - delta/(q sep_i))^(m-1) matters
+    for form in _PRUNED_FORMS[:12]:
+        for q in range(1, 25):
+            for p in range(-2 * q - 2, 4 * q + 3):
+                for i in range(form.degree):
+                    _assert_bound_holds(form, p, q, i)
+
+
 def test_enclosure_bound_below_exact_value():
-    """_log2_lower_bound never exceeds log2 |F(q, p)|."""
+    """The O(1) bound never exceeds log2 |F(q, p)|."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -368,9 +507,10 @@ def test_enclosure_bound_below_exact_value():
     @hypothesis.given(st.sampled_from(_PRUNED_FORMS), st.integers(0, 10**6),
                       st.integers(1, 10**15), st.integers(-3, 3))
     def bound(form, pick, q, offset):
-        centers = T._root_estimates(form)
-        # p next to theta q for one root theta ~ c / 2^44
-        _assert_bound_holds(form, (centers[pick % len(centers)] * q >> 44) + offset, q)
+        centers = form._context.centers
+        i = pick % len(centers)
+        # p next to theta_i q for theta_i ~ c_i / 2^44
+        _assert_bound_holds(form, (centers[i] * q >> 44) + offset, q, i)
 
     bound()
 
@@ -398,6 +538,8 @@ def _recurrence_matches_near_roots(max_examples, check_root):
     forms = [T.build_form(m) for m in range(1, 21)] + [
         T.build_reduced_form(p) for p in range(3, 998) if is_prime(p)]
 
+    roots = {}  # real_roots certifies afresh on each call
+
     @hypothesis.settings(max_examples=max_examples, deadline=None)
     @hypothesis.given(st.sampled_from(forms), st.data(), st.integers(44, 120),
                       st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40)))
@@ -412,7 +554,9 @@ def _recurrence_matches_near_roots(max_examples, check_root):
         if got is not None:
             assert got == _exact_sign(form, x), (form.name, x)
         if check_root:
-            assert T.real_roots(form)[0].sign(x) == _exact_sign(form, x)
+            if form not in roots:
+                roots[form] = T.real_roots(form)
+            assert roots[form][0].sign(x) == _exact_sign(form, x)
 
     agree()
 
