@@ -1,7 +1,8 @@
 """Exact big-integer utilities shared by every other module.
 
 Everything here is pure integer / rational arithmetic: deterministic
-primality testing, factorization (trial division + Pollard rho),
+primality testing, factorization (trial division by the primes below
+2^10, then Brent's rho),
 divisor power sums, perfect-power tests, and certified
 continued-fraction convergents of real algebraic numbers.  No floating
 point participates in any decision.
@@ -44,7 +45,7 @@ class RationalNumberError(DomainError):
 # Primality and factorization
 # ---------------------------------------------------------------------------
 
-_TRIAL_BITS = 20  # trial division by the primes below 2^20
+_TRIAL_BITS = 10  # trial division by the primes below 2^10; Brent's rho splits the rest
 
 # Strong-pseudoprime bases proven sufficient for n < 3_317_044_064_679_887_385_961_981
 # (Sorenson-Webster).  Above that bound the same bases are combined with a
@@ -193,15 +194,17 @@ class Factorization:
 
 
 def factor(n: int) -> Factorization:
-    """Exact factorization of ``|n|``; rejects n = 0."""
+    """Exact factorization of ``|n|``; rejects n = 0.
+
+    Trial division by the primes below 2^10 stops as soon as the cofactor
+    is 1 or prime; Brent's rho (``_pollard_rho``) splits any cofactor left.
+    """
     if n == 0:
         raise DomainError("cannot factor 0")
     m = abs(n)
     found: dict[int, int] = {}
-    # trial division stops as soon as the cofactor is 1 or prime; a
-    # power-of-two sieve limit keeps the cached sieves to about 21
     if m > 1 and not is_prime(m):
-        for p in primes_up_to(1 << min(_TRIAL_BITS, (math.isqrt(m) + 1).bit_length())):
+        for p in primes_up_to(1 << _TRIAL_BITS):
             if p * p > m:
                 break
             if m % p:

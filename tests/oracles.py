@@ -133,6 +133,39 @@ def is_prime_by_trial(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+@lru_cache(maxsize=None)
+def sieved_primes(limit: int) -> tuple[int, ...]:
+    """The primes <= limit, by a plain sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    return tuple(i for i in range(limit + 1) if sieve[i])
+
+
+def factor_by_trial(n: int, limit: int = 1 << 22) -> tuple[dict[int, int], int]:
+    """Trial division of |n| >= 1 by the primes <= limit, independent of arith.
+
+    Returns the prime exponents found and the cofactor left unsplit: 1
+    when |n| is fully factored, else a number above limit^2 with no
+    prime factor <= limit.
+    """
+    m, found = abs(n), {}
+    for p in sieved_primes(limit):
+        if p * p > m:
+            break
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    else:
+        if m > limit * limit:
+            return found, m
+    if m > 1:
+        found[m] = found.get(m, 0) + 1
+    return found, 1
+
+
 def curve_points(lead: int, exponent: int, constant: int, x_max: int) -> list[tuple[int, int]]:
     """All (x, y), |x| <= x_max, y >= 0, with y^2 = lead x^exponent + constant,
     by testing every x with math.isqrt."""

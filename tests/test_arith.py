@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import integer_roots, is_prime_by_trial, sqrt_algebraic
+from oracles import (factor_by_trial, integer_roots, is_prime_by_trial, sieved_primes,
+                     sqrt_algebraic)
 from tauhunt import arith as A
 
 
@@ -37,7 +39,46 @@ def test_factor_keeps_few_sieves():
     rng = random.Random(7)
     for n in rng.sample(range(2, 10**12), 200):
         assert verified(A.factor(n))
-    assert A.primes_up_to.cache_info().currsize <= 21
+    # factor trial-divides by one sieve, the primes below 2^10
+    assert A.primes_up_to.cache_info().currsize == 1
+
+
+def test_factor_matches_trial_division_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    limit = 1 << 22
+    prime = st.sampled_from([p for p in sieved_primes(limit) if p > 1 << 10])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.one_of(
+        st.lists(prime, min_size=1, max_size=4).map(math.prod),
+        st.tuples(prime, st.sampled_from((2, 3))).map(lambda pe: pe[0] ** pe[1]),
+        st.integers(1, 10**24),
+    ), st.sampled_from((1, -1)))
+    def check(n, sign):
+        found, rest = factor_by_trial(n, limit)
+        head = tuple(sorted(found.items()))
+        pairs = A.factor(sign * n).pairs
+        assert pairs[: len(head)] == head
+        # the oracle leaves a cofactor above 2^44 with no prime factor below 2^22 unsplit
+        tail = pairs[len(head):]
+        assert math.prod(p**e for p, e in tail) == rest
+        assert all(p > limit and sympy.isprime(p) for p, _ in tail)
+
+    check()
+
+
+def test_factor_semiprimes_fast():
+    # both factors in (2^10, 2^21): trial division finds neither, Brent's rho
+    # splits them in about 0.1 s; trial division to the smaller factor took 0.75 s
+    rng = random.Random(300)
+    primes = [p for p in sieved_primes(1 << 21) if p > 1 << 10]
+    pairs = [sorted(rng.sample(primes, 2)) for _ in range(300)]
+    start = time.perf_counter()
+    got = [A.factor(p * q).pairs for p, q in pairs]
+    assert time.perf_counter() - start < 0.5
+    assert got == [((p, 1), (q, 1)) for p, q in pairs]
 
 
 def test_factor_small_prime_times_large_prime():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import curve_points, dense_thue_solutions, form_value
+from oracles import curve_points, dense_thue_solutions, form_value, sieved_primes
 from tauhunt import cli, newform, thue
 from tauhunt.cli import main
 
@@ -210,6 +211,58 @@ def test_decompose_large_exponent(capsys):
     code, out = run_cli(["decompose", "--target", str(3**18)], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 0 and len(json.loads(out)["scenarios"]) == 6130
+
+
+def test_decompose_over_budget_refused(capsys):
+    # 3^28 splits into 163,075 scenarios, about 1.8 GiB before they were counted
+    start = time.perf_counter()
+    code = main(["decompose", "--target", str(3**28)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "163075 scenarios" in captured.err
+
+
+def test_lookup_verbs_fuzz(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = sieved_primes(10**5)
+
+    def values(prime, random_values):
+        return st.one_of(
+            st.sampled_from((0, 1, -1)),
+            random_values.map(lambda n: 2 * n),
+            st.tuples(prime, st.integers(1, 40)).map(lambda pe: pe[0] ** pe[1]),
+            st.tuples(prime, prime).map(lambda pq: pq[0] * pq[1]),
+            random_values,
+        ).flatmap(lambda n: st.sampled_from((n, -n)))
+
+    random_values = st.integers(0, 10**18)
+    # a prime beyond those stored extends the tau series up to it, so coeff
+    # takes values whose prime factors lie below 10^5
+    smooth = st.lists(st.sampled_from(small), min_size=1, max_size=6).map(math.prod)
+    st_prime = st.sampled_from(small) | st.sampled_from(sieved_primes(1 << 22)[-1000:])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.one_of(
+        st.tuples(st.just(("omega-bound", "--n")), values(st_prime, random_values)),
+        st.tuples(st.just(("decompose", "--target")), values(st_prime, random_values)),
+        st.tuples(st.just(("coeff", "--n")), values(st.sampled_from(small), smooth)),
+    ))
+    def check(case):
+        (verb, flag), value = case
+        start = time.perf_counter()
+        code = main([verb, f"{flag}={value}"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 5.0, (verb, value)
+        if code == 0:
+            json.loads(captured.out)
+        else:
+            assert code == 1 and captured.out == "", (verb, value)
+            assert captured.err.startswith("error:"), (verb, value)
+
+    check()
 
 
 def test_thue_solve_linear_budget(capsys):

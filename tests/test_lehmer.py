@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from oracles import signed_block_scenarios
 from tauhunt import lehmer as LE
-from tauhunt.arith import DomainError, primes_up_to
+from tauhunt.arith import DomainError, factor, primes_up_to
 from tauhunt.newform import NewformSpec, coeff_prime_power, delta_newform
 
 DELTA = delta_newform(600)
@@ -204,7 +206,6 @@ def test_omega_lower_bound():
 
 
 def test_omega_bound_is_actually_a_lower_bound():
-    from tauhunt.arith import factor
     from tauhunt.newform import coeff
 
     for n in (2, 4, 6, 9, 12, 25, 36, 60, 96, 251**2):
@@ -292,6 +293,30 @@ def test_decompose_matches_sign_vector_oracle():
         got = [[(b["sign"], b["ell"], b["m"]) for b in sc]
                for sc in LE.decompose_odd_target(DELTA, t)["scenarios"]]
         assert got == signed_block_scenarios(t), t
+
+
+def test_scenario_count_matches_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from((3, 5, 7, 11, 13, 691)), min_size=1, max_size=10),
+                      st.sampled_from((1, -1)))
+    def check(ells, sign):
+        alpha = sign * math.prod(ells)
+        count = LE._scenario_count(factor(alpha).pairs, sign)
+        assert count == len(signed_block_scenarios(alpha))
+        if count <= LE._DECOMPOSE_BUDGET:
+            assert len(LE.decompose_odd_target(DELTA, alpha)["scenarios"]) == count
+
+    check()
+
+
+def test_decompose_refuses_over_budget():
+    # 3^20 splits into 12,442 scenarios, 3^19 into 8,745
+    assert len(LE.decompose_odd_target(DELTA, -(3**19))["scenarios"]) == 8745
+    with pytest.raises(DomainError, match="12442 scenarios"):
+        LE.decompose_odd_target(DELTA, 3**20)
 
 
 def test_report_serialization():
