@@ -5,7 +5,6 @@ a Fourier coefficient."""
 from .arith import (
     DomainError,
     Factorization,
-    RealAlgebraic,
     continued_fraction_convergents,
     factor,
     is_perfect_square,

@@ -2,10 +2,10 @@
 
 Everything here is pure integer / rational arithmetic: deterministic
 primality testing, factorization (trial division by the primes below
-2^10, then Brent's rho),
-divisor power sums, perfect-power tests, and certified
-continued-fraction convergents of real algebraic numbers.  No floating
-point participates in any decision.
+2^10, then Brent's rho), divisor power sums, perfect-power tests, exact
+polynomial signs, and the continued-fraction convergents that a
+rational interval fixes.  No floating point participates in any
+decision.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import lru_cache
 
 __all__ = [
     "DomainError",
-    "RationalNumberError",
     "Factorization",
     "is_prime",
     "factor",
@@ -28,17 +27,12 @@ __all__ = [
     "perfect_power_root",
     "prime_power_root",
     "primes_up_to",
-    "RealAlgebraic",
     "continued_fraction_convergents",
 ]
 
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of an operation."""
-
-
-class RationalNumberError(DomainError):
-    """A continued-fraction request was made for a rational number."""
 
 
 # ---------------------------------------------------------------------------
@@ -295,70 +289,19 @@ def prime_power_root(n: int, e: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Real algebraic numbers and certified continued fractions
+# Polynomial signs and continued fractions
 # ---------------------------------------------------------------------------
 
 
-def _strip(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _scaled_value(coeffs, num: int, den: int) -> int:
-    """den^deg * p(num/den), exact."""
-    n = len(coeffs) - 1
-    acc = coeffs[n]
-    if den == 1:
-        for i in range(n - 1, -1, -1):
-            acc = acc * num + coeffs[i]
-        return acc
-    if den & (den - 1) == 0:
-        # dyadic denominator: powers of den are shifts
-        e = den.bit_length() - 1
-        shift = 0
-        for i in range(n - 1, -1, -1):
-            shift += e
-            acc = acc * num + (coeffs[i] << shift)
-        return acc
-    dp = 1
-    for i in range(n - 1, -1, -1):
-        dp *= den
-        acc = acc * num + coeffs[i] * dp
-    return acc
-
-
 def sign_at(coeffs, x: Fraction) -> int:
-    v = _scaled_value(_strip(coeffs) or [0], x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
-
-
-@dataclass(frozen=True)
-class RealAlgebraic:
-    """A real algebraic number: integer polynomial + isolating interval.
-
-    The interval must contain exactly one (simple) root and the
-    polynomial must have opposite nonzero signs at the endpoints, so
-    bisection with exact rational arithmetic refines it indefinitely.
-    Every sign, here and in continued_fraction_convergents, comes from
-    sign(); a subclass may override it with a cheaper proof of the same
-    sign.
-    """
-
-    coeffs: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise DomainError("empty isolating interval")
-        if self.sign(self.lo) * self.sign(self.hi) >= 0:
-            raise DomainError("polynomial must change sign across the interval")
-
-    def sign(self, x: Fraction) -> int:
-        """The sign of the polynomial at x, exact."""
-        return sign_at(self.coeffs, x)
+    """The sign of sum coeffs[i] x^i at a rational x, exact: that of
+    den^deg p(num/den), by Horner in integers."""
+    num, den = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
 
 
 def _rational_cf(x: Fraction) -> list[int]:
@@ -385,70 +328,34 @@ def _convergents(cf: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator strictly inside (lo, hi)."""
-    flo = math.floor(lo)
-    if Fraction(flo + 1) < hi:
-        return Fraction(flo + 1)
-    a, b = lo - flo, hi - flo
-    if a == 0:
-        # (n, n+b) with b <= 1: n + 1/m for the first m with 1/m < b
-        m = math.floor(1 / b) + 1
-        return flo + Fraction(1, m)
-    # invert: simplest in (1/b, 1/a), recurse
-    return flo + 1 / _simplest_rational(1 / b, 1 / a)
-
-
 def continued_fraction_convergents(
-    x: RealAlgebraic | Fraction, qmax: int
-) -> list[tuple[int, int]]:
-    """All continued-fraction convergents p/q of x with q <= qmax.
+    lo: Fraction, hi: Fraction, qmax: int
+) -> list[tuple[int, int]] | None:
+    """The continued-fraction convergents p/q with q <= qmax of every
+    irrational number in [lo, hi], or None when the interval is too wide
+    to fix them.
 
-    A Fraction gives the convergents of its finite expansion.  For a
-    RealAlgebraic, partial quotients are certified by exact interval
-    refinement: a quotient is accepted only once both interval endpoints
-    share it.  A RealAlgebraic whose root is rational is rejected
-    (RationalNumberError), detected either when bisection lands exactly
-    on the root or when the interval keeps straddling the simplest
-    rational it contains and that rational is a root of the defining
-    polynomial.
+    A partial quotient counts only when the canonical expansions of both
+    endpoints share it, and the last shared one is dropped, since the
+    endpoint expansions may disagree there.  The shared convergents must
+    reach a denominator above qmax, and each one kept must satisfy
+    |e - p/q| < 1/q^2 at both endpoints e.  An interval around a rational
+    number never settles.
     """
     if qmax < 1:
         raise DomainError("qmax must be >= 1")
-    if isinstance(x, Fraction):
-        return [pq for pq in _convergents(_rational_cf(x)) if pq[1] <= qmax]
-    lo, hi = x.lo, x.hi
-    slo = 0  # the sign at lo, computed once bisection starts
-    rounds = 0
-    while True:
-        cl = _rational_cf(lo)
-        ch = _rational_cf(hi)
-        k = 0
-        while k < len(cl) and k < len(ch) and cl[k] == ch[k]:
-            k += 1
-        # drop the last shared term: endpoint expansions may disagree there
-        if k >= 2:
-            convs = _convergents(cl[: k - 1])
-            if convs[-1][1] > qmax:
-                good = [pq for pq in convs if pq[1] <= qmax]
-                # |e - p/q| < 1/q^2 for e = a/b, b > 0, is |a q - p b| q < b
-                a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-                if all(
-                    abs(a0 * q - pnum * b0) * q < b0 and abs(a1 * q - pnum * b1) * q < b1
-                    for pnum, q in good
-                ):
-                    return good
-        mid = (lo + hi) / 2
-        sm = x.sign(mid)
-        if sm == 0:
-            raise RationalNumberError(f"refinement collapsed onto {mid}")
-        slo = slo or x.sign(lo)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-        rounds += 1
-        if rounds % 32 == 0:
-            cand = _simplest_rational(lo, hi)
-            if x.sign(cand) == 0:
-                raise RationalNumberError(f"{cand} is rational")
+    cl, ch = _rational_cf(lo), _rational_cf(hi)
+    k = 0
+    while k < len(cl) and k < len(ch) and cl[k] == ch[k]:
+        k += 1
+    if k < 2:
+        return None
+    convs = _convergents(cl[: k - 1])
+    if convs[-1][1] <= qmax:
+        return None
+    good = [pq for pq in convs if pq[1] <= qmax]
+    # |e - p/q| < 1/q^2 for e = a/b, b > 0, is |a q - p b| q < b
+    a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if all(abs(a0 * q - p * b0) * q < b0 and abs(a1 * q - p * b1) * q < b1 for p, q in good):
+        return good
+    return None

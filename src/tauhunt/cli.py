@@ -8,6 +8,7 @@ error.  Output is byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import shutil
@@ -184,10 +185,13 @@ def _run(args) -> dict | list:
     if verb == "coeff":
         spec = _load_form(args)
         if not args.spec and args.n > 1:
-            # the built-in Delta stores a_f(p) for p <= 1000; extend it to n's largest prime
-            p = factor(args.n).pairs[-1][0]
-            if p not in spec.ap and p <= newform.MAX_TAU_BOUND:
-                spec = newform.delta_newform(p)
+            # the built-in Delta stores a_f(p) for p <= 1000; add tau(q) for n's other primes
+            missing = [q for q, _ in factor(args.n).pairs
+                       if q not in spec.ap and q <= newform.MAX_TAU_BOUND]
+            if missing:
+                taus = newform.delta_expansion(max(missing))
+                ap = {**spec.ap, **{q: taus[q - 1] for q in missing}}
+                spec = dataclasses.replace(spec, ap=ap)
         return {"form": spec.name or "custom", "n": args.n,
                 "coefficient": newform.coeff(spec, args.n)}
     if verb == "lucas":

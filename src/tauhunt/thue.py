@@ -1,27 +1,32 @@
 """Homogeneous forms F_{2m}(X, Y) and the bounded Thue solver.
 
 The forms come from the generating function 1/(1 - sqrt(Y) T + X T^2):
-F_2 = Y - X, and F_{2m} = (Y - 2X) F_{2m-2} - X^2 F_{2m-4}.  Their roots
-in Y/X are 4 cos^2(pi k/(2m+1)).  For odd primes p the reduced form
-Fhat_p(X, Y) = prod (Y - 2X cos(2 pi k/p)) satisfies
-F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller coefficients;
-every Thue condition F_{d-1} = alpha of the decision pipeline (d >= 7)
-is solved through Fhat_d.
+F_2 = Y - X, and F_{2m} = (Y - 2X) F_{2m-2} - X^2 F_{2m-4}.  For odd
+primes p the reduced form Fhat_p(X, Y) = prod (Y - 2X cos(2 pi k/p))
+satisfies F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller
+coefficients; every Thue condition F_{d-1} = alpha of the decision
+pipeline (d >= 7) is solved through Fhat_d.  A ThueForm is its family
+and n alone (n = p for Fhat_p, n = 2m + 1 for F_{2m}); its coefficients
+follow from the recurrence, so no form with other coefficients exists.
 
-Both phases rest on certified root enclosures: each closed-form root is
-rounded to c/2^44 and [(c - 1)/2^44, (c + 1)/2^44] is kept once two
-proven signs show F(1, t) changing sign across it (real_roots).  Both
-families are G_m(t + a) for the recurrence G_0 = 1, G_1 = s + 1,
-G_j = s G_{j-1} - G_{j-2} (a = 0 for Fhat_p, a = -2 for F_{2m}), so a
-sign at a dyadic point with |s| <= 2 is proven by running it in fixed
-point, whose error is below m(m-1)/2 units (_recurrence_sign); exact
-Horner is the fallback where that bound does not decide.
+The roots of P(t) = F(1, t) are known in closed form (Watkins-Zeitlin,
+"The minimal polynomial of cos(2 pi/n)", Amer. Math. Monthly 1993):
+theta_k = 2 cos(2 pi k/n) + s for k = 1 .. m, with s = 0 for Fhat_p and
+s = 2 for F_{2m}.  P(2 cos phi + s) = sin(n phi/2) / sin(phi/2) gives
+|P'(theta_k)|^2 = n^2 / (8 (1 - c)^2 (1 + c)) with c = cos(2 pi k/n).
+Each root is enclosed at any precision by integer fixed-point pi
+(Machin) and a cosine Taylor series with a proven remainder
+(_cos_bounds), O(m) per form; the only polynomial sign is one exact
+sign confirming the one rational root, -1 + s at 3k = n.  The 44-bit
+enclosures ((c - 1)/2^44, (c + 1)/2^44) of real_roots give an integer
+L_i <= log2 |P'(theta_i)| through that formula, and a root's
+continued-fraction convergents are those its enclosure fixes, the
+precision doubling until they settle.
 
 Each form carries one context (_FormContext), built on its first solve
-and kept on the form, so a lookup hashes nothing.  It holds the
-enclosures, an integer L_i <= log2 |P'(theta_i)| for P(t) = F(1, t), a
-lower bound on sep_i = min_j |theta_i - theta_j|, the residue tables,
-the convergents tagged with their root and each phase's results.
+and kept on the form.  It holds the enclosures, the L_i, a lower bound
+on sep_i = min_j |theta_i - theta_j|, the residue tables, the
+convergents tagged with their root and each phase's results.
 
 solve_bounded is deliberately a *bounded verifier*: an exhaustive scan
 for |x| <= x_small, and a convergent-pruned search for
@@ -60,7 +65,6 @@ from functools import cached_property, lru_cache
 from . import catalog
 from .arith import (
     DomainError,
-    RealAlgebraic,
     continued_fraction_convergents,
     integer_nth_root,
     is_prime,
@@ -84,43 +88,67 @@ _TABLE_PRIMES = (4093, 4091)
 _CANDIDATE_BUDGET = 1 << 22
 # about this many candidates are built and filtered per numpy pass
 _BLOCK_CANDIDATES = 1 << 16
-# Cost of the exhaustive scan, rounded up: 2.2-3.5 us per x plus 9-70 ns
-# per candidate of the bound m * (2R + 3) per x, over F_2..F_12 and
-# Fhat_5..Fhat_691 on a 2-vCPU Xeon.  A scan estimated above the budget,
-# about a minute, is refused before it starts.
-_SCAN_NS_PER_X = 4000
-_SCAN_NS_PER_CANDIDATE = 40
+# Cost of the exhaustive scan, rounded up: _SCAN_NS_PER_X per x,
+# _SCAN_NS_PER_ROOT per root and x, and _SCAN_NS_PER_CANDIDATE per value
+# of the bound on the windows (_scan_cost_ns); fitted as an upper bound
+# on scans of F_4..F_24 and Fhat_5..Fhat_691 up to x = 20000 on a 2-vCPU
+# Xeon.  A scan estimated above the budget, about a minute, is refused
+# before it starts.
+_SCAN_NS_PER_X = 1000
+_SCAN_NS_PER_ROOT = 10
+_SCAN_NS_PER_CANDIDATE = 55
 _SCAN_BUDGET_NS = 60 * 10**9
-# Cost of building a form and certifying its roots, rounded up: 0.27-0.31 us
-# per m^2 for real_roots and 0.02-0.08 ns per m^3 for the recurrence on
-# m-bit coefficients, over F_500..F_10000 and Fhat_503..Fhat_10007 on a
-# 2-vCPU Xeon.  A form estimated above _SCAN_BUDGET_NS is refused unbuilt.
-_FORM_NS_PER_M2 = 400
+# Cost of building a form and certifying its roots, rounded up: the
+# recurrence takes m^2/2 steps on numbers of up to 1.4 m bits, 140-760 ns
+# per m^2 for F_1000..F_14000 and 100-260 ns for Fhat_1009..Fhat_14009 on
+# a 2-vCPU Xeon, while the root enclosures and the L_i are O(m).  A form
+# estimated above _SCAN_BUDGET_NS is refused unbuilt.
+_FORM_NS_PER_M2 = 150
 _FORM_NS_PER_M3 = 0.1
 
 
 @dataclass(frozen=True)
 class ThueForm:
-    """coeffs[i] is the coefficient of X^i Y^(degree-i); monic in Y."""
+    """F_{2m} (family "standard", n = 2m + 1) or Fhat_p (family "reduced",
+    n = p), of degree m = (n - 1)/2; coeffs[i] is the coefficient of
+    X^i Y^(m-i), monic in Y."""
 
-    degree: int
-    coeffs: tuple[int, ...]
-    kind: str = "standard"  # "standard" = F_{2m}; "reduced" = Fhat_p
-    p: int = 0  # defining prime for reduced forms
+    family: str
+    n: int
 
     def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1 or self.coeffs[0] != 1:
-            raise DomainError("malformed form")
+        if self.family == "reduced":
+            if self.n < 3 or not is_prime(self.n):
+                raise DomainError("p must be an odd prime")
+        elif self.family != "standard":
+            raise DomainError(f"unknown Thue form family {self.family!r}")
+        elif self.n < 3 or self.n % 2 == 0:
+            raise DomainError("F_{2m} needs n = 2m + 1 with m >= 1")
+        check_degree(self.degree)
+
+    @property
+    def degree(self) -> int:
+        return (self.n - 1) // 2
+
+    @property
+    def shift(self) -> int:
+        """s with the roots theta_k = 2 cos(2 pi k/n) + s of F(1, t)."""
+        return 0 if self.family == "reduced" else 2
 
     @property
     def name(self) -> str:
-        if self.kind == "reduced":
-            return f"Fhat_{self.p}"
-        return f"F_{2 * self.degree}"
+        return f"Fhat_{self.n}" if self.family == "reduced" else f"F_{self.n - 1}"
+
+    # both cached in the instance __dict__, outside the fields, eq and hash
+    @cached_property
+    def coeffs(self) -> tuple[int, ...]:
+        if self.family == "reduced":
+            # Y -> Y + 2X in the recurrence of F_{2m}: Fhat = Y Fhat' - X^2 Fhat''
+            return _three_term(self.degree, 1, 0)
+        return _three_term(self.degree, -1, -2)
 
     @cached_property
     def _context(self) -> _FormContext:
-        # stored in the instance __dict__, outside the fields, eq and hash
         return _FormContext(self)
 
 
@@ -149,22 +177,13 @@ def build_form(m: int) -> ThueForm:
     """F_{2m}(X, Y), exact integer coefficients, total degree m."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    check_degree(m)
-    return ThueForm(m, _three_term(m, -1, -2))
+    return ThueForm("standard", 2 * m + 1)
 
 
 @lru_cache(maxsize=None)
 def build_reduced_form(p: int) -> ThueForm:
-    """Fhat_p with F_{p-1}(X, Y) = Fhat_p(X, Y - 2X), for odd prime p.
-
-    Substituting Y -> Y + 2X in the recurrence of F_{2m} gives
-    Fhat = Y Fhat' - X^2 Fhat'' from Fhat_3 = Y + X and 1.
-    """
-    if p < 3 or not is_prime(p):
-        raise DomainError("p must be an odd prime")
-    m = (p - 1) // 2
-    check_degree(m)
-    return ThueForm(m, _three_term(m, 1, 0), kind="reduced", p=p)
+    """Fhat_p with F_{p-1}(X, Y) = Fhat_p(X, Y - 2X), for odd prime p."""
+    return ThueForm("reduced", p)
 
 
 def evaluate(form: ThueForm, x: int, y: int) -> int:
@@ -179,172 +198,127 @@ def evaluate(form: ThueForm, x: int, y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Real roots of F(1, t)
+# Certified roots of F(1, t)
 # ---------------------------------------------------------------------------
 
 
-def _dehomogenized(form: ThueForm) -> list[int]:
-    """F(1, t) as a little-endian coefficient list."""
-    m = form.degree
-    poly = [0] * (m + 1)
-    for i, c in enumerate(form.coeffs):
-        poly[m - i] = c
-    return poly
+_ROOT_BITS = 44  # enclosures are ((c - 1)/2^44, (c + 1)/2^44)
+# real_roots rounds enclosures of width below 2^11 units at this precision
+_CENTER_BITS = 64
+# precisions, each twice the last, at which a root's convergents may settle
+_REFINEMENTS = 8
 
 
-_ROOT_BITS = 44  # enclosures are [(c - 1)/2^44, (c + 1)/2^44]
+def _arctan_inv(x: int, w: int) -> tuple[int, int]:
+    """(a, e) with |a - 2^w arctan(1/x)| < e, for an integer x >= 2.
 
-
-def _root_estimates(form: ThueForm) -> tuple[int, ...]:
-    """Dyadic numerators c ~ theta * 2^44 of the closed-form roots, ascending.
-
-    Fhat_p has roots 2 cos(2 pi k/p); F_{2m} has 4 cos^2(pi k/(2m+1)) =
-    2 + 2 cos(2 pi k/(2m+1)), added as the exact dyadic shift 2, so the
-    enclosures of F_{p-1} are those of Fhat_p moved by exactly 2.
+    t_j = floor(2^w / x^(2j+1)) is exact, each step flooring by x^2, and
+    floor(t_j / (2j + 1)) lies within 2 of the term 2^w / ((2j + 1) x^(2j+1)).
+    The terms alternate and decrease, so those from the first one with
+    t_J = 0, which is below 1, sum to less than 1.
     """
-    if form.kind == "reduced":
-        n, shift = form.p, 0
-    else:
-        n, shift = 2 * form.degree + 1, 2 << _ROOT_BITS
-    return tuple(sorted(
-        round(2 * math.cos(2 * math.pi * k / n) * (1 << _ROOT_BITS)) + shift
-        for k in range(1, form.degree + 1)
-    ))
+    t, total, j = (1 << w) // x, 0, 0
+    while t:
+        total += -(t // (2 * j + 1)) if j & 1 else t // (2 * j + 1)
+        t //= x * x
+        j += 1
+    return total, 2 * j + 1
 
 
-# fractional bits kept beyond those of the point in _recurrence_sign; the
-# rounding error stays below m(m-1)/2 units whatever this is, so it only
-# sets how often a sign is left to the exact fallback
-_GUARD_BITS = 32
+def _cos_bounds(n: int, ks, w: int) -> list[tuple[int, int]]:
+    """(lo, hi) with lo <= 2^w 2 cos(2 pi k/n) <= hi for each k in ks,
+    0 < k < n/2, and w >= 16.
 
-
-def _recurrence_sign(m: int, a: int, x: Fraction) -> int | None:
-    """The sign of G_m(s) at s = x + a, proven in fixed point, or None.
-
-    G_0 = 1, G_1 = s + 1 and G_j = s G_{j-1} - G_{j-2}; F(1, t) =
-    G_m(t + a) with a = 0 for Fhat_p and a = -2 for F_{2m}.  For dyadic
-    x = u/2^b and |s| <= 2, g_j ~ 2^f G_j with f = b + _GUARD_BITS is run
-    with floor rounding, g_j = floor(s g_{j-1}) - g_{j-2}.  The error is
-    g_m - 2^f G_m = -sum_j delta_j U_{m-j}(s/2) with 0 <= delta_j < 1 and
-    |U_k(s/2)| <= k + 1, so it is smaller than m(m-1)/2 in absolute
-    value, and |g_m| > m(m-1)/2 proves the sign of G_m.  Otherwise (x
-    not dyadic, |s| > 2, or g_m too small) the result is None.
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) gives P within
+    e_pi = 16 e_5 + 4 e_239 units of 2^w pi (_arctan_inv).  The angle is
+    folded to phi = pi j/n <= pi/2, cos(2 pi k/n) = +-cos(phi): j = 2k
+    when 4k <= n, else j = n - 2k and the sign flips.  X = floor(P j/n)
+    is within e_pi/2 + 1 of 2^w phi, and |cos'| <= 1, so cos(y) with
+    y = X/2^w is within that of cos(phi).  The Taylor terms
+    a_i = 2^w y^(2i)/(2i)! of cos(y) are taken as t_0 = 2^w and
+    t_i = floor(t_(i-1) r_i), r_i = y^2/((2i - 1) 2i) exactly; then
+    0 <= a_i - t_i < 2 by induction, since a_1 - t_1 < 1 and
+    r_i <= y^2/12 < 1/2 for i >= 2 (y < 1.6).  From i = 1 on the terms
+    alternate and decrease, so stopping at the first t_J = 0, where
+    a_J < 2, leaves a tail below 2.  The sum S of (-1)^i t_i over i < J is
+    therefore within 2J + 2 of 2^w cos(y), and within
+    E = 2J + 4 + floor(e_pi/2) of 2^w cos(phi), so +-2S +- 2E bound
+    2^w 2 cos(2 pi k/n).
     """
-    den = x.denominator
-    if den & (den - 1):
-        return None
-    b = den.bit_length() - 1
-    s = x.numerator + (a << b)  # s * 2^b
-    if abs(s) > 2 << b:
-        return None
-    one = 1 << (b + _GUARD_BITS)
-    prev, cur = one, (s << _GUARD_BITS) + one
-    for _ in range(m - 1):
-        prev, cur = cur, ((s * cur) >> b) - prev
-    if abs(cur) <= m * (m - 1) // 2:
-        return None
-    return 1 if cur > 0 else -1
+    a5, e5 = _arctan_inv(5, w)
+    a239, e239 = _arctan_inv(239, w)
+    pi, e_pi = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    out = []
+    for k in ks:
+        j, sign = (2 * k, 1) if 4 * k <= n else (n - 2 * k, -1)
+        x = pi * j // n
+        x2, t, total, i = x * x, 1 << w, 0, 0
+        while t:
+            total += -t if i & 1 else t
+            i += 1
+            t = (t * x2 >> 2 * w) // ((2 * i - 1) * 2 * i)
+        mid, err = 2 * sign * total, 2 * (2 * i + 4 + e_pi // 2)
+        out.append((mid - err, mid + err))
+    return out
 
 
-@dataclass(frozen=True)
-class _RecurrenceRoot(RealAlgebraic):
-    """A root of F(1, t) = G_m(t + shift) whose signs come from
-    _recurrence_sign where it proves them, else from exact Horner."""
+def real_roots(form: ThueForm) -> tuple[int, ...]:
+    """c_1 < ... < c_m with the i-th real root of F(1, t) in
+    ((c_i - 1)/2^44, (c_i + 1)/2^44).
 
-    shift: int
-
-    def sign(self, x: Fraction) -> int:
-        s = _recurrence_sign(len(self.coeffs) - 1, self.shift, x)
-        return super().sign(x) if s is None else s
-
-
-def _recurrence_shift(form: ThueForm) -> int | None:
-    """a with F(1, t) = G_m(t + a) when the coefficients are the
-    recurrence's for the form's kind, else None (a hand-built form)."""
-    try:
-        if form.kind == "reduced":
-            ref, shift = build_reduced_form(form.p), 0
-        else:
-            ref, shift = build_form(form.degree), -2
-    except DomainError:
-        return None
-    return shift if ref.coeffs == form.coeffs else None
-
-
-def real_roots(form: ThueForm) -> tuple[RealAlgebraic, ...]:
-    """Isolating intervals of width 2^-43 for the m real roots of F(1, t),
-    ascending.
-
-    Each closed-form root, rounded to c/2^44, only *proposes* the
-    enclosure [(c - 1)/2^44, (c + 1)/2^44].  RealAlgebraic certifies a
-    sign change across it, so it holds a root; the m enclosures are
-    pairwise disjoint and F(1, t) is monic of degree m, so each holds
-    exactly one.  When the coefficients are those of the three-term
-    recurrence, the signs (of the certificate and of later bisection)
-    are proven by _recurrence_sign in about 100-bit integers and fall
-    back to exact Horner only where that bound is undecided; any other
-    form is checked with exact signs throughout.  Each call certifies
-    afresh; a form's context keeps the result of its one call.
+    The roots ascend as theta_k for k = m .. 1.  c_i rounds the
+    _cos_bounds enclosure of theta_k at 64 bits; checking that this
+    enclosure lies inside ((c_i - 1)/2^44, (c_i + 1)/2^44) and that those
+    m intervals are disjoint shows that each holds exactly one root.
+    Each call certifies afresh; a form's context keeps the result of its
+    one call.
     """
-    poly = tuple(_dehomogenized(form))
-    centers = _root_estimates(form)
+    g, s = _CENTER_BITS - _ROOT_BITS, form.shift << _CENTER_BITS
+    centers = []
+    for lo, hi in _cos_bounds(form.n, range(form.degree, 0, -1), _CENTER_BITS):
+        lo, hi = lo + s, hi + s
+        c = (lo + hi + (1 << g)) >> (g + 1)
+        if not (c - 1) << g < lo <= hi < (c + 1) << g:
+            raise ArithmeticError("root enclosure too wide")  # pragma: no cover
+        centers.append(c)
     if any(b - a <= 2 for a, b in zip(centers, centers[1:])):
         raise ArithmeticError("root enclosures overlap")  # pragma: no cover
-    den = 1 << _ROOT_BITS
-    shift = _recurrence_shift(form)
-
-    def enclosure(c: int) -> RealAlgebraic:
-        lo, hi = Fraction(c - 1, den), Fraction(c + 1, den)
-        if shift is None:
-            return RealAlgebraic(poly, lo, hi)
-        return _RecurrenceRoot(poly, lo, hi, shift)
-
-    try:
-        return tuple(map(enclosure, centers))
-    except DomainError as exc:
-        raise ArithmeticError("root enclosures not certified") from exc
+    return tuple(centers)
 
 
-def _log2_derivatives(centers) -> list[int]:
-    """L_i = sum_{j != i} floor(log2(|c_j - c_i| - 2)) - 44 (m - 1) for
-    ascending enclosure numerators c_i with gaps of at least 3.
+def _log2_derivative(n: int, lo: int, hi: int, w: int) -> int:
+    """An integer L <= log2 |P'(theta)| for the root theta = 2 cos(phi) + s
+    of the form with this n, from lo <= 2^w 2 cos(phi) <= hi, where
+    -2^(w+1) < lo <= hi < 2^(w+1).
 
-    |P'(theta_i)| = prod_{j != i} |theta_i - theta_j| for the monic P, and
-    |theta_i - theta_j| 2^44 > |c_i - c_j| - 2 >= 1, so L_i <= log2 |P'|.
-    Every difference is below 2^53, so it is an exact float and frexp
-    gives its floor(log2) exactly.  The m x m differences are taken in
-    blocks of about _BLOCK_CANDIDATES.
+    |P'(theta)|^2 = n^2 / (8 (1 - c)^2 (1 + c)) with c = cos(phi), and
+    2^(3w) 8 (1 - c)^2 (1 + c) <= d = (2^(w+1) - lo)^2 (2^(w+1) + hi), so
+    L = floor(floor(log2(r/d)) / 2) with r = n^2 2^(3w) will do.
     """
-    import numpy as np
-
-    c = np.array(centers, dtype=np.int64)
-    m = len(c)
-    rows = max(1, _BLOCK_CANDIDATES // m)
-    out = []
-    for a in range(0, m, rows):
-        d = np.abs(c[a:a + rows, None] - c) - 2
-        n = len(d)
-        d[np.arange(n), np.arange(a, a + n)] = 1  # j = i adds log2 1 = 0
-        out.extend((np.frexp(d.astype(np.float64))[1] - 1).sum(axis=1).tolist())
-    return [v - _ROOT_BITS * (m - 1) for v in out]
+    r = n * n << 3 * w
+    d = ((2 << w) - lo) ** 2 * ((2 << w) + hi)
+    e = r.bit_length() - d.bit_length()  # floor(log2(r/d)) is e or e - 1
+    if (r >> e if e >= 0 else r << -e) < d:
+        e -= 1
+    return e // 2
 
 
 class _FormContext:
     """What both phases of solve_bounded need of one form, built once.
 
     centers[i] = c_i with theta_i in ((c_i - 1)/2^44, (c_i + 1)/2^44),
-    ascending, certified by real_roots; log2_deriv[i] = L_i (see
-    _log2_derivatives); seps[i] = S_i with S_i < sep_i 2^44, S_i >= 1
-    (inf for degree 1).  Residue tables, convergents and phase results
-    are kept as they are first asked for.
+    ascending (real_roots); log2_deriv[i] = L_i <= log2 |P'(theta_i)|
+    from that enclosure (_log2_derivative); seps[i] = S_i with
+    S_i < sep_i 2^44, S_i >= 1 (inf for degree 1).  Residue tables,
+    convergents and phase results are kept as they are first asked for.
     """
 
     def __init__(self, form: ThueForm):
         self.form = form
-        self.roots = real_roots(form)
-        den = 1 << _ROOT_BITS
-        self.centers = [int(root.lo * den) + 1 for root in self.roots]
-        self.log2_deriv = _log2_derivatives(self.centers)
+        self.centers = real_roots(form)
+        s = form.shift << _ROOT_BITS
+        self.log2_deriv = [_log2_derivative(form.n, c - 1 - s, c + 1 - s, _ROOT_BITS)
+                           for c in self.centers]
         gaps = [b - a - 2 for a, b in zip(self.centers, self.centers[1:])]
         self.seps = list(map(min, [math.inf] + gaps, gaps + [math.inf]))
         self._tables: dict[int, object] = {}
@@ -371,18 +345,42 @@ class _FormContext:
         return self._tables[q]
 
     def convergents(self, x_mid: int) -> tuple[tuple[int, int, int], ...]:
-        """(p, q, i) for every convergent p/q, q <= x_mid, of every root theta_i."""
+        """(p, q, i) for every convergent p/q, q <= x_mid, of every root theta_i.
+
+        The one rational root, -1 + s at 3k = n, is its own only
+        convergent once an exact sign confirms it.  Every other root takes
+        the convergents its _cos_bounds enclosure fixes
+        (continued_fraction_convergents), at 2 log2(x_mid) + 64 bits and
+        then at doubled precision, at most _REFINEMENTS times in all; a
+        root still unsettled raises ArithmeticError.
+        """
         if x_mid not in self._convergents:
-            out = []
-            for i, root in enumerate(self.roots):
-                # a rational root of the monic F(1, t) is an integer; the only
-                # one, 1 on F_{2m} with 3 | 2m + 1, is the exact center of its
-                # enclosure
-                center = (root.lo + root.hi) / 2
-                rational = center.denominator == 1 and sign_at(root.coeffs, center) == 0
-                out.extend((pnum, q, i) for pnum, q in
-                           continued_fraction_convergents(center if rational else root, x_mid))
-            self._convergents[x_mid] = tuple(out)
+            form, m = self.form, self.form.degree
+            found, pending = {}, []
+            for i in range(m):
+                if 3 * (m - i) != form.n:
+                    pending.append(i)
+                    continue
+                r = form.shift - 1  # 2 cos(2 pi/3) + s
+                if sign_at(form.coeffs[::-1], Fraction(r)):
+                    raise ArithmeticError(f"{r} is not a root of {form.name}")  # pragma: no cover
+                found[i] = [(r, 1)]
+            w = 2 * x_mid.bit_length() + _CENTER_BITS
+            for _ in range(_REFINEMENTS):
+                if not pending:
+                    break
+                s, den, left = form.shift << w, 1 << w, []
+                for i, (lo, hi) in zip(pending, _cos_bounds(form.n, [m - i for i in pending], w)):
+                    convs = continued_fraction_convergents(
+                        Fraction(lo + s, den), Fraction(hi + s, den), x_mid)
+                    if convs is None:
+                        left.append(i)
+                    else:
+                        found[i] = convs
+                pending, w = left, 2 * w
+            if pending:
+                raise ArithmeticError(f"convergents of {form.name} unsettled at {w // 2} bits")
+            self._convergents[x_mid] = tuple((p, q, i) for i in range(m) for p, q in found[i])
         return self._convergents[x_mid]
 
     def log2_lower_bound(self, p: int, q: int, i: int) -> int | None:
@@ -447,6 +445,17 @@ def _floor_scaled(xs, nums, add=0):
 _RHO_UNITS_CAP = 1 << 61
 
 
+def _thin_x(log2_deriv, k: int) -> int | float:
+    """The first x >= 1 from which every 2^44 rho_i(x) is below one unit
+    (inf for degree 1): x^(m-1) > k 2^max(s_i), s_i = 44 + m - 1 - L_i."""
+    m = len(log2_deriv)
+    if m == 1:
+        return math.inf
+    s_max = _ROOT_BITS + m - 1 - min(log2_deriv)
+    widest = k << s_max if s_max >= 0 else (k >> -s_max) + 1  # >= k 2^s_max
+    return integer_nth_root(widest, m - 1) + 1
+
+
 def _rho_units(log2_deriv, k: int, x0: int, x1: int):
     """U[a, i] >= 2^44 rho_i(x) at x = x0 + a, for 1 <= x0 <= x < x1, with
     rho_i(x) = 2^(m-1) k / (x^(m-1) 2^L_i) and L_i = log2_deriv[i]; 0
@@ -457,18 +466,15 @@ def _rho_units(log2_deriv, k: int, x0: int, x1: int):
     s_i = 44 + m - 1 - L_i.  kt / dt is one correctly rounded float
     division, so the next float up bounds it, and ldexp scales it
     exactly; clipping the exponent to [-200, 200] only raises small
-    bounds and leaves large ones above the cap.  Past the first x with
-    x^(m-1) > k 2^max(s_i) every bound is below one unit, and U = 1 there
-    without a power of x.
+    bounds and leaves large ones above the cap.  From _thin_x on every
+    bound is below one unit, and U = 1 there without a power of x.
     """
     import numpy as np
 
     m = len(log2_deriv)
     shifts = _ROOT_BITS + m - 1 - np.asarray(log2_deriv, dtype=np.int64)
     units = np.ones((x1 - x0, m), dtype=np.int64)
-    s_max = int(shifts.max())
-    widest = k << s_max if s_max >= 0 else (k >> -s_max) + 1  # >= k 2^s_max
-    thin = x1 if m == 1 else min(x1, integer_nth_root(widest, m - 1) + 1)
+    thin = min(x1, _thin_x(log2_deriv, k))
     if thin <= x0:
         return units
     ek = max(0, k.bit_length() - 53)
@@ -543,6 +549,23 @@ def _y_candidates(starts, ends, xs):
     return np.repeat(xs[rows], lengths), np.arange(lengths.sum()) + np.repeat(offsets, lengths)
 
 
+def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
+    """(estimated ns, bound on the candidates) of the exhaustive scan of
+    F = +-k over 1 <= x <= x_hi.
+
+    Each of the m windows of an x < 2^43 holds at most 2r + 3 values,
+    r = floor(k^(1/m)), and at most 2 from _thin_x on, where it is
+    x [lo_i, hi_i] widened by one 2^-44 unit.  The budget this is held to
+    also keeps x_hi below 2^38, which _floor_scaled needs.
+    """
+    m = ctx.form.degree
+    r = integer_nth_root(k, m)
+    wide = min(x_hi, _thin_x(ctx.log2_deriv, k) - 1)
+    candidates = m * (wide * (2 * r + 3) + (x_hi - wide) * 2)
+    ns = x_hi * (_SCAN_NS_PER_X + m * _SCAN_NS_PER_ROOT) + candidates * _SCAN_NS_PER_CANDIDATE
+    return ns, candidates
+
+
 def _scan_exhaustive(
     ctx: _FormContext, k: int, x_hi: int
 ) -> tuple[tuple[tuple[int, int, int], ...], dict]:
@@ -568,13 +591,10 @@ def _scan_exhaustive(
     m = form.degree
     r = integer_nth_root(k, m)
     out = [(0, y, y**m) for y in (-r, r)] if r**m == k else []  # F(0, y) = y^m
-    # each of the m windows of an x < 2^43 holds at most 2r + 3 values; the
-    # budget also keeps x_hi below 2^38, which _floor_scaled needs
-    per_x = m * (2 * r + 3)
-    ns = x_hi * (_SCAN_NS_PER_X + per_x * _SCAN_NS_PER_CANDIDATE)
+    ns, candidates = _scan_cost_ns(ctx, k, x_hi)
     if ns > _SCAN_BUDGET_NS:
         raise DomainError(
-            f"exhaustive Thue scan of {x_hi} x values and up to {x_hi * per_x} "
+            f"exhaustive Thue scan of {x_hi} x values and up to {candidates} "
             f"candidates would take about {ns / 6e10:.3g} min; the budget is about a minute"
         )
     # tested before r meets int64; it refuses nothing the scan would take:
@@ -584,7 +604,7 @@ def _scan_exhaustive(
         raise DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
     centers = np.array(ctx.centers, dtype=np.int64)
     tables = [(q, ctx.table(q)) for q in _TABLE_PRIMES]
-    step = max(1, _BLOCK_CANDIDATES // per_x)
+    step = max(1, _BLOCK_CANDIDATES // (m * (2 * r + 3)))
     scanned = 0
     for x0 in range(1, x_hi + 1, step):
         x1 = min(x0 + step, x_hi + 1)

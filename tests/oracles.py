@@ -27,10 +27,11 @@ Polynomials in (A, B) are dicts {(i, j): c} for c * A^i * B^j.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from tauhunt.arith import DomainError, RealAlgebraic, factor, is_perfect_square
+from tauhunt.arith import DomainError, factor, is_perfect_square, perfect_power_root
 from tauhunt.lucas import LucasPair, lucas_terms
 
 
@@ -118,12 +119,163 @@ def integer_roots(coeffs, lo: int, hi: int) -> list[int]:
     return sorted(c for c in _floor_cover(p, lo, hi) if poly_eval(p, c) == 0)
 
 
+# ---------------------------------------------------------------------------
+# Real algebraic numbers by exact-sign bisection
+# ---------------------------------------------------------------------------
+
+
+class RationalNumberError(DomainError):
+    """Continued-fraction convergents were asked of a rational root."""
+
+
+def exact_sign(coeffs, x: Fraction) -> int:
+    """The sign of the polynomial (little-endian) at x: that of
+    den^deg p(num/den), by Horner in integers."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    if den & (den - 1):
+        for i, c in enumerate(reversed(coeffs)):
+            acc = acc * num + c * den**i
+    else:  # dyadic: the powers of den are shifts
+        e = den.bit_length() - 1
+        for i, c in enumerate(reversed(coeffs)):
+            acc = acc * num + (c << e * i)
+    return (acc > 0) - (acc < 0)
+
+
+@dataclass(frozen=True)
+class RealAlgebraic:
+    """A real algebraic number: an integer polynomial (little-endian) and
+    an isolating interval across which it takes opposite nonzero exact
+    signs.  Every sign of exact_convergents comes from sign()."""
+
+    coeffs: tuple[int, ...]
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo >= self.hi:
+            raise DomainError("empty isolating interval")
+        if self.sign(self.lo) * self.sign(self.hi) >= 0:
+            raise DomainError("polynomial must change sign across the interval")
+
+    def sign(self, x: Fraction) -> int:
+        return exact_sign(self.coeffs, x)
+
+
 def sqrt_algebraic(n: int) -> RealAlgebraic:
     """sqrt(n) for a nonsquare n >= 2 as a RealAlgebraic."""
     if n < 2 or is_perfect_square(n) is not None:
         raise DomainError("sqrt_algebraic wants a nonsquare n >= 2")
     r = math.isqrt(n)
     return RealAlgebraic((-n, 0, 1), Fraction(r), Fraction(r + 1))
+
+
+def _rational_cf(x: Fraction) -> list[int]:
+    """Canonical continued fraction of a rational (last term != 1 unless [1])."""
+    a = []
+    num, den = x.numerator, x.denominator
+    while den:
+        q, r = divmod(num, den)
+        a.append(q)
+        num, den = den, r
+    if len(a) > 1 and a[-1] == 1:
+        a.pop()
+        a[-1] += 1
+    return a
+
+
+def _cf_convergents(cf: list[int]) -> list[tuple[int, int]]:
+    out = []
+    p0, q0, p1, q1 = 1, 0, cf[0], 1
+    out.append((p1, q1))
+    for a in cf[1:]:
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+    return out
+
+
+def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with smallest denominator strictly inside (lo, hi)."""
+    flo = math.floor(lo)
+    if Fraction(flo + 1) < hi:
+        return Fraction(flo + 1)
+    a, b = lo - flo, hi - flo
+    if a == 0:
+        # (n, n+b) with b <= 1: n + 1/m for the first m with 1/m < b
+        return flo + Fraction(1, math.floor(1 / b) + 1)
+    # invert: simplest in (1/b, 1/a), recurse
+    return flo + 1 / _simplest_rational(1 / b, 1 / a)
+
+
+def exact_convergents(x: RealAlgebraic | Fraction, qmax: int) -> list[tuple[int, int]]:
+    """All continued-fraction convergents p/q of x with q <= qmax.
+
+    A Fraction gives the convergents of its finite expansion.  For a
+    RealAlgebraic the isolating interval is bisected with exact signs
+    until the expansions of both ends share the partial quotients (the
+    last shared one dropped) past a denominator above qmax, with
+    |e - p/q| < 1/q^2 at both ends e.  A rational root raises
+    RationalNumberError, found when bisection lands on it or when the
+    interval keeps straddling the simplest rational inside it and that is
+    a root.
+    """
+    if isinstance(x, Fraction):
+        return [pq for pq in _cf_convergents(_rational_cf(x)) if pq[1] <= qmax]
+    lo, hi = x.lo, x.hi
+    slo = x.sign(lo)
+    rounds = 0
+    while True:
+        # a wider interval seldom fixes a convergent past qmax; skipping the
+        # check there saves time and changes no result
+        if (hi - lo) * qmax * qmax >= 1:
+            cl = ch = []
+        else:
+            cl, ch = _rational_cf(lo), _rational_cf(hi)
+        k = 0
+        while k < len(cl) and k < len(ch) and cl[k] == ch[k]:
+            k += 1
+        if k >= 2:
+            convs = _cf_convergents(cl[: k - 1])
+            if convs[-1][1] > qmax:
+                good = [pq for pq in convs if pq[1] <= qmax]
+                if all(abs(e - Fraction(p, q)) < Fraction(1, q * q)
+                       for p, q in good for e in (lo, hi)):
+                    return good
+        mid = (lo + hi) / 2
+        sm = x.sign(mid)
+        if sm == 0:
+            raise RationalNumberError(f"refinement collapsed onto {mid}")
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+        rounds += 1
+        if rounds % 32 == 0:
+            cand = _simplest_rational(lo, hi)
+            if x.sign(cand) == 0:
+                raise RationalNumberError(f"{cand} is rational")
+
+
+def thue_roots(form) -> list:
+    """The real roots of F(1, t), ascending, found apart from the library:
+    an integer root as a Fraction, every other one as a RealAlgebraic on
+    an interval of width 2^-29 around the float value of 2 cos(2 pi k/n),
+    plus 2 for F_{2m}.  The exact sign changes and the disjointness of
+    the m intervals isolate every root."""
+    poly = tuple(reversed(form.coeffs))
+    shift = 2 if form.family == "standard" else 0
+    out = []
+    for k in range(form.degree, 0, -1):
+        t = 2 * math.cos(2 * math.pi * k / form.n) + shift
+        if abs(t - round(t)) < 1e-9 and poly_eval(poly, round(t)) == 0:
+            out.append(Fraction(round(t)))
+        else:
+            c = Fraction(round(t * 2**40), 2**40)
+            out.append(RealAlgebraic(poly, c - Fraction(1, 2**30), c + Fraction(1, 2**30)))
+    ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in out]
+    assert all(a[1] < b[0] for a, b in zip(ends, ends[1:])), form.name
+    return out
 
 
 def is_prime_by_trial(n: int) -> bool:
@@ -246,16 +398,12 @@ def reduced_form_by_substitution(p: int) -> tuple[int, ...]:
 def convergent_solutions(form, rhs: int, x_small: int, x_mid: int) -> list[tuple[int, int]]:
     """Solutions of F = rhs with x_small < |x| <= x_mid on convergents,
     F(q, p) evaluated exactly for every convergent p/q of every root
-    (no pruning), and each multiple (lam q, lam p) confirmed exactly."""
-    from tauhunt.arith import continued_fraction_convergents, perfect_power_root
-    from tauhunt.thue import real_roots
-
+    (thue_roots and exact_convergents, no pruning), and each multiple
+    (lam q, lam p) confirmed exactly."""
     m = form.degree
     sols = set()
-    for root in real_roots(form):
-        center = (root.lo + root.hi) / 2
-        rational = center.denominator == 1 and form_value(form.coeffs, 1, int(center)) == 0
-        for pnum, q in continued_fraction_convergents(center if rational else root, x_mid):
+    for root in thue_roots(form):
+        for pnum, q in exact_convergents(root, x_mid):
             base = form_value(form.coeffs, q, pnum)
             for target in (rhs, -rhs):
                 if base == 0 or target % base or target // base <= 0:

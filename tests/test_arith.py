@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (factor_by_trial, integer_roots, is_prime_by_trial, sieved_primes,
+from oracles import (RationalNumberError, RealAlgebraic, exact_convergents, exact_sign,
+                     factor_by_trial, integer_roots, is_prime_by_trial, sieved_primes,
                      sqrt_algebraic)
 from tauhunt import arith as A
 
@@ -167,44 +168,72 @@ def test_integer_roots_no_rational():
     assert integer_roots([-4, 0, 1], -2, 1) == [-2]
 
 
+def _settled(interval, qmax):
+    """The convergents continued_fraction_convergents fixes from
+    interval(w), an enclosure of width about 2^-w, doubling w from 16."""
+    for w in (16, 32, 64, 128, 256, 512):
+        got = A.continued_fraction_convergents(*interval(w), qmax)
+        if got is not None:
+            return got
+    raise AssertionError("never settled")
+
+
+def _sqrt_interval(n, scale=1, offset=0):
+    """w -> an interval of width 2^-w / scale holding (offset + sqrt(n)) / scale."""
+    def at(w):
+        r = math.isqrt(n << 2 * w)
+        return (Fraction((offset << w) + r, scale << w),
+                Fraction((offset << w) + r + 1, scale << w))
+    return at
+
+
 def test_convergents_sqrt3():
-    x = sqrt_algebraic(3)
-    assert A.continued_fraction_convergents(x, 15) == [
-        (1, 1), (2, 1), (5, 3), (7, 4), (19, 11), (26, 15)
-    ]
+    want = [(1, 1), (2, 1), (5, 3), (7, 4), (19, 11), (26, 15)]
+    assert _settled(_sqrt_interval(3), 15) == want
+    assert exact_convergents(sqrt_algebraic(3), 15) == want
 
 
 def test_convergents_golden_ratio():
-    phi = A.RealAlgebraic((-1, -1, 1), Fraction(1), Fraction(2))
-    assert A.continued_fraction_convergents(phi, 5) == [
-        (1, 1), (2, 1), (3, 2), (5, 3), (8, 5)
-    ]
+    want = [(1, 1), (2, 1), (3, 2), (5, 3), (8, 5)]
+    assert _settled(_sqrt_interval(5, scale=2, offset=1), 5) == want
+    phi = RealAlgebraic((-1, -1, 1), Fraction(1), Fraction(2))
+    assert exact_convergents(phi, 5) == want
 
 
 def test_convergents_of_fraction():
-    # 355/113 = [3; 7, 16]
-    assert A.continued_fraction_convergents(Fraction(355, 113), 1000) == [
-        (3, 1), (22, 7), (355, 113)]
-    assert A.continued_fraction_convergents(Fraction(355, 113), 100) == [(3, 1), (22, 7)]
-    assert A.continued_fraction_convergents(Fraction(1), 20) == [(1, 1)]
+    # 355/113 = [3; 7, 16]: every irrational just above it is [3; 7, 16, a, ...]
+    # with a large, but the last shared quotient 16 is dropped, so only 3/1
+    # and 22/7 are fixed, and only up to qmax = 6 is the list complete
+    lo, hi = Fraction(355, 113), Fraction(355, 113) + Fraction(1, 10**9)
+    assert A.continued_fraction_convergents(lo, hi, 6) == [(3, 1)]
+    assert A.continued_fraction_convergents(lo, hi, 100) is None
+    assert exact_convergents(Fraction(355, 113), 1000) == [(3, 1), (22, 7), (355, 113)]
+    assert exact_convergents(Fraction(355, 113), 100) == [(3, 1), (22, 7)]
 
 
 def test_convergents_qmax_one():
-    assert A.continued_fraction_convergents(sqrt_algebraic(3), 1) == [(1, 1), (2, 1)]
+    assert _settled(_sqrt_interval(3), 1) == [(1, 1), (2, 1)]
+    assert exact_convergents(sqrt_algebraic(3), 1) == [(1, 1), (2, 1)]
+    with pytest.raises(A.DomainError):
+        A.continued_fraction_convergents(Fraction(1), Fraction(2), 0)
 
 
 def test_convergents_reject_rational():
-    # 2 is a root of t^2 - 4 inside (1.8, 2.3)
-    x = A.RealAlgebraic((-4, 0, 1), Fraction(18, 10), Fraction(23, 10))
-    with pytest.raises(A.RationalNumberError):
-        A.continued_fraction_convergents(x, 100)
+    # no interval around 2 ever fixes convergents, however narrow
+    for w in range(4, 400, 12):
+        eps = Fraction(1, 1 << w)
+        assert A.continued_fraction_convergents(2 - eps, 2 + eps, 100) is None
+    # the exact-sign oracle finds the root 2 of t^2 - 4 inside (1.8, 2.3)
+    x = RealAlgebraic((-4, 0, 1), Fraction(18, 10), Fraction(23, 10))
+    with pytest.raises(RationalNumberError):
+        exact_convergents(x, 100)
 
 
 def test_convergent_quality_invariant():
-    # |x - p/q| < 1/q^2, certified through the isolating interval
+    # |x - p/q| < 1/q^2, and the library and the exact-sign oracle agree
     for n in (2, 3, 7, 61):
-        x = sqrt_algebraic(n)
-        convs = A.continued_fraction_convergents(x, 10**4)
+        convs = _settled(_sqrt_interval(n), 10**4)
+        assert convs == exact_convergents(sqrt_algebraic(n), 10**4)
         target = math.sqrt(n)
         for p, q in convs:
             assert abs(target - p / q) < 1 / q**2
@@ -214,9 +243,13 @@ def test_convergent_quality_invariant():
 
 
 def test_convergents_negative_number():
-    # -sqrt(2): root of t^2 - 2 in (-2, -1)
-    x = A.RealAlgebraic((-2, 0, 1), Fraction(-2), Fraction(-1))
-    convs = A.continued_fraction_convergents(x, 100)
+    # -sqrt(2): the interval [-(r + 1), -r] / 2^w
+    def neg(w):
+        lo, hi = _sqrt_interval(2)(w)
+        return -hi, -lo
+
+    convs = _settled(neg, 100)
+    assert convs == exact_convergents(RealAlgebraic((-2, 0, 1), Fraction(-2), Fraction(-1)), 100)
     for p, q in convs:
         assert abs(-math.sqrt(2) - p / q) < 1 / q**2
 
@@ -229,18 +262,27 @@ def test_primes_up_to_matches_trial_division():
 
 
 def test_real_algebraic_signs_go_through_sign():
-    # a subclass that overrides sign() sees every sign of the isolation
-    # check and of the bisection, and exact signs give the same convergents
+    # the exact-sign oracle: a subclass that overrides sign() sees every
+    # sign of the isolation check and of the bisection
     seen = []
 
-    class Counted(A.RealAlgebraic):
+    class Counted(RealAlgebraic):
         def sign(self, x):
             seen.append(x)
             return super().sign(x)
 
     x = Counted((-2, 0, 1), Fraction(1), Fraction(2))
     assert seen == [1, 2]
-    convs = A.continued_fraction_convergents(x, 10**6)
+    convs = exact_convergents(x, 10**6)
     assert len(seen) > 2
-    assert convs == A.continued_fraction_convergents(sqrt_algebraic(2), 10**6)
-    assert A.RealAlgebraic((-2, 0, 1), Fraction(1), Fraction(2)).sign(Fraction(3, 2)) == 1
+    assert convs == exact_convergents(sqrt_algebraic(2), 10**6)
+    assert RealAlgebraic((-2, 0, 1), Fraction(1), Fraction(2)).sign(Fraction(3, 2)) == 1
+
+
+def test_sign_at_matches_oracle():
+    rng = random.Random(11)
+    for _ in range(300):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        assert A.sign_at(coeffs, x) == exact_sign(coeffs, x), (coeffs, x)
+    assert A.sign_at((-4, 0, 1), Fraction(2)) == 0

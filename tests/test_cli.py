@@ -55,6 +55,19 @@ def test_coeff_prime_above_stored_eigenvalues(n, capsys):
     assert json.loads(out)["coefficient"] == newform.delta_expansion(n)[-1]
 
 
+def test_coeff_keeps_one_sieve(capsys):
+    # stored eigenvalues are added per prime of n, not by a sieve up to it
+    from tauhunt.arith import primes_up_to
+
+    sizes = []
+    for p in (1009, 2003, 5003, 10007, 20011):
+        code, out = run_cli(["coeff", "--n", str(3 * p)], capsys)
+        assert code == 0
+        assert json.loads(out)["coefficient"] == 252 * newform.delta_expansion(p)[-1]
+        sizes.append(primes_up_to.cache_info().currsize)
+    assert sizes == sizes[:1] * 5
+
+
 def test_coeff_1009_value(capsys):
     code, out = run_cli(["coeff", "--n", "1009"], capsys)
     assert json.loads(out)["coefficient"] == -14140474408719790

@@ -68,3 +68,13 @@ def test_thue_caches_take_no_form():
         if arg.arg == "form" or "ThueForm" in ast.unparse(arg.annotation or ast.Constant(""))
     ]
     assert not keyed, "lru_cache keyed on a form: " + ", ".join(keyed)
+
+
+def test_thue_form_is_family_and_n():
+    """A ThueForm is named by its family and n alone: its coefficients
+    follow from them, so no form with free coefficients can be built."""
+    from dataclasses import fields
+
+    from tauhunt.thue import ThueForm
+
+    assert [f.name for f in fields(ThueForm)] == ["family", "n"]

@@ -1,13 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import (convergent_solutions, dense_thue_solutions, form_value,
-                     reduced_form_by_substitution)
+from oracles import (convergent_solutions, dense_thue_solutions, exact_convergents, form_value,
+                     reduced_form_by_substitution, thue_roots)
 from tauhunt import thue as T
-from tauhunt.arith import (DomainError, RationalNumberError, RealAlgebraic,
-                           continued_fraction_convergents, integer_nth_root, is_prime)
+from tauhunt.arith import DomainError, integer_nth_root, is_prime
 from tauhunt.lehmer import SearchBounds
 
 
@@ -160,15 +160,14 @@ def _isolation_forms():
 
 def test_real_roots_isolate():
     for form in _isolation_forms():
-        roots = T.real_roots(form)
-        assert len(roots) == form.degree, form.name
-        for root in roots:
-            assert root.hi - root.lo <= Fraction(1, 2**42)
-            # sign of F(1, t) at t = a/b, b > 0, is the sign of F(b, a)
-            lo = form_value(form.coeffs, root.lo.denominator, root.lo.numerator)
-            hi = form_value(form.coeffs, root.hi.denominator, root.hi.numerator)
+        centers = T.real_roots(form)
+        assert len(centers) == form.degree, form.name
+        for c in centers:
+            # sign of F(1, t) at t = a/2^44 is the sign of F(2^44, a)
+            lo = form_value(form.coeffs, 2**44, c - 1)
+            hi = form_value(form.coeffs, 2**44, c + 1)
             assert lo * hi < 0, form.name
-        assert all(a.hi < b.lo for a, b in zip(roots, roots[1:])), form.name
+        assert all(b - a > 2 for a, b in zip(centers, centers[1:])), form.name
 
 
 @pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
@@ -215,13 +214,11 @@ def _exact_window_candidates(form, k, x_hi):
     scan of F = +-k, counted from exact rational windows: for each x, the
     integers y with |y - t x| <= min(k^(1/m), rho_i) for some t in an
     enclosure [lo_i, hi_i], where rho_i = 2^(m-1) k / (x^(m-1) 2^L_i) and
-    L_i = sum_{j != i} floor(log2(|c_i - c_j| - 2)) - 44 (m - 1).  The
-    radius k^(1/m) < r + 1 enters as floor(x lo_i) - r <= y <= ceil(x hi_i) + r."""
+    L_i is the context's bound on log2 |P'(theta_i)|.  The radius
+    k^(1/m) < r + 1 enters as floor(x lo_i) - r <= y <= ceil(x hi_i) + r."""
     m = form.degree
     r = integer_nth_root(k, m)
-    cs = [int(root.lo * 2**44) + 1 for root in T.real_roots(form)]
-    logs = [sum((abs(c - d) - 2).bit_length() - 1 for d in cs if d != c) - 44 * (m - 1)
-            for c in cs]
+    cs, logs = T.real_roots(form), form._context.log2_deriv
     total = 0
     for x in range(1, x_hi + 1):
         ys = set()
@@ -240,7 +237,7 @@ def _exact_window_candidates(form, k, x_hi):
 def test_exhaustive_counts_in_certificate():
     # F_6 = 7: r = floor(7^(1/3)) = 1; roots 0.198.., 1.555.., 3.247..
     # x = 1: [-1, 2] u [0, 3] u [2, 5] = [-1, 5], 7 values
-    # x = 2: rho_i(2) = 4 * 7 / (4 * 2^L_i) >= 3.5 > r (L_i = 1, 0, 1), so
+    # x = 2: rho_i(2) = 4 * 7 / (4 * 2^L_i) >= 1.75 > r (L_i = 2, 1, 2), so
     # [-1, 2] u [2, 5] u [5, 8] = [-1, 8], 10 values
     assert _exact_window_candidates(T.build_form(3), 7, 2) == (1, 17)
     res = T.solve_bounded(T.build_form(3), 7, x_small=2, x_mid=2)
@@ -255,7 +252,7 @@ def test_exhaustive_counts_in_certificate():
 
 def _fresh(form):
     """An equal form with a context of its own, so nothing is reused."""
-    return T.ThueForm(form.degree, form.coeffs, form.kind, form.p)
+    return T.ThueForm(form.family, form.n)
 
 
 @pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
@@ -273,8 +270,7 @@ def test_table_filter_tiny_primes(form, monkeypatch):
 
 
 def test_exhaustive_counts_fhat691():
-    # the 344 floors put L_i 149..215 bits below log2 |P'(theta_i)|, yet
-    # rho_i(x) < 2^-44 for every root once x >= 4: past x = 3 a window holds
+    # rho_i(x) < 2^-44 for every root once x >= 3: from there a window holds
     # an integer only if one lies in x [lo_i, hi_i] widened by 2^-44
     form = T.build_reduced_form(691)
     r, count = _exact_window_candidates(form, 691, 1000)
@@ -303,14 +299,33 @@ def test_candidate_budget(monkeypatch):
 
 
 def test_scan_work_budget(monkeypatch):
-    # F_6 = 7 has R = floor(7^(1/3)) = 1: x_small = 10 bounds the scan by
-    # 10 * 3 * (2R + 3) = 150 candidates, estimated at 10 * 4000 + 150 * 40 = 46000 ns
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 46000)
+    # F_6 = 7 has R = floor(7^(1/3)) = 1 and windows wider than a unit up to
+    # x = 15693648: x_small = 10 bounds the scan by 10 * 3 * (2R + 3) = 150
+    # candidates, estimated at 10 * (1000 + 3 * 10) + 150 * 55 = 18550 ns
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 18550)
     assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
         (-3, -5), (1, 4), (2, 1))
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 45999)
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 18549)
     with pytest.raises(DomainError, match="10 x values and up to 150 candidates"):
         T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
+
+
+def test_scan_estimate_prices_thin_windows():
+    # thue-solve --reduced-p 691 --rhs 691 --x-small 1000000 --x-mid 1000000
+    # scans 31 candidates.  Every rho_i(x) is below a 2^-44 unit from x = 3,
+    # so the windows of x = 1, 2 are priced at 2R + 3 = 5 values and the
+    # others at 2, and the scan is accepted; twice the range is refused
+    # before it starts
+    form = T.build_reduced_form(691)
+    ctx = form._context
+    assert T._thin_x(ctx.log2_deriv, 691) == 3
+    ns, candidates = T._scan_cost_ns(ctx, 691, 10**6)
+    assert candidates == 345 * (2 * 5 + 999998 * 2)
+    assert ns == 10**6 * (1000 + 345 * 10) + candidates * 55 < T._SCAN_BUDGET_NS
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="2000000 x values"):
+        T.solve_bounded(form, 691, 2 * 10**6, 2 * 10**6)
+    assert time.perf_counter() - start < 1
 
 
 def test_midsize_counters_fhat691():
@@ -439,36 +454,69 @@ def test_rho_units_bound_rho():
     bound()
 
 
+def _mp_root_and_log2_derivative(mpmath, n, shift, k):
+    """theta_k = 2 cos(2 pi k/n) + shift and log2 |P'(theta_k)| =
+    log2(n / (4 sin(phi/2) sin(phi))), phi = 2 pi k/n, from
+    P(2 cos phi + shift) = sin(n phi/2) / sin(phi/2)."""
+    phi = 2 * mpmath.pi * k / n
+    theta = 2 * mpmath.cos(phi) + shift
+    return theta, mpmath.log(n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi)), 2)
+
+
 def test_log2_derivatives_below_mpmath():
-    """L_i <= log2 |P'(theta_i)| for every root of Fhat_p, p < 1000, and of
-    F_2..F_200, with |P'(theta_k)| = n / (4 sin(phi/2) sin(phi)),
-    phi = 2 pi k/n (n = p, or 2m + 1 for F_{2m}), from
-    P(2 cos phi) = sin(n phi/2) / sin(phi/2)."""
+    """log2 |P'(theta_i)| - 2 < L_i <= log2 |P'(theta_i)| for every root of
+    Fhat_p, p < 1000, and of F_2..F_200; the closed form agrees with the
+    product of the root differences."""
     mpmath = pytest.importorskip("mpmath")
     forms = [T.build_reduced_form(p) for p in range(3, 1000) if is_prime(p)]
     forms += [T.build_form(m) for m in range(1, 101)]
     with mpmath.workdps(30):
         for form in (T.build_reduced_form(7), T.build_form(5), T.build_reduced_form(101)):
-            # the closed form against the product of the root differences
-            n = form.p if form.kind == "reduced" else 2 * form.degree + 1
-            shift = 0 if form.kind == "reduced" else 2
-            thetas = [2 * mpmath.cos(2 * mpmath.pi * k / n) + shift
+            thetas = [2 * mpmath.cos(2 * mpmath.pi * k / form.n) + form.shift
                       for k in range(1, form.degree + 1)]
             for k, t in enumerate(thetas, 1):
-                phi = 2 * mpmath.pi * k / n
                 prod = mpmath.fprod(abs(t - u) for u in thetas if u != t)
-                closed = n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi))
-                assert abs(prod / closed - 1) < mpmath.mpf(10) ** -20, (form.name, k)
-            assert form._context.log2_deriv == T._log2_derivatives(T._root_estimates(form))
+                _, log = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, k)
+                assert abs(mpmath.log(prod, 2) - log) < mpmath.mpf(10) ** -20, (form.name, k)
         for form in forms:
-            n = form.p if form.kind == "reduced" else 2 * form.degree + 1
-            logs = T._log2_derivatives(T._root_estimates(form))
-            # the ascending roots are 2 cos(2 pi k/n) (+ 2) for k = m .. 1
-            for log, k in zip(logs, range(form.degree, 0, -1)):
-                phi = 2 * mpmath.pi * k / n
-                exact = mpmath.log(n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi)), 2)
+            # the ascending roots are theta_k for k = m .. 1
+            for got, k in zip(form._context.log2_deriv, range(form.degree, 0, -1)):
+                _, exact = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, k)
                 # 10^-20 is far above the 30-digit error; |P'| = 1 on F_2
-                assert log <= exact + mpmath.mpf(10) ** -20, (form.name, k)
+                assert exact - 2 < got <= exact + mpmath.mpf(10) ** -20, (form.name, k)
+
+
+def test_closed_form_enclosures_hold_mpmath_roots():
+    """For odd n up to about 2*10^4, every _cos_bounds enclosure holds
+    mpmath's 2 cos(2 pi k/n), at any precision, as does each arctan
+    bound behind its pi; the 44-bit enclosures of real_roots hold
+    theta_k, and L_k <= log2 |P'(theta_k)|."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mpmath = pytest.importorskip("mpmath")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(1, 10**4), st.data(), st.integers(16, 400),
+                      st.sampled_from([0, 2]))
+    def holds(m, data, w, shift):
+        n = 2 * m + 1
+        k = data.draw(st.integers(1, m))
+        with mpmath.workdps(150):
+            for x in (5, 239):  # the two halves of Machin's pi
+                a, e = T._arctan_inv(x, w)
+                assert abs(a - mpmath.atan(mpmath.mpf(1) / x) * 2**w) < e, (x, w)
+            theta, log = _mp_root_and_log2_derivative(mpmath, n, shift, k)
+            ((lo, hi),) = T._cos_bounds(n, [k], w)
+            scaled = (theta - shift) * mpmath.mpf(2) ** w
+            assert lo <= scaled <= hi and hi - lo < 32 * w, (n, k, w)
+            ((lo, hi),) = T._cos_bounds(n, [k], T._CENTER_BITS)
+            g, s = T._CENTER_BITS - T._ROOT_BITS, shift << T._CENTER_BITS
+            c = (lo + hi + 2 * s + (1 << g)) >> (g + 1)
+            assert c - 1 < theta * 2**44 < c + 1, (n, k)
+            s = shift << 44
+            assert T._log2_derivative(n, c - 1 - s, c + 1 - s, 44) <= log, (n, k)
+
+    holds()
 
 
 def _assert_bound_holds(form, pnum, q, i):
@@ -515,114 +563,78 @@ def test_enclosure_bound_below_exact_value():
     bound()
 
 
-def _shift(form):
-    """a with F(1, t) = G_m(t + a): 0 for Fhat_p, -2 for F_{2m}."""
-    return 0 if form.kind == "reduced" else -2
+def test_hand_built_form_validated():
+    # a form is its family and n: a hand-built one is the built form
+    fhat7 = T.build_reduced_form(7)
+    assert T.ThueForm("reduced", 7) == fhat7
+    assert T.ThueForm("reduced", 7).coeffs == fhat7.coeffs
+    assert T.real_roots(T.ThueForm("reduced", 7)) == T.real_roots(fhat7)
+    assert T.ThueForm("standard", 7).coeffs == T.build_form(3).coeffs
+    for family, n in (("reduced", 9), ("reduced", 2), ("standard", 8), ("standard", 1),
+                      ("cubic", 7)):
+        with pytest.raises(DomainError):
+            T.ThueForm(family, n)
+    with pytest.raises(DomainError, match="min to build and certify"):
+        T.ThueForm("reduced", 100003)
+    with pytest.raises(TypeError):
+        T.ThueForm("reduced", 7, (1, 1, -2, 0))
 
 
-def _exact_sign(form, x: Fraction) -> int:
-    # sign of F(1, a/b), b > 0, is the sign of F(b, a)
-    v = form_value(form.coeffs, x.denominator, x.numerator)
-    return (v > 0) - (v < 0)
+def test_convergents_match_exact_signs():
+    # convergents to 10^30 against bisection with exact signs from the
+    # oracle's own isolation: every root of every form, and on Fhat_691,
+    # where the oracle takes about half a second a root, every 43rd
+    for form in _isolation_forms():
+        convs = form._context.convergents(10**30)
+        roots = thue_roots(form)
+        for i in range(0, form.degree, 43 if form.degree > 100 else 1):
+            assert [(p, q) for p, q, j in convs if j == i] == exact_convergents(
+                roots[i], 10**30), (form.name, i)
 
 
-def _recurrence_matches_near_roots(max_examples, check_root):
-    """Draw dyadic points 2^-b apart, b in 44..120, at small and large
-    offsets from a closed-form root (computed with mpmath), and check
-    every sign _recurrence_sign proves, and with check_root the sign of
-    a certified root (which falls back to exact Horner), against exact
-    Horner."""
+def test_convergents_match_mpmath():
+    """Convergents to 10^100 equal those of mpmath's theta_k at 300 digits,
+    on sampled roots of F_4..F_40 and Fhat_p, 5 <= p < 400."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     mpmath = pytest.importorskip("mpmath")
-    forms = [T.build_form(m) for m in range(1, 21)] + [
-        T.build_reduced_form(p) for p in range(3, 998) if is_prime(p)]
+    forms = [T.build_form(m) for m in range(2, 21)] + [
+        T.build_reduced_form(p) for p in range(5, 400) if is_prime(p)]
 
-    roots = {}  # real_roots certifies afresh on each call
-
-    @hypothesis.settings(max_examples=max_examples, deadline=None)
-    @hypothesis.given(st.sampled_from(forms), st.data(), st.integers(44, 120),
-                      st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40)))
-    def agree(form, data, bits, offset):
-        k = data.draw(st.integers(1, form.degree))
-        n = form.p if form.kind == "reduced" else 2 * form.degree + 1
-        with mpmath.workdps(60):
-            theta = 2 * mpmath.cos(2 * mpmath.pi * k / n) - _shift(form)
-            u = int(mpmath.floor(theta * mpmath.mpf(2) ** bits))
-        x = Fraction(u + offset, 1 << bits)
-        got = T._recurrence_sign(form.degree, _shift(form), x)
-        if got is not None:
-            assert got == _exact_sign(form, x), (form.name, x)
-        if check_root:
-            if form not in roots:
-                roots[form] = T.real_roots(form)
-            assert roots[form][0].sign(x) == _exact_sign(form, x)
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(forms), st.data())
+    def agree(form, data):
+        i = data.draw(st.integers(0, form.degree - 1))
+        k = form.degree - i
+        hypothesis.assume(3 * k != form.n)
+        got = [(p, q) for p, q, j in _fresh(form)._context.convergents(10**100) if j == i]
+        with mpmath.workdps(300):
+            x = 2 * mpmath.cos(2 * mpmath.pi * k / form.n) + form.shift
+            want, (p0, q0, p1, q1) = [], (1, 0, int(mpmath.floor(x)), 1)
+            while q1 <= 10**100:
+                want.append((p1, q1))
+                x = 1 / (x - mpmath.floor(x))
+                a = int(mpmath.floor(x))
+                p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        assert got == want, (form.name, k)
 
     agree()
 
 
-def test_recurrence_sign_matches_exact_near_roots():
-    _recurrence_matches_near_roots(300, check_root=True)
+def test_fhat691_convergents_fast():
+    form = T.ThueForm("reduced", 691)  # a context of its own
+    start = time.perf_counter()
+    convs = form._context.convergents(10**30)
+    assert time.perf_counter() - start < 1.0
+    assert {i for _, _, i in convs} == set(range(345))
 
 
-def test_recurrence_sign_sound_with_few_guard_bits(monkeypatch):
-    # with f = b the rounding error is often larger than the value, so
-    # only the m(m-1)/2 margin keeps the proven signs right
-    monkeypatch.setattr(T, "_GUARD_BITS", 0)
-    _recurrence_matches_near_roots(300, check_root=False)
-
-
-def test_recurrence_sign_decides_every_enclosure_endpoint():
-    for form in _isolation_forms():
-        for root in T.real_roots(form):
-            assert type(root) is T._RecurrenceRoot
-            for x in (root.lo, root.hi):
-                assert T._recurrence_sign(form.degree, _shift(form), x) == _exact_sign(form, x)
-
-
-def test_recurrence_sign_defers_to_exact():
-    F8, Fhat7 = T.build_form(4), T.build_reduced_form(7)
-    deferred = [
-        (F8, Fraction(1)),  # the rational root of F_8 (3 | 9): G_4(-1) = 0
-        (F8, Fraction(-1, 2**50)), (F8, Fraction(2**46 + 1, 2**44)),  # |s| > 2
-        (Fhat7, Fraction(-9, 4)), (Fhat7, Fraction(2**45 + 1, 2**44)),  # |s| > 2
-        (F8, Fraction(7, 5)), (Fhat7, Fraction(1, 3)), (Fhat7, Fraction(-5, 3)),  # not dyadic
-    ]
-    for form, x in deferred:
-        assert T._recurrence_sign(form.degree, _shift(form), x) is None, (form.name, x)
-        assert T.real_roots(form)[0].sign(x) == _exact_sign(form, x), (form.name, x)
-    # |s| = 2 is still inside the bound
-    for form, x in ((F8, Fraction(0)), (F8, Fraction(4)), (Fhat7, Fraction(-2)),
-                    (Fhat7, Fraction(2))):
-        assert T._recurrence_sign(form.degree, _shift(form), x) == _exact_sign(form, x)
-
-
-def test_hand_built_form_keeps_exact_signs():
-    fhat7 = T.build_reduced_form(7)
-    relabelled = T.ThueForm(3, fhat7.coeffs, kind="reduced", p=7)
-    assert T.real_roots(relabelled) == T.real_roots(fhat7)
-    # Fhat_7 = Y^3 + X Y^2 - 2 X^2 Y - X^3 with the X^3 term dropped has the
-    # roots 0, 1 and -2: none lies in the enclosures of 2 cos(2 pi k/7)
-    perturbed = T.ThueForm(3, (1, 1, -2, 0), kind="reduced", p=7)
-    assert T._recurrence_shift(perturbed) is None
-    with pytest.raises(ArithmeticError):
-        T.real_roots(perturbed)
-    assert T._recurrence_shift(T.ThueForm(3, T.build_form(3).coeffs, kind="reduced", p=7)) is None
-    assert T._recurrence_shift(T.ThueForm(2, T.build_form(2).coeffs)) == -2
-
-
-def _convergents_or_rational(x):
-    try:
-        return continued_fraction_convergents(x, 10**30)
-    except RationalNumberError:
-        return "rational"
-
-
-def test_convergents_match_exact_signs():
-    # the two ends and the middle root of each form; every root of
-    # Fhat_691 to 10^30 with exact signs alone takes over a minute
-    for form in _isolation_forms():
-        roots = T.real_roots(form)
-        for root in {roots[0], roots[len(roots) // 2], roots[-1]}:
-            plain = RealAlgebraic(root.coeffs, root.lo, root.hi)
-            assert _convergents_or_rational(root) == _convergents_or_rational(plain), form.name
+def test_unsettled_convergents_refused(monkeypatch):
+    # with no precision to try, every irrational root is refused, never retried
+    monkeypatch.setattr(T, "_REFINEMENTS", 0)
+    with pytest.raises(ArithmeticError, match="unsettled"):
+        _fresh(T.build_reduced_form(7))._context.convergents(100)
+    # the rational root 1 of F_8 needs no precision: it is its own convergent
+    monkeypatch.setattr(T, "_REFINEMENTS", 1)
+    convs = _fresh(T.build_form(4))._context.convergents(100)
+    assert (1, 1, 1) in convs
