@@ -259,6 +259,8 @@ def integer_nth_root(n: int, e: int) -> int:
         return n
     if e == 2:
         return math.isqrt(n)
+    if e >= n.bit_length():  # 1 <= n < 2^e
+        return 1
     x = 1 << (n.bit_length() // e + 1)
     while True:
         y = ((e - 1) * x + n // x ** (e - 1)) // e

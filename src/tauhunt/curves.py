@@ -4,19 +4,24 @@ Families: C (Y^2 = X^(2d-1) + eps*ell^m, the Mordell / superelliptic
 family), H (Y^2 = 5 X^(2d) + 4 eps ell^m, the Pell-power family), and
 the B-curves attached to defective Lucas families.  The searcher tests
 rhs(x) for squareness exactly; residue tables merely prune candidates
-before the exact isqrt check.  Per search, T_m[r] records whether
-lead r^e + constant is a square mod m, for m in 64, 63, 65, 11 (tiled
-across each chunk of x values) and the primes 17..97 (looked up for the
-survivors only).  A scan of more than _SCAN_BUDGET x values, about a
-minute, is refused before it starts.  Point catalogs for the
-table-covered cases ship as a JSON fixture; catalog_entry is its one
-lookup, and verify_tables replays every row through it against a
-bounded search.
+before the exact isqrt check.  Per search, the integer T_q has bit r set
+iff lead r^e + constant is a square mod q, for q in 64, 63, 65, 11 and
+the primes 17..97.  The x range is scanned in chunks, each one integer
+used as a bitset (bit j stands for x = a + j): every T_q, repeated to the
+chunk's length and shifted to its start, is ANDed into it, and the set
+bits left are the survivors.  A scan of more than _SCAN_BUDGET x values,
+about a minute, is refused before it starts, as is an ell^m or an
+x_max^e too long to print.  Point catalogs for the table-covered cases
+ship as a JSON fixture; catalog_entry is its one lookup, and
+verify_tables replays every row through it against a bounded search.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import catalog
 from .arith import DomainError, integer_nth_root, is_perfect_square, is_prime
@@ -29,18 +34,18 @@ __all__ = [
     "verify_tables",
 ]
 
-# Square-filter moduli.  The first four pass 0.2-0.3% of x on C curves;
-# their tables are tiled across every chunk.  The primes 17..97 are
-# looked up only for the survivors of those four.
-_TILED_MODULI = (64, 63, 65, 11)
-_SQUARE_MODULI = _TILED_MODULI + (
-    17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-# x values per numpy pass of the square filter
+# Square-filter moduli, in the order they are applied.  The first four
+# pass 0.2-0.3% of x on C curves.
+_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                  73, 79, 83, 89, 97)
+_SQUARES = {q: frozenset(y * y % q for y in range(q)) for q in _SQUARE_MODULI}
+# x values per bitset of the square filter
 _CHUNK = 1 << 15
-# Cost of one scanned x value, rounded up: 1-11 ns, 2.4 ns in the median,
-# over 240 C and H curves to x_max = 10^6 on a 2-vCPU Xeon.  The largest
-# scan accepted takes about a minute at that cost.
-_SCAN_NS_PER_VALUE = 10
+# Cost of one scanned x value, rounded up: 0.3-4.2 ns, 1.8 ns in the
+# median, over the 336 C and H curves of verify_tables and Y^2 = X^3 +- 3^42
+# to x_max = 10^6 on a 2-vCPU Xeon.  The largest scan accepted takes about
+# a minute at that cost.
+_SCAN_NS_PER_VALUE = 5
 _SCAN_BUDGET = 60 * 10**9 // _SCAN_NS_PER_VALUE
 
 
@@ -83,6 +88,10 @@ def _check_prime_power(ell: int, m: int) -> None:
         raise DomainError("ell must be an odd prime")
     if m < 1:
         raise DomainError("m must be >= 1")
+    digits = sys.get_int_max_str_digits()
+    # ell^m has floor(m log10 ell) + 1 digits; it is never a power of 10
+    if digits and m * math.log10(ell) >= digits:
+        raise DomainError(f"{ell}^{m} has more than {digits} digits")
 
 
 @dataclass(frozen=True)
@@ -99,29 +108,38 @@ class CurveSearch:
         }
 
 
-def _residue_tables(spec: CurveSpec):
-    """(m, T_m) for each m in _SQUARE_MODULI: T_m[r] is true iff
-    lead r^e + constant is a square mod m.  One numpy powering runs over
-    the residues of every modulus at once."""
-    import numpy as np
+@lru_cache(maxsize=1 << 10)
+def _power_classes(e: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(v, bits) for each value v of r^e mod q, r = 0..q-1: bit r of bits
+    is set iff r^e = v (mod q)."""
+    classes: dict[int, int] = {}
+    for r in range(q):
+        v = pow(r, e, q)
+        classes[v] = classes.get(v, 0) | 1 << r
+    return tuple(classes.items())
 
-    mods = np.array(_SQUARE_MODULI, dtype=np.int64)
-    starts = np.cumsum(mods) - mods
-    m, start = np.repeat(mods, mods), np.repeat(starts, mods)
-    base = np.arange(len(m), dtype=np.int64) - start
-    squares = np.zeros(len(m), dtype=bool)
-    squares[start + base * base % m] = True
-    power, e = np.ones(len(m), dtype=np.int64), spec.exponent
-    while e:
-        if e & 1:
-            power = power * base % m
-        base = base * base % m
-        e >>= 1
-    # lead and constant are reduced first: they may not fit in int64
-    lead = np.repeat([spec.lead % q for q in _SQUARE_MODULI], mods)
-    constant = np.repeat([spec.constant % q for q in _SQUARE_MODULI], mods)
-    tables = squares[start + (power * lead + constant) % m]
-    return list(zip(_SQUARE_MODULI, np.split(tables, starts[1:])))
+
+def _residue_tables(spec: CurveSpec) -> list[tuple[int, int]]:
+    """(q, T_q) for each q in _SQUARE_MODULI: bit r of the integer T_q is
+    set iff lead r^e + constant is a square mod q."""
+    tables = []
+    for q in _SQUARE_MODULI:
+        lead, constant, squares = spec.lead % q, spec.constant % q, _SQUARES[q]
+        tables.append((q, sum(bits for v, bits in _power_classes(spec.exponent, q)
+                              if (lead * v + constant) % q in squares)))
+    return tables
+
+
+def _check_digits(spec: CurveSpec, x_max: int) -> None:
+    """Refuse a search whose y could have more than the int-to-str digit
+    limit: |y|^2 = rhs(x) reaches lead x_max^e.  This also bounds every
+    rhs(x) the exact confirmation computes."""
+    digits = sys.get_int_max_str_digits()
+    if digits and x_max >= 2 and spec.exponent * math.log10(x_max) >= 2 * digits:
+        raise DomainError(
+            f"x^{spec.exponent} at |x| = {x_max} has more than {2 * digits} digits, "
+            f"so the y of a point could have more than {digits}"
+        )
 
 
 def _check_scan_budget(values: int) -> None:
@@ -140,12 +158,14 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     Negative x is clipped where rhs < 0 (odd exponents); even exponents
     are scanned on x >= 0 and mirrored.  The x range is scanned in
     chunks of _CHUNK values; the sorted output does not depend on it.
-    In each chunk the tables of _TILED_MODULI, tiled and shifted to the
-    chunk's start, select candidates; the tables of the other moduli
-    are indexed only by those, and every survivor is confirmed exactly.
+    Each T_q is repeated once per search, by shift-or doubling, to the
+    chunk length plus q bits; a chunk starting at a ANDs in that tile
+    shifted right by a mod q, stopping early once no bit is left, and
+    every survivor is confirmed exactly.
     """
     if x_max < 0:
         raise DomainError("x_max must be >= 0")
+    _check_digits(spec, x_max)
     even = spec.exponent % 2 == 0
     if even:
         lo = 0
@@ -158,25 +178,28 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
             lo = 0  # rhs < 0 for all x <= 0
     values = x_max + 1 - lo
     _check_scan_budget(values)
-    import numpy as np
-
-    tables = _residue_tables(spec)
-    first = len(_TILED_MODULI)
-    # period-extended copies, so that a chunk starting at a reads t[a % m:]
-    tiled = [(m, np.tile(t, min(_CHUNK, values) // m + 2)) for m, t in tables[:first]]
-    later = tables[first:]
+    span = min(_CHUNK, values)
+    tiles = []
+    for q, tile in _residue_tables(spec):
+        width = q
+        while width < span + q:
+            tile |= tile << width
+            width <<= 1
+        tiles.append((q, tile))
     pts: set[tuple[int, int]] = set()
     survivors = confirmed = 0
     for a in range(lo, x_max + 1, _CHUNK):
         n = min(_CHUNK, x_max + 1 - a)
-        keep = np.ones(n, dtype=bool)
-        for m, t in tiled:
-            keep &= t[a % m:a % m + n]
-        xs = np.flatnonzero(keep) + a
-        for m, t in later:
-            xs = xs[t[xs % m]]
-        survivors += len(xs)
-        for x in xs.tolist():
+        mask = (1 << n) - 1  # bit j stands for x = a + j
+        for q, tile in tiles:
+            mask &= tile >> a % q
+            if not mask:
+                break
+        bits = bin(mask)[:1:-1]  # bits[j] is bit j
+        j = bits.find("1")
+        while j >= 0:
+            survivors += 1
+            x = a + j
             v = spec.rhs(x)
             y = is_perfect_square(v) if v >= 0 else None
             if y is not None:
@@ -184,6 +207,7 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
                 pts.add((x, y))
                 if even and x > 0:
                     pts.add((-x, y))
+            j = bits.find("1", j + 1)
     cert = {
         "x_max": x_max,
         "moduli_filter": list(_SQUARE_MODULI),

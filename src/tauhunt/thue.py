@@ -613,8 +613,12 @@ def _scan_exhaustive(
         xs, ys = _y_candidates(starts, ends, col)
         scanned += len(ys)
         for q, table in tables:
-            # only the x that still have candidates; xs is ascending
-            ux, at = np.unique(xs, return_inverse=True)
+            # only the x that still have candidates; xs is ascending, so
+            # a change of value starts the next distinct x
+            new = np.empty(len(xs), dtype=bool)
+            new[:1] = True
+            np.not_equal(xs[1:], xs[:-1], out=new[1:])
+            ux, at = xs[new], np.cumsum(new) - 1
             inv = [pow(x, -1, q) if x % q else 0 for x in ux.tolist()]
             want = np.array([k * pow(v, m, q) % q for v in inv], dtype=np.int64)[at]
             inv = np.array(inv, dtype=np.int64)[at]

@@ -147,6 +147,12 @@ def test_integer_nth_root():
         e = rng.randint(1, 9)
         r = A.integer_nth_root(n, e)
         assert r**e <= n < (r + 1) ** e
+    # exponents about the bit length, where the root drops to 1
+    for n in (1, 2, 3, 7, 8, 9, 2**64 - 1, 2**64, 3**42):
+        for e in range(max(1, n.bit_length() - 3), n.bit_length() + 3):
+            r = A.integer_nth_root(n, e)
+            assert r**e <= n < (r + 1) ** e, (n, e)
+    assert A.integer_nth_root(3**42, 10**18) == 1   # never forms 2^(10^18)
 
 
 def test_integer_roots_constructed():

@@ -324,6 +324,54 @@ def test_curve_search_work_budget(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_curve_constant_over_digit_limit_refused(capsys):
+    # 3^(10^8) has 47.7 million digits; it is refused before it is computed
+    start = time.perf_counter()
+    code = main(["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
+                 "--m", "100000000", "--xmax", "3"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "digits" in captured.err
+
+
+def test_curve_verbs_fuzz(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from tauhunt import curves
+
+    def upto(small):
+        return st.integers(-2, small) | st.integers(0, 10**18)
+
+    # an x_max between about 10^5 and the scan budget is accepted and may
+    # run for up to a minute (test_curve_search_work_budget prices it), so
+    # the fuzz draws small bounds and bounds past the budget
+    x_max = st.integers(-2, 10**5) | st.integers(curves._SCAN_BUDGET, 10**18)
+    rows_x_max = st.integers(-2, 2000) | st.integers(curves._SCAN_BUDGET // 336, 10**18)
+    ell = st.sampled_from((3, 5, 7, 11, 691, 1000003, 999999999999999989)) | upto(100)
+    curve_search = st.tuples(st.sampled_from("CH"), upto(40), ell,
+                             st.sampled_from(("plus", "minus")), upto(60), x_max).map(
+        lambda c: ["curve-search", "--family", c[0], "--d", str(c[1]), "--ell", str(c[2]),
+                   "--sign", c[3], "--m", str(c[4]), "--xmax", str(c[5])])
+    verify_tables = rows_x_max.map(lambda x: ["verify-tables", "--xmax", str(x)])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(curve_search | verify_tables)
+    def check(argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 5.0, argv
+        if code == 0:
+            json.loads(captured.out)
+        else:
+            assert code == 1 and captured.out == "", argv
+            assert captured.err.startswith("error:"), argv
+
+    check()
+
+
 def test_weight_bound(capsys):
     code, out = run_cli(["weight-bound", "--ell", "3", "--m", "2", "--sign", "minus"], capsys)
     data = json.loads(out)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from oracles import curve_points, lucas_pell_points
@@ -80,12 +82,47 @@ def test_residue_tables():
         assert [m for m, _ in tables] == list(C._SQUARE_MODULI)
         for m, table in tables:
             squares = {y * y % m for y in range(m)}
-            assert table.tolist() == [spec.rhs(r) % m in squares for r in range(m)]
+            assert 0 <= table < 1 << m
+            assert [table >> r & 1 for r in range(m)] == [
+                spec.rhs(r) % m in squares for r in range(m)]
         points = curve_points(spec.lead, spec.exponent, spec.constant, 2000)
         assert points
         for x, _ in points:
             for m, table in tables:
-                assert table[x % m], (spec.label, x, m)
+                assert table >> x % m & 1, (spec.label, x, m)
+
+
+def _filter_survivors(spec, lo, x_max):
+    """How many x in [lo, x_max] have rhs(x) a square mod every modulus."""
+    squares = [(m, {y * y % m for y in range(m)}) for m in C._SQUARE_MODULI]
+    return sum(all(v % m in sq for m, sq in squares)
+               for v in map(spec.rhs, range(lo, x_max + 1)))
+
+
+def test_bitset_scan_any_chunk(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    specs = st.one_of(
+        st.sampled_from(_TABLE_SPECS),
+        # C-plus curves start the scan at negative x
+        st.tuples(st.integers(1, 11), st.sampled_from(_SMALL_PRIMES), st.integers(1, 3)).map(
+            lambda wem: C.CurveSpec.c_family(2 * wem[0] + 1, wem[1], 1, wem[2])),
+        st.tuples(st.integers(1, 4), st.sampled_from((1, -1))).map(
+            lambda ws: C.CurveSpec.c_family(2 * ws[0] + 1, 3, ws[1], 42)),
+        st.tuples(st.integers(1, 11), st.sampled_from(_SMALL_PRIMES),
+                  st.sampled_from((1, -1))).map(lambda wes: C.CurveSpec.h_family(*wes)),
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(specs, st.integers(1, 300), st.integers(0, 3000))
+    def agrees(spec, chunk, x_max):
+        monkeypatch.setattr(C, "_CHUNK", chunk)
+        search = C.search_points(spec, x_max)
+        assert list(search.points) == curve_points(spec.lead, spec.exponent, spec.constant, x_max)
+        lo = x_max + 1 - search.certificate["scan"]["values"]
+        assert search.certificate["scan"]["survivors"] == _filter_survivors(spec, lo, x_max)
+
+    agrees()
 
 
 def test_chunk_offsets(monkeypatch):
@@ -102,8 +139,7 @@ def test_scan_counters_in_certificate():
                                        (C.CurveSpec.h_family(3, 11, 1), 100, 0, 2)):
         cert = C.search_points(spec, x_max).certificate
         assert cert["moduli_filter"] == list(C._SQUARE_MODULI)
-        tables = C._residue_tables(spec)
-        survivors = sum(all(t[x % m] for m, t in tables) for x in range(lo, x_max + 1))
+        survivors = _filter_survivors(spec, lo, x_max)
         assert cert["scan"] == {"values": x_max + 1 - lo, "survivors": survivors,
                                 "confirmed": confirmed}
         assert confirmed <= survivors < (x_max + 1 - lo) // 4
@@ -119,6 +155,20 @@ def test_scan_budget(monkeypatch):
         C.search_points(C.CurveSpec.c_family(3, 3, -1), 1000)
     with pytest.raises(DomainError, match="budget"):
         C.verify_tables(10)
+
+
+def test_digit_limit_refusals():
+    # at the default limit of 4300 digits: 3^9012 has 4300, 3^9013 has 4301
+    assert sys.get_int_max_str_digits() == 4300
+    assert C.CurveSpec.c_family(3, 3, 1, 9012).constant == 3**9012
+    with pytest.raises(DomainError, match="3\\^9013 has more than 4300 digits"):
+        C.CurveSpec.h_family(1, 3, -1, 9013)
+    # y^2 = x^20001 + 3: 2^20001 has 6021 digits, 3^20001 has 9544 > 2 * 4300
+    spec = C.CurveSpec.c_family(20001, 3, 1)
+    assert C.search_points(spec, 2).points == ((1, 2),)
+    with pytest.raises(DomainError, match="more than 8600 digits"):
+        C.search_points(spec, 3)
+    assert C.search_points(C.CurveSpec.c_family(2 * 10**18 + 1, 3, 1), 1).points == ((1, 2),)
 
 
 def test_point_set_stability():

@@ -1,6 +1,9 @@
 """Design guards checked on the source text of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +81,27 @@ def test_thue_form_is_family_and_n():
     from tauhunt.thue import ThueForm
 
     assert [f.name for f in fields(ThueForm)] == ["family", "n"]
+
+
+# runs a verb, then reports on stderr whether numpy was ever imported
+_IMPORT_PROBE = """
+import sys
+from tauhunt.cli import main
+code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_curve_and_tau_verbs_never_import_numpy():
+    """Only thue's scans need numpy: the curve scan works on integer
+    bitsets and tau on decimal squarings, so these verbs never load it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    for argv in (["verify-tables", "--xmax", "1000"],
+                 ["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
+                  "--m", "42", "--xmax", "1000"],
+                 ["tau", "--up-to", "100"]):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == "False", argv
