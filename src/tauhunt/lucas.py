@@ -107,25 +107,48 @@ class RankResult:
     reason: str
 
 
+def _term_mod(pair: LucasPair, n: int, ell: int) -> int:
+    """u_n mod ell, from M^n = [[u_(n+1), -B u_n], [u_n, -B u_(n-1)]] for
+    M = [[A, -B], [1, 0]], by binary powering."""
+
+    def mul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return ((a * e + b * g) % ell, (a * f + b * h) % ell,
+                (c * e + d * g) % ell, (c * f + d * h) % ell)
+
+    power, step = (1, 0, 0, 1), (pair.A % ell, -pair.B % ell, 1, 0)
+    while n:
+        if n & 1:
+            power = mul(power, step)
+        step = mul(step, step)
+        n >>= 1
+    return power[2]
+
+
 def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
     """Smallest n >= 2 with ell | u_n, or None when ell divides B.
 
     For ell | B and gcd(A, B) = 1 we have u_n = A^(n-1) (mod ell), which
     is never 0, so ell divides no term at all.  For ell coprime to B the
-    rank exists and is at most ell + 1; the scan is capped there.
+    n with ell | u_n are the multiples of the rank.  When ell divides
+    D = A^2 - 4B, u_n = n (A/2)^(n-1) (mod ell) with A prime to ell, so
+    the rank is ell.  Otherwise ell | u_N for N = ell - (D/ell), and the
+    rank is the least divisor of N that it divides: N is divided by each
+    of its primes while the quotient still gives ell | u_n
+    (_term_mod).
     """
     if ell < 3 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
     if pair.B % ell == 0:
         return RankResult(None, "ell divides B: ell never divides any u_n")
-    prev, cur = 1 % ell, pair.A % ell
-    n = 2
-    while n <= ell + 1:
-        if cur == 0:
-            return RankResult(n, "rank found by scan")
-        prev, cur = cur, (pair.A * cur - pair.B * prev) % ell
-        n += 1
-    raise DomainError(f"no rank below {ell + 1}; scan cap exceeded")  # unreachable for valid pairs
+    D = pair.discriminant
+    if D % ell == 0:
+        return RankResult(ell, "ell divides A^2 - 4B: the rank is ell")
+    n = ell - 1 if pow(D, (ell - 1) // 2, ell) == 1 else ell + 1
+    for p, _ in factor(n).pairs:
+        while n % p == 0 and _term_mod(pair, n // p, ell) == 0:
+            n //= p
+    return RankResult(n, "least divisor n of ell - (D/ell) with ell | u_n")
 
 
 # ---------------------------------------------------------------------------

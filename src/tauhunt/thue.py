@@ -25,34 +25,53 @@ precision doubling until they settle.
 
 Each form carries one context (_FormContext), built on its first solve
 and kept on the form.  It holds the enclosures, the L_i, a lower bound
-on sep_i = min_j |theta_i - theta_j|, the residue tables, the
+on sep_i = min_j |theta_i - theta_j|, the residue index, the
 convergents tagged with their root and each phase's results.
 
-solve_bounded is deliberately a *bounded verifier*: an exhaustive scan
-for |x| <= x_small, and a convergent-pruned search for
-x_small < |x| <= x_mid justified by the classical gap criterion for
-Thue equations (Tzanakis-de Weger Lemma 1.1 / Bilu-Hanrot): large
-solutions make y/x a continued-fraction convergent of a real root of
-F(1, t).  A convergent p/q gives only the solutions (lam q, lam p) with
-lam^m |F(q, p)| = k, so F(q, p) is evaluated exactly only when some
-lam q can lie in (x_small, x_mid] and the bound
+Nearest-root inequality (Tzanakis-de Weger, J. Number Theory 31, 1989).
+Let x > 0 and let theta_i be the root nearest y/x.  For j != i,
+|y/x - theta_j| >= |theta_i - theta_j| - |y/x - theta_i| and
+|y/x - theta_i| <= |y/x - theta_j|, so |y/x - theta_j| >=
+|theta_i - theta_j|/2, and F(x, y) = x^m prod (y/x - theta_j) for these
+monic, totally real forms gives |F(x, y)| >= x^(m-1) |y - theta_i x|
+|P'(theta_i)| / 2^(m-1); it also gives |F(x, y)| >= |y - theta_i x|^m.
+So a solution of |F| = k has |y - theta_i x| <= min(k^(1/m), rho_i(x))
+with rho_i(x) = 2^(m-1) k / (x^(m-1) 2^L_i) for its nearest root.
+
+Legendre threshold.  For m >= 3 let x0 be the least x >= 1 with
+x^(m-2) > floor(2^m k / 2^min(L_i)).  An integer exceeds floor(N)
+exactly when it exceeds N, so every x >= x0 has x^(m-2) >
+2^m k / 2^L_i >= 2^m k / |P'(theta_i)| for every root, and then
+|theta_i - y/x| <= rho_i(x)/x < 1/(2 x^2) for a solution with x >= x0.
+Write y/x = p/q in lowest terms, x = lam q with lam >= 1: then
+|theta_i - p/q| < 1/(2 q^2), so by Legendre's theorem p/q is a
+continued-fraction convergent of theta_i and (x, y) = lam (q, p).  (For
+the rational root r, an integer, any p/q != r is at least 1/q away, so
+p/q = r/1, its one convergent.)  For m <= 2 the condition on x does
+not involve x, and there is no threshold.
+
+solve_bounded is a *bounded verifier* in two phases that meet at
+x_e = min(x_small, x0 - 1) (x_e = x_small for m <= 2): an exhaustive
+scan for |x| <= x_e and the convergents for x_e < |x| <= x_mid.  When
+x_small >= x0 - 1 this finds, by the proof above, every solution with
+|x| <= x_mid.  When x_small < x0 - 1 the convergents also stand for
+(x_small, x0), where that proof does not reach (the classical gap
+criterion of Tzanakis-de Weger Lemma 1.1 / Bilu-Hanrot); the certificate
+shows x0 and x_e.  A convergent p/q gives only the solutions
+(lam q, lam p) with lam^m |F(q, p)| = k, so F(q, p) is evaluated
+exactly only when some lam q can lie in (x_e, x_mid] and the bound
 |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - delta/(q sep_i))^(m-1),
 delta = |p - theta_i q| for the root theta_i of the convergent, does not
 already show |F(q, p)| > k; it costs O(1) per convergent.
 
-The exhaustive scan uses the nearest-root inequality (Tzanakis-de Weger,
-J. Number Theory 31, 1989): for x > 0 and theta_i the root nearest y/x,
-|F(x, y)| >= x^(m-1) |y - theta_i x| |P'(theta_i)| / 2^(m-1), and
-|F(x, y)| = prod |y - theta_j x| >= |y - theta_i x|^m for these monic,
-totally real forms.  So a solution of |F| = k has, for some i,
-|y - theta_i x| <= min(k^(1/m), rho_i(x)), rho_i(x) =
-2^(m-1) k / (x^(m-1) |P'(theta_i)|), and for each x only the integers
-within that radius of x times an enclosure are scanned; rho_i(x) falls
-below 1 within a few x once m is large.  Each candidate costs one table
-lookup keyed on t = y/x mod q, T_q[t] = F(1, t) mod q, for two small
-primes q; the tables only prune, and every survivor is confirmed in
-big-integer arithmetic.  Each phase runs once for both F = k and
-F = -k.  Every result carries its bound certificate.
+The exhaustive scan runs on Python integers.  For each x it takes only
+the integers within min(k^(1/m), rho_i(x)) of x times an enclosure, the
+bound on rho_i(x) one exact integer quotient; rho_i(x) falls below 1
+within a few x once m is large.  Each candidate is confirmed in
+big-integer arithmetic, and once the scan's candidates outnumber a
+small prime q, an index of F(1, t) mod q by value leaves only the y in
+the residue classes a solution can lie in.  Each phase runs once for
+both F = k and F = -k.  Every result carries its bound certificate.
 """
 
 from __future__ import annotations
@@ -82,21 +101,22 @@ __all__ = [
     "catalog_rows",
 ]
 
-# F(1, t) mod q is tabulated for every t < q; q < 2^15 keeps the tables int16
-_TABLE_PRIMES = (4093, 4091)
-# y values scanned for one x; a larger window would allocate GiBs
+# F(1, t) mod q, indexed by value, filters the exhaustive scan's candidates
+_TABLE_PRIME = 4093
+# y values scanned for one x, and solutions a linear form may list
 _CANDIDATE_BUDGET = 1 << 22
-# about this many candidates are built and filtered per numpy pass
-_BLOCK_CANDIDATES = 1 << 16
 # Cost of the exhaustive scan, rounded up: _SCAN_NS_PER_X per x,
-# _SCAN_NS_PER_ROOT per root and x, and _SCAN_NS_PER_CANDIDATE per value
-# of the bound on the windows (_scan_cost_ns); fitted as an upper bound
-# on scans of F_4..F_24 and Fhat_5..Fhat_691 up to x = 20000 on a 2-vCPU
-# Xeon.  A scan estimated above the budget, about a minute, is refused
-# before it starts.
-_SCAN_NS_PER_X = 1000
-_SCAN_NS_PER_ROOT = 10
-_SCAN_NS_PER_CANDIDATE = 55
+# _SCAN_NS_PER_ROOT per root and x, _SCAN_NS_PER_CANDIDATE per value of
+# the bound on the windows and _SCAN_NS_PER_TERM per term of the Horner
+# runs before the residue index filters (_scan_cost_ns); fitted as an
+# upper bound on 192 timed scans (F_2..F_24 and Fhat_5..Fhat_691, k from
+# 7 to 10^100, x to 3000, best of two) on a 2-vCPU Xeon.  A scan
+# estimated above the budget, about a minute, is refused before it
+# starts.
+_SCAN_NS_PER_X = 6000
+_SCAN_NS_PER_ROOT = 4000
+_SCAN_NS_PER_CANDIDATE = 1
+_SCAN_NS_PER_TERM = 200
 _SCAN_BUDGET_NS = 60 * 10**9
 # Cost of building a form and certifying its roots, rounded up: the
 # recurrence takes m^2/2 steps on numbers of up to 1.4 m bits, 140-760 ns
@@ -309,7 +329,7 @@ class _FormContext:
     centers[i] = c_i with theta_i in ((c_i - 1)/2^44, (c_i + 1)/2^44),
     ascending (real_roots); log2_deriv[i] = L_i <= log2 |P'(theta_i)|
     from that enclosure (_log2_derivative); seps[i] = S_i with
-    S_i < sep_i 2^44, S_i >= 1 (inf for degree 1).  Residue tables,
+    S_i < sep_i 2^44, S_i >= 1 (inf for degree 1).  The residue index,
     convergents and phase results are kept as they are first asked for.
     """
 
@@ -321,7 +341,7 @@ class _FormContext:
                            for c in self.centers]
         gaps = [b - a - 2 for a, b in zip(self.centers, self.centers[1:])]
         self.seps = list(map(min, [math.inf] + gaps, gaps + [math.inf]))
-        self._tables: dict[int, object] = {}
+        self._index: dict[int, list[list[int]]] = {}
         self._convergents: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._runs: dict[tuple, tuple] = {}
 
@@ -332,17 +352,18 @@ class _FormContext:
             self._runs[key] = phase(self, *args)
         return self._runs[key]
 
-    def table(self, q: int):
-        """F(1, t) mod q for t = 0 .. q - 1 (int16: q < 2^15)."""
-        if q not in self._tables:
-            import numpy as np
-
-            t = np.arange(q, dtype=np.int64)
-            acc = np.zeros(q, dtype=np.int64)
-            for c in self.form.coeffs:
-                acc = (acc * t + c % q) % q
-            self._tables[q] = acc.astype(np.int16)
-        return self._tables[q]
+    def index(self, q: int) -> list[list[int]]:
+        """by_value[v]: the t in 0 .. q - 1 with F(1, t) = v (mod q)."""
+        if q not in self._index:
+            coeffs = [c % q for c in self.form.coeffs]
+            by_value: list[list[int]] = [[] for _ in range(q)]
+            for t in range(q):
+                acc = 0
+                for c in coeffs:
+                    acc = (acc * t + c) % q
+                by_value[acc].append(t)
+            self._index[q] = by_value
+        return self._index[q]
 
     def convergents(self, x_mid: int) -> tuple[tuple[int, int, int], ...]:
         """(p, q, i) for every convergent p/q, q <= x_mid, of every root theta_i.
@@ -428,125 +449,15 @@ class ThueSolutions:
         }
 
 
-def _floor_scaled(xs, nums, add=0):
-    """floor((x * a + add) / 2^44) for x in the column xs, a in the row
-    nums and |add| <= 2^61.
-
-    Exact in int64 for 0 < x < 2^38 and |a| <= 2^46 + 1 (every root lies
-    in [-4, 4]): a = a1 2^22 + a0 with 0 <= a0 < 2^22, and
-    floor((x a + add) / 2^44) = floor((x a1 + floor((x a0 + add) / 2^22)) / 2^22).
-    """
-    h = _ROOT_BITS // 2
-    return (xs * (nums >> h) + ((xs * (nums & ((1 << h) - 1)) + add) >> h)) >> h
-
-
-# rho bounds above this many 2^-44 units leave a window to k^(1/m) alone;
-# _floor_scaled takes them as its add
-_RHO_UNITS_CAP = 1 << 61
-
-
-def _thin_x(log2_deriv, k: int) -> int | float:
-    """The first x >= 1 from which every 2^44 rho_i(x) is below one unit
-    (inf for degree 1): x^(m-1) > k 2^max(s_i), s_i = 44 + m - 1 - L_i."""
-    m = len(log2_deriv)
-    if m == 1:
-        return math.inf
-    s_max = _ROOT_BITS + m - 1 - min(log2_deriv)
-    widest = k << s_max if s_max >= 0 else (k >> -s_max) + 1  # >= k 2^s_max
-    return integer_nth_root(widest, m - 1) + 1
-
-
-def _rho_units(log2_deriv, k: int, x0: int, x1: int):
-    """U[a, i] >= 2^44 rho_i(x) at x = x0 + a, for 1 <= x0 <= x < x1, with
-    rho_i(x) = 2^(m-1) k / (x^(m-1) 2^L_i) and L_i = log2_deriv[i]; 0
-    where the bound is above _RHO_UNITS_CAP.
-
-    With k <= kt 2^ek and x^(m-1) >= dt 2^ed for the top bits kt <= 2^53
-    and dt < 2^53, 2^44 rho_i(x) <= (kt / dt) 2^(ek - ed + s_i) with
-    s_i = 44 + m - 1 - L_i.  kt / dt is one correctly rounded float
-    division, so the next float up bounds it, and ldexp scales it
-    exactly; clipping the exponent to [-200, 200] only raises small
-    bounds and leaves large ones above the cap.  From _thin_x on every
-    bound is below one unit, and U = 1 there without a power of x.
-    """
-    import numpy as np
-
-    m = len(log2_deriv)
-    shifts = _ROOT_BITS + m - 1 - np.asarray(log2_deriv, dtype=np.int64)
-    units = np.ones((x1 - x0, m), dtype=np.int64)
-    thin = min(x1, _thin_x(log2_deriv, k))
-    if thin <= x0:
-        return units
-    ek = max(0, k.bit_length() - 53)
-    kt = -(-k >> ek)
-    ratios, scales = [], []
-    for x in range(x0, thin):
-        d = x ** (m - 1)
-        ed = max(0, d.bit_length() - 53)
-        ratios.append(math.nextafter(kt / (d >> ed), math.inf))
-        scales.append(ek - ed)
-    exps = np.clip(np.array(scales)[:, None] + shifts, -200, 200)
-    bound = np.ldexp(np.array(ratios)[:, None], exps)
-    units[:thin - x0] = np.where(bound <= _RHO_UNITS_CAP, np.ceil(bound), 0)
-    return units
-
-
-def _windows(centers, r: int, units, xs):
-    """(starts, ends) of the integers y with |y - theta_i x| <=
-    min(k^(1/m), rho_i(x)) for theta_i in (lo_i, hi_i), one column per
-    root, for x in xs; r = floor(k^(1/m)) and units from _rho_units.
-
-    k^(1/m) < r + 1 and y > x lo_i - (r + 1) give y >= floor(x lo_i) - r,
-    and y <= ceil(x hi_i) + r likewise.  Where units = U > 0,
-    ceil((x lo_i 2^44 - U) / 2^44) <= y <= floor((x hi_i 2^44 + U) / 2^44)
-    too: the exact integer hull, not widened to whole units.
-    """
-    import numpy as np
-
-    col = xs[:, None]
-    los, his = centers - 1, centers + 1
-    starts = _floor_scaled(col, los) - r
-    ends = r - _floor_scaled(col, -his)
-    tight = units > 0
-    starts = np.where(tight, np.maximum(starts, -_floor_scaled(col, -los, units)), starts)
-    ends = np.where(tight, np.minimum(ends, _floor_scaled(col, his, units)), ends)
-    return starts, ends
-
-
-def _y_candidates(starts, ends, xs):
-    """(x, y) for every integer y in some window [starts[a, i], ends[a, i]]
-    of x = xs[a], each once (a window with start > end is empty).
-
-    The nonempty windows of each x are sorted by start and merged where
-    they overlap or touch.  Raises DomainError, before the y are
-    allocated, when the merged windows of one x hold more than
-    _CANDIDATE_BUDGET values.
-    """
-    import numpy as np
-
-    nonempty = starts <= ends
-    rows = np.nonzero(nonempty)[0]
-    if not len(rows):
-        return rows, rows
-    starts, ends = starts[nonempty], ends[nonempty]
-    # shifting the windows of row a by a * span puts the rows apart and in
-    # order, so one sort and one running maximum serve every x (< 2^58 in int64)
-    base = rows * (int(ends.max() - starts.min()) + 2)
-    order = np.argsort(starts + base, kind="stable")
-    rows, starts, ends, base = rows[order], starts[order], ends[order], base[order]
-    # reach[j]: the last y covered by the windows of its x up to j
-    reach = np.maximum.accumulate(ends + base) - base
-    opens = np.ones(len(rows), dtype=bool)
-    opens[1:] = (starts[1:] > reach[:-1] + 1) | (rows[1:] != rows[:-1])
-    closes = np.ones(len(rows), dtype=bool)
-    closes[:-1] = opens[1:]
-    rows, starts = rows[opens], starts[opens]
-    lengths = reach[closes] - starts + 1
-    if np.bincount(rows, weights=lengths).max() > _CANDIDATE_BUDGET:
-        raise DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
-    # consecutive integers within each window, windows back to back
-    offsets = starts - (np.cumsum(lengths) - lengths)
-    return np.repeat(xs[rows], lengths), np.arange(lengths.sum()) + np.repeat(offsets, lengths)
+def _legendre_threshold(ctx: _FormContext, k: int) -> int | None:
+    """x0, the least x >= 1 with x^(m-2) > floor(2^m k / 2^min(L_i)), for
+    a form of degree m >= 3; None for m <= 2.  Every solution of F = +-k
+    with x >= x0 lies on a convergent (the module docstring proves it)."""
+    m = ctx.form.degree
+    if m <= 2:
+        return None
+    e = m - min(ctx.log2_deriv)
+    return integer_nth_root(k << e if e >= 0 else k >> -e, m - 2) + 1
 
 
 def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
@@ -554,16 +465,39 @@ def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
     F = +-k over 1 <= x <= x_hi.
 
     Each of the m windows of an x < 2^43 holds at most 2r + 3 values,
-    r = floor(k^(1/m)), and at most 2 from _thin_x on, where it is
-    x [lo_i, hi_i] widened by one 2^-44 unit.  The budget this is held to
-    also keeps x_hi below 2^38, which _floor_scaled needs.
+    r = floor(k^(1/m)), as x hi_i - x lo_i = x 2^-43 < 1.  Building the
+    residue index and confirming the candidates before it take at most
+    2 q Horner runs of m + 1 terms, q = _TABLE_PRIME.  The budget this is
+    held to keeps x_hi below 2^43.
     """
     m = ctx.form.degree
-    r = integer_nth_root(k, m)
-    wide = min(x_hi, _thin_x(ctx.log2_deriv, k) - 1)
-    candidates = m * (wide * (2 * r + 3) + (x_hi - wide) * 2)
-    ns = x_hi * (_SCAN_NS_PER_X + m * _SCAN_NS_PER_ROOT) + candidates * _SCAN_NS_PER_CANDIDATE
+    candidates = m * x_hi * (2 * integer_nth_root(k, m) + 3)
+    ns = (x_hi * (_SCAN_NS_PER_X + m * _SCAN_NS_PER_ROOT) + candidates * _SCAN_NS_PER_CANDIDATE
+          + 2 * _TABLE_PRIME * (m + 1) * _SCAN_NS_PER_TERM)
     return ns, candidates
+
+
+def _merged(spans) -> list[list[int]]:
+    """The [a, b] of spans (a <= b), sorted and merged where they overlap
+    or touch."""
+    out: list[list[int]] = []
+    for a, b in sorted(spans):
+        if out and a <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+def _in_residues(windows, residues: set[int], q: int):
+    """The y of the windows with y mod q in residues: a window wider than
+    the residues steps through them, a narrower one tests each y."""
+    for a, b in windows:
+        if b - a < len(residues):
+            yield from (y for y in range(a, b + 1) if y % q in residues)
+        else:
+            for t in residues:
+                yield from range(a + (t - a) % q, b + 1, q)
 
 
 def _scan_exhaustive(
@@ -572,21 +506,25 @@ def _scan_exhaustive(
     """(x, y, F(x, y)) for every solution of F = +-k with 0 <= x <= x_hi.
 
     Solutions with x < 0 follow from F(-x, -y) = (-1)^deg F(x, y); x = 0
-    is solved directly.  For x > 0 only the y of _windows are scanned
-    (the module docstring gives the bound).  Each candidate then passes
-    a residue-table filter keyed on t = y/x mod q: for x prime to q,
-    F(x, y) = x^m F(1, y x^-1) (mod q), so F = +-k needs
-    T_q[y x^-1 mod q] = +-k x^-m mod q, with T_q[t] = F(1, t) mod q
-    (a prime dividing x is skipped for that x).  The filter is only a
-    necessary condition: every survivor is confirmed with big integers.
-    The x are taken in blocks of about _BLOCK_CANDIDATES window values.
-    A scan estimated to take more than _SCAN_BUDGET_NS, about a minute,
-    is refused before it starts.  The info dict has the radius
-    r = floor(k^(1/m)), the (x, y) pairs scanned and the confirmed
-    solutions.
+    is solved directly.  For x > 0 the window of the root theta_i in
+    (lo_i, hi_i) = ((c_i - 1)/2^44, (c_i + 1)/2^44) holds the integers y
+    with |y - theta_i x| <= min(k^(1/m), rho_i(x)) (module docstring).
+    k^(1/m) < r + 1, r = floor(k^(1/m)), gives
+    floor(x lo_i) - r <= y <= ceil(x hi_i) + r; the integer quotient
+    U_i = ceil(k 2^(44 + m - 1 - L_i) / x^(m-1)) >= 2^44 rho_i(x) gives
+    ceil((2^44 x lo_i - U_i)/2^44) <= y <= floor((2^44 x hi_i + U_i)/2^44).
+    The windows of one x are merged (_merged), and an x whose windows
+    hold more than _CANDIDATE_BUDGET values is refused.  Every window
+    value is a candidate, confirmed exactly by evaluate.  Once the
+    scan's candidates outnumber q = _TABLE_PRIME, the value -> t index of
+    F(1, t) mod q (_FormContext.index) filters them first: for x prime
+    to q, F(x, y) = x^m F(1, y x^-1) (mod q), so F = +-k needs
+    y = x t (mod q) for a t with F(1, t) = +-k x^-m (mod q)
+    (_in_residues); an x divisible by q is not filtered.  A scan
+    estimated to take more than _SCAN_BUDGET_NS, about a minute
+    (_scan_cost_ns), is refused before it starts.  The info dict has
+    the radius r, the candidates and the confirmed solutions.
     """
-    import numpy as np
-
     form = ctx.form
     m = form.degree
     r = integer_nth_root(k, m)
@@ -597,35 +535,38 @@ def _scan_exhaustive(
             f"exhaustive Thue scan of {x_hi} x values and up to {candidates} "
             f"candidates would take about {ns / 6e10:.3g} min; the budget is about a minute"
         )
-    # tested before r meets int64; it refuses nothing the scan would take:
-    # r >= 2^21 makes rho_i(1) >= r, as |P'(theta_i)| <= 4^(m-1) (the roots
-    # lie in an interval of length 4), so each window of x = 1 has 2r + 1 values
-    if x_hi and 2 * r + 1 > _CANDIDATE_BUDGET:
-        raise DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
-    centers = np.array(ctx.centers, dtype=np.int64)
-    tables = [(q, ctx.table(q)) for q in _TABLE_PRIMES]
-    step = max(1, _BLOCK_CANDIDATES // (m * (2 * r + 3)))
-    scanned = 0
-    for x0 in range(1, x_hi + 1, step):
-        x1 = min(x0 + step, x_hi + 1)
-        col = np.arange(x0, x1, dtype=np.int64)
-        starts, ends = _windows(centers, r, _rho_units(ctx.log2_deriv, k, x0, x1), col)
-        xs, ys = _y_candidates(starts, ends, col)
-        scanned += len(ys)
-        for q, table in tables:
-            # only the x that still have candidates; xs is ascending, so
-            # a change of value starts the next distinct x
-            new = np.empty(len(xs), dtype=bool)
-            new[:1] = True
-            np.not_equal(xs[1:], xs[:-1], out=new[1:])
-            ux, at = xs[new], np.cumsum(new) - 1
-            inv = [pow(x, -1, q) if x % q else 0 for x in ux.tolist()]
-            want = np.array([k * pow(v, m, q) % q for v in inv], dtype=np.int64)[at]
-            inv = np.array(inv, dtype=np.int64)[at]
-            got = table[ys % q * inv % q]
-            keep = (got == want) | (got == (q - want) % q) | (inv == 0)
-            xs, ys = xs[keep], ys[keep]
-        for x, y in zip(xs.tolist(), ys.tolist()):
+    # 2^44 rho_i(x) = (k << up) / (x^(m-1) << down), up - down = 44 + m - 1 - L_i
+    rho, w = [], _ROOT_BITS
+    for c, log in zip(ctx.centers, ctx.log2_deriv):
+        s = w + m - 1 - log
+        rho.append((c - 1, c + 1, k << max(s, 0), max(-s, 0)))
+    q, index, scanned = _TABLE_PRIME, None, 0
+    for x in range(1, x_hi + 1):
+        power = x ** (m - 1)
+        spans = []
+        for c_lo, c_hi, num, down in rho:
+            u = -(-num // (power << down))
+            lo, hi = x * c_lo, x * c_hi
+            a, b = -((u - lo) >> w), (hi + u) >> w
+            if a <= b:  # the radius r only narrows a window
+                a, b = max(a, (lo >> w) - r), min(b, r - (-hi >> w))
+                if a <= b:
+                    spans.append((a, b))
+        if not spans:
+            continue
+        windows = _merged(spans)
+        width = sum(b - a + 1 for a, b in windows)
+        if width > _CANDIDATE_BUDGET:
+            raise DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
+        scanned += width
+        if index is None and scanned > q:
+            index = ctx.index(q)
+        if index is None or x % q == 0:
+            ys = (y for a, b in windows for y in range(a, b + 1))
+        else:
+            want = k * pow(x, -m, q) % q
+            ys = _in_residues(windows, {x * t % q for t in index[want] + index[-want % q]}, q)
+        for y in ys:
             v = evaluate(form, x, y)
             if abs(v) == k:
                 out.append((x, y, v))
@@ -642,14 +583,14 @@ def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tu
 
 
 def _scan_convergents(
-    ctx: _FormContext, k: int, x_small: int, x_mid: int
+    ctx: _FormContext, k: int, x_lo: int, x_mid: int
 ) -> tuple[tuple[tuple[int, int, int], ...], dict]:
     """(x, y, F(x, y)) for every solution of F = +-k at x = lam q, y = lam p,
-    x_small < x <= x_mid, for a convergent p/q of a root and lam >= 1.
+    x_lo < x <= x_mid, for a convergent p/q of a root and lam >= 1.
 
     F(lam q, lam p) = lam^m F(q, p), so lam <= lam_max =
     min(x_mid // q, floor(k^(1/m))).  F(q, p) is evaluated exactly only
-    when lam_max q > x_small and the O(1) bound of its root does not
+    when lam_max q > x_lo and the O(1) bound of its root does not
     prove |F(q, p)| > k (log2_lower_bound >= bitlength(k) > log2 k).
     """
     m = ctx.form.degree
@@ -659,7 +600,7 @@ def _scan_convergents(
     info = {"roots": m, "convergents": len(convs),
             "skipped_multiplier": 0, "skipped_bound": 0, "evaluated": 0}
     for pnum, q, i in convs:
-        if min(x_mid // q, lam_cap) * q <= x_small:
+        if min(x_mid // q, lam_cap) * q <= x_lo:
             info["skipped_multiplier"] += 1
             continue
         bound = ctx.log2_lower_bound(pnum, q, i)
@@ -673,42 +614,51 @@ def _scan_convergents(
         for target in (k, -k):
             quot, rem = divmod(target, base)
             lam = None if rem else perfect_power_root(quot, m)  # None for quot <= 0
-            if lam is not None and x_small < lam * q <= x_mid:
+            if lam is not None and x_lo < lam * q <= x_mid:
                 out.append((lam * q, lam * pnum, target))
     return tuple(out), info
 
 
 def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSolutions:
-    """All solutions with |x| <= x_small (exhaustive) plus all with
-    x_small < |x| <= x_mid lying on continued-fraction convergents of the
-    real roots of F(1, t).  Results are deterministic and sorted.
+    """All solutions with |x| <= x_e = min(x_small, x0 - 1) (exhaustive)
+    plus all with x_e < |x| <= x_mid lying on continued-fraction
+    convergents of the real roots of F(1, t), x0 the Legendre threshold
+    (_legendre_threshold; x_e = x_small for degree <= 2).  From x0 on
+    every solution lies on a convergent, so when x_small >= x0 - 1 every
+    solution with |x| <= x_mid is found.  Results are deterministic and
+    sorted.
 
-    certificate["exhaustive"] holds the scan's work counts: the window
-    radius floor(|rhs|^(1/m)), the (x, y) pairs scanned and the
-    solutions of F = +-|rhs| it confirmed (shared by rhs and -rhs);
-    certificate["midsize"] counts the roots, their convergents, the two
-    skips and the exact evaluations.
+    certificate["x0"] is x0 (None for degree <= 2) and
+    certificate["x_exhaustive"] is x_e.  certificate["exhaustive"] holds
+    the scan's work counts: the window radius floor(|rhs|^(1/m)), the
+    (x, y) pairs scanned and the solutions of F = +-|rhs| it confirmed
+    (shared by rhs and -rhs); certificate["midsize"] counts the roots,
+    their convergents, the two skips and the exact evaluations.
     """
     if rhs == 0:
         raise DomainError("rhs must be nonzero")
     if not 0 <= x_small <= x_mid:
         raise DomainError("need 0 <= x_small <= x_mid")
-    m = form.degree
+    m, k = form.degree, abs(rhs)
     ctx = form._context
-    found, info = ctx.run(_scan_exhaustive, abs(rhs), x_small)
+    x0 = _legendre_threshold(ctx, k)
+    x_e = x_small if x0 is None else min(x_small, x0 - 1)
+    found, info = ctx.run(_scan_exhaustive, k, x_e)
     cert = {
         "x_small": x_small,
         "x_mid": x_mid,
+        "x0": x0,
+        "x_exhaustive": x_e,
         "method": "exhaustive scan + convergent pruning (Thue gap criterion)",
         "exhaustive": dict(info),
     }
     sols = set()
-    if x_mid > x_small:
+    if x_mid > x_e:
         if m == 1:
-            sols.update(_linear_solutions(form, rhs, x_small + 1, x_mid))
+            sols.update(_linear_solutions(form, rhs, x_e + 1, x_mid))
             cert["midsize"] = "linear form solved directly"
         else:
-            more, info = ctx.run(_scan_convergents, abs(rhs), x_small, x_mid)
+            more, info = ctx.run(_scan_convergents, k, x_e, x_mid)
             found += more
             cert["midsize"] = dict(info)
     for x, y, v in found:

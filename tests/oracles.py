@@ -348,6 +348,17 @@ def lucas_pell_points(sign: int, x_max: int) -> list[int]:
     return out
 
 
+def rank_by_scan(pair: LucasPair, ell: int) -> int | None:
+    """Smallest n >= 2 with ell | u_n, stepping u_n mod ell one index at a
+    time up to ell + 1; None when no such n is found."""
+    prev, cur = 1 % ell, pair.A % ell
+    for n in range(2, ell + 2):
+        if cur == 0:
+            return n
+        prev, cur = cur, (pair.A * cur - pair.B * prev) % ell
+    return None
+
+
 def form_value(coeffs, x: int, y: int) -> int:
     """sum c_i x^i y^(m-i) (coeffs as in ThueForm), by Horner in x."""
     acc, yp = 0, 1

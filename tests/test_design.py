@@ -7,6 +7,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import tauhunt
 
 SRC = Path(tauhunt.__file__).parent
@@ -83,25 +85,53 @@ def test_thue_form_is_family_and_n():
     assert [f.name for f in fields(ThueForm)] == ["family", "n"]
 
 
-# runs a verb, then reports on stderr whether numpy was ever imported
+# runs each verb given as one JSON argument vector, reporting on stderr
+# after each whether numpy was ever imported
 _IMPORT_PROBE = """
-import sys
+import json, sys
 from tauhunt.cli import main
-code = main(sys.argv[1:])
-print("numpy" in sys.modules, file=sys.stderr)
-sys.exit(code)
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print(code, "numpy" in sys.modules, file=sys.stderr)
 """
 
+# every verb, the Thue ones at small bounds
+_EVERY_VERB = [
+    ["tau", "--up-to", "100"],
+    ["coeff", "--n", "6"],
+    ["lucas", "--a", "1", "--b", "2", "--count", "10", "--ell", "7"],
+    ["thue-gen", "--reduced-p", "13"],
+    ["thue-solve", "--reduced-p", "691", "--rhs", "691", "--x-small", "100", "--x-mid", "1000"],
+    ["thue-solve", "--m", "3", "--rhs", "371293", "--x-small", "100", "--x-mid", "1000"],
+    ["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
+     "--m", "42", "--xmax", "1000"],
+    ["verify-tables", "--xmax", "1000"],
+    ["admissible", "--target", "-13", "--xmax", "1000", "--x-small", "100", "--x-mid", "1000"],
+    ["omega-bound", "--n", "12"],
+    ["decompose", "--target", "3375"],
+    ["weight-bound", "--ell", "3", "--m", "2", "--sign", "minus"],
+    ["reproduce", "thm1.2", "--xmax", "1000", "--x-small", "100", "--x-mid", "1000"],
+]
 
-def test_curve_and_tau_verbs_never_import_numpy():
-    """Only thue's scans need numpy: the curve scan works on integer
-    bitsets and tau on decimal squarings, so these verbs never load it."""
+
+def test_no_verb_imports_numpy():
+    """No verb needs numpy: the curve scan works on integer bitsets, tau
+    on decimal squarings and the Thue scan on Python integers, so no verb
+    loads it, the Thue verbs included."""
+    import json
+
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    for argv in (["verify-tables", "--xmax", "1000"],
-                 ["curve-search", "--family", "C", "--d", "2", "--ell", "3", "--sign", "plus",
-                  "--m", "42", "--xmax", "1000"],
-                 ["tau", "--up-to", "100"]):
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, (argv, proc.stderr)
-        assert proc.stderr.splitlines()[-1] == "False", argv
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(_EVERY_VERB)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    reports = proc.stderr.splitlines()
+    assert len(reports) == len(_EVERY_VERB), proc.stderr
+    for argv, line in zip(_EVERY_VERB, reports):
+        assert line == "0 False", (argv, line)
+
+
+def test_no_runtime_dependency():
+    """pyproject.toml lists no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import time
 from importlib import resources
 
 import pytest
 
-from oracles import brute_force_defect_indices, has_primitive_prime_divisor, primitive_part
+from oracles import (brute_force_defect_indices, has_primitive_prime_divisor, primitive_part,
+                     rank_by_scan)
 from tauhunt import lucas as L
 from tauhunt.arith import DomainError, primes_up_to
 
@@ -55,6 +57,35 @@ def test_rank_of_apparition():
     assert res.rank is None and "never" in res.reason
     # and indeed no early term is divisible
     assert all(u % 3 for u in L.lucas_terms(L.LucasPair(2, 27), 30))
+
+
+def test_rank_matches_scan():
+    """The rank from the divisors of ell - (D/ell) equals the first
+    index the step-by-step scan finds, for small pairs and ell."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    odd_primes = primes_up_to(3000)[1:]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(-60, 60), st.integers(-60, 60), st.sampled_from(odd_primes))
+    def same(a, b, ell):
+        try:
+            pair = L.LucasPair(a, b)
+        except DomainError:
+            hypothesis.reject()
+        assert L.rank_of_apparition(pair, ell).rank == rank_by_scan(pair, ell), (a, b, ell)
+
+    same()
+
+
+def test_rank_of_19_digit_ell_fast():
+    # the scan would step about 10^18 times; the divisors of ell - 1 take
+    # a handful of powerings
+    ell = 1000000000000000003
+    start = time.perf_counter()
+    res = L.rank_of_apparition(L.LucasPair(1, 2), ell)
+    assert time.perf_counter() - start < 1
+    assert res.rank == 333333333333333334 and (ell - 1) % res.rank == 0
 
 
 def prop_b_holds(pair, ell, rank):

@@ -259,23 +259,26 @@ def _fresh(form):
                                   T.build_reduced_form(11), T.build_reduced_form(13)],
                          ids=lambda f: f.name)
 def test_table_filter_tiny_primes(form, monkeypatch):
-    # q in (5, 7): x = 0 (mod q) skips a table, k = 0 (mod q) makes both targets 0
-    monkeypatch.setattr(T, "_TABLE_PRIMES", (5, 7))
-    form = _fresh(form)
+    # q in (5, 7): the index filters from the (q + 1)-th candidate on,
+    # x = 0 (mod q) is not filtered, k = 0 (mod q) makes both targets 0
     targets = (7, -7, 35, -5, 13, -49, 1)
     dense = dense_thue_solutions(form.coeffs, targets, 40)
-    for rhs in targets:
-        got = T.solve_bounded(form, rhs, x_small=40, x_mid=40)
-        assert list(got.solutions) == dense[rhs], (form.name, rhs)
+    for q in (5, 7):
+        monkeypatch.setattr(T, "_TABLE_PRIME", q)
+        fresh = _fresh(form)
+        for rhs in targets:
+            got = T.solve_bounded(fresh, rhs, x_small=40, x_mid=40)
+            assert list(got.solutions) == dense[rhs], (form.name, q, rhs)
 
 
 def test_exhaustive_counts_fhat691():
-    # rho_i(x) < 2^-44 for every root once x >= 3: from there a window holds
-    # an integer only if one lies in x [lo_i, hi_i] widened by 2^-44
+    # x0 = 3, so x_small = 1000 scans x = 1, 2 and the convergents cover
+    # the rest; the windows of those x hold 17 values
     form = T.build_reduced_form(691)
-    r, count = _exact_window_candidates(form, 691, 1000)
-    assert r == 1 and count < 10**3
     res = T.solve_bounded(form, 691, x_small=1000, x_mid=1000)
+    assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (3, 2)
+    r, count = _exact_window_candidates(form, 691, 2)
+    assert (r, count) == (1, 17)
     assert res.certificate["exhaustive"] == {
         "window_radius": r, "candidates": count, "confirmed": 1}
     assert res.solutions == ((1, 2),)
@@ -294,52 +297,62 @@ def test_candidate_budget(monkeypatch):
     assert T.solve_bounded(form, 441, x_small=0, x_mid=0).solutions == ((0, -21), (0, 21))
     with pytest.raises(DomainError):
         T.solve_bounded(form, 441, x_small=1, x_mid=1)
-    with pytest.raises(DomainError):
-        T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
+    # no limit on x is left: F_6 = 7 scans to x0 - 1 = 28, and the
+    # convergents to 2^38 cover the rest
+    res = T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
+    assert res.solutions == ((-3, -5), (1, 4), (2, 1))
+    assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (29, 28)
 
 
 def test_scan_work_budget(monkeypatch):
-    # F_6 = 7 has R = floor(7^(1/3)) = 1 and windows wider than a unit up to
-    # x = 15693648: x_small = 10 bounds the scan by 10 * 3 * (2R + 3) = 150
-    # candidates, estimated at 10 * (1000 + 3 * 10) + 150 * 55 = 18550 ns
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 18550)
+    # F_6 = 7 has R = floor(7^(1/3)) = 1 and x0 = 29: x_small = 10 bounds
+    # the scan by 10 * 3 * (2R + 3) = 150 candidates, estimated at
+    # 10 * (6000 + 3 * 4000) + 150 * 1 + 2 * 4093 * 4 * 200 = 6728950 ns
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 6728950)
     assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
         (-3, -5), (1, 4), (2, 1))
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 18549)
+    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 6728949)
     with pytest.raises(DomainError, match="10 x values and up to 150 candidates"):
         T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
 
 
-def test_scan_estimate_prices_thin_windows():
-    # thue-solve --reduced-p 691 --rhs 691 --x-small 1000000 --x-mid 1000000
-    # scans 31 candidates.  Every rho_i(x) is below a 2^-44 unit from x = 3,
-    # so the windows of x = 1, 2 are priced at 2R + 3 = 5 values and the
-    # others at 2, and the scan is accepted; twice the range is refused
-    # before it starts
-    form = T.build_reduced_form(691)
-    ctx = form._context
-    assert T._thin_x(ctx.log2_deriv, 691) == 3
-    ns, candidates = T._scan_cost_ns(ctx, 691, 10**6)
-    assert candidates == 345 * (2 * 5 + 999998 * 2)
-    assert ns == 10**6 * (1000 + 345 * 10) + candidates * 55 < T._SCAN_BUDGET_NS
+def test_scan_budget_refuses_before_scanning():
+    # Fhat_7 = 10^15 has x0 = 4 * 10^15 + 1 and R = 10^5: x_small = 10^6
+    # lies below x0, so the scan would take every x to 10^6, 200003 values
+    # per window; it is refused at once
+    form = T.build_reduced_form(7)
+    assert T._legendre_threshold(form._context, 10**15) == 4 * 10**15 + 1
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="2000000 x values"):
-        T.solve_bounded(form, 691, 2 * 10**6, 2 * 10**6)
+    with pytest.raises(DomainError, match="1000000 x values and up to 600009000000 candidates"):
+        T.solve_bounded(form, 10**15, 10**6, 10**6)
     assert time.perf_counter() - start < 1
+    # Fhat_691 = 691 has x0 = 3: only x = 1, 2 are scanned, whatever x_small
+    start = time.perf_counter()
+    res = T.solve_bounded(T.build_reduced_form(691), 691, 2 * 10**6, 2 * 10**6)
+    assert res.solutions == ((1, 2),) and res.certificate["x_exhaustive"] == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_midsize_counters_fhat691():
-    # at default bounds no convergent of Fhat_691 can carry a solution of
-    # F = +-691: 2,202 have no multiplier lam q in (x_small, x_mid] with
-    # lam^345 <= 691, and the enclosures put |F(q, p)| above 691 for the rest
+    # at default bounds x0 = 3, so the convergents cover (2, x_mid]: 611 of
+    # them have no multiplier lam q in that range with lam^345 <= 691, the
+    # enclosures put |F(q, p)| above 691 for 2,013, and 229 are evaluated,
+    # none of them a solution
     bounds = SearchBounds()
     form = T.build_reduced_form(691)
     for rhs in (691, -691):
         res = T.solve_bounded(form, rhs, bounds.x_small, bounds.x_mid)
         assert res.certificate["midsize"] == {
-            "roots": 345, "convergents": 2853, "skipped_multiplier": 2202,
-            "skipped_bound": 651, "evaluated": 0}
+            "roots": 345, "convergents": 2853, "skipped_multiplier": 611,
+            "skipped_bound": 2013, "evaluated": 229}
         assert res.solutions == ((rhs // 691, 2 * rhs // 691),)
+    # every convergent the bound skips has |F(q, p)| > 691
+    convs = form._context.convergents(bounds.x_mid)
+    skipped = [(p, q) for p, q, i in convs
+               if q > 2 and (b := form._context.log2_lower_bound(p, q, i)) is not None
+               and b >= (691).bit_length()]
+    assert len(skipped) == 2013
+    assert all(abs(form_value(form.coeffs, q, p)) > 691 for p, q in skipped[::50])
 
 
 def test_midsize_counters_evaluated():
@@ -425,33 +438,26 @@ def test_shrunk_windows_match_dense_oracle():
     planted()
 
 
-def test_rho_units_bound_rho():
-    """_rho_units bounds 2^44 rho_i(x) = 2^(44 + m - 1) k / (x^(m-1) 2^L_i)
-    from above, within a factor 1 + 2^-40 plus the rounding up, or is 0
-    where that is above the cap."""
+def test_scan_windows_match_exact_hull():
+    """The scan's candidates are the integers of the exact rational
+    windows, |y - t x| <= min(k^(1/m), rho_i(x)) for t in [lo_i, hi_i]
+    (_exact_window_candidates), counted over the range it scanned, for
+    k up to 10^40 with k^(1/m) up to 1000."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    cap = T._RHO_UNITS_CAP
 
-    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.sampled_from(_PRUNED_FORMS + [T.build_reduced_form(691)]),
                       st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)),
-                      st.integers(1, 3000), st.integers(1, 4))
-    def bound(form, k, x0, width):
-        m, logs = form.degree, form._context.log2_deriv
-        units = T._rho_units(logs, k, x0, x0 + width)
-        for x, row in zip(range(x0, x0 + width), units.tolist()):
-            for u, log in zip(row, logs):
-                # 2^44 rho_i(x) = num / den
-                num = k << (44 + m - 1 + max(-log, 0))
-                den = x ** (m - 1) << max(log, 0)
-                if u == 0:
-                    assert num << 40 > cap * den * ((1 << 40) - 1), (form.name, k, x)
-                else:
-                    assert u * den >= num, (form.name, k, x)
-                    assert (u - 1) * den << 40 <= num * ((1 << 40) + 1), (form.name, k, x)
+                      st.integers(0, 30))
+    def exact(form, k, x_small):
+        hypothesis.assume(integer_nth_root(k, form.degree) <= 1000)
+        res = T.solve_bounded(form, k, x_small, x_small)
+        r, count = _exact_window_candidates(form, k, res.certificate["x_exhaustive"])
+        assert res.certificate["exhaustive"]["window_radius"] == r, (form.name, k)
+        assert res.certificate["exhaustive"]["candidates"] == count, (form.name, k)
 
-    bound()
+    exact()
 
 
 def _mp_root_and_log2_derivative(mpmath, n, shift, k):
@@ -638,3 +644,73 @@ def test_unsettled_convergents_refused(monkeypatch):
     monkeypatch.setattr(T, "_REFINEMENTS", 1)
     convs = _fresh(T.build_form(4))._context.convergents(100)
     assert (1, 1, 1) in convs
+
+
+def test_legendre_threshold_is_least():
+    """x0 is the least x >= 1 with x^(m-2) > 2^m k / 2^min(L_i), checked
+    with Fractions at x0 and x0 - 1; at x0 the Legendre condition
+    x^(m-2) > 2^m k / |P'(theta_i)| holds for every root, with mpmath's
+    closed-form |P'|; degree <= 2 has no threshold."""
+    mpmath = pytest.importorskip("mpmath")
+    forms = [T.build_form(m) for m in range(1, 9)] + [
+        T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 31, 101, 691)]
+    for form in forms:
+        m, ctx = form.degree, form._context
+        for k in (1, 2, 7, 691, 13**5, 10**20, 10**60):
+            x0 = T._legendre_threshold(ctx, k)
+            if m <= 2:
+                assert x0 is None, form.name
+                continue
+            bound = Fraction(2**m * k, 2 ** min(ctx.log2_deriv))
+            assert x0 >= 1 and x0 ** (m - 2) > bound, (form.name, k)
+            assert x0 == 1 or (x0 - 1) ** (m - 2) <= bound, (form.name, k)
+            with mpmath.workdps(40):
+                for i in range(1, m + 1):
+                    _, log = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, i)
+                    assert x0 ** (m - 2) > 2**m * k / mpmath.mpf(2) ** log, (form.name, k, i)
+
+
+_HANDOFF_FORMS = [T.build_form(m) for m in range(3, 9)] + [
+    T.build_reduced_form(p) for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
+
+
+def test_solutions_past_threshold_found():
+    """Past x_e = x0 - 1 only the convergent phase searches.  The
+    solutions F_6(5, 1) = 1 and F_6(9, 14) = -1 lie past x0 = 5 and are
+    found; on right sides planted anywhere up to x_small >= x0,
+    solve_bounded equals the dense oracle up to x_small."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    f6 = T.build_form(3)
+    for rhs, sol in ((1, (5, 1)), (-1, (9, 14))):
+        res = T.solve_bounded(f6, rhs, 40, 40)
+        assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (5, 4)
+        assert sol in res.solutions
+        assert list(res.solutions) == dense_thue_solutions(f6.coeffs, [rhs], 40)[rhs]
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(_HANDOFF_FORMS), st.integers(3, 30), st.data())
+    def planted(form, x_small, data):
+        if data.draw(st.booleans()):
+            # on a convergent p/q of a root, times lam
+            p, q, _ = data.draw(st.sampled_from(form._context.convergents(x_small)))
+            lam = data.draw(st.integers(1, x_small // q))
+            x, y = lam * q, lam * p
+        else:
+            # next to x theta_i
+            x = data.draw(st.integers(1, x_small))
+            c = data.draw(st.sampled_from(form._context.centers))
+            y = (c * x >> 44) + data.draw(st.integers(-2, 2))
+        if data.draw(st.booleans()):
+            x, y = -x, -y
+        rhs = form_value(form.coeffs, x, y)
+        hypothesis.assume(rhs != 0)
+        x0 = T._legendre_threshold(form._context, abs(rhs))
+        hypothesis.assume(x0 <= x_small)
+        res = T.solve_bounded(form, rhs, x_small, x_small)
+        assert res.certificate["x_exhaustive"] == x0 - 1
+        assert list(res.solutions) == dense_thue_solutions(
+            form.coeffs, [rhs], x_small)[rhs], (form.name, rhs)
+        assert (x, y) in res.solutions
+
+    planted()
