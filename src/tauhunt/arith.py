@@ -306,58 +306,46 @@ def sign_at(coeffs, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _rational_cf(x: Fraction) -> list[int]:
-    """Canonical continued fraction of a rational (last term != 1 unless [1])."""
-    a = []
-    num, den = x.numerator, x.denominator
-    while den:
-        q, r = divmod(num, den)
-        a.append(q)
-        num, den = den, r
-    if len(a) > 1 and a[-1] == 1:
-        a.pop()
-        a[-1] += 1
-    return a
-
-
-def _convergents(cf: list[int]) -> list[tuple[int, int]]:
-    out = []
-    p0, q0, p1, q1 = 1, 0, cf[0], 1
-    out.append((p1, q1))
-    for a in cf[1:]:
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        out.append((p1, q1))
-    return out
-
-
 def continued_fraction_convergents(
-    lo: Fraction, hi: Fraction, qmax: int
+    lo: int, hi: int, den: int, qmax: int
 ) -> list[tuple[int, int]] | None:
     """The continued-fraction convergents p/q with q <= qmax of every
-    irrational number in [lo, hi], or None when the interval is too wide
-    to fix them.
+    irrational number in [lo/den, hi/den], den >= 1, or None when the
+    interval is too wide to fix them.
 
-    A partial quotient counts only when the canonical expansions of both
-    endpoints share it, and the last shared one is dropped, since the
-    endpoint expansions may disagree there.  The shared convergents must
-    reach a denominator above qmax, and each one kept must satisfy
-    |e - p/q| < 1/q^2 at both endpoints e.  An interval around a rational
-    number never settles.
+    Euclid's algorithm on num/den gives the canonical expansion of a
+    rational (its last quotient, if not the first, is at least 2, since
+    the divisor is then below the dividend), and it runs on both
+    endpoints in lockstep.  A partial quotient counts only when both
+    expansions share it, and the last shared one is dropped, since the
+    endpoint expansions may disagree there.  So the expansion gives None
+    at the first quotient that differs or where either expansion ends,
+    and stops at the first shared quotient whose predecessor's convergent
+    already has a denominator above qmax; each convergent kept must satisfy |e - p/q| < 1/q^2 at both
+    endpoints e (the shared quotient after each kept convergent already
+    implies it, so this check only restates it).  An interval around a
+    rational number never settles.
     """
     if qmax < 1:
         raise DomainError("qmax must be >= 1")
-    cl, ch = _rational_cf(lo), _rational_cf(hi)
-    k = 0
-    while k < len(cl) and k < len(ch) and cl[k] == ch[k]:
-        k += 1
-    if k < 2:
+    if den < 1:
+        raise DomainError("den must be >= 1")
+    a, b, c, d = lo, den, hi, den  # lo/den and hi/den after the shared quotients
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the convergents p_(j-2)/q_(j-2) and p_(j-1)/q_(j-1)
+    good = []
+    while b and d:
+        (t, r), (u, s) = divmod(a, b), divmod(c, d)
+        if t != u:
+            return None
+        if q1 > qmax:
+            break
+        p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+        if q1 <= qmax:
+            good.append((p1, q1))
+        a, b, c, d = b, r, d, s
+    else:
         return None
-    convs = _convergents(cl[: k - 1])
-    if convs[-1][1] <= qmax:
-        return None
-    good = [pq for pq in convs if pq[1] <= qmax]
-    # |e - p/q| < 1/q^2 for e = a/b, b > 0, is |a q - p b| q < b
-    a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    if all(abs(a0 * q - p * b0) * q < b0 and abs(a1 * q - p * b1) * q < b1 for p, q in good):
+    # |lo/den - p/q| < 1/q^2 is |lo q - p den| q < den
+    if all(abs(lo * q - p * den) * q < den and abs(hi * q - p * den) * q < den for p, q in good):
         return good
     return None

@@ -6,8 +6,24 @@ primes p the reduced form Fhat_p(X, Y) = prod (Y - 2X cos(2 pi k/p))
 satisfies F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller
 coefficients; every Thue condition F_{d-1} = alpha of the decision
 pipeline (d >= 7) is solved through Fhat_d.  A ThueForm is its family
-and n alone (n = p for Fhat_p, n = 2m + 1 for F_{2m}); its coefficients
-follow from the recurrence, so no form with other coefficients exists.
+and n alone (n = p for Fhat_p, n = 2m + 1 for F_{2m}), so no form with
+other coefficients exists.
+
+Both families are Lucas sequences, so a solve never needs the
+coefficients.  Write the recurrence as G_0 = 1, G_1 = Y + c1 X and
+G_j = P G_(j-1) - Q G_(j-2) with P = Y - s X and Q = X^2, where
+(c1, s) = (1, 0) for Fhat_p and (-1, 2) for F_{2m}, and let U_j be the
+Lucas sequence of (P, Q): U_0 = 0, U_1 = 1, U_(j+1) = P U_j - Q U_(j-1)
+(P is this pair's first entry; P(t) below is the polynomial F(1, t)).
+Then G_j = U_(j+1) + X U_j.  Both sides satisfy the recurrence (the
+right one is a sum of two of its solutions), and they agree at j = 0,
+U_1 + X U_0 = 1, and at j = 1, U_2 + X U_1 = Y + (1 - s) X = Y + c1 X.
+So F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2 (evaluate).  With
+alpha, beta the roots of z^2 - P z + Q, U_j = (alpha^j - beta^j) /
+(alpha - beta), and from it the polynomial identities
+U_2k = U_k (2 U_(k+1) - P U_k) and U_(2k+1) = U_(k+1)^2 - Q U_k^2, so
+(U_m, U_(m+1)) takes O(log m) products (_lucas), and as many products
+mod q give F(1, t) mod q.
 
 The roots of P(t) = F(1, t) are known in closed form (Watkins-Zeitlin,
 "The minimal polynomial of cos(2 pi/n)", Amer. Math. Monthly 1993):
@@ -17,8 +33,9 @@ s = 2 for F_{2m}.  P(2 cos phi + s) = sin(n phi/2) / sin(phi/2) gives
 Each root is enclosed at any precision by integer fixed-point pi
 (Machin) and a cosine Taylor series with a proven remainder
 (_cos_bounds), O(m) per form; the only polynomial sign is one exact
-sign confirming the one rational root, -1 + s at 3k = n.  The 44-bit
-enclosures ((c - 1)/2^44, (c + 1)/2^44) of real_roots give an integer
+sign confirming the one rational root, -1 + s at 3k = n, and it is the
+one use of a form's coefficients in a solve.  The 44-bit enclosures
+((c - 1)/2^44, (c + 1)/2^44) of real_roots give an integer
 L_i <= log2 |P'(theta_i)| through that formula, and a root's
 continued-fraction convergents are those its enclosure fixes, the
 precision doubling until they settle.
@@ -107,22 +124,25 @@ _TABLE_PRIME = 4093
 _CANDIDATE_BUDGET = 1 << 22
 # Cost of the exhaustive scan, rounded up: _SCAN_NS_PER_X per x,
 # _SCAN_NS_PER_ROOT per root and x, _SCAN_NS_PER_CANDIDATE per value of
-# the bound on the windows and _SCAN_NS_PER_TERM per term of the Horner
-# runs before the residue index filters (_scan_cost_ns); fitted as an
-# upper bound on 192 timed scans (F_2..F_24 and Fhat_5..Fhat_691, k from
-# 7 to 10^100, x to 3000, best of two) on a 2-vCPU Xeon.  A scan
-# estimated above the budget, about a minute, is refused before it
+# the bound on the windows and _SCAN_NS_PER_TERM per term of the form
+# for each evaluation before the residue index filters (_scan_cost_ns);
+# fitted as an upper bound on 192 timed scans (F_2..F_24 and
+# Fhat_5..Fhat_691, k from 7 to 10^100, x to 3000, best of two) on a
+# 2-vCPU Xeon, when those evaluations were Horner runs.  The Lucas
+# ladder takes O(log m) products instead, so the bound still holds.  A
+# scan estimated above the budget, about a minute, is refused before it
 # starts.
 _SCAN_NS_PER_X = 6000
 _SCAN_NS_PER_ROOT = 4000
 _SCAN_NS_PER_CANDIDATE = 1
 _SCAN_NS_PER_TERM = 200
 _SCAN_BUDGET_NS = 60 * 10**9
-# Cost of building a form and certifying its roots, rounded up: the
-# recurrence takes m^2/2 steps on numbers of up to 1.4 m bits, 140-760 ns
-# per m^2 for F_1000..F_14000 and 100-260 ns for Fhat_1009..Fhat_14009 on
-# a 2-vCPU Xeon, while the root enclosures and the L_i are O(m).  A form
-# estimated above _SCAN_BUDGET_NS is refused unbuilt.
+# The degree ceiling, m^2 (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 m) ns: fitted
+# when every solve built the coefficients by the recurrence, m^2/2 steps
+# on numbers of up to 1.4 m bits (140-760 ns per m^2 for F_1000..F_14000
+# and 100-260 ns for Fhat_1009..Fhat_14009 on a 2-vCPU Xeon).  A solve no
+# longer builds them, but solving above the ceiling has not been priced,
+# so it stays.  A form estimated above _SCAN_BUDGET_NS is refused unbuilt.
 _FORM_NS_PER_M2 = 150
 _FORM_NS_PER_M3 = 0.1
 
@@ -162,22 +182,21 @@ class ThueForm:
     # both cached in the instance __dict__, outside the fields, eq and hash
     @cached_property
     def coeffs(self) -> tuple[int, ...]:
+        """F_{2m}, the coefficient of T^(2m) in 1/(1 - sqrt(Y) T + X T^2),
+        has (-1)^i C(2m - i, i).  Fhat_p = U_(m+1) + X U_m at P = Y,
+        Q = X^2 (module docstring), and U_(j+1) = sum (-1)^k C(j - k, k)
+        P^(j-2k) Q^k, so X^2k Y^(m-2k) has (-1)^k C(m - k, k) from U_(m+1)
+        and X^(2k+1) Y^(m-2k-1) has (-1)^k C(m - 1 - k, k) from X U_m:
+        (-1)^(i//2) C(m - ceil(i/2), floor(i/2)) for X^i."""
+        m = self.degree
         if self.family == "reduced":
-            # Y -> Y + 2X in the recurrence of F_{2m}: Fhat = Y Fhat' - X^2 Fhat''
-            return _three_term(self.degree, 1, 0)
-        return _three_term(self.degree, -1, -2)
+            return tuple((-1) ** (i // 2) * math.comb(m - (i + 1) // 2, i // 2)
+                         for i in range(m + 1))
+        return tuple((-1) ** i * math.comb(2 * m - i, i) for i in range(m + 1))
 
     @cached_property
     def _context(self) -> _FormContext:
         return _FormContext(self)
-
-
-def _three_term(m: int, c1: int, a: int) -> tuple[int, ...]:
-    """G_m for G_0 = 1, G_1 = Y + c1 X and G_j = (Y + a X) G_{j-1} - X^2 G_{j-2}."""
-    prev, cur = [1], [1, c1]
-    for _ in range(m - 1):
-        prev, cur = cur, [u + a * v - w for u, v, w in zip(cur + [0], [0] + cur, [0, 0] + prev)]
-    return tuple(cur)
 
 
 def check_degree(m: int) -> None:
@@ -206,15 +225,24 @@ def build_reduced_form(p: int) -> ThueForm:
     return ThueForm("reduced", p)
 
 
+def _lucas(m: int, p: int, q: int, mod: int = 0) -> tuple[int, int]:
+    """(U_m, U_(m+1)) of the Lucas sequence of (p, q), m >= 1, by the
+    doubling ladder of the module docstring; every step reduced mod `mod`
+    when it is nonzero."""
+    u, v = 1, p  # (U_k, U_(k+1)), k growing from 1 through the leading bits of m
+    for bit in bin(m)[3:]:
+        u, v = u * (2 * v - p * u), v * v - q * u * u  # k -> 2k
+        if bit == "1":
+            u, v = v, p * v - q * u  # 2k -> 2k + 1
+        if mod:
+            u, v = u % mod, v % mod
+    return u, v
+
+
 def evaluate(form: ThueForm, x: int, y: int) -> int:
-    """F(x, y), exact."""
-    acc = 0
-    xp = 1
-    # Horner in y over coefficients of y^j, j = m .. 0
-    for c in form.coeffs:
-        acc = acc * y + c * xp
-        xp *= x
-    return acc
+    """F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2, exact."""
+    u, v = _lucas(form.degree, y - form.shift * x, x * x)
+    return v + x * u
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +383,11 @@ class _FormContext:
     def index(self, q: int) -> list[list[int]]:
         """by_value[v]: the t in 0 .. q - 1 with F(1, t) = v (mod q)."""
         if q not in self._index:
-            coeffs = [c % q for c in self.form.coeffs]
+            m, s = self.form.degree, self.form.shift
             by_value: list[list[int]] = [[] for _ in range(q)]
             for t in range(q):
-                acc = 0
-                for c in coeffs:
-                    acc = (acc * t + c) % q
-                by_value[acc].append(t)
+                u, v = _lucas(m, t - s, 1, q)  # F(1, t) = U_(m+1) + U_m at P = t - s
+                by_value[(u + v) % q].append(t)
             self._index[q] = by_value
         return self._index[q]
 
@@ -390,10 +416,9 @@ class _FormContext:
             for _ in range(_REFINEMENTS):
                 if not pending:
                     break
-                s, den, left = form.shift << w, 1 << w, []
+                s, left = form.shift << w, []
                 for i, (lo, hi) in zip(pending, _cos_bounds(form.n, [m - i for i in pending], w)):
-                    convs = continued_fraction_convergents(
-                        Fraction(lo + s, den), Fraction(hi + s, den), x_mid)
+                    convs = continued_fraction_convergents(lo + s, hi + s, 1 << w, x_mid)
                     if convs is None:
                         left.append(i)
                     else:
@@ -467,8 +492,8 @@ def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
     Each of the m windows of an x < 2^43 holds at most 2r + 3 values,
     r = floor(k^(1/m)), as x hi_i - x lo_i = x 2^-43 < 1.  Building the
     residue index and confirming the candidates before it take at most
-    2 q Horner runs of m + 1 terms, q = _TABLE_PRIME.  The budget this is
-    held to keeps x_hi below 2^43.
+    2 q evaluations, priced at m + 1 terms each, q = _TABLE_PRIME.  The
+    budget this is held to keeps x_hi below 2^43.
     """
     m = ctx.form.degree
     candidates = m * x_hi * (2 * integer_nth_root(k, m) + 3)
@@ -578,7 +603,7 @@ def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tu
     # degree 1: y + c1 x = rhs has one solution for each x, two per |x|
     if 2 * (x_hi - x_lo + 1) > _CANDIDATE_BUDGET:
         raise DomainError(f"a linear form would list more than {_CANDIDATE_BUDGET} solutions")
-    c1 = form.coeffs[1]
+    c1 = 1 if form.family == "reduced" else -1  # Fhat_3 = Y + X, F_2 = Y - X
     return [(x, rhs - c1 * x) for a in range(x_lo, x_hi + 1) for x in (a, -a)]
 
 

@@ -195,6 +195,29 @@ def _cf_convergents(cf: list[int]) -> list[tuple[int, int]]:
     return out
 
 
+def fraction_convergents(lo: Fraction, hi: Fraction, qmax: int) -> list[tuple[int, int]] | None:
+    """continued_fraction_convergents on Fraction endpoints, as the library
+    had it: each endpoint's canonical expansion in full, the shared
+    quotients but the last, convergents past qmax required, and the
+    1/q^2 check at both endpoints."""
+    if qmax < 1:
+        raise DomainError("qmax must be >= 1")
+    cl, ch = _rational_cf(lo), _rational_cf(hi)
+    k = 0
+    while k < len(cl) and k < len(ch) and cl[k] == ch[k]:
+        k += 1
+    if k < 2:
+        return None
+    convs = _cf_convergents(cl[: k - 1])
+    if convs[-1][1] <= qmax:
+        return None
+    good = [pq for pq in convs if pq[1] <= qmax]
+    a0, b0, a1, b1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if all(abs(a0 * q - p * b0) * q < b0 and abs(a1 * q - p * b1) * q < b1 for p, q in good):
+        return good
+    return None
+
+
 def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with smallest denominator strictly inside (lo, hi)."""
     flo = math.floor(lo)
@@ -357,6 +380,16 @@ def rank_by_scan(pair: LucasPair, ell: int) -> int | None:
             return n
         prev, cur = cur, (pair.A * cur - pair.B * prev) % ell
     return None
+
+
+def three_term(m: int, c1: int, a: int) -> tuple[int, ...]:
+    """Coefficients (of X^i Y^(m-i)) of G_m for G_0 = 1, G_1 = Y + c1 X and
+    G_j = (Y + a X) G_{j-1} - X^2 G_{j-2}, by the recurrence itself, m^2/2
+    steps: F_{2m} is (c1, a) = (-1, -2) and Fhat_p is (1, 0)."""
+    prev, cur = [1], [1, c1]
+    for _ in range(m - 1):
+        prev, cur = cur, [u + a * v - w for u, v, w in zip(cur + [0], [0] + cur, [0, 0] + prev)]
+    return tuple(cur)
 
 
 def form_value(coeffs, x: int, y: int) -> int:

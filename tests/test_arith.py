@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (RationalNumberError, RealAlgebraic, exact_convergents, exact_sign,
-                     factor_by_trial, integer_roots, is_prime_by_trial, sieved_primes,
-                     sqrt_algebraic)
+                     factor_by_trial, fraction_convergents, integer_roots, is_prime_by_trial,
+                     sieved_primes, sqrt_algebraic)
 from tauhunt import arith as A
 
 
@@ -176,7 +176,8 @@ def test_integer_roots_no_rational():
 
 def _settled(interval, qmax):
     """The convergents continued_fraction_convergents fixes from
-    interval(w), an enclosure of width about 2^-w, doubling w from 16."""
+    interval(w) = (lo, hi, den), an enclosure [lo/den, hi/den] of width
+    about 2^-w, doubling w from 16."""
     for w in (16, 32, 64, 128, 256, 512):
         got = A.continued_fraction_convergents(*interval(w), qmax)
         if got is not None:
@@ -185,11 +186,11 @@ def _settled(interval, qmax):
 
 
 def _sqrt_interval(n, scale=1, offset=0):
-    """w -> an interval of width 2^-w / scale holding (offset + sqrt(n)) / scale."""
+    """w -> (lo, hi, den), an interval [lo/den, hi/den] of width 2^-w / scale
+    holding (offset + sqrt(n)) / scale."""
     def at(w):
         r = math.isqrt(n << 2 * w)
-        return (Fraction((offset << w) + r, scale << w),
-                Fraction((offset << w) + r + 1, scale << w))
+        return (offset << w) + r, (offset << w) + r + 1, scale << w
     return at
 
 
@@ -210,9 +211,10 @@ def test_convergents_of_fraction():
     # 355/113 = [3; 7, 16]: every irrational just above it is [3; 7, 16, a, ...]
     # with a large, but the last shared quotient 16 is dropped, so only 3/1
     # and 22/7 are fixed, and only up to qmax = 6 is the list complete
-    lo, hi = Fraction(355, 113), Fraction(355, 113) + Fraction(1, 10**9)
-    assert A.continued_fraction_convergents(lo, hi, 6) == [(3, 1)]
-    assert A.continued_fraction_convergents(lo, hi, 100) is None
+    # [355/113, 355/113 + 10^-9] over the common denominator 113 * 10^9
+    lo, hi, den = 355 * 10**9, 355 * 10**9 + 113, 113 * 10**9
+    assert A.continued_fraction_convergents(lo, hi, den, 6) == [(3, 1)]
+    assert A.continued_fraction_convergents(lo, hi, den, 100) is None
     assert exact_convergents(Fraction(355, 113), 1000) == [(3, 1), (22, 7), (355, 113)]
     assert exact_convergents(Fraction(355, 113), 100) == [(3, 1), (22, 7)]
 
@@ -221,14 +223,15 @@ def test_convergents_qmax_one():
     assert _settled(_sqrt_interval(3), 1) == [(1, 1), (2, 1)]
     assert exact_convergents(sqrt_algebraic(3), 1) == [(1, 1), (2, 1)]
     with pytest.raises(A.DomainError):
-        A.continued_fraction_convergents(Fraction(1), Fraction(2), 0)
+        A.continued_fraction_convergents(1, 2, 1, 0)
 
 
 def test_convergents_reject_rational():
     # no interval around 2 ever fixes convergents, however narrow
     for w in range(4, 400, 12):
-        eps = Fraction(1, 1 << w)
-        assert A.continued_fraction_convergents(2 - eps, 2 + eps, 100) is None
+        # [2 - 2^-w, 2 + 2^-w]
+        two = 2 << w
+        assert A.continued_fraction_convergents(two - 1, two + 1, 1 << w, 100) is None
     # the exact-sign oracle finds the root 2 of t^2 - 4 inside (1.8, 2.3)
     x = RealAlgebraic((-4, 0, 1), Fraction(18, 10), Fraction(23, 10))
     with pytest.raises(RationalNumberError):
@@ -251,13 +254,52 @@ def test_convergent_quality_invariant():
 def test_convergents_negative_number():
     # -sqrt(2): the interval [-(r + 1), -r] / 2^w
     def neg(w):
-        lo, hi = _sqrt_interval(2)(w)
-        return -hi, -lo
+        lo, hi, den = _sqrt_interval(2)(w)
+        return -hi, -lo, den
 
     convs = _settled(neg, 100)
     assert convs == exact_convergents(RealAlgebraic((-2, 0, 1), Fraction(-2), Fraction(-1)), 100)
     for p, q in convs:
         assert abs(-math.sqrt(2) - p / q) < 1 / q**2
+
+
+def test_convergents_match_fraction_oracle():
+    # the lockstep expansion on integers against full Fraction expansions,
+    # over dyadic and other denominators, width 0, negative endpoints,
+    # reversed ends and qmax = 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dens = st.one_of(st.integers(0, 120).map(lambda w: 1 << w), st.integers(1, 10**30))
+    qmaxes = st.one_of(st.just(1), st.integers(1, 100), st.integers(1, 10**20))
+
+    @st.composite
+    def intervals(draw):
+        """(den, lo, width): anywhere, or within a unit or two of +-sqrt(n)."""
+        den = draw(dens)
+        if draw(st.booleans()):
+            lo = draw(st.integers(-10**40, 10**40))
+            return den, lo, draw(st.one_of(st.integers(-2, 2), st.integers(0, 10**12)))
+        root = math.isqrt(draw(st.integers(2, 10**6)) * den * den)
+        lo = draw(st.sampled_from((root, -root - 1))) - draw(st.integers(0, 1))
+        return den, lo, draw(st.integers(0, 2))
+
+    @hypothesis.settings(max_examples=1000, deadline=None)
+    @hypothesis.given(intervals(), qmaxes)
+    @hypothesis.example((1, 3, 0), 1)
+    @hypothesis.example((1 << 64, -(math.isqrt(2 << 128)) - 1, 1), 1)
+    @hypothesis.example((1 << 64, -(math.isqrt(2 << 128)) - 1, 1), 10**6)
+    @hypothesis.example((113, 355, 0), 1000)
+    def check(interval, qmax):
+        den, lo, width = interval
+        want = fraction_convergents(Fraction(lo, den), Fraction(lo + width, den), qmax)
+        assert A.continued_fraction_convergents(lo, lo + width, den, qmax) == want
+
+    check()
+
+
+def test_convergents_reject_bad_denominator():
+    with pytest.raises(A.DomainError):
+        A.continued_fraction_convergents(1, 2, 0, 10)
 
 
 def test_primes_up_to_matches_trial_division():

@@ -129,6 +129,47 @@ def test_admissible(capsys):
     assert data["target"] == -3
 
 
+# statuses, raw hits, dispositions and bound keys of admissible --target 4001
+# at default bounds, as the coefficient-building solver gave them
+_ADMISSIBLE_4001 = {
+    "status": "EXCLUDED_WITHIN_BOUNDS", "grh_conditional": False,
+    "bounds": {"x_max": 100000, "x_mid": 10000, "x_small": 1000},
+    "conditions": [
+        {"d": 3, "mode": "search", "raw_hits": [], "dispositions": [], "bounds": {"x_max": 100000}},
+        {"d": 5, "mode": "search", "raw_hits": [], "dispositions": [], "bounds": {"x_max": 100000}},
+        {"d": 23, "mode": "search", "raw_hits": [], "dispositions": [],
+         "bounds": {"x_mid": 10000, "x_small": 1000}},
+        {"d": 29, "mode": "search", "raw_hits": [], "dispositions": [],
+         "bounds": {"x_mid": 10000, "x_small": 1000}},
+        {"d": 4001, "mode": "search", "raw_hits": [[-1, -4], [1, 4]],
+         "dispositions": ["filtered", "filtered"], "bounds": {"x_mid": 10000, "x_small": 1000}},
+    ],
+}
+
+
+def test_admissible_4001_fast(capsys):
+    # Fhat_4001 has degree 2000: each convergent it evaluates exactly is
+    # one Lucas ladder; Horner runs over its 2001 binomials took 34 s
+    start = time.perf_counter()
+    code, out = run_cli(["admissible", "--target", "4001"], capsys)
+    assert time.perf_counter() - start < 15
+    assert code == 0
+    report = json.loads(out)
+    got = {
+        "status": report["status"],
+        "grh_conditional": report["grh_conditional"],
+        "bounds": report["bounds"],
+        "conditions": [
+            {"d": c["d"], "mode": c["mode"], "raw_hits": c["raw_hits"],
+             "dispositions": [x["status"] for x in c["dispositions"]],
+             "bounds": {k: v for k, v in c["certificate"].items()
+                        if k in ("x_max", "x_small", "x_mid")}}
+            for c in report["conditions"]
+        ],
+    }
+    assert got == _ADMISSIBLE_4001
+
+
 def test_admissible_catalog_point_beyond_bound(capsys):
     # the cataloged point (2, 45) on Y^2 = X^11 - 23 lies outside |x| <= 1
     code, out = run_cli(

@@ -85,6 +85,29 @@ def test_thue_form_is_family_and_n():
     assert [f.name for f in fields(ThueForm)] == ["family", "n"]
 
 
+# solves F = n on forms without and (F_8, 3 | 9) with a rational root,
+# printing whether each form has built its coefficients
+_COEFFS_PROBE = """
+from tauhunt import thue
+for form in (thue.build_reduced_form(691), thue.build_reduced_form(7), thue.build_form(3),
+             thue.build_form(4)):
+    thue.solve_bounded(form, form.n, 1000, 10000)
+    print(form.name, "coeffs" in form.__dict__)
+"""
+
+
+def test_solve_builds_no_coefficients():
+    """A solve evaluates the form by its Lucas ladder and never builds the
+    coefficients, but for the one exact sign at the rational root of a
+    form with 3 | n (F_8 here)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", _COEFFS_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "Fhat_691 False", "Fhat_7 False", "F_6 False", "F_8 True", ""]
+
+
 # runs each verb given as one JSON argument vector, reporting on stderr
 # after each whether numpy was ever imported
 _IMPORT_PROBE = """

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (convergent_solutions, dense_thue_solutions, exact_convergents, form_value,
-                     reduced_form_by_substitution, thue_roots)
+                     reduced_form_by_substitution, three_term, thue_roots)
 from tauhunt import thue as T
 from tauhunt.arith import DomainError, integer_nth_root, is_prime
 from tauhunt.lehmer import SearchBounds
@@ -81,6 +81,52 @@ def test_reduced_form_recurrence_matches_substitution():
     for p in range(3, 1000, 2):
         if is_prime(p):
             assert T.build_reduced_form(p).coeffs == reduced_form_by_substitution(p), p
+
+
+def test_coeffs_match_recurrence():
+    # the closed-form binomials are the recurrence's coefficients, which
+    # thue-gen prints: F_2..F_120, every Fhat_p with p < 300, and the
+    # degree-345 pair of the theorem sweep
+    for m in list(range(1, 61)) + [345]:
+        assert T.build_form(m).coeffs == three_term(m, -1, -2), m
+    for p in [p for p in range(3, 300, 2) if is_prime(p)] + [691]:
+        assert T.build_reduced_form(p).coeffs == three_term((p - 1) // 2, 1, 0), p
+
+
+_PRIMES_TO_801 = [p for p in range(3, 802, 2) if is_prime(p)]
+
+
+def test_evaluate_matches_horner():
+    # the Lucas ladder against Horner over the coefficients, degrees 1-400
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    forms = st.one_of(st.integers(1, 400).map(T.build_form),
+                      st.sampled_from(_PRIMES_TO_801).map(T.build_reduced_form))
+    coords = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.integers(-2**80, 2**80))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(forms, coords, coords)
+    @hypothesis.example(T.build_form(1), 0, -5)
+    @hypothesis.example(T.build_reduced_form(3), -4, 0)
+    @hypothesis.example(T.build_reduced_form(691), 0, 0)
+    @hypothesis.example(T.build_form(400), -7, -3)
+    def check(form, x, y):
+        assert T.evaluate(form, x, y) == form_value(form.coeffs, x, y)
+
+    check()
+
+
+@pytest.mark.parametrize("form", [T.build_form(1), T.build_form(4), T.build_reduced_form(3),
+                                  T.build_reduced_form(7), T.build_reduced_form(691)],
+                         ids=lambda f: f.name)
+def test_residue_index_matches_horner(form):
+    # the ladder mod q fills the index with the t of each value of F(1, t) mod q
+    for q in (5, 7, 4093):
+        by_value = T.ThueForm(form.family, form.n)._context.index(q)
+        want = [[] for _ in range(q)]
+        for t in range(q):
+            want[form_value(form.coeffs, 1, t) % q].append(t)
+        assert by_value == want, (form.name, q)
 
 
 def test_f690_values():
