@@ -2,10 +2,10 @@
 
 Everything here is pure integer / rational arithmetic: deterministic
 primality testing, factorization (trial division by the primes below
-2^10, then Brent's rho), divisor power sums, perfect-power tests, exact
-polynomial signs, and the continued-fraction convergents that a
-rational interval fixes.  No floating point participates in any
-decision.
+2^10, then Brent's rho), the Lucas ladder, divisor power sums,
+perfect-power tests, exact polynomial signs, and the continued-fraction
+convergents that a rational interval fixes.  No floating point
+participates in any decision.
 """
 
 from __future__ import annotations
@@ -77,6 +77,35 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
+def lucas_ladder(m: int, p: int, q: int, mod: int = 0) -> tuple[int, int]:
+    """(U_m, U_(m+1)) of the Lucas sequence U_0 = 0, U_1 = 1,
+    U_(j+1) = p U_j - q U_(j-1), in O(log m) products, each step reduced
+    mod `mod` when it is nonzero.
+
+    With alpha, beta the roots of z^2 - p z + q and alpha != beta,
+    U_j = (alpha^j - beta^j) / (alpha - beta).  Then V_j = alpha^j + beta^j
+    = 2 U_(j+1) - p U_j (expand (alpha + beta)(alpha^j - beta^j)), and
+    alpha^2k - beta^2k = (alpha^k - beta^k)(alpha^k + beta^k) gives
+    U_2k = U_k (2 U_(k+1) - p U_k), while
+    (alpha^(k+1) - beta^(k+1))^2 - alpha beta (alpha^k - beta^k)^2
+    = (alpha - beta)(alpha^(2k+1) - beta^(2k+1)) gives
+    U_(2k+1) = U_(k+1)^2 - q U_k^2.  Both sides are polynomials in p and
+    q, so the identities hold for alpha = beta too.  The ladder reads the
+    bits of m from the top: each bit doubles k, and a set bit then steps
+    to k + 1 by the recurrence.
+    """
+    if m < 0:
+        raise DomainError("a Lucas term needs m >= 0")
+    u, v = 0, 1  # (U_k, U_(k+1)), k growing from 0 through the bits of m
+    for bit in bin(m)[2:]:
+        u, v = u * (2 * v - p * u), v * v - q * u * u  # k -> 2k
+        if bit == "1":
+            u, v = v, p * v - q * u  # 2k -> 2k + 1
+        if mod:
+            u, v = u % mod, v % mod
+    return u, v
+
+
 def _strong_lucas_selfridge(n: int) -> bool:
     # Selfridge parameter choice: first D in 5, -7, 9, ... with (D|n) = -1.
     d = 5
@@ -87,23 +116,18 @@ def _strong_lucas_selfridge(n: int) -> bool:
         if j == 0 and abs(d) != n:
             return False
         d = -d - 2 if d > 0 else -d + 2
-    p, q = 1, (1 - d) // 4
-    # strong test on U_k, V_k with k = (n+1) / 2^s
+    q = (1 - d) // 4
+    # strong test on U_k and V_(k 2^r), r < s, with k = (n+1) / 2^s odd, P = 1:
+    # V_j = 2 U_(j+1) - P U_j and V_2j = V_j^2 - 2 Q^j
     k = n + 1
     s = (k & -k).bit_length() - 1
     k >>= s
-    u, v, qk = 0, 2, 1
-    for bit in bin(k)[2:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            u, v = (p * u + v) * ((n + 1) // 2) % n, ((d * u + p * v) * ((n + 1) // 2)) % n
-            qk = qk * q % n
+    u, u1 = lucas_ladder(k, 1, q, n)
+    v, qk = (2 * u1 - u) % n, pow(q, k, n)
     if u == 0 or v == 0:
         return True
     for _ in range(s - 1):
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
         if v == 0:
             return True
     return False
@@ -321,10 +345,16 @@ def continued_fraction_convergents(
     endpoint expansions may disagree there.  So the expansion gives None
     at the first quotient that differs or where either expansion ends,
     and stops at the first shared quotient whose predecessor's convergent
-    already has a denominator above qmax; each convergent kept must satisfy |e - p/q| < 1/q^2 at both
-    endpoints e (the shared quotient after each kept convergent already
-    implies it, so this check only restates it).  An interval around a
-    rational number never settles.
+    already has a denominator above qmax.  An interval around a rational
+    number never settles.
+
+    Each kept p_j/q_j is within 1/q_j^2 of both endpoints e.  A shared
+    quotient a_(j+1) >= 1 follows it, and a further shared quotient is
+    read before the stop, so a_(j+1) is not the last of either expansion.
+    The complete quotient of e there, Euclid's dividend over its divisor
+    at that step, is x_(j+1) > a_(j+1) >= 1, as the remainder is not 0, so
+    |e - p_j/q_j| = 1/(q_j (x_(j+1) q_j + q_(j-1))) < 1/q_j^2, as
+    q_(j-1) >= 0.
     """
     if qmax < 1:
         raise DomainError("qmax must be >= 1")
@@ -345,7 +375,4 @@ def continued_fraction_convergents(
         a, b, c, d = b, r, d, s
     else:
         return None
-    # |lo/den - p/q| < 1/q^2 is |lo q - p den| q < den
-    if all(abs(lo * q - p * den) * q < den and abs(hi * q - p * den) * q < den for p, q in good):
-        return good
-    return None
+    return good

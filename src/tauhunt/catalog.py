@@ -2,14 +2,12 @@
 bounded search.
 
 Every catalog (Thue solutions, curve points, Lucas defects) is read
-through load, once per process.  Set TAUHUNT_DATA_DIR to read the files
-from another directory instead of the package data.
+from the package data through load, once per process.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from functools import lru_cache
 from importlib import resources
 
@@ -19,10 +17,6 @@ __all__ = ["load", "clip", "compare"]
 @lru_cache(maxsize=None)
 def load(name: str) -> dict:
     """The parsed catalog file `name`, e.g. "thue_tables.json"."""
-    override = os.environ.get("TAUHUNT_DATA_DIR")
-    if override:
-        with open(os.path.join(override, name), "rb") as fh:
-            return json.load(fh)
     return json.loads(resources.files("tauhunt.data").joinpath(name).read_text())
 
 

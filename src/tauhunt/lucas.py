@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog
-from .arith import DomainError, factor, is_prime, sigma
+from .arith import DomainError, factor, is_prime, lucas_ladder, sigma
 
 __all__ = [
     "LucasPair",
@@ -37,21 +37,14 @@ class LucasPair:
 
     A: int
     B: int
-    checked: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.checked:
-            return
         if self.A == 0 or self.B == 0:
             raise DomainError("A and B must be nonzero")
         if math.gcd(self.A, self.B) != 1:
             raise DomainError("A and B must be coprime")
         if self.A * self.A in (self.B, 2 * self.B, 3 * self.B, 4 * self.B):
             raise DomainError("alpha/beta is a root of unity (degenerate pair)")
-
-    @classmethod
-    def unchecked(cls, A: int, B: int) -> "LucasPair":
-        return cls(A, B, checked=False)
 
     @property
     def discriminant(self) -> int:
@@ -107,24 +100,6 @@ class RankResult:
     reason: str
 
 
-def _term_mod(pair: LucasPair, n: int, ell: int) -> int:
-    """u_n mod ell, from M^n = [[u_(n+1), -B u_n], [u_n, -B u_(n-1)]] for
-    M = [[A, -B], [1, 0]], by binary powering."""
-
-    def mul(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return ((a * e + b * g) % ell, (a * f + b * h) % ell,
-                (c * e + d * g) % ell, (c * f + d * h) % ell)
-
-    power, step = (1, 0, 0, 1), (pair.A % ell, -pair.B % ell, 1, 0)
-    while n:
-        if n & 1:
-            power = mul(power, step)
-        step = mul(step, step)
-        n >>= 1
-    return power[2]
-
-
 def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
     """Smallest n >= 2 with ell | u_n, or None when ell divides B.
 
@@ -134,8 +109,8 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
     D = A^2 - 4B, u_n = n (A/2)^(n-1) (mod ell) with A prime to ell, so
     the rank is ell.  Otherwise ell | u_N for N = ell - (D/ell), and the
     rank is the least divisor of N that it divides: N is divided by each
-    of its primes while the quotient still gives ell | u_n
-    (_term_mod).
+    of its primes while the quotient still gives ell | u_n, each u_n mod
+    ell from arith.lucas_ladder.
     """
     if ell < 3 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
@@ -146,7 +121,7 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
         return RankResult(ell, "ell divides A^2 - 4B: the rank is ell")
     n = ell - 1 if pow(D, (ell - 1) // 2, ell) == 1 else ell + 1
     for p, _ in factor(n).pairs:
-        while n % p == 0 and _term_mod(pair, n // p, ell) == 0:
+        while n % p == 0 and lucas_ladder(n // p, pair.A, pair.B, ell)[0] == 0:
             n //= p
     return RankResult(n, "least divisor n of ell - (D/ell) with ell | u_n")
 
@@ -276,7 +251,9 @@ def sigma_hat(coeff_a: int, B: int, m: int) -> int:
             return s0 - 1
         if row.get("family_member"):
             family = row["discount"]
-    pair = LucasPair.unchecked(coeff_a, B)
-    if math.gcd(coeff_a, B) == 1 and coeff_a != 0 and family_memberships(pair):
+    # A^2 = cB (c = 1..4) with gcd(A, B) = 1 forces B | 1, so for B >= 2
+    # the pair is not degenerate; B < 2 belongs to no family
+    if (B >= 2 and coeff_a != 0 and math.gcd(coeff_a, B) == 1
+            and family_memberships(LucasPair(coeff_a, B))):
         return s0 - family
     return s0 - 1

@@ -7,8 +7,9 @@ squared three times.  Each squaring packs the series into the base-10^w
 digits of one Decimal, which libmpdec squares with an exact
 number-theoretic transform.  Arbitrary newforms are
 described by a NewformSpec holding weight, level and Hecke eigenvalue
-data a_f(p); coefficients at prime powers follow the Hecke three-term
-recursion, and general indices follow multiplicativity.
+data a_f(p); at a good prime a_f(p^m) = U_(m+1) for the Lucas sequence
+of (a_f(p), p^(w-1)), w the weight, and general indices follow
+multiplicativity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import decimal
 import json
 from dataclasses import dataclass, field
 
-from .arith import DomainError, factor, is_prime, primes_up_to
+from .arith import DomainError, factor, is_prime, lucas_ladder, primes_up_to
 
 __all__ = [
     "InsufficientCoefficientData",
@@ -180,7 +181,10 @@ def delta_newform(prime_bound: int = 1000) -> NewformSpec:
 
 
 def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
-    """a_f(p^m) by the Hecke recursion (good p) or U(p) action (bad p)."""
+    """a_f(p^m) by the U(p) action (bad p) or, for good p, the Hecke
+    recursion a_f(p^(j+1)) = a_f(p) a_f(p^j) - p^(w-1) a_f(p^(j-1)), w the
+    weight: the Lucas sequence of (a_f(p), p^(w-1)) from U_1 = 1,
+    U_2 = a_f(p), so a_f(p^m) = U_(m+1) (arith.lucas_ladder)."""
     if m < 0:
         raise DomainError("m must be >= 0")
     if m == 0:
@@ -196,12 +200,7 @@ def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
         return spec.bad_signs[p] ** m * p ** ((k - 1) * m)
     if p not in spec.ap:
         raise InsufficientCoefficientData(f"no a_f({p}) stored")
-    a = spec.ap[p]
-    B = p ** (spec.weight - 1)
-    prev, cur = 1, a
-    for _ in range(m - 1):
-        prev, cur = cur, a * cur - B * prev
-    return cur
+    return lucas_ladder(m, spec.ap[p], p ** (spec.weight - 1))[1]
 
 
 def coeff(spec: NewformSpec, n: int) -> int:

@@ -18,12 +18,9 @@ Lucas sequence of (P, Q): U_0 = 0, U_1 = 1, U_(j+1) = P U_j - Q U_(j-1)
 Then G_j = U_(j+1) + X U_j.  Both sides satisfy the recurrence (the
 right one is a sum of two of its solutions), and they agree at j = 0,
 U_1 + X U_0 = 1, and at j = 1, U_2 + X U_1 = Y + (1 - s) X = Y + c1 X.
-So F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2 (evaluate).  With
-alpha, beta the roots of z^2 - P z + Q, U_j = (alpha^j - beta^j) /
-(alpha - beta), and from it the polynomial identities
-U_2k = U_k (2 U_(k+1) - P U_k) and U_(2k+1) = U_(k+1)^2 - Q U_k^2, so
-(U_m, U_(m+1)) takes O(log m) products (_lucas), and as many products
-mod q give F(1, t) mod q.
+So F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2 (evaluate).
+(U_m, U_(m+1)) takes O(log m) products (arith.lucas_ladder), and as
+many products mod q give F(1, t) mod q.
 
 The roots of P(t) = F(1, t) are known in closed form (Watkins-Zeitlin,
 "The minimal polynomial of cos(2 pi/n)", Amer. Math. Monthly 1993):
@@ -104,6 +101,7 @@ from .arith import (
     continued_fraction_convergents,
     integer_nth_root,
     is_prime,
+    lucas_ladder,
     perfect_power_root,
     sign_at,
 )
@@ -225,23 +223,9 @@ def build_reduced_form(p: int) -> ThueForm:
     return ThueForm("reduced", p)
 
 
-def _lucas(m: int, p: int, q: int, mod: int = 0) -> tuple[int, int]:
-    """(U_m, U_(m+1)) of the Lucas sequence of (p, q), m >= 1, by the
-    doubling ladder of the module docstring; every step reduced mod `mod`
-    when it is nonzero."""
-    u, v = 1, p  # (U_k, U_(k+1)), k growing from 1 through the leading bits of m
-    for bit in bin(m)[3:]:
-        u, v = u * (2 * v - p * u), v * v - q * u * u  # k -> 2k
-        if bit == "1":
-            u, v = v, p * v - q * u  # 2k -> 2k + 1
-        if mod:
-            u, v = u % mod, v % mod
-    return u, v
-
-
 def evaluate(form: ThueForm, x: int, y: int) -> int:
     """F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2, exact."""
-    u, v = _lucas(form.degree, y - form.shift * x, x * x)
+    u, v = lucas_ladder(form.degree, y - form.shift * x, x * x)
     return v + x * u
 
 
@@ -386,7 +370,7 @@ class _FormContext:
             m, s = self.form.degree, self.form.shift
             by_value: list[list[int]] = [[] for _ in range(q)]
             for t in range(q):
-                u, v = _lucas(m, t - s, 1, q)  # F(1, t) = U_(m+1) + U_m at P = t - s
+                u, v = lucas_ladder(m, t - s, 1, q)  # F(1, t) = U_(m+1) + U_m at P = t - s
                 by_value[(u + v) % q].append(t)
             self._index[q] = by_value
         return self._index[q]

@@ -1,3 +1,4 @@
+import json
 import shutil
 import sys
 from importlib import resources
@@ -11,14 +12,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def data_dir(tmp_path, monkeypatch):
-    """A TAUHUNT_DATA_DIR holding copies of the shipped catalogs, which
-    the test may edit; the catalog cache is cleared around the test."""
+    """A directory of copies of the shipped catalogs, which the test may
+    edit; for the test, catalog.load reads them from there (afresh on
+    each call) instead of the cached package data."""
     from tauhunt import catalog
 
     for name in ("curve_tables.json", "defect_tables.json", "thue_tables.json"):
         with resources.as_file(resources.files("tauhunt.data").joinpath(name)) as src:
             shutil.copy(src, tmp_path / name)
-    monkeypatch.setenv("TAUHUNT_DATA_DIR", str(tmp_path))
-    catalog.load.cache_clear()
-    yield tmp_path
-    catalog.load.cache_clear()
+    monkeypatch.setattr(catalog, "load", lambda name: json.loads((tmp_path / name).read_text()))
+    return tmp_path

@@ -113,6 +113,60 @@ def test_is_prime_agrees_with_trial_division():
         assert A.is_prime(n) == slow(n), n
 
 
+def test_lucas_ladder_matches_recurrence():
+    # the doubling ladder against the plain recurrence U_(j+1) = p U_j - q U_(j-1)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.integers(0, 400), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                      st.one_of(st.just(0), st.integers(2, 10**9)))
+    @hypothesis.example(0, 5, 7, 0)
+    @hypothesis.example(1, 0, 0, 0)
+    @hypothesis.example(2, 2, 1, 0)  # alpha = beta: U_j = j
+    def check(m, p, q, mod):
+        u = [0, 1]
+        while len(u) < m + 2:
+            u.append(p * u[-1] - q * u[-2])
+        want = (u[m], u[m + 1])
+        if mod:
+            want = (want[0] % mod, want[1] % mod)
+        assert A.lucas_ladder(m, p, q, mod) == want
+
+    check()
+    with pytest.raises(A.DomainError):
+        A.lucas_ladder(-1, 1, 1)
+
+
+# the strong Lucas pseudoprimes below 10^5 for Selfridge's parameters (OEIS A217255)
+_STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                              58519, 75077, 97439)
+
+
+def test_strong_lucas_selfridge_pseudoprimes():
+    """Below 10^5 the strong Lucas test passes every odd prime and, of the
+    odd composites, exactly the known strong Lucas pseudoprimes."""
+    passed = [n for n in range(3, 10**5, 2) if A._strong_lucas_selfridge(n)]
+    assert passed == sorted(sieved_primes(10**5)[1:] + _STRONG_LUCAS_PSEUDOPRIMES)
+
+
+def test_is_prime_matches_sympy_above_proven_bound():
+    """Above the Miller-Rabin proven bound the strong Lucas test decides
+    too: is_prime agrees with sympy on random odd numbers and primes there
+    and on semiprimes with factors of 13 to 20 digits."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1801)
+    bound = A._MR_PROVEN_BOUND
+    odd = [rng.randrange(bound, 10**40) | 1 for _ in range(300)]
+    primes = [sympy.nextprime(rng.randrange(bound, 10**40)) for _ in range(60)]
+    factors = [sympy.nextprime(rng.randrange(10**12, 10**20)) for _ in range(40)]
+    semiprimes = [p * q for p, q in zip(factors[::2], factors[1::2])]
+    for n in odd + primes + semiprimes:
+        assert A.is_prime(n) == sympy.isprime(n), n
+    assert all(map(A.is_prime, primes))
+    assert not any(map(A.is_prime, semiprimes))
+
+
 def test_sigma():
     assert A.sigma(0, 3) == 2
     assert A.sigma(11, 2) == 2049

@@ -108,6 +108,41 @@ def test_solve_builds_no_coefficients():
         "Fhat_691 False", "Fhat_7 False", "F_6 False", "F_8 True", ""]
 
 
+def test_one_lucas_ladder(monkeypatch):
+    """arith.lucas_ladder is the one code that computes a Lucas term: a
+    Thue value, the residue index, a rank of apparition, a Hecke
+    coefficient at a prime power and the strong Lucas test of a 30-digit
+    prime each reach it, wrapped in every namespace that imports it."""
+    import importlib
+
+    from tauhunt import arith, lucas, newform, thue
+
+    ladder, calls = arith.lucas_ladder, []
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    modules = [importlib.import_module(f"tauhunt.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    holders = [m for m in modules if getattr(m, "lucas_ladder", None) is ladder]
+    assert {m.__name__ for m in holders} == {
+        "tauhunt.arith", "tauhunt.lucas", "tauhunt.newform", "tauhunt.thue"}
+    for module in holders:
+        monkeypatch.setattr(module, "lucas_ladder", counted)
+    probes = {
+        "evaluate": lambda: thue.evaluate(thue.build_reduced_form(7), 2, 3),
+        "index": lambda: thue.ThueForm("reduced", 7)._context.index(101),
+        "rank_of_apparition": lambda: lucas.rank_of_apparition(lucas.LucasPair(1, 2), 10**9 + 7),
+        "coeff_prime_power": lambda: newform.coeff_prime_power(newform.delta_newform(), 2, 5),
+        "is_prime": lambda: arith.is_prime(10**29 + 319),
+    }
+    for name, probe in probes.items():
+        calls.clear()
+        probe()
+        assert calls, f"{name} computes a Lucas term without arith.lucas_ladder"
+
+
 # runs each verb given as one JSON argument vector, reporting on stderr
 # after each whether numpy was ever imported
 _IMPORT_PROBE = """

@@ -43,7 +43,6 @@ def test_pair_validation():
         L.LucasPair(2, 1)       # A^2 = 4B degenerate
     with pytest.raises(DomainError):
         L.LucasPair(1, 1)       # A^2 = B degenerate
-    L.LucasPair.unchecked(2, 4)  # explicitly unchecked works
 
 
 def test_rank_of_apparition():
@@ -230,13 +229,18 @@ def test_sigma_hat():
     assert L.sigma_hat(5, 8, 5) == 2            # 6 | m + 1: sigma_0(6) - 2
     assert L.sigma_hat(5, 8, 2) == 1
     assert L.sigma_hat(7, 27, 3) == -1          # family member: sigma_0(4) - 4
+    assert L.sigma_hat(2, 1, 3) == 2            # B < 2 or A = 0: generic
+    assert L.sigma_hat(3, 0, 3) == 2
+    assert L.sigma_hat(0, 27, 3) == 2
     with pytest.raises(DomainError):
         L.sigma_hat(3, 8, 0)
 
 
 def test_data_dir_override(data_dir, monkeypatch):
-    """TAUHUNT_DATA_DIR points the one catalog loader at alternate files."""
-    from tauhunt import catalog, curves, thue
+    """Edited catalogs reach the defect classifier, the Thue catalog lookup
+    and the curve catalog lookup, all through the one loader catalog.load,
+    and the shipped ones come back once it is restored."""
+    from tauhunt import curves, thue
 
     edits = {
         "defect_tables.json": lambda t: t.update(
@@ -252,8 +256,7 @@ def test_data_dir_override(data_dir, monkeypatch):
     assert L.classify_defects(L.LucasPair(3, 8)) == []
     assert thue.catalog_lookup(7, 7) is None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == []
-    monkeypatch.delenv("TAUHUNT_DATA_DIR")
-    catalog.load.cache_clear()
+    monkeypatch.undo()
     assert [d.n for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
     assert thue.catalog_lookup(7, 7) is not None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == [[1, 2]]
