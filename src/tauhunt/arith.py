@@ -40,6 +40,9 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 _TRIAL_BITS = 10  # trial division by the primes below 2^10; Brent's rho splits the rest
+# squarings Brent's rho may take on one cofactor: about a minute at about
+# 1 us each (0.6-0.9 us measured on 29- and 39-digit cofactors, 2-vCPU Xeon)
+_RHO_STEPS = 6 * 10**7
 
 # Strong-pseudoprime bases proven sufficient for n < 3_317_044_064_679_887_385_961_981
 # (Sorenson-Webster).  Above that bound the same bases are combined with a
@@ -169,14 +172,22 @@ def is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle detection).
 
-    The parameter sequence is fixed, so the result is deterministic.
+    The parameter sequence is fixed, so the result is deterministic.  Each
+    round, r squarings to move x and at most r more to compare, is
+    charged its 2r steps before it starts; a round that would take the
+    total past _RHO_STEPS, about a minute, raises DomainError instead.
     """
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise DomainError(f"the {len(str(n))}-digit cofactor {n} needs more than "
+                                  f"{_RHO_STEPS} rho steps, about a minute")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -18,23 +18,22 @@ from .arith import DomainError
 
 __all__ = ["EffectiveBound", "weight_bound_M", "sqrt_interval"]
 
+_SQRT_BITS = 64  # sqrt(m) is enclosed to within 2^-64
 
-def sqrt_interval(x: int | Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of sqrt(x), x >= 0, width < 2^-bits * max(1, sqrt x)."""
+
+def sqrt_interval(x: int | Fraction) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of sqrt(x), x >= 0, width <= 2^-64."""
     x = Fraction(x)
     if x < 0:
         raise DomainError("sqrt of a negative number")
     if x == 0:
         return (Fraction(0), Fraction(0))
-    scale = 1 << (2 * bits)
-    num = x.numerator * scale
-    v, rem = divmod(num, x.denominator)  # floor(x * 4^bits)
+    v, rem = divmod(x.numerator << 2 * _SQRT_BITS, x.denominator)  # floor(x 4^64)
     r = math.isqrt(v)
-    lo = Fraction(r, 1 << bits)
+    lo = Fraction(r, 1 << _SQRT_BITS)
     if rem == 0 and r * r == v:
         return (lo, lo)
-    hi = Fraction(r + 1, 1 << bits)
-    return (lo, hi)
+    return (lo, Fraction(r + 1, 1 << _SQRT_BITS))
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,12 @@ class EffectiveBound:
     """a*m + c*sqrt(m) + const, coefficients exact."""
 
     family: str
-    params: tuple
     a: Fraction
     c: Fraction
     const: Fraction = Fraction(0)
 
-    def evaluate(self, m: int, bits: int = 64) -> tuple[Fraction, Fraction]:
-        slo, shi = sqrt_interval(m, bits)
+    def evaluate(self, m: int) -> tuple[Fraction, Fraction]:
+        slo, shi = sqrt_interval(m)
         lo = self.a * m + self.c * slo + self.const
         hi = self.a * m + self.c * shi + self.const
         return (lo, hi)
@@ -75,10 +73,7 @@ def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> E
     if pre_rounding:
         if (sign, ell) != (-1, 3):
             raise DomainError("a pre-rounding value is available only for -3^m")
-        return EffectiveBound(
-            "M", (sign, ell, m, "pre-rounding"),
-            Fraction(8, 5), Fraction(94 * 10**30), Fraction(14 * 10**30),
-        )
+        return EffectiveBound("M", Fraction(8, 5), Fraction(94 * 10**30), Fraction(14 * 10**30))
     if ell == 3:
         a = 2
         if sign == 1:
@@ -93,4 +88,4 @@ def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> E
             c = 10**13 if sign == 1 else 10**30
     else:
         raise DomainError("weight_bound_M is tabulated only for ell in {3, 5}")
-    return EffectiveBound("M", (sign, ell, m), Fraction(a), Fraction(c))
+    return EffectiveBound("M", Fraction(a), Fraction(c))

@@ -27,20 +27,18 @@ The roots of P(t) = F(1, t) are known in closed form (Watkins-Zeitlin,
 theta_k = 2 cos(2 pi k/n) + s for k = 1 .. m, with s = 0 for Fhat_p and
 s = 2 for F_{2m}.  P(2 cos phi + s) = sin(n phi/2) / sin(phi/2) gives
 |P'(theta_k)|^2 = n^2 / (8 (1 - c)^2 (1 + c)) with c = cos(2 pi k/n).
-Each root is enclosed at any precision by integer fixed-point pi
+Each root is enclosed at any precision w by integer fixed-point pi
 (Machin) and a cosine Taylor series with a proven remainder
 (_cos_bounds), O(m) per form; the only polynomial sign is one exact
 sign confirming the one rational root, -1 + s at 3k = n, and it is the
-one use of a form's coefficients in a solve.  The 44-bit enclosures
-((c - 1)/2^44, (c + 1)/2^44) of real_roots give an integer
-L_i <= log2 |P'(theta_i)| through that formula, and a root's
-continued-fraction convergents are those its enclosure fixes, the
-precision doubling until they settle.
+one use of a form's coefficients in a solve.
 
-Each form carries one context (_FormContext), built on its first solve
-and kept on the form.  It holds the enclosures, the L_i, a lower bound
-on sep_i = min_j |theta_i - theta_j|, the residue index, the
-convergents tagged with their root and each phase's results.
+Each form keeps one context (_FormContext) per x_mid, built on its first
+solve to that x_mid: one enclosure of each root at one precision, the
+least of 2 bitlength(x_mid) + 64 and its doublings at which every root's
+convergents up to x_mid settle.  The scan windows, the convergents, an
+integer L_i <= log2 |P'(theta_i)| through the formula above and a lower
+bound on sep_i = min_j |theta_i - theta_j| all come from it.
 
 Nearest-root inequality (Tzanakis-de Weger, J. Number Theory 31, 1989).
 Let x > 0 and let theta_i be the root nearest y/x.  For j != i,
@@ -76,7 +74,10 @@ shows x0 and x_e.  A convergent p/q gives only the solutions
 exactly only when some lam q can lie in (x_e, x_mid] and the bound
 |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - delta/(q sep_i))^(m-1),
 delta = |p - theta_i q| for the root theta_i of the convergent, does not
-already show |F(q, p)| > k; it costs O(1) per convergent.
+already show |F(q, p)| > k.  It costs O(1) per convergent and takes
+delta from the context's enclosure of theta_i, which at under 32 w
+units of 2^-w < 2^-64 / x_mid^2 is far narrower than 1/q^2 for every
+q <= x_mid.
 
 The exhaustive scan runs on Python integers.  For each x it takes only
 the integers within min(k^(1/m), rho_i(x)) of x times an enclosure, the
@@ -177,7 +178,7 @@ class ThueForm:
     def name(self) -> str:
         return f"Fhat_{self.n}" if self.family == "reduced" else f"F_{self.n - 1}"
 
-    # both cached in the instance __dict__, outside the fields, eq and hash
+    # cached in the instance __dict__, outside the fields, eq and hash
     @cached_property
     def coeffs(self) -> tuple[int, ...]:
         """F_{2m}, the coefficient of T^(2m) in 1/(1 - sqrt(Y) T + X T^2),
@@ -192,9 +193,13 @@ class ThueForm:
                          for i in range(m + 1))
         return tuple((-1) ** i * math.comb(2 * m - i, i) for i in range(m + 1))
 
-    @cached_property
-    def _context(self) -> _FormContext:
-        return _FormContext(self)
+    def _context(self, x_mid: int) -> _FormContext:
+        """The form's one context up to x_mid, built on first use and kept,
+        like coeffs, in the instance __dict__."""
+        contexts = self.__dict__.setdefault("_contexts", {})
+        if x_mid not in contexts:
+            contexts[x_mid] = _FormContext(self, x_mid)
+        return contexts[x_mid]
 
 
 def check_degree(m: int) -> None:
@@ -234,10 +239,7 @@ def evaluate(form: ThueForm, x: int, y: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_ROOT_BITS = 44  # enclosures are ((c - 1)/2^44, (c + 1)/2^44)
-# real_roots rounds enclosures of width below 2^11 units at this precision
-_CENTER_BITS = 64
-# precisions, each twice the last, at which a root's convergents may settle
+# precisions, each twice the last, at which a form's convergents may settle
 _REFINEMENTS = 8
 
 
@@ -294,28 +296,23 @@ def _cos_bounds(n: int, ks, w: int) -> list[tuple[int, int]]:
     return out
 
 
-def real_roots(form: ThueForm) -> tuple[int, ...]:
-    """c_1 < ... < c_m with the i-th real root of F(1, t) in
-    ((c_i - 1)/2^44, (c_i + 1)/2^44).
+def real_roots(form: ThueForm, w: int) -> list[tuple[int, int]]:
+    """(lo_i, hi_i) with lo_i <= 2^w theta_i <= hi_i for the real roots
+    theta_1 < ... < theta_m of F(1, t), at a precision w >= 64, with
+    hi_i < lo_(i+1) and hi_i - lo_i < 2^(w/2).
 
-    The roots ascend as theta_k for k = m .. 1.  c_i rounds the
-    _cos_bounds enclosure of theta_k at 64 bits; checking that this
-    enclosure lies inside ((c_i - 1)/2^44, (c_i + 1)/2^44) and that those
-    m intervals are disjoint shows that each holds exactly one root.
-    Each call certifies afresh; a form's context keeps the result of its
-    one call.
+    The roots ascend as theta_k for k = m .. 1, and (lo_i, hi_i) is the
+    _cos_bounds enclosure of theta_k shifted by s.  Checking
+    hi_i < lo_(i+1) shows that the m intervals are disjoint, so each
+    holds exactly one root.  Each call certifies afresh; a form's context
+    keeps the result of its one call.
     """
-    g, s = _CENTER_BITS - _ROOT_BITS, form.shift << _CENTER_BITS
-    centers = []
-    for lo, hi in _cos_bounds(form.n, range(form.degree, 0, -1), _CENTER_BITS):
-        lo, hi = lo + s, hi + s
-        c = (lo + hi + (1 << g)) >> (g + 1)
-        if not (c - 1) << g < lo <= hi < (c + 1) << g:
-            raise ArithmeticError("root enclosure too wide")  # pragma: no cover
-        centers.append(c)
-    if any(b - a <= 2 for a, b in zip(centers, centers[1:])):
-        raise ArithmeticError("root enclosures overlap")  # pragma: no cover
-    return tuple(centers)
+    s = form.shift << w
+    roots = [(lo + s, hi + s) for lo, hi in _cos_bounds(form.n, range(form.degree, 0, -1), w)]
+    wide = any(hi - lo >> w // 2 for lo, hi in roots)
+    if wide or any(hi >= lo for (_, hi), (lo, _) in zip(roots, roots[1:])):
+        raise ArithmeticError("root enclosures too wide or overlapping")  # pragma: no cover
+    return roots
 
 
 def _log2_derivative(n: int, lo: int, hi: int, w: int) -> int:
@@ -336,29 +333,50 @@ def _log2_derivative(n: int, lo: int, hi: int, w: int) -> int:
 
 
 class _FormContext:
-    """What both phases of solve_bounded need of one form, built once.
+    """What both phases of solve_bounded need of one form up to one x_mid.
 
-    centers[i] = c_i with theta_i in ((c_i - 1)/2^44, (c_i + 1)/2^44),
-    ascending (real_roots); log2_deriv[i] = L_i <= log2 |P'(theta_i)|
-    from that enclosure (_log2_derivative); seps[i] = S_i with
-    S_i < sep_i 2^44, S_i >= 1 (inf for degree 1).  The residue index,
-    convergents and phase results are kept as they are first asked for.
+    roots[i] = (lo_i, hi_i), ascending, with lo_i <= 2^w theta_i <= hi_i
+    at the one precision w (real_roots); log2_deriv[i] = L_i <=
+    log2 |P'(theta_i)| (_log2_derivative); seps[i] = S_i with
+    1 <= S_i <= 2^w sep_i (inf for degree 1), as 2^w |theta_j - theta_i|
+    >= lo_j - hi_i for j > i; convergents holds (p, q, i) for every
+    convergent p/q, q <= max(x_mid, 1), of every root theta_i: the one
+    rational root, -1 + s at 3k = n, is its own once an exact sign
+    confirms it, and every other root has those its enclosure fixes
+    (continued_fraction_convergents).  w starts at 2 bitlength(x_mid) + 64,
+    so x_mid < 2^((w - 64)/2), and doubles until every root settles, at
+    most _REFINEMENTS precisions in all, or raises ArithmeticError.
     """
 
-    def __init__(self, form: ThueForm):
-        self.form = form
-        self.centers = real_roots(form)
-        s = form.shift << _ROOT_BITS
-        self.log2_deriv = [_log2_derivative(form.n, c - 1 - s, c + 1 - s, _ROOT_BITS)
-                           for c in self.centers]
-        gaps = [b - a - 2 for a, b in zip(self.centers, self.centers[1:])]
+    def __init__(self, form: ThueForm, x_mid: int):
+        self.form, self.x_mid, m = form, x_mid, form.degree
+        r = form.shift - 1  # 2 cos(2 pi/3) + s, a root when 3 | n
+        if form.n % 3 == 0 and sign_at(form.coeffs[::-1], Fraction(r)):
+            raise ArithmeticError(f"{r} is not a root of {form.name}")  # pragma: no cover
+        w = 2 * x_mid.bit_length() + 64
+        for _ in range(_REFINEMENTS):
+            roots, found = real_roots(form, w), []
+            for i, (lo, hi) in enumerate(roots):
+                convs = ([(r, 1)] if 3 * (m - i) == form.n
+                         else continued_fraction_convergents(lo, hi, 1 << w, max(x_mid, 1)))
+                if convs is None:
+                    break
+                found.append(convs)
+            if len(found) == m:
+                break
+            w *= 2
+        else:
+            raise ArithmeticError(f"convergents of {form.name} unsettled below {w} bits")
+        self.w, self.roots, s = w, roots, form.shift << w
+        self.log2_deriv = [_log2_derivative(form.n, lo - s, hi - s, w) for lo, hi in roots]
+        gaps = [lo - hi for (_, hi), (lo, _) in zip(roots, roots[1:])]
         self.seps = list(map(min, [math.inf] + gaps, gaps + [math.inf]))
+        self.convergents = tuple((p, q, i) for i, convs in enumerate(found) for p, q in convs)
         self._index: dict[int, list[list[int]]] = {}
-        self._convergents: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._runs: dict[tuple, tuple] = {}
 
     def run(self, phase, *args):
-        """phase(self, *args), computed once per form for each args."""
+        """phase(self, *args), computed once per context for each args."""
         key = (phase, *args)
         if key not in self._runs:
             self._runs[key] = phase(self, *args)
@@ -375,65 +393,37 @@ class _FormContext:
             self._index[q] = by_value
         return self._index[q]
 
-    def convergents(self, x_mid: int) -> tuple[tuple[int, int, int], ...]:
-        """(p, q, i) for every convergent p/q, q <= x_mid, of every root theta_i.
-
-        The one rational root, -1 + s at 3k = n, is its own only
-        convergent once an exact sign confirms it.  Every other root takes
-        the convergents its _cos_bounds enclosure fixes
-        (continued_fraction_convergents), at 2 log2(x_mid) + 64 bits and
-        then at doubled precision, at most _REFINEMENTS times in all; a
-        root still unsettled raises ArithmeticError.
-        """
-        if x_mid not in self._convergents:
-            form, m = self.form, self.form.degree
-            found, pending = {}, []
-            for i in range(m):
-                if 3 * (m - i) != form.n:
-                    pending.append(i)
-                    continue
-                r = form.shift - 1  # 2 cos(2 pi/3) + s
-                if sign_at(form.coeffs[::-1], Fraction(r)):
-                    raise ArithmeticError(f"{r} is not a root of {form.name}")  # pragma: no cover
-                found[i] = [(r, 1)]
-            w = 2 * x_mid.bit_length() + _CENTER_BITS
-            for _ in range(_REFINEMENTS):
-                if not pending:
-                    break
-                s, left = form.shift << w, []
-                for i, (lo, hi) in zip(pending, _cos_bounds(form.n, [m - i for i in pending], w)):
-                    convs = continued_fraction_convergents(lo + s, hi + s, 1 << w, x_mid)
-                    if convs is None:
-                        left.append(i)
-                    else:
-                        found[i] = convs
-                pending, w = left, 2 * w
-            if pending:
-                raise ArithmeticError(f"convergents of {form.name} unsettled at {w // 2} bits")
-            self._convergents[x_mid] = tuple((p, q, i) for i in range(m) for p, q in found[i])
-        return self._convergents[x_mid]
-
     def log2_lower_bound(self, p: int, q: int, i: int) -> int | None:
         """An integer b <= log2 |F(q, p)| for q > 0, from the root theta_i,
         or None when the enclosures cannot show p/q away from theta_i.
 
-        With gap = |p 2^44 - c_i q|, delta = |p - theta_i q| has
-        gap - q < delta 2^44 < gap + q, and for j != i
-        |p - theta_j q| >= q |theta_i - theta_j| (1 - e) with
-        e = delta / (q sep_i) < (gap + q) / (q S_i).  So
-        |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - e)^(m-1) once
-        e < 1, and -log2(1 - e) <= e / ((1 - e) ln 2) < 3 (gap + q) / (2 far)
-        with far = q S_i - (gap + q).
+        With a = p 2^w - hi_i q and b = p 2^w - lo_i q,
+        a <= 2^w (p - theta_i q) <= b.  When a and b share a sign, that
+        is unless a <= 0 <= b, delta = |p - theta_i q| has
+        g <= 2^w delta <= G with g = min(|a|, |b|) >= 1 and
+        G = max(|a|, |b|).  For j != i, |p - theta_j q| >=
+        q |theta_i - theta_j| - delta >= q |theta_i - theta_j| (1 - e) with
+        e = delta / (q sep_i) <= G / (q S_i).  F(q, p) is the product of
+        the p - theta_j q and |P'(theta_i)| that of the |theta_i - theta_j|
+        over j != i, so |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - e)^(m-1)
+        once e < 1, which far = q S_i - G > 0 shows.  Then
+        1 - e >= far / (q S_i), and -log2(1 - e) <= e / ((1 - e) ln 2) <=
+        G / (far ln 2) < 3 G / (2 far) as 1/ln 2 < 3/2.  With
+        log2 delta >= bitlength(g) - 1 - w, log2 q >= bitlength(q) - 1 and
+        log2 |P'(theta_i)| >= L_i, b = bitlength(g) - 1 - w +
+        (m - 1) (bitlength(q) - 1) + L_i - ceil(3 (m - 1) G / (2 far)).
         """
-        gap = abs((p << _ROOT_BITS) - self.centers[i] * q)
-        if gap <= q:
+        lo, hi = self.roots[i]
+        a, b = (p << self.w) - hi * q, (p << self.w) - lo * q
+        if a <= 0 <= b:
             return None
-        far = self.seps[i] * q - (gap + q)
+        g, big = sorted((abs(a), abs(b)))
+        far = self.seps[i] * q - big
         if far <= 0:
             return None
-        m = len(self.centers)
-        loss = -(-3 * (m - 1) * (gap + q) // (2 * far))  # ceil
-        return ((gap - q).bit_length() - 1 - _ROOT_BITS + (m - 1) * (q.bit_length() - 1)
+        m = len(self.roots)
+        loss = -(-3 * (m - 1) * big // (2 * far))  # ceil
+        return (g.bit_length() - 1 - self.w + (m - 1) * (q.bit_length() - 1)
                 + self.log2_deriv[i] - loss)
 
 
@@ -473,11 +463,12 @@ def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
     """(estimated ns, bound on the candidates) of the exhaustive scan of
     F = +-k over 1 <= x <= x_hi.
 
-    Each of the m windows of an x < 2^43 holds at most 2r + 3 values,
-    r = floor(k^(1/m)), as x hi_i - x lo_i = x 2^-43 < 1.  Building the
-    residue index and confirming the candidates before it take at most
-    2 q evaluations, priced at m + 1 terms each, q = _TABLE_PRIME.  The
-    budget this is held to keeps x_hi below 2^43.
+    Each of the m windows of an x <= x_hi holds at most 2r + 3 values,
+    r = floor(k^(1/m)), as x (hi_i - lo_i) < 2^w: x_hi <= x_mid <
+    2^((w - 64)/2) (_FormContext) and hi_i - lo_i < 2^(w/2) (real_roots).
+    Building the residue index and confirming the candidates before it
+    take at most 2 q evaluations, priced at m + 1 terms each,
+    q = _TABLE_PRIME.
     """
     m = ctx.form.degree
     candidates = m * x_hi * (2 * integer_nth_root(k, m) + 3)
@@ -515,13 +506,13 @@ def _scan_exhaustive(
     """(x, y, F(x, y)) for every solution of F = +-k with 0 <= x <= x_hi.
 
     Solutions with x < 0 follow from F(-x, -y) = (-1)^deg F(x, y); x = 0
-    is solved directly.  For x > 0 the window of the root theta_i in
-    (lo_i, hi_i) = ((c_i - 1)/2^44, (c_i + 1)/2^44) holds the integers y
-    with |y - theta_i x| <= min(k^(1/m), rho_i(x)) (module docstring).
+    is solved directly.  For x > 0 the window of the root theta_i, with
+    lo_i <= 2^w theta_i <= hi_i (_FormContext), holds the integers y with
+    |y - theta_i x| <= min(k^(1/m), rho_i(x)) (module docstring).
     k^(1/m) < r + 1, r = floor(k^(1/m)), gives
-    floor(x lo_i) - r <= y <= ceil(x hi_i) + r; the integer quotient
-    U_i = ceil(k 2^(44 + m - 1 - L_i) / x^(m-1)) >= 2^44 rho_i(x) gives
-    ceil((2^44 x lo_i - U_i)/2^44) <= y <= floor((2^44 x hi_i + U_i)/2^44).
+    floor(x lo_i / 2^w) - r <= y <= ceil(x hi_i / 2^w) + r; the integer
+    quotient U_i = ceil(k 2^(w + m - 1 - L_i) / x^(m-1)) >= 2^w rho_i(x)
+    gives ceil((x lo_i - U_i)/2^w) <= y <= floor((x hi_i + U_i)/2^w).
     The windows of one x are merged (_merged), and an x whose windows
     hold more than _CANDIDATE_BUDGET values is refused.  Every window
     value is a candidate, confirmed exactly by evaluate.  Once the
@@ -544,18 +535,18 @@ def _scan_exhaustive(
             f"exhaustive Thue scan of {x_hi} x values and up to {candidates} "
             f"candidates would take about {ns / 6e10:.3g} min; the budget is about a minute"
         )
-    # 2^44 rho_i(x) = (k << up) / (x^(m-1) << down), up - down = 44 + m - 1 - L_i
-    rho, w = [], _ROOT_BITS
-    for c, log in zip(ctx.centers, ctx.log2_deriv):
+    # 2^w rho_i(x) = (k << up) / (x^(m-1) << down), up - down = w + m - 1 - L_i
+    rho, w = [], ctx.w
+    for (lo, hi), log in zip(ctx.roots, ctx.log2_deriv):
         s = w + m - 1 - log
-        rho.append((c - 1, c + 1, k << max(s, 0), max(-s, 0)))
+        rho.append((lo, hi, k << max(s, 0), max(-s, 0)))
     q, index, scanned = _TABLE_PRIME, None, 0
     for x in range(1, x_hi + 1):
         power = x ** (m - 1)
         spans = []
-        for c_lo, c_hi, num, down in rho:
+        for root_lo, root_hi, num, down in rho:
             u = -(-num // (power << down))
-            lo, hi = x * c_lo, x * c_hi
+            lo, hi = x * root_lo, x * root_hi
             a, b = -((u - lo) >> w), (hi + u) >> w
             if a <= b:  # the radius r only narrows a window
                 a, b = max(a, (lo >> w) - r), min(b, r - (-hi >> w))
@@ -592,7 +583,7 @@ def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tu
 
 
 def _scan_convergents(
-    ctx: _FormContext, k: int, x_lo: int, x_mid: int
+    ctx: _FormContext, k: int, x_lo: int
 ) -> tuple[tuple[tuple[int, int, int], ...], dict]:
     """(x, y, F(x, y)) for every solution of F = +-k at x = lam q, y = lam p,
     x_lo < x <= x_mid, for a convergent p/q of a root and lam >= 1.
@@ -602,8 +593,7 @@ def _scan_convergents(
     when lam_max q > x_lo and the O(1) bound of its root does not
     prove |F(q, p)| > k (log2_lower_bound >= bitlength(k) > log2 k).
     """
-    m = ctx.form.degree
-    convs = ctx.convergents(x_mid)
+    m, x_mid, convs = ctx.form.degree, ctx.x_mid, ctx.convergents
     lam_cap = integer_nth_root(k, m)
     out = []
     info = {"roots": m, "convergents": len(convs),
@@ -649,7 +639,7 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
     if not 0 <= x_small <= x_mid:
         raise DomainError("need 0 <= x_small <= x_mid")
     m, k = form.degree, abs(rhs)
-    ctx = form._context
+    ctx = form._context(x_mid)
     x0 = _legendre_threshold(ctx, k)
     x_e = x_small if x0 is None else min(x_small, x0 - 1)
     found, info = ctx.run(_scan_exhaustive, k, x_e)
@@ -667,7 +657,7 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
             sols.update(_linear_solutions(form, rhs, x_e + 1, x_mid))
             cert["midsize"] = "linear form solved directly"
         else:
-            more, info = ctx.run(_scan_convergents, k, x_e, x_mid)
+            more, info = ctx.run(_scan_convergents, k, x_e)
             found += more
             cert["midsize"] = dict(info)
     for x, y, v in found:

@@ -4,12 +4,15 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines as the
 criteria complete.  Every tolerance is pinned here; nothing is deferred.
 """
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 from tauhunt import curves, lehmer, lucas, newform, thue
 from tauhunt.arith import factor, is_prime, primes_up_to
@@ -204,6 +207,24 @@ def test_criterion_07_theorem_reproduction():
     elapsed = time.monotonic() - t0
     _ok(7, f"all {len(lehmer.THEOREM_TARGETS)} targets excluded within default bounds, "
            "unconditionally", f"{elapsed:.1f}s")
+
+
+def test_criterion_07_theorem_reproduction_deep_x_mid():
+    # reproduce thm1.2 with every Thue condition certified to x_mid = 10^30:
+    # the output is pinned, and the bound skips all but the small-q
+    # convergents, so it runs in about twice the default sweep's time
+    # (9 s when every convergent past q ~ 2^22 was evaluated exactly)
+    src = str(Path(thue.__file__).parent.parent)
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "tauhunt.cli", "reproduce", "thm1.2",
+                           "--x-mid", str(10**30)], capture_output=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    elapsed = time.monotonic() - t0
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "cd22922dbc0b2920032c5f965781ef1d9fe87a9ac73f7213d3ea855b62f1f236")
+    assert json.loads(proc.stdout)["all_excluded_within_bounds"] is True
+    assert elapsed < 5
+    _ok(7, "theorem targets excluded with Thue conditions to x_mid = 10^30", f"{elapsed:.1f}s")
 
 
 def test_criterion_08_criterion_identities():

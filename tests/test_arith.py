@@ -82,6 +82,22 @@ def test_factor_semiprimes_fast():
     assert got == [((p, 1), (q, 1)) for p, q in pairs]
 
 
+def test_factor_rho_budget(monkeypatch):
+    # Brent's rho charges each round its 2r steps before it starts: 10000079
+    # falls out in the round r = 4096, after 2 (8192 - 1) = 8190 steps
+    n = 10000019 * 10000079
+    monkeypatch.setattr(A, "_RHO_STEPS", 8190)
+    assert A.factor(n).pairs == ((10000019, 1), (10000079, 1))
+    monkeypatch.setattr(A, "_RHO_STEPS", 8189)
+    with pytest.raises(A.DomainError, match=f"15-digit cofactor {n} .* 8189 rho steps"):
+        A.factor(n)
+    # under the default budget, a semiprime of two 15-digit primes
+    # (16,777,214 steps, about 10 s) still factors
+    monkeypatch.undo()
+    assert A.factor(100000000000031 * 300000000000089).pairs == (
+        (100000000000031, 1), (300000000000089, 1))
+
+
 def test_factor_small_prime_times_large_prime():
     # the trial division stops once the cofactor is prime
     rng = random.Random(5)

@@ -526,6 +526,20 @@ def test_thue_solve_rational_root(m, rhs, capsys):
     assert [s for s in sols if abs(s[0]) <= 10] == dense_thue_solutions(coeffs, [rhs], 10)[rhs]
 
 
+def test_thue_solve_fhat691_deep_x_mid(capsys):
+    # at x_mid = 10^30 the bound, read from the enclosures the convergents
+    # settled on, skips every convergent but the 611 with no multiplier in
+    # range and the 229 small-q ones that the default bounds evaluate too
+    code, out = run_cli(["thue-solve", "--reduced-p", "691", "--rhs", "691", "--x-small", "1000",
+                         "--x-mid", str(10**30)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["solutions"] == [[1, 2]]
+    assert data["certificate"]["midsize"] == {
+        "roots": 345, "convergents": 20360, "skipped_multiplier": 611,
+        "skipped_bound": 19520, "evaluated": 229}
+
+
 def test_reproduce_smoke(capsys):
     code, out = run_cli(
         ["reproduce", "thm1.2", "--xmax", "3000", "--x-small", "50", "--x-mid", "100"],

@@ -132,7 +132,7 @@ def test_one_lucas_ladder(monkeypatch):
         monkeypatch.setattr(module, "lucas_ladder", counted)
     probes = {
         "evaluate": lambda: thue.evaluate(thue.build_reduced_form(7), 2, 3),
-        "index": lambda: thue.ThueForm("reduced", 7)._context.index(101),
+        "index": lambda: thue.ThueForm("reduced", 7)._context(100).index(101),
         "rank_of_apparition": lambda: lucas.rank_of_apparition(lucas.LucasPair(1, 2), 10**9 + 7),
         "coeff_prime_power": lambda: newform.coeff_prime_power(newform.delta_newform(), 2, 5),
         "is_prime": lambda: arith.is_prime(10**29 + 319),
@@ -141,6 +141,32 @@ def test_one_lucas_ladder(monkeypatch):
         calls.clear()
         probe()
         assert calls, f"{name} computes a Lucas term without arith.lucas_ladder"
+
+
+def test_one_enclosure_per_thue_root(monkeypatch):
+    """A Thue context keeps one enclosure per root, at one precision:
+    building it at default bounds takes one _cos_bounds pass, at
+    2 bitlength(x_mid) + 64 bits, and no fixed 2^44 grid is left."""
+    import re
+
+    from tauhunt import thue
+    from tauhunt.lehmer import SearchBounds
+
+    cos_bounds, precisions = thue._cos_bounds, []
+
+    def counted(n, ks, w):
+        precisions.append(w)
+        return cos_bounds(n, ks, w)
+
+    monkeypatch.setattr(thue, "_cos_bounds", counted)
+    x_mid = SearchBounds().x_mid
+    for form in (thue.ThueForm("reduced", 691), thue.ThueForm("reduced", 7),
+                 thue.ThueForm("standard", 9)):
+        precisions.clear()
+        form._context(x_mid)
+        assert precisions == [2 * x_mid.bit_length() + 64], form.name
+    for path in SRC.glob("*.py"):
+        assert not re.search(r"2\s*(\^|\*\*)\s*44\b|<<\s*44\b|_BITS = 44", path.read_text()), path
 
 
 # runs each verb given as one JSON argument vector, reporting on stderr

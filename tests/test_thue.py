@@ -122,7 +122,7 @@ def test_evaluate_matches_horner():
 def test_residue_index_matches_horner(form):
     # the ladder mod q fills the index with the t of each value of F(1, t) mod q
     for q in (5, 7, 4093):
-        by_value = T.ThueForm(form.family, form.n)._context.index(q)
+        by_value = T.ThueForm(form.family, form.n)._context(100).index(q)
         want = [[] for _ in range(q)]
         for t in range(q):
             want[form_value(form.coeffs, 1, t) % q].append(t)
@@ -206,14 +206,14 @@ def _isolation_forms():
 
 def test_real_roots_isolate():
     for form in _isolation_forms():
-        centers = T.real_roots(form)
-        assert len(centers) == form.degree, form.name
-        for c in centers:
-            # sign of F(1, t) at t = a/2^44 is the sign of F(2^44, a)
-            lo = form_value(form.coeffs, 2**44, c - 1)
-            hi = form_value(form.coeffs, 2**44, c + 1)
-            assert lo * hi < 0, form.name
-        assert all(b - a > 2 for a, b in zip(centers, centers[1:])), form.name
+        for w in (64, 101, 300):
+            roots = T.real_roots(form, w)
+            assert len(roots) == form.degree, form.name
+            for lo, hi in roots:
+                # sign of F(1, t) at t = a/2^w is the sign of F(2^w, a)
+                assert form_value(form.coeffs, 2**w, lo) * form_value(form.coeffs, 2**w, hi) < 0
+                assert 0 < hi - lo < 2 ** (w // 2), (form.name, w)
+            assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:])), (form.name, w)
 
 
 @pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
@@ -255,26 +255,26 @@ def test_odd_degree_sign_symmetry():
             assert minus == tuple(sorted((-x, -y) for x, y in plus)), (form.name, k)
 
 
-def _exact_window_candidates(form, k, x_hi):
+def _exact_window_candidates(ctx, k, x_hi):
     """(r, number of (x, y) scanned for 1 <= x <= x_hi) of the exhaustive
     scan of F = +-k, counted from exact rational windows: for each x, the
     integers y with |y - t x| <= min(k^(1/m), rho_i) for some t in an
-    enclosure [lo_i, hi_i], where rho_i = 2^(m-1) k / (x^(m-1) 2^L_i) and
-    L_i is the context's bound on log2 |P'(theta_i)|.  The radius
-    k^(1/m) < r + 1 enters as floor(x lo_i) - r <= y <= ceil(x hi_i) + r."""
-    m = form.degree
+    enclosure [lo_i/2^w, hi_i/2^w] of the context, where
+    rho_i = 2^(m-1) k / (x^(m-1) 2^L_i) and L_i is the context's bound on
+    log2 |P'(theta_i)|.  The radius k^(1/m) < r + 1 enters as
+    floor(x lo_i/2^w) - r <= y <= ceil(x hi_i/2^w) + r."""
+    m, w = ctx.form.degree, ctx.w
     r = integer_nth_root(k, m)
-    cs, logs = T.real_roots(form), form._context.log2_deriv
     total = 0
     for x in range(1, x_hi + 1):
         ys = set()
         power = x ** (m - 1)
-        for c, log in zip(cs, logs):
-            # rho_i = num / den; x lo_i - rho_i = (x (c - 1) den - num 2^44) / (2^44 den)
+        for (lo, hi), log in zip(ctx.roots, ctx.log2_deriv):
+            # rho_i = num / den; x lo_i/2^w - rho_i = (x lo_i den - num 2^w) / (2^w den)
             num, den = 2 ** (m - 1) * k << max(-log, 0), power << max(log, 0)
-            lo, hi = x * (c - 1), x * (c + 1)  # 2^44 x lo_i and 2^44 x hi_i
-            start = max((lo >> 44) - r, -(((num << 44) - lo * den) // (den << 44)))
-            end = min(-(-hi >> 44) + r, (hi * den + (num << 44)) // (den << 44))
+            xlo, xhi = x * lo, x * hi
+            start = max((xlo >> w) - r, -(((num << w) - xlo * den) // (den << w)))
+            end = min(-(-xhi >> w) + r, (xhi * den + (num << w)) // (den << w))
             ys.update(range(start, end + 1))
         total += len(ys)
     return r, total
@@ -285,12 +285,12 @@ def test_exhaustive_counts_in_certificate():
     # x = 1: [-1, 2] u [0, 3] u [2, 5] = [-1, 5], 7 values
     # x = 2: rho_i(2) = 4 * 7 / (4 * 2^L_i) >= 1.75 > r (L_i = 2, 1, 2), so
     # [-1, 2] u [2, 5] u [5, 8] = [-1, 8], 10 values
-    assert _exact_window_candidates(T.build_form(3), 7, 2) == (1, 17)
+    assert _exact_window_candidates(T.build_form(3)._context(2), 7, 2) == (1, 17)
     res = T.solve_bounded(T.build_form(3), 7, x_small=2, x_mid=2)
     assert res.certificate["exhaustive"] == {
         "window_radius": 1, "candidates": 17, "confirmed": 2}
     # the windows shrink like 1/x^2 once x grows
-    r, count = _exact_window_candidates(T.build_form(3), 7, 10)
+    r, count = _exact_window_candidates(T.build_form(3)._context(10), 7, 10)
     res = T.solve_bounded(T.build_form(3), -7, x_small=10, x_mid=10)
     assert res.certificate["exhaustive"] == {
         "window_radius": r, "candidates": count, "confirmed": 3}
@@ -323,7 +323,7 @@ def test_exhaustive_counts_fhat691():
     form = T.build_reduced_form(691)
     res = T.solve_bounded(form, 691, x_small=1000, x_mid=1000)
     assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (3, 2)
-    r, count = _exact_window_candidates(form, 691, 2)
+    r, count = _exact_window_candidates(form._context(1000), 691, 2)
     assert (r, count) == (1, 17)
     assert res.certificate["exhaustive"] == {
         "window_radius": r, "candidates": count, "confirmed": 1}
@@ -367,7 +367,7 @@ def test_scan_budget_refuses_before_scanning():
     # lies below x0, so the scan would take every x to 10^6, 200003 values
     # per window; it is refused at once
     form = T.build_reduced_form(7)
-    assert T._legendre_threshold(form._context, 10**15) == 4 * 10**15 + 1
+    assert T._legendre_threshold(form._context(10**6), 10**15) == 4 * 10**15 + 1
     start = time.perf_counter()
     with pytest.raises(DomainError, match="1000000 x values and up to 600009000000 candidates"):
         T.solve_bounded(form, 10**15, 10**6, 10**6)
@@ -393,9 +393,9 @@ def test_midsize_counters_fhat691():
             "skipped_bound": 2013, "evaluated": 229}
         assert res.solutions == ((rhs // 691, 2 * rhs // 691),)
     # every convergent the bound skips has |F(q, p)| > 691
-    convs = form._context.convergents(bounds.x_mid)
-    skipped = [(p, q) for p, q, i in convs
-               if q > 2 and (b := form._context.log2_lower_bound(p, q, i)) is not None
+    ctx = form._context(bounds.x_mid)
+    skipped = [(p, q) for p, q, i in ctx.convergents
+               if q > 2 and (b := ctx.log2_lower_bound(p, q, i)) is not None
                and b >= (691).bit_length()]
     assert len(skipped) == 2013
     assert all(abs(form_value(form.coeffs, q, p)) > 691 for p, q in skipped[::50])
@@ -406,7 +406,7 @@ def test_midsize_counters_evaluated():
     # the root 4 cos^2(pi/11) = 3.68.., and the 14 convergents the O(1)
     # bound cannot put above 11 are evaluated
     form = T.build_form(5)
-    convs = form._context.convergents(100000)
+    convs = form._context(100000).convergents
     res = T.solve_bounded(form, 11, x_small=0, x_mid=100000)
     assert res.solutions == ((1, 4),)
     assert res.certificate["midsize"] == {
@@ -439,7 +439,7 @@ def test_midsize_matches_unpruned_oracle():
                       st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.booleans())
     def planted(form, x_small, x_mid, pick, lam, negative, plant):
         m = form.degree
-        convs = [(p, q) for p, q, _ in form._context.convergents(x_mid)
+        convs = [(p, q) for p, q, _ in form._context(x_mid).convergents
                  if x_small < lam * q <= x_mid]
         hypothesis.assume(convs)
         pnum, q = convs[pick % len(convs)]
@@ -451,6 +451,32 @@ def test_midsize_matches_unpruned_oracle():
         got = T.solve_bounded(form, rhs, x_small, x_mid).solutions
         assert [s for s in got if abs(s[0]) > x_small] == convergent_solutions(
             form, rhs, x_small, x_mid), (form.name, rhs)
+        assert not plant or (x, y) in got
+
+    planted()
+
+
+def test_deep_midsize_matches_unpruned_oracle():
+    """With nothing scanned, the pruned pass finds exactly what evaluating
+    every convergent finds at x_mid up to 10^40, where the bound skips
+    deep convergents from the enclosures the convergents settled on, on
+    right sides planted as lam^m F(q, p) at a convergent p/q."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS[:12]), st.integers(10**5, 10**40),
+                      st.integers(0, 10**6), st.integers(1, 3), st.booleans(), st.booleans())
+    def planted(form, x_mid, pick, lam, negative, plant):
+        convs = [(p, q) for p, q, _ in form._context(x_mid).convergents if lam * q <= x_mid]
+        pnum, q = convs[pick % len(convs)]
+        x, y = (-lam * q, -lam * pnum) if negative else (lam * q, lam * pnum)
+        rhs = form_value(form.coeffs, x, y)
+        rhs = rhs if plant else rhs // 2 + 1
+        hypothesis.assume(rhs != 0)
+        got = T.solve_bounded(form, rhs, 0, x_mid).solutions
+        assert [s for s in got if s[0]] == convergent_solutions(form, rhs, 0, x_mid), (
+            form.name, rhs, x_mid)
         assert not plant or (x, y) in got
 
     planted()
@@ -471,8 +497,9 @@ def test_shrunk_windows_match_dense_oracle():
     def planted(form, x_small, data):
         x = data.draw(st.integers(-x_small, x_small))
         if data.draw(st.booleans()):
-            c = data.draw(st.sampled_from(form._context.centers))
-            y = (c * x >> 44) + data.draw(st.integers(-3, 3))
+            ctx = form._context(x_small)
+            lo, _ = data.draw(st.sampled_from(ctx.roots))
+            y = (lo * x >> ctx.w) + data.draw(st.integers(-3, 3))
         else:
             y = data.draw(st.integers(-4 * abs(x) - 2, 4 * abs(x) + 2))
         rhs = form_value(form.coeffs, x, y)
@@ -499,7 +526,8 @@ def test_scan_windows_match_exact_hull():
     def exact(form, k, x_small):
         hypothesis.assume(integer_nth_root(k, form.degree) <= 1000)
         res = T.solve_bounded(form, k, x_small, x_small)
-        r, count = _exact_window_candidates(form, k, res.certificate["x_exhaustive"])
+        r, count = _exact_window_candidates(form._context(x_small), k,
+                                            res.certificate["x_exhaustive"])
         assert res.certificate["exhaustive"]["window_radius"] == r, (form.name, k)
         assert res.certificate["exhaustive"]["candidates"] == count, (form.name, k)
 
@@ -532,7 +560,7 @@ def test_log2_derivatives_below_mpmath():
                 assert abs(mpmath.log(prod, 2) - log) < mpmath.mpf(10) ** -20, (form.name, k)
         for form in forms:
             # the ascending roots are theta_k for k = m .. 1
-            for got, k in zip(form._context.log2_deriv, range(form.degree, 0, -1)):
+            for got, k in zip(form._context(1).log2_deriv, range(form.degree, 0, -1)):
                 _, exact = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, k)
                 # 10^-20 is far above the 30-digit error; |P'| = 1 on F_2
                 assert exact - 2 < got <= exact + mpmath.mpf(10) ** -20, (form.name, k)
@@ -541,8 +569,9 @@ def test_log2_derivatives_below_mpmath():
 def test_closed_form_enclosures_hold_mpmath_roots():
     """For odd n up to about 2*10^4, every _cos_bounds enclosure holds
     mpmath's 2 cos(2 pi k/n), at any precision, as does each arctan
-    bound behind its pi; the 44-bit enclosures of real_roots hold
-    theta_k, and L_k <= log2 |P'(theta_k)|."""
+    bound behind its pi; it is narrower than 32 w units, below the
+    2^(w/2) real_roots needs at w >= 64, and gives
+    L_k <= log2 |P'(theta_k)|."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     mpmath = pytest.importorskip("mpmath")
@@ -561,41 +590,39 @@ def test_closed_form_enclosures_hold_mpmath_roots():
             ((lo, hi),) = T._cos_bounds(n, [k], w)
             scaled = (theta - shift) * mpmath.mpf(2) ** w
             assert lo <= scaled <= hi and hi - lo < 32 * w, (n, k, w)
-            ((lo, hi),) = T._cos_bounds(n, [k], T._CENTER_BITS)
-            g, s = T._CENTER_BITS - T._ROOT_BITS, shift << T._CENTER_BITS
-            c = (lo + hi + 2 * s + (1 << g)) >> (g + 1)
-            assert c - 1 < theta * 2**44 < c + 1, (n, k)
-            s = shift << 44
-            assert T._log2_derivative(n, c - 1 - s, c + 1 - s, 44) <= log, (n, k)
+            assert T._log2_derivative(n, lo, hi, w) <= log, (n, k, w)
 
     holds()
 
 
-def _assert_bound_holds(form, pnum, q, i):
-    b = form._context.log2_lower_bound(pnum, q, i)
+def _assert_bound_holds(ctx, pnum, q, i):
+    b = ctx.log2_lower_bound(pnum, q, i)
     if b is not None:
-        value = form_value(form.coeffs, q, pnum)
-        assert value != 0 and abs(value).bit_length() - 1 >= b, (form.name, pnum, q)
+        value = form_value(ctx.form.coeffs, q, pnum)
+        assert value != 0 and abs(value).bit_length() - 1 >= b, (ctx.form.name, pnum, q)
     return b
 
 
 def test_enclosure_bound_on_deep_convergents():
-    # past q ~ 2^22 a convergent lies closer to its root than the
-    # enclosure's width times q, where the bound gives None
+    # the enclosures are as precise as the convergents need, so the bound
+    # gives a value on every convergent to 10^12 with q > 1, the deep ones
+    # included (on q = 1 the separation factor may fail)
     for form in _PRUNED_FORMS[:12]:
-        bounds = [_assert_bound_holds(form, p, q, i)
-                  for p, q, i in form._context.convergents(10**12)]
-        assert None in bounds and set(bounds) != {None}, form.name
+        ctx = form._context(10**12)
+        bounds = {(p, q): _assert_bound_holds(ctx, p, q, i) for p, q, i in ctx.convergents}
+        assert all(b is not None for (_, q), b in bounds.items() if q > 1), form.name
+        assert max(q for _, q in bounds) > 2**22, form.name
 
 
 def test_enclosure_bound_on_every_small_point():
     # every p/q with q < 25 in the cone, against every root: far from
     # theta_i the separation factor (1 - delta/(q sep_i))^(m-1) matters
     for form in _PRUNED_FORMS[:12]:
+        ctx = form._context(24)
         for q in range(1, 25):
             for p in range(-2 * q - 2, 4 * q + 3):
                 for i in range(form.degree):
-                    _assert_bound_holds(form, p, q, i)
+                    _assert_bound_holds(ctx, p, q, i)
 
 
 def test_enclosure_bound_below_exact_value():
@@ -604,13 +631,13 @@ def test_enclosure_bound_below_exact_value():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(st.sampled_from(_PRUNED_FORMS), st.integers(0, 10**6),
-                      st.integers(1, 10**15), st.integers(-3, 3))
-    def bound(form, pick, q, offset):
-        centers = form._context.centers
-        i = pick % len(centers)
-        # p next to theta_i q for theta_i ~ c_i / 2^44
-        _assert_bound_holds(form, (centers[i] * q >> 44) + offset, q, i)
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS), st.sampled_from([1, 10**4, 10**15]),
+                      st.integers(0, 10**6), st.integers(1, 10**15), st.integers(-3, 3))
+    def bound(form, x_mid, pick, q, offset):
+        ctx = form._context(x_mid)
+        i = pick % len(ctx.roots)
+        # p next to theta_i q for theta_i ~ lo_i / 2^w
+        _assert_bound_holds(ctx, (ctx.roots[i][0] * q >> ctx.w) + offset, q, i)
 
     bound()
 
@@ -620,7 +647,7 @@ def test_hand_built_form_validated():
     fhat7 = T.build_reduced_form(7)
     assert T.ThueForm("reduced", 7) == fhat7
     assert T.ThueForm("reduced", 7).coeffs == fhat7.coeffs
-    assert T.real_roots(T.ThueForm("reduced", 7)) == T.real_roots(fhat7)
+    assert T.real_roots(T.ThueForm("reduced", 7), 64) == T.real_roots(fhat7, 64)
     assert T.ThueForm("standard", 7).coeffs == T.build_form(3).coeffs
     for family, n in (("reduced", 9), ("reduced", 2), ("standard", 8), ("standard", 1),
                       ("cubic", 7)):
@@ -637,7 +664,7 @@ def test_convergents_match_exact_signs():
     # oracle's own isolation: every root of every form, and on Fhat_691,
     # where the oracle takes about half a second a root, every 43rd
     for form in _isolation_forms():
-        convs = form._context.convergents(10**30)
+        convs = form._context(10**30).convergents
         roots = thue_roots(form)
         for i in range(0, form.degree, 43 if form.degree > 100 else 1):
             assert [(p, q) for p, q, j in convs if j == i] == exact_convergents(
@@ -659,7 +686,7 @@ def test_convergents_match_mpmath():
         i = data.draw(st.integers(0, form.degree - 1))
         k = form.degree - i
         hypothesis.assume(3 * k != form.n)
-        got = [(p, q) for p, q, j in _fresh(form)._context.convergents(10**100) if j == i]
+        got = [(p, q) for p, q, j in _fresh(form)._context(10**100).convergents if j == i]
         with mpmath.workdps(300):
             x = 2 * mpmath.cos(2 * mpmath.pi * k / form.n) + form.shift
             want, (p0, q0, p1, q1) = [], (1, 0, int(mpmath.floor(x)), 1)
@@ -676,20 +703,28 @@ def test_convergents_match_mpmath():
 def test_fhat691_convergents_fast():
     form = T.ThueForm("reduced", 691)  # a context of its own
     start = time.perf_counter()
-    convs = form._context.convergents(10**30)
+    convs = form._context(10**30).convergents
     assert time.perf_counter() - start < 1.0
     assert {i for _, _, i in convs} == set(range(345))
 
 
 def test_unsettled_convergents_refused(monkeypatch):
-    # with no precision to try, every irrational root is refused, never retried
-    monkeypatch.setattr(T, "_REFINEMENTS", 0)
-    with pytest.raises(ArithmeticError, match="unsettled"):
-        _fresh(T.build_reduced_form(7))._context.convergents(100)
-    # the rational root 1 of F_8 needs no precision: it is its own convergent
-    monkeypatch.setattr(T, "_REFINEMENTS", 1)
-    convs = _fresh(T.build_form(4))._context.convergents(100)
-    assert (1, 1, 1) in convs
+    # a root that never settles doubles the precision _REFINEMENTS times
+    # from 2 bitlength(x_mid) + 64, one root per precision, then is refused
+    dens = []
+
+    def unsettled(lo, hi, den, qmax):
+        dens.append(den)
+
+    monkeypatch.setattr(T, "continued_fraction_convergents", unsettled)
+    monkeypatch.setattr(T, "_REFINEMENTS", 3)
+    with pytest.raises(ArithmeticError, match="unsettled below 624 bits"):
+        _fresh(T.build_reduced_form(7))._context(100)
+    assert dens == [2**78, 2**156, 2**312]
+    # the rational roots -1 of Fhat_3 and 1 of F_2 need no precision: each
+    # is its own convergent
+    assert _fresh(T.build_reduced_form(3))._context(100).convergents == ((-1, 1, 0),)
+    assert _fresh(T.build_form(1))._context(100).convergents == ((1, 1, 0),)
 
 
 def test_legendre_threshold_is_least():
@@ -701,7 +736,7 @@ def test_legendre_threshold_is_least():
     forms = [T.build_form(m) for m in range(1, 9)] + [
         T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 31, 101, 691)]
     for form in forms:
-        m, ctx = form.degree, form._context
+        m, ctx = form.degree, form._context(10**4)
         for k in (1, 2, 7, 691, 13**5, 10**20, 10**60):
             x0 = T._legendre_threshold(ctx, k)
             if m <= 2:
@@ -739,19 +774,20 @@ def test_solutions_past_threshold_found():
     def planted(form, x_small, data):
         if data.draw(st.booleans()):
             # on a convergent p/q of a root, times lam
-            p, q, _ = data.draw(st.sampled_from(form._context.convergents(x_small)))
+            p, q, _ = data.draw(st.sampled_from(form._context(x_small).convergents))
             lam = data.draw(st.integers(1, x_small // q))
             x, y = lam * q, lam * p
         else:
             # next to x theta_i
             x = data.draw(st.integers(1, x_small))
-            c = data.draw(st.sampled_from(form._context.centers))
-            y = (c * x >> 44) + data.draw(st.integers(-2, 2))
+            ctx = form._context(x_small)
+            lo, _ = data.draw(st.sampled_from(ctx.roots))
+            y = (lo * x >> ctx.w) + data.draw(st.integers(-2, 2))
         if data.draw(st.booleans()):
             x, y = -x, -y
         rhs = form_value(form.coeffs, x, y)
         hypothesis.assume(rhs != 0)
-        x0 = T._legendre_threshold(form._context, abs(rhs))
+        x0 = T._legendre_threshold(form._context(x_small), abs(rhs))
         hypothesis.assume(x0 <= x_small)
         res = T.solve_bounded(form, rhs, x_small, x_small)
         assert res.certificate["x_exhaustive"] == x0 - 1
