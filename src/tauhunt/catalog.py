@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 __all__ = ["load", "clip", "compare"]
 
@@ -17,7 +17,7 @@ __all__ = ["load", "clip", "compare"]
 @lru_cache(maxsize=None)
 def load(name: str) -> dict:
     """The parsed catalog file `name`, e.g. "thue_tables.json"."""
-    return json.loads(resources.files("tauhunt.data").joinpath(name).read_text())
+    return json.loads(Path(__file__).with_name("data").joinpath(name).read_bytes())
 
 
 def clip(points, bound: int, unsigned_x: bool) -> list[list[int]]:

@@ -63,15 +63,17 @@ p/q = r/1, its one convergent.)  For m <= 2 the condition on x does
 not involve x, and there is no threshold.
 
 solve_bounded is a *bounded verifier* in two phases that meet at
-x_e = min(x_small, x0 - 1) (x_e = x_small for m <= 2): an exhaustive
-scan for |x| <= x_e and the convergents for x_e < |x| <= x_mid.  When
-x_small >= x0 - 1 this finds, by the proof above, every solution with
-|x| <= x_mid.  When x_small < x0 - 1 the convergents also stand for
-(x_small, x0), where that proof does not reach (the classical gap
-criterion of Tzanakis-de Weger Lemma 1.1 / Bilu-Hanrot); the certificate
-shows x0 and x_e.  A convergent p/q gives only the solutions
-(lam q, lam p) with lam^m |F(q, p)| = k, so F(q, p) is evaluated
-exactly only when some lam q can lie in (x_e, x_mid] and the bound
+x_e = min(x_small, x0 - 1): an exhaustive scan for |x| <= x_e and the
+convergents for x_e < |x| <= x_mid.  When x_small >= x0 - 1 this
+finds, by the proof above, every solution with |x| <= x_mid.  When
+x_small < x0 - 1 the convergents also stand for (x_small, x0), where
+that proof does not reach (the classical gap criterion of Tzanakis-de
+Weger Lemma 1.1 / Bilu-Hanrot); the certificate shows x0 and x_e.
+Degree 2 has no threshold and is scanned to x_e = x_mid; a linear form
+(F_2, Fhat_3) is refused, as its solutions form a line.  A convergent
+p/q gives only the solutions (lam q, lam p) with lam^m |F(q, p)| = k,
+so F(q, p) is evaluated exactly only when some lam q can lie in
+(x_e, x_mid] and the bound
 |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - delta/(q sep_i))^(m-1),
 delta = |p - theta_i q| for the root theta_i of the convergent, does not
 already show |F(q, p)| > k.  It costs O(1) per convergent and takes
@@ -119,7 +121,7 @@ __all__ = [
 
 # F(1, t) mod q, indexed by value, filters the exhaustive scan's candidates
 _TABLE_PRIME = 4093
-# y values scanned for one x, and solutions a linear form may list
+# y values scanned for one x
 _CANDIDATE_BUDGET = 1 << 22
 # Cost of the exhaustive scan, rounded up: _SCAN_NS_PER_X per x,
 # _SCAN_NS_PER_ROOT per root and x, _SCAN_NS_PER_CANDIDATE per value of
@@ -574,14 +576,6 @@ def _scan_exhaustive(
     return tuple(out), info
 
 
-def _linear_solutions(form: ThueForm, rhs: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:
-    # degree 1: y + c1 x = rhs has one solution for each x, two per |x|
-    if 2 * (x_hi - x_lo + 1) > _CANDIDATE_BUDGET:
-        raise DomainError(f"a linear form would list more than {_CANDIDATE_BUDGET} solutions")
-    c1 = 1 if form.family == "reduced" else -1  # Fhat_3 = Y + X, F_2 = Y - X
-    return [(x, rhs - c1 * x) for a in range(x_lo, x_hi + 1) for x in (a, -a)]
-
-
 def _scan_convergents(
     ctx: _FormContext, k: int, x_lo: int
 ) -> tuple[tuple[tuple[int, int, int], ...], dict]:
@@ -622,26 +616,30 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
     """All solutions with |x| <= x_e = min(x_small, x0 - 1) (exhaustive)
     plus all with x_e < |x| <= x_mid lying on continued-fraction
     convergents of the real roots of F(1, t), x0 the Legendre threshold
-    (_legendre_threshold; x_e = x_small for degree <= 2).  From x0 on
-    every solution lies on a convergent, so when x_small >= x0 - 1 every
-    solution with |x| <= x_mid is found.  Results are deterministic and
+    (_legendre_threshold; x_e = x_mid for degree 2).  From x0 on every
+    solution lies on a convergent, so when x_small >= x0 - 1 every
+    solution with |x| <= x_mid is found.  A linear form is refused
+    (DomainError) before any work.  Results are deterministic and
     sorted.
 
-    certificate["x0"] is x0 (None for degree <= 2) and
+    certificate["x0"] is x0 (None for degree 2) and
     certificate["x_exhaustive"] is x_e.  certificate["exhaustive"] holds
     the scan's work counts: the window radius floor(|rhs|^(1/m)), the
     (x, y) pairs scanned and the solutions of F = +-|rhs| it confirmed
-    (shared by rhs and -rhs); certificate["midsize"] counts the roots,
-    their convergents, the two skips and the exact evaluations.
+    (shared by rhs and -rhs); certificate["midsize"], present when
+    x_e < x_mid, counts the roots, their convergents, the two skips and
+    the exact evaluations.
     """
     if rhs == 0:
         raise DomainError("rhs must be nonzero")
     if not 0 <= x_small <= x_mid:
         raise DomainError("need 0 <= x_small <= x_mid")
     m, k = form.degree, abs(rhs)
+    if m == 1:
+        raise DomainError(f"{form.name} is linear: its solutions form a line, not a finite set")
     ctx = form._context(x_mid)
     x0 = _legendre_threshold(ctx, k)
-    x_e = x_small if x0 is None else min(x_small, x0 - 1)
+    x_e = x_mid if x0 is None else min(x_small, x0 - 1)
     found, info = ctx.run(_scan_exhaustive, k, x_e)
     cert = {
         "x_small": x_small,
@@ -653,13 +651,9 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
     }
     sols = set()
     if x_mid > x_e:
-        if m == 1:
-            sols.update(_linear_solutions(form, rhs, x_e + 1, x_mid))
-            cert["midsize"] = "linear form solved directly"
-        else:
-            more, info = ctx.run(_scan_convergents, k, x_e)
-            found += more
-            cert["midsize"] = dict(info)
+        more, info = ctx.run(_scan_convergents, k, x_e)
+        found += more
+        cert["midsize"] = dict(info)
     for x, y, v in found:
         if v == rhs:
             sols.add((x, y))

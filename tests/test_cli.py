@@ -268,13 +268,16 @@ def test_decompose_large_exponent(capsys):
 
 
 def test_decompose_over_budget_refused(capsys):
-    # 3^28 splits into 163,075 scenarios, about 1.8 GiB before they were counted
-    start = time.perf_counter()
-    code = main(["decompose", "--target", str(3**28)])
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error:") and "163075 scenarios" in captured.err
+    # 3^28 splits into 163,075 scenarios, about 1.8 GiB if all were built;
+    # the exponent of 3^100 alone has 190,569,292 partitions
+    for target in (3**28, 3**100):
+        start = time.perf_counter()
+        code = main(["decompose", "--target", str(target)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "more than 10000 scenarios" in captured.err
 
 
 def test_lookup_verbs_fuzz(capsys):
@@ -326,6 +329,18 @@ def test_thue_solve_linear_budget(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_small", ["0", "10", "1000"])
+def test_thue_solve_degree2_scans_to_x_mid(x_small, capsys):
+    # Fhat_5 = Y^2 + XY - X^2 has no Legendre threshold, so every x_small
+    # scans to x_mid and finds the same 56 solutions
+    code, out = run_cli(["thue-solve", "--reduced-p", "5", "--rhs", "11",
+                         "--x-small", x_small, "--x-mid", "1000"], capsys)
+    data = json.loads(out)
+    assert code == 0 and len(data["solutions"]) == 56
+    assert data["certificate"]["x_exhaustive"] == 1000
+    assert all(thue.evaluate(thue.build_reduced_form(5), x, y) == 11 for x, y in data["solutions"])
 
 
 def test_thue_solve_work_budget(capsys):

@@ -304,9 +304,11 @@ def test_scenario_count_matches_oracle():
                       st.sampled_from((1, -1)))
     def check(ells, sign):
         alpha = sign * math.prod(ells)
-        count = LE._scenario_count(factor(alpha).pairs, sign)
-        assert count == len(signed_block_scenarios(alpha))
-        if count <= LE._DECOMPOSE_BUDGET:
+        count = len(signed_block_scenarios(alpha))
+        if count > LE._DECOMPOSE_BUDGET:
+            with pytest.raises(DomainError, match="more than"):
+                LE.decompose_odd_target(DELTA, alpha)
+        else:
             assert len(LE.decompose_odd_target(DELTA, alpha)["scenarios"]) == count
 
     check()
@@ -315,8 +317,17 @@ def test_scenario_count_matches_oracle():
 def test_decompose_refuses_over_budget():
     # 3^20 splits into 12,442 scenarios, 3^19 into 8,745
     assert len(LE.decompose_odd_target(DELTA, -(3**19))["scenarios"]) == 8745
-    with pytest.raises(DomainError, match="12442 scenarios"):
+    with pytest.raises(DomainError, match="more than 10000 scenarios"):
         LE.decompose_odd_target(DELTA, 3**20)
+
+
+def test_decompose_budget_boundary(monkeypatch):
+    # -693 = -(3^2 * 7 * 11) splits into exactly 10 scenarios
+    monkeypatch.setattr(LE, "_DECOMPOSE_BUDGET", 10)
+    assert len(LE.decompose_odd_target(DELTA, -693)["scenarios"]) == 10
+    monkeypatch.setattr(LE, "_DECOMPOSE_BUDGET", 9)
+    with pytest.raises(DomainError, match="more than 9 scenarios"):
+        LE.decompose_odd_target(DELTA, -693)
 
 
 def test_report_serialization():

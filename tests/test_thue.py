@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -146,11 +147,12 @@ def test_solve_f6_pm7():
 
 
 def test_solve_linear_form():
-    res = T.solve_bounded(T.build_form(1), 5, x_small=3, x_mid=3)
-    assert res.solutions == tuple(sorted((x, x + 5) for x in range(-3, 4)))
-    # midsize handled in closed form
-    res = T.solve_bounded(T.build_form(1), 5, x_small=2, x_mid=4)
-    assert res.solutions == tuple(sorted((x, x + 5) for x in range(-4, 5)))
+    # the solutions of F_2 = Y - X = 5 and Fhat_3 = Y + X = 5 form a line
+    for form in (T.build_form(1), T.build_reduced_form(3)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="linear"):
+            T.solve_bounded(form, 5, x_small=0, x_mid=10**6)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_solve_empty_row():
@@ -189,7 +191,7 @@ def test_catalog_lookup():
 
 
 def test_certificate_shape():
-    res = T.solve_bounded(T.build_form(2), 5, x_small=20, x_mid=40)
+    res = T.solve_bounded(T.build_form(3), 5, x_small=20, x_mid=40)
     assert res.certificate["x_small"] == 20
     assert res.certificate["x_mid"] == 40
     assert "midsize" in res.certificate
@@ -231,8 +233,8 @@ def test_scan_matches_dense_oracle(form):
 def test_planted_solutions_found():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    forms = [T.build_form(m) for m in range(1, 8)] + [
-        T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+    forms = [T.build_form(m) for m in range(2, 8)] + [
+        T.build_reduced_form(p) for p in (5, 7, 11, 13, 17, 19, 23)]
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(st.sampled_from(forms), st.integers(1, 40), st.booleans(),
@@ -242,6 +244,37 @@ def test_planted_solutions_found():
         rhs = T.evaluate(form, x, y)
         hypothesis.assume(rhs != 0)
         assert (x, y) in T.solve_bounded(form, rhs, x_small=40, x_mid=40).solutions
+
+    planted()
+
+
+_QUADRATIC_FORMS = [T.build_form(2), T.build_reduced_form(5)]
+
+
+def test_degree2_scanned_to_x_mid():
+    """A degree-2 form has no Legendre threshold, so it is scanned to
+    x_mid whatever x_small: a solution planted next to x theta_i anywhere
+    up to x_mid is found, and the solutions with |x| <= min(x_mid, 100)
+    are the dense oracle's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.sampled_from(_QUADRATIC_FORMS),
+                      st.sampled_from([0, 10]), st.integers(10, 2000), st.data())
+    def planted(form, x_small, x_mid, data):
+        x = data.draw(st.integers(-x_mid, x_mid))
+        k = data.draw(st.integers(1, 2))
+        theta = 2 * math.cos(2 * math.pi * k / form.n) + form.shift
+        y = round(theta * x) + data.draw(st.integers(-3, 3))
+        rhs = T.evaluate(form, x, y)
+        hypothesis.assume(rhs != 0)
+        res = T.solve_bounded(form, rhs, x_small, x_mid)
+        assert res.certificate["x_exhaustive"] == x_mid and "midsize" not in res.certificate
+        assert (x, y) in res.solutions
+        near = min(x_mid, 100)
+        assert [s for s in res.solutions if abs(s[0]) <= near] == dense_thue_solutions(
+            form.coeffs, [rhs], near)[rhs], (form.name, rhs)
 
     planted()
 
@@ -424,8 +457,9 @@ def test_midsize_counters_evaluated():
         "skipped_bound": 37, "evaluated": 2}
 
 
-_PRUNED_FORMS = [T.build_form(m) for m in range(2, 7)] + [
-    T.build_reduced_form(p) for p in range(5, 102, 2) if is_prime(p)]
+# degree >= 3: a degree-2 form is scanned to x_mid and has no convergent phase
+_PRUNED_FORMS = [T.build_form(m) for m in range(3, 7)] + [
+    T.build_reduced_form(p) for p in range(7, 102, 2) if is_prime(p)]
 
 
 def test_midsize_matches_unpruned_oracle():
@@ -492,7 +526,7 @@ def test_shrunk_windows_match_dense_oracle():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(st.sampled_from(_PRUNED_FORMS),
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS + _QUADRATIC_FORMS),
                       st.one_of(st.integers(0, 2), st.integers(3, 40)), st.data())
     def planted(form, x_small, data):
         x = data.draw(st.integers(-x_small, x_small))
@@ -520,7 +554,8 @@ def test_scan_windows_match_exact_hull():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(st.sampled_from(_PRUNED_FORMS + [T.build_reduced_form(691)]),
+    @hypothesis.given(st.sampled_from(_PRUNED_FORMS + _QUADRATIC_FORMS
+                                      + [T.build_reduced_form(691)]),
                       st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)),
                       st.integers(0, 30))
     def exact(form, k, x_small):
