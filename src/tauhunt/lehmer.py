@@ -14,16 +14,18 @@ with alpha = sign * ell^m.  Every Thue condition is solved as
 Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, which is exact
 because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).
 
-check_admissibility takes every condition down one path.  _verdict
-runs its bounded search (the curve scan or the Fhat_d solve), compares
-the search with the condition's catalog entry through catalog.compare,
-and hands every point to _dispose.  _dispose recovers p and the
-possible |a_f(p)| behind the point, then runs one eigenvalue check on
-each magnitude: the Deligne bound, the stored a_f(p) and the
-trivial-mod-2 parity.  The flag is trusted only while no stored a_f(p),
-p not dividing 2N, is odd.  For the built-in discriminant form the
-classical congruences mod 9, 5, 7 and 691 prune conditions whose rank
-of apparition is impossible.
+Each condition carries its search problem, its CurveSpec or Fhat_d,
+built on enumeration, so a form over the degree ceiling is refused
+before any search.  check_admissibility takes every condition down one
+path.  _verdict runs the bounded search, compares it with the
+condition's catalog entry, {points, status} in both catalogs, through
+catalog.compare, and hands every point to _dispose.  _dispose recovers
+p and the possible |a_f(p)| behind the point, then runs one eigenvalue
+check on each magnitude: the Deligne bound, the stored a_f(p) and the
+trivial-mod-2 parity.  The flag is trusted only while no stored
+a_f(p), p not dividing 2N, is odd.  For the built-in discriminant form
+the classical congruences mod 9, 5, 7 and 691 prune conditions whose
+rank of apparition is impossible.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class DiophantineCondition:
     m: int
     sign: int
     weight: int
-    curve: curves.CurveSpec | None = None
+    problem: curves.CurveSpec | thue.ThueForm  # the curve, or Fhat_d for "thue"
 
     def describe(self) -> str:
         w = self.weight - 1
@@ -126,7 +128,8 @@ class DiophantineCondition:
 def enumerate_conditions(
     spec: NewformSpec, ell: int, m: int, sign: int
 ) -> list[DiophantineCondition]:
-    """One condition per odd prime d | ell(ell^2 - 1), sorted by d."""
+    """One condition per odd prime d | ell(ell^2 - 1), sorted by d, each
+    with its search problem; a Fhat_d over the degree ceiling is refused."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if m < 1:
@@ -138,12 +141,13 @@ def enumerate_conditions(
     out = []
     divisors = sorted(p for p, _ in factor(ell * (ell * ell - 1)).pairs if p > 2)
     for d in divisors:
-        kind, curve = "thue", None
         if d == 3:
-            kind, curve = "curve-C", curves.CurveSpec.c_family(w, ell, sign, m)
+            kind, problem = "curve-C", curves.CurveSpec.c_family(w, ell, sign, m)
         elif d == 5:
-            kind, curve = "curve-H", curves.CurveSpec.h_family(w, ell, sign, m)
-        out.append(DiophantineCondition(d, kind, alpha, ell, m, sign, spec.weight, curve))
+            kind, problem = "curve-H", curves.CurveSpec.h_family(w, ell, sign, m)
+        else:
+            kind, problem = "thue", thue.build_reduced_form(d)
+        out.append(DiophantineCondition(d, kind, alpha, ell, m, sign, spec.weight, problem))
     return out
 
 
@@ -299,35 +303,27 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
              ) -> ConditionVerdict:
     """Search the condition, compare the search with its catalog entry
     (if any) and dispose of every point found."""
-    listed = None  # (points, grh, compared bound) of a usable catalog entry
-    if cond.curve is None:
-        res = thue.solve_bounded(
-            thue.build_reduced_form(cond.d), cond.alpha, bounds.x_small, bounds.x_mid
-        )
+    if cond.kind == "thue":
+        res = thue.solve_bounded(cond.problem, cond.alpha, bounds.x_small, bounds.x_mid)
         hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
         cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
-        source = f"bounded search via reduced form Fhat_{cond.d}"
+        source = f"bounded search via reduced form {cond.problem.name}"
         fixture_source = source + " + solution catalog"
-        row = thue.catalog_lookup(cond.d, cond.alpha)
-        if row is not None:
-            # only the exhaustive range is complete, so only it is compared
-            listed = (row["solutions"], row["grh"], bounds.x_small)
+        entry = thue.catalog_lookup(cond.d, cond.alpha)
+        bound = bounds.x_small  # only the exhaustive range is complete
     else:
-        search = curves.search_points(cond.curve, bounds.x_max)
+        search = curves.search_points(cond.problem, bounds.x_max)
         hits, cert = search.points, dict(search.certificate)
-        source = f"bounded search on {cond.curve.label}"
-        fixture_source = f"integer-point catalog for {cond.curve.label} + bounded search"
+        source = f"bounded search on {cond.problem.label}"
+        fixture_source = f"integer-point catalog for {cond.problem.label} + bounded search"
         entry = None if cond.m > 1 else curves.catalog_entry(
-            cond.curve.family, spec.weight - 1, cond.ell, cond.sign
-        )
-        if entry is not None and entry["status"] != "open":
-            listed = (entry["points"], entry["status"] == "grh", bounds.x_max)
+            cond.problem.family, spec.weight - 1, cond.ell, cond.sign)
+        bound = bounds.x_max
     mode, grh = "search", False
-    if listed is not None:
-        points, listed_grh, bound = listed
-        mismatch = catalog.compare(points, hits, bound, cond.kind == "curve-H")
+    if entry is not None and entry["status"] != "open":
+        mismatch = catalog.compare(entry["points"], hits, bound, cond.kind == "curve-H")
         if mismatch is None:
-            mode, source, grh = "fixture+search", fixture_source, listed_grh
+            mode, source, grh = "fixture+search", fixture_source, entry["status"] == "grh"
         else:
             cert["catalog_discrepancy"] = mismatch
     disp = tuple(_dispose(spec, cond, x, y) for x, y in hits)
@@ -356,10 +352,6 @@ def check_admissibility(
     use_congruences = spec.is_delta and ell in RAMANUJAN_PRIMES
     excluded = {cond.d for cond in conds
                 if use_congruences and (cond.d - 1) not in achievable_ranks(ell)}
-    # a Thue form over its degree budget refuses the check before any search
-    for cond in conds:
-        if cond.curve is None and cond.d not in excluded:
-            thue.check_degree((cond.d - 1) // 2)  # the degree of Fhat_d
     verdicts = []
     for cond in conds:
         if cond.d in excluded:

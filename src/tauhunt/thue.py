@@ -205,22 +205,25 @@ class ThueForm:
 
 
 def check_degree(m: int) -> None:
-    """Refuse (DomainError) a form of degree m whose build and root
-    certification are estimated to take more than the budget, about a
-    minute."""
-    ns = m * m * (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 * m)
-    if ns > _SCAN_BUDGET_NS:
-        raise DomainError(
-            f"a Thue form of degree {m} would take about {ns / 6e10:.3g} min to build "
-            f"and certify; the budget is about a minute"
-        )
+    """Refuse (DomainError) a form of degree m above the degree ceiling, the
+    greatest c with c^2 (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 c) ns within
+    _SCAN_BUDGET_NS; a c past that many ns fails before any float overflow."""
+
+    def fits(c: int) -> bool:
+        return c <= _SCAN_BUDGET_NS and (
+            c * c * (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 * c) <= _SCAN_BUDGET_NS)
+
+    if not fits(m):
+        lo, hi = 1, m  # fits(lo), not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        raise DomainError(f"a Thue form of degree {m} is over the degree ceiling of {lo}")
 
 
 @lru_cache(maxsize=None)
 def build_form(m: int) -> ThueForm:
     """F_{2m}(X, Y), exact integer coefficients, total degree m."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
     return ThueForm("standard", 2 * m + 1)
 
 
@@ -646,13 +649,14 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
         "x_mid": x_mid,
         "x0": x0,
         "x_exhaustive": x_e,
-        "method": "exhaustive scan + convergent pruning (Thue gap criterion)",
+        "method": "exhaustive scan",
         "exhaustive": dict(info),
     }
     sols = set()
     if x_mid > x_e:
         more, info = ctx.run(_scan_convergents, k, x_e)
         found += more
+        cert["method"] += " + convergent pruning (Thue gap criterion)"
         cert["midsize"] = dict(info)
     for x, y, v in found:
         if v == rhs:
@@ -673,7 +677,10 @@ def catalog_rows() -> list[dict]:
 
 
 def catalog_lookup(d: int, D: int) -> dict | None:
+    """Catalog entry {points, status} for F_{d-1}(X, Y) = D, status "known"
+    or "grh" (curves.catalog_entry's shape), or None if no row lists it."""
     for row in catalog_rows():
         if row["d"] == d and row["D"] == D:
-            return row
+            return {"points": [list(p) for p in row["solutions"]],
+                    "status": "grh" if row["grh"] else "known"}
     return None

@@ -1,7 +1,6 @@
 import json
 import shutil
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,8 @@ def data_dir(tmp_path, monkeypatch):
     each call) instead of the cached package data."""
     from tauhunt import catalog
 
+    shipped = Path(catalog.__file__).with_name("data")  # where catalog.load reads
     for name in ("curve_tables.json", "defect_tables.json", "thue_tables.json"):
-        with resources.as_file(resources.files("tauhunt.data").joinpath(name)) as src:
-            shutil.copy(src, tmp_path / name)
+        shutil.copy(shipped / name, tmp_path / name)
     monkeypatch.setattr(catalog, "load", lambda name: json.loads((tmp_path / name).read_text()))
     return tmp_path

@@ -340,6 +340,9 @@ def test_thue_solve_degree2_scans_to_x_mid(x_small, capsys):
     data = json.loads(out)
     assert code == 0 and len(data["solutions"]) == 56
     assert data["certificate"]["x_exhaustive"] == 1000
+    # no convergent is looked at, so the method names the scan alone
+    assert data["certificate"]["method"] == "exhaustive scan"
+    assert "midsize" not in data["certificate"]
     assert all(thue.evaluate(thue.build_reduced_form(5), x, y) == 11 for x, y in data["solutions"])
 
 
@@ -366,7 +369,7 @@ def test_thue_degree_budget(argv, capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert "error:" in captured.err and "min to build and certify" in captured.err
+    assert "error:" in captured.err and "over the degree ceiling" in captured.err
 
 
 def test_curve_search_work_budget(capsys):
@@ -413,6 +416,47 @@ def test_curve_verbs_fuzz(capsys):
 
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(curve_search | verify_tables)
+    def check(argv):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 5.0, argv
+        if code == 0:
+            json.loads(captured.out)
+        else:
+            assert code == 1 and captured.out == "", argv
+            assert captured.err.startswith("error:"), argv
+
+    check()
+
+
+def test_number_verbs_fuzz(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def upto(small):
+        return st.integers(-2, small) | st.integers(-10**18, 10**18)
+
+    primes = st.sampled_from([*sieved_primes(20000), 2**61 - 1, 999999999999999989])
+    # thue-gen --m 7900 is accepted and writes its coefficients in about
+    # 10 s, so the fuzz draws degrees up to 200 and degrees past the
+    # ceiling, 7962
+    thue_gen = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(8000, 10**18))
+                | st.tuples(st.just("--reduced-p"), upto(401) | primes.filter(
+                    lambda p: p <= 401 or p >= 16500))).map(
+        lambda c: ["thue-gen", f"{c[0]}={c[1]}"])
+    lucas = st.tuples(upto(40), upto(40) | primes | primes.map(lambda p: p**3), upto(200),
+                      st.none() | upto(100) | primes).map(
+        lambda c: ["lucas", f"--a={c[0]}", f"--b={c[1]}", f"--count={c[2]}"]
+        + ([] if c[3] is None else [f"--ell={c[3]}"]))
+    weight_bound = st.tuples(st.sampled_from((3, 5)) | upto(10), upto(100),
+                             st.sampled_from(("plus", "minus")), st.booleans()).map(
+        lambda c: ["weight-bound", f"--ell={c[0]}", f"--m={c[1]}", f"--sign={c[2]}"]
+        + (["--pre-rounding"] if c[3] else []))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(thue_gen | lucas | weight_bound)
     def check(argv):
         start = time.perf_counter()
         code = main(argv)

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import signed_block_scenarios
 from tauhunt import lehmer as LE
+from tauhunt import thue
 from tauhunt.arith import DomainError, factor, primes_up_to
 from tauhunt.newform import NewformSpec, coeff_prime_power, delta_newform
 
@@ -43,6 +44,32 @@ def test_enumerate_conditions():
     assert [c.d for c in conds] == [3, 5, 23, 173, 691]
     conds = LE.enumerate_conditions(DELTA, 7, 3, 1)
     assert conds[1].alpha == 343
+
+
+def test_condition_carries_its_problem():
+    # a Thue condition holds the one shared Fhat_d, so its context is
+    # built once for every target; a curve condition holds its CurveSpec
+    conds = LE.enumerate_conditions(DELTA, 691, 1, -1)
+    for c in conds:
+        if c.kind == "thue":
+            assert c.problem is thue.build_reduced_form(c.d)
+        else:
+            assert c.problem.family == c.kind[-1] and c.problem.constant % 691 == 0
+    # Fhat_20011 (degree 10005) is over the degree ceiling: refused while
+    # the conditions are enumerated, before any of them is searched
+    with pytest.raises(DomainError, match="degree 10005 is over the degree ceiling"):
+        LE.enumerate_conditions(DELTA, 20011, 1, 1)
+
+
+def test_catalog_status_read_alike():
+    # one status vocabulary for both catalogs: the "grh" Thue rows of
+    # F_6 = 41 and F_40 = 41 make their verdicts GRH-conditional, and the
+    # "known" curve entry of Y^2 = X^11 + 41 does not
+    rep = LE.check_admissibility(DELTA, 41, 1, 1, FAST)
+    assert [(v.condition.d, v.mode, v.grh_conditional) for v in rep.verdicts] == [
+        (3, "fixture+search", False), (5, "search", False),
+        (7, "fixture+search", True), (41, "fixture+search", True)]
+    assert rep.grh_conditional
 
 
 def _tau_rank(ell, p):

@@ -185,8 +185,9 @@ def test_catalog_rows_evaluate():
 
 
 def test_catalog_lookup():
-    row = T.catalog_lookup(7, 7)
-    assert row is not None and [1, 4] in row["solutions"]
+    # the shape of curves.catalog_entry: {points, status}, "known" or "grh"
+    assert T.catalog_lookup(7, 7) == {"points": [[1, 4], [2, 1], [-3, -5]], "status": "known"}
+    assert T.catalog_lookup(7, -41) == {"points": [[3, 7], [1, -2], [-4, -5]], "status": "grh"}
     assert T.catalog_lookup(7, 11) is None
 
 
@@ -195,6 +196,7 @@ def test_certificate_shape():
     assert res.certificate["x_small"] == 20
     assert res.certificate["x_mid"] == 40
     assert "midsize" in res.certificate
+    assert res.certificate["method"] == "exhaustive scan + convergent pruning (Thue gap criterion)"
     d = res.to_dict()
     assert set(d) == {"form", "rhs", "solutions", "certificate"}
 
@@ -688,10 +690,19 @@ def test_hand_built_form_validated():
                       ("cubic", 7)):
         with pytest.raises(DomainError):
             T.ThueForm(family, n)
-    with pytest.raises(DomainError, match="min to build and certify"):
+    with pytest.raises(DomainError, match="degree 50001 is over the degree ceiling of 7962"):
         T.ThueForm("reduced", 100003)
     with pytest.raises(TypeError):
         T.ThueForm("reduced", 7, (1, 1, -2, 0))
+
+
+def test_degree_ceiling():
+    # the ceiling is the greatest degree the form cost model fits in the
+    # budget; a degree too large for a float is refused the same way
+    T.check_degree(7962)
+    for m in (7963, 10**400):
+        with pytest.raises(DomainError, match="over the degree ceiling of 7962$"):
+            T.build_form(m)
 
 
 def test_convergents_match_exact_signs():
