@@ -73,23 +73,22 @@ class LucasPair:
 def lucas_terms(pair: LucasPair, count: int) -> list[int]:
     """[u_1, ..., u_count], exact.
 
-    Refuses a term past sys.get_int_max_str_digits() decimal digits,
-    which str() would refuse to print.  The terms of a non-degenerate
-    pair grow like |alpha|^n with |alpha| >= sqrt(2), so this also caps
-    count (28,667 terms for A = 1, B = 2 at the default limit) and the
-    memory.
+    Refuses a term of more than sys.get_int_max_str_digits() decimal
+    digits, |u_n| >= 10^digits, which str() would refuse to print.  The
+    terms of a non-degenerate pair grow like |alpha|^n with
+    |alpha| >= sqrt(2), so this also caps count (28,569 terms for A = 1,
+    B = 2 at the default limit) and the memory.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     digits = sys.get_int_max_str_digits()
-    # more than 10/3 bits per digit is past the limit, as 2^(10/3) > 10
-    max_bits = digits * 10 // 3 if digits else math.inf
+    limit = 10**digits if digits else math.inf
     terms = [1]
     if count >= 2:
         terms.append(pair.A)
     for n in range(3, count + 1):
         terms.append(pair.A * terms[-1] - pair.B * terms[-2])
-        if terms[-1].bit_length() > max_bits:
+        if abs(terms[-1]) >= limit:
             raise DomainError(f"u_{n} has more than {digits} digits; ask for fewer terms")
     return terms
 

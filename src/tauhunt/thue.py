@@ -72,10 +72,11 @@ Weger Lemma 1.1 / Bilu-Hanrot); the certificate shows x0 and x_e.
 Degree 2 has no threshold and is scanned to x_e = x_mid; a linear form
 (F_2, Fhat_3) is refused, as its solutions form a line.  A convergent
 p/q gives only the solutions (lam q, lam p) with lam^m |F(q, p)| = k,
-so F(q, p) is evaluated exactly only when some lam q can lie in
-(x_e, x_mid] and the bound
+so each (p, q) is judged once, however many roots share it, and F(q, p)
+is evaluated exactly only when some lam q can lie in (x_e, x_mid] and
+the bound
 |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - delta/(q sep_i))^(m-1),
-delta = |p - theta_i q| for the root theta_i of the convergent, does not
+delta = |p - theta_i q| for a root theta_i of the convergent, does not
 already show |F(q, p)| > k.  It costs O(1) per convergent and takes
 delta from the context's enclosure of theta_i, which at under 32 w
 units of 2^-w < 2^-64 / x_mid^2 is far narrower than 1/q^2 for every
@@ -138,14 +139,11 @@ _SCAN_NS_PER_ROOT = 4000
 _SCAN_NS_PER_CANDIDATE = 1
 _SCAN_NS_PER_TERM = 200
 _SCAN_BUDGET_NS = 60 * 10**9
-# The degree ceiling, m^2 (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 m) ns: fitted
-# when every solve built the coefficients by the recurrence, m^2/2 steps
-# on numbers of up to 1.4 m bits (140-760 ns per m^2 for F_1000..F_14000
-# and 100-260 ns for Fhat_1009..Fhat_14009 on a 2-vCPU Xeon).  A solve no
-# longer builds them, but solving above the ceiling has not been priced,
-# so it stays.  A form estimated above _SCAN_BUDGET_NS is refused unbuilt.
-_FORM_NS_PER_M2 = 150
-_FORM_NS_PER_M3 = 0.1
+# The greatest degree a form may have.  At the ceiling a solve at default
+# bounds takes about 2 s on a 2-vCPU Xeon, most of it exact evaluations of
+# small-q convergents whose O(1) bound gives up: thue-solve --reduced-p
+# 15923 (degree 7961) 1.5-1.6 s, admissible --target 15901 1.8-1.9 s.
+_MAX_DEGREE = 7962
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,9 @@ class ThueForm:
             raise DomainError(f"unknown Thue form family {self.family!r}")
         elif self.n < 3 or self.n % 2 == 0:
             raise DomainError("F_{2m} needs n = 2m + 1 with m >= 1")
-        check_degree(self.degree)
+        if self.degree > _MAX_DEGREE:
+            raise DomainError(f"a Thue form of degree {self.degree} is over the degree "
+                              f"ceiling of {_MAX_DEGREE}")
 
     @property
     def degree(self) -> int:
@@ -202,23 +202,6 @@ class ThueForm:
         if x_mid not in contexts:
             contexts[x_mid] = _FormContext(self, x_mid)
         return contexts[x_mid]
-
-
-def check_degree(m: int) -> None:
-    """Refuse (DomainError) a form of degree m above the degree ceiling, the
-    greatest c with c^2 (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 c) ns within
-    _SCAN_BUDGET_NS; a c past that many ns fails before any float overflow."""
-
-    def fits(c: int) -> bool:
-        return c <= _SCAN_BUDGET_NS and (
-            c * c * (_FORM_NS_PER_M2 + _FORM_NS_PER_M3 * c) <= _SCAN_BUDGET_NS)
-
-    if not fits(m):
-        lo, hi = 1, m  # fits(lo), not fits(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        raise DomainError(f"a Thue form of degree {m} is over the degree ceiling of {lo}")
 
 
 @lru_cache(maxsize=None)
@@ -586,16 +569,22 @@ def _scan_convergents(
     x_lo < x <= x_mid, for a convergent p/q of a root and lam >= 1.
 
     F(lam q, lam p) = lam^m F(q, p), so lam <= lam_max =
-    min(x_mid // q, floor(k^(1/m))).  F(q, p) is evaluated exactly only
-    when lam_max q > x_lo and the O(1) bound of its root does not
-    prove |F(q, p)| > k (log2_lower_bound >= bitlength(k) > log2 k).
+    min(x_mid // q, floor(k^(1/m))).  Each distinct (p, q) is judged
+    once, with the first root it is a convergent of: the candidates
+    depend on (p, q) alone, and the bound holds for any root.  F(q, p)
+    is evaluated exactly only when lam_max q > x_lo and the O(1) bound
+    of that root does not prove |F(q, p)| > k (log2_lower_bound >=
+    bitlength(k) > log2 k).
     """
-    m, x_mid, convs = ctx.form.degree, ctx.x_mid, ctx.convergents
+    m, x_mid = ctx.form.degree, ctx.x_mid
+    pairs: dict[tuple[int, int], int] = {}
+    for pnum, q, i in ctx.convergents:
+        pairs.setdefault((pnum, q), i)
     lam_cap = integer_nth_root(k, m)
     out = []
-    info = {"roots": m, "convergents": len(convs),
+    info = {"roots": m, "convergents": len(pairs),
             "skipped_multiplier": 0, "skipped_bound": 0, "evaluated": 0}
-    for pnum, q, i in convs:
+    for (pnum, q), i in pairs.items():
         if min(x_mid // q, lam_cap) * q <= x_lo:
             info["skipped_multiplier"] += 1
             continue

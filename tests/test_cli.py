@@ -99,6 +99,17 @@ def test_lucas_verb(capsys):
     assert [d["n"] for d in data["defects"]] == [5, 7, 8, 12, 13, 18, 30]
 
 
+def test_lucas_refused_at_first_long_term(capsys):
+    # u_28570 of (1, 2) is the first term past 4,300 digits: refused while
+    # the terms are built, not after they are encoded
+    start = time.perf_counter()
+    code = main(["lucas", "--a", "1", "--b", "2", "--count", "28570"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: u_28570 has more than 4300 digits")
+
+
 def test_thue_gen_and_solve(capsys):
     code, out = run_cli(["thue-gen", "--m", "3"], capsys)
     assert code == 0
@@ -280,6 +291,21 @@ def test_decompose_over_budget_refused(capsys):
         assert "more than 10000 scenarios" in captured.err
 
 
+def _keeps_contract(argv, capsys):
+    """The contract of every fuzzed verb: exit 0 with JSON on stdout, or
+    exit 1 with an error: line and an empty stdout, within 5 s."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert elapsed < 5.0, argv
+    if code == 0:
+        json.loads(captured.out)
+    else:
+        assert code == 1 and captured.out == "", argv
+        assert captured.err.startswith("error:"), argv
+
+
 def test_lookup_verbs_fuzz(capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -308,16 +334,7 @@ def test_lookup_verbs_fuzz(capsys):
     ))
     def check(case):
         (verb, flag), value = case
-        start = time.perf_counter()
-        code = main([verb, f"{flag}={value}"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert elapsed < 5.0, (verb, value)
-        if code == 0:
-            json.loads(captured.out)
-        else:
-            assert code == 1 and captured.out == "", (verb, value)
-            assert captured.err.startswith("error:"), (verb, value)
+        _keeps_contract([verb, f"{flag}={value}"], capsys)
 
     check()
 
@@ -417,16 +434,7 @@ def test_curve_verbs_fuzz(capsys):
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(curve_search | verify_tables)
     def check(argv):
-        start = time.perf_counter()
-        code = main(argv)
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert elapsed < 5.0, argv
-        if code == 0:
-            json.loads(captured.out)
-        else:
-            assert code == 1 and captured.out == "", argv
-            assert captured.err.startswith("error:"), argv
+        _keeps_contract(argv, capsys)
 
     check()
 
@@ -458,16 +466,52 @@ def test_number_verbs_fuzz(capsys):
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(thue_gen | lucas | weight_bound)
     def check(argv):
-        start = time.perf_counter()
-        code = main(argv)
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert elapsed < 5.0, argv
-        if code == 0:
-            json.loads(captured.out)
-        else:
-            assert code == 1 and captured.out == "", argv
-            assert captured.err.startswith("error:"), argv
+        _keeps_contract(argv, capsys)
+
+    check()
+
+
+def test_thue_solve_fuzz(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    primes = st.sampled_from([*sieved_primes(20000), 2**61 - 1, 999999999999999989])
+    # a degree up to 200 or past the ceiling, 7962, as for thue-gen; bounds
+    # small enough to finish or large enough to be refused by the budget
+    form = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(8000, 10**18))
+            | st.tuples(st.just("--reduced-p"), st.integers(-2, 401) | primes.filter(
+                lambda p: p <= 401 or p >= 16500)))
+    rhs = st.integers(-10**18, 10**18)
+    x_small = st.integers(-2, 50) | st.integers(10**10, 10**18)
+    x_mid = st.integers(-2, 10**5) | st.integers(10**12, 10**18)
+    thue_solve = st.tuples(form, rhs, x_small, x_mid).map(
+        lambda c: ["thue-solve", f"{c[0][0]}={c[0][1]}", f"--rhs={c[1]}",
+                   f"--x-small={c[2]}", f"--x-mid={c[3]}"])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(thue_solve)
+    def check(argv):
+        _keeps_contract(argv, capsys)
+
+    check()
+
+
+def test_admissible_fuzz(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # +-ell^m for ell < 1000 and m <= 3, edge values, and random targets up
+    # to 10^9: factoring ell (ell^2 - 1) for a random 18-digit prime takes
+    # seconds, so larger random targets would test the factoring budget
+    # rather than the verb
+    powers = st.tuples(st.sampled_from(sieved_primes(1000)), st.integers(0, 3)).map(
+        lambda c: c[0] ** c[1])
+    edges = st.sampled_from((0, 1, 2, 4, 9, 15, 10**18, 3**37))
+    targets = (powers | edges | st.integers(0, 10**9)).flatmap(
+        lambda t: st.sampled_from((t, -t)))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(targets)
+    def check(target):
+        _keeps_contract(["admissible", f"--target={target}"], capsys)
 
     check()
 
@@ -587,16 +631,17 @@ def test_thue_solve_rational_root(m, rhs, capsys):
 
 def test_thue_solve_fhat691_deep_x_mid(capsys):
     # at x_mid = 10^30 the bound, read from the enclosures the convergents
-    # settled on, skips every convergent but the 611 with no multiplier in
-    # range and the 229 small-q ones that the default bounds evaluate too
+    # settled on, skips every distinct convergent but the 9 with no
+    # multiplier in range and the 56 small-q ones that the default bounds
+    # evaluate too
     code, out = run_cli(["thue-solve", "--reduced-p", "691", "--rhs", "691", "--x-small", "1000",
                          "--x-mid", str(10**30)], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["solutions"] == [[1, 2]]
     assert data["certificate"]["midsize"] == {
-        "roots": 345, "convergents": 20360, "skipped_multiplier": 611,
-        "skipped_bound": 19520, "evaluated": 229}
+        "roots": 345, "convergents": 19504, "skipped_multiplier": 9,
+        "skipped_bound": 19439, "evaluated": 56}
 
 
 def test_reproduce_smoke(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from importlib import resources
 
@@ -32,6 +33,16 @@ def test_terms_basic():
     assert L.lucas_terms(pair, 7) == [1, 1, -1, -3, -1, 5, 7]
     assert L.lucas_terms(pair, 8)[7] == -3
     assert L.lucas_terms(L.LucasPair(5, 7), 1) == [1]
+
+
+def test_terms_digit_limit():
+    # u_28569 of (1, 2) has 4,300 digits, the default str() limit, and
+    # u_28570 is the first term past it
+    assert sys.get_int_max_str_digits() == 4300
+    terms = L.lucas_terms(L.LucasPair(1, 2), 28569)
+    assert len(str(abs(terms[-1]))) == 4300
+    with pytest.raises(DomainError, match="u_28570 has more than 4300 digits"):
+        L.lucas_terms(L.LucasPair(1, 2), 28570)
 
 
 def test_pair_validation():

@@ -415,48 +415,75 @@ def test_scan_budget_refuses_before_scanning():
 
 
 def test_midsize_counters_fhat691():
-    # at default bounds x0 = 3, so the convergents cover (2, x_mid]: 611 of
-    # them have no multiplier lam q in that range with lam^345 <= 691, the
-    # enclosures put |F(q, p)| above 691 for 2,013, and 229 are evaluated,
-    # none of them a solution
+    # at default bounds x0 = 3, so the convergents cover (2, x_mid]: of
+    # the 1,997 distinct (p, q), 9 have no multiplier lam q in that range
+    # with lam^345 <= 691, the enclosures put |F(q, p)| above 691 for
+    # 1,932, and 56 are evaluated, none of them a solution
     bounds = SearchBounds()
     form = T.build_reduced_form(691)
     for rhs in (691, -691):
         res = T.solve_bounded(form, rhs, bounds.x_small, bounds.x_mid)
         assert res.certificate["midsize"] == {
-            "roots": 345, "convergents": 2853, "skipped_multiplier": 611,
-            "skipped_bound": 2013, "evaluated": 229}
+            "roots": 345, "convergents": 1997, "skipped_multiplier": 9,
+            "skipped_bound": 1932, "evaluated": 56}
         assert res.solutions == ((rhs // 691, 2 * rhs // 691),)
-    # every convergent the bound skips has |F(q, p)| > 691
+    # every convergent the bound skips, judged with its first root, has
+    # |F(q, p)| > 691
     ctx = form._context(bounds.x_mid)
-    skipped = [(p, q) for p, q, i in ctx.convergents
+    pairs = {}
+    for p, q, i in ctx.convergents:
+        pairs.setdefault((p, q), i)
+    skipped = [(p, q) for (p, q), i in pairs.items()
                if q > 2 and (b := ctx.log2_lower_bound(p, q, i)) is not None
                and b >= (691).bit_length()]
-    assert len(skipped) == 2013
+    assert len(skipped) == 1932
     assert all(abs(form_value(form.coeffs, q, p)) > 691 for p, q in skipped[::50])
 
 
 def test_midsize_counters_evaluated():
     # F_10 = 11 with nothing scanned: (1, 4) lies on the convergent 4/1 of
-    # the root 4 cos^2(pi/11) = 3.68.., and the 14 convergents the O(1)
-    # bound cannot put above 11 are evaluated
+    # the root 4 cos^2(pi/11) = 3.68.., and the 10 distinct convergents
+    # the O(1) bound cannot put above 11 are evaluated
     form = T.build_form(5)
     convs = form._context(100000).convergents
+    pairs = {(p, q) for p, q, _ in convs}
+    assert (len(convs), len(pairs)) == (53, 49)
     res = T.solve_bounded(form, 11, x_small=0, x_mid=100000)
     assert res.solutions == ((1, 4),)
     assert res.certificate["midsize"] == {
-        "roots": 5, "convergents": len(convs), "skipped_multiplier": 0,
-        "skipped_bound": 39, "evaluated": 14}
+        "roots": 5, "convergents": 49, "skipped_multiplier": 0,
+        "skipped_bound": 39, "evaluated": 10}
     # every convergent skipped by its bound has |F(q, p)| > 11
-    big = sum(abs(form_value(form.coeffs, q, p)) > 11 for p, q, _ in convs)
+    big = sum(abs(form_value(form.coeffs, q, p)) > 11 for p, q in pairs)
     assert big >= 39
     # lam = 1 is the only multiplier (2^5 > 11), so x_small = 5 skips the
     # convergents with q <= 5
     res = T.solve_bounded(form, 11, x_small=5, x_mid=100000)
     assert res.certificate["midsize"] == {
-        "roots": 5, "convergents": len(convs),
-        "skipped_multiplier": sum(q <= 5 for _, q, _ in convs),
+        "roots": 5, "convergents": 49, "skipped_multiplier": sum(q <= 5 for _, q in pairs),
         "skipped_bound": 37, "evaluated": 2}
+
+
+@pytest.mark.parametrize("form,rhs,x_small,x_mid", [
+    (T.build_reduced_form(691), 691, 1000, 10000),
+    (T.build_form(5), 11, 0, 100000),
+], ids=["Fhat_691", "F_10"])
+def test_each_convergent_evaluated_once(form, rhs, x_small, x_mid, monkeypatch):
+    # a (p, q) that is a convergent of several roots is judged once: no
+    # (q, p) is evaluated twice in one solve, and every distinct pair is
+    # counted in exactly one of the skips or the evaluations
+    calls = []
+    evaluate = T.evaluate
+    monkeypatch.setattr(T, "evaluate", lambda f, x, y: calls.append((x, y)) or evaluate(f, x, y))
+    form = _fresh(form)
+    cert = T.solve_bounded(form, rhs, x_small, x_mid).certificate
+    mid = cert["midsize"]
+    assert len(calls) == len(set(calls))
+    # lam = 1 is the only multiplier, so the convergent phase evaluates
+    # only q beyond the scan
+    assert mid["evaluated"] == sum(x > cert["x_exhaustive"] for x, _ in calls) > 0
+    assert mid["convergents"] == len({(p, q) for p, q, _ in form._context(x_mid).convergents})
+    assert mid["skipped_multiplier"] + mid["skipped_bound"] + mid["evaluated"] == mid["convergents"]
 
 
 # degree >= 3: a degree-2 form is scanned to x_mid and has no convergent phase
@@ -697,12 +724,15 @@ def test_hand_built_form_validated():
 
 
 def test_degree_ceiling():
-    # the ceiling is the greatest degree the form cost model fits in the
-    # budget; a degree too large for a float is refused the same way
-    T.check_degree(7962)
+    # the ceiling is one constant, degree 7962, in both families, and any
+    # degree above it, however large, is refused with the same text
+    assert T.build_form(7962).degree == 7962
+    assert T.build_reduced_form(15923).degree == 7961
     for m in (7963, 10**400):
         with pytest.raises(DomainError, match="over the degree ceiling of 7962$"):
             T.build_form(m)
+    with pytest.raises(DomainError, match="degree 7968 is over the degree ceiling of 7962$"):
+        T.build_reduced_form(15937)
 
 
 def test_convergents_match_exact_signs():
