@@ -36,7 +36,6 @@ from .newform import (
     coeff_prime_power,
     delta_expansion,
     delta_newform,
-    parity_check,
 )
 from .thue import ThueForm, build_form, build_reduced_form, evaluate, solve_bounded
 

@@ -2,22 +2,37 @@
 bounded search.
 
 Every catalog (Thue solutions, curve points, Lucas defects) is read
-from the package data through load, once per process.
+from the package data through load, once per process.  The Thue and
+curve catalogs are each one list of rows of one shape, and entry is
+their one lookup.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 
-__all__ = ["load", "clip", "compare"]
+__all__ = ["load", "entry", "clip", "compare"]
 
 
 @lru_cache(maxsize=None)
 def load(name: str) -> dict:
     """The parsed catalog file `name`, e.g. "thue_tables.json"."""
     return json.loads(Path(__file__).with_name("data").joinpath(name).read_bytes())
+
+
+def entry(name: str, **key) -> dict | None:
+    """{points, status} of the row of catalog `name` whose fields equal
+    key, e.g. entry("thue_tables.json", d=7, D=13), or None if no row
+    matches."""
+    fields = itemgetter(*key)
+    want = fields(key)
+    for row in load(name)["rows"]:
+        if fields(row) == want:
+            return {"points": [list(p) for p in row["points"]], "status": row["status"]}
+    return None
 
 
 def clip(points, bound: int, unsigned_x: bool) -> list[list[int]]:

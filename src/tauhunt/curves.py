@@ -12,8 +12,9 @@ chunk's length and shifted to its start, is ANDed into it, and the set
 bits left are the survivors.  A scan of more than _SCAN_BUDGET x values,
 about a minute, is refused before it starts, as is an ell^m or an
 x_max^e too long to print.  Point catalogs for the table-covered cases
-ship as a JSON fixture; catalog_entry is its one lookup, and
-verify_tables replays every row through it against a bounded search.
+ship as a JSON fixture of rows {family, w, ell, sign, points, status};
+catalog_entry is its one lookup, and verify_tables replays every row
+against a bounded search.
 """
 
 from __future__ import annotations
@@ -224,35 +225,26 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
 def catalog_entry(family: str, w: int, ell: int, sign: int) -> dict | None:
     """Catalog entry {points, status} for Y^2 = X^w +- ell (family "C")
     or Y^2 = 5X^(2w) +- 4 ell (family "H", points listed as (|x|, |y|)),
-    or None if the catalog does not cover the curve."""
-    cat = catalog.load("curve_tables.json")
-    if ell == 691 and w == 11:
-        for row in cat["ell691"]:
-            if row["family"] == family and row["sign"] == sign:
-                return {"points": [list(p) for p in row["points"]], "status": row["status"]}
-    if family == "C":
-        pts = cat["mordell_plus" if sign > 0 else "mordell_minus"].get(str(ell), {}).get(
-            str((w + 1) // 2))
-        return None if pts is None else {"points": [list(p) for p in pts], "status": "known"}
-    if ell == 5:
-        pts = list(cat["ell5"]["plus" if sign > 0 else "minus"])
-        if sign > 0 and w == 2:
-            pts += cat["ell5"]["plus_d2_extra"]
-        return {"points": pts, "status": "known"}
-    for row in cat["pell_power"]:
-        if (row["ell"], row["d"], row["sign"]) == (ell, w, sign):
-            return {"points": [list(p) for p in row["points"]], "status": row["status"]}
-    return None
+    or None if the catalog does not cover the curve.
+
+    At ell = 5 the H row of w = 3 stands for every w > 2: by the
+    classification of perfect-power Lucas numbers
+    (Bugeaud-Mignotte-Siksek), Y^2 = 5X^(2w) + 20 has only (+-1, +-5)
+    and Y^2 = 5X^(2w) - 20 has no point once w > 2."""
+    if family == "H" and ell == 5 and w > 2:
+        w = 3
+    return catalog.entry("curve_tables.json", family=family, w=w, ell=ell, sign=sign)
 
 
-def _verify_row(family: str, w: int, ell: int, sign: int, x_max: int) -> dict:
-    """Check every listed point of the catalog entry satisfies the
+def _verify_row(row: dict, x_max: int) -> dict:
+    """Check every listed point of the catalog row satisfies the
     equation and the bounded search finds nothing else.  Rows the source
     leaves open are never compared, only reported with our bounded
     findings."""
-    spec = (CurveSpec.c_family if family == "C" else CurveSpec.h_family)(w, ell, sign)
-    entry = catalog_entry(family, w, ell, sign)
-    listed, status, unsigned_x = entry["points"], entry["status"], family == "H"
+    family, listed, status = row["family"], row["points"], row["status"]
+    spec = (CurveSpec.c_family if family == "C" else CurveSpec.h_family)(
+        row["w"], row["ell"], row["sign"])
+    unsigned_x = family == "H"
     problems = []
     for x, y in listed:
         xs = (x, -x) if unsigned_x else (x,)
@@ -289,18 +281,9 @@ def verify_tables(x_max: int) -> dict:
     (the bounded findings are still reported); any mismatch is a
     discrepancy entry, never silently dropped.
     """
-    cat = catalog.load("curve_tables.json")
-    keys = [
-        ("C", 2 * int(d_s) - 1, int(ell_s), sign)
-        for sign, table in ((1, "mordell_plus"), (-1, "mordell_minus"))
-        for ell_s, per_d in sorted(cat[table].items(), key=lambda kv: int(kv[0]))
-        for d_s in sorted(per_d, key=int)
-    ]
-    keys += [("H", row["d"], row["ell"], row["sign"]) for row in cat["pell_power"]]
-    keys += [("H", d, 5, sign) for d in (2, 3, 5, 7, 11, 13) for sign in (1, -1)]
-    keys += [(row["family"], 11, 691, row["sign"]) for row in cat["ell691"]]
-    _check_scan_budget(len(keys) * (x_max + 1))
-    rows = [_verify_row(*key, x_max) for key in keys]
+    table = catalog.load("curve_tables.json")["rows"]
+    _check_scan_budget(len(table) * (x_max + 1))
+    rows = [_verify_row(row, x_max) for row in table]
     counts = {"verified": 0, "conditional-grh": 0, "unknown": 0, "discrepancy": 0}
     for r in rows:
         counts[r["status"]] += 1

@@ -16,16 +16,18 @@ because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).
 
 Each condition carries its search problem, its CurveSpec or Fhat_d,
 built on enumeration, so a form over the degree ceiling is refused
-before any search.  check_admissibility takes every condition down one
-path.  _verdict runs the bounded search, compares it with the
-condition's catalog entry, {points, status} in both catalogs, through
-catalog.compare, and hands every point to _dispose.  _dispose recovers
-p and the possible |a_f(p)| behind the point, then runs one eigenvalue
-check on each magnitude: the Deligne bound, the stored a_f(p) and the
-trivial-mod-2 parity.  The flag is trusted only while no stored
-a_f(p), p not dividing 2N, is odd.  For the built-in discriminant form
-the classical congruences mod 9, 5, 7 and 691 prune conditions whose
-rank of apparition is impossible.
+before any search; d = ell is always a condition, so an Fhat_ell over
+the ceiling is refused before ell(ell^2 - 1) is factored.
+check_admissibility takes every condition down one path.  _verdict
+runs the bounded search, compares it through catalog.compare with the
+condition's catalog entry, {points, status} from catalog.entry (through
+curves.catalog_entry for a curve), and hands every point to _dispose.
+_dispose recovers p and the possible |a_f(p)| behind the point, then
+runs one eigenvalue check on each magnitude: the Deligne bound, the
+stored a_f(p) and the trivial-mod-2 parity.  The flag is trusted only
+while no stored a_f(p), p not dividing 2N, is odd.  For the built-in
+discriminant form the classical congruences mod 9, 5, 7 and 691 prune
+conditions whose rank of apparition is impossible.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .arith import (
     prime_power_root,
 )
 from .lucas import sigma_hat
-from .newform import NewformSpec, parity_check
+from .newform import NewformSpec
 
 __all__ = [
     "SearchBounds",
@@ -98,8 +100,9 @@ def unit_set(spec: NewformSpec) -> tuple[int, ...]:
 
 def _check_even_eigenvalues(spec: NewformSpec) -> None:
     """The trivial-mod-2 flag is trusted only when every stored a_f(p),
-    p not dividing 2N, is even."""
-    odd = parity_check(spec)
+    p not dividing 2N, is even (NewformSpec.odd_eigenvalues, found once
+    per spec)."""
+    odd = spec.odd_eigenvalues
     if odd:
         listed = ", ".join(f"a_f({p}) = {spec.ap[p]}" for p in odd)
         raise DomainError(f"trivial_mod2 is set but {listed} is odd")
@@ -129,13 +132,17 @@ def enumerate_conditions(
     spec: NewformSpec, ell: int, m: int, sign: int
 ) -> list[DiophantineCondition]:
     """One condition per odd prime d | ell(ell^2 - 1), sorted by d, each
-    with its search problem; a Fhat_d over the degree ceiling is refused."""
+    with its search problem; a Fhat_d over the degree ceiling is refused.
+    Fhat_ell is built before the factoring: every other d divides
+    ell^2 - 1 and so is at most (ell + 1)/2, below ell."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if m < 1:
         raise DomainError("m must be >= 1")
     if ell < 3 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
+    if ell > 5:
+        thue.build_reduced_form(ell)  # refuses an Fhat_ell over the ceiling
     alpha = sign * ell**m
     w = spec.weight - 1
     out = []
@@ -309,7 +316,7 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
         cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
         source = f"bounded search via reduced form {cond.problem.name}"
         fixture_source = source + " + solution catalog"
-        entry = thue.catalog_lookup(cond.d, cond.alpha)
+        entry = catalog.entry("thue_tables.json", d=cond.d, D=cond.alpha)
         bound = bounds.x_small  # only the exhaustive range is complete
     else:
         search = curves.search_points(cond.problem, bounds.x_max)

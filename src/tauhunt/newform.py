@@ -17,6 +17,7 @@ from __future__ import annotations
 import decimal
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import DomainError, factor, is_prime, lucas_ladder, primes_up_to
 
@@ -27,7 +28,6 @@ __all__ = [
     "delta_newform",
     "coeff_prime_power",
     "coeff",
-    "parity_check",
 ]
 
 
@@ -128,7 +128,7 @@ class NewformSpec:
     maps primes exactly dividing the level to the U(p) eigenvalue sign.
     The Deligne bound a_f(p)^2 <= 4 p^(2k-1) is enforced exactly on
     construction.  Evenness of eigenvalues (the operational meaning of
-    ``trivial_mod2``) is *reported*, not enforced; see parity_check.
+    ``trivial_mod2``) is *reported*, not enforced; see odd_eigenvalues.
     """
 
     weight: int
@@ -155,6 +155,13 @@ class NewformSpec:
                 raise DomainError(f"bad_signs key {p} must exactly divide the level")
             if s not in (1, -1):
                 raise DomainError("bad_signs values must be +1 or -1")
+
+    # cached in the instance __dict__, outside the fields, eq and hash
+    @cached_property
+    def odd_eigenvalues(self) -> tuple[int, ...]:
+        """The primes p not dividing 2N whose stored a_f(p) is odd; the
+        trivial-mod-2 flag asserts there are none."""
+        return tuple(p for p, a in sorted(self.ap.items()) if (2 * self.level) % p and a % 2)
 
     @property
     def is_delta(self) -> bool:
@@ -211,11 +218,3 @@ def coeff(spec: NewformSpec, n: int) -> int:
     for p, e in factor(n).pairs:
         out *= coeff_prime_power(spec, p, e)
     return out
-
-
-def parity_check(spec: NewformSpec) -> tuple[int, ...]:
-    """The primes p not dividing 2N whose stored a_f(p) is odd; the
-    trivial-mod-2 flag asserts there are none."""
-    return tuple(
-        p for p, a in sorted(spec.ap.items()) if (2 * spec.level) % p and a % 2
-    )

@@ -76,11 +76,11 @@ so each (p, q) is judged once, however many roots share it, and F(q, p)
 is evaluated exactly only when some lam q can lie in (x_e, x_mid] and
 the bound
 |F(q, p)| >= delta q^(m-1) |P'(theta_i)| (1 - delta/(q sep_i))^(m-1),
-delta = |p - theta_i q| for a root theta_i of the convergent, does not
-already show |F(q, p)| > k.  It costs O(1) per convergent and takes
-delta from the context's enclosure of theta_i, which at under 32 w
-units of 2^-w < 2^-64 / x_mid^2 is far narrower than 1/q^2 for every
-q <= x_mid.
+delta = |p - theta_i q|, does not already show |F(q, p)| > k for any
+root theta_i that has p/q as a convergent.  It costs O(1) per root and
+takes delta from the context's enclosure of theta_i, which at under
+32 w units of 2^-w < 2^-64 / x_mid^2 is far narrower than 1/q^2 for
+every q <= x_mid.
 
 The exhaustive scan runs on Python integers.  For each x it takes only
 the integers within min(k^(1/m), rho_i(x)) of x times an enclosure, the
@@ -95,11 +95,11 @@ both F = k and F = -k.  Every result carries its bound certificate.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import catalog
 from .arith import (
     DomainError,
     continued_fraction_convergents,
@@ -117,7 +117,6 @@ __all__ = [
     "evaluate",
     "ThueSolutions",
     "solve_bounded",
-    "catalog_rows",
 ]
 
 # F(1, t) mod q, indexed by value, filters the exhaustive scan's candidates
@@ -570,37 +569,39 @@ def _scan_convergents(
 
     F(lam q, lam p) = lam^m F(q, p), so lam <= lam_max =
     min(x_mid // q, floor(k^(1/m))).  Each distinct (p, q) is judged
-    once, with the first root it is a convergent of: the candidates
-    depend on (p, q) alone, and the bound holds for any root.  F(q, p)
-    is evaluated exactly only when lam_max q > x_lo and the O(1) bound
-    of that root does not prove |F(q, p)| > k (log2_lower_bound >=
-    bitlength(k) > log2 k).
+    once, however many roots it is a convergent of: the candidates
+    depend on (p, q) alone, and the bound of every such root holds.
+    F(q, p) is evaluated exactly only when lam_max q > x_lo and no root's
+    O(1) bound proves |F(q, p)| > k (log2_lower_bound >= bitlength(k) >
+    log2 k).
     """
     m, x_mid = ctx.form.degree, ctx.x_mid
-    pairs: dict[tuple[int, int], int] = {}
+    pairs: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
     for pnum, q, i in ctx.convergents:
-        pairs.setdefault((pnum, q), i)
-    lam_cap = integer_nth_root(k, m)
+        pairs[pnum, q].append(i)
+    lam_cap, bits = integer_nth_root(k, m), k.bit_length()
     out = []
     info = {"roots": m, "convergents": len(pairs),
             "skipped_multiplier": 0, "skipped_bound": 0, "evaluated": 0}
-    for (pnum, q), i in pairs.items():
+    for (pnum, q), roots in pairs.items():
         if min(x_mid // q, lam_cap) * q <= x_lo:
             info["skipped_multiplier"] += 1
             continue
-        bound = ctx.log2_lower_bound(pnum, q, i)
-        if bound is not None and bound >= k.bit_length():
-            info["skipped_bound"] += 1
-            continue
-        info["evaluated"] += 1
-        base = evaluate(ctx.form, q, pnum)
-        if base == 0:
-            continue
-        for target in (k, -k):
-            quot, rem = divmod(target, base)
-            lam = None if rem else perfect_power_root(quot, m)  # None for quot <= 0
-            if lam is not None and x_lo < lam * q <= x_mid:
-                out.append((lam * q, lam * pnum, target))
+        for i in roots:
+            bound = ctx.log2_lower_bound(pnum, q, i)
+            if bound is not None and bound >= bits:
+                info["skipped_bound"] += 1
+                break
+        else:
+            info["evaluated"] += 1
+            base = evaluate(ctx.form, q, pnum)
+            if base == 0:
+                continue
+            for target in (k, -k):
+                quot, rem = divmod(target, base)
+                lam = None if rem else perfect_power_root(quot, m)  # None for quot <= 0
+                if lam is not None and x_lo < lam * q <= x_mid:
+                    out.append((lam * q, lam * pnum, target))
     return tuple(out), info
 
 
@@ -653,23 +654,3 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
         if (-1) ** m * v == rhs:
             sols.add((-x, -y))
     return ThueSolutions(form.name, rhs, tuple(sorted(sols)), cert)
-
-
-# ---------------------------------------------------------------------------
-# Solution catalogs (literature-backed tables for F_{d-1} = +-ell)
-# ---------------------------------------------------------------------------
-
-
-def catalog_rows() -> list[dict]:
-    """All catalog rows: {d, D, solutions, grh, source}."""
-    return catalog.load("thue_tables.json")["rows"]
-
-
-def catalog_lookup(d: int, D: int) -> dict | None:
-    """Catalog entry {points, status} for F_{d-1}(X, Y) = D, status "known"
-    or "grh" (curves.catalog_entry's shape), or None if no row lists it."""
-    for row in catalog_rows():
-        if row["d"] == d and row["D"] == D:
-            return {"points": [list(p) for p in row["solutions"]],
-                    "status": "grh" if row["grh"] else "known"}
-    return None

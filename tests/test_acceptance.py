@@ -14,7 +14,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from tauhunt import curves, lehmer, lucas, newform, thue
+from tauhunt import catalog, curves, lehmer, lucas, newform, thue
 from tauhunt.arith import factor, is_prime, primes_up_to
 from oracles import brute_force_defect_indices, defect_candidate_as, lucas_pell_points
 
@@ -139,19 +139,20 @@ def test_criterion_04_defect_closure():
 
 def test_criterion_05_thue_tables():
     t0 = time.monotonic()
+    rows = catalog.load("thue_tables.json")["rows"]
     # (a) every cataloged solution evaluates to its right-hand side
-    for row in thue.catalog_rows():
+    for row in rows:
         form = thue.build_form(345 if row["d"] == 691 else (row["d"] - 1) // 2)
-        for x, y in row["solutions"]:
+        for x, y in row["points"]:
             assert thue.evaluate(form, x, y) == row["D"]
     # (b) every empty row is exhaustively empty for |x| <= 100, and every
     #     nonempty row's solutions within that range are exactly the listed ones
-    for row in thue.catalog_rows():
+    for row in rows:
         if row["d"] == 691:
             continue  # settled through the reduced form below
         form = thue.build_form((row["d"] - 1) // 2)
         got = thue.solve_bounded(form, row["D"], x_small=100, x_mid=100).solutions
-        want = tuple(sorted(tuple(s) for s in row["solutions"] if abs(s[0]) <= 100))
+        want = tuple(sorted(tuple(s) for s in row["points"] if abs(s[0]) <= 100))
         assert got == want, (row["d"], row["D"], got, want)
     # the degree-345 rows, via Fhat_691(X, Y - 2X) = F_690(X, Y), |x| <= 10
     fh = thue.build_reduced_form(691)

@@ -194,7 +194,9 @@ def test_admissible_catalog_point_beyond_bound(capsys):
 def test_catalog_discrepancy_reported(data_dir, capsys):
     path = data_dir / "curve_tables.json"
     table = json.loads(path.read_text())
-    table["mordell_minus"]["23"]["6"] = []       # drop (2, 45) from Y^2 = X^11 - 23
+    row = next(r for r in table["rows"]
+               if (r["family"], r["w"], r["ell"], r["sign"]) == ("C", 11, 23, -1))
+    row["points"] = []                           # drop (2, 45) from Y^2 = X^11 - 23
     path.write_text(json.dumps(table))
     code, out = run_cli(["verify-tables", "--xmax", "100"], capsys)
     assert code == 0
@@ -379,6 +381,8 @@ def test_thue_solve_work_budget(capsys):
     # Fhat_20011 (degree 10005) is over the budget; Fhat_5003 of the same
     # target must not be searched first
     ["admissible", "--target", "20011"],
+    # Fhat_ell is refused before ell (ell^2 - 1) is factored (seconds)
+    ["admissible", "--target", "999999999999999989"],
 ])
 def test_thue_degree_budget(argv, capsys):
     start = time.perf_counter()
@@ -498,13 +502,13 @@ def test_thue_solve_fuzz(capsys):
 def test_admissible_fuzz(capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    # +-ell^m for ell < 1000 and m <= 3, edge values, and random targets up
-    # to 10^9: factoring ell (ell^2 - 1) for a random 18-digit prime takes
-    # seconds, so larger random targets would test the factoring budget
-    # rather than the verb
+    # +-ell^m for ell < 1000 and m <= 3, edge values and random targets up
+    # to 10^9; the degree ceiling of Fhat_ell refuses the 18-digit prime
+    # edges before ell (ell^2 - 1) is factored, which takes seconds
     powers = st.tuples(st.sampled_from(sieved_primes(1000)), st.integers(0, 3)).map(
         lambda c: c[0] ** c[1])
-    edges = st.sampled_from((0, 1, 2, 4, 9, 15, 10**18, 3**37))
+    edges = st.sampled_from((0, 1, 2, 4, 9, 15, 10**18, 3**37, 10**17 + 3, 10**17 + 13,
+                             10**18 - 33, 10**18 - 11))
     targets = (powers | edges | st.integers(0, 10**9)).flatmap(
         lambda t: st.sampled_from((t, -t)))
 
@@ -632,7 +636,7 @@ def test_thue_solve_rational_root(m, rhs, capsys):
 def test_thue_solve_fhat691_deep_x_mid(capsys):
     # at x_mid = 10^30 the bound, read from the enclosures the convergents
     # settled on, skips every distinct convergent but the 9 with no
-    # multiplier in range and the 56 small-q ones that the default bounds
+    # multiplier in range and the 2 small-q ones that the default bounds
     # evaluate too
     code, out = run_cli(["thue-solve", "--reduced-p", "691", "--rhs", "691", "--x-small", "1000",
                          "--x-mid", str(10**30)], capsys)
@@ -641,7 +645,7 @@ def test_thue_solve_fhat691_deep_x_mid(capsys):
     assert data["solutions"] == [[1, 2]]
     assert data["certificate"]["midsize"] == {
         "roots": 345, "convergents": 19504, "skipped_multiplier": 9,
-        "skipped_bound": 19439, "evaluated": 56}
+        "skipped_bound": 19493, "evaluated": 2}
 
 
 def test_reproduce_smoke(capsys):

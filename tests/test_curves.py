@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from oracles import curve_points, lucas_pell_points
+from tauhunt import catalog
 from tauhunt import curves as C
 from tauhunt.arith import DomainError
 
@@ -213,6 +214,28 @@ def test_catalog_lookup_helpers():
     assert C.catalog_entry("H", 3, 5, 1)["points"] == [[1, 5]]
     assert C.catalog_entry("H", 2, 5, 1)["points"] == [[1, 5], [2, 10]]
     assert C.catalog_entry("H", 7, 5, -1)["points"] == []
+
+
+def test_ell5_h_row_stands_for_every_w_above_2():
+    # Bugeaud-Mignotte-Siksek: Y^2 = 5X^(2w) + 20 has only (+-1, +-5) and
+    # Y^2 = 5X^(2w) - 20 no point once w > 2; the w = 3 row answers for
+    # every w, and a bounded search agrees
+    for w in range(3, 30, 2):
+        for sign, points in ((1, [[1, 5]]), (-1, [])):
+            entry = C.catalog_entry("H", w, 5, sign)
+            assert entry == {"points": points, "status": "known"}, (w, sign)
+            found = C.search_points(C.CurveSpec.h_family(w, 5, sign), 100).points
+            assert catalog.compare(entry["points"], found, 100, True) is None, (w, sign)
+
+
+def test_uncovered_curves_have_no_entry():
+    # a C curve has an odd exponent w, so no row stands for an even one
+    for w in range(2, 16, 2):
+        assert C.catalog_entry("C", w, 3, 1) is None
+    # the w > 2 rule at ell = 5 does not reach w = 1: Y^2 = 5X^2 + 20 also
+    # has (4, 10)
+    assert C.catalog_entry("H", 1, 5, 1) is None
+    assert (4, 10) in C.search_points(C.CurveSpec.h_family(1, 5, 1), 10).points
 
 
 def test_supplemented_points_are_real():

@@ -219,3 +219,29 @@ def test_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_one_row_shape_per_catalog():
+    """The curve and Thue catalogs are each one list of rows of one key
+    set, at most one row per key, read through catalog.entry; the four
+    ell = 691 curve rows also name their method.  verify_tables reports
+    exactly one row per curve row, in catalog order."""
+    from tauhunt import catalog, curves
+
+    shapes = {
+        "curve_tables.json": ({"family", "w", "ell", "sign", "points", "status"},
+                              ("family", "w", "ell", "sign"), {"known", "grh", "open"}),
+        "thue_tables.json": ({"d", "D", "points", "status"}, ("d", "D"), {"known", "grh"}),
+    }
+    for name, (fields, key, statuses) in shapes.items():
+        rows = catalog.load(name)["rows"]
+        for row in rows:
+            extra = {"method"} if row.get("ell") == 691 else set()
+            assert set(row) == fields | extra, (name, row)
+            assert row["status"] in statuses, (name, row)
+        keys = [tuple(row[f] for f in key) for row in rows]
+        assert len(set(keys)) == len(keys), name
+    rows = catalog.load("curve_tables.json")["rows"]
+    labels = [(curves.CurveSpec.c_family if row["family"] == "C" else curves.CurveSpec.h_family)(
+        row["w"], row["ell"], row["sign"]).label for row in rows]
+    assert [r["curve"] for r in curves.verify_tables(0)["rows"]] == labels

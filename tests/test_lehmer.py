@@ -61,6 +61,36 @@ def test_condition_carries_its_problem():
         LE.enumerate_conditions(DELTA, 20011, 1, 1)
 
 
+def test_over_ceiling_ell_refused_before_factoring(monkeypatch):
+    # d = ell is always a condition, and every other d is at most
+    # (ell + 1)/2: Fhat_ell decides the refusal, so nothing is factored
+    def unfactored(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(LE, "factor", unfactored)
+    for ell, degree in ((15937, 7968), (10**17 + 3, 5 * 10**16 + 1), (10**18 - 11, 5 * 10**17 - 6)):
+        with pytest.raises(DomainError, match=f"degree {degree} is over the degree ceiling"):
+            LE.enumerate_conditions(DELTA, ell, 1, -1)
+    monkeypatch.undo()
+    # 15923 is the greatest prime whose Fhat_ell is under the ceiling
+    conds = LE.enumerate_conditions(DELTA, 15923, 1, 1)
+    assert max(c.d for c in conds) == 15923
+
+
+def test_parity_found_once_per_spec():
+    # the odd stored eigenvalues are found once and kept on the spec; a
+    # spec that has them is refused on every call
+    spec = delta_newform(100)
+    assert LE.unit_set(spec) == (1,) and spec.__dict__["odd_eigenvalues"] == ()
+    spec.__dict__["odd_eigenvalues"] = (3,)  # read, not recomputed
+    with pytest.raises(DomainError, match="a_f\\(3\\) = 252 is odd"):
+        LE.omega_lower_bound(spec, 3)
+    bad = NewformSpec(weight=4, level=1, ap={3: 5}, trivial_mod2=True)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="a_f\\(3\\) = 5 is odd"):
+            LE.unit_set(bad)
+
+
 def test_catalog_status_read_alike():
     # one status vocabulary for both catalogs: the "grh" Thue rows of
     # F_6 = 41 and F_40 = 41 make their verdicts GRH-conditional, and the

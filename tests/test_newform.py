@@ -191,14 +191,14 @@ def test_tau_bound_refused_before_allocating():
 
 def test_parity_delta():
     spec = N.delta_newform(100)
-    assert N.parity_check(spec) == ()
+    assert spec.odd_eigenvalues == ()
     odd = [n for n, c in enumerate(N.delta_expansion(100), 1) if c % 2]
     assert odd == [1, 9, 25, 49, 81]
 
 
 def test_parity_violation_reported():
     bad = N.NewformSpec(weight=4, level=1, ap={3: 5}, trivial_mod2=True)
-    assert N.parity_check(bad) == (3,)
+    assert bad.odd_eigenvalues == (3,)
 
 
 def test_bad_prime_coefficients():

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (convergent_solutions, dense_thue_solutions, exact_convergents, form_value,
                      reduced_form_by_substitution, three_term, thue_roots)
+from tauhunt import catalog
 from tauhunt import thue as T
 from tauhunt.arith import DomainError, integer_nth_root, is_prime
 from tauhunt.lehmer import SearchBounds
@@ -175,20 +176,23 @@ def test_pruning_soundness_f6():
 
 
 def test_catalog_rows_evaluate():
-    for row in T.catalog_rows():
+    for row in catalog.load("thue_tables.json")["rows"]:
         if row["d"] == 691:
             form = T.build_form(345)
         else:
             form = T.build_form((row["d"] - 1) // 2)
-        for x, y in row["solutions"]:
+        for x, y in row["points"]:
             assert T.evaluate(form, x, y) == row["D"], (row["d"], row["D"], x, y)
 
 
 def test_catalog_lookup():
     # the shape of curves.catalog_entry: {points, status}, "known" or "grh"
-    assert T.catalog_lookup(7, 7) == {"points": [[1, 4], [2, 1], [-3, -5]], "status": "known"}
-    assert T.catalog_lookup(7, -41) == {"points": [[3, 7], [1, -2], [-4, -5]], "status": "grh"}
-    assert T.catalog_lookup(7, 11) is None
+    def entry(d, D):
+        return catalog.entry("thue_tables.json", d=d, D=D)
+
+    assert entry(7, 7) == {"points": [[1, 4], [2, 1], [-3, -5]], "status": "known"}
+    assert entry(7, -41) == {"points": [[3, 7], [1, -2], [-4, -5]], "status": "grh"}
+    assert entry(7, 11) is None
 
 
 def test_certificate_shape():
@@ -417,26 +421,33 @@ def test_scan_budget_refuses_before_scanning():
 def test_midsize_counters_fhat691():
     # at default bounds x0 = 3, so the convergents cover (2, x_mid]: of
     # the 1,997 distinct (p, q), 9 have no multiplier lam q in that range
-    # with lam^345 <= 691, the enclosures put |F(q, p)| above 691 for
-    # 1,932, and 56 are evaluated, none of them a solution
+    # with lam^345 <= 691, the enclosures of some root of the pair put
+    # |F(q, p)| above 691 for 1,986, and 2 are evaluated, none of them a
+    # solution
     bounds = SearchBounds()
     form = T.build_reduced_form(691)
     for rhs in (691, -691):
         res = T.solve_bounded(form, rhs, bounds.x_small, bounds.x_mid)
         assert res.certificate["midsize"] == {
             "roots": 345, "convergents": 1997, "skipped_multiplier": 9,
-            "skipped_bound": 1932, "evaluated": 56}
+            "skipped_bound": 1986, "evaluated": 2}
         assert res.solutions == ((rhs // 691, 2 * rhs // 691),)
-    # every convergent the bound skips, judged with its first root, has
-    # |F(q, p)| > 691
+    # every convergent the bound skips, judged with each root it is a
+    # convergent of, has |F(q, p)| > 691; judged with its first root
+    # alone, only 1,932 of them would be skipped
     ctx = form._context(bounds.x_mid)
     pairs = {}
     for p, q, i in ctx.convergents:
-        pairs.setdefault((p, q), i)
-    skipped = [(p, q) for (p, q), i in pairs.items()
-               if q > 2 and (b := ctx.log2_lower_bound(p, q, i)) is not None
-               and b >= (691).bit_length()]
-    assert len(skipped) == 1932
+        pairs.setdefault((p, q), []).append(i)
+
+    def proven(p, q, i):
+        b = ctx.log2_lower_bound(p, q, i)
+        return b is not None and b >= (691).bit_length()
+
+    skipped = [(p, q) for (p, q), roots in pairs.items()
+               if q > 2 and any(proven(p, q, i) for i in roots)]
+    assert len(skipped) == 1986
+    assert sum(proven(p, q, roots[0]) for (p, q), roots in pairs.items() if q > 2) == 1932
     assert all(abs(form_value(form.coeffs, q, p)) > 691 for p, q in skipped[::50])
 
 
