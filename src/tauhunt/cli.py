@@ -178,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run(args) -> dict | list:
+def _run(args) -> dict | tuple:
     verb = args.verb
     if verb == "tau":
-        return list(newform.delta_expansion(args.up_to))
+        return newform.delta_expansion(args.up_to)
     if verb == "coeff":
         spec = _load_form(args)
         if not args.spec and args.n > 1:

@@ -145,6 +145,16 @@ _SCAN_BUDGET_NS = 60 * 10**9
 _MAX_DEGREE = 7962
 
 
+def _signed_diagonal(n: int, count: int) -> tuple[int, ...]:
+    """(-1)^k C(n - k, k) for k < count, each from the last by the ratio
+    C(n - k - 1, k + 1) / C(n - k, k) = (n - 2k)(n - 2k - 1) / ((k + 1)(n - k)),
+    one exact step with small multipliers per term instead of one binomial."""
+    out = [1]
+    for k in range(count - 1):
+        out.append(-out[-1] * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k)))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ThueForm:
     """F_{2m} (family "standard", n = 2m + 1) or Fhat_p (family "reduced",
@@ -189,10 +199,12 @@ class ThueForm:
         and X^(2k+1) Y^(m-2k-1) has (-1)^k C(m - 1 - k, k) from X U_m:
         (-1)^(i//2) C(m - ceil(i/2), floor(i/2)) for X^i."""
         m = self.degree
-        if self.family == "reduced":
-            return tuple((-1) ** (i // 2) * math.comb(m - (i + 1) // 2, i // 2)
-                         for i in range(m + 1))
-        return tuple((-1) ** i * math.comb(2 * m - i, i) for i in range(m + 1))
+        if self.family == "standard":
+            return _signed_diagonal(2 * m, m + 1)
+        out = [0] * (m + 1)
+        out[0::2] = _signed_diagonal(m, m // 2 + 1)
+        out[1::2] = _signed_diagonal(m - 1, (m + 1) // 2)
+        return tuple(out)
 
     def _context(self, x_mid: int) -> _FormContext:
         """The form's one context up to x_mid, built on first use and kept,

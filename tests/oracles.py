@@ -382,6 +382,29 @@ def rank_by_scan(pair: LucasPair, ell: int) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def tau_series(bound: int) -> tuple[int, ...]:
+    """(tau(1), ..., tau(bound)) from Delta = q E^24, with no Decimal and
+    no Jacobi series: E = prod (1 - q^n) = 1 + sum_(k>=1) (-1)^k
+    (q^(k(3k-1)/2) + q^(k(3k+1)/2)) by Euler's pentagonal theorem, and
+    g = E^24 by the power recurrence n g_n = sum_(j>=1) (25 j - n) e_j g_(n-j)."""
+    pentagonal, k = [], 1
+    while k * (3 * k - 1) // 2 < bound:
+        pentagonal += [(j, (-1) ** k) for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                       if j < bound]
+        k += 1
+    pentagonal.sort()
+    g = [1]
+    for n in range(1, bound):
+        total = 0
+        for j, e in pentagonal:
+            if j > n:
+                break
+            total += (25 * j - n) * e * g[n - j]
+        g.append(total // n)
+    return tuple(g)
+
+
 def three_term(m: int, c1: int, a: int) -> tuple[int, ...]:
     """Coefficients (of X^i Y^(m-i)) of G_m for G_0 = 1, G_1 = Y + c1 X and
     G_j = (Y + a X) G_{j-1} - X^2 G_{j-2}, by the recurrence itself, m^2/2

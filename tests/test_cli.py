@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import curve_points, dense_thue_solutions, form_value, sieved_primes
+from oracles import curve_points, dense_thue_solutions, form_value, sieved_primes, tau_series
 from tauhunt import cli, newform, thue
 from tauhunt.cli import main
 
@@ -295,17 +295,18 @@ def test_decompose_over_budget_refused(capsys):
 
 def _keeps_contract(argv, capsys):
     """The contract of every fuzzed verb: exit 0 with JSON on stdout, or
-    exit 1 with an error: line and an empty stdout, within 5 s."""
+    exit 1 with an error: line and an empty stdout, within 5 s.  Returns
+    the answer, or None for a refusal."""
     start = time.perf_counter()
     code = main(argv)
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert elapsed < 5.0, argv
     if code == 0:
-        json.loads(captured.out)
-    else:
-        assert code == 1 and captured.out == "", argv
-        assert captured.err.startswith("error:"), argv
+        return json.loads(captured.out)
+    assert code == 1 and captured.out == "", argv
+    assert captured.err.startswith("error:"), argv
+    return None
 
 
 def test_lookup_verbs_fuzz(capsys):
@@ -337,6 +338,22 @@ def test_lookup_verbs_fuzz(capsys):
     def check(case):
         (verb, flag), value = case
         _keeps_contract([verb, f"{flag}={value}"], capsys)
+
+    check()
+
+
+def test_tau_fuzz(capsys, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ref = tau_series(20000)
+    edges = st.sampled_from((-1, 0, 1, 2, 4095, 4096, 4097, newform.MAX_TAU_BOUND + 1))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(edges | st.integers(-2, 20000))
+    def check(n):
+        monkeypatch.setattr(newform, "_DELTA_CACHE", [])  # each answer is expanded afresh
+        answer = _keeps_contract(["tau", f"--up-to={n}"], capsys)
+        assert answer is None if n < 1 or n > newform.MAX_TAU_BOUND else answer == list(ref[:n])
 
     check()
 
@@ -451,10 +468,9 @@ def test_number_verbs_fuzz(capsys):
         return st.integers(-2, small) | st.integers(-10**18, 10**18)
 
     primes = st.sampled_from([*sieved_primes(20000), 2**61 - 1, 999999999999999989])
-    # thue-gen --m 7900 is accepted and writes its coefficients in about
-    # 10 s, so the fuzz draws degrees up to 200 and degrees past the
-    # ceiling, 7962
-    thue_gen = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(8000, 10**18))
+    # a degree on either side of the ceiling, 7962
+    thue_gen = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(201, 7962)
+                          | st.integers(8000, 10**18))
                 | st.tuples(st.just("--reduced-p"), upto(401) | primes.filter(
                     lambda p: p <= 401 or p >= 16500))).map(
         lambda c: ["thue-gen", f"{c[0]}={c[1]}"])
@@ -479,9 +495,10 @@ def test_thue_solve_fuzz(capsys):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     primes = st.sampled_from([*sieved_primes(20000), 2**61 - 1, 999999999999999989])
-    # a degree up to 200 or past the ceiling, 7962, as for thue-gen; bounds
-    # small enough to finish or large enough to be refused by the budget
-    form = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(8000, 10**18))
+    # a degree on either side of the ceiling, 7962; bounds small enough to
+    # finish or large enough to be refused by the budget
+    form = (st.tuples(st.just("--m"), st.integers(-2, 200) | st.integers(201, 7962)
+                      | st.integers(8000, 10**18))
             | st.tuples(st.just("--reduced-p"), st.integers(-2, 401) | primes.filter(
                 lambda p: p <= 401 or p >= 16500)))
     rhs = st.integers(-10**18, 10**18)

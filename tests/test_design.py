@@ -245,3 +245,25 @@ def test_one_row_shape_per_catalog():
     labels = [(curves.CurveSpec.c_family if row["family"] == "C" else curves.CurveSpec.h_family)(
         row["w"], row["ell"], row["sign"]).label for row in rows]
     assert [r["curve"] for r in curves.verify_tables(0)["rows"]] == labels
+
+
+def test_tau_expansion_squares_twice(monkeypatch):
+    """tau to 10^5 takes two Decimal multiplications: eta^6 is the square of
+    the Jacobi series term by term, and eta^12 and eta^24 are squared in
+    slot text."""
+    from tauhunt import newform
+
+    exact, calls = newform._EXACT, []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(exact, name)
+
+        def multiply(self, a, b):
+            calls.append(a.adjusted() + 1)  # digits
+            return exact.multiply(a, b)
+
+    monkeypatch.setattr(newform, "_EXACT", Counting())
+    monkeypatch.setattr(newform, "_DELTA_CACHE", [])
+    assert newform.delta_expansion(10**5)[63000] == -80561663527802406257321747
+    assert len(calls) == 2

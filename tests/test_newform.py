@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from oracles import tau_series
 from tauhunt import newform as N
 from tauhunt.arith import DomainError, factor, primes_up_to
 
@@ -23,17 +24,6 @@ def test_delta_leading_coefficients():
     assert N.delta_expansion(1) == (1,)
 
 
-def test_square_truncated_matches_naive():
-    rng = random.Random(7)
-    for n in (1, 2, 5, 40):
-        a = [rng.randint(-99, 99) for _ in range(n)]
-        ref = [0] * n
-        for i in range(n):
-            for j in range(n - i):
-                ref[i + j] += a[i] * a[j]
-        assert N._square_truncated(a, n) == ref
-
-
 def naive_square(a, bound):
     """O(n^2) truncated square of the series sum a_i q^i."""
     n = min(len(a), bound)
@@ -42,6 +32,25 @@ def naive_square(a, bound):
         for j in range(min(n, len(out) - i)):
             out[i + j] += a[i] * a[j]
     return out
+
+
+def slot_square(a, bound):
+    """The truncated square of a by the slot steps of the tau expansion:
+    slot text, one Decimal squaring at the width of 2 n max|c|^2 read from
+    the extreme slots, the product's slots read back."""
+    n = min(len(a), bound)
+    return N._ints(N._square(N._slots(a[:n]), n, bound), min(2 * n - 1, bound))
+
+
+def test_square_truncated_matches_naive():
+    rng = random.Random(7)
+    for n in (1, 2, 5, 40):
+        a = [rng.randint(-99, 99) for _ in range(n)]
+        ref = [0] * n
+        for i in range(n):
+            for j in range(n - i):
+                ref[i + j] += a[i] * a[j]
+        assert slot_square(a, n) == ref
 
 
 def test_square_truncated_matches_naive_convolution():
@@ -53,7 +62,7 @@ def test_square_truncated_matches_naive_convolution():
     @hypothesis.given(st.lists(st.integers(-big, big), min_size=1, max_size=80),
                       st.integers(1, 170))
     def agrees(a, bound):
-        assert N._square_truncated(a, bound) == naive_square(a, bound)
+        assert slot_square(a, bound) == naive_square(a, bound)
 
     agrees()
 
@@ -67,18 +76,50 @@ def test_square_truncated_matches_naive_convolution():
     [0, 0, 2**200, 0, 0, 0, 0],
 ])
 def test_square_truncated_zero_top_slots(a):
-    # the product's top slots are zero, so its decimal string is short
+    # the product's top slots are zero, so its low digits read short
+    # until the slot offsets are added
     for bound in range(1, 2 * len(a) + 1):
-        assert N._square_truncated(a, bound) == naive_square(a, bound)
+        assert slot_square(a, bound) == naive_square(a, bound)
 
 
 @pytest.mark.parametrize("n,mx", [(1, 1), (9, 9), (50, 99999), (80, 2**200)])
 def test_square_truncated_all_negative_max(n, mx):
-    # the middle coefficient of the square reaches n * mx^2, the slot's limit
-    a = [-mx] * n
-    got = N._square_truncated(a, 2 * n)
-    assert got == naive_square(a, 2 * n)
-    assert got[n - 1] == n * mx * mx
+    # c_(n-1) of the square is n mx^2, the bound the slot width is chosen
+    # for, and sum c^2, where Cauchy-Schwarz is tight
+    for a in ([-mx] * n, [mx] * n):
+        got = slot_square(a, 2 * n)
+        assert got == naive_square(a, 2 * n)
+        assert got[n - 1] == n * mx * mx == sum(c * c for c in a)
+
+
+@pytest.mark.parametrize("a", [[3, -7, 2], [-1], [0, 4, -4], [-(10**30), 10**30 - 1],
+                               [450, 449], [-450, -449]])
+def test_extreme_slot_is_negative(a):
+    # fixed-width slots sort as the numbers they hold, so the extreme of a
+    # series whose largest |c| is negative is its smallest slot; [450, 449]
+    # has only slots that begin with 9
+    text = N._slots(a)
+    assert N._extreme(text, len(text) // len(a)) == max(map(abs, a))
+    assert slot_square(a, len(a)) == naive_square(a, len(a))
+
+
+@pytest.mark.parametrize("a,bound", [([0, 9], 2), ([0, 0, -(10**20)], 3), ([1, -1, 0, 0], 4),
+                                     ([7], 1), ([1, 1, 10**6], 2)])
+def test_square_of_square_in_slot_text(a, bound):
+    # the expansion squares the product's slot text again; when the square's
+    # coefficients are shorter than the slots they arrive in, as for
+    # [1, 1, 10^6] whose square truncated to 2 terms is [1, 2] in slots
+    # sized for 10^12, the slots keep their width
+    once = min(2 * len(a) - 1, bound)
+    text = N._square(N._square(N._slots(a), len(a), bound), once, bound)
+    assert N._ints(text, min(2 * once - 1, bound)) == naive_square(naive_square(a, bound), bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 4095, 4096, 4097, 8193])
+def test_tau_list_at_block_edges(bound, monkeypatch):
+    # _BLOCK = 4096 slots per joined piece; each bound is expanded afresh
+    monkeypatch.setattr(N, "_DELTA_CACHE", [])
+    assert N._tau_list(bound) == list(tau_series(bound))
 
 
 def test_tau_multiplicative_samples():

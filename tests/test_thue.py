@@ -95,6 +95,39 @@ def test_coeffs_match_recurrence():
         assert T.build_reduced_form(p).coeffs == three_term((p - 1) // 2, 1, 0), p
 
 
+def test_coeffs_by_ratio_recurrence():
+    # the ratio recurrences behind coeffs against the closed-form
+    # binomials, the three-term recurrence and the substitution
+    # Y -> Y + 2X; at high degree against math.comb at sampled indices
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def closed_form(family, m):
+        if family == "standard":
+            return tuple((-1) ** i * math.comb(2 * m - i, i) for i in range(m + 1))
+        return tuple((-1) ** (i // 2) * math.comb(m - (i + 1) // 2, i // 2) for i in range(m + 1))
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 300), st.sampled_from(_PRIMES_TO_801))
+    def small(m, p):
+        got = T.ThueForm("standard", 2 * m + 1).coeffs
+        assert got == closed_form("standard", m) == three_term(m, -1, -2)
+        got = T.ThueForm("reduced", p).coeffs
+        assert got == closed_form("reduced", (p - 1) // 2) == three_term((p - 1) // 2, 1, 0)
+        assert got == reduced_form_by_substitution(p)
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(st.integers(301, T._MAX_DEGREE), st.lists(st.floats(0, 1), min_size=5,
+                                                                 max_size=5))
+    def large(m, where):
+        got = T.ThueForm("standard", 2 * m + 1).coeffs
+        for i in {0, m, *(int(f * m) for f in where)}:
+            assert got[i] == (-1) ** i * math.comb(2 * m - i, i), (m, i)
+
+    small()
+    large()
+
+
 _PRIMES_TO_801 = [p for p in range(3, 802, 2) if is_prime(p)]
 
 
