@@ -1,4 +1,9 @@
-"""The weight-aspect exclusion bound M^+-(ell, m).
+"""Bounds: the search bounds of a run, and the weight-aspect exclusion
+bound M^+-(ell, m).
+
+SearchBounds holds x_max (curve searches), x_small and x_mid (Thue
+searches).  It lives here, beside arith only, so the CLI's defaults
+load no search layer.
 
 +-ell^m (ell in {3, 5}) is not a coefficient of an eligible newform of
 weight 2k > M^+-(ell, m).  Every case of the table has the shape
@@ -16,9 +21,21 @@ from fractions import Fraction
 
 from .arith import DomainError
 
-__all__ = ["EffectiveBound", "weight_bound_M", "sqrt_interval"]
+__all__ = ["SearchBounds", "EffectiveBound", "weight_bound_M", "sqrt_interval"]
 
 _SQRT_BITS = 64  # sqrt(m) is enclosed to within 2^-64
+
+
+@dataclass(frozen=True)
+class SearchBounds:
+    """The bounds of one run; the defaults are also the CLI's."""
+
+    x_max: int = 100000  # curve searches
+    x_small: int = 1000  # exhaustive Thue range
+    x_mid: int = 10000   # convergent-pruned Thue range
+
+    def to_dict(self) -> dict:
+        return {"x_max": self.x_max, "x_small": self.x_small, "x_mid": self.x_mid}
 
 
 def sqrt_interval(x: int | Fraction) -> tuple[Fraction, Fraction]:

@@ -1,6 +1,10 @@
 """Command-line frontend: every verb reads arguments, runs the library,
 and prints one deterministic JSON document to stdout.
 
+A verb imports the layers it calls inside its own branch, so a process
+loads only those: verify-tables reaches curves and catalog, tau only
+newform, and none of them loads the Thue layer.
+
 Exit codes: 0 success, 1 domain error (bad mathematical input), 2 usage
 error.  Output is byte-identical across repeated runs.
 """
@@ -15,27 +19,36 @@ import shutil
 import sys
 import tempfile
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from . import bounds, curves, lehmer, lucas, newform, thue
+from . import bounds
 from .arith import DomainError, factor
 
-_FORM_CACHE: dict[str, newform.NewformSpec] = {}
+if TYPE_CHECKING:
+    from .newform import NewformSpec
+    from .thue import ThueForm
+
+_FORM_CACHE: dict[str, NewformSpec] = {}
 
 
 # encoder chunks joined into one write
 _EMIT_BATCH = 1 << 12
+# bytes of a document held in memory before it is spooled to disk
+_EMIT_IN_MEMORY = 1 << 20
 
 
 def _emit(obj, out_path: str | None) -> None:
     """Write obj as indented JSON to out_path, if given, and to stdout.
 
-    The encoder's chunks go in batches to an unnamed temporary file, so
-    the text is never held whole, and are copied out once encoding has
-    finished: an integer too long for str() or an out_path that cannot be
-    opened raises before anything is written.
+    The encoder's chunks go in batches to a spooled temporary file, held
+    in memory up to _EMIT_IN_MEMORY bytes and moved to an unnamed file on
+    disk past that (tau's 3 MB document), so a long text is never held
+    whole.  They are copied out once encoding has finished: an integer
+    too long for str() or an out_path that cannot be opened raises before
+    anything is written.
     """
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    with tempfile.TemporaryFile("w+") as spool:
+    with tempfile.SpooledTemporaryFile(_EMIT_IN_MEMORY, "w+") as spool:
         try:
             while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
                 spool.write(batch)
@@ -52,7 +65,8 @@ def _emit(obj, out_path: str | None) -> None:
         shutil.copyfileobj(spool, sys.stdout)
 
 
-def _load_form(args) -> newform.NewformSpec:
+def _load_form(args) -> NewformSpec:
+    from . import newform
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             return newform.NewformSpec.from_json(fh.read())
@@ -77,13 +91,11 @@ def _parse_prime_power_target(target: int) -> tuple[int, int, int]:
     return sign, ell, m
 
 
-def _bounds_from(args) -> lehmer.SearchBounds:
-    return lehmer.SearchBounds(
-        x_max=args.xmax, x_small=args.x_small, x_mid=args.x_mid
-    )
+def _bounds_from(args) -> bounds.SearchBounds:
+    return bounds.SearchBounds(x_max=args.xmax, x_small=args.x_small, x_mid=args.x_mid)
 
 
-_DEFAULT_BOUNDS = lehmer.SearchBounds()
+_DEFAULT_BOUNDS = bounds.SearchBounds()
 
 
 def _add_curve_bound(p):
@@ -181,8 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> dict | tuple:
     verb = args.verb
     if verb == "tau":
+        from . import newform
         return newform.delta_expansion(args.up_to)
     if verb == "coeff":
+        from . import newform
         spec = _load_form(args)
         if not args.spec and args.n > 1:
             # the built-in Delta stores a_f(p) for p <= 1000; add tau(q) for n's other primes
@@ -195,6 +209,7 @@ def _run(args) -> dict | tuple:
         return {"form": spec.name or "custom", "n": args.n,
                 "coefficient": newform.coeff(spec, args.n)}
     if verb == "lucas":
+        from . import lucas
         pair = lucas.LucasPair(args.a, args.b)
         out = {
             "A": args.a,
@@ -218,12 +233,14 @@ def _run(args) -> dict | tuple:
         return {"form": form.name, "degree": form.degree,
                 "coeffs_by_x_power": list(form.coeffs)}
     if verb == "thue-solve":
+        from . import thue
         form = _pick_form(args)
         res = thue.solve_bounded(form, args.rhs, args.x_small, args.x_mid)
         out = res.to_dict()
         out["bounds"] = {"x_small": args.x_small, "x_mid": args.x_mid}
         return out
     if verb == "curve-search":
+        from . import curves
         sign = 1 if args.sign == "plus" else -1
         if args.family == "C":
             spec = curves.CurveSpec.c_family(2 * args.d - 1, args.ell, sign, args.m)
@@ -231,17 +248,21 @@ def _run(args) -> dict | tuple:
             spec = curves.CurveSpec.h_family(args.d, args.ell, sign, args.m)
         return curves.search_points(spec, args.xmax).to_dict()
     if verb == "verify-tables":
+        from . import curves
         return curves.verify_tables(args.xmax)
     if verb == "admissible":
+        from . import lehmer
         spec = _load_form(args)
         sign, ell, m = _parse_prime_power_target(args.target)
         rep = lehmer.check_admissibility(spec, ell, m, sign, _bounds_from(args))
         return rep.to_dict()
     if verb == "omega-bound":
+        from . import lehmer
         spec = _load_form(args)
         return {"form": spec.name or "custom", "n": args.n,
                 "omega_lower_bound": lehmer.omega_lower_bound(spec, args.n)}
     if verb == "decompose":
+        from . import lehmer
         spec = _load_form(args)
         return lehmer.decompose_odd_target(spec, args.target)
     if verb == "weight-bound":
@@ -259,6 +280,7 @@ def _run(args) -> dict | tuple:
             else "rounded case table",
         }
     if verb == "reproduce":
+        from . import lehmer
         spec = _load_form(args)
         b = _bounds_from(args)
         reports = []
@@ -300,7 +322,8 @@ def _run(args) -> dict | tuple:
     raise DomainError(f"unknown verb {verb}")  # pragma: no cover
 
 
-def _pick_form(args) -> thue.ThueForm:
+def _pick_form(args) -> ThueForm:
+    from . import thue
     if (args.m is None) == (args.reduced_p is None):
         raise DomainError("give exactly one of --m or --reduced-p")
     if args.m is not None:

@@ -6,13 +6,17 @@ the B-curves attached to defective Lucas families.  The searcher tests
 rhs(x) for squareness exactly; residue tables merely prune candidates
 before the exact isqrt check.  Per search, the integer T_q has bit r set
 iff lead r^e + constant is a square mod q, for q in 64, 63, 65, 11 and
-the primes 17..97.  The x range is scanned in chunks, each one integer
-used as a bitset (bit j stands for x = a + j): every T_q, repeated to the
-chunk's length and shifted to its start, is ANDed into it, and the set
-bits left are the survivors.  A scan of more than _SCAN_BUDGET x values,
-about a minute, is refused before it starts, as is an ell^m or an
-x_max^e too long to print.  Point catalogs for the table-covered cases
-ship as a JSON fixture of rows {family, w, ell, sign, points, status};
+the primes 17..97; it is read off by bytes.translate from the cached
+bytes of lead r^e mod q.  The x range is scanned in chunks of 2^14, each
+one integer used as a bitset (bit j stands for x = a + j): each T_q,
+repeated to the chunk's length and shifted to its start, is ANDed into
+it in turn, and the set bits left are the survivors.  A chunk stops at
+the first modulus that leaves no bit, and T_q is built only when a chunk
+first reaches q, so a curve whose chunks all empty early builds only the
+first few tables.  A scan of more than _SCAN_BUDGET x values, about a
+minute, is refused before it starts, as is an ell^m or an x_max^e too
+long to print.  Point catalogs for the table-covered cases ship as a
+JSON fixture of rows {family, w, ell, sign, points, status};
 catalog_entry is its one lookup, and verify_tables replays every row
 against a bounded search.
 """
@@ -39,13 +43,14 @@ __all__ = [
 # pass 0.2-0.3% of x on C curves.
 _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                   73, 79, 83, 89, 97)
-_SQUARES = {q: frozenset(y * y % q for y in range(q)) for q in _SQUARE_MODULI}
 # x values per bitset of the square filter
-_CHUNK = 1 << 15
-# Cost of one scanned x value, rounded up: 0.3-4.2 ns, 1.8 ns in the
-# median, over the 336 C and H curves of verify_tables and Y^2 = X^3 +- 3^42
-# to x_max = 10^6 on a 2-vCPU Xeon.  The largest scan accepted takes about
-# a minute at that cost.
+_CHUNK = 1 << 14
+# Cost of one scanned x value, rounded up: 0.3-3.6 ns, 1.7 ns in the
+# median, over the 336 C and H curves of verify_tables to x_max = 10^5
+# (best of 15 each), and 1.0-1.4 ns on Y^2 = X^3 +- 3^42 to x_max = 10^6,
+# on a 2-vCPU Xeon; in a slow phase of the host the curves read up to
+# 5.2 ns and the two long scans 2.5 ns.  The largest scan accepted takes
+# about a minute at that cost.
 _SCAN_NS_PER_VALUE = 5
 _SCAN_BUDGET = 60 * 10**9 // _SCAN_NS_PER_VALUE
 
@@ -109,26 +114,35 @@ class CurveSearch:
         }
 
 
-@lru_cache(maxsize=1 << 10)
-def _power_classes(e: int, q: int) -> tuple[tuple[int, int], ...]:
-    """(v, bits) for each value v of r^e mod q, r = 0..q-1: bit r of bits
-    is set iff r^e = v (mod q)."""
-    classes: dict[int, int] = {}
-    for r in range(q):
-        v = pow(r, e, q)
-        classes[v] = classes.get(v, 0) | 1 << r
-    return tuple(classes.items())
+def _square_digits(q: int) -> bytes:
+    """A bytes.translate table for each shift c < q: byte v < q of
+    _square_digits(q)[c:c + 256] is b"1" if v + c is a square mod q and
+    b"0" if not."""
+    row = bytearray(b"0" * q)
+    for y in range(q):
+        row[y * y % q] = ord("1")
+    return bytes(row * 2) + bytes(256 - q)
 
 
-def _residue_tables(spec: CurveSpec) -> list[tuple[int, int]]:
-    """(q, T_q) for each q in _SQUARE_MODULI: bit r of the integer T_q is
-    set iff lead r^e + constant is a square mod q."""
-    tables = []
-    for q in _SQUARE_MODULI:
-        lead, constant, squares = spec.lead % q, spec.constant % q, _SQUARES[q]
-        tables.append((q, sum(bits for v, bits in _power_classes(spec.exponent, q)
-                              if (lead * v + constant) % q in squares)))
-    return tables
+_SQUARE_DIGITS = {q: _square_digits(q) for q in _SQUARE_MODULI}
+
+
+@lru_cache(maxsize=1 << 12)
+def _power_bytes(lead: int, e: int, q: int) -> bytes:
+    """Byte r is lead r^e mod q, r = 0..q-1."""
+    return bytes(lead * pow(r, e, q) % q for r in range(q))
+
+
+def _residue_tile(spec: CurveSpec, q: int, length: int) -> int:
+    """T_q repeated by shift-or doubling to at least length bits: bit j is
+    set iff lead j^e + constant is a square mod q."""
+    c = spec.constant % q
+    row = _power_bytes(spec.lead, spec.exponent, q).translate(_SQUARE_DIGITS[q][c:c + 256])
+    tile, width = int(row[::-1], 2), q
+    while width < length:
+        tile |= tile << width
+        width <<= 1
+    return tile
 
 
 def _check_digits(spec: CurveSpec, x_max: int) -> None:
@@ -159,10 +173,11 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     Negative x is clipped where rhs < 0 (odd exponents); even exponents
     are scanned on x >= 0 and mirrored.  The x range is scanned in
     chunks of _CHUNK values; the sorted output does not depend on it.
-    Each T_q is repeated once per search, by shift-or doubling, to the
-    chunk length plus q bits; a chunk starting at a ANDs in that tile
+    A chunk starting at a ANDs in the tile of each modulus q in turn,
     shifted right by a mod q, stopping early once no bit is left, and
-    every survivor is confirmed exactly.
+    every survivor is confirmed exactly.  The tile of q, T_q repeated to
+    the chunk length plus q bits, is built once per search, when the
+    first chunk reaches q.
     """
     if x_max < 0:
         raise DomainError("x_max must be >= 0")
@@ -180,20 +195,16 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     values = x_max + 1 - lo
     _check_scan_budget(values)
     span = min(_CHUNK, values)
-    tiles = []
-    for q, tile in _residue_tables(spec):
-        width = q
-        while width < span + q:
-            tile |= tile << width
-            width <<= 1
-        tiles.append((q, tile))
+    tiles: list[int] = []  # tiles[i] for _SQUARE_MODULI[i], built when a chunk first reaches it
     pts: set[tuple[int, int]] = set()
     survivors = confirmed = 0
     for a in range(lo, x_max + 1, _CHUNK):
         n = min(_CHUNK, x_max + 1 - a)
         mask = (1 << n) - 1  # bit j stands for x = a + j
-        for q, tile in tiles:
-            mask &= tile >> a % q
+        for i, q in enumerate(_SQUARE_MODULI):
+            if i == len(tiles):
+                tiles.append(_residue_tile(spec, q, span + q))
+            mask &= tiles[i] >> a % q
             if not mask:
                 break
         bits = bin(mask)[:1:-1]  # bits[j] is bit j

@@ -43,11 +43,11 @@ from .arith import (
     is_prime,
     prime_power_root,
 )
+from .bounds import SearchBounds
 from .lucas import sigma_hat
 from .newform import NewformSpec
 
 __all__ = [
-    "SearchBounds",
     "unit_set",
     "DiophantineCondition",
     "enumerate_conditions",
@@ -72,18 +72,6 @@ THEOREM_TARGETS = (
 )
 
 RAMANUJAN_PRIMES = (3, 5, 7, 691)
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """The bounds of one run; the defaults are also the CLI's."""
-
-    x_max: int = 100000  # curve searches
-    x_small: int = 1000  # exhaustive Thue range
-    x_mid: int = 10000   # convergent-pruned Thue range
-
-    def to_dict(self) -> dict:
-        return {"x_max": self.x_max, "x_small": self.x_small, "x_mid": self.x_mid}
 
 
 def unit_set(spec: NewformSpec) -> tuple[int, ...]:

@@ -587,6 +587,18 @@ def test_streamed_output_matches_dumps(argv, tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_spooled_output_rolls_over_to_disk(monkeypatch, tmp_path, capsys):
+    # a document past the in-memory size moves to disk mid-write and is
+    # still copied out whole, to stdout and to --out
+    monkeypatch.setattr(cli, "_EMIT_IN_MEMORY", 1000)
+    path = tmp_path / "report.json"
+    assert main(["--out", str(path), "tau", "--up-to", "3000"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) > 50 * 1000
+    assert json.loads(out) == list(newform.delta_expansion(3000))
+    assert path.read_text() == out
+
+
 def test_too_long_integer_leaves_out_path_unwritten(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["--out", str(path), "lucas", "--a", "1", "--b", "2", "--count", "30000"]) == 1

@@ -79,18 +79,48 @@ _TABLE_SPECS = (
 
 def test_residue_tables():
     for spec in _TABLE_SPECS:
-        tables = C._residue_tables(spec)
-        assert [m for m, _ in tables] == list(C._SQUARE_MODULI)
-        for m, table in tables:
+        points = curve_points(spec.lead, spec.exponent, spec.constant, 2000)
+        assert points
+        for m in C._SQUARE_MODULI:
             squares = {y * y % m for y in range(m)}
+            table = C._residue_tile(spec, m, m)
             assert 0 <= table < 1 << m
             assert [table >> r & 1 for r in range(m)] == [
                 spec.rhs(r) % m in squares for r in range(m)]
-        points = curve_points(spec.lead, spec.exponent, spec.constant, 2000)
-        assert points
-        for x, _ in points:
-            for m, table in tables:
+            for x, _ in points:
                 assert table >> x % m & 1, (spec.label, x, m)
+            # the tile repeats T_q to at least the length asked for
+            length = 3 * m + 5
+            tile = C._residue_tile(spec, m, length)
+            assert [tile >> j & 1 for j in range(length)] == [
+                spec.rhs(j) % m in squares for j in range(length)]
+
+
+def test_residue_tables_built_on_demand(monkeypatch):
+    """A tile is built when a chunk first reaches its modulus, once per
+    search, in filter order: a curve whose chunks all empty early builds
+    only the first tables, and a point in range makes its chunk reach
+    every modulus."""
+    tile, built = C._residue_tile, []
+
+    def counted(spec, q, length):
+        built.append(q)
+        return tile(spec, q, length)
+
+    monkeypatch.setattr(C, "_residue_tile", counted)
+    n = len(C._SQUARE_MODULI)
+    # Y^2 = X^5 - 3 and Y^2 = X^7 + 3^5 have no point with |x| <= 10^5
+    for spec in (C.CurveSpec.c_family(5, 3, -1), C.CurveSpec.c_family(7, 3, 1, 5)):
+        for x_max in (100, 10**5):
+            built.clear()
+            assert C.search_points(spec, x_max).points == ()
+            assert 0 < len(built) < n, (spec.label, x_max)
+            assert built == list(C._SQUARE_MODULI[:len(built)])
+    for spec in _TABLE_SPECS:
+        for x_max in (100, 10**5):
+            built.clear()
+            assert C.search_points(spec, x_max).points
+            assert built == list(C._SQUARE_MODULI), (spec.label, x_max)
 
 
 def _filter_survivors(spec, lo, x_max):

@@ -214,6 +214,51 @@ def test_no_verb_imports_numpy():
         assert line == "0 False", (argv, line)
 
 
+# runs one verb given as a JSON argument vector (or none, for a bare
+# import), printing the tauhunt modules then loaded on stderr
+_LAYERS_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from tauhunt.cli import main
+    assert main(argv) == 0
+else:
+    import tauhunt
+print(*sorted(m for m in sys.modules if m.startswith("tauhunt.")), file=sys.stderr)
+"""
+
+# layers a verb must not load
+_UNUSED_LAYERS = {
+    "verify-tables": {"thue", "lehmer", "lucas", "newform"},
+    "curve-search": {"thue", "lehmer", "lucas", "newform"},
+    "tau": {"curves", "thue", "lehmer", "lucas"},
+    "coeff": {"curves", "thue", "lehmer", "lucas"},
+}
+
+
+def test_each_verb_loads_only_its_layers():
+    """A verb imports only the layers it calls: each verb, run in a fresh
+    interpreter, leaves the Thue, Lehmer, Lucas and newform layers
+    unloaded where it needs none of them, and a bare import of the
+    package loads only its arithmetic kernel."""
+    import json
+
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+
+    def loaded(argv):
+        proc = subprocess.run([sys.executable, "-c", _LAYERS_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return {m.removeprefix("tauhunt.") for m in proc.stderr.split()}
+
+    assert loaded([]) == {"arith"}
+    for argv in _EVERY_VERB:
+        layers = loaded(argv)
+        assert {"arith", "bounds", "cli"} <= layers, argv
+        assert not layers & _UNUSED_LAYERS.get(argv[0], set()), (argv, layers)
+    assert set(_UNUSED_LAYERS) <= {argv[0] for argv in _EVERY_VERB}
+
+
 def test_no_runtime_dependency():
     """pyproject.toml lists no runtime dependency."""
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
