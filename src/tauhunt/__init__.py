@@ -9,7 +9,6 @@ it uses."""
 
 from .arith import (
     DomainError,
-    Factorization,
     continued_fraction_convergents,
     factor,
     is_perfect_square,

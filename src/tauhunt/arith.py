@@ -1,8 +1,9 @@
 """Exact big-integer utilities shared by every other module.
 
 Everything here is pure integer / rational arithmetic: deterministic
-primality testing, factorization (trial division by the primes below
-2^10, then Brent's rho), the Lucas ladder, divisor power sums,
+primality testing, factorization into the ascending ``((p, e), ...)``
+tuple (trial division by the primes below 2^10, then Brent's rho), the
+Lucas ladder, divisor power sums,
 perfect-power tests, exact polynomial signs, and the continued-fraction
 convergents that a rational interval fixes.  No floating point
 participates in any decision.
@@ -12,13 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "DomainError",
-    "Factorization",
     "is_prime",
     "factor",
     "sigma",
@@ -210,20 +209,9 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of |n| as ordered (prime, exponent) pairs."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def omega(self) -> int:
-        return len(self.pairs)
-
-
-def factor(n: int) -> Factorization:
-    """Exact factorization of ``|n|``; rejects n = 0.
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact factorization of ``|n|`` as its ``(prime, exponent)`` pairs in
+    ascending order of the prime, so ``len()`` is omega(n); rejects n = 0.
 
     Trial division by the primes below 2^10 stops as soon as the cofactor
     is 1 or prime; Brent's rho (``_pollard_rho``) splits any cofactor left.
@@ -254,7 +242,7 @@ def factor(n: int) -> Factorization:
         g = _pollard_rho(v)
         stack.append(g)
         stack.append(v // g)
-    return Factorization(n, tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def sigma(nu: int, n: int) -> int:
@@ -264,7 +252,7 @@ def sigma(nu: int, n: int) -> int:
     if nu < 0:
         raise DomainError("sigma requires nu >= 0")
     total = 1
-    for p, e in factor(n).pairs:
+    for p, e in factor(n):
         if nu == 0:
             total *= e + 1
         else:

@@ -1,8 +1,8 @@
 """Bounds: the search bounds of a run, and the weight-aspect exclusion
 bound M^+-(ell, m).
 
-SearchBounds holds x_max (curve searches), x_small and x_mid (Thue
-searches).  It lives here, beside arith only, so the CLI's defaults
+SearchBounds holds and checks x_max (curve searches), x_small and x_mid
+(Thue searches).  It lives here, beside arith only, so the CLI's defaults
 load no search layer.
 
 +-ell^m (ell in {3, 5}) is not a coefficient of an eligible newform of
@@ -28,11 +28,20 @@ _SQRT_BITS = 64  # sqrt(m) is enclosed to within 2^-64
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """The bounds of one run; the defaults are also the CLI's."""
+    """The bounds of one run; the defaults are also the CLI's.  They are
+    checked here, so a run that reaches no Thue condition still refuses
+    bad Thue bounds; thue.solve_bounded, given x_small and x_mid alone,
+    keeps its own check."""
 
     x_max: int = 100000  # curve searches
     x_small: int = 1000  # exhaustive Thue range
     x_mid: int = 10000   # convergent-pruned Thue range
+
+    def __post_init__(self):
+        if self.x_max < 0:
+            raise DomainError("x_max must be >= 0")
+        if not 0 <= self.x_small <= self.x_mid:
+            raise DomainError("need 0 <= x_small <= x_mid")
 
     def to_dict(self) -> dict:
         return {"x_max": self.x_max, "x_small": self.x_small, "x_mid": self.x_mid}

@@ -68,7 +68,7 @@ def _emit(obj, out_path: str | None) -> None:
 def _load_form(args) -> NewformSpec:
     from . import newform
     if getattr(args, "spec", None):
-        with open(args.spec) as fh:
+        with open(args.spec, "rb") as fh:  # json.loads finds the encoding of the bytes
             return newform.NewformSpec.from_json(fh.read())
     if "delta" not in _FORM_CACHE:
         _FORM_CACHE["delta"] = newform.delta_newform(1000)
@@ -82,12 +82,12 @@ def _parse_prime_power_target(target: int) -> tuple[int, int, int]:
     sign = 1 if target > 0 else -1
     if abs(target) == 1:
         raise DomainError("units +-1 are classified by the unit set, not searched")
-    f = factor(target)
-    if f.omega != 1:
+    pairs = factor(target)
+    if len(pairs) != 1:
         raise DomainError(
             f"{target} is not a prime power; run 'decompose' to split it into sub-targets"
         )
-    ell, m = f.pairs[0]
+    (ell, m), = pairs
     return sign, ell, m
 
 
@@ -200,7 +200,7 @@ def _run(args) -> dict | tuple:
         spec = _load_form(args)
         if not args.spec and args.n > 1:
             # the built-in Delta stores a_f(p) for p <= 1000; add tau(q) for n's other primes
-            missing = [q for q, _ in factor(args.n).pairs
+            missing = [q for q, _ in factor(args.n)
                        if q not in spec.ap and q <= newform.MAX_TAU_BOUND]
             if missing:
                 taus = newform.delta_expansion(max(missing))
@@ -219,14 +219,10 @@ def _run(args) -> dict | tuple:
             "satisfies_modularity_shape": pair.satisfies_modularity,
         }
         if pair.satisfies_modularity:
-            out["defects"] = [
-                {"n": r.n, "value": r.value, "source": r.source, "params": dict(r.params)}
-                for r in lucas.classify_defects(pair)
-            ]
-        if args.ell:
-            rank = lucas.rank_of_apparition(pair, args.ell)
-            out["rank_of_apparition"] = {"ell": args.ell, "rank": rank.rank,
-                                         "reason": rank.reason}
+            out["defects"] = lucas.classify_defects(pair)
+        if args.ell is not None:
+            rank, reason = lucas.rank_of_apparition(pair, args.ell)
+            out["rank_of_apparition"] = {"ell": args.ell, "rank": rank, "reason": reason}
         return out
     if verb == "thue-gen":
         form = _pick_form(args)
@@ -254,8 +250,7 @@ def _run(args) -> dict | tuple:
         from . import lehmer
         spec = _load_form(args)
         sign, ell, m = _parse_prime_power_target(args.target)
-        rep = lehmer.check_admissibility(spec, ell, m, sign, _bounds_from(args))
-        return rep.to_dict()
+        return lehmer.check_admissibility(spec, ell, m, sign, _bounds_from(args))
     if verb == "omega-bound":
         from . import lehmer
         spec = _load_form(args)
@@ -296,20 +291,20 @@ def _run(args) -> dict | tuple:
                 continue
             sign, ell, m = _parse_prime_power_target(target)
             rep = lehmer.check_admissibility(spec, ell, m, sign, b)
-            all_excluded &= rep.status == "EXCLUDED_WITHIN_BOUNDS"
+            all_excluded &= rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
             reports.append({
                 "target": target,
-                "status": rep.status,
-                "grh_conditional": rep.grh_conditional,
+                "status": rep["status"],
+                "grh_conditional": rep["grh_conditional"],
                 "conditions": [
                     {
-                        "d": v.condition.d,
-                        "mode": v.mode,
-                        "source": v.source,
-                        "raw_hits": len(v.raw_hits),
-                        "candidates": len(v.candidates),
+                        "d": c["d"],
+                        "mode": c["mode"],
+                        "source": c["source"],
+                        "raw_hits": len(c["raw_hits"]),
+                        "candidates": sum(d["status"] == "candidate" for d in c["dispositions"]),
                     }
-                    for v in rep.verdicts
+                    for c in rep["conditions"]
                 ],
             })
         return {

@@ -18,9 +18,11 @@ Each condition carries its search problem, its CurveSpec or Fhat_d,
 built on enumeration, so a form over the degree ceiling is refused
 before any search; d = ell is always a condition, so an Fhat_ell over
 the ceiling is refused before ell(ell^2 - 1) is factored.
-check_admissibility takes every condition down one path.  _verdict
-runs the bounded search, compares it through catalog.compare with the
-condition's catalog entry, {points, status} from catalog.entry (through
+check_admissibility takes every condition down one path and returns
+the tauhunt-admissibility/1 document that the admissible verb prints,
+each condition one dict from _condition.  _verdict runs the bounded
+search, compares it through catalog.compare with the condition's
+catalog entry, {points, status} from catalog.entry (through
 curves.catalog_entry for a curve), and hands every point to _dispose.
 _dispose recovers p and the possible |a_f(p)| behind the point, then
 runs one eigenvalue check on each magnitude: the Deligne bound, the
@@ -52,7 +54,6 @@ __all__ = [
     "DiophantineCondition",
     "enumerate_conditions",
     "achievable_ranks",
-    "AdmissibilityReport",
     "check_admissibility",
     "omega_lower_bound",
     "decompose_odd_target",
@@ -134,7 +135,7 @@ def enumerate_conditions(
     alpha = sign * ell**m
     w = spec.weight - 1
     out = []
-    divisors = sorted(p for p, _ in factor(ell * (ell * ell - 1)).pairs if p > 2)
+    divisors = [p for p, _ in factor(ell * (ell * ell - 1)) if p > 2]
     for d in divisors:
         if d == 3:
             kind, problem = "curve-C", curves.CurveSpec.c_family(w, ell, sign, m)
@@ -166,72 +167,13 @@ def achievable_ranks(ell: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    condition: DiophantineCondition
-    mode: str  # "fixture+search" | "search" | "congruence-excluded"
-    source: str
-    grh_conditional: bool
-    raw_hits: tuple
-    dispositions: tuple
-    certificate: dict
-
-    @property
-    def candidates(self) -> list[dict]:
-        return [d for d in self.dispositions if d["status"] == "candidate"]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.condition.d,
-            "kind": self.condition.kind,
-            "equation": self.condition.describe(),
-            "mode": self.mode,
-            "source": self.source,
-            "grh_conditional": self.grh_conditional,
-            "raw_hits": [list(h) for h in self.raw_hits],
-            "dispositions": list(self.dispositions),
-            "certificate": self.certificate,
-        }
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    spec_name: str
-    ell: int
-    m: int
-    sign: int
-    verdicts: tuple[ConditionVerdict, ...]
-    units: tuple[int, ...]
-    bounds: SearchBounds
-
-    @property
-    def target(self) -> int:
-        return self.sign * self.ell**self.m
-
-    @property
-    def status(self) -> str:
-        if any(v.candidates for v in self.verdicts):
-            return "CANDIDATES_FOUND"
-        return "EXCLUDED_WITHIN_BOUNDS"
-
-    @property
-    def grh_conditional(self) -> bool:
-        return any(v.grh_conditional for v in self.verdicts)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "tauhunt-admissibility/1",
-            "form": self.spec_name,
-            "target": self.target,
-            "ell": self.ell,
-            "m": self.m,
-            "sign": self.sign,
-            "status": self.status,
-            "grh_conditional": self.grh_conditional,
-            "unit_set": list(self.units),
-            "bounds": self.bounds.to_dict(),
-            "conditions": [v.to_dict() for v in self.verdicts],
-        }
+def _condition(cond: DiophantineCondition, mode: str, source: str, grh: bool,
+               hits, dispositions: list, certificate: dict) -> dict:
+    """One entry of the report's conditions list.  mode is
+    "fixture+search", "search" or "congruence-excluded"."""
+    return {"d": cond.d, "kind": cond.kind, "equation": cond.describe(), "mode": mode,
+            "source": source, "grh_conditional": grh, "raw_hits": [list(h) for h in hits],
+            "dispositions": dispositions, "certificate": certificate}
 
 
 def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> dict:
@@ -294,8 +236,7 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> d
     }
 
 
-def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
-             ) -> ConditionVerdict:
+def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds) -> dict:
     """Search the condition, compare the search with its catalog entry
     (if any) and dispose of every point found."""
     if cond.kind == "thue":
@@ -321,8 +262,8 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
             mode, source, grh = "fixture+search", fixture_source, entry["status"] == "grh"
         else:
             cert["catalog_discrepancy"] = mismatch
-    disp = tuple(_dispose(spec, cond, x, y) for x, y in hits)
-    return ConditionVerdict(cond, mode, source, grh, hits, disp, cert)
+    disp = [_dispose(spec, cond, x, y) for x, y in hits]
+    return _condition(cond, mode, source, grh, hits, disp, cert)
 
 
 def check_admissibility(
@@ -331,45 +272,48 @@ def check_admissibility(
     m: int,
     sign: int,
     bounds: SearchBounds = SearchBounds(),
-) -> AdmissibilityReport:
-    """Search every Diophantine condition for target sign * ell^m.
+) -> dict:
+    """Search every Diophantine condition for target sign * ell^m and
+    return the tauhunt-admissibility/1 document the admissible verb
+    prints.
 
     Congruence-impossible conditions (built-in discriminant form with
     ell in {3, 5, 7, 691}) are annotated and skipped, mirroring the
     rank-of-apparition computation; everything else is searched within
-    the given bounds.  Nothing is silently truncated: every verdict
+    the given bounds.  Nothing is silently truncated: every condition
     carries its certificate.
     """
     if not spec.trivial_mod2:
         raise DomainError("admissibility requires the trivial-mod-2 flag")
     _check_even_eigenvalues(spec)
     conds = enumerate_conditions(spec, ell, m, sign)
-    use_congruences = spec.is_delta and ell in RAMANUJAN_PRIMES
-    excluded = {cond.d for cond in conds
-                if use_congruences and (cond.d - 1) not in achievable_ranks(ell)}
-    verdicts = []
+    ranks = achievable_ranks(ell) if spec.is_delta and ell in RAMANUJAN_PRIMES else None
+    conditions = []
     for cond in conds:
-        if cond.d in excluded:
-            verdicts.append(
-                ConditionVerdict(
-                    cond,
-                    "congruence-excluded",
-                    f"rank of apparition of {ell} in the tau congruences is never {cond.d - 1}",
-                    False,
-                    (),
-                    (),
-                    {"achievable_ranks": sorted(achievable_ranks(ell))},
-                )
-            )
+        if ranks is not None and cond.d - 1 not in ranks:
+            conditions.append(_condition(
+                cond, "congruence-excluded",
+                f"rank of apparition of {ell} in the tau congruences is never {cond.d - 1}",
+                False, (), [], {"achievable_ranks": sorted(ranks)}))
             continue
         verdict = _verdict(spec, cond, bounds)
-        if use_congruences:
-            verdict.certificate["congruence_rank_possible"] = True
-        verdicts.append(verdict)
-    return AdmissibilityReport(
-        spec.name or f"weight-{spec.weight} level-{spec.level}",
-        ell, m, sign, tuple(verdicts), unit_set(spec), bounds,
-    )
+        if ranks is not None:
+            verdict["certificate"]["congruence_rank_possible"] = True
+        conditions.append(verdict)
+    found = any(d["status"] == "candidate" for c in conditions for d in c["dispositions"])
+    return {
+        "schema": "tauhunt-admissibility/1",
+        "form": spec.name or f"weight-{spec.weight} level-{spec.level}",
+        "target": sign * ell**m,
+        "ell": ell,
+        "m": m,
+        "sign": sign,
+        "status": "CANDIDATES_FOUND" if found else "EXCLUDED_WITHIN_BOUNDS",
+        "grh_conditional": any(c["grh_conditional"] for c in conditions),
+        "unit_set": list(unit_set(spec)),
+        "bounds": bounds.to_dict(),
+        "conditions": conditions,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +333,13 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
         raise DomainError("n must be > 1")
     k = spec.weight // 2
     total = 0
-    for p, e in factor(n).pairs:
+    for p, e in factor(n):
         if spec.level % p == 0:
             total += (k - 1) * e
         elif e >= 2:
             if p not in spec.ap:
                 raise DomainError(f"no a_f({p}) stored") from None
-            total += max(0, sigma_hat(spec.ap[p], p ** (spec.weight - 1), e))
+            total += max(0, sigma_hat(spec.ap[p], spec.norm(p), e))
         else:
             if spec.trivial_mod2 and p != 2:
                 _check_even_eigenvalues(spec)
@@ -417,7 +361,7 @@ def decompose_odd_target(spec: NewformSpec, alpha: int) -> dict:
         raise DomainError("alpha must be odd with |alpha| > 1")
     sign = 1 if alpha > 0 else -1
     scenarios = []
-    for blocks in _signed_blocks(factor(alpha).pairs):
+    for blocks in _signed_blocks(factor(alpha)):
         if math.prod(s for s, _, _ in blocks) == sign:
             if len(scenarios) == _DECOMPOSE_BUDGET:
                 raise DomainError(

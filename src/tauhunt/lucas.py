@@ -4,10 +4,12 @@ defective terms.
 A LucasPair holds the integers A = alpha + beta and B = alpha*beta.  The
 pairs of interest have B = p^(2k-1) an odd prime power with A^2 <= 4B,
 which is exactly the shape produced by Hecke eigenvalues.  The module
-generates terms, finds ranks of apparition, and classifies defective
-terms (those without a primitive prime divisor) by lookup in the
-Bilu-Hanrot-Voutier / Abouzaid tables, which ship as a JSON fixture;
-sigma_hat turns the classification into Omega lower bounds.
+generates terms, finds ranks of apparition as (rank, reason) pairs, and
+classifies defective terms (those without a primitive prime divisor) by
+lookup in the Bilu-Hanrot-Voutier / Abouzaid tables, which ship as a
+JSON fixture, each term a {n, value, source, params} dict as the lucas
+verb prints it; sigma_hat turns the classification into Omega lower
+bounds.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .arith import DomainError, factor, is_prime, lucas_ladder, sigma
 
 __all__ = [
     "LucasPair",
-    "DefectRecord",
     "lucas_terms",
-    "RankResult",
     "rank_of_apparition",
     "classify_defects",
     "family_memberships",
@@ -54,11 +54,9 @@ class LucasPair:
         """(p, e) when B = p^e with e odd, else None."""
         if self.B < 2:
             return None
-        f = factor(self.B)
-        if f.omega == 1:
-            p, e = f.pairs[0]
-            if e % 2 == 1:
-                return (p, e)
+        pairs = factor(self.B)
+        if len(pairs) == 1 and pairs[0][1] % 2 == 1:
+            return pairs[0]
         return None
 
     @property
@@ -93,14 +91,9 @@ def lucas_terms(pair: LucasPair, count: int) -> list[int]:
     return terms
 
 
-@dataclass(frozen=True)
-class RankResult:
-    rank: int | None
-    reason: str
-
-
-def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
-    """Smallest n >= 2 with ell | u_n, or None when ell divides B.
+def rank_of_apparition(pair: LucasPair, ell: int) -> tuple[int | None, str]:
+    """(rank, reason): the smallest n >= 2 with ell | u_n, or None when
+    ell divides B, and the case that fixed it.
 
     For ell | B and gcd(A, B) = 1 we have u_n = A^(n-1) (mod ell), which
     is never 0, so ell divides no term at all.  For ell coprime to B the
@@ -114,28 +107,20 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> RankResult:
     if ell < 3 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
     if pair.B % ell == 0:
-        return RankResult(None, "ell divides B: ell never divides any u_n")
+        return None, "ell divides B: ell never divides any u_n"
     D = pair.discriminant
     if D % ell == 0:
-        return RankResult(ell, "ell divides A^2 - 4B: the rank is ell")
+        return ell, "ell divides A^2 - 4B: the rank is ell"
     n = ell - 1 if pow(D, (ell - 1) // 2, ell) == 1 else ell + 1
-    for p, _ in factor(n).pairs:
+    for p, _ in factor(n):
         while n % p == 0 and lucas_ladder(n // p, pair.A, pair.B, ell)[0] == 0:
             n //= p
-    return RankResult(n, "least divisor n of ell - (D/ell) with ell | u_n")
+    return n, "least divisor n of ell - (D/ell) with ell | u_n"
 
 
 # ---------------------------------------------------------------------------
 # Classification against the defect tables
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DefectRecord:
-    n: int
-    value: int
-    source: str  # "sporadic" or a family tag P1/B1..B6
-    params: tuple[tuple[str, int], ...] = ()
 
 
 def _pow_of(base: int, v: int) -> int | None:
@@ -149,8 +134,14 @@ def _pow_of(base: int, v: int) -> int | None:
     return r if v == 1 and r >= 1 else None
 
 
-def family_memberships(pair: LucasPair) -> list[DefectRecord]:
-    """All parameterized-family rows the pair belongs to."""
+def _defect(n: int, value: int, source: str, **params) -> dict:
+    """One defective term as the lucas verb prints it: source is
+    "sporadic" or a family tag P1/B1..B6, params its family parameters."""
+    return {"n": n, "value": value, "source": source, "params": params}
+
+
+def family_memberships(pair: LucasPair) -> list[dict]:
+    """All parameterized-family rows the pair belongs to, each a _defect."""
     A, B = pair.A, pair.B
     a = abs(A)
     dec = pair.prime_power_decomposition()
@@ -161,7 +152,7 @@ def family_memberships(pair: LucasPair) -> list[DefectRecord]:
     terms = lucas_terms(pair, 6)
 
     def rec(n, tag, **params):
-        out.append(DefectRecord(n, terms[n - 1], tag, tuple(sorted(params.items()))))
+        out.append(_defect(n, terms[n - 1], tag, **params))
 
     # P1: B = A^2 + 1 prime, defect u_3 = -1
     if exp == 1 and a > 1 and B == a * a + 1:
@@ -206,21 +197,22 @@ def family_memberships(pair: LucasPair) -> list[DefectRecord]:
     return out
 
 
-def classify_defects(pair: LucasPair) -> list[DefectRecord]:
+def classify_defects(pair: LucasPair) -> list[dict]:
     """All defective indices n >= 3 for a pair satisfying the odd-prime-power
-    shape, by table lookup: sporadic rows plus family membership tests."""
+    shape, by table lookup: sporadic rows plus family membership tests,
+    each a {n, value, source, params} dict in increasing n."""
     if not pair.satisfies_modularity:
         raise DomainError("pair must satisfy B = p^(2k-1), A^2 <= 4B")
-    records: dict[int, DefectRecord] = {}
+    records: dict[int, dict] = {}
     table = catalog.load("defect_tables.json")
     a = abs(pair.A)
     for row in table["sporadic"]:
         if row["A"] == a and row["B"] == pair.B:
             terms = lucas_terms(pair, max(n for n, _ in row["defects"]))
             for n, _val in row["defects"]:
-                records[n] = DefectRecord(n, terms[n - 1], "sporadic")
+                records[n] = _defect(n, terms[n - 1], "sporadic")
     for fam in family_memberships(pair):
-        records.setdefault(fam.n, fam)
+        records.setdefault(fam["n"], fam)
     return [records[n] for n in sorted(records)]
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import decimal
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -203,11 +205,14 @@ class NewformSpec:
                 raise DomainError(f"ap key {p} is not prime")
             if self.level % p == 0:
                 raise DomainError(f"ap key {p} divides the level; use bad_signs")
-            if a * a > 4 * p ** (self.weight - 1):
+            # 4 p^(w-1) >= 2^((w-1)(bits(p) - 1) + 2): p^(w-1) is built only when
+            # a^2 is at least that long, and then has fewer than twice a^2's bits
+            if ((a * a).bit_length() > (self.weight - 1) * (p.bit_length() - 1) + 2
+                    and a * a > 4 * p ** (self.weight - 1)):
                 raise DomainError(f"a_f({p}) = {a} violates the Deligne bound")
         for p, s in self.bad_signs.items():
-            if self.level % p or (self.level // p) % p == 0:
-                raise DomainError(f"bad_signs key {p} must exactly divide the level")
+            if not is_prime(p) or self.level % p or (self.level // p) % p == 0:
+                raise DomainError(f"bad_signs key {p} must be a prime exactly dividing the level")
             if s not in (1, -1):
                 raise DomainError("bad_signs values must be +1 or -1")
 
@@ -218,20 +223,56 @@ class NewformSpec:
         trivial-mod-2 flag asserts there are none."""
         return tuple(p for p, a in sorted(self.ap.items()) if (2 * self.level) % p and a % 2)
 
+    def norm(self, p: int) -> int:
+        """p^(w-1), w the weight: the B of the Lucas pair (a_f(p), B) at a
+        good prime p (_power's digit limit)."""
+        return _power(p, self.weight - 1)
+
     @property
     def is_delta(self) -> bool:
         return self.weight == 12 and self.level == 1 and self.name == "delta"
 
     @classmethod
-    def from_json(cls, text: str) -> "NewformSpec":
-        data = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "NewformSpec":
+        """The spec a JSON object describes: weight and level, the ap and
+        bad_signs objects keyed by decimal primes, every number a JSON
+        integer (not a bool), trivial_mod2 a JSON bool and name a string.
+        Anything else is a DomainError; nothing is coerced."""
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DomainError(f"the spec is not readable JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise DomainError("the spec must be a JSON object")
+
+        def read(key, kind, what, default=None):
+            if key not in data and default is None:
+                raise DomainError(f"the spec has no {key}")
+            value = data.get(key, default)
+            if type(value) is not kind:  # bool is a subclass of int
+                raise DomainError(f"{key} must be {what}, not {json.dumps(value)}")
+            return value
+
+        def table(key):
+            out = {}
+            for p, v in read(key, dict, "a JSON object", {}).items():
+                if not (p.isascii() and p.isdigit()):
+                    raise DomainError(f"{key} key {json.dumps(p)} is not a decimal integer")
+                if type(v) is not int:
+                    raise DomainError(f"{key}[{p}] must be a JSON integer, not {json.dumps(v)}")
+                try:
+                    out[int(p)] = v
+                except ValueError:  # past the int-to-str digit limit, as json.loads refuses
+                    raise DomainError(f"{key} key {p[:20]}... has too many digits") from None
+            return out
+
         return cls(
-            weight=int(data["weight"]),
-            level=int(data["level"]),
-            ap={int(p): int(a) for p, a in data.get("ap", {}).items()},
-            bad_signs={int(p): int(s) for p, s in data.get("bad_signs", {}).items()},
-            trivial_mod2=bool(data.get("trivial_mod2", False)),
-            name=str(data.get("name", "")),
+            weight=read("weight", int, "a JSON integer"),
+            level=read("level", int, "a JSON integer"),
+            ap=table("ap"),
+            bad_signs=table("bad_signs"),
+            trivial_mod2=read("trivial_mod2", bool, "true or false", False),
+            name=read("name", str, "a string", ""),
         )
 
 
@@ -240,6 +281,16 @@ def delta_newform(prime_bound: int = 1000) -> NewformSpec:
     taus = _tau_list(prime_bound)
     ap = {p: taus[p - 1] for p in primes_up_to(prime_bound)}
     return NewformSpec(weight=12, level=1, ap=ap, trivial_mod2=True, name="delta")
+
+
+def _power(p: int, e: int) -> int:
+    """p^e for a prime p, refused past the int-to-str digit limit, so a
+    huge weight is never raised to a power that takes GiB."""
+    digits = sys.get_int_max_str_digits()
+    # p^e has floor(e log10 p) + 1 digits; a prime is never a power of 10
+    if digits and e * math.log10(p) >= digits:
+        raise DomainError(f"{p}^{e} has more than {digits} digits")
+    return p**e
 
 
 def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
@@ -259,10 +310,12 @@ def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
         if p not in spec.bad_signs:
             raise InsufficientCoefficientData(f"no U({p}) sign stored")
         k = spec.weight // 2
-        return spec.bad_signs[p] ** m * p ** ((k - 1) * m)
+        return spec.bad_signs[p] ** m * _power(p, (k - 1) * m)
     if p not in spec.ap:
         raise InsufficientCoefficientData(f"no a_f({p}) stored")
-    return lucas_ladder(m, spec.ap[p], p ** (spec.weight - 1))[1]
+    if m == 1:  # U_2 needs no B
+        return spec.ap[p]
+    return lucas_ladder(m, spec.ap[p], spec.norm(p))[1]
 
 
 def coeff(spec: NewformSpec, n: int) -> int:
@@ -270,6 +323,6 @@ def coeff(spec: NewformSpec, n: int) -> int:
     if n < 1:
         raise DomainError("n must be >= 1")
     out = 1
-    for p, e in factor(n).pairs:
+    for p, e in factor(n):
         out *= coeff_prime_power(spec, p, e)
     return out

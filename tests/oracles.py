@@ -502,7 +502,7 @@ def signed_block_scenarios(alpha: int) -> list[list[tuple[int, int, int]]]:
                 yield (part,) + rest
 
     block_lists = [[]]
-    for ell, e in factor(alpha).pairs:
+    for ell, e in factor(alpha):
         block_lists = [bl + [(ell, mm) for mm in part]
                        for bl in block_lists for part in partitions(e, e)]
     scenarios = set()
@@ -576,9 +576,9 @@ def u_poly(n: int) -> tuple:
 
 def _mobius(n: int) -> int:
     f = factor(n)
-    if any(e > 1 for _, e in f.pairs):
+    if any(e > 1 for _, e in f):
         return 0
-    return -1 if f.omega % 2 else 1
+    return -1 if len(f) % 2 else 1
 
 
 @lru_cache(maxsize=None)

@@ -57,9 +57,9 @@ def test_criterion_02_lehmer_prime_value():
     assert value == -DISPLAYED_LEHMER_PRIME
     assert abs(value) == DISPLAYED_LEHMER_PRIME
     f = factor(value)
-    assert f.pairs == ((DISPLAYED_LEHMER_PRIME, 1),)
+    assert f == ((DISPLAYED_LEHMER_PRIME, 1),)
     assert is_prime(abs(value))
-    assert sum(e for _, e in f.pairs) == 1 == lehmer.omega_lower_bound(spec, 251**2)
+    assert sum(e for _, e in f) == 1 == lehmer.omega_lower_bound(spec, 251**2)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _ok(2, "tau(251^2) = -(the displayed 26-digit prime), certified prime, Omega = 1",
@@ -113,10 +113,10 @@ def test_criterion_04_defect_closure():
                     pairs_checked += 1
                     brute = brute_force_defect_indices(pair)
                     recs = lucas.classify_defects(pair)
-                    assert brute == [r.n for r in recs], (A, B, brute, recs)
+                    assert brute == [r["n"] for r in recs], (A, B, brute, recs)
                     terms = lucas.lucas_terms(pair, 30)
                     for r in recs:
-                        assert r.value == terms[r.n - 1]
+                        assert r["value"] == terms[r["n"] - 1]
     # blind cross-validation of the reduction: full scans at exponent 3
     blind = 0
     for p in primes_up_to(50):
@@ -130,7 +130,7 @@ def test_criterion_04_defect_closure():
             blind += 1
             if brute:
                 assert a in cands, (a, B, brute)
-            assert brute == [r.n for r in lucas.classify_defects(pair)]
+            assert brute == [r["n"] for r in lucas.classify_defects(pair)]
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"defect closure took {elapsed:.1f}s"
     _ok(4, "table classification == primitive-divisor brute force on the whole domain",
@@ -194,14 +194,14 @@ def test_criterion_07_theorem_reproduction():
             statuses[target] = "EXCLUDED_WITHIN_BOUNDS"
             continue
         sign = 1 if target > 0 else -1
-        ell, m = factor(target).pairs[0]
+        (ell, m), = factor(target)
         rep = lehmer.check_admissibility(spec, ell, m, sign, bounds)
-        statuses[target] = rep.status
-        assert not rep.grh_conditional, target
-        for v in rep.verdicts:
-            assert v.mode in ("fixture+search", "search", "congruence-excluded")
-            assert v.mode == "congruence-excluded" or v.certificate
-            for d in v.dispositions:
+        statuses[target] = rep["status"]
+        assert not rep["grh_conditional"], target
+        for v in rep["conditions"]:
+            assert v["mode"] in ("fixture+search", "search", "congruence-excluded")
+            assert v["mode"] == "congruence-excluded" or v["certificate"]
+            for d in v["dispositions"]:
                 assert d["status"] == "filtered", (target, d)
     assert set(statuses.values()) == {"EXCLUDED_WITHIN_BOUNDS"}
     assert set(statuses) == set(lehmer.THEOREM_TARGETS)

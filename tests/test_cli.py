@@ -688,3 +688,119 @@ def test_reproduce_smoke(capsys):
         1, -1, 3, -3, 5, -5, 7, -7, 13, -13, 17, -17, -19, 23, -23, 37, -37, 691, -691}
     for t in data["targets"]:
         assert t["status"] == "EXCLUDED_WITHIN_BOUNDS"
+
+
+@pytest.mark.parametrize("ell", ["0", "2", "-7", "9"])
+def test_lucas_refuses_ell_not_an_odd_prime(ell, capsys):
+    # --ell 0 was once read as no --ell at all
+    assert main(["lucas", "--a", "1", "--b", "2", "--ell", ell]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: ell must be an odd prime\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--target", "9", "--x-small", "-1", "--x-mid", "-1"], "need 0 <= x_small <= x_mid"),
+    (["--target", "27", "--x-small", "50", "--x-mid", "3"], "need 0 <= x_small <= x_mid"),
+    (["--target", "5", "--x-mid", "-4"], "need 0 <= x_small <= x_mid"),
+    (["--target", "7", "--x-small", "-1", "--x-mid", "-1"], "need 0 <= x_small <= x_mid"),
+    (["--target", "3", "--xmax", "-1"], "x_max must be >= 0"),
+])
+def test_bad_bounds_refused_before_any_search(argv, message, capsys):
+    # 9, 27 and 5 reach only curve conditions, so no Thue solve checks the
+    # Thue bounds; SearchBounds does, for every target
+    assert main(["admissible", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert main(["reproduce", "thm1.2", *argv[2:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _readable_spec(data) -> bool:
+    """The spec rules, read independently: a JSON object with JSON-integer
+    weight and level, ap and bad_signs objects of JSON integers keyed by
+    ASCII digits, a bool flag and a string name."""
+    def table(key):
+        rows = data.get(key, {})
+        return isinstance(rows, dict) and all(
+            k.isascii() and k.isdigit() and type(v) is int for k, v in rows.items())
+
+    return (isinstance(data, dict)
+            and all(type(data.get(key)) is int for key in ("weight", "level"))
+            and table("ap") and table("bad_signs")
+            and type(data.get("trivial_mod2", False)) is bool
+            and type(data.get("name", "")) is str)
+
+
+def test_spec_fuzz(tmp_path, capsys):
+    """Any --spec file keeps the contract, and an answer comes only from a
+    spec that follows the rules: nothing is coerced."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ints = st.integers(-3, 40) | st.integers(-10**30, 10**30)
+    odd = (st.none() | st.booleans() | st.floats(allow_nan=True) | st.text(max_size=4)
+           | st.sampled_from(("false", "12", "2.0", [1], {"2": 2})))
+    values = st.recursive(odd | ints, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                          max_leaves=5)
+    # specs that follow the rules, and the same with one field or one entry replaced
+    spec = st.fixed_dictionaries({
+        "weight": st.sampled_from((4, 6, 12, 2000, 10**18)),
+        "level": st.sampled_from((1, 5, 35)),
+        "ap": st.dictionaries(st.sampled_from(("2", "3", "11", "13")), st.integers(-6, 6),
+                              max_size=4),
+    }, optional={
+        "bad_signs": st.dictionaries(st.sampled_from(("5", "7")), st.sampled_from((1, -1)),
+                                     max_size=2),
+        "trivial_mod2": st.booleans(),
+        "name": st.text(max_size=4),
+    })
+    field = st.sampled_from(("weight", "level", "ap", "bad_signs", "trivial_mod2", "name"))
+    key = st.sampled_from(("2", "3", "5", "7", "0", "1", "4", "x", "-3", " 2", "03", "٣"))
+    specs = (spec
+             | st.tuples(spec, field, odd | ints | values).map(lambda c: {**c[0], c[1]: c[2]})
+             | st.tuples(spec, st.sampled_from(("ap", "bad_signs")), key, odd | ints).map(
+                 lambda c: {**c[0], c[1]: {**c[0].get(c[1], {}), c[2]: c[3]}}))
+    texts = (specs.map(json.dumps) | values.map(json.dumps)
+             | st.text(max_size=12) | st.sampled_from(("", "{", "[" * 10000)))
+    argvs = st.sampled_from((
+        ["coeff", "--n", "1"], ["coeff", "--n", "12"], ["coeff", "--n", str(3**40)],
+        ["omega-bound", "--n", "60"], ["decompose", "--target", "-15"],
+        ["admissible", "--target", "3"], ["admissible", "--target", "-691"],
+        ["admissible", "--target", "37", "--xmax", "1000", "--x-small", "50", "--x-mid", "100"],
+        ["admissible", "--target", "13", "--xmax", "1", "--x-small", "0", "--x-mid", "60"],
+    ))
+    path = tmp_path / "spec.json"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(texts, argvs)
+    def check(text, argv):
+        path.write_text(text)
+        answer = _keeps_contract([*argv, "--spec", str(path)], capsys)
+        if answer is not None:
+            assert _readable_spec(json.loads(text)), text
+
+    check()
+
+
+def test_reproduce_fuzz(capsys):
+    """reproduce keeps the contract for any bounds, and an answer prints
+    its bounds back with every target excluded."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    thue_bound = st.integers(-2, 200) | st.integers(-2, 10**30)
+    # half the pairs are ordered, so most of those are valid bounds
+    pairs = st.tuples(thue_bound, thue_bound)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(-2, 2000), pairs | pairs.map(sorted))
+    def check(x_max, thue_bounds):
+        x_small, x_mid = thue_bounds
+        answer = _keeps_contract(["reproduce", "thm1.2", f"--xmax={x_max}",
+                                  f"--x-small={x_small}", f"--x-mid={x_mid}"], capsys)
+        valid = x_max >= 0 and 0 <= x_small <= x_mid
+        assert (answer is not None) == valid, (x_max, x_small, x_mid)
+        if answer is not None:
+            assert answer["bounds"] == {"x_max": x_max, "x_small": x_small, "x_mid": x_mid}
+            assert answer["all_excluded_within_bounds"] is True
+
+    check()

@@ -96,10 +96,10 @@ def test_catalog_status_read_alike():
     # F_6 = 41 and F_40 = 41 make their verdicts GRH-conditional, and the
     # "known" curve entry of Y^2 = X^11 + 41 does not
     rep = LE.check_admissibility(DELTA, 41, 1, 1, FAST)
-    assert [(v.condition.d, v.mode, v.grh_conditional) for v in rep.verdicts] == [
+    assert [(v["d"], v["mode"], v["grh_conditional"]) for v in rep["conditions"]] == [
         (3, "fixture+search", False), (5, "search", False),
         (7, "fixture+search", True), (41, "fixture+search", True)]
-    assert rep.grh_conditional
+    assert rep["grh_conditional"]
 
 
 def _tau_rank(ell, p):
@@ -203,42 +203,46 @@ def test_criterion_identity_thue():
 
 def test_admissibility_delta_ell3():
     rep = LE.check_admissibility(DELTA, 3, 1, 1, FAST)
-    assert rep.status == "EXCLUDED_WITHIN_BOUNDS"
-    assert not rep.grh_conditional
-    assert [v.condition.d for v in rep.verdicts] == [3]
-    v = rep.verdicts[0]
-    assert v.mode == "fixture+search"
-    assert v.raw_hits == ((1, 2),)
-    assert v.dispositions[0]["status"] == "filtered"
+    assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
+    assert not rep["grh_conditional"]
+    assert [v["d"] for v in rep["conditions"]] == [3]
+    v = rep["conditions"][0]
+    assert v["mode"] == "fixture+search"
+    assert v["raw_hits"] == [[1, 2]]
+    assert v["dispositions"][0]["status"] == "filtered"
     rep = LE.check_admissibility(DELTA, 3, 1, -1, FAST)
-    assert rep.status == "EXCLUDED_WITHIN_BOUNDS"
+    assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
 
 
 def test_admissibility_congruence_pruning():
     rep = LE.check_admissibility(DELTA, 5, 1, 1, FAST)
-    modes = {v.condition.d: v.mode for v in rep.verdicts}
+    modes = {v["d"]: v["mode"] for v in rep["conditions"]}
     assert modes[3] == "congruence-excluded"
     assert modes[5] != "congruence-excluded"
     rep = LE.check_admissibility(DELTA, 7, 1, 1, FAST)
-    modes = {v.condition.d: v.mode for v in rep.verdicts}
+    modes = {v["d"]: v["mode"] for v in rep["conditions"]}
     assert modes[3] == "congruence-excluded" and modes[7] == "fixture+search"
 
 
 def test_admissibility_eigenvalue_mismatch_filter():
     # Y^2 = X^11 - 23 has the point (2, 45); tau(2) = -24 rules it out
     rep = LE.check_admissibility(DELTA, 23, 1, -1, FAST)
-    assert rep.status == "EXCLUDED_WITHIN_BOUNDS"
-    d3 = next(v for v in rep.verdicts if v.condition.d == 3)
-    assert d3.raw_hits == ((2, 45),)
-    assert "differs" in d3.dispositions[0]["reason"]
+    assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
+    d3 = next(v for v in rep["conditions"] if v["d"] == 3)
+    assert d3["raw_hits"] == [[2, 45]]
+    assert "differs" in d3["dispositions"][0]["reason"]
+
+
+def _candidates(rep):
+    return [d for v in rep["conditions"] for d in v["dispositions"] if d["status"] == "candidate"]
 
 
 def test_admissibility_candidate_found():
     # weight 4 odd level: a_f(3^2) = 37 is a genuine candidate at (3, +-8)
     w4 = NewformSpec(weight=4, level=1, ap={2: -2}, trivial_mod2=True, name="w4")
     rep = LE.check_admissibility(w4, 37, 1, 1, FAST)
-    assert rep.status == "CANDIDATES_FOUND"
-    cands = [d for v in rep.verdicts for d in v.candidates]
+    assert rep["status"] == "CANDIDATES_FOUND"
+    cands = _candidates(rep)
     assert any(c["p"] == 3 and c["predicted_n"] == [9] for c in cands)
 
 
@@ -246,7 +250,7 @@ def test_admissibility_unit_m0():
     # weight-4 form with 4 in the unit set: predicted n include 4 p^(d-1)
     w4 = NewformSpec(weight=4, level=1, ap={2: 3}, trivial_mod2=True, name="w4u")
     rep = LE.check_admissibility(w4, 37, 1, 1, FAST)
-    cands = [d for v in rep.verdicts for d in v.candidates]
+    cands = _candidates(rep)
     assert any(c["p"] == 3 and c["predicted_n"] == [9, 36] for c in cands)
 
 
@@ -266,7 +270,7 @@ def test_omega_bound_is_actually_a_lower_bound():
     from tauhunt.newform import coeff
 
     for n in (2, 4, 6, 9, 12, 25, 36, 60, 96, 251**2):
-        big_omega = sum(e for _, e in factor(coeff(DELTA, n)).pairs)
+        big_omega = sum(e for _, e in factor(coeff(DELTA, n)))
         assert big_omega >= LE.omega_lower_bound(DELTA, n), n
 
 
@@ -388,8 +392,7 @@ def test_decompose_budget_boundary(monkeypatch):
 
 
 def test_report_serialization():
-    rep = LE.check_admissibility(DELTA, 3, 1, 1, FAST)
-    d = rep.to_dict()
+    d = LE.check_admissibility(DELTA, 3, 1, 1, FAST)
     assert d["schema"] == "tauhunt-admissibility/1"
     assert d["status"] == "EXCLUDED_WITHIN_BOUNDS"
     assert d["target"] == 3

@@ -57,14 +57,14 @@ def test_pair_validation():
 
 
 def test_rank_of_apparition():
-    assert L.rank_of_apparition(L.LucasPair(1, 2), 7).rank == 7
-    assert L.rank_of_apparition(L.LucasPair(1, 2), 3).rank == 4
+    assert L.rank_of_apparition(L.LucasPair(1, 2), 7)[0] == 7
+    assert L.rank_of_apparition(L.LucasPair(1, 2), 3)[0] == 4
     # computed by the scan and frozen: first multiple of 5 for (2,3) is u_6 = -10
-    assert L.rank_of_apparition(L.LucasPair(2, 3), 5).rank == 6
+    assert L.rank_of_apparition(L.LucasPair(2, 3), 5)[0] == 6
     # ell | A gives rank 2
-    assert L.rank_of_apparition(L.LucasPair(5, 2), 5).rank == 2
-    res = L.rank_of_apparition(L.LucasPair(2, 27), 3)
-    assert res.rank is None and "never" in res.reason
+    assert L.rank_of_apparition(L.LucasPair(5, 2), 5)[0] == 2
+    rank, reason = L.rank_of_apparition(L.LucasPair(2, 27), 3)
+    assert rank is None and "never" in reason
     # and indeed no early term is divisible
     assert all(u % 3 for u in L.lucas_terms(L.LucasPair(2, 27), 30))
 
@@ -83,7 +83,7 @@ def test_rank_matches_scan():
             pair = L.LucasPair(a, b)
         except DomainError:
             hypothesis.reject()
-        assert L.rank_of_apparition(pair, ell).rank == rank_by_scan(pair, ell), (a, b, ell)
+        assert L.rank_of_apparition(pair, ell)[0] == rank_by_scan(pair, ell), (a, b, ell)
 
     same()
 
@@ -93,9 +93,9 @@ def test_rank_of_19_digit_ell_fast():
     # a handful of powerings
     ell = 1000000000000000003
     start = time.perf_counter()
-    res = L.rank_of_apparition(L.LucasPair(1, 2), ell)
+    rank, _ = L.rank_of_apparition(L.LucasPair(1, 2), ell)
     assert time.perf_counter() - start < 1
-    assert res.rank == 333333333333333334 and (ell - 1) % res.rank == 0
+    assert rank == 333333333333333334 and (ell - 1) % rank == 0
 
 
 def prop_b_holds(pair, ell, rank):
@@ -109,10 +109,10 @@ def prop_b_holds(pair, ell, rank):
 def test_prop_b_cases():
     pair = L.LucasPair(1, 2)   # D = -7
     # order case: 3 does not divide D, and the rank 4 divides 3 + 1
-    rank = L.rank_of_apparition(pair, 3).rank
+    rank, _ = L.rank_of_apparition(pair, 3)
     assert rank == 4 and pair.discriminant % 3 != 0 and prop_b_holds(pair, 3, rank)
     # discriminant case: ell | A^2 - 4B forces rank ell
-    rank = L.rank_of_apparition(pair, 7).rank
+    rank, _ = L.rank_of_apparition(pair, 7)
     assert rank == 7 and pair.discriminant % 7 == 0 and prop_b_holds(pair, 7, rank)
 
 
@@ -124,10 +124,10 @@ def test_prop_b_randomized():
         ell = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
         if pair.B % ell == 0:
             continue
-        res = L.rank_of_apparition(pair, ell)
-        if res.rank is None or res.rank <= 2:
+        rank, _ = L.rank_of_apparition(pair, ell)
+        if rank is None or rank <= 2:
             continue
-        assert prop_b_holds(pair, ell, res.rank), (pair, ell)
+        assert prop_b_holds(pair, ell, rank), (pair, ell)
         checked += 1
 
 
@@ -174,18 +174,18 @@ def test_sporadic_values_match_recomputation():
 
 
 def test_classification_examples():
-    assert [(d.n, d.value) for d in L.classify_defects(L.LucasPair(3, 8))] == [(3, 1)]
-    assert [(d.n, d.value) for d in L.classify_defects(L.LucasPair(-3, 8))] == [(3, 1)]
-    assert [(d.n, d.source, d.value) for d in L.classify_defects(L.LucasPair(2, 5))] == [
+    assert [(d["n"], d["value"]) for d in L.classify_defects(L.LucasPair(3, 8))] == [(3, 1)]
+    assert [(d["n"], d["value"]) for d in L.classify_defects(L.LucasPair(-3, 8))] == [(3, 1)]
+    assert [(d["n"], d["source"], d["value"]) for d in L.classify_defects(L.LucasPair(2, 5))] == [
         (3, "P1", -1)
     ]
     # (7, 27): A^2 - 3B = -32 = (-2)^5, a defective u_6 family member
     recs = L.classify_defects(L.LucasPair(7, 27))
-    assert [(d.n, d.source) for d in recs] == [(6, "B4")]
-    assert recs[0].value == -4928
+    assert [(d["n"], d["source"]) for d in recs] == [(6, "B4")]
+    assert recs[0]["value"] == -4928
     assert brute_force_defect_indices(L.LucasPair(7, 27)) == [6]
     # B1 instance: 16 = 13 + 3
-    assert [(d.n, d.source) for d in L.classify_defects(L.LucasPair(4, 13))] == [(3, "B1")]
+    assert [(d["n"], d["source"]) for d in L.classify_defects(L.LucasPair(4, 13))] == [(3, "B1")]
 
 
 def test_no_defects_case():
@@ -215,7 +215,7 @@ def test_weight2_exclusions_are_pinned():
                 continue
             pair = L.LucasPair(a, p)
             brute = brute_force_defect_indices(pair)
-            cls = sorted(d.n for d in L.classify_defects(pair))
+            cls = sorted(d["n"] for d in L.classify_defects(pair))
             missing = sorted(set(brute) - set(cls))
             assert not set(cls) - set(brute), (a, p, cls, brute)
             if missing:
@@ -273,6 +273,6 @@ def test_data_dir_override(data_dir, monkeypatch):
     assert catalog.entry("thue_tables.json", d=7, D=7) is None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == []
     monkeypatch.undo()
-    assert [d.n for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
+    assert [d["n"] for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
     assert catalog.entry("thue_tables.json", d=7, D=7) is not None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == [[1, 2]]

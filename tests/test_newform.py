@@ -168,7 +168,7 @@ def test_coeff_multiplicativity():
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randint(2, 5000)
-        if all(p <= 200 for p, _ in factor(n).pairs):
+        if all(p <= 200 for p, _ in factor(n)):
             assert N.coeff(spec, n) == q[n - 1]
 
 
@@ -283,3 +283,63 @@ def test_json_roundtrip():
         '{"weight": 4, "level": 5, "ap": {"2": -3}, "bad_signs": {"5": -1}, "trivial_mod2": true}'
     )
     assert parsed.ap == {2: -3} and parsed.bad_signs == {5: -1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"weight": 4, "level": 1', "not readable JSON"),
+    ("[" * 100000, "not readable JSON"),
+    (b'{"weight": 4, "level": 1, "name": "\xff"}', "not readable JSON"),
+    ('{"level": 1}', "no weight"),
+    ('{"weight": 4}', "no level"),
+    ('[{"weight": 4, "level": 1}]', "must be a JSON object"),
+    ('{"weight": 4, "level": 1, "ap": {"x": 2}}', 'ap key "x" is not a decimal integer'),
+    ('{"weight": 4, "level": 1, "ap": {"-3": 2}}', "not a decimal integer"),
+    ('{"weight": 4, "level": 1, "ap": {"\\u0663": 2}}', "not a decimal integer"),
+    ('{"weight": 4, "level": 1, "ap": {"%s": 2}}' % ("7" * 5000), "too many digits"),
+    ('{"weight": 4, "level": 1, "ap": [1]}', "ap must be a JSON object"),
+    ('{"weight": 4, "level": 1, "ap": {"3": 2.9}}', "ap[3] must be a JSON integer, not 2.9"),
+    ('{"weight": 4, "level": 1, "ap": {"3": true}}', "ap[3] must be a JSON integer"),
+    ('{"weight": 4, "level": 5, "bad_signs": {"5": "1"}}', "bad_signs[5] must be a JSON integer"),
+    ('{"weight": 4, "level": 5, "bad_signs": {"0": 1}}', "must be a prime exactly dividing"),
+    ('{"weight": 4.0, "level": 1}', "weight must be a JSON integer"),
+    ('{"weight": true, "level": 1}', "weight must be a JSON integer"),
+    ('{"weight": 4, "level": "1"}', "level must be a JSON integer"),
+    ('{"weight": 4, "level": true}', "level must be a JSON integer"),
+    ('{"weight": 4, "level": 1, "trivial_mod2": "false"}', 'trivial_mod2 must be true or false'),
+    ('{"weight": 4, "level": 1, "trivial_mod2": 0}', "trivial_mod2 must be true or false"),
+    ('{"weight": 4, "level": 1, "name": 7}', "name must be a string"),
+])
+def test_from_json_refuses_what_it_cannot_read(text, message):
+    """Only JSON integers (not bools) are numbers, only a JSON bool is the
+    flag: anything else is a DomainError, never a coercion or a crash."""
+    with pytest.raises(DomainError, match=message.replace("[", r"\[").replace(".", r"\.")):
+        N.NewformSpec.from_json(text)
+
+
+def test_from_json_reads_bytes_and_defaults():
+    spec = N.NewformSpec.from_json('{"weight": 4, "level": 1}'.encode("utf-16"))
+    assert spec == N.NewformSpec(weight=4, level=1)
+    assert not spec.trivial_mod2 and spec.name == ""
+
+
+def test_huge_weight_builds_no_huge_power():
+    # the Deligne check compares bit lengths before it builds p^(w-1), and
+    # a_f(p^m), m >= 2, is refused once p^(w-1) passes the digit limit
+    spec = N.NewformSpec.from_json('{"weight": 1000000000000000000, "level": 1, '
+                                   '"ap": {"2": 0, "3": 2}, "bad_signs": {}}')
+    assert N.coeff(spec, 6) == 0 and N.coeff(spec, 3) == 2
+    with pytest.raises(DomainError, match="2\\^999999999999999999 has more than"):
+        N.coeff(spec, 4)
+    assert N.NewformSpec(weight=10**6, level=1, ap={2: 2**3000}).ap[2] == 2**3000
+    # at the edge of the bit-length test: 4 * 2^1999 = 2^2001, and the a
+    # just past its square root has a 2002-bit square
+    edge = math.isqrt(2**2001)
+    N.NewformSpec(weight=2000, level=1, ap={2: edge})
+    with pytest.raises(DomainError, match="violates the Deligne bound"):
+        N.NewformSpec(weight=2000, level=1, ap={2: edge + 1})
+    level = N.NewformSpec(weight=10**6, level=3, bad_signs={3: -1})
+    with pytest.raises(DomainError, match="3\\^499999 has more than"):
+        N.coeff(level, 3)
+    # just under the limit both sides are still exact
+    w = 4 + 2 * int(4000 / math.log10(3) / 2)
+    assert N.NewformSpec(weight=w, level=1, ap={3: 3**((w - 2) // 2)}).norm(3) == 3**(w - 1)
