@@ -12,7 +12,6 @@ error.  Output is byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import shutil
@@ -27,9 +26,6 @@ from .arith import DomainError, factor
 if TYPE_CHECKING:
     from .newform import NewformSpec
     from .thue import ThueForm
-
-_FORM_CACHE: dict[str, NewformSpec] = {}
-
 
 # encoder chunks joined into one write
 _EMIT_BATCH = 1 << 12
@@ -70,9 +66,7 @@ def _load_form(args) -> NewformSpec:
     if getattr(args, "spec", None):
         with open(args.spec, "rb") as fh:  # json.loads finds the encoding of the bytes
             return newform.NewformSpec.from_json(fh.read())
-    if "delta" not in _FORM_CACHE:
-        _FORM_CACHE["delta"] = newform.delta_newform(1000)
-    return _FORM_CACHE["delta"]
+    return newform.delta_newform(1000)
 
 
 def _parse_prime_power_target(target: int) -> tuple[int, int, int]:
@@ -198,14 +192,6 @@ def _run(args) -> dict | tuple:
     if verb == "coeff":
         from . import newform
         spec = _load_form(args)
-        if not args.spec and args.n > 1:
-            # the built-in Delta stores a_f(p) for p <= 1000; add tau(q) for n's other primes
-            missing = [q for q, _ in factor(args.n)
-                       if q not in spec.ap and q <= newform.MAX_TAU_BOUND]
-            if missing:
-                taus = newform.delta_expansion(max(missing))
-                ap = {**spec.ap, **{q: taus[q - 1] for q in missing}}
-                spec = dataclasses.replace(spec, ap=ap)
         return {"form": spec.name or "custom", "n": args.n,
                 "coefficient": newform.coeff(spec, args.n)}
     if verb == "lucas":

@@ -26,10 +26,11 @@ catalog entry, {points, status} from catalog.entry (through
 curves.catalog_entry for a curve), and hands every point to _dispose.
 _dispose recovers p and the possible |a_f(p)| behind the point, then
 runs one eigenvalue check on each magnitude: the Deligne bound, the
-stored a_f(p) and the trivial-mod-2 parity.  The flag is trusted only
-while no stored a_f(p), p not dividing 2N, is odd.  For the built-in
-discriminant form the classical congruences mod 9, 5, 7 and 691 prune
-conditions whose rank of apparition is impossible.
+stored a_f(p) (spec.ap only: Delta's tau(p), p > 1000, is not read) and
+the trivial-mod-2 parity.  The flag is trusted only while no stored
+a_f(p), p not dividing 2N, is odd.  For the built-in discriminant form
+the classical congruences mod 9, 5, 7 and 691 prune conditions whose
+rank of apparition is impossible.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .arith import (
 )
 from .bounds import SearchBounds
 from .lucas import sigma_hat
-from .newform import NewformSpec
+from .newform import NewformSpec, eigenvalue
 
 __all__ = [
     "unit_set",
@@ -324,10 +325,11 @@ def check_admissibility(
 def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     """Lower bound for Omega(a_f(n)) from the Lucas structure.
 
-    Bad primes contribute (k-1) ord_p(n); good primes with ord >= 2
-    contribute sigma_hat; with the trivial-mod-2 flag, odd good primes
-    exactly dividing n contribute 1 (even eigenvalue), and p = 2
-    contributes 1 when the stored a_f(2) is not a unit.
+    Bad primes contribute (k-1) ord_p(n), and refuse a_f(n) = 0 when
+    their square divides N; good primes with ord >= 2 contribute
+    sigma_hat of newform.eigenvalue; with the trivial-mod-2 flag, odd
+    good primes exactly dividing n contribute 1 (even eigenvalue), and
+    p = 2 contributes 1 when the stored a_f(2) is not a unit.
     """
     if n <= 1:
         raise DomainError("n must be > 1")
@@ -335,11 +337,11 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     total = 0
     for p, e in factor(n):
         if spec.level % p == 0:
+            if (spec.level // p) % p == 0:
+                raise DomainError(f"a_f({n}) = 0, as {p}^2 divides the level")
             total += (k - 1) * e
         elif e >= 2:
-            if p not in spec.ap:
-                raise DomainError(f"no a_f({p}) stored") from None
-            total += max(0, sigma_hat(spec.ap[p], spec.norm(p), e))
+            total += max(0, sigma_hat(eigenvalue(spec, p), spec.norm(p), e))
         else:
             if spec.trivial_mod2 and p != 2:
                 _check_even_eigenvalues(spec)

@@ -8,8 +8,8 @@ generates terms, finds ranks of apparition as (rank, reason) pairs, and
 classifies defective terms (those without a primitive prime divisor) by
 lookup in the Bilu-Hanrot-Voutier / Abouzaid tables, which ship as a
 JSON fixture, each term a {n, value, source, params} dict as the lucas
-verb prints it; sigma_hat turns the classification into Omega lower
-bounds.
+verb prints it, its value u_n from arith.lucas_ladder; sigma_hat turns
+the classification into Omega lower bounds and builds no term list.
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ def _defect(n: int, value: int, source: str, **params) -> dict:
 
 
 def family_memberships(pair: LucasPair) -> list[dict]:
-    """All parameterized-family rows the pair belongs to, each a _defect."""
+    """All parameterized-family rows the pair belongs to, each a _defect
+    whose u_n is computed only when its row is recorded."""
     A, B = pair.A, pair.B
     a = abs(A)
     dec = pair.prime_power_decomposition()
@@ -149,10 +150,9 @@ def family_memberships(pair: LucasPair) -> list[dict]:
         return []
     p, exp = dec
     out = []
-    terms = lucas_terms(pair, 6)
 
     def rec(n, tag, **params):
-        out.append(_defect(n, terms[n - 1], tag, **params))
+        out.append(_defect(n, lucas_ladder(n, A, B)[0], tag, **params))
 
     # P1: B = A^2 + 1 prime, defect u_3 = -1
     if exp == 1 and a > 1 and B == a * a + 1:
@@ -208,9 +208,8 @@ def classify_defects(pair: LucasPair) -> list[dict]:
     a = abs(pair.A)
     for row in table["sporadic"]:
         if row["A"] == a and row["B"] == pair.B:
-            terms = lucas_terms(pair, max(n for n, _ in row["defects"]))
             for n, _val in row["defects"]:
-                records[n] = _defect(n, terms[n - 1], "sporadic")
+                records[n] = _defect(n, lucas_ladder(n, pair.A, pair.B)[0], "sporadic")
     for fam in family_memberships(pair):
         records.setdefault(fam["n"], fam)
     return [records[n] for n in sorted(records)]

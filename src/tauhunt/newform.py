@@ -9,9 +9,10 @@ base-10^w digits offset to be nonnegative, as one Decimal, which
 libmpdec squares with an exact number-theoretic transform; eta^12 stays
 slot text between them, and only tau becomes integers.  Arbitrary newforms are
 described by a NewformSpec holding weight, level and Hecke eigenvalue
-data a_f(p); at a good prime a_f(p^m) = U_(m+1) for the Lucas sequence
-of (a_f(p), p^(w-1)), w the weight, and general indices follow
-multiplicativity.
+data a_f(p).  eigenvalue(spec, p) is the one reader of a_f(p): the
+stored value, or tau(p) for the built-in Delta up to 10^6.  At a good
+prime a_f(p^m) = U_(m+1) for the Lucas sequence of (a_f(p), p^(w-1)),
+w the weight, and general indices follow multiplicativity.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .arith import DomainError, factor, is_prime, lucas_ladder, primes_up_to
 
 __all__ = [
-    "InsufficientCoefficientData",
     "NewformSpec",
     "delta_expansion",
     "delta_newform",
+    "eigenvalue",
     "coeff_prime_power",
     "coeff",
 ]
-
-
-class InsufficientCoefficientData(DomainError):
-    """A coefficient was requested at a prime with no stored eigenvalue."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +273,22 @@ class NewformSpec:
         )
 
 
+@lru_cache  # one spec per bound, shared by every caller, which only reads it
 def delta_newform(prime_bound: int = 1000) -> NewformSpec:
-    """The built-in Delta form with eigenvalue data for p <= prime_bound."""
+    """The built-in Delta form, a_f(p) stored for p <= prime_bound."""
     taus = _tau_list(prime_bound)
     ap = {p: taus[p - 1] for p in primes_up_to(prime_bound)}
     return NewformSpec(weight=12, level=1, ap=ap, trivial_mod2=True, name="delta")
+
+
+def eigenvalue(spec: NewformSpec, p: int) -> int:
+    """a_f(p) at a good prime p: the stored value or, for the built-in
+    Delta, tau(p) up to MAX_TAU_BOUND."""
+    if p in spec.ap:
+        return spec.ap[p]
+    if spec.is_delta and p <= MAX_TAU_BOUND:
+        return _tau_list(p)[p - 1]
+    raise DomainError(f"no a_f({p}) stored")
 
 
 def _power(p: int, e: int) -> int:
@@ -308,21 +316,20 @@ def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
         if (spec.level // p) % p == 0:
             return 0
         if p not in spec.bad_signs:
-            raise InsufficientCoefficientData(f"no U({p}) sign stored")
+            raise DomainError(f"no U({p}) sign stored")
         k = spec.weight // 2
         return spec.bad_signs[p] ** m * _power(p, (k - 1) * m)
-    if p not in spec.ap:
-        raise InsufficientCoefficientData(f"no a_f({p}) stored")
+    a = eigenvalue(spec, p)
     if m == 1:  # U_2 needs no B
-        return spec.ap[p]
-    return lucas_ladder(m, spec.ap[p], spec.norm(p))[1]
+        return a
+    return lucas_ladder(m, a, spec.norm(p))[1]
 
 
 def coeff(spec: NewformSpec, n: int) -> int:
-    """a_f(n) by multiplicativity over the prime powers of n."""
+    """a_f(n) by multiplicativity, largest prime first: Delta's tau list is built once."""
     if n < 1:
         raise DomainError("n must be >= 1")
     out = 1
-    for p, e in factor(n):
+    for p, e in reversed(factor(n)):
         out *= coeff_prime_power(spec, p, e)
     return out

@@ -257,6 +257,46 @@ def test_omega_bound(capsys):
     assert json.loads(out)["omega_lower_bound"] == 1
 
 
+def test_omega_bound_reads_what_coeff_reads(capsys):
+    # 1009^2: a_f(1009) is not stored, and omega-bound reads tau(1009) as coeff does
+    code, out = run_cli(["omega-bound", "--n", "1018081"], capsys)
+    assert code == 0 and json.loads(out)["omega_lower_bound"] == 1
+    # past the tau bound it is refused with coeff's message
+    assert main(["omega-bound", "--n", str(1000003**2)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: no a_f(1000003) stored" in captured.err
+
+
+@pytest.mark.parametrize("text, argv, want", [
+    ('{"weight": 8000, "level": 1, "ap": {"3": 2}}', ["--n", "9"], 1),
+    ('{"weight": 4, "level": 4}', ["--n", "32"], None),
+    ('{"weight": 4, "level": 9}', ["--n", "3"], None),
+])
+def test_omega_bound_specs(text, argv, want, tmp_path, capsys):
+    # a long p^(w-1) builds no Lucas term; a zero coefficient is refused
+    spec = tmp_path / "form.json"
+    spec.write_text(text)
+    argv = ["--spec", str(spec)] + argv
+    if want is None:
+        assert main(["omega-bound"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "= 0, as" in captured.err
+        code, out = run_cli(["coeff"] + argv, capsys)
+        assert code == 0 and json.loads(out)["coefficient"] == 0
+    else:
+        code, out = run_cli(["omega-bound"] + argv, capsys)
+        assert code == 0 and json.loads(out)["omega_lower_bound"] == want
+
+
+def test_spec_named_delta_reads_tau(tmp_path, capsys):
+    # a --spec of weight 12, level 1 named delta reads tau(p) past its ap,
+    # as the built-in form does
+    spec = tmp_path / "delta.json"
+    spec.write_text('{"weight": 12, "level": 1, "ap": {"2": -24}, "name": "delta"}')
+    code, out = run_cli(["coeff", "--spec", str(spec), "--n", "1009"], capsys)
+    assert code == 0 and json.loads(out)["coefficient"] == -14140474408719790
+
+
 def test_decompose(capsys):
     code, out = run_cli(["decompose", "--target", "-15"], capsys)
     assert len(json.loads(out)["scenarios"]) == 2

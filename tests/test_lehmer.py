@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import pytest
 
-from oracles import signed_block_scenarios
+from oracles import signed_block_scenarios, tau_series
 from tauhunt import lehmer as LE
 from tauhunt import thue
-from tauhunt.arith import DomainError, factor, primes_up_to
-from tauhunt.newform import NewformSpec, coeff_prime_power, delta_newform
+from tauhunt.arith import DomainError, factor, primes_up_to, sigma
+from tauhunt.lucas import sigma_hat
+from tauhunt.newform import NewformSpec, coeff, coeff_prime_power, delta_newform
 
 DELTA = delta_newform(600)
 FAST = LE.SearchBounds(x_max=3000, x_small=120, x_mid=400)
@@ -80,7 +82,7 @@ def test_over_ceiling_ell_refused_before_factoring(monkeypatch):
 def test_parity_found_once_per_spec():
     # the odd stored eigenvalues are found once and kept on the spec; a
     # spec that has them is refused on every call
-    spec = delta_newform(100)
+    spec = dataclasses.replace(delta_newform(100))  # delta_newform's specs are shared
     assert LE.unit_set(spec) == (1,) and spec.__dict__["odd_eigenvalues"] == ()
     spec.__dict__["odd_eigenvalues"] = (3,)  # read, not recomputed
     with pytest.raises(DomainError, match="a_f\\(3\\) = 252 is odd"):
@@ -264,11 +266,44 @@ def test_omega_lower_bound():
     assert LE.omega_lower_bound(lvl, 9) == 4
     with pytest.raises(DomainError):
         LE.omega_lower_bound(DELTA, 1)
+    # past the tau bound, refused as coeff refuses it
+    with pytest.raises(DomainError, match="no a_f\\(1000003\\) stored"):
+        LE.omega_lower_bound(DELTA, 1000003**2)
+
+
+@pytest.mark.parametrize("q", [1009, 10007, 99991])
+def test_omega_lower_bound_past_stored_eigenvalues(q):
+    # Delta reads tau(q) past its stored primes, as coeff does
+    tau_q = tau_series(99992)[q - 1]
+    for e in (2, 3):
+        want = max(0, sigma_hat(tau_q, q**11, e))
+        assert want == sigma(0, e + 1) - 1
+        assert LE.omega_lower_bound(DELTA, q**e) == want
+        assert LE.omega_lower_bound(DELTA, 3 * q**e) == want + 1
+
+
+def test_omega_lower_bound_zero_coefficient_refused():
+    # p^2 | N and p | n give a_f(n) = 0, whose Omega is no number
+    for level, n in ((4, 32), (9, 3), (9, 9)):
+        spec = NewformSpec(weight=4, level=level)
+        assert coeff(spec, n) == 0
+        with pytest.raises(DomainError, match=f"a_f\\({n}\\) = 0"):
+            LE.omega_lower_bound(spec, n)
+    # a prime exactly dividing the level still contributes (k - 1) ord_p(n)
+    assert LE.omega_lower_bound(NewformSpec(weight=4, level=18), 4) == 2
+
+
+def test_omega_lower_bound_long_norm():
+    # (2, 3^7999) is in no family: sigma_hat builds no Lucas term, however
+    # long p^(w-1) is, and the bound is the generic sigma_0(3) - 1
+    spec = NewformSpec(weight=8000, level=1, ap={3: 2})
+    assert LE.omega_lower_bound(spec, 9) == 1
+    # (7, 27) is a family member: sigma_0(12) less its discount 4
+    fam = NewformSpec(weight=4, level=1, ap={3: 7})
+    assert LE.omega_lower_bound(fam, 3**11) == 2 == sigma(0, 12) - 4
 
 
 def test_omega_bound_is_actually_a_lower_bound():
-    from tauhunt.newform import coeff
-
     for n in (2, 4, 6, 9, 12, 25, 36, 60, 96, 251**2):
         big_omega = sum(e for _, e in factor(coeff(DELTA, n)))
         assert big_omega >= LE.omega_lower_bound(DELTA, n), n

@@ -254,10 +254,40 @@ def test_bad_prime_coefficients():
 
 def test_insufficient_data_is_an_error():
     spec = N.NewformSpec(weight=4, level=1, ap={2: 2})
-    with pytest.raises(N.InsufficientCoefficientData):
+    with pytest.raises(DomainError, match="no a_f"):
         N.coeff_prime_power(spec, 3, 1)
-    with pytest.raises(N.InsufficientCoefficientData):
+    with pytest.raises(DomainError, match="no a_f"):
         N.coeff(spec, 15)
+
+
+def test_eigenvalue_one_source():
+    # Delta reads tau(p) past its stored primes, up to MAX_TAU_BOUND; any
+    # other spec only its stored a_f(p)
+    delta = N.delta_newform(100)
+    ref = tau_series(1010)
+    assert N.eigenvalue(delta, 97) == delta.ap[97] == ref[96]
+    assert 1009 not in delta.ap and N.eigenvalue(delta, 1009) == ref[1008]
+    assert N.coeff_prime_power(delta, 1009, 2) == ref[1008] ** 2 - 1009**11
+    with pytest.raises(DomainError, match="no a_f\\(1000003\\) stored"):
+        N.eigenvalue(delta, 1000003)
+    # a weight-12, level-1 spec not named delta reads only its stored a_f(p)
+    other = N.NewformSpec(weight=12, level=1, ap=dict(delta.ap), name="not-delta")
+    with pytest.raises(DomainError, match="no a_f\\(101\\) stored"):
+        N.eigenvalue(other, 101)
+    assert N.delta_newform(100) is delta  # one spec per bound
+
+
+def test_coeff_builds_tau_list_once(monkeypatch):
+    # n's primes are read largest first, so three primes past the stored
+    # ones build the tau list once: one expansion is two squarings
+    spec, calls, square = N.delta_newform(1000), [], N._square
+    monkeypatch.setattr(N, "_square", lambda *a: calls.append(a[1]) or square(*a))
+    monkeypatch.setattr(N, "_DELTA_CACHE", [])
+    primes = (1009, 10007, 99991)
+    value = N.coeff(spec, math.prod(primes))
+    assert calls == [99991] * 2
+    ref = tau_series(99992)
+    assert value == math.prod(ref[p - 1] for p in primes)
 
 
 def test_spec_validation():
