@@ -6,7 +6,9 @@ tuple (trial division by the primes below 2^10, then Brent's rho), the
 Lucas ladder, divisor power sums,
 perfect-power tests, exact polynomial signs, and the continued-fraction
 convergents that a rational interval fixes.  No floating point
-participates in any decision.
+participates in any decision.  frozen_record, the one class decorator
+of the package, makes the frozen value records of every layer without
+the dataclasses module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,68 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of an operation."""
+
+
+def frozen_record(cls):
+    """Make cls a frozen record of the fields its annotations name, in
+    order, as @dataclass(frozen=True) does, from closures alone: the
+    dataclasses module imports inspect and execs the methods it makes,
+    which would cost every process that loads a layer.
+
+    __init__ takes each field by position or name, fills a missing one
+    with its class default (a fresh copy of a dict default) and then calls
+    __post_init__, if the class has one.  Two records are equal when their
+    classes are the same and their fields are equal, and hash is that of
+    the field tuple, so a record holding a dict refuses hash.  The repr is
+    Name(field=value, ...); assignment and deletion raise AttributeError.
+    cls.__record_fields__ is the tuple of field names.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, each once")
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs[name]
+            elif name in defaults:
+                value = defaults[name]
+                values[name] = dict(value) if type(value) is dict else value
+            else:
+                raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self) -> tuple:
+        return tuple(self.__dict__[name] for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{cls.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot delete {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__record_fields__ = names
+    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,16 @@ through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError
+from .arith import DomainError, frozen_record
 
 __all__ = ["SearchBounds", "EffectiveBound", "weight_bound_M", "sqrt_interval"]
 
 _SQRT_BITS = 64  # sqrt(m) is enclosed to within 2^-64
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SearchBounds:
     """The bounds of one run; the defaults are also the CLI's.  They are
     checked here, so a run that reaches no Thue condition still refuses
@@ -62,7 +61,7 @@ def sqrt_interval(x: int | Fraction) -> tuple[Fraction, Fraction]:
     return (lo, Fraction(r + 1, 1 << _SQRT_BITS))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EffectiveBound:
     """a*m + c*sqrt(m) + const, coefficients exact."""
 

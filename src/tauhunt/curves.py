@@ -25,11 +25,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalog
-from .arith import DomainError, integer_nth_root, is_perfect_square, is_prime
+from .arith import (
+    DomainError,
+    frozen_record,
+    integer_nth_root,
+    is_perfect_square,
+    is_prime,
+)
 
 __all__ = [
     "CurveSpec",
@@ -55,7 +60,7 @@ _SCAN_NS_PER_VALUE = 5
 _SCAN_BUDGET = 60 * 10**9 // _SCAN_NS_PER_VALUE
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CurveSpec:
     """Y^2 = lead * X^exponent + constant."""
 
@@ -100,7 +105,7 @@ def _check_prime_power(ell: int, m: int) -> None:
         raise DomainError(f"{ell}^{m} has more than {digits} digits")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CurveSearch:
     spec: CurveSpec
     points: tuple[tuple[int, int], ...]  # (x, y) with y >= 0

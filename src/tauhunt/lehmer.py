@@ -36,18 +36,17 @@ rank of apparition is impossible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import catalog, curves, thue
 from .arith import (
     DomainError,
     factor,
+    frozen_record,
     is_perfect_square,
     is_prime,
     prime_power_root,
 )
 from .bounds import SearchBounds
-from .lucas import sigma_hat
 from .newform import NewformSpec, eigenvalue
 
 __all__ = [
@@ -98,7 +97,7 @@ def _check_even_eigenvalues(spec: NewformSpec) -> None:
         raise DomainError(f"trivial_mod2 is set but {listed} is odd")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DiophantineCondition:
     d: int
     kind: str  # "curve-C" | "curve-H" | "thue"
@@ -326,11 +325,18 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     """Lower bound for Omega(a_f(n)) from the Lucas structure.
 
     Bad primes contribute (k-1) ord_p(n), and refuse a_f(n) = 0 when
-    their square divides N; good primes with ord >= 2 contribute
-    sigma_hat of newform.eigenvalue; with the trivial-mod-2 flag, odd
-    good primes exactly dividing n contribute 1 (even eigenvalue), and
-    p = 2 contributes 1 when the stored a_f(2) is not a unit.
+    their square divides N.  A good prime p with a stored a_f(p) = 0
+    refuses it too when ord_p(n) is odd, as the Hecke recursion then
+    gives a_f(p^e) = -p^(w-1) a_f(p^(e-2)) = 0 for odd e; only spec.ap is
+    read there, so no tau list is built.  Other good primes with
+    ord >= 2 contribute sigma_hat of newform.eigenvalue; with the
+    trivial-mod-2 flag, odd good primes exactly dividing n contribute 1
+    (even eigenvalue), and p = 2 contributes 1 when the stored a_f(2) is
+    not a unit.  The Lucas layer, which holds sigma_hat, is imported
+    here, so the admissible and reproduce verbs never load it.
     """
+    from .lucas import sigma_hat
+
     if n <= 1:
         raise DomainError("n must be > 1")
     k = spec.weight // 2
@@ -340,6 +346,8 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
             if (spec.level // p) % p == 0:
                 raise DomainError(f"a_f({n}) = 0, as {p}^2 divides the level")
             total += (k - 1) * e
+        elif e % 2 and spec.ap.get(p) == 0:
+            raise DomainError(f"a_f({n}) = 0, as a_f({p}) = 0 and {p}^{e} exactly divides {n}")
         elif e >= 2:
             total += max(0, sigma_hat(eigenvalue(spec, p), spec.norm(p), e))
         else:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import catalog
-from .arith import DomainError, factor, is_prime, lucas_ladder, sigma
+from .arith import DomainError, factor, frozen_record, is_prime, lucas_ladder, sigma
 
 __all__ = [
     "LucasPair",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LucasPair:
     """The pair (A, B) generating u_1 = 1, u_2 = A, u_{n+1} = A u_n - B u_{n-1}."""
 

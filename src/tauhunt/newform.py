@@ -22,10 +22,16 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .arith import DomainError, factor, is_prime, lucas_ladder, primes_up_to
+from .arith import (
+    DomainError,
+    factor,
+    frozen_record,
+    is_prime,
+    lucas_ladder,
+    primes_up_to,
+)
 
 __all__ = [
     "NewformSpec",
@@ -173,7 +179,7 @@ def delta_expansion(bound: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NewformSpec:
     """Weight, level and prime eigenvalue data for a newform with integer
     coefficients.
@@ -187,8 +193,8 @@ class NewformSpec:
 
     weight: int
     level: int
-    ap: dict[int, int] = field(default_factory=dict)
-    bad_signs: dict[int, int] = field(default_factory=dict)
+    ap: dict[int, int] = {}  # each spec gets its own copy (frozen_record)
+    bad_signs: dict[int, int] = {}
     trivial_mod2: bool = False
     name: str = ""
 

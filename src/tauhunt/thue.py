@@ -86,23 +86,24 @@ The exhaustive scan runs on Python integers.  For each x it takes only
 the integers within min(k^(1/m), rho_i(x)) of x times an enclosure, the
 bound on rho_i(x) one exact integer quotient; rho_i(x) falls below 1
 within a few x once m is large.  Each candidate is confirmed in
-big-integer arithmetic, and once the scan's candidates outnumber a
-small prime q, an index of F(1, t) mod q by value leaves only the y in
-the residue classes a solution can lie in.  Each phase runs once for
-both F = k and F = -k.  Every result carries its bound certificate.
+big-integer arithmetic.  When the scan's bound on its candidates
+exceeds a small prime q, an index of F(1, t) mod q by value, built
+before the first x, leaves only the y in the residue classes a solution
+can lie in.  Each phase runs once for both F = k and F = -k.  Every
+result carries its bound certificate.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (
     DomainError,
     continued_fraction_convergents,
+    frozen_record,
     integer_nth_root,
     is_prime,
     lucas_ladder,
@@ -155,7 +156,7 @@ def _signed_diagonal(n: int, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ThueForm:
     """F_{2m} (family "standard", n = 2m + 1) or Fhat_p (family "reduced",
     n = p), of degree m = (n - 1)/2; coeffs[i] is the coefficient of
@@ -431,7 +432,7 @@ class _FormContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ThueSolutions:
     form: str
     rhs: int
@@ -465,9 +466,10 @@ def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
     Each of the m windows of an x <= x_hi holds at most 2r + 3 values,
     r = floor(k^(1/m)), as x (hi_i - lo_i) < 2^w: x_hi <= x_mid <
     2^((w - 64)/2) (_FormContext) and hi_i - lo_i < 2^(w/2) (real_roots).
-    Building the residue index and confirming the candidates before it
-    take at most 2 q evaluations, priced at m + 1 terms each,
-    q = _TABLE_PRIME.
+    A scan whose candidate bound exceeds q = _TABLE_PRIME builds the
+    residue index, q evaluations mod q, before its first x; any other
+    confirms at most q candidates unfiltered.  Either fits in the 2 q
+    evaluations of m + 1 terms each priced here.
     """
     m = ctx.form.degree
     candidates = m * x_hi * (2 * integer_nth_root(k, m) + 3)
@@ -514,9 +516,10 @@ def _scan_exhaustive(
     gives ceil((x lo_i - U_i)/2^w) <= y <= floor((x hi_i + U_i)/2^w).
     The windows of one x are merged (_merged), and an x whose windows
     hold more than _CANDIDATE_BUDGET values is refused.  Every window
-    value is a candidate, confirmed exactly by evaluate.  Once the
-    scan's candidates outnumber q = _TABLE_PRIME, the value -> t index of
-    F(1, t) mod q (_FormContext.index) filters them first: for x prime
+    value is a candidate, confirmed exactly by evaluate.  When the bound
+    on the candidates (_scan_cost_ns) exceeds q = _TABLE_PRIME, the
+    value -> t index of F(1, t) mod q (_FormContext.index) is built
+    before the first x and filters every candidate first: for x prime
     to q, F(x, y) = x^m F(1, y x^-1) (mod q), so F = +-k needs
     y = x t (mod q) for a t with F(1, t) = +-k x^-m (mod q)
     (_in_residues); an x divisible by q is not filtered.  A scan
@@ -539,7 +542,8 @@ def _scan_exhaustive(
     for (lo, hi), log in zip(ctx.roots, ctx.log2_deriv):
         s = w + m - 1 - log
         rho.append((lo, hi, k << max(s, 0), max(-s, 0)))
-    q, index, scanned = _TABLE_PRIME, None, 0
+    q, scanned = _TABLE_PRIME, 0
+    index = ctx.index(q) if candidates > q else None
     for x in range(1, x_hi + 1):
         power = x ** (m - 1)
         spans = []
@@ -558,8 +562,6 @@ def _scan_exhaustive(
         if width > _CANDIDATE_BUDGET:
             raise DomainError(f"exhaustive scan needs more than {_CANDIDATE_BUDGET} y for one x")
         scanned += width
-        if index is None and scanned > q:
-            index = ctx.index(q)
         if index is None or x % q == 0:
             ys = (y for a, b in windows for y in range(a, b + 1))
         else:

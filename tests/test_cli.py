@@ -267,13 +267,22 @@ def test_omega_bound_reads_what_coeff_reads(capsys):
     assert captured.out == "" and "error: no a_f(1000003) stored" in captured.err
 
 
+# a_f(3) = 0, so a_f(3^e) = 0 for every odd e
+_ZERO_AT_3 = '{"weight": 4, "level": 1, "ap": {"3": 0}, "trivial_mod2": true}'
+
+
 @pytest.mark.parametrize("text, argv, want", [
     ('{"weight": 8000, "level": 1, "ap": {"3": 2}}', ["--n", "9"], 1),
     ('{"weight": 4, "level": 4}', ["--n", "32"], None),
     ('{"weight": 4, "level": 9}', ["--n", "3"], None),
+    (_ZERO_AT_3, ["--n", "3"], None),
+    (_ZERO_AT_3, ["--n", "27"], None),
+    (_ZERO_AT_3, ["--n", "9"], 1),  # a_f(9) = -27, Omega 3
 ])
 def test_omega_bound_specs(text, argv, want, tmp_path, capsys):
-    # a long p^(w-1) builds no Lucas term; a zero coefficient is refused
+    # a long p^(w-1) builds no Lucas term; a zero coefficient is refused,
+    # from a square dividing the level or a stored a_f(p) = 0 at an odd
+    # power of p
     spec = tmp_path / "form.json"
     spec.write_text(text)
     argv = ["--spec", str(spec)] + argv

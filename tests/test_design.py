@@ -78,11 +78,71 @@ def test_thue_caches_take_no_form():
 def test_thue_form_is_family_and_n():
     """A ThueForm is named by its family and n alone: its coefficients
     follow from them, so no form with free coefficients can be built."""
-    from dataclasses import fields
-
     from tauhunt.thue import ThueForm
 
-    assert [f.name for f in fields(ThueForm)] == ["family", "n"]
+    assert ThueForm.__record_fields__ == ("family", "n")
+
+
+def test_frozen_records():
+    """The nine value classes are arith.frozen_record classes: frozen,
+    equal and hashed by their fields within one class, shown as
+    Name(field=value, ...), still checked on construction, and a record
+    holding a dict refuses hash."""
+    from fractions import Fraction
+
+    from tauhunt import bounds, curves, lehmer, lucas, newform, thue
+    from tauhunt.arith import DomainError, frozen_record
+
+    spec = curves.CurveSpec.c_family(3, 7, -1)
+    form = thue.ThueForm("reduced", 7)
+    records = [
+        bounds.SearchBounds(),
+        bounds.EffectiveBound("M", Fraction(2), Fraction(10**23)),
+        spec,
+        curves.CurveSearch(spec, ((2, 1),), {"x_max": 10}),
+        lehmer.DiophantineCondition(7, "thue", -7, 7, 1, -1, 12, form),
+        lucas.LucasPair(1, 2),
+        newform.NewformSpec(weight=4, level=5, ap={2: -4}, bad_signs={5: 1}),
+        form,
+        thue.ThueSolutions(form.name, 7, ((1, 2),), {"x_mid": 10}),
+    ]
+    for record in records:
+        cls, names = type(record), type(record).__record_fields__
+        values = [getattr(record, name) for name in names]
+        assert record == cls(*values) == cls(**dict(zip(names, values)))
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        assert repr(record) == f"{cls.__name__}({body})"
+        for name in (names[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert [getattr(record, name) for name in names] == values
+        with pytest.raises(TypeError):
+            cls(*values, 1)
+    for record, same in ((form, thue.ThueForm("reduced", 7)),
+                         (spec, curves.CurveSpec("C", 1, 3, -7, "C-[3,7^1]")),
+                         (bounds.SearchBounds(), bounds.SearchBounds(100000, 1000, 10000))):
+        assert record == same and hash(record) == hash(same)
+    assert form != thue.ThueForm("reduced", 11) and form != ("reduced", 7)
+
+    @frozen_record
+    class Other:
+        family: str
+        n: int
+
+    assert Other("reduced", 7) != form and form != Other("reduced", 7)
+    for make in (lambda: bounds.SearchBounds(x_max=-1), lambda: bounds.SearchBounds(5, 10, 9),
+                 lambda: curves.CurveSpec.c_family(4, 3, 1), lambda: lucas.LucasPair(2, 1),
+                 lambda: newform.NewformSpec(weight=5, level=1),
+                 lambda: newform.NewformSpec(weight=4, level=1, ap={4: 0}),
+                 lambda: thue.ThueForm("reduced", 9)):
+        with pytest.raises(DomainError):
+            make()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(records[6])
+    assert newform.NewformSpec(4, 1).ap == {} and newform.NewformSpec(4, 1).ap is not (
+        newform.NewformSpec(4, 1).ap)
 
 
 # solves F = n on forms without and (F_8, 3 | 9) with a rational root,
@@ -215,16 +275,18 @@ def test_no_verb_imports_numpy():
 
 
 # runs one verb given as a JSON argument vector (or none, for a bare
-# import), printing the tauhunt modules then loaded on stderr
+# import), printing on stderr the modules it loaded, recorded against
+# sys.modules before tauhunt is imported
 _LAYERS_PROBE = """
 import json, sys
+before = set(sys.modules)
 argv = json.loads(sys.argv[1])
 if argv:
     from tauhunt.cli import main
     assert main(argv) == 0
 else:
     import tauhunt
-print(*sorted(m for m in sys.modules if m.startswith("tauhunt.")), file=sys.stderr)
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
 """
 
 # layers a verb must not load
@@ -233,14 +295,22 @@ _UNUSED_LAYERS = {
     "curve-search": {"thue", "lehmer", "lucas", "newform"},
     "tau": {"curves", "thue", "lehmer", "lucas"},
     "coeff": {"curves", "thue", "lehmer", "lucas"},
+    "thue-solve": {"lucas"},
+    "admissible": {"lucas"},
+    "reproduce": {"lucas"},
 }
+
+# standard modules no process loads: dataclasses imports inspect, and
+# with it ast, dis and tokenize, at about 13 ms a process
+_UNUSED_MODULES = {"dataclasses", "inspect"}
 
 
 def test_each_verb_loads_only_its_layers():
     """A verb imports only the layers it calls: each verb, run in a fresh
     interpreter, leaves the Thue, Lehmer, Lucas and newform layers
     unloaded where it needs none of them, and a bare import of the
-    package loads only its arithmetic kernel."""
+    package loads only its arithmetic kernel.  Neither loads dataclasses
+    or inspect: the records are arith.frozen_record classes."""
     import json
 
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -249,7 +319,9 @@ def test_each_verb_loads_only_its_layers():
         proc = subprocess.run([sys.executable, "-c", _LAYERS_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, (argv, proc.stderr)
-        return {m.removeprefix("tauhunt.") for m in proc.stderr.split()}
+        modules = set(proc.stderr.split())
+        assert not modules & _UNUSED_MODULES, (argv, modules & _UNUSED_MODULES)
+        return {m.removeprefix("tauhunt.") for m in modules if m.startswith("tauhunt.")}
 
     assert loaded([]) == {"arith"}
     for argv in _EVERY_VERB:

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 
 import pytest
@@ -82,7 +82,7 @@ def test_over_ceiling_ell_refused_before_factoring(monkeypatch):
 def test_parity_found_once_per_spec():
     # the odd stored eigenvalues are found once and kept on the spec; a
     # spec that has them is refused on every call
-    spec = dataclasses.replace(delta_newform(100))  # delta_newform's specs are shared
+    spec = copy.copy(delta_newform(100))  # delta_newform's specs are shared
     assert LE.unit_set(spec) == (1,) and spec.__dict__["odd_eigenvalues"] == ()
     spec.__dict__["odd_eigenvalues"] = (3,)  # read, not recomputed
     with pytest.raises(DomainError, match="a_f\\(3\\) = 252 is odd"):

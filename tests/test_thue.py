@@ -377,8 +377,9 @@ def _fresh(form):
                                   T.build_reduced_form(11), T.build_reduced_form(13)],
                          ids=lambda f: f.name)
 def test_table_filter_tiny_primes(form, monkeypatch):
-    # q in (5, 7): the index filters from the (q + 1)-th candidate on,
-    # x = 0 (mod q) is not filtered, k = 0 (mod q) makes both targets 0
+    # q in (5, 7): the index filters every candidate of a scan whose
+    # candidate bound exceeds q, x = 0 (mod q) is not filtered, and
+    # k = 0 (mod q) makes both targets 0
     targets = (7, -7, 35, -5, 13, -49, 1)
     dense = dense_thue_solutions(form.coeffs, targets, 40)
     for q in (5, 7):
@@ -400,6 +401,25 @@ def test_exhaustive_counts_fhat691():
     assert res.certificate["exhaustive"] == {
         "window_radius": r, "candidates": count, "confirmed": 1}
     assert res.solutions == ((1, 2),)
+
+
+def test_residue_index_built_before_the_scan(monkeypatch):
+    # Fhat_7 = 1442897 to x_small = 1000 has a candidate bound far above
+    # q = 4093, so the index filters from the first x on: fewer than q
+    # exact evaluations in all (4,128 in the scan alone when the index
+    # waited for q candidates), and the same certificate
+    calls = []
+    evaluate = T.evaluate
+    monkeypatch.setattr(T, "evaluate", lambda f, x, y: calls.append((x, y)) or evaluate(f, x, y))
+    res = T.solve_bounded(T.ThueForm("reduced", 7), 1442897, 1000, 10000)
+    assert len(calls) < T._TABLE_PRIME
+    assert res.certificate == {
+        "x_small": 1000, "x_mid": 10000, "x0": 5771589, "x_exhaustive": 1000,
+        "method": "exhaustive scan + convergent pruning (Thue gap criterion)",
+        "exhaustive": {"window_radius": 113, "candidates": 130335, "confirmed": 9},
+        "midsize": {"roots": 3, "convergents": 22, "skipped_multiplier": 7,
+                    "skipped_bound": 0, "evaluated": 15}}
+    assert len(res.solutions) == 9
 
 
 def test_candidate_budget(monkeypatch):
