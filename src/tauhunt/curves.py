@@ -1,22 +1,21 @@
 """Bounded integer-point search on the curve families Y^2 = f(X).
 
 Families: C (Y^2 = X^(2d-1) + eps*ell^m, the Mordell / superelliptic
-family), H (Y^2 = 5 X^(2d) + 4 eps ell^m, the Pell-power family), and
-the B-curves attached to defective Lucas families.  The searcher tests
-rhs(x) for squareness exactly; residue tables merely prune candidates
-before the exact isqrt check.  Per search, the integer T_q has bit r set
-iff lead r^e + constant is a square mod q, for q in 64, 63, 65, 11 and
-the primes 17..97; it is read off by bytes.translate from the cached
-bytes of lead r^e mod q.  The x range is scanned in chunks of 2^14, each
-one integer used as a bitset (bit j stands for x = a + j): each T_q,
-repeated to the chunk's length and shifted to its start, is ANDed into
-it in turn, and the set bits left are the survivors.  A chunk stops at
-the first modulus that leaves no bit, and T_q is built only when a chunk
-first reaches q, so a curve whose chunks all empty early builds only the
-first few tables.  A scan of more than _SCAN_BUDGET x values, about a
-minute, is refused before it starts, as is an ell^m or an x_max^e too
-long to print.  Point catalogs for the table-covered cases ship as a
-JSON fixture of rows {family, w, ell, sign, points, status};
+family) and H (Y^2 = 5 X^(2d) + 4 eps ell^m, the Pell-power family).
+The searcher tests rhs(x) for squareness exactly; residue tables merely
+prune candidates before the exact isqrt check.  Per search, the integer
+T_q has bit r set iff lead r^e + constant is a square mod q, for q in
+64, 63, 65, 11 and the primes 17..97; it is read off by bytes.translate
+from the cached bytes of lead r^e mod q.  The x range is scanned in
+chunks of 2^14, each one integer used as a bitset (bit j stands for
+x = a + j): each T_q, repeated to the chunk's length and shifted to its
+start, is ANDed into it in turn, and the set bits left are the
+survivors.  A chunk stops at the first modulus that leaves no bit, and
+T_q is built only when a chunk first reaches q, so a curve whose chunks
+all empty early builds only the first few tables.  A scan of more than
+_SCAN_BUDGET x values is refused before it starts, as is an ell^m or an
+x_max^e too long to print.  Point catalogs for the table-covered cases
+ship as a JSON fixture of rows {family, w, ell, sign, points, status};
 catalog_entry is its one lookup, and verify_tables replays every row
 against a bounded search.
 """
@@ -50,14 +49,12 @@ _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
                   73, 79, 83, 89, 97)
 # x values per bitset of the square filter
 _CHUNK = 1 << 14
-# Cost of one scanned x value, rounded up: 0.3-3.6 ns, 1.7 ns in the
-# median, over the 336 C and H curves of verify_tables to x_max = 10^5
-# (best of 15 each), and 1.0-1.4 ns on Y^2 = X^3 +- 3^42 to x_max = 10^6,
-# on a 2-vCPU Xeon; in a slow phase of the host the curves read up to
-# 5.2 ns and the two long scans 2.5 ns.  The largest scan accepted takes
-# about a minute at that cost.
-_SCAN_NS_PER_VALUE = 5
-_SCAN_BUDGET = 60 * 10**9 // _SCAN_NS_PER_VALUE
+# x values one search (or one verify_tables run) may scan: 0.3-3.6 ns
+# each, 1.7 ns in the median, over the 336 C and H curves of
+# verify_tables to x_max = 10^5 (best of 15 each), and 1.0-2.2 ns on
+# Y^2 = X^3 +- 3^42 to x_max = 10^6, on a 2-vCPU Xeon; up to 5.2 ns in
+# a slow phase of the host, so the cap is about a minute.
+_SCAN_BUDGET = 12 * 10**9
 
 
 @frozen_record
@@ -166,10 +163,7 @@ def _check_scan_budget(values: int) -> None:
     """Refuse, before any work, a scan of more than _SCAN_BUDGET x values."""
     if values > _SCAN_BUDGET:
         raise DomainError(
-            f"curve scan of {values} x values would take about "
-            f"{values * _SCAN_NS_PER_VALUE / 6e10:.3g} min; the budget is "
-            f"{_SCAN_BUDGET} values (about a minute)"
-        )
+            f"curve scan of {values} x values is over the budget of {_SCAN_BUDGET} x values")
 
 
 def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:

@@ -89,8 +89,12 @@ within a few x once m is large.  Each candidate is confirmed in
 big-integer arithmetic.  When the scan's bound on its candidates
 exceeds a small prime q, an index of F(1, t) mod q by value, built
 before the first x, leaves only the y in the residue classes a solution
-can lie in.  Each phase runs once for both F = k and F = -k.  Every
-result carries its bound certificate.
+can lie in.  Before its first x the scan counts its work, x_e m root
+steps (one quotient and one window per root and x) and the bound
+m x_e (2r + 3) on its candidates, r = floor(k^(1/m)), and is refused
+when either count is over its cap (_SCAN_ROOT_STEPS, _SCAN_CANDIDATES,
+each at most about 60 s at its measured rate).  Each phase runs once
+for both F = k and F = -k.  Every result carries its bound certificate.
 """
 
 from __future__ import annotations
@@ -124,21 +128,16 @@ __all__ = [
 _TABLE_PRIME = 4093
 # y values scanned for one x
 _CANDIDATE_BUDGET = 1 << 22
-# Cost of the exhaustive scan, rounded up: _SCAN_NS_PER_X per x,
-# _SCAN_NS_PER_ROOT per root and x, _SCAN_NS_PER_CANDIDATE per value of
-# the bound on the windows and _SCAN_NS_PER_TERM per term of the form
-# for each evaluation before the residue index filters (_scan_cost_ns);
-# fitted as an upper bound on 192 timed scans (F_2..F_24 and
-# Fhat_5..Fhat_691, k from 7 to 10^100, x to 3000, best of two) on a
-# 2-vCPU Xeon, when those evaluations were Horner runs.  The Lucas
-# ladder takes O(log m) products instead, so the bound still holds.  A
-# scan estimated above the budget, about a minute, is refused before it
-# starts.
-_SCAN_NS_PER_X = 6000
-_SCAN_NS_PER_ROOT = 4000
-_SCAN_NS_PER_CANDIDATE = 1
-_SCAN_NS_PER_TERM = 200
-_SCAN_BUDGET_NS = 60 * 10**9
+# The exhaustive scan's work, counted before its first x (_scan_exhaustive).
+# Root steps, x_hi * m, one quotient and one window per root per x:
+# 0.6-1.1 us each at m <= 5, 1.2-1.5 us at m = 1001 and 2.9-4.3 us at
+# the degree ceiling on a 2-vCPU Xeon (small k; the quotient grows with
+# k's length), so the cap is about 60 s at the ceiling.
+_SCAN_ROOT_STEPS = 14 * 10**6
+# Candidates, the bound m * x_hi * (2r + 3) on the window values:
+# 0.2-0.55 ns per unit at m = 2 and 3 (k from 2^40 to 10^18, most of
+# them dropped by the residue index), so the cap is under 60 s.
+_SCAN_CANDIDATES = 10**11
 # The greatest degree a form may have.  At the ceiling a solve at default
 # bounds takes about 2 s on a 2-vCPU Xeon, most of it exact evaluations of
 # small-q convergents whose O(1) bound gives up: thue-solve --reduced-p
@@ -459,25 +458,6 @@ def _legendre_threshold(ctx: _FormContext, k: int) -> int | None:
     return integer_nth_root(k << e if e >= 0 else k >> -e, m - 2) + 1
 
 
-def _scan_cost_ns(ctx: _FormContext, k: int, x_hi: int) -> tuple[int, int]:
-    """(estimated ns, bound on the candidates) of the exhaustive scan of
-    F = +-k over 1 <= x <= x_hi.
-
-    Each of the m windows of an x <= x_hi holds at most 2r + 3 values,
-    r = floor(k^(1/m)), as x (hi_i - lo_i) < 2^w: x_hi <= x_mid <
-    2^((w - 64)/2) (_FormContext) and hi_i - lo_i < 2^(w/2) (real_roots).
-    A scan whose candidate bound exceeds q = _TABLE_PRIME builds the
-    residue index, q evaluations mod q, before its first x; any other
-    confirms at most q candidates unfiltered.  Either fits in the 2 q
-    evaluations of m + 1 terms each priced here.
-    """
-    m = ctx.form.degree
-    candidates = m * x_hi * (2 * integer_nth_root(k, m) + 3)
-    ns = (x_hi * (_SCAN_NS_PER_X + m * _SCAN_NS_PER_ROOT) + candidates * _SCAN_NS_PER_CANDIDATE
-          + 2 * _TABLE_PRIME * (m + 1) * _SCAN_NS_PER_TERM)
-    return ns, candidates
-
-
 def _merged(spans) -> list[list[int]]:
     """The [a, b] of spans (a <= b), sorted and merged where they overlap
     or touch."""
@@ -516,27 +496,32 @@ def _scan_exhaustive(
     gives ceil((x lo_i - U_i)/2^w) <= y <= floor((x hi_i + U_i)/2^w).
     The windows of one x are merged (_merged), and an x whose windows
     hold more than _CANDIDATE_BUDGET values is refused.  Every window
-    value is a candidate, confirmed exactly by evaluate.  When the bound
-    on the candidates (_scan_cost_ns) exceeds q = _TABLE_PRIME, the
-    value -> t index of F(1, t) mod q (_FormContext.index) is built
-    before the first x and filters every candidate first: for x prime
-    to q, F(x, y) = x^m F(1, y x^-1) (mod q), so F = +-k needs
-    y = x t (mod q) for a t with F(1, t) = +-k x^-m (mod q)
-    (_in_residues); an x divisible by q is not filtered.  A scan
-    estimated to take more than _SCAN_BUDGET_NS, about a minute
-    (_scan_cost_ns), is refused before it starts.  The info dict has
-    the radius r, the candidates and the confirmed solutions.
+    value is a candidate, confirmed exactly by evaluate.  Each window
+    holds at most 2r + 3 values, as x (hi_i - lo_i) < 2^w: x <= x_mid <
+    2^((w - 64)/2) (_FormContext) and hi_i - lo_i < 2^(w/2) (real_roots);
+    so m x_hi (2r + 3) bounds the candidates.  When that bound exceeds
+    q = _TABLE_PRIME, the value -> t index of F(1, t) mod q
+    (_FormContext.index) is built before the first x and filters every
+    candidate first: for x prime to q, F(x, y) = x^m F(1, y x^-1)
+    (mod q), so F = +-k needs y = x t (mod q) for a t with
+    F(1, t) = +-k x^-m (mod q) (_in_residues); an x divisible by q is
+    not filtered.  Before its first x the scan counts its work: x_hi m
+    root steps (one quotient and one window per root and x) and the
+    candidate bound.  A count over its cap, _SCAN_ROOT_STEPS or
+    _SCAN_CANDIDATES, refuses the scan.  The info dict has the radius r,
+    the candidates and the confirmed solutions.
     """
     form = ctx.form
     m = form.degree
     r = integer_nth_root(k, m)
     out = [(0, y, y**m) for y in (-r, r)] if r**m == k else []  # F(0, y) = y^m
-    ns, candidates = _scan_cost_ns(ctx, k, x_hi)
-    if ns > _SCAN_BUDGET_NS:
-        raise DomainError(
-            f"exhaustive Thue scan of {x_hi} x values and up to {candidates} "
-            f"candidates would take about {ns / 6e10:.3g} min; the budget is about a minute"
-        )
+    candidates = m * x_hi * (2 * r + 3)
+    for count, cap, what in ((x_hi * m, _SCAN_ROOT_STEPS, "root steps"),
+                             (candidates, _SCAN_CANDIDATES, "candidates")):
+        if count > cap:
+            raise DomainError(
+                f"exhaustive Thue scan of {x_hi} x values and up to {candidates} candidates "
+                f"is over the budget: {count} {what}, more than the cap of {cap}")
     # 2^w rho_i(x) = (k << up) / (x^(m-1) << down), up - down = w + m - 1 - L_i
     rho, w = [], ctx.w
     for (lo, hi), log in zip(ctx.roots, ctx.log2_deriv):

@@ -443,15 +443,20 @@ def test_candidate_budget(monkeypatch):
 
 
 def test_scan_work_budget(monkeypatch):
-    # F_6 = 7 has R = floor(7^(1/3)) = 1 and x0 = 29: x_small = 10 bounds
-    # the scan by 10 * 3 * (2R + 3) = 150 candidates, estimated at
-    # 10 * (6000 + 3 * 4000) + 150 * 1 + 2 * 4093 * 4 * 200 = 6728950 ns
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 6728950)
-    assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
-        (-3, -5), (1, 4), (2, 1))
-    monkeypatch.setattr(T, "_SCAN_BUDGET_NS", 6728949)
-    with pytest.raises(DomainError, match="10 x values and up to 150 candidates"):
-        T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
+    # F_6 = 7 has R = floor(7^(1/3)) = 1 and x0 = 29: x_small = 10 makes
+    # 10 * 3 = 30 root steps, and bounds the candidates by
+    # 10 * 3 * (2R + 3) = 150; each cap admits its count and refuses one less
+    for cap, count, what in (("_SCAN_ROOT_STEPS", 30, "root steps"),
+                             ("_SCAN_CANDIDATES", 150, "candidates")):
+        default = getattr(T, cap)
+        monkeypatch.setattr(T, cap, count)
+        assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
+            (-3, -5), (1, 4), (2, 1))
+        monkeypatch.setattr(T, cap, count - 1)
+        with pytest.raises(DomainError, match="10 x values and up to 150 candidates") as err:
+            T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
+        assert f"{count} {what}, more than the cap of {count - 1}" in str(err.value)
+        monkeypatch.setattr(T, cap, default)
 
 
 def test_scan_budget_refuses_before_scanning():
