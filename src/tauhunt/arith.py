@@ -4,9 +4,11 @@ Everything here is pure integer / rational arithmetic: deterministic
 primality testing, factorization into the ascending ``((p, e), ...)``
 tuple (trial division by the primes below 2^10, then Brent's rho), the
 Lucas ladder, divisor power sums,
-perfect-power tests, exact polynomial signs, and the continued-fraction
-convergents that a rational interval fixes.  No floating point
-participates in any decision.  frozen_record, the one class decorator
+perfect-power tests, prime powers refused before they are built when
+they are over the int-to-str digit limit, exact polynomial signs, and
+the continued-fraction convergents that a rational interval fixes.  No
+floating point participates in any mathematical decision; only that
+digit count reads a logarithm.  frozen_record, the one class decorator
 of the package, makes the frozen value records of every layer without
 the dataclasses module.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -375,6 +378,18 @@ def prime_power_root(n: int, e: int) -> int | None:
     if r is not None and is_prime(r):
         return r
     return None
+
+
+def prime_power(p: int, e: int) -> int:
+    """p^e for a prime p and e >= 0, refused before it is built when it
+    has more digits than the int-to-str limit allows, so a huge exponent
+    never costs seconds or GiB."""
+    digits = sys.get_int_max_str_digits()
+    # p^e has floor(e log10 p) + 1 digits, as a prime is never a power of
+    # 10; e is compared with a float, so no exponent is too long for it
+    if digits and e >= digits / math.log10(p):
+        raise DomainError(f"{p}^{e} has more than {digits} digits")
+    return p**e
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ SearchBounds holds and checks x_max (curve searches), x_small and x_mid
 load no search layer.
 
 +-ell^m (ell in {3, 5}) is not a coefficient of an eligible newform of
-weight 2k > M^+-(ell, m).  Every case of the table has the shape
-a*m + c*sqrt(m) + const, kept symbolically as an exact rational
-coefficient triple; sqrt(m) is evaluated only as a certified rational
-enclosure, so comparisons across the 10^13..10^32 range never pass
-through floating point.
+weight 2k > M^+-(ell, m).  M has the shape a*m + c*sqrt(m) + const;
+weight_bound_M reads its exact coefficient triple from one case table,
+eight rows by sign, ell and the parity of m plus the footnote's
+unrounded triple for -3^m, and returns the document the weight-bound
+verb prints.  sqrt(m) is evaluated only as a certified rational
+enclosure, so the value interval is exact rational arithmetic across
+the 10^13..10^32 range, never floating point.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .arith import DomainError, frozen_record
 
-__all__ = ["SearchBounds", "EffectiveBound", "weight_bound_M", "sqrt_interval"]
+__all__ = ["SearchBounds", "weight_bound_M", "sqrt_interval"]
 
 _SQRT_BITS = 64  # sqrt(m) is enclosed to within 2^-64
 
@@ -61,56 +63,38 @@ def sqrt_interval(x: int | Fraction) -> tuple[Fraction, Fraction]:
     return (lo, Fraction(r + 1, 1 << _SQRT_BITS))
 
 
-@frozen_record
-class EffectiveBound:
-    """a*m + c*sqrt(m) + const, coefficients exact."""
-
-    family: str
-    a: Fraction
-    c: Fraction
-    const: Fraction = Fraction(0)
-
-    def evaluate(self, m: int) -> tuple[Fraction, Fraction]:
-        slo, shi = sqrt_interval(m)
-        lo = self.a * m + self.c * slo + self.const
-        hi = self.a * m + self.c * shi + self.const
-        return (lo, hi)
-
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a, self.c, self.const)
-
-    def describe(self) -> str:
-        s = f"{self.a}*m + {self.c}*sqrt(m)"
-        if self.const:
-            s += f" + {self.const}"
-        return s
+# M^+-(ell, m) = a m + c sqrt(m) + const, by (sign, ell, m odd): (a, c, const)
+_M_TABLE = {
+    (1, 3, True): (2, 10**23, 0), (1, 3, False): (2, 10**13, 0),
+    (-1, 3, True): (2, 10**32, 0), (-1, 3, False): (2, 10**32, 0),
+    (1, 5, True): (3, 10**24, 0), (-1, 5, True): (3, 10**24, 0),
+    (1, 5, False): (3, 10**13, 0), (-1, 5, False): (3, 10**30, 0),
+}
+# the footnote's unrounded M^-(3, m)
+_PRE_ROUNDING = (Fraction(8, 5), 94 * 10**30, 14 * 10**30)
 
 
-def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> EffectiveBound:
-    """Weight threshold: +-ell^m is not a coefficient of an eligible
-    newform of weight 2k > M.  pre_rounding exposes the sharper unrounded
-    value available for (sign, ell) = (-, 3)."""
+def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> dict:
+    """The weight-bound document for M^+-(ell, m): +-ell^m is not a
+    coefficient of an eligible newform of weight 2k > M.  pre_rounding
+    takes the sharper unrounded value available for (sign, ell) = (-, 3)."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if m < 1:
         raise DomainError("m must be >= 1")
-    odd = m % 2 == 1
     if pre_rounding:
         if (sign, ell) != (-1, 3):
             raise DomainError("a pre-rounding value is available only for -3^m")
-        return EffectiveBound("M", Fraction(8, 5), Fraction(94 * 10**30), Fraction(14 * 10**30))
-    if ell == 3:
-        a = 2
-        if sign == 1:
-            c = 10**23 if odd else 10**13
-        else:
-            c = 10**32
-    elif ell == 5:
-        a = 3
-        if odd:
-            c = 10**24
-        else:
-            c = 10**13 if sign == 1 else 10**30
+        a, c, const = _PRE_ROUNDING
+    elif (sign, ell, m % 2 == 1) in _M_TABLE:
+        a, c, const = _M_TABLE[sign, ell, m % 2 == 1]
     else:
         raise DomainError("weight_bound_M is tabulated only for ell in {3, 5}")
-    return EffectiveBound("M", Fraction(a), Fraction(c))
+    return {
+        "family": "M",
+        "params": {"sign": sign, "ell": ell, "m": m, "pre_rounding": pre_rounding},
+        "expression": f"{a}*m + {c}*sqrt(m)" + (f" + {const}" if const else ""),
+        "coefficients": [str(a), str(c), str(const)],
+        "value_interval": [str(a * m + c * s + const) for s in sqrt_interval(m)],
+        "provenance": "pre-rounding footnote value" if pre_rounding else "rounded case table",
+    }

@@ -248,18 +248,7 @@ def _run(args) -> dict | tuple:
         return lehmer.decompose_odd_target(spec, args.target)
     if verb == "weight-bound":
         sign = 1 if args.sign == "plus" else -1
-        b = bounds.weight_bound_M(sign, args.ell, args.m, pre_rounding=args.pre_rounding)
-        lo, hi = b.evaluate(args.m)
-        return {
-            "family": b.family,
-            "params": {"sign": sign, "ell": args.ell, "m": args.m,
-                       "pre_rounding": args.pre_rounding},
-            "expression": b.describe(),
-            "coefficients": [str(c) for c in b.coefficients()],
-            "value_interval": [str(lo), str(hi)],
-            "provenance": "pre-rounding footnote value" if args.pre_rounding
-            else "rounded case table",
-        }
+        return bounds.weight_bound_M(sign, args.ell, args.m, args.pre_rounding)
     if verb == "reproduce":
         from . import lehmer
         spec = _load_form(args)

@@ -33,6 +33,7 @@ from .arith import (
     integer_nth_root,
     is_perfect_square,
     is_prime,
+    prime_power,
 )
 
 __all__ = [
@@ -75,9 +76,8 @@ class CurveSpec:
         """Y^2 = X^(2k-1) + sign * ell^m."""
         if weight_exponent < 3 or weight_exponent % 2 == 0:
             raise DomainError("exponent 2k-1 must be odd and >= 3")
-        _check_prime_power(ell, m)
         tag = "+" if sign > 0 else "-"
-        return cls("C", 1, weight_exponent, sign * ell**m,
+        return cls("C", 1, weight_exponent, sign * _ell_power(ell, m),
                    f"C{tag}[{weight_exponent},{ell}^{m}]")
 
     @classmethod
@@ -85,21 +85,17 @@ class CurveSpec:
         """Y^2 = 5 X^(2d) + 4 * sign * ell^m."""
         if half_exponent < 1:
             raise DomainError("d must be >= 1")
-        _check_prime_power(ell, m)
         tag = "+" if sign > 0 else "-"
-        return cls("H", 5, 2 * half_exponent, 4 * sign * ell**m,
+        return cls("H", 5, 2 * half_exponent, 4 * sign * _ell_power(ell, m),
                    f"H{tag}[{half_exponent},{ell}^{m}]")
 
 
-def _check_prime_power(ell: int, m: int) -> None:
+def _ell_power(ell: int, m: int) -> int:
     if ell < 3 or not is_prime(ell):
         raise DomainError("ell must be an odd prime")
     if m < 1:
         raise DomainError("m must be >= 1")
-    digits = sys.get_int_max_str_digits()
-    # ell^m has floor(m log10 ell) + 1 digits; it is never a power of 10
-    if digits and m * math.log10(ell) >= digits:
-        raise DomainError(f"{ell}^{m} has more than {digits} digits")
+    return prime_power(ell, m)
 
 
 @frozen_record
@@ -152,7 +148,7 @@ def _check_digits(spec: CurveSpec, x_max: int) -> None:
     limit: |y|^2 = rhs(x) reaches lead x_max^e.  This also bounds every
     rhs(x) the exact confirmation computes."""
     digits = sys.get_int_max_str_digits()
-    if digits and x_max >= 2 and spec.exponent * math.log10(x_max) >= 2 * digits:
+    if digits and x_max >= 2 and spec.exponent >= 2 * digits / math.log10(x_max):
         raise DomainError(
             f"x^{spec.exponent} at |x| = {x_max} has more than {2 * digits} digits, "
             f"so the y of a point could have more than {digits}"

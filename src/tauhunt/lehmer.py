@@ -44,6 +44,7 @@ from .arith import (
     frozen_record,
     is_perfect_square,
     is_prime,
+    prime_power,
     prime_power_root,
 )
 from .bounds import SearchBounds
@@ -132,7 +133,7 @@ def enumerate_conditions(
         raise DomainError("ell must be an odd prime")
     if ell > 5:
         thue.build_reduced_form(ell)  # refuses an Fhat_ell over the ceiling
-    alpha = sign * ell**m
+    alpha = sign * prime_power(ell, m)
     w = spec.weight - 1
     out = []
     divisors = [p for p, _ in factor(ell * (ell * ell - 1)) if p > 2]
@@ -304,7 +305,7 @@ def check_admissibility(
     return {
         "schema": "tauhunt-admissibility/1",
         "form": spec.name or f"weight-{spec.weight} level-{spec.level}",
-        "target": sign * ell**m,
+        "target": sign * prime_power(ell, m),
         "ell": ell,
         "m": m,
         "sign": sign,

@@ -20,8 +20,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import json
-import math
-import sys
 from functools import cached_property, lru_cache
 
 from .arith import (
@@ -30,6 +28,7 @@ from .arith import (
     frozen_record,
     is_prime,
     lucas_ladder,
+    prime_power,
     primes_up_to,
 )
 
@@ -228,8 +227,8 @@ class NewformSpec:
 
     def norm(self, p: int) -> int:
         """p^(w-1), w the weight: the B of the Lucas pair (a_f(p), B) at a
-        good prime p (_power's digit limit)."""
-        return _power(p, self.weight - 1)
+        good prime p (arith.prime_power's digit limit)."""
+        return prime_power(p, self.weight - 1)
 
     @property
     def is_delta(self) -> bool:
@@ -297,16 +296,6 @@ def eigenvalue(spec: NewformSpec, p: int) -> int:
     raise DomainError(f"no a_f({p}) stored")
 
 
-def _power(p: int, e: int) -> int:
-    """p^e for a prime p, refused past the int-to-str digit limit, so a
-    huge weight is never raised to a power that takes GiB."""
-    digits = sys.get_int_max_str_digits()
-    # p^e has floor(e log10 p) + 1 digits; a prime is never a power of 10
-    if digits and e * math.log10(p) >= digits:
-        raise DomainError(f"{p}^{e} has more than {digits} digits")
-    return p**e
-
-
 def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
     """a_f(p^m) by the U(p) action (bad p) or, for good p, the Hecke
     recursion a_f(p^(j+1)) = a_f(p) a_f(p^j) - p^(w-1) a_f(p^(j-1)), w the
@@ -324,7 +313,7 @@ def coeff_prime_power(spec: NewformSpec, p: int, m: int) -> int:
         if p not in spec.bad_signs:
             raise DomainError(f"no U({p}) sign stored")
         k = spec.weight // 2
-        return spec.bad_signs[p] ** m * _power(p, (k - 1) * m)
+        return spec.bad_signs[p] ** m * prime_power(p, (k - 1) * m)
     a = eigenvalue(spec, p)
     if m == 1:  # U_2 needs no B
         return a

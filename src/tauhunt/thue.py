@@ -89,12 +89,13 @@ within a few x once m is large.  Each candidate is confirmed in
 big-integer arithmetic.  When the scan's bound on its candidates
 exceeds a small prime q, an index of F(1, t) mod q by value, built
 before the first x, leaves only the y in the residue classes a solution
-can lie in.  Before its first x the scan counts its work, x_e m root
-steps (one quotient and one window per root and x) and the bound
-m x_e (2r + 3) on its candidates, r = floor(k^(1/m)), and is refused
-when either count is over its cap (_SCAN_ROOT_STEPS, _SCAN_CANDIDATES,
-each at most about 60 s at its measured rate).  Each phase runs once
-for both F = k and F = -k.  Every result carries its bound certificate.
+can lie in.  Before its first x the scan counts its work, x_e root
+steps per root (one quotient and one window per x, and one more per
+512 bits of the quotient's numerator) and the bound m x_e (2r + 3) on
+its candidates, r = floor(k^(1/m)), and is refused when either count
+is over its cap (_SCAN_ROOT_STEPS, _SCAN_CANDIDATES, each under about
+60 s at its measured rate).  Each phase runs once for both F = k and
+F = -k.  Every result carries its bound certificate.
 """
 
 from __future__ import annotations
@@ -129,11 +130,15 @@ _TABLE_PRIME = 4093
 # y values scanned for one x
 _CANDIDATE_BUDGET = 1 << 22
 # The exhaustive scan's work, counted before its first x (_scan_exhaustive).
-# Root steps, x_hi * m, one quotient and one window per root per x:
-# 0.6-1.1 us each at m <= 5, 1.2-1.5 us at m = 1001 and 2.9-4.3 us at
-# the degree ceiling on a 2-vCPU Xeon (small k; the quotient grows with
-# k's length), so the cap is about 60 s at the ceiling.
+# Root steps: one quotient and one window per root per x, and one more
+# per _STEP_BITS bits of the quotient's numerator k << (w + m - 1 - L_i),
+# so a short numerator counts 1.  Timed on a 2-vCPU Xeon for m from 3
+# to the degree ceiling and numerators of 96 to 30,000 bits, one step
+# takes 0.15-3.8 us, the most where the division is longest (m = 1001,
+# a 15,364-bit numerator: 116 us a root and x, 31 steps), so the cap is
+# under about 55 s.
 _SCAN_ROOT_STEPS = 14 * 10**6
+_STEP_BITS = 512
 # Candidates, the bound m * x_hi * (2r + 3) on the window values:
 # 0.2-0.55 ns per unit at m = 2 and 3 (k from 2^40 to 10^18, most of
 # them dropped by the residue index), so the cap is under 60 s.
@@ -505,28 +510,30 @@ def _scan_exhaustive(
     candidate first: for x prime to q, F(x, y) = x^m F(1, y x^-1)
     (mod q), so F = +-k needs y = x t (mod q) for a t with
     F(1, t) = +-k x^-m (mod q) (_in_residues); an x divisible by q is
-    not filtered.  Before its first x the scan counts its work: x_hi m
-    root steps (one quotient and one window per root and x) and the
-    candidate bound.  A count over its cap, _SCAN_ROOT_STEPS or
-    _SCAN_CANDIDATES, refuses the scan.  The info dict has the radius r,
+    not filtered.  Before its first x the scan counts its work: its root
+    steps, x_hi times the sum over the roots of 1 + bitlength(k 2^up) //
+    _STEP_BITS (the quotient of each root and x grows with its
+    numerator), and the candidate bound.  A count over its cap,
+    _SCAN_ROOT_STEPS or _SCAN_CANDIDATES, refuses the scan.  The info dict has the radius r,
     the candidates and the confirmed solutions.
     """
     form = ctx.form
     m = form.degree
     r = integer_nth_root(k, m)
     out = [(0, y, y**m) for y in (-r, r)] if r**m == k else []  # F(0, y) = y^m
-    candidates = m * x_hi * (2 * r + 3)
-    for count, cap, what in ((x_hi * m, _SCAN_ROOT_STEPS, "root steps"),
-                             (candidates, _SCAN_CANDIDATES, "candidates")):
-        if count > cap:
-            raise DomainError(
-                f"exhaustive Thue scan of {x_hi} x values and up to {candidates} candidates "
-                f"is over the budget: {count} {what}, more than the cap of {cap}")
     # 2^w rho_i(x) = (k << up) / (x^(m-1) << down), up - down = w + m - 1 - L_i
     rho, w = [], ctx.w
     for (lo, hi), log in zip(ctx.roots, ctx.log2_deriv):
         s = w + m - 1 - log
         rho.append((lo, hi, k << max(s, 0), max(-s, 0)))
+    steps = x_hi * sum(1 + num.bit_length() // _STEP_BITS for _, _, num, _ in rho)
+    candidates = m * x_hi * (2 * r + 3)
+    for count, cap, what in ((steps, _SCAN_ROOT_STEPS, "root steps"),
+                             (candidates, _SCAN_CANDIDATES, "candidates")):
+        if count > cap:
+            raise DomainError(
+                f"exhaustive Thue scan of {x_hi} x values and up to {candidates} candidates "
+                f"is over the budget: {count} {what}, more than the cap of {cap}")
     q, scanned = _TABLE_PRIME, 0
     index = ctx.index(q) if candidates > q else None
     for x in range(1, x_hi + 1):

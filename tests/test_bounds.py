@@ -1,8 +1,58 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from tauhunt import bounds as B
+
+# M^+-(ell, m) = a m + c sqrt(m) + const, the paper's constants written
+# out: (sign, ell, m odd) -> (a, c, const) for the eight rounded cases,
+# and the footnote's unrounded value for -3^m
+PAPER_M = {
+    (1, 3, True): (2, 100_000_000_000_000_000_000_000, 0),
+    (1, 3, False): (2, 10_000_000_000_000, 0),
+    (-1, 3, True): (2, 100_000_000_000_000_000_000_000_000_000_000, 0),
+    (-1, 3, False): (2, 100_000_000_000_000_000_000_000_000_000_000, 0),
+    (1, 5, True): (3, 1_000_000_000_000_000_000_000_000, 0),
+    (-1, 5, True): (3, 1_000_000_000_000_000_000_000_000, 0),
+    (1, 5, False): (3, 10_000_000_000_000, 0),
+    (-1, 5, False): (3, 1_000_000_000_000_000_000_000_000_000_000, 0),
+}
+PAPER_PRE_ROUNDING = (Fraction(16, 10), 94_000_000_000_000_000_000_000_000_000_000,
+                      14_000_000_000_000_000_000_000_000_000_000)
+
+
+def _brackets(lo: Fraction, hi: Fraction, a, c: int, const: int, m: int) -> bool:
+    """lo <= a m + c sqrt(m) + const <= hi, decided by squaring (c > 0)."""
+    below, above = lo - a * m - const, hi - a * m - const
+    return ((below <= 0 or below * below <= c * c * m)
+            and above >= 0 and above * above >= c * c * m)
+
+
+def test_weight_bound_document_every_case():
+    """The weight-bound document of every table case and of the footnote,
+    at small m and at 10^30 (a square) and 10^30 + 1, against the
+    constants above: its coefficients and expression, and a value
+    interval at most c 2^-64 wide that brackets a m + c sqrt(m) + const,
+    exactly a m + c isqrt(m) + const when m is a square."""
+    cases = [(sign, ell, odd, False, abc) for (sign, ell, odd), abc in PAPER_M.items()]
+    cases += [(-1, 3, odd, True, PAPER_PRE_ROUNDING) for odd in (True, False)]
+    for sign, ell, odd, pre, (a, c, const) in cases:
+        for m in ((1, 3, 7, 10**30 + 1) if odd else (2, 4, 10, 10**30)):
+            doc = B.weight_bound_M(sign, ell, m, pre)
+            expression = f"{a}*m + {c}*sqrt(m)" + (f" + {const}" if const else "")
+            assert {k: v for k, v in doc.items() if k != "value_interval"} == {
+                "family": "M",
+                "params": {"sign": sign, "ell": ell, "m": m, "pre_rounding": pre},
+                "expression": expression,
+                "coefficients": [str(a), str(c), str(const)],
+                "provenance": "pre-rounding footnote value" if pre else "rounded case table",
+            }, (sign, ell, m, pre)
+            lo, hi = map(Fraction, doc["value_interval"])
+            assert _brackets(lo, hi, a, c, const, m) and hi - lo <= Fraction(c, 2**64)
+            r = math.isqrt(m)
+            if r * r == m:
+                assert lo == hi == a * m + c * r + const
 
 
 def test_weight_bound_M_all_cases():
@@ -13,7 +63,7 @@ def test_weight_bound_M_all_cases():
         (1, 5, 2): (3, 10**13), (-1, 5, 2): (3, 10**30),
     }
     for (sign, ell, m), (a, c) in cases.items():
-        assert B.weight_bound_M(sign, ell, m).coefficients() == (a, c, 0)
+        assert B.weight_bound_M(sign, ell, m)["coefficients"] == [str(a), str(c), "0"]
     with pytest.raises(B.DomainError):
         B.weight_bound_M(1, 7, 1)
 
@@ -29,14 +79,14 @@ def test_threshold_T_all_cases():
     }
     for (eps, ell, m), (a, c) in cases.items():
         got = B.weight_bound_M(-eps, ell, m)
-        assert got.coefficients() == (a, c, 0), (eps, ell, m)
+        assert got["coefficients"] == [str(a), str(c), "0"], (eps, ell, m)
     with pytest.raises(B.DomainError):
         B.weight_bound_M(-1, 7, 1)
 
 
 def test_pre_rounding_variant():
     pre = B.weight_bound_M(-1, 3, 4, pre_rounding=True)
-    assert pre.coefficients() == (Fraction(8, 5), 94 * 10**30, 14 * 10**30)
+    assert pre["coefficients"] == [str(Fraction(8, 5)), str(94 * 10**30), str(14 * 10**30)]
     with pytest.raises(B.DomainError):
         B.weight_bound_M(1, 3, 1, pre_rounding=True)
 
@@ -57,11 +107,10 @@ def test_pre_rounding_vs_rounded_relation():
 
 
 def test_evaluate_interval():
-    b = B.weight_bound_M(1, 3, 1)
-    lo, hi = b.evaluate(1)
+    lo, hi = map(Fraction, B.weight_bound_M(1, 3, 1)["value_interval"])
     assert lo <= 2 + 10**23 <= hi
-    lo, hi = b.evaluate(4)
-    assert lo == hi == 2 * 4 + 10**23 * 2  # sqrt(4) exact
+    lo, hi = map(Fraction, B.weight_bound_M(1, 3, 9)["value_interval"])
+    assert lo == hi == 2 * 9 + 10**23 * 3  # sqrt(9) exact
 
 
 def test_sqrt_interval_certified():

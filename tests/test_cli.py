@@ -454,6 +454,23 @@ def test_thue_solve_root_step_budget(capsys):
     assert f"24000000 root steps, more than the cap of {thue._SCAN_ROOT_STEPS}" in captured.err
 
 
+def test_thue_solve_long_rhs_root_steps(capsys):
+    # Fhat_2003 = 1000^1001 + 1 (3,004 digits) has x0 = 2019: 2018 x values
+    # at 1001 roots are 2.0 * 10^6 quotients, under the cap, but each
+    # numerator has over 11,000 bits, and the scan took 62 s on a 2-vCPU
+    # Xeon; counted by its length, it is refused before its first x
+    start = time.perf_counter()
+    code = main(["thue-solve", "--reduced-p", "2003", "--rhs", str(1000**1001 + 1),
+                 "--x-small", "10000", "--x-mid", "10000"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: exhaustive Thue scan of 2018 x values")
+    steps = int(captured.err.split(": ")[-1].split()[0])
+    assert steps > 20 * 2018 * 1001 and steps > thue._SCAN_ROOT_STEPS
+    assert captured.err.endswith(f"root steps, more than the cap of {thue._SCAN_ROOT_STEPS}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["thue-gen", "--m", "100000"],
     ["thue-solve", "--reduced-p", "100003", "--rhs", "7"],

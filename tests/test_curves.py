@@ -200,6 +200,11 @@ def test_digit_limit_refusals():
     with pytest.raises(DomainError, match="more than 8600 digits"):
         C.search_points(spec, 3)
     assert C.search_points(C.CurveSpec.c_family(2 * 10**18 + 1, 3, 1), 1).points == ((1, 2),)
+    # an exponent too long for a float is compared, not converted
+    with pytest.raises(DomainError, match="3\\^1000000000000000000000000000000\\d* has more"):
+        C.CurveSpec.c_family(3, 3, 1, 10**400)
+    with pytest.raises(DomainError, match="more than 8600 digits"):
+        C.search_points(C.CurveSpec.c_family(2 * 10**400 + 1, 3, 1), 2)
 
 
 def test_point_set_stability():

@@ -84,12 +84,10 @@ def test_thue_form_is_family_and_n():
 
 
 def test_frozen_records():
-    """The nine value classes are arith.frozen_record classes: frozen,
+    """The eight value classes are arith.frozen_record classes: frozen,
     equal and hashed by their fields within one class, shown as
     Name(field=value, ...), still checked on construction, and a record
     holding a dict refuses hash."""
-    from fractions import Fraction
-
     from tauhunt import bounds, curves, lehmer, lucas, newform, thue
     from tauhunt.arith import DomainError, frozen_record
 
@@ -97,7 +95,6 @@ def test_frozen_records():
     form = thue.ThueForm("reduced", 7)
     records = [
         bounds.SearchBounds(),
-        bounds.EffectiveBound("M", Fraction(2), Fraction(10**23)),
         spec,
         curves.CurveSearch(spec, ((2, 1),), {"x_max": 10}),
         lehmer.DiophantineCondition(7, "thue", -7, 7, 1, -1, 12, form),
@@ -140,7 +137,7 @@ def test_frozen_records():
         with pytest.raises(DomainError):
             make()
     with pytest.raises(TypeError, match="unhashable"):
-        hash(records[6])
+        hash(records[5])
     assert newform.NewformSpec(4, 1).ap == {} and newform.NewformSpec(4, 1).ap is not (
         newform.NewformSpec(4, 1).ap)
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import time
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_over_ceiling_ell_refused_before_factoring(monkeypatch):
     # 15923 is the greatest prime whose Fhat_ell is under the ceiling
     conds = LE.enumerate_conditions(DELTA, 15923, 1, 1)
     assert max(c.d for c in conds) == 15923
+
+
+def test_long_target_refused_before_its_power():
+    # 3^(10^8) has 47,712,126 digits: refused from its digit count alone,
+    # before the power is built, by enumerate_conditions and by
+    # check_admissibility, which reach it with no argparse limit before them
+    for check in (LE.enumerate_conditions, LE.check_admissibility):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="3\\^100000000 has more than 4300 digits"):
+            check(DELTA, 3, 10**8, 1)
+        assert time.perf_counter() - start < 1
 
 
 def test_parity_found_once_per_spec():

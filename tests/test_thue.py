@@ -898,6 +898,27 @@ def test_legendre_threshold_is_least():
 
 _HANDOFF_FORMS = [T.build_form(m) for m in range(3, 9)] + [
     T.build_reduced_form(p) for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
+# the greatest x_small of the planted points, which bounds the dense oracle
+_PLANT_X = 30
+
+
+def _planted_points(form) -> list[tuple[int, int, int, int]]:
+    """(x, y, F(x, y), x0) for every point planted on the form with
+    1 <= |x| <= _PLANT_X: lam (q, p) for a convergent p/q of a root, and
+    (x, floor(x theta_i) + d), |d| <= 2, each with its negation, kept
+    when F(x, y) != 0 has x0 <= _PLANT_X.  L_i, so x0, is the same at
+    every x_mid up to _PLANT_X."""
+    ctx = form._context(_PLANT_X)
+    points = {(lam * q, lam * p) for p, q, _ in ctx.convergents
+              for lam in range(1, _PLANT_X // q + 1)}
+    points |= {(x, (lo * x >> ctx.w) + d) for lo, _ in ctx.roots
+               for x in range(1, _PLANT_X + 1) for d in range(-2, 3)}
+    out = []
+    for x, y in sorted(points | {(-x, -y) for x, y in points}):
+        rhs = form_value(form.coeffs, x, y)
+        if rhs and (x0 := T._legendre_threshold(ctx, abs(rhs))) <= _PLANT_X:
+            out.append((x, y, rhs, x0))
+    return out
 
 
 def test_solutions_past_threshold_found():
@@ -913,27 +934,15 @@ def test_solutions_past_threshold_found():
         assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (5, 4)
         assert sol in res.solutions
         assert list(res.solutions) == dense_thue_solutions(f6.coeffs, [rhs], 40)[rhs]
+    planted_points = {form: _planted_points(form) for form in _HANDOFF_FORMS}
 
+    # x_small is drawn after the point, from max(x0, |x|, 3) up, so that
+    # x0 <= x_small holds by construction
     @hypothesis.settings(max_examples=40, deadline=None)
-    @hypothesis.given(st.sampled_from(_HANDOFF_FORMS), st.integers(3, 30), st.data())
-    def planted(form, x_small, data):
-        if data.draw(st.booleans()):
-            # on a convergent p/q of a root, times lam
-            p, q, _ = data.draw(st.sampled_from(form._context(x_small).convergents))
-            lam = data.draw(st.integers(1, x_small // q))
-            x, y = lam * q, lam * p
-        else:
-            # next to x theta_i
-            x = data.draw(st.integers(1, x_small))
-            ctx = form._context(x_small)
-            lo, _ = data.draw(st.sampled_from(ctx.roots))
-            y = (lo * x >> ctx.w) + data.draw(st.integers(-2, 2))
-        if data.draw(st.booleans()):
-            x, y = -x, -y
-        rhs = form_value(form.coeffs, x, y)
-        hypothesis.assume(rhs != 0)
-        x0 = T._legendre_threshold(form._context(x_small), abs(rhs))
-        hypothesis.assume(x0 <= x_small)
+    @hypothesis.given(st.sampled_from(_HANDOFF_FORMS), st.data())
+    def planted(form, data):
+        x, y, rhs, x0 = data.draw(st.sampled_from(planted_points[form]))
+        x_small = data.draw(st.integers(max(x0, abs(x), 3), _PLANT_X))
         res = T.solve_bounded(form, rhs, x_small, x_small)
         assert res.certificate["x_exhaustive"] == x0 - 1
         assert list(res.solutions) == dense_thue_solutions(
