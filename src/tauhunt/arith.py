@@ -2,11 +2,13 @@
 
 Everything here is pure integer / rational arithmetic: deterministic
 primality testing, factorization into the ascending ``((p, e), ...)``
-tuple (trial division by the primes below 2^10, then Brent's rho), the
-Lucas ladder, divisor power sums,
-perfect-power tests, prime powers refused before they are built when
-they are over the int-to-str digit limit, exact polynomial signs, and
-the continued-fraction convergents that a rational interval fixes.  No
+tuple (trial division by the primes below 2^10, or below 2^16 for a
+number above 2^64, then Brent's rho), the Lucas ladder, divisor power
+sums, perfect-power tests, prime powers refused before they are built
+when they are over the int-to-str digit limit, exact polynomial signs
+at an int or a Fraction (sign_at reads only the numerator and
+denominator, so this module imports no fractions), and the
+continued-fraction convergents that a rational interval fixes.  No
 floating point participates in any mathematical decision; only that
 digit count reads a logarithm.  frozen_record, the one class decorator
 of the package, makes the frozen value records of every layer without
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -106,6 +107,10 @@ def frozen_record(cls):
 # ---------------------------------------------------------------------------
 
 _TRIAL_BITS = 10  # trial division by the primes below 2^10; Brent's rho splits the rest
+# a cofactor above 2^64 is trial-divided by the primes below 2^16, with
+# no is_prime until it is at most 2^64: each is_prime or rho step on it
+# costs in its length, so small primes are not split off it one by one
+_LONG_TRIAL_BITS = 16
 # squarings Brent's rho may take on one cofactor: about a minute at about
 # 1 us each (0.6-0.9 us measured on 29- and 39-digit cofactors, 2-vCPU Xeon)
 _RHO_STEPS = 6 * 10**7
@@ -280,15 +285,17 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     """Exact factorization of ``|n|`` as its ``(prime, exponent)`` pairs in
     ascending order of the prime, so ``len()`` is omega(n); rejects n = 0.
 
-    Trial division by the primes below 2^10 stops as soon as the cofactor
-    is 1 or prime; Brent's rho (``_pollard_rho``) splits any cofactor left.
+    Trial division by the primes below 2^10 (2^16 for ``|n|`` above
+    2^64) stops as soon as the cofactor is 1 or prime, which is tested
+    only once it is at most 2^64; Brent's rho (``_pollard_rho``) splits
+    any cofactor left.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     m = abs(n)
     found: dict[int, int] = {}
-    if m > 1 and not is_prime(m):
-        for p in primes_up_to(1 << _TRIAL_BITS):
+    if m >> 64 or m > 1 and not is_prime(m):
+        for p in primes_up_to(1 << (_LONG_TRIAL_BITS if m >> 64 else _TRIAL_BITS)):
             if p * p > m:
                 break
             if m % p:
@@ -296,7 +303,7 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
             while m % p == 0:
                 found[p] = found.get(p, 0) + 1
                 m //= p
-            if m == 1 or is_prime(m):
+            if m == 1 or not m >> 64 and is_prime(m):
                 break
     stack = [m] if m > 1 else []
     while stack:
@@ -397,9 +404,10 @@ def prime_power(p: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sign_at(coeffs, x: Fraction) -> int:
-    """The sign of sum coeffs[i] x^i at a rational x, exact: that of
-    den^deg p(num/den), by Horner in integers."""
+def sign_at(coeffs, x) -> int:
+    """The sign of sum coeffs[i] x^i at a rational x, an int or a
+    Fraction (read through its numerator and denominator), exact: that
+    of den^deg p(num/den), by Horner in integers."""
     num, den = x.numerator, x.denominator
     acc, power = 0, 1
     for c in reversed(coeffs):

@@ -12,13 +12,14 @@ eight rows by sign, ell and the parity of m plus the footnote's
 unrounded triple for -3^m, and returns the document the weight-bound
 verb prints.  sqrt(m) is evaluated only as a certified rational
 enclosure, so the value interval is exact rational arithmetic across
-the 10^13..10^32 range, never floating point.
+the 10^13..10^32 range, never floating point.  fractions is imported
+inside the two functions that compute with it, so only the
+weight-bound verb loads it; the footnote's 8/5 is stored as a pair.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import DomainError, frozen_record
 
@@ -48,8 +49,11 @@ class SearchBounds:
         return {"x_max": self.x_max, "x_small": self.x_small, "x_mid": self.x_mid}
 
 
-def sqrt_interval(x: int | Fraction) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of sqrt(x), x >= 0, width <= 2^-64."""
+def sqrt_interval(x) -> tuple:
+    """Certified enclosure of sqrt(x), for an int or Fraction x >= 0, as
+    two Fractions at most 2^-64 apart."""
+    from fractions import Fraction
+
     x = Fraction(x)
     if x < 0:
         raise DomainError("sqrt of a negative number")
@@ -70,8 +74,8 @@ _M_TABLE = {
     (1, 5, True): (3, 10**24, 0), (-1, 5, True): (3, 10**24, 0),
     (1, 5, False): (3, 10**13, 0), (-1, 5, False): (3, 10**30, 0),
 }
-# the footnote's unrounded M^-(3, m)
-_PRE_ROUNDING = (Fraction(8, 5), 94 * 10**30, 14 * 10**30)
+# the footnote's unrounded M^-(3, m), a = 8/5 as (numerator, denominator)
+_PRE_ROUNDING = ((8, 5), 94 * 10**30, 14 * 10**30)
 
 
 def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> dict:
@@ -85,7 +89,10 @@ def weight_bound_M(sign: int, ell: int, m: int, pre_rounding: bool = False) -> d
     if pre_rounding:
         if (sign, ell) != (-1, 3):
             raise DomainError("a pre-rounding value is available only for -3^m")
-        a, c, const = _PRE_ROUNDING
+        from fractions import Fraction
+
+        (num, den), c, const = _PRE_ROUNDING
+        a = Fraction(num, den)
     elif (sign, ell, m % 2 == 1) in _M_TABLE:
         a, c, const = _M_TABLE[sign, ell, m % 2 == 1]
     else:

@@ -6,18 +6,21 @@ The searcher tests rhs(x) for squareness exactly; residue tables merely
 prune candidates before the exact isqrt check.  Per search, the integer
 T_q has bit r set iff lead r^e + constant is a square mod q, for q in
 64, 63, 65, 11 and the primes 17..97; it is read off by bytes.translate
-from the cached bytes of lead r^e mod q.  The x range is scanned in
-chunks of 2^14, each one integer used as a bitset (bit j stands for
-x = a + j): each T_q, repeated to the chunk's length and shifted to its
-start, is ANDed into it in turn, and the set bits left are the
-survivors.  A chunk stops at the first modulus that leaves no bit, and
-T_q is built only when a chunk first reaches q, so a curve whose chunks
-all empty early builds only the first few tables.  A scan of more than
-_SCAN_BUDGET x values is refused before it starts, as is an ell^m or an
-x_max^e too long to print.  Point catalogs for the table-covered cases
-ship as a JSON fixture of rows {family, w, ell, sign, points, status};
-catalog_entry is its one lookup, and verify_tables replays every row
-against a bounded search.
+from the cached bytes of lead r^e mod q.  The moduli are taken two at a
+time, in order, into eleven coprime pairs and 97 alone, and each pair
+has one tile: T_q & T_r over its period q r, repeated to a chunk's
+length plus that period.  The x range is scanned in chunks of 2^14,
+each one integer used as a bitset (bit j stands for x = a + j): each
+pair's tile, shifted to the chunk's start, is ANDed into it in turn,
+and the set bits left are the survivors, the x that pass all 23 moduli.
+A chunk stops at the first pair that leaves no bit, and a pair's tile
+is built only when a chunk first reaches the pair, so a curve whose
+chunks all empty early builds only the first few tables.  A scan of
+more than _SCAN_BUDGET x values is refused before it starts, as is an
+ell^m or an x_max^e too long to print.  Point catalogs for the
+table-covered cases ship as a JSON fixture of rows {family, w, ell,
+sign, points, status}; catalog_entry is its one lookup, and
+verify_tables replays every row against a bounded search.
 """
 
 from __future__ import annotations
@@ -44,17 +47,21 @@ __all__ = [
     "verify_tables",
 ]
 
-# Square-filter moduli, in the order they are applied.  The first four
-# pass 0.2-0.3% of x on C curves.
+# Square-filter moduli, in the order they are applied.  The first two
+# pairs pass 0.2-0.3% of x on C curves.
 _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                   73, 79, 83, 89, 97)
+# the moduli taken two at a time, in order, 97 alone; each pair is
+# coprime, so its one tile has period q r, 4,032 bits for 64 * 63
+_SQUARE_PAIRS = tuple(_SQUARE_MODULI[i:i + 2] for i in range(0, len(_SQUARE_MODULI), 2))
+_SQUARE_PERIODS = tuple(map(math.prod, _SQUARE_PAIRS))
 # x values per bitset of the square filter
 _CHUNK = 1 << 14
-# x values one search (or one verify_tables run) may scan: 0.3-3.6 ns
-# each, 1.7 ns in the median, over the 336 C and H curves of
-# verify_tables to x_max = 10^5 (best of 15 each), and 1.0-2.2 ns on
-# Y^2 = X^3 +- 3^42 to x_max = 10^6, on a 2-vCPU Xeon; up to 5.2 ns in
-# a slow phase of the host, so the cap is about a minute.
+# x values one search (or one verify_tables run) may scan: 0.16-1.8 ns
+# each, 1.0 ns in the median, over the 336 C and H curves of
+# verify_tables to x_max = 10^5 (best of 15 each), and 0.6-0.7 ns on
+# Y^2 = X^3 +- 3^42 to x_max = 10^6, on a 2-vCPU Xeon; slow phases of
+# the host have run about 3 times slower, so the cap is about a minute.
 _SCAN_BUDGET = 12 * 10**9
 
 
@@ -131,16 +138,32 @@ def _power_bytes(lead: int, e: int, q: int) -> bytes:
     return bytes(lead * pow(r, e, q) % q for r in range(q))
 
 
-def _residue_tile(spec: CurveSpec, q: int, length: int) -> int:
-    """T_q repeated by shift-or doubling to at least length bits: bit j is
-    set iff lead j^e + constant is a square mod q."""
-    c = spec.constant % q
-    row = _power_bytes(spec.lead, spec.exponent, q).translate(_SQUARE_DIGITS[q][c:c + 256])
-    tile, width = int(row[::-1], 2), q
+def _repeat(tile: int, width: int, length: int) -> int:
+    """A tile of period width repeated by shift-or doubling to at least
+    length bits."""
     while width < length:
         tile |= tile << width
         width <<= 1
     return tile
+
+
+def _residue_tile(spec: CurveSpec, q: int, length: int) -> int:
+    """T_q repeated to at least length bits: bit j is set iff
+    lead j^e + constant is a square mod q."""
+    c = spec.constant % q
+    row = _power_bytes(spec.lead, spec.exponent, q).translate(_SQUARE_DIGITS[q][c:c + 256])
+    return _repeat(int(row[::-1], 2), q, length)
+
+
+def _pair_tile(spec: CurveSpec, pair: tuple[int, ...], length: int) -> int:
+    """The AND of T_q over the coprime moduli of pair, cut to its period
+    L = prod(pair) and repeated to at least length bits: bit j is set iff
+    lead j^e + constant is a square mod every q of the pair."""
+    period = math.prod(pair)
+    tile = (1 << period) - 1
+    for q in pair:
+        tile &= _residue_tile(spec, q, period)
+    return _repeat(tile, period, length)
 
 
 def _check_digits(spec: CurveSpec, x_max: int) -> None:
@@ -168,11 +191,12 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     Negative x is clipped where rhs < 0 (odd exponents); even exponents
     are scanned on x >= 0 and mirrored.  The x range is scanned in
     chunks of _CHUNK values; the sorted output does not depend on it.
-    A chunk starting at a ANDs in the tile of each modulus q in turn,
-    shifted right by a mod q, stopping early once no bit is left, and
-    every survivor is confirmed exactly.  The tile of q, T_q repeated to
-    the chunk length plus q bits, is built once per search, when the
-    first chunk reaches q.
+    A chunk starting at a ANDs in the tile of each pair of moduli in
+    turn, shifted right by a mod L for the pair's period L, stopping
+    early once no bit is left, and every survivor is confirmed exactly.
+    The tile of a pair, its T_q ANDed over the period L and repeated to
+    the chunk length plus L bits, is built once per search, when the
+    first chunk reaches the pair.
     """
     if x_max < 0:
         raise DomainError("x_max must be >= 0")
@@ -190,16 +214,16 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     values = x_max + 1 - lo
     _check_scan_budget(values)
     span = min(_CHUNK, values)
-    tiles: list[int] = []  # tiles[i] for _SQUARE_MODULI[i], built when a chunk first reaches it
+    tiles: list[int] = []  # tiles[i] for _SQUARE_PAIRS[i], built when a chunk first reaches it
     pts: set[tuple[int, int]] = set()
     survivors = confirmed = 0
     for a in range(lo, x_max + 1, _CHUNK):
         n = min(_CHUNK, x_max + 1 - a)
         mask = (1 << n) - 1  # bit j stands for x = a + j
-        for i, q in enumerate(_SQUARE_MODULI):
+        for i, period in enumerate(_SQUARE_PERIODS):
             if i == len(tiles):
-                tiles.append(_residue_tile(spec, q, span + q))
-            mask &= tiles[i] >> a % q
+                tiles.append(_pair_tile(spec, _SQUARE_PAIRS[i], span + period))
+            mask &= tiles[i] >> a % period
             if not mask:
                 break
         bits = bin(mask)[:1:-1]  # bits[j] is bit j

@@ -102,7 +102,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (
@@ -355,7 +354,7 @@ class _FormContext:
     def __init__(self, form: ThueForm, x_mid: int):
         self.form, self.x_mid, m = form, x_mid, form.degree
         r = form.shift - 1  # 2 cos(2 pi/3) + s, a root when 3 | n
-        if form.n % 3 == 0 and sign_at(form.coeffs[::-1], Fraction(r)):
+        if form.n % 3 == 0 and sign_at(form.coeffs[::-1], r):
             raise ArithmeticError(f"{r} is not a root of {form.name}")  # pragma: no cover
         w = 2 * x_mid.bit_length() + 64
         for _ in range(_REFINEMENTS):

@@ -99,6 +99,34 @@ def test_factor_rho_budget(monkeypatch):
         (100000000000031, 1), (300000000000089, 1))
 
 
+def test_factor_long_smooth_products(monkeypatch):
+    """A cofactor above 2^64 loses its primes below 2^16 by trial division
+    before is_prime or rho sees it: the product of the first 600 odd
+    primes (1,884 digits) factors at once, where splitting them off the
+    whole cofactor one at a time took 77 s."""
+    odd = A.primes_up_to(1 << 16)[1:]
+    is_prime = A.is_prime
+
+    def short_only(n):
+        assert n <= 1 << 64, f"is_prime on a {n.bit_length()}-bit cofactor"
+        return is_prime(n)
+
+    monkeypatch.setattr(A, "is_prime", short_only)
+    start = time.perf_counter()
+    for k in (171, 250, 400, 600):
+        n = math.prod(odd[:k])
+        assert A.factor(n) == tuple((p, 1) for p in odd[:k])
+        assert A.factor(-8 * n * odd[k] ** 2) == (
+            ((2, 3),) + tuple((p, 1) for p in odd[:k]) + ((odd[k], 2),))
+    # the cofactor falls to 2^64 or below: the ordinary primality stop
+    assert A.factor(3**50 * 1000003) == ((3, 50), (1000003, 1))
+    monkeypatch.undo()
+    # a long prime cofactor is left after the trial division
+    big = 80561663527802406257321747
+    assert A.factor(math.prod(odd[:600]) * big) == tuple((p, 1) for p in odd[:600]) + ((big, 1),)
+    assert time.perf_counter() - start < 1
+
+
 def test_factor_small_prime_times_large_prime():
     # the trial division stops once the cofactor is prime
     rng = random.Random(5)
@@ -405,3 +433,17 @@ def test_sign_at_matches_oracle():
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         assert A.sign_at(coeffs, x) == exact_sign(coeffs, x), (coeffs, x)
     assert A.sign_at((-4, 0, 1), Fraction(2)) == 0
+
+
+def test_sign_at_integer_point():
+    """An int x is read as x/1, so sign_at needs no Fraction at an
+    integer point: it gives the sign of the plain integer sum."""
+    rng = random.Random(12)
+    for _ in range(300):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
+        x = rng.randint(-10**6, 10**6)
+        value = sum(c * x**i for i, c in enumerate(coeffs))
+        assert A.sign_at(coeffs, x) == (value > 0) - (value < 0), (coeffs, x)
+        assert A.sign_at(coeffs, x) == A.sign_at(coeffs, Fraction(x))
+    assert A.sign_at((-4, 0, 1), 2) == A.sign_at((-4, 0, 1), -2) == 0
+    assert A.sign_at((-4, 0, 1), -3) == 1 and A.sign_at((-4, 0, 1), 1) == -1

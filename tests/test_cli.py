@@ -34,6 +34,19 @@ def test_tau_output_pinned(capsys):
         "cad017ab0e324df5cbed035ee8f3b79aa7ecbf10b4e5572644dfbae7654e8dbe")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify-tables", "--xmax", "100000"],
+     "829ba9d67c16b32f1278aec14a112260a21266f2ca4b4bd667f4d2f6c875787d"),
+    (["reproduce", "thm1.2"],
+     "171a655c46951221884c4b56fa66483e7a253f4baad7e978c5c62f0ba71b6a7e"),
+], ids=["verify-tables", "reproduce"])
+def test_default_outputs_pinned(argv, digest, capsys):
+    # the two headline runs at their default bounds, byte for byte
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tau_bound_refused(capsys):
     start = time.perf_counter()
     code = main(["tau", "--up-to", "100000000"])

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -94,6 +95,25 @@ def test_residue_tables():
             tile = C._residue_tile(spec, m, length)
             assert [tile >> j & 1 for j in range(length)] == [
                 spec.rhs(j) % m in squares for j in range(length)]
+
+
+def test_pair_tiles():
+    """Each coprime pair of moduli has one tile: bit j is set iff rhs(j)
+    is a square mod every modulus of the pair, for every j below a full
+    chunk plus the pair's period, the longest tile a search builds."""
+    assert [q for pair in C._SQUARE_PAIRS for q in pair] == list(C._SQUARE_MODULI)
+    assert C._SQUARE_PAIRS[-1] == (97,)
+    assert all(math.gcd(q, r) == 1 for q, r in C._SQUARE_PAIRS[:-1])
+    length = C._CHUNK + max(C._SQUARE_PERIODS)
+    for spec in _TABLE_SPECS:
+        values = [spec.rhs(j) for j in range(length)]
+        for pair, period in zip(C._SQUARE_PAIRS, C._SQUARE_PERIODS):
+            assert period == math.prod(pair)
+            squares = [(q, {y * y % q for y in range(q)}) for q in pair]
+            n = C._CHUNK + period
+            bits = bin(C._pair_tile(spec, pair, n))[:1:-1].ljust(n, "0")[:n]  # bits[j] is bit j
+            assert bits == "".join("01"[all(v % q in sq for q, sq in squares)]
+                                   for v in values[:n]), (spec.label, pair)
 
 
 def test_residue_tables_built_on_demand(monkeypatch):

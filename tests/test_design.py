@@ -301,13 +301,26 @@ _UNUSED_LAYERS = {
 # with it ast, dis and tokenize, at about 13 ms a process
 _UNUSED_MODULES = {"dataclasses", "inspect"}
 
+# standard modules a verb must not load: the curve verbs do no rational
+# or decimal arithmetic, and fractions (with decimal and numbers, about
+# 4 ms a process) is for the weight bound's exact enclosure alone
+_UNUSED_STDLIB = {
+    "verify-tables": {"fractions", "decimal"},
+    "curve-search": {"fractions", "decimal"},
+}
+_FRACTIONS_VERBS = {"weight-bound"}
+
 
 def test_each_verb_loads_only_its_layers():
     """A verb imports only the layers it calls: each verb, run in a fresh
     interpreter, leaves the Thue, Lehmer, Lucas and newform layers
     unloaded where it needs none of them, and a bare import of the
     package loads only its arithmetic kernel.  Neither loads dataclasses
-    or inspect: the records are arith.frozen_record classes."""
+    or inspect: the records are arith.frozen_record classes.  The curve
+    verbs load neither fractions nor decimal, and only weight-bound loads
+    fractions: the Thue root check passes an int to arith.sign_at, and
+    bounds imports Fraction inside the two functions that compute with
+    it."""
     import json
 
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -317,7 +330,10 @@ def test_each_verb_loads_only_its_layers():
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, (argv, proc.stderr)
         modules = set(proc.stderr.split())
+        verb = argv[0] if argv else None
         assert not modules & _UNUSED_MODULES, (argv, modules & _UNUSED_MODULES)
+        assert not modules & _UNUSED_STDLIB.get(verb, set()), (argv, modules)
+        assert ("fractions" in modules) == (verb in _FRACTIONS_VERBS), argv
         return {m.removeprefix("tauhunt.") for m in modules if m.startswith("tauhunt.")}
 
     assert loaded([]) == {"arith"}
@@ -325,7 +341,8 @@ def test_each_verb_loads_only_its_layers():
         layers = loaded(argv)
         assert {"arith", "bounds", "cli"} <= layers, argv
         assert not layers & _UNUSED_LAYERS.get(argv[0], set()), (argv, layers)
-    assert set(_UNUSED_LAYERS) <= {argv[0] for argv in _EVERY_VERB}
+    verbs = {argv[0] for argv in _EVERY_VERB}
+    assert set(_UNUSED_LAYERS) | set(_UNUSED_STDLIB) | _FRACTIONS_VERBS <= verbs
 
 
 def test_no_runtime_dependency():
