@@ -14,7 +14,6 @@ from .arith import (
     is_perfect_square,
     is_prime,
     prime_power_root,
-    sigma,
 )
 
 __version__ = "1.0.0"

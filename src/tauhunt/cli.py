@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import bounds
-from .arith import DomainError, factor
+from .arith import DomainError, factor, is_prime
 
 if TYPE_CHECKING:
     from .newform import NewformSpec
@@ -210,17 +210,16 @@ def _run(args) -> dict | tuple:
             rank, reason = lucas.rank_of_apparition(pair, args.ell)
             out["rank_of_apparition"] = {"ell": args.ell, "rank": rank, "reason": reason}
         return out
-    if verb == "thue-gen":
-        form = _pick_form(args)
-        return {"form": form.name, "degree": form.degree,
-                "coeffs_by_x_power": list(form.coeffs)}
-    if verb == "thue-solve":
+    if verb in ("thue-gen", "thue-solve"):
         from . import thue
         form = _pick_form(args)
-        res = thue.solve_bounded(form, args.rhs, args.x_small, args.x_mid)
-        out = res.to_dict()
-        out["bounds"] = {"x_small": args.x_small, "x_mid": args.x_mid}
-        return out
+        if verb == "thue-gen":
+            name, coeffs = ((form.name, form.coeffs) if args.m is None
+                            else (f"F_{form.n - 1}", thue.unreduced_coeffs(form)))
+            return {"form": name, "degree": form.degree, "coeffs_by_x_power": list(coeffs)}
+        solve = thue.solve_bounded if args.m is None else thue.solve_unreduced
+        return dict(solve(form, args.rhs, args.x_small, args.x_mid).to_dict(),
+                    bounds={"x_small": args.x_small, "x_mid": args.x_mid})
     if verb == "curve-search":
         from . import curves
         sign = 1 if args.sign == "plus" else -1
@@ -293,12 +292,15 @@ def _run(args) -> dict | tuple:
 
 
 def _pick_form(args) -> ThueForm:
+    """Fhat_p for --reduced-p p, or Fhat_(2m+1), which gives F_2m, for --m m."""
     from . import thue
     if (args.m is None) == (args.reduced_p is None):
         raise DomainError("give exactly one of --m or --reduced-p")
-    if args.m is not None:
-        return thue.build_form(args.m)
-    return thue.build_reduced_form(args.reduced_p)
+    if args.m is not None and args.m < 1:
+        raise DomainError("F_{2m} needs n = 2m + 1 with m >= 1")
+    if args.m is None and (args.reduced_p < 3 or not is_prime(args.reduced_p)):
+        raise DomainError("p must be an odd prime")
+    return thue.build_reduced_form(args.reduced_p if args.m is None else 2 * args.m + 1)
 
 
 def main(argv=None) -> int:

@@ -11,26 +11,26 @@ Diophantine condition:
     d >= 7  (p^(2k-1), a_f(p)^2)       solves F_{d-1}(X, Y) = alpha
 
 with alpha = sign * ell^m.  Every Thue condition is solved as
-Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, which is exact
-because F_{d-1}(X, Y) = Fhat_d(X, Y - 2X).
+Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, exact as
+F_{d-1}(X, Y) = Fhat_d(X, Y - 2X) (thue.solve_unreduced).
 
 Each condition carries its search problem, its CurveSpec or Fhat_d,
 built on enumeration, so a form over the degree ceiling is refused
 before any search; d = ell is always a condition, so an Fhat_ell over
 the ceiling is refused before ell(ell^2 - 1) is factored.
-check_admissibility takes every condition down one path and returns
-the tauhunt-admissibility/1 document that the admissible verb prints,
-each condition one dict from _condition.  _verdict runs the bounded
-search, compares it through catalog.compare with the condition's
-catalog entry, {points, status} from catalog.entry (through
-curves.catalog_entry for a curve), and hands every point to _dispose.
-_dispose recovers p and the possible |a_f(p)| behind the point, then
-runs one eigenvalue check on each magnitude: the Deligne bound, the
-stored a_f(p) (spec.ap only: Delta's tau(p), p > 1000, is not read) and
-the trivial-mod-2 parity.  The flag is trusted only while no stored
-a_f(p), p not dividing 2N, is odd.  For the built-in discriminant form
-the classical congruences mod 9, 5, 7 and 691 prune conditions whose
-rank of apparition is impossible.
+check_admissibility takes every condition down one path and returns the
+tauhunt-admissibility/1 document that the admissible verb prints, each
+condition one dict from _condition.  _verdict runs the bounded search,
+compares it up to its certified bound (thue.certified_bound for Thue)
+through catalog.compare with the condition's catalog entry, {points,
+status} from catalog.entry (curves.catalog_entry for a curve), and hands
+every point to _dispose.  _dispose recovers p and the possible |a_f(p)|
+behind the point, then runs one eigenvalue check on each magnitude: the
+Deligne bound, the stored a_f(p) (spec.ap only: Delta's tau(p),
+p > 1000, is not read) and the trivial-mod-2 parity.  The flag is
+trusted only while no stored a_f(p), p not dividing 2N, is odd.  For the
+built-in discriminant form the classical congruences mod 9, 5, 7 and 691
+prune conditions whose rank of apparition is impossible.
 """
 
 from __future__ import annotations
@@ -241,13 +241,13 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
     """Search the condition, compare the search with its catalog entry
     (if any) and dispose of every point found."""
     if cond.kind == "thue":
-        res = thue.solve_bounded(cond.problem, cond.alpha, bounds.x_small, bounds.x_mid)
-        hits = tuple(sorted((x, z + 2 * x) for x, z in res.solutions))
+        res = thue.solve_unreduced(cond.problem, cond.alpha, bounds.x_small, bounds.x_mid)
+        hits = res.solutions
         cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
         source = f"bounded search via reduced form {cond.problem.name}"
         fixture_source = source + " + solution catalog"
         entry = catalog.entry("thue_tables.json", d=cond.d, D=cond.alpha)
-        bound = bounds.x_small  # only the exhaustive range is complete
+        bound = thue.certified_bound(res.certificate)
     else:
         search = curves.search_points(cond.problem, bounds.x_max)
         hits, cert = search.points, dict(search.certificate)

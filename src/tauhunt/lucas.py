@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import catalog
-from .arith import DomainError, factor, frozen_record, is_prime, lucas_ladder, sigma
+from .arith import DomainError, factor, frozen_record, is_prime, lucas_ladder
 
 __all__ = [
     "LucasPair",
@@ -229,7 +229,7 @@ def sigma_hat(coeff_a: int, B: int, m: int) -> int:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    s0 = sigma(0, m + 1)
+    s0 = math.prod(e + 1 for _, e in factor(m + 1))  # sigma_0(m + 1)
     a = abs(coeff_a)
     rows = catalog.load("defect_tables.json")["omega_discounts"]["rows"]
     family = None

@@ -1,37 +1,33 @@
-"""Homogeneous forms F_{2m}(X, Y) and the bounded Thue solver.
+"""The Thue forms Fhat_n and the bounded Thue solver.
 
-The forms come from the generating function 1/(1 - sqrt(Y) T + X T^2):
-F_2 = Y - X, and F_{2m} = (Y - 2X) F_{2m-2} - X^2 F_{2m-4}.  For odd
-primes p the reduced form Fhat_p(X, Y) = prod (Y - 2X cos(2 pi k/p))
-satisfies F_{p-1}(X, Y) = Fhat_p(X, Y - 2X) and has much smaller
-coefficients; every Thue condition F_{d-1} = alpha of the decision
-pipeline (d >= 7) is solved through Fhat_d.  A ThueForm is its family
-and n alone (n = p for Fhat_p, n = 2m + 1 for F_{2m}), so no form with
-other coefficients exists.
+For odd n >= 3, Fhat_n(X, Y) = prod_(k=1..m) (Y - 2 cos(2 pi k/n) X),
+m = (n - 1)/2, has integer coefficients, n prime or not (Watkins-Zeitlin,
+"The minimal polynomial of cos(2 pi/n)", Amer. Math. Monthly 1993).  The
+reduction's F_{2m}, the coefficient of T^(2m) in 1/(1 - sqrt(Y) T + X T^2),
+has the roots 4 cos^2(pi k/n) = 2 cos(2 pi k/n) + 2 in F(1, t) for
+n = 2m + 1, so F_{2m}(X, Y) = Fhat_{2m+1}(X, Y - 2X) for every m >= 1.  A
+ThueForm is its n alone, and F_{n-1} = alpha, every Thue condition of the
+decision pipeline among them, is solved as Fhat_n(X, Z) = alpha with
+Y = Z + 2X (solve_unreduced).
 
-Both families are Lucas sequences, so a solve never needs the
-coefficients.  Write the recurrence as G_0 = 1, G_1 = Y + c1 X and
-G_j = P G_(j-1) - Q G_(j-2) with P = Y - s X and Q = X^2, where
-(c1, s) = (1, 0) for Fhat_p and (-1, 2) for F_{2m}, and let U_j be the
-Lucas sequence of (P, Q): U_0 = 0, U_1 = 1, U_(j+1) = P U_j - Q U_(j-1)
-(P is this pair's first entry; P(t) below is the polynomial F(1, t)).
-Then G_j = U_(j+1) + X U_j.  Both sides satisfy the recurrence (the
-right one is a sum of two of its solutions), and they agree at j = 0,
-U_1 + X U_0 = 1, and at j = 1, U_2 + X U_1 = Y + (1 - s) X = Y + c1 X.
-So F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2 (evaluate).
-(U_m, U_(m+1)) takes O(log m) products (arith.lucas_ladder), and as
-many products mod q give F(1, t) mod q.
+Fhat_n is a Lucas sequence, so a solve never needs the coefficients.  Its
+recurrence is G_0 = 1, G_1 = Y + X and G_j = P G_(j-1) - Q G_(j-2) with
+P = Y and Q = X^2 (G_m = Fhat_n); let U_j be the Lucas sequence of
+(P, Q): U_0 = 0, U_1 = 1, U_(j+1) = P U_j - Q U_(j-1) (P(t) below is the
+polynomial F(1, t) instead).  Then G_j = U_(j+1) + X U_j: both sides
+satisfy the recurrence (the right one is a sum of two of its solutions),
+and they agree at j = 0, U_1 + X U_0 = 1, and at j = 1, U_2 + X U_1 =
+Y + X.  So F(x, y) = U_(m+1) + x U_m at P = y, Q = x^2 (evaluate), in
+O(log m) products (arith.lucas_ladder); as many mod q give F(1, t) mod q.
 
-The roots of P(t) = F(1, t) are known in closed form (Watkins-Zeitlin,
-"The minimal polynomial of cos(2 pi/n)", Amer. Math. Monthly 1993):
-theta_k = 2 cos(2 pi k/n) + s for k = 1 .. m, with s = 0 for Fhat_p and
-s = 2 for F_{2m}.  P(2 cos phi + s) = sin(n phi/2) / sin(phi/2) gives
+The roots of P(t) = F(1, t) are theta_k = 2 cos(2 pi k/n), k = 1 .. m,
+and P(2 cos phi) = sin(n phi/2) / sin(phi/2) gives
 |P'(theta_k)|^2 = n^2 / (8 (1 - c)^2 (1 + c)) with c = cos(2 pi k/n).
 Each root is enclosed at any precision w by integer fixed-point pi
 (Machin) and a cosine Taylor series with a proven remainder
 (_cos_bounds), O(m) per form; the only polynomial sign is one exact
-sign confirming the one rational root, -1 + s at 3k = n, and it is the
-one use of a form's coefficients in a solve.
+sign confirming the one rational root, -1 at 3k = n when 3 | n, the one
+use of a form's coefficients in a solve.
 
 Each form keeps one context (_FormContext) per x_mid, built on its first
 solve to that x_mid: one enclosure of each root at one precision, the
@@ -69,8 +65,8 @@ finds, by the proof above, every solution with |x| <= x_mid.  When
 x_small < x0 - 1 the convergents also stand for (x_small, x0), where
 that proof does not reach (the classical gap criterion of Tzanakis-de
 Weger Lemma 1.1 / Bilu-Hanrot); the certificate shows x0 and x_e.
-Degree 2 has no threshold and is scanned to x_e = x_mid; a linear form
-(F_2, Fhat_3) is refused, as its solutions form a line.  A convergent
+Degree 2 has no threshold and is scanned to x_e = x_mid; the linear
+form Fhat_3 is refused, as its solutions form a line.  A convergent
 p/q gives only the solutions (lam q, lam p) with lam^m |F(q, p)| = k,
 so each (p, q) is judged once, however many roots share it, and F(q, p)
 is evaluated exactly only when some lam q can lie in (x_e, x_mid] and
@@ -109,7 +105,6 @@ from .arith import (
     continued_fraction_convergents,
     frozen_record,
     integer_nth_root,
-    is_prime,
     lucas_ladder,
     perfect_power_root,
     sign_at,
@@ -117,11 +112,13 @@ from .arith import (
 
 __all__ = [
     "ThueForm",
-    "build_form",
     "build_reduced_form",
     "evaluate",
     "ThueSolutions",
     "solve_bounded",
+    "solve_unreduced",
+    "unreduced_coeffs",
+    "certified_bound",
 ]
 
 # F(1, t) mod q, indexed by value, filters the exhaustive scan's candidates
@@ -161,21 +158,14 @@ def _signed_diagonal(n: int, count: int) -> tuple[int, ...]:
 
 @frozen_record
 class ThueForm:
-    """F_{2m} (family "standard", n = 2m + 1) or Fhat_p (family "reduced",
-    n = p), of degree m = (n - 1)/2; coeffs[i] is the coefficient of
-    X^i Y^(m-i), monic in Y."""
+    """Fhat_n for an odd n >= 3, of degree m = (n - 1)/2; coeffs[i] is
+    the coefficient of X^i Y^(m-i), monic in Y."""
 
-    family: str
     n: int
 
     def __post_init__(self):
-        if self.family == "reduced":
-            if self.n < 3 or not is_prime(self.n):
-                raise DomainError("p must be an odd prime")
-        elif self.family != "standard":
-            raise DomainError(f"unknown Thue form family {self.family!r}")
-        elif self.n < 3 or self.n % 2 == 0:
-            raise DomainError("F_{2m} needs n = 2m + 1 with m >= 1")
+        if self.n < 3 or self.n % 2 == 0:
+            raise DomainError("Fhat_n needs an odd n >= 3")
         if self.degree > _MAX_DEGREE:
             raise DomainError(f"a Thue form of degree {self.degree} is over the degree "
                               f"ceiling of {_MAX_DEGREE}")
@@ -185,26 +175,18 @@ class ThueForm:
         return (self.n - 1) // 2
 
     @property
-    def shift(self) -> int:
-        """s with the roots theta_k = 2 cos(2 pi k/n) + s of F(1, t)."""
-        return 0 if self.family == "reduced" else 2
-
-    @property
     def name(self) -> str:
-        return f"Fhat_{self.n}" if self.family == "reduced" else f"F_{self.n - 1}"
+        return f"Fhat_{self.n}"
 
     # cached in the instance __dict__, outside the fields, eq and hash
     @cached_property
     def coeffs(self) -> tuple[int, ...]:
-        """F_{2m}, the coefficient of T^(2m) in 1/(1 - sqrt(Y) T + X T^2),
-        has (-1)^i C(2m - i, i).  Fhat_p = U_(m+1) + X U_m at P = Y,
-        Q = X^2 (module docstring), and U_(j+1) = sum (-1)^k C(j - k, k)
-        P^(j-2k) Q^k, so X^2k Y^(m-2k) has (-1)^k C(m - k, k) from U_(m+1)
-        and X^(2k+1) Y^(m-2k-1) has (-1)^k C(m - 1 - k, k) from X U_m:
-        (-1)^(i//2) C(m - ceil(i/2), floor(i/2)) for X^i."""
+        """Fhat_n = U_(m+1) + X U_m at P = Y, Q = X^2 (module docstring),
+        and U_(j+1) = sum (-1)^k C(j - k, k) P^(j-2k) Q^k, so X^2k Y^(m-2k)
+        has (-1)^k C(m - k, k) from U_(m+1) and X^(2k+1) Y^(m-2k-1) has
+        (-1)^k C(m - 1 - k, k) from X U_m: (-1)^(i//2) C(m - ceil(i/2),
+        floor(i/2)) for X^i."""
         m = self.degree
-        if self.family == "standard":
-            return _signed_diagonal(2 * m, m + 1)
         out = [0] * (m + 1)
         out[0::2] = _signed_diagonal(m, m // 2 + 1)
         out[1::2] = _signed_diagonal(m - 1, (m + 1) // 2)
@@ -220,20 +202,21 @@ class ThueForm:
 
 
 @lru_cache(maxsize=None)
-def build_form(m: int) -> ThueForm:
-    """F_{2m}(X, Y), exact integer coefficients, total degree m."""
-    return ThueForm("standard", 2 * m + 1)
+def build_reduced_form(n: int) -> ThueForm:
+    """Fhat_n with F_{n-1}(X, Y) = Fhat_n(X, Y - 2X), for odd n >= 3."""
+    return ThueForm(n)
 
 
-@lru_cache(maxsize=None)
-def build_reduced_form(p: int) -> ThueForm:
-    """Fhat_p with F_{p-1}(X, Y) = Fhat_p(X, Y - 2X), for odd prime p."""
-    return ThueForm("reduced", p)
+def unreduced_coeffs(form: ThueForm) -> tuple[int, ...]:
+    """The coefficients of F_{n-1}(X, Y) = Fhat_n(X, Y - 2X), as in
+    coeffs: F_{2m}, the coefficient of T^(2m) in
+    1/(1 - sqrt(Y) T + X T^2), has (-1)^i C(2m - i, i) at X^i."""
+    return _signed_diagonal(form.n - 1, form.degree + 1)
 
 
 def evaluate(form: ThueForm, x: int, y: int) -> int:
-    """F(x, y) = U_(m+1) + x U_m at P = y - s x, Q = x^2, exact."""
-    u, v = lucas_ladder(form.degree, y - form.shift * x, x * x)
+    """F(x, y) = U_(m+1) + x U_m at P = y, Q = x^2, exact."""
+    u, v = lucas_ladder(form.degree, y, x * x)
     return v + x * u
 
 
@@ -305,13 +288,12 @@ def real_roots(form: ThueForm, w: int) -> list[tuple[int, int]]:
     hi_i < lo_(i+1) and hi_i - lo_i < 2^(w/2).
 
     The roots ascend as theta_k for k = m .. 1, and (lo_i, hi_i) is the
-    _cos_bounds enclosure of theta_k shifted by s.  Checking
+    _cos_bounds enclosure of theta_k.  Checking
     hi_i < lo_(i+1) shows that the m intervals are disjoint, so each
     holds exactly one root.  Each call certifies afresh; a form's context
     keeps the result of its one call.
     """
-    s = form.shift << w
-    roots = [(lo + s, hi + s) for lo, hi in _cos_bounds(form.n, range(form.degree, 0, -1), w)]
+    roots = _cos_bounds(form.n, range(form.degree, 0, -1), w)
     wide = any(hi - lo >> w // 2 for lo, hi in roots)
     if wide or any(hi >= lo for (_, hi), (lo, _) in zip(roots, roots[1:])):
         raise ArithmeticError("root enclosures too wide or overlapping")  # pragma: no cover
@@ -319,7 +301,7 @@ def real_roots(form: ThueForm, w: int) -> list[tuple[int, int]]:
 
 
 def _log2_derivative(n: int, lo: int, hi: int, w: int) -> int:
-    """An integer L <= log2 |P'(theta)| for the root theta = 2 cos(phi) + s
+    """An integer L <= log2 |P'(theta)| for the root theta = 2 cos(phi)
     of the form with this n, from lo <= 2^w 2 cos(phi) <= hi, where
     -2^(w+1) < lo <= hi < 2^(w+1).
 
@@ -344,7 +326,7 @@ class _FormContext:
     1 <= S_i <= 2^w sep_i (inf for degree 1), as 2^w |theta_j - theta_i|
     >= lo_j - hi_i for j > i; convergents holds (p, q, i) for every
     convergent p/q, q <= max(x_mid, 1), of every root theta_i: the one
-    rational root, -1 + s at 3k = n, is its own once an exact sign
+    rational root, -1 at 3k = n, is its own once an exact sign
     confirms it, and every other root has those its enclosure fixes
     (continued_fraction_convergents).  w starts at 2 bitlength(x_mid) + 64,
     so x_mid < 2^((w - 64)/2), and doubles until every root settles, at
@@ -353,14 +335,13 @@ class _FormContext:
 
     def __init__(self, form: ThueForm, x_mid: int):
         self.form, self.x_mid, m = form, x_mid, form.degree
-        r = form.shift - 1  # 2 cos(2 pi/3) + s, a root when 3 | n
-        if form.n % 3 == 0 and sign_at(form.coeffs[::-1], r):
-            raise ArithmeticError(f"{r} is not a root of {form.name}")  # pragma: no cover
+        if form.n % 3 == 0 and sign_at(form.coeffs[::-1], -1):
+            raise ArithmeticError(f"-1 is not a root of {form.name}")  # pragma: no cover
         w = 2 * x_mid.bit_length() + 64
         for _ in range(_REFINEMENTS):
             roots, found = real_roots(form, w), []
             for i, (lo, hi) in enumerate(roots):
-                convs = ([(r, 1)] if 3 * (m - i) == form.n
+                convs = ([(-1, 1)] if 3 * (m - i) == form.n
                          else continued_fraction_convergents(lo, hi, 1 << w, max(x_mid, 1)))
                 if convs is None:
                     break
@@ -370,8 +351,8 @@ class _FormContext:
             w *= 2
         else:
             raise ArithmeticError(f"convergents of {form.name} unsettled below {w} bits")
-        self.w, self.roots, s = w, roots, form.shift << w
-        self.log2_deriv = [_log2_derivative(form.n, lo - s, hi - s, w) for lo, hi in roots]
+        self.w, self.roots = w, roots
+        self.log2_deriv = [_log2_derivative(form.n, lo, hi, w) for lo, hi in roots]
         gaps = [lo - hi for (_, hi), (lo, _) in zip(roots, roots[1:])]
         self.seps = list(map(min, [math.inf] + gaps, gaps + [math.inf]))
         self.convergents = tuple((p, q, i) for i, convs in enumerate(found) for p, q in convs)
@@ -388,10 +369,10 @@ class _FormContext:
     def index(self, q: int) -> list[list[int]]:
         """by_value[v]: the t in 0 .. q - 1 with F(1, t) = v (mod q)."""
         if q not in self._index:
-            m, s = self.form.degree, self.form.shift
+            m = self.form.degree
             by_value: list[list[int]] = [[] for _ in range(q)]
             for t in range(q):
-                u, v = lucas_ladder(m, t - s, 1, q)  # F(1, t) = U_(m+1) + U_m at P = t - s
+                u, v = lucas_ladder(m, t, 1, q)  # F(1, t) = U_(m+1) + U_m at P = t
                 by_value[(u + v) % q].append(t)
             self._index[q] = by_value
         return self._index[q]
@@ -659,3 +640,19 @@ def solve_bounded(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSol
         if (-1) ** m * v == rhs:
             sols.add((-x, -y))
     return ThueSolutions(form.name, rhs, tuple(sorted(sols)), cert)
+
+
+def solve_unreduced(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueSolutions:
+    """F_{n-1}(x, y) = rhs through the form Fhat_n(X, Z) = F_{n-1}(X, Z + 2X):
+    each solution (x, z) of Fhat_n = rhs gives (x, z + 2x), in the same
+    sorted order and under the same certificate."""
+    res = solve_bounded(form, rhs, x_small, x_mid)
+    return ThueSolutions(f"F_{form.n - 1}", rhs,
+                         tuple((x, z + 2 * x) for x, z in res.solutions), res.certificate)
+
+
+def certified_bound(certificate: dict) -> int:
+    """The B with every solution |x| <= B found, from a solve's certificate:
+    x_mid once the scan reached x0 - 1 or there is no x0, else x_exhaustive."""
+    x0, x_e = certificate["x0"], certificate["x_exhaustive"]
+    return certificate["x_mid"] if x0 is None or x_e >= x0 - 1 else x_e

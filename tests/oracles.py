@@ -283,14 +283,13 @@ def exact_convergents(x: RealAlgebraic | Fraction, qmax: int) -> list[tuple[int,
 def thue_roots(form) -> list:
     """The real roots of F(1, t), ascending, found apart from the library:
     an integer root as a Fraction, every other one as a RealAlgebraic on
-    an interval of width 2^-29 around the float value of 2 cos(2 pi k/n),
-    plus 2 for F_{2m}.  The exact sign changes and the disjointness of
-    the m intervals isolate every root."""
+    an interval of width 2^-29 around the float value of 2 cos(2 pi k/n).
+    The exact sign changes and the disjointness of the m intervals
+    isolate every root."""
     poly = tuple(reversed(form.coeffs))
-    shift = 2 if form.family == "standard" else 0
     out = []
     for k in range(form.degree, 0, -1):
-        t = 2 * math.cos(2 * math.pi * k / form.n) + shift
+        t = 2 * math.cos(2 * math.pi * k / form.n)
         if abs(t - round(t)) < 1e-9 and poly_eval(poly, round(t)) == 0:
             out.append(Fraction(round(t)))
         else:
@@ -446,16 +445,20 @@ def dense_thue_solutions(coeffs, targets, x_bound: int) -> dict[int, list[tuple[
     return {k: sorted(v) for k, v in out.items()}
 
 
-def reduced_form_by_substitution(p: int) -> tuple[int, ...]:
-    """Coefficients of Fhat_p(X, Y) = F_{p-1}(X, Y + 2X), as in ThueForm.
+def f2m_coeffs(m: int) -> tuple[int, ...]:
+    """Coefficients (of X^k Y^(m-k)) of F_{2m} = sum_k (-1)^k C(2m - k, k)
+    X^k Y^(m - k), read off the generating function
+    1/(1 - sqrt(Y) T + X T^2)."""
+    return tuple((-1) ** k * math.comb(2 * m - k, k) for k in range(m + 1))
 
-    F_{2m} = sum_k (-1)^k C(2m - k, k) X^k Y^(m - k) is read off the
-    generating function 1/(1 - sqrt(Y) T + X T^2); Y -> Y + 2X is then
-    applied to F_{p-1}(1, t) by m rounds of synthetic division (Taylor
-    shift by 2).
+
+def reduced_form_by_substitution(n: int) -> tuple[int, ...]:
+    """Coefficients of Fhat_n(X, Y) = F_{n-1}(X, Y + 2X), as in ThueForm,
+    for odd n: Y -> Y + 2X is applied to F_{n-1}(1, t) (f2m_coeffs) by m
+    rounds of synthetic division (Taylor shift by 2).
     """
-    m = (p - 1) // 2
-    a = [(-1) ** k * math.comb(2 * m - k, k) for k in range(m + 1)]  # a[i]: t^(m-i)
+    m = (n - 1) // 2
+    a = list(f2m_coeffs(m))  # a[i]: t^(m-i)
     for i in range(m):
         for j in range(1, m + 1 - i):
             a[j] += a[j - 1] << 1

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from tauhunt import catalog, curves, lehmer, lucas, newform, thue
 from tauhunt.arith import factor, is_prime, primes_up_to
-from oracles import brute_force_defect_indices, defect_candidate_as, lucas_pell_points
+from oracles import (brute_force_defect_indices, defect_candidate_as, f2m_coeffs, form_value,
+                     lucas_pell_points)
 
 DISPLAYED_LEHMER_PRIME = 80561663527802406257321747
 
@@ -140,30 +141,27 @@ def test_criterion_04_defect_closure():
 def test_criterion_05_thue_tables():
     t0 = time.monotonic()
     rows = catalog.load("thue_tables.json")["rows"]
-    # (a) every cataloged solution evaluates to its right-hand side
+    # (a) every cataloged solution evaluates to its right-hand side, on
+    #     F_{d-1}'s own coefficients and on Fhat_d(X, Y - 2X)
     for row in rows:
-        form = thue.build_form(345 if row["d"] == 691 else (row["d"] - 1) // 2)
+        form = thue.build_reduced_form(row["d"])
         for x, y in row["points"]:
-            assert thue.evaluate(form, x, y) == row["D"]
+            assert form_value(f2m_coeffs(form.degree), x, y) == row["D"]
+            assert thue.evaluate(form, x, y - 2 * x) == row["D"]
     # (b) every empty row is exhaustively empty for |x| <= 100, and every
-    #     nonempty row's solutions within that range are exactly the listed ones
+    #     nonempty row's solutions within that range are exactly the listed
+    #     ones, solved through Fhat_d (|x| <= 10 on the degree-345 rows)
     for row in rows:
-        if row["d"] == 691:
-            continue  # settled through the reduced form below
-        form = thue.build_form((row["d"] - 1) // 2)
-        got = thue.solve_bounded(form, row["D"], x_small=100, x_mid=100).solutions
-        want = tuple(sorted(tuple(s) for s in row["points"] if abs(s[0]) <= 100))
+        bound = 10 if row["d"] == 691 else 100
+        form = thue.build_reduced_form(row["d"])
+        got = thue.solve_unreduced(form, row["D"], x_small=bound, x_mid=bound).solutions
+        want = tuple(sorted(tuple(s) for s in row["points"] if abs(s[0]) <= bound))
         assert got == want, (row["d"], row["D"], got, want)
-    # the degree-345 rows, via Fhat_691(X, Y - 2X) = F_690(X, Y), |x| <= 10
-    fh = thue.build_reduced_form(691)
-    for D, expect in ((691, ((1, 4),)), (-691, ((-1, -4),))):
-        got = thue.solve_bounded(fh, D, x_small=10, x_mid=10).solutions
-        assert tuple(sorted((x, z + 2 * x) for x, z in got)) == expect
     # (c) pruning agrees with the exhaustive scan on F_6 up to 10^3
-    F6 = thue.build_form(3)
+    fhat7 = thue.build_reduced_form(7)
     for rhs in (7, -7, 13, -13, 29, -29):
-        full = thue.solve_bounded(F6, rhs, x_small=1000, x_mid=1000)
-        pruned = thue.solve_bounded(F6, rhs, x_small=50, x_mid=1000)
+        full = thue.solve_unreduced(fhat7, rhs, x_small=1000, x_mid=1000)
+        pruned = thue.solve_unreduced(fhat7, rhs, x_small=50, x_mid=1000)
         assert full.solutions == pruned.solutions
     elapsed = time.monotonic() - t0
     _ok(5, "solution catalogs verified; emptiness and pruning are bounded checks",
@@ -239,8 +237,9 @@ def test_criterion_08_criterion_identities():
         assert a4 == a1**4 - 3 * a1**2 * B + B * B                 # d = 5
         assert 5 * B * B + 4 * a4 == (2 * a1 * a1 - 3 * B) ** 2    # exact identity
         for m in range(1, 7):
-            F = thue.build_form(m)
-            assert thue.evaluate(F, B, a1 * a1) == newform.coeff_prime_power(spec, p, 2 * m)
+            F = thue.build_reduced_form(2 * m + 1)  # F_{2m}(B, a^2) = Fhat_{2m+1}(B, a^2 - 2B)
+            assert thue.evaluate(F, B, a1 * a1 - 2 * B) == newform.coeff_prime_power(
+                spec, p, 2 * m)
     _ok(8, "all three coefficient-to-point identities hold exactly for p <= 50, m <= 6")
 
 

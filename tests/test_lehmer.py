@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from oracles import signed_block_scenarios, tau_series
 from tauhunt import lehmer as LE
 from tauhunt import thue
-from tauhunt.arith import DomainError, factor, primes_up_to, sigma
+from tauhunt.arith import DomainError, factor, primes_up_to
 from tauhunt.lucas import sigma_hat
 from tauhunt.newform import NewformSpec, coeff, coeff_prime_power, delta_newform
 
@@ -205,14 +206,39 @@ def test_criterion_identity_d5():
 
 
 def test_criterion_identity_thue():
-    from tauhunt.thue import build_form, evaluate
-
+    # F_{2m}(B, a^2) = Fhat_{2m+1}(B, a^2 - 2B) = a_f(p^2m), B = p^(2k-1)
     for p in primes_up_to(20):
         B = p**11
         a1 = coeff_prime_power(DELTA, p, 1)
         for m in range(1, 7):
-            F = build_form(m)
-            assert evaluate(F, B, a1 * a1) == coeff_prime_power(DELTA, p, 2 * m)
+            F = thue.build_reduced_form(2 * m + 1)
+            assert thue.evaluate(F, B, a1 * a1 - 2 * B) == coeff_prime_power(DELTA, p, 2 * m)
+
+
+def test_thue_catalog_compared_to_certified_bound(data_dir):
+    """A Thue row is compared with the search up to the solve's certified
+    bound: x_mid once the scan reached x0 - 1, else x_small.  A false
+    point planted in the d = 7, D = 7 row (x0 = 29) with
+    x_small < x <= x_mid is a discrepancy at x_small = 1000, and not
+    compared at x_small = 10."""
+    path = data_dir / "thue_tables.json"
+    table = json.loads(path.read_text())
+    row = next(r for r in table["rows"] if (r["d"], r["D"]) == (7, 7))
+    true_points = sorted(row["points"])
+    row["points"] += [[2000, 1], [20000, 1]]  # the second lies past x_mid
+    path.write_text(json.dumps(table))
+
+    def d7(bounds):
+        rep = LE.check_admissibility(DELTA, 7, 1, 1, bounds)
+        return next(c for c in rep["conditions"] if c["d"] == 7)
+
+    cond = d7(LE.SearchBounds(x_max=1000, x_small=1000, x_mid=10000))
+    assert cond["certificate"]["x0"] == 29 and cond["mode"] == "search"
+    assert cond["certificate"]["catalog_discrepancy"] == {
+        "bound": 10000, "listed": true_points + [[2000, 1]], "found": true_points}
+    cond = d7(LE.SearchBounds(x_max=1000, x_small=10, x_mid=10000))
+    assert cond["certificate"]["x_exhaustive"] == 10 and cond["mode"] == "fixture+search"
+    assert "catalog_discrepancy" not in cond["certificate"]
 
 
 def test_admissibility_delta_ell3():
@@ -283,13 +309,17 @@ def test_omega_lower_bound():
         LE.omega_lower_bound(DELTA, 1000003**2)
 
 
+def _divisor_count(n):
+    return sum(n % d == 0 for d in range(1, n + 1))
+
+
 @pytest.mark.parametrize("q", [1009, 10007, 99991])
 def test_omega_lower_bound_past_stored_eigenvalues(q):
     # Delta reads tau(q) past its stored primes, as coeff does
     tau_q = tau_series(99992)[q - 1]
     for e in (2, 3):
         want = max(0, sigma_hat(tau_q, q**11, e))
-        assert want == sigma(0, e + 1) - 1
+        assert want == _divisor_count(e + 1) - 1
         assert LE.omega_lower_bound(DELTA, q**e) == want
         assert LE.omega_lower_bound(DELTA, 3 * q**e) == want + 1
 
@@ -312,7 +342,7 @@ def test_omega_lower_bound_long_norm():
     assert LE.omega_lower_bound(spec, 9) == 1
     # (7, 27) is a family member: sigma_0(12) less its discount 4
     fam = NewformSpec(weight=4, level=1, ap={3: 7})
-    assert LE.omega_lower_bound(fam, 3**11) == 2 == sigma(0, 12) - 4
+    assert LE.omega_lower_bound(fam, 3**11) == 2 == _divisor_count(12) - 4
 
 
 def test_omega_bound_is_actually_a_lower_bound():

@@ -247,6 +247,18 @@ def test_sigma_hat():
         L.sigma_hat(3, 8, 0)
 
 
+def test_sigma_hat_counts_divisors():
+    # sigma_0(m + 1), read off the factorization, against counting the
+    # divisors up to sqrt(m + 1): less 1 on a generic pair, less 4 on the
+    # family member (7, 27)
+    for m in [*range(1, 400), 719, 5039, 720719]:
+        n = m + 1
+        count = sum(1 + (d * d != n) for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+        assert L.sigma_hat(10, 49, m) == count - 1, m
+        assert L.sigma_hat(7, 27, m) == count - 4, m
+    assert L.sigma_hat(10, 49, 2**61 - 2) == 1  # 2^61 - 1 is prime
+
+
 def test_data_dir_override(data_dir, monkeypatch):
     """Edited catalogs reach the defect classifier, the Thue catalog lookup
     and the curve catalog lookup, all through the one loader catalog.load,

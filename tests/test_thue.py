@@ -5,73 +5,82 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (convergent_solutions, dense_thue_solutions, exact_convergents, form_value,
-                     reduced_form_by_substitution, three_term, thue_roots)
+from oracles import (convergent_solutions, dense_thue_solutions, exact_convergents, f2m_coeffs,
+                     form_value, reduced_form_by_substitution, three_term, thue_roots)
 from tauhunt import catalog
 from tauhunt import thue as T
 from tauhunt.arith import DomainError, integer_nth_root, is_prime
 from tauhunt.lehmer import SearchBounds
 
 
+def _unreduced(m):
+    """F_{2m}'s coefficients, through Fhat_{2m+1}."""
+    return T.unreduced_coeffs(T.build_reduced_form(2 * m + 1))
+
+
 def test_form_displays():
-    assert T.build_form(1).coeffs == (1, -1)
-    assert T.build_form(2).coeffs == (1, -3, 1)
-    assert T.build_form(3).coeffs == (1, -5, 6, -1)
-    assert T.build_form(5).coeffs == (1, -9, 28, -35, 15, -1)
+    assert _unreduced(1) == (1, -1)
+    assert _unreduced(2) == (1, -3, 1)
+    assert _unreduced(3) == (1, -5, 6, -1)
+    assert _unreduced(5) == (1, -9, 28, -35, 15, -1)
     # not printed anywhere: from the generating-function recursion
-    assert T.build_form(4).coeffs == (1, -7, 15, -10, 1)
+    assert _unreduced(4) == (1, -7, 15, -10, 1)
 
 
 def test_form_monic_in_y():
-    for m in range(1, 12):
-        assert T.evaluate(T.build_form(m), 0, 1) == 1
+    for n in range(3, 26, 2):
+        assert T.evaluate(T.build_reduced_form(n), 0, 1) == 1
 
 
 def test_evaluate_examples():
-    F6 = T.build_form(3)
-    assert T.evaluate(F6, 2, 1) == 7
-    assert T.evaluate(F6, 1, 4) == 7
-    assert T.evaluate(F6, -3, -5) == 7
+    # F_6(x, y) = Fhat_7(x, y - 2x)
+    fhat7 = T.build_reduced_form(7)
+    for x, y in ((2, 1), (1, 4), (-3, -5)):
+        assert T.evaluate(fhat7, x, y - 2 * x) == 7
 
 
 def test_homogeneity():
     rng = random.Random(1)
-    for m in (1, 2, 3, 5, 8):
-        F = T.build_form(m)
+    for n in (3, 5, 7, 9, 11, 15, 17):
+        F = T.build_reduced_form(n)
         for _ in range(20):
             lam = rng.randint(1, 6)
             x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-            assert T.evaluate(F, lam * x, lam * y) == lam**m * T.evaluate(F, x, y)
+            assert T.evaluate(F, lam * x, lam * y) == lam**F.degree * T.evaluate(F, x, y)
 
 
 def test_sign_symmetry():
     rng = random.Random(2)
-    for m in (2, 3, 4, 7):
-        F = T.build_form(m)
+    for n in (5, 7, 9, 15):
+        F = T.build_reduced_form(n)
         for _ in range(20):
             x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-            assert T.evaluate(F, -x, -y) == (-1) ** m * T.evaluate(F, x, y)
+            assert T.evaluate(F, -x, -y) == (-1) ** F.degree * T.evaluate(F, x, y)
 
 
 def test_reduction_identity():
+    # F_{n-1}(X, Y) = Fhat_n(X, Y - 2X) for every odd n, prime or not,
+    # on the oracle's own F_{2m}
     rng = random.Random(3)
-    for p in (3, 5, 7, 11, 13, 23, 29, 31, 37):
-        Fh = T.build_reduced_form(p)
-        F = T.build_form((p - 1) // 2)
+    for n in (3, 5, 7, 9, 11, 13, 15, 21, 23, 25, 27, 29, 31, 33, 35, 37):
+        Fh, F = T.build_reduced_form(n), f2m_coeffs((n - 1) // 2)
         assert Fh.coeffs[0] == 1
         for _ in range(8):
             x, y = rng.randint(-9, 9), rng.randint(-9, 9)
-            assert T.evaluate(F, x, y) == T.evaluate(Fh, x, y - 2 * x)
-        assert T.evaluate(F, 1, 1) == T.evaluate(Fh, 1, -1)
-    # solving through Fhat_p and mapping back by (x, z + 2x) is exact
-    for p in (7, 11, 13):
-        Fh = T.build_reduced_form(p)
-        F = T.build_form((p - 1) // 2)
-        for rhs in (7, -7, 13, -13, 29, -343):
-            got = T.solve_bounded(Fh, rhs, x_small=30, x_mid=300)
-            want = T.solve_bounded(F, rhs, x_small=30, x_mid=300)
-            assert tuple(sorted((x, z + 2 * x) for x, z in got.solutions)) == want.solutions
-            assert got.certificate == want.certificate
+            assert form_value(F, x, y) == T.evaluate(Fh, x, y - 2 * x)
+        assert form_value(F, 1, 1) == T.evaluate(Fh, 1, -1)
+    # solving through Fhat_n and mapping back by (x, z + 2x) is exact: to
+    # x_mid = x_small, every solution of F_{n-1} with |x| <= 30
+    for n in (5, 7, 9, 11, 13, 15):
+        Fh, F = T.build_reduced_form(n), f2m_coeffs((n - 1) // 2)
+        targets = (7, -7, 13, -13, 29, -343)
+        dense = dense_thue_solutions(F, targets, 30)
+        for rhs in targets:
+            got = T.solve_unreduced(Fh, rhs, x_small=30, x_mid=30)
+            reduced = T.solve_bounded(Fh, rhs, x_small=30, x_mid=30)
+            assert list(got.solutions) == dense[rhs], (n, rhs)
+            assert got.solutions == tuple((x, z + 2 * x) for x, z in reduced.solutions)
+            assert (got.form, got.certificate) == (f"F_{n - 1}", reduced.certificate)
 
 
 def test_reduced_small_forms():
@@ -80,19 +89,18 @@ def test_reduced_small_forms():
 
 
 def test_reduced_form_recurrence_matches_substitution():
-    for p in range(3, 1000, 2):
-        if is_prime(p):
-            assert T.build_reduced_form(p).coeffs == reduced_form_by_substitution(p), p
+    for n in range(3, 1000, 2):
+        assert T.build_reduced_form(n).coeffs == reduced_form_by_substitution(n), n
 
 
 def test_coeffs_match_recurrence():
     # the closed-form binomials are the recurrence's coefficients, which
-    # thue-gen prints: F_2..F_120, every Fhat_p with p < 300, and the
+    # thue-gen prints: F_2..F_120, every Fhat_n with n < 300, and the
     # degree-345 pair of the theorem sweep
     for m in list(range(1, 61)) + [345]:
-        assert T.build_form(m).coeffs == three_term(m, -1, -2), m
-    for p in [p for p in range(3, 300, 2) if is_prime(p)] + [691]:
-        assert T.build_reduced_form(p).coeffs == three_term((p - 1) // 2, 1, 0), p
+        assert _unreduced(m) == three_term(m, -1, -2), m
+    for n in list(range(3, 300, 2)) + [691]:
+        assert T.build_reduced_form(n).coeffs == three_term((n - 1) // 2, 1, 0), n
 
 
 def test_coeffs_by_ratio_recurrence():
@@ -102,25 +110,24 @@ def test_coeffs_by_ratio_recurrence():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    def closed_form(family, m):
-        if family == "standard":
-            return tuple((-1) ** i * math.comb(2 * m - i, i) for i in range(m + 1))
+    def closed_form(m):
         return tuple((-1) ** (i // 2) * math.comb(m - (i + 1) // 2, i // 2) for i in range(m + 1))
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(st.integers(1, 300), st.sampled_from(_PRIMES_TO_801))
-    def small(m, p):
-        got = T.ThueForm("standard", 2 * m + 1).coeffs
-        assert got == closed_form("standard", m) == three_term(m, -1, -2)
-        got = T.ThueForm("reduced", p).coeffs
-        assert got == closed_form("reduced", (p - 1) // 2) == three_term((p - 1) // 2, 1, 0)
-        assert got == reduced_form_by_substitution(p)
+    @hypothesis.given(st.integers(1, 300), st.integers(1, 400))
+    def small(m, half):
+        got = T.unreduced_coeffs(T.ThueForm(2 * m + 1))
+        assert got == f2m_coeffs(m) == three_term(m, -1, -2)
+        n = 2 * half + 1
+        got = T.ThueForm(n).coeffs
+        assert got == closed_form(half) == three_term(half, 1, 0)
+        assert got == reduced_form_by_substitution(n)
 
     @hypothesis.settings(max_examples=10, deadline=None)
     @hypothesis.given(st.integers(301, T._MAX_DEGREE), st.lists(st.floats(0, 1), min_size=5,
                                                                  max_size=5))
     def large(m, where):
-        got = T.ThueForm("standard", 2 * m + 1).coeffs
+        got = T.unreduced_coeffs(T.ThueForm(2 * m + 1))
         for i in {0, m, *(int(f * m) for f in where)}:
             assert got[i] == (-1) ** i * math.comb(2 * m - i, i), (m, i)
 
@@ -135,87 +142,102 @@ def test_evaluate_matches_horner():
     # the Lucas ladder against Horner over the coefficients, degrees 1-400
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    forms = st.one_of(st.integers(1, 400).map(T.build_form),
+    forms = st.one_of(st.integers(1, 400).map(lambda m: T.build_reduced_form(2 * m + 1)),
                       st.sampled_from(_PRIMES_TO_801).map(T.build_reduced_form))
     coords = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.integers(-2**80, 2**80))
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(forms, coords, coords)
-    @hypothesis.example(T.build_form(1), 0, -5)
+    @hypothesis.example(T.build_reduced_form(3), 0, -5)
     @hypothesis.example(T.build_reduced_form(3), -4, 0)
     @hypothesis.example(T.build_reduced_form(691), 0, 0)
-    @hypothesis.example(T.build_form(400), -7, -3)
+    @hypothesis.example(T.build_reduced_form(801), -7, -3)
     def check(form, x, y):
         assert T.evaluate(form, x, y) == form_value(form.coeffs, x, y)
 
     check()
 
 
-@pytest.mark.parametrize("form", [T.build_form(1), T.build_form(4), T.build_reduced_form(3),
-                                  T.build_reduced_form(7), T.build_reduced_form(691)],
-                         ids=lambda f: f.name)
-def test_residue_index_matches_horner(form):
-    # the ladder mod q fills the index with the t of each value of F(1, t) mod q
+def _case_id(case):
+    """A case (n, unreduced) is F_{n-1}, solved through Fhat_n, or Fhat_n."""
+    n, unreduced = case
+    return f"F_{n - 1}" if unreduced else f"Fhat_{n}"
+
+
+def _solver_and_coeffs(case):
+    """(solve, coeffs) of a case: solve_unreduced and the oracle's own
+    F_{n-1}, or solve_bounded and Fhat_n's coefficients."""
+    n, unreduced = case
+    if unreduced:
+        return T.solve_unreduced, f2m_coeffs((n - 1) // 2)
+    return T.solve_bounded, T.build_reduced_form(n).coeffs
+
+
+@pytest.mark.parametrize("case", [(3, True), (9, True), (3, False), (7, False), (9, False),
+                                  (15, False), (691, False)], ids=_case_id)
+def test_residue_index_matches_horner(case):
+    # the ladder mod q fills the index with the t of each value of
+    # Fhat_n(1, t) mod q, and t + 2 are those of F_{n-1}(1, t) mod q
+    n, unreduced = case
+    _, coeffs = _solver_and_coeffs(case)
     for q in (5, 7, 4093):
-        by_value = T.ThueForm(form.family, form.n)._context(100).index(q)
+        by_value = T.ThueForm(n)._context(100).index(q)
+        if unreduced:
+            by_value = [sorted((t + 2) % q for t in ts) for ts in by_value]
         want = [[] for _ in range(q)]
         for t in range(q):
-            want[form_value(form.coeffs, 1, t) % q].append(t)
-        assert by_value == want, (form.name, q)
+            want[form_value(coeffs, 1, t) % q].append(t)
+        assert by_value == want, (case, q)
 
 
 def test_f690_values():
-    F690 = T.build_form(345)
-    assert T.evaluate(F690, 1, 4) == 691
-    assert T.evaluate(F690, -1, -4) == -691
+    assert form_value(f2m_coeffs(345), 1, 4) == 691
     Fh = T.build_reduced_form(691)
-    assert T.evaluate(Fh, 1, 2) == 691
+    assert T.evaluate(Fh, 1, 2) == 691 == -T.evaluate(Fh, -1, -2)
 
 
 def test_solve_f6_pm7():
-    F6 = T.build_form(3)
-    res = T.solve_bounded(F6, 7, x_small=50, x_mid=50)
-    assert res.solutions == ((-3, -5), (1, 4), (2, 1))
-    res = T.solve_bounded(F6, -7, x_small=50, x_mid=50)
+    fhat7 = T.build_reduced_form(7)
+    res = T.solve_unreduced(fhat7, 7, x_small=50, x_mid=50)
+    assert (res.form, res.solutions) == ("F_6", ((-3, -5), (1, 4), (2, 1)))
+    res = T.solve_unreduced(fhat7, -7, x_small=50, x_mid=50)
     assert res.solutions == ((-2, -1), (-1, -4), (3, 5))
 
 
 def test_solve_linear_form():
-    # the solutions of F_2 = Y - X = 5 and Fhat_3 = Y + X = 5 form a line
-    for form in (T.build_form(1), T.build_reduced_form(3)):
+    # the solutions of Fhat_3 = Y + X = 5, and so of F_2 = Y - X = 5, form a line
+    for solve in (T.solve_bounded, T.solve_unreduced):
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="linear"):
-            T.solve_bounded(form, 5, x_small=0, x_mid=10**6)
+        with pytest.raises(DomainError, match="Fhat_3 is linear"):
+            solve(T.build_reduced_form(3), 5, x_small=0, x_mid=10**6)
         assert time.perf_counter() - start < 1.0
 
 
 def test_solve_empty_row():
-    res = T.solve_bounded(T.build_form(6), -13, x_small=100, x_mid=100)
+    res = T.solve_unreduced(T.build_reduced_form(13), -13, x_small=100, x_mid=100)
     assert res.solutions == ()
 
 
 def test_rhs_zero_rejected():
     with pytest.raises(DomainError):
-        T.solve_bounded(T.build_form(2), 0, 10, 10)
+        T.solve_bounded(T.build_reduced_form(5), 0, 10, 10)
 
 
 def test_pruning_soundness_f6():
     """Convergent-pruned midsize search equals exhaustive scan to 1000."""
-    F6 = T.build_form(3)
+    fhat7 = T.build_reduced_form(7)
     for rhs in (7, -7, 13, -13, 29, -29):
-        full = T.solve_bounded(F6, rhs, x_small=1000, x_mid=1000)
-        pruned = T.solve_bounded(F6, rhs, x_small=50, x_mid=1000)
+        full = T.solve_unreduced(fhat7, rhs, x_small=1000, x_mid=1000)
+        pruned = T.solve_unreduced(fhat7, rhs, x_small=50, x_mid=1000)
         assert full.solutions == pruned.solutions, rhs
 
 
 def test_catalog_rows_evaluate():
+    # each catalog point (x, y) of F_{d-1} is (x, y - 2x) on Fhat_d
     for row in catalog.load("thue_tables.json")["rows"]:
-        if row["d"] == 691:
-            form = T.build_form(345)
-        else:
-            form = T.build_form((row["d"] - 1) // 2)
+        form = T.build_reduced_form(row["d"])
         for x, y in row["points"]:
-            assert T.evaluate(form, x, y) == row["D"], (row["d"], row["D"], x, y)
+            assert T.evaluate(form, x, y - 2 * x) == row["D"], (row["d"], row["D"], x, y)
 
 
 def test_catalog_lookup():
@@ -229,7 +251,7 @@ def test_catalog_lookup():
 
 
 def test_certificate_shape():
-    res = T.solve_bounded(T.build_form(3), 5, x_small=20, x_mid=40)
+    res = T.solve_bounded(T.build_reduced_form(7), 5, x_small=20, x_mid=40)
     assert res.certificate["x_small"] == 20
     assert res.certificate["x_mid"] == 40
     assert "midsize" in res.certificate
@@ -239,10 +261,9 @@ def test_certificate_shape():
 
 
 def _isolation_forms():
-    yield from (T.build_form(m) for m in range(1, 13))
-    yield from (T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
-                                                   37, 41, 43, 47, 53, 59, 61, 67, 71,
-                                                   73, 79, 83, 89, 97, 101, 691))
+    yield from (T.build_reduced_form(n) for n in range(3, 26, 2))
+    yield from (T.build_reduced_form(p) for p in (29, 31, 37, 41, 43, 45, 47, 53, 59, 61, 63,
+                                                   67, 71, 73, 79, 83, 89, 97, 99, 101, 691))
 
 
 def test_real_roots_isolate():
@@ -257,23 +278,24 @@ def test_real_roots_isolate():
             assert all(b < c for (_, b), (c, _) in zip(roots, roots[1:])), (form.name, w)
 
 
-@pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
-                                  T.build_reduced_form(11), T.build_reduced_form(13),
-                                  T.build_reduced_form(23)], ids=lambda f: f.name)
-def test_scan_matches_dense_oracle(form):
-    # F_4(2, 3) = -5 lies sqrt(5) from both 2 theta_i, at the edge of the windows
+@pytest.mark.parametrize("case", [(5, True), (7, True), (9, True), (7, False), (9, False),
+                                  (11, False), (13, False), (15, False), (23, False)],
+                         ids=_case_id)
+def test_scan_matches_dense_oracle(case):
+    # F_4(2, 3) = Fhat_5(2, -1) = -5 lies sqrt(5) from both 2 theta_i, at
+    # the edge of the windows
     targets = (7, -7, 13, -13, 13**5, -343, -5)
-    dense = dense_thue_solutions(form.coeffs, targets, 60)
+    solve, coeffs = _solver_and_coeffs(case)
+    dense = dense_thue_solutions(coeffs, targets, 60)
     for rhs in targets:
-        got = T.solve_bounded(form, rhs, x_small=60, x_mid=60)
-        assert list(got.solutions) == dense[rhs], (form.name, rhs)
+        got = solve(T.build_reduced_form(case[0]), rhs, x_small=60, x_mid=60)
+        assert list(got.solutions) == dense[rhs], (case, rhs)
 
 
 def test_planted_solutions_found():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    forms = [T.build_form(m) for m in range(2, 8)] + [
-        T.build_reduced_form(p) for p in (5, 7, 11, 13, 17, 19, 23)]
+    forms = [T.build_reduced_form(n) for n in (5, 7, 9, 11, 13, 15, 17, 19, 21, 23)]
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(st.sampled_from(forms), st.integers(1, 40), st.booleans(),
@@ -287,7 +309,7 @@ def test_planted_solutions_found():
     planted()
 
 
-_QUADRATIC_FORMS = [T.build_form(2), T.build_reduced_form(5)]
+_QUADRATIC_FORMS = [T.build_reduced_form(5)]
 
 
 def test_degree2_scanned_to_x_mid():
@@ -304,7 +326,7 @@ def test_degree2_scanned_to_x_mid():
     def planted(form, x_small, x_mid, data):
         x = data.draw(st.integers(-x_mid, x_mid))
         k = data.draw(st.integers(1, 2))
-        theta = 2 * math.cos(2 * math.pi * k / form.n) + form.shift
+        theta = 2 * math.cos(2 * math.pi * k / form.n)
         y = round(theta * x) + data.draw(st.integers(-3, 3))
         rhs = T.evaluate(form, x, y)
         hypothesis.assume(rhs != 0)
@@ -319,8 +341,7 @@ def test_degree2_scanned_to_x_mid():
 
 
 def test_odd_degree_sign_symmetry():
-    for form in (T.build_form(3), T.build_form(5), T.build_reduced_form(7),
-                 T.build_reduced_form(11), T.build_reduced_form(23)):
+    for form in (T.build_reduced_form(n) for n in (7, 11, 15, 23, 27)):
         for k in (1, 7, 13, 29, 343, 13**5):
             plus = T.solve_bounded(form, k, x_small=40, x_mid=400).solutions
             minus = T.solve_bounded(form, -k, x_small=40, x_mid=400).solutions
@@ -353,41 +374,42 @@ def _exact_window_candidates(ctx, k, x_hi):
 
 
 def test_exhaustive_counts_in_certificate():
-    # F_6 = 7: r = floor(7^(1/3)) = 1; roots 0.198.., 1.555.., 3.247..
-    # x = 1: [-1, 2] u [0, 3] u [2, 5] = [-1, 5], 7 values
+    # Fhat_7 = 7: r = floor(7^(1/3)) = 1; roots -1.801.., -0.445.., 1.247..
+    # x = 1: [-3, 0] u [-2, 1] u [0, 3] = [-3, 3], 7 values
     # x = 2: rho_i(2) = 4 * 7 / (4 * 2^L_i) >= 1.75 > r (L_i = 2, 1, 2), so
-    # [-1, 2] u [2, 5] u [5, 8] = [-1, 8], 10 values
-    assert _exact_window_candidates(T.build_form(3)._context(2), 7, 2) == (1, 17)
-    res = T.solve_bounded(T.build_form(3), 7, x_small=2, x_mid=2)
+    # [-5, -2] u [-2, 1] u [1, 4] = [-5, 4], 10 values
+    fhat7 = T.build_reduced_form(7)
+    assert _exact_window_candidates(fhat7._context(2), 7, 2) == (1, 17)
+    res = T.solve_bounded(fhat7, 7, x_small=2, x_mid=2)
     assert res.certificate["exhaustive"] == {
         "window_radius": 1, "candidates": 17, "confirmed": 2}
     # the windows shrink like 1/x^2 once x grows
-    r, count = _exact_window_candidates(T.build_form(3)._context(10), 7, 10)
-    res = T.solve_bounded(T.build_form(3), -7, x_small=10, x_mid=10)
+    r, count = _exact_window_candidates(fhat7._context(10), 7, 10)
+    res = T.solve_bounded(fhat7, -7, x_small=10, x_mid=10)
     assert res.certificate["exhaustive"] == {
         "window_radius": r, "candidates": count, "confirmed": 3}
 
 
 def _fresh(form):
     """An equal form with a context of its own, so nothing is reused."""
-    return T.ThueForm(form.family, form.n)
+    return T.ThueForm(form.n)
 
 
-@pytest.mark.parametrize("form", [T.build_form(2), T.build_form(3), T.build_reduced_form(7),
-                                  T.build_reduced_form(11), T.build_reduced_form(13)],
-                         ids=lambda f: f.name)
-def test_table_filter_tiny_primes(form, monkeypatch):
+@pytest.mark.parametrize("case", [(5, True), (7, True), (7, False), (9, False), (11, False),
+                                  (13, False), (15, False)], ids=_case_id)
+def test_table_filter_tiny_primes(case, monkeypatch):
     # q in (5, 7): the index filters every candidate of a scan whose
     # candidate bound exceeds q, x = 0 (mod q) is not filtered, and
     # k = 0 (mod q) makes both targets 0
     targets = (7, -7, 35, -5, 13, -49, 1)
-    dense = dense_thue_solutions(form.coeffs, targets, 40)
+    solve, coeffs = _solver_and_coeffs(case)
+    dense = dense_thue_solutions(coeffs, targets, 40)
     for q in (5, 7):
         monkeypatch.setattr(T, "_TABLE_PRIME", q)
-        fresh = _fresh(form)
+        fresh = T.ThueForm(case[0])
         for rhs in targets:
-            got = T.solve_bounded(fresh, rhs, x_small=40, x_mid=40)
-            assert list(got.solutions) == dense[rhs], (form.name, q, rhs)
+            got = solve(fresh, rhs, x_small=40, x_mid=40)
+            assert list(got.solutions) == dense[rhs], (case, q, rhs)
 
 
 def test_exhaustive_counts_fhat691():
@@ -411,7 +433,7 @@ def test_residue_index_built_before_the_scan(monkeypatch):
     calls = []
     evaluate = T.evaluate
     monkeypatch.setattr(T, "evaluate", lambda f, x, y: calls.append((x, y)) or evaluate(f, x, y))
-    res = T.solve_bounded(T.ThueForm("reduced", 7), 1442897, 1000, 10000)
+    res = T.solve_bounded(T.ThueForm(7), 1442897, 1000, 10000)
     assert len(calls) < T._TABLE_PRIME
     assert res.certificate == {
         "x_small": 1000, "x_mid": 10000, "x0": 5771589, "x_exhaustive": 1000,
@@ -437,7 +459,7 @@ def test_candidate_budget(monkeypatch):
         T.solve_bounded(form, 441, x_small=1, x_mid=1)
     # no limit on x is left: F_6 = 7 scans to x0 - 1 = 28, and the
     # convergents to 2^38 cover the rest
-    res = T.solve_bounded(T.build_form(3), 7, x_small=1 << 38, x_mid=1 << 38)
+    res = T.solve_unreduced(T.build_reduced_form(7), 7, x_small=1 << 38, x_mid=1 << 38)
     assert res.solutions == ((-3, -5), (1, 4), (2, 1))
     assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (29, 28)
 
@@ -450,11 +472,11 @@ def test_scan_work_budget(monkeypatch):
                              ("_SCAN_CANDIDATES", 150, "candidates")):
         default = getattr(T, cap)
         monkeypatch.setattr(T, cap, count)
-        assert T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10).solutions == (
+        assert T.solve_unreduced(T.ThueForm(7), 7, 10, 10).solutions == (
             (-3, -5), (1, 4), (2, 1))
         monkeypatch.setattr(T, cap, count - 1)
         with pytest.raises(DomainError, match="10 x values and up to 150 candidates") as err:
-            T.solve_bounded(_fresh(T.build_form(3)), 7, 10, 10)
+            T.solve_unreduced(T.ThueForm(7), 7, 10, 10)
         assert f"{count} {what}, more than the cap of {count - 1}" in str(err.value)
         monkeypatch.setattr(T, cap, default)
 
@@ -510,15 +532,15 @@ def test_midsize_counters_fhat691():
 
 
 def test_midsize_counters_evaluated():
-    # F_10 = 11 with nothing scanned: (1, 4) lies on the convergent 4/1 of
-    # the root 4 cos^2(pi/11) = 3.68.., and the 10 distinct convergents
+    # Fhat_11 = 11 with nothing scanned: (1, 2) lies on the convergent 2/1
+    # of the root 2 cos(2 pi/11) = 1.68.., and the 10 distinct convergents
     # the O(1) bound cannot put above 11 are evaluated
-    form = T.build_form(5)
+    form = T.build_reduced_form(11)
     convs = form._context(100000).convergents
     pairs = {(p, q) for p, q, _ in convs}
     assert (len(convs), len(pairs)) == (53, 49)
     res = T.solve_bounded(form, 11, x_small=0, x_mid=100000)
-    assert res.solutions == ((1, 4),)
+    assert res.solutions == ((1, 2),)
     assert res.certificate["midsize"] == {
         "roots": 5, "convergents": 49, "skipped_multiplier": 0,
         "skipped_bound": 39, "evaluated": 10}
@@ -533,11 +555,11 @@ def test_midsize_counters_evaluated():
         "skipped_bound": 37, "evaluated": 2}
 
 
-@pytest.mark.parametrize("form,rhs,x_small,x_mid", [
-    (T.build_reduced_form(691), 691, 1000, 10000),
-    (T.build_form(5), 11, 0, 100000),
+@pytest.mark.parametrize("solve,form,rhs,x_small,x_mid", [
+    (T.solve_bounded, T.build_reduced_form(691), 691, 1000, 10000),
+    (T.solve_unreduced, T.build_reduced_form(11), 11, 0, 100000),
 ], ids=["Fhat_691", "F_10"])
-def test_each_convergent_evaluated_once(form, rhs, x_small, x_mid, monkeypatch):
+def test_each_convergent_evaluated_once(solve, form, rhs, x_small, x_mid, monkeypatch):
     # a (p, q) that is a convergent of several roots is judged once: no
     # (q, p) is evaluated twice in one solve, and every distinct pair is
     # counted in exactly one of the skips or the evaluations
@@ -545,7 +567,7 @@ def test_each_convergent_evaluated_once(form, rhs, x_small, x_mid, monkeypatch):
     evaluate = T.evaluate
     monkeypatch.setattr(T, "evaluate", lambda f, x, y: calls.append((x, y)) or evaluate(f, x, y))
     form = _fresh(form)
-    cert = T.solve_bounded(form, rhs, x_small, x_mid).certificate
+    cert = solve(form, rhs, x_small, x_mid).certificate
     mid = cert["midsize"]
     assert len(calls) == len(set(calls))
     # lam = 1 is the only multiplier, so the convergent phase evaluates
@@ -556,8 +578,7 @@ def test_each_convergent_evaluated_once(form, rhs, x_small, x_mid, monkeypatch):
 
 
 # degree >= 3: a degree-2 form is scanned to x_mid and has no convergent phase
-_PRUNED_FORMS = [T.build_form(m) for m in range(3, 7)] + [
-    T.build_reduced_form(p) for p in range(7, 102, 2) if is_prime(p)]
+_PRUNED_FORMS = [T.build_reduced_form(n) for n in range(7, 102, 2) if n < 16 or is_prime(n)]
 
 
 def test_midsize_matches_unpruned_oracle():
@@ -667,35 +688,34 @@ def test_scan_windows_match_exact_hull():
     exact()
 
 
-def _mp_root_and_log2_derivative(mpmath, n, shift, k):
-    """theta_k = 2 cos(2 pi k/n) + shift and log2 |P'(theta_k)| =
+def _mp_root_and_log2_derivative(mpmath, n, k):
+    """theta_k = 2 cos(2 pi k/n) and log2 |P'(theta_k)| =
     log2(n / (4 sin(phi/2) sin(phi))), phi = 2 pi k/n, from
-    P(2 cos phi + shift) = sin(n phi/2) / sin(phi/2)."""
+    P(2 cos phi) = sin(n phi/2) / sin(phi/2)."""
     phi = 2 * mpmath.pi * k / n
-    theta = 2 * mpmath.cos(phi) + shift
+    theta = 2 * mpmath.cos(phi)
     return theta, mpmath.log(n / (4 * mpmath.sin(phi / 2) * mpmath.sin(phi)), 2)
 
 
 def test_log2_derivatives_below_mpmath():
     """log2 |P'(theta_i)| - 2 < L_i <= log2 |P'(theta_i)| for every root of
-    Fhat_p, p < 1000, and of F_2..F_200; the closed form agrees with the
-    product of the root differences."""
+    Fhat_n, n < 1000; the closed form agrees with the product of the root
+    differences."""
     mpmath = pytest.importorskip("mpmath")
-    forms = [T.build_reduced_form(p) for p in range(3, 1000) if is_prime(p)]
-    forms += [T.build_form(m) for m in range(1, 101)]
+    forms = [T.build_reduced_form(n) for n in range(3, 1000, 2)]
     with mpmath.workdps(30):
-        for form in (T.build_reduced_form(7), T.build_form(5), T.build_reduced_form(101)):
-            thetas = [2 * mpmath.cos(2 * mpmath.pi * k / form.n) + form.shift
+        for form in (T.build_reduced_form(n) for n in (7, 11, 15, 101)):
+            thetas = [2 * mpmath.cos(2 * mpmath.pi * k / form.n)
                       for k in range(1, form.degree + 1)]
             for k, t in enumerate(thetas, 1):
                 prod = mpmath.fprod(abs(t - u) for u in thetas if u != t)
-                _, log = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, k)
+                _, log = _mp_root_and_log2_derivative(mpmath, form.n, k)
                 assert abs(mpmath.log(prod, 2) - log) < mpmath.mpf(10) ** -20, (form.name, k)
         for form in forms:
             # the ascending roots are theta_k for k = m .. 1
             for got, k in zip(form._context(1).log2_deriv, range(form.degree, 0, -1)):
-                _, exact = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, k)
-                # 10^-20 is far above the 30-digit error; |P'| = 1 on F_2
+                _, exact = _mp_root_and_log2_derivative(mpmath, form.n, k)
+                # 10^-20 is far above the 30-digit error; |P'| = 1 on Fhat_3
                 assert exact - 2 < got <= exact + mpmath.mpf(10) ** -20, (form.name, k)
 
 
@@ -710,18 +730,17 @@ def test_closed_form_enclosures_hold_mpmath_roots():
     mpmath = pytest.importorskip("mpmath")
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(st.integers(1, 10**4), st.data(), st.integers(16, 400),
-                      st.sampled_from([0, 2]))
-    def holds(m, data, w, shift):
+    @hypothesis.given(st.integers(1, 10**4), st.data(), st.integers(16, 400))
+    def holds(m, data, w):
         n = 2 * m + 1
         k = data.draw(st.integers(1, m))
         with mpmath.workdps(150):
             for x in (5, 239):  # the two halves of Machin's pi
                 a, e = T._arctan_inv(x, w)
                 assert abs(a - mpmath.atan(mpmath.mpf(1) / x) * 2**w) < e, (x, w)
-            theta, log = _mp_root_and_log2_derivative(mpmath, n, shift, k)
+            theta, log = _mp_root_and_log2_derivative(mpmath, n, k)
             ((lo, hi),) = T._cos_bounds(n, [k], w)
-            scaled = (theta - shift) * mpmath.mpf(2) ** w
+            scaled = theta * mpmath.mpf(2) ** w
             assert lo <= scaled <= hi and hi - lo < 32 * w, (n, k, w)
             assert T._log2_derivative(n, lo, hi, w) <= log, (n, k, w)
 
@@ -776,30 +795,29 @@ def test_enclosure_bound_below_exact_value():
 
 
 def test_hand_built_form_validated():
-    # a form is its family and n: a hand-built one is the built form
+    # a form is its n: a hand-built one is the built form
     fhat7 = T.build_reduced_form(7)
-    assert T.ThueForm("reduced", 7) == fhat7
-    assert T.ThueForm("reduced", 7).coeffs == fhat7.coeffs
-    assert T.real_roots(T.ThueForm("reduced", 7), 64) == T.real_roots(fhat7, 64)
-    assert T.ThueForm("standard", 7).coeffs == T.build_form(3).coeffs
-    for family, n in (("reduced", 9), ("reduced", 2), ("standard", 8), ("standard", 1),
-                      ("cubic", 7)):
-        with pytest.raises(DomainError):
-            T.ThueForm(family, n)
+    assert T.ThueForm(7) == fhat7
+    assert T.ThueForm(7).coeffs == fhat7.coeffs
+    assert T.real_roots(T.ThueForm(7), 64) == T.real_roots(fhat7, 64)
+    assert T.ThueForm(9).coeffs == reduced_form_by_substitution(9)
+    for n in (2, 1, 0, -3, 8, 100):
+        with pytest.raises(DomainError, match="Fhat_n needs an odd n >= 3"):
+            T.ThueForm(n)
     with pytest.raises(DomainError, match="degree 50001 is over the degree ceiling of 7962"):
-        T.ThueForm("reduced", 100003)
+        T.ThueForm(100003)
     with pytest.raises(TypeError):
-        T.ThueForm("reduced", 7, (1, 1, -2, 0))
+        T.ThueForm(7, (1, 1, -2, 0))
 
 
 def test_degree_ceiling():
-    # the ceiling is one constant, degree 7962, in both families, and any
-    # degree above it, however large, is refused with the same text
-    assert T.build_form(7962).degree == 7962
+    # the ceiling is one constant, degree 7962, and any degree above it,
+    # however large, is refused with the same text
+    assert T.build_reduced_form(15925).degree == 7962
     assert T.build_reduced_form(15923).degree == 7961
-    for m in (7963, 10**400):
+    for n in (15927, 2 * 10**400 + 1):
         with pytest.raises(DomainError, match="over the degree ceiling of 7962$"):
-            T.build_form(m)
+            T.build_reduced_form(n)
     with pytest.raises(DomainError, match="degree 7968 is over the degree ceiling of 7962$"):
         T.build_reduced_form(15937)
 
@@ -818,12 +836,11 @@ def test_convergents_match_exact_signs():
 
 def test_convergents_match_mpmath():
     """Convergents to 10^100 equal those of mpmath's theta_k at 300 digits,
-    on sampled roots of F_4..F_40 and Fhat_p, 5 <= p < 400."""
+    on sampled roots of Fhat_n, 5 <= n < 42, and Fhat_p, 43 <= p < 400."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     mpmath = pytest.importorskip("mpmath")
-    forms = [T.build_form(m) for m in range(2, 21)] + [
-        T.build_reduced_form(p) for p in range(5, 400) if is_prime(p)]
+    forms = [T.build_reduced_form(n) for n in range(5, 400, 2) if n < 42 or is_prime(n)]
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(st.sampled_from(forms), st.data())
@@ -833,7 +850,7 @@ def test_convergents_match_mpmath():
         hypothesis.assume(3 * k != form.n)
         got = [(p, q) for p, q, j in _fresh(form)._context(10**100).convergents if j == i]
         with mpmath.workdps(300):
-            x = 2 * mpmath.cos(2 * mpmath.pi * k / form.n) + form.shift
+            x = 2 * mpmath.cos(2 * mpmath.pi * k / form.n)
             want, (p0, q0, p1, q1) = [], (1, 0, int(mpmath.floor(x)), 1)
             while q1 <= 10**100:
                 want.append((p1, q1))
@@ -846,7 +863,7 @@ def test_convergents_match_mpmath():
 
 
 def test_fhat691_convergents_fast():
-    form = T.ThueForm("reduced", 691)  # a context of its own
+    form = T.ThueForm(691)  # a context of its own
     start = time.perf_counter()
     convs = form._context(10**30).convergents
     assert time.perf_counter() - start < 1.0
@@ -866,10 +883,9 @@ def test_unsettled_convergents_refused(monkeypatch):
     with pytest.raises(ArithmeticError, match="unsettled below 624 bits"):
         _fresh(T.build_reduced_form(7))._context(100)
     assert dens == [2**78, 2**156, 2**312]
-    # the rational roots -1 of Fhat_3 and 1 of F_2 need no precision: each
-    # is its own convergent
+    # the rational root -1 of Fhat_3 needs no precision: it is its own
+    # convergent
     assert _fresh(T.build_reduced_form(3))._context(100).convergents == ((-1, 1, 0),)
-    assert _fresh(T.build_form(1))._context(100).convergents == ((1, 1, 0),)
 
 
 def test_legendre_threshold_is_least():
@@ -878,8 +894,7 @@ def test_legendre_threshold_is_least():
     x^(m-2) > 2^m k / |P'(theta_i)| holds for every root, with mpmath's
     closed-form |P'|; degree <= 2 has no threshold."""
     mpmath = pytest.importorskip("mpmath")
-    forms = [T.build_form(m) for m in range(1, 9)] + [
-        T.build_reduced_form(p) for p in (3, 5, 7, 11, 13, 31, 101, 691)]
+    forms = [T.build_reduced_form(n) for n in (3, 5, 7, 9, 11, 13, 15, 17, 31, 101, 691)]
     for form in forms:
         m, ctx = form.degree, form._context(10**4)
         for k in (1, 2, 7, 691, 13**5, 10**20, 10**60):
@@ -892,12 +907,12 @@ def test_legendre_threshold_is_least():
             assert x0 == 1 or (x0 - 1) ** (m - 2) <= bound, (form.name, k)
             with mpmath.workdps(40):
                 for i in range(1, m + 1):
-                    _, log = _mp_root_and_log2_derivative(mpmath, form.n, form.shift, i)
+                    _, log = _mp_root_and_log2_derivative(mpmath, form.n, i)
                     assert x0 ** (m - 2) > 2**m * k / mpmath.mpf(2) ** log, (form.name, k, i)
 
 
-_HANDOFF_FORMS = [T.build_form(m) for m in range(3, 9)] + [
-    T.build_reduced_form(p) for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)]
+_HANDOFF_FORMS = [T.build_reduced_form(n) for n in (7, 9, 11, 13, 15, 17, 19, 21, 23, 29, 31,
+                                                     37, 41)]
 # the greatest x_small of the planted points, which bounds the dense oracle
 _PLANT_X = 30
 
@@ -928,12 +943,12 @@ def test_solutions_past_threshold_found():
     solve_bounded equals the dense oracle up to x_small."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    f6 = T.build_form(3)
+    fhat7 = T.build_reduced_form(7)
     for rhs, sol in ((1, (5, 1)), (-1, (9, 14))):
-        res = T.solve_bounded(f6, rhs, 40, 40)
+        res = T.solve_unreduced(fhat7, rhs, 40, 40)
         assert (res.certificate["x0"], res.certificate["x_exhaustive"]) == (5, 4)
         assert sol in res.solutions
-        assert list(res.solutions) == dense_thue_solutions(f6.coeffs, [rhs], 40)[rhs]
+        assert list(res.solutions) == dense_thue_solutions(f2m_coeffs(3), [rhs], 40)[rhs]
     planted_points = {form: _planted_points(form) for form in _HANDOFF_FORMS}
 
     # x_small is drawn after the point, from max(x0, |x|, 3) up, so that
@@ -950,3 +965,14 @@ def test_solutions_past_threshold_found():
         assert (x, y) in res.solutions
 
     planted()
+
+
+def test_certified_bound():
+    """The certified bound is x_mid once the scan reached x0 - 1 or there
+    is no x0 (degree 2), else the scanned x_exhaustive alone."""
+    fhat7 = T.build_reduced_form(7)
+    for rhs, x_small, want in ((7, 28, 10000), (7, 27, 27), (7, 10000, 10000), (13, 0, 0)):
+        cert = T.solve_bounded(fhat7, rhs, x_small, 10000).certificate
+        assert T.certified_bound(cert) == want, (rhs, x_small)
+    cert = T.solve_bounded(T.build_reduced_form(5), 11, 0, 100).certificate
+    assert cert["x0"] is None and T.certified_bound(cert) == 100
