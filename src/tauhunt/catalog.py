@@ -1,10 +1,10 @@
 """The shipped JSON catalogs and the one check of a catalog against a
 bounded search.
 
-Every catalog (Thue solutions, curve points, Lucas defects) is read
-from the package data through load, once per process.  The Thue and
-curve catalogs are each one list of rows of one shape, and entry is
-their one lookup.
+Both catalogs (Thue solutions, curve points) are read from the package
+data through load, once per process.  Each is one list of rows of one
+shape, and entry is their one lookup.  The Lucas defects are computed,
+not catalogued (lucas.classify_defects).
 """
 
 from __future__ import annotations

@@ -330,7 +330,11 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     refuses it too when ord_p(n) is odd, as the Hecke recursion then
     gives a_f(p^e) = -p^(w-1) a_f(p^(e-2)) = 0 for odd e; only spec.ap is
     read there, so no tau list is built.  Other good primes with
-    ord >= 2 contribute sigma_hat of newform.eigenvalue; with the
+    ord e >= 2 contribute sigma_hat of newform.eigenvalue: a_f(p^e) is
+    the Lucas term u_(e+1) of (a_f(p), p^(w-1)), the product of the
+    cyclotomic parts Phi_d over d | e + 1, d >= 2, and sigma_hat counts
+    those that are not units, each d > 30 without computing it, as
+    Phi_d then holds a primitive prime (Bilu-Hanrot-Voutier).  With the
     trivial-mod-2 flag, odd good primes exactly dividing n contribute 1
     (even eigenvalue), and p = 2 contributes 1 when the stored a_f(2) is
     not a unit.  The Lucas layer, which holds sigma_hat, is imported
@@ -350,7 +354,7 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
         elif e % 2 and spec.ap.get(p) == 0:
             raise DomainError(f"a_f({n}) = 0, as a_f({p}) = 0 and {p}^{e} exactly divides {n}")
         elif e >= 2:
-            total += max(0, sigma_hat(eigenvalue(spec, p), spec.norm(p), e))
+            total += sigma_hat(eigenvalue(spec, p), spec.norm(p), e)
         else:
             if spec.trivial_mod2 and p != 2:
                 _check_even_eigenvalues(spec)

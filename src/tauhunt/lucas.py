@@ -6,10 +6,11 @@ pairs of interest have B = p^(2k-1) an odd prime power with A^2 <= 4B,
 which is exactly the shape produced by Hecke eigenvalues.  The module
 generates terms, finds ranks of apparition as (rank, reason) pairs, and
 classifies defective terms (those without a primitive prime divisor) by
-lookup in the Bilu-Hanrot-Voutier / Abouzaid tables, which ship as a
-JSON fixture, each term a {n, value, source, params} dict as the lucas
-verb prints it, its value u_n from arith.lucas_ladder; sigma_hat turns
-the classification into Omega lower bounds and builds no term list.
+computation: u_n is the product of the cyclotomic parts Phi_d(alpha, beta)
+over d | n, d >= 2, and by Bilu-Hanrot-Voutier only n <= 30 can be
+defective.  Each defect is a {n, value} dict as the lucas verb prints it,
+its value u_n from arith.lucas_ladder; sigma_hat counts the non-unit
+cyclotomic parts of u_(m+1), an Omega lower bound, and reads no table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 
-from . import catalog
 from .arith import DomainError, factor, frozen_record, is_prime, lucas_ladder
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "lucas_terms",
     "rank_of_apparition",
     "classify_defects",
-    "family_memberships",
     "sigma_hat",
 ]
 
@@ -118,131 +117,66 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> tuple[int | None, str]:
 
 
 # ---------------------------------------------------------------------------
-# Classification against the defect tables
+# Cyclotomic parts: defects and Omega lower bounds
 # ---------------------------------------------------------------------------
 
-
-def _pow_of(base: int, v: int) -> int | None:
-    """r >= 1 with base^r = v, else None."""
-    if v < base:
-        return None
-    r = 0
-    while v % base == 0:
-        v //= base
-        r += 1
-    return r if v == 1 and r >= 1 else None
+# Bilu-Hanrot-Voutier (J. reine angew. Math. 539, 2001): for n > 30 every
+# u_n of a Lucas pair has a primitive prime divisor.
+BHV_BOUND = 30
 
 
-def _defect(n: int, value: int, source: str, **params) -> dict:
-    """One defective term as the lucas verb prints it: source is
-    "sporadic" or a family tag P1/B1..B6, params its family parameters."""
-    return {"n": n, "value": value, "source": source, "params": params}
-
-
-def family_memberships(pair: LucasPair) -> list[dict]:
-    """All parameterized-family rows the pair belongs to, each a _defect
-    whose u_n is computed only when its row is recorded."""
-    A, B = pair.A, pair.B
-    a = abs(A)
-    dec = pair.prime_power_decomposition()
-    if dec is None:
-        return []
-    p, exp = dec
-    out = []
-
-    def rec(n, tag, **params):
-        out.append(_defect(n, lucas_ladder(n, A, B)[0], tag, **params))
-
-    # P1: B = A^2 + 1 prime, defect u_3 = -1
-    if exp == 1 and a > 1 and B == a * a + 1:
-        rec(3, "P1")
-    # B1: A^2 - B = eps * 3^r
-    t = a * a - B
-    if t != 0 and a % 3 != 0:
-        eps = 1 if t > 0 else -1
-        r = _pow_of(3, abs(t))
-        if r is not None and not (eps == 1 and r == 1 and a == 2):
-            if 3 * (a * a) >= 4 * eps * (3**r):  # A^2 >= 4*eps*3^(r-1)
-                rec(3, "B1", eps=eps, r=r)
-    # B2: A^2 = 2B - 1
-    if a > 1 and a % 2 == 1 and a * a == 2 * B - 1:
-        rec(4, "B2")
-    # B3: A^2 = 2B + 2 eps
-    if a > 2 and a % 2 == 0:
-        for eps in (1, -1):
-            if a * a == 2 * B + 2 * eps and not (eps == 1 and a == 2):
-                rec(4, "B3", eps=eps)
-    # B4: A^2 - 3B = (-2)^(r+2)
-    t = a * a - 3 * B
-    if t != 0 and math.gcd(a, 6) == 1:
-        r2 = _pow_of(2, abs(t))
-        if r2 is not None and r2 >= 3:
-            r = r2 - 2
-            if ((-2) ** (r + 2) == t) and not (r == 1 and a == 1) and a * a >= t:
-                rec(6, "B4", r=r)
-    # B5: A^2 = 3B + 3 eps
-    if a % 3 == 0 and a > 3:
-        for eps in (1, -1):
-            if a * a == 3 * B + 3 * eps:
-                rec(6, "B5", eps=eps)
-    # B6: A^2 - 3B = 3 eps 2^r
-    if a % 6 == 3:
-        t = a * a - 3 * B
-        if t != 0 and t % 3 == 0:
-            eps = 1 if t > 0 else -1
-            r = _pow_of(2, abs(t) // 3)
-            if r is not None and a * a >= 3 * eps * (2 ** (r + 2)):
-                rec(6, "B6", eps=eps, r=r)
-    return out
+def _cyclotomic_parts(pair: LucasPair, ds) -> dict[int, int]:
+    """{d: Phi_d(alpha, beta)} for a divisor-closed set ds of d >= 2, so
+    that u_n is the product of Phi_d over the d | n, d >= 2: u_d from
+    arith.lucas_ladder, exactly divided by the Phi_e of its divisors
+    2 <= e < d."""
+    parts: dict[int, int] = {}
+    for d in sorted(ds):
+        below = math.prod(parts[e] for e in parts if d % e == 0)
+        parts[d] = lucas_ladder(d, pair.A, pair.B)[0] // below
+    return parts
 
 
 def classify_defects(pair: LucasPair) -> list[dict]:
-    """All defective indices n >= 3 for a pair satisfying the odd-prime-power
-    shape, by table lookup: sporadic rows plus family membership tests,
-    each a {n, value, source, params} dict in increasing n."""
+    """All defective indices n >= 3 (u_n has no primitive prime divisor)
+    of a pair of the odd-prime-power shape, each a {n, value} dict with
+    value u_n, in increasing n.
+
+    Two lemmas settle n <= 30: a primitive prime of u_n divides Phi_n
+    (it divides no u_d with d < n), and a non-primitive prime of Phi_n
+    divides n (A^2 - 4B).  So n is defective exactly when Phi_n has no
+    prime outside n (A^2 - 4B).  No n > 30 is defective (BHV_BOUND).
+    """
     if not pair.satisfies_modularity:
         raise DomainError("pair must satisfy B = p^(2k-1), A^2 <= 4B")
-    records: dict[int, dict] = {}
-    table = catalog.load("defect_tables.json")
-    a = abs(pair.A)
-    for row in table["sporadic"]:
-        if row["A"] == a and row["B"] == pair.B:
-            for n, _val in row["defects"]:
-                records[n] = _defect(n, lucas_ladder(n, pair.A, pair.B)[0], "sporadic")
-    for fam in family_memberships(pair):
-        records.setdefault(fam["n"], fam)
-    return [records[n] for n in sorted(records)]
-
-
-# ---------------------------------------------------------------------------
-# Omega lower bounds for defective pairs
-# ---------------------------------------------------------------------------
+    parts = _cyclotomic_parts(pair, range(2, BHV_BOUND + 1))
+    defects = []
+    for n in range(3, BHV_BOUND + 1):
+        v = abs(parts[n])
+        g = math.gcd(v, n * pair.discriminant)
+        while g > 1:  # strip every prime of n (A^2 - 4B) from Phi_n
+            v //= g
+            g = math.gcd(v, g)
+        if v == 1:
+            defects.append({"n": n, "value": lucas_ladder(n, pair.A, pair.B)[0]})
+    return defects
 
 
 def sigma_hat(coeff_a: int, B: int, m: int) -> int:
-    """Lower bound for Omega(a_f(p^m)): sigma_0(m+1) - discount.
+    """Lower bound for Omega(a_f(p^m)) = Omega(u_(m+1)) of the pair
+    (a_f(p), B = p^(w-1)): the number of d | m + 1, d >= 2, with
+    |Phi_d| != 1, as u_(m+1) is the product of these integers.
 
-    Discounts come from the omega_discounts fixture rows: the two
-    sporadic weight-4 pairs carry a divisibility condition on m + 1, and
-    members of the parameterized families a flat discount; everything
-    off the tables gets the generic discount 1.
+    Every d > 30 counts uncomputed, as Phi_d holds u_d's primitive prime
+    (BHV_BOUND).  Off the Lucas pairs (A = 0, B = 0, gcd(A, B) > 1 or
+    alpha/beta a root of unity) it is sigma_0(m + 1) - 1.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    s0 = math.prod(e + 1 for _, e in factor(m + 1))  # sigma_0(m + 1)
-    a = abs(coeff_a)
-    rows = catalog.load("defect_tables.json")["omega_discounts"]["rows"]
-    family = None
-    for row in rows:
-        if row.get("pair") == [a, B]:
-            if (m + 1) % row["when_divides"] == 0:
-                return s0 - row["discount"]
-            return s0 - 1
-        if row.get("family_member"):
-            family = row["discount"]
-    # A^2 = cB (c = 1..4) with gcd(A, B) = 1 forces B | 1, so for B >= 2
-    # the pair is not degenerate; B < 2 belongs to no family
-    if (B >= 2 and coeff_a != 0 and math.gcd(coeff_a, B) == 1
-            and family_memberships(LucasPair(coeff_a, B))):
-        return s0 - family
-    return s0 - 1
+    count = math.prod(e + 1 for _, e in factor(m + 1)) - 1  # sigma_0(m + 1) - 1
+    try:
+        pair = LucasPair(coeff_a, B)
+    except DomainError:
+        return count
+    small = [d for d in range(2, BHV_BOUND + 1) if (m + 1) % d == 0]
+    return count - sum(abs(phi) == 1 for phi in _cyclotomic_parts(pair, small).values())

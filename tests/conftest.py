@@ -17,7 +17,7 @@ def data_dir(tmp_path, monkeypatch):
     from tauhunt import catalog
 
     shipped = Path(catalog.__file__).with_name("data")  # where catalog.load reads
-    for name in ("curve_tables.json", "defect_tables.json", "thue_tables.json"):
+    for name in ("curve_tables.json", "thue_tables.json"):
         shutil.copy(shipped / name, tmp_path / name)
     monkeypatch.setattr(catalog, "load", lambda name: json.loads((tmp_path / name).read_text()))
     return tmp_path

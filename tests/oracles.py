@@ -740,6 +740,22 @@ def primitive_part(pair: LucasPair, n: int, terms: list[int] | None = None) -> i
     return v
 
 
+def nonunit_cyclotomic_count(A: int, B: int, n: int) -> int:
+    """The number of d | n, d >= 2, with |Phi_d(A, B)| != 1: Phi_2 = A,
+    Phi_d for 3 <= d <= 30 the cyclotomic polynomial phi_x_coeffs at
+    x = A^2, and every d > 30 counted, as Phi_d then holds u_d's primitive
+    prime (Bilu-Hanrot-Voutier)."""
+    count = 0
+    for d in range(2, n + 1):
+        if n % d:
+            continue
+        if d > BILU_HANROT_VOUTIER_BOUND:
+            count += 1
+        else:
+            count += abs(A if d == 2 else poly_eval(phi_x_coeffs(d, B), A * A)) != 1
+    return count
+
+
 def has_primitive_prime_divisor(pair: LucasPair, n: int) -> bool:
     """True iff some prime divides u_n but neither (A^2-4B) nor any u_k, k < n."""
     return primitive_part(pair, n) > 1
@@ -762,9 +778,11 @@ def brute_force_defect_indices(pair: LucasPair, n_max: int = BILU_HANROT_VOUTIER
 SMALL_BAND = 64  # covers every bounded |Phi_n| case (true bound is 30)
 
 
-def defect_candidate_as(p: int, e: int, sporadic_rows) -> set[int]:
+def defect_candidate_as(p: int, e: int) -> set[int]:
     """All A > 0 that could possibly make some u_n, 3 <= n <= 30,
-    defective for B = p^e.  Complete by the support analysis above."""
+    defective for B = p^e.  Complete by the support analysis above,
+    which needs no list of known defects: the unit cases, such as
+    Phi_3(3, 8) = 1 and Phi_6(5, 8) = 1, fall in the small band."""
     B = p**e
     xmax = 4 * B
     cands: set[int] = set()
@@ -799,7 +817,4 @@ def defect_candidate_as(p: int, e: int, sporadic_rows) -> set[int]:
                 t *= n
         if extra:
             absorb(solve_exact(g, extra, 1, xmax))
-    for row in sporadic_rows:
-        if row["B"] == B:
-            cands.add(row["A"])
     return cands

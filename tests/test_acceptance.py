@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 from tauhunt import catalog, curves, lehmer, lucas, newform, thue
@@ -93,20 +92,16 @@ def test_criterion_04_defect_closure():
     and the complete candidate list is the set of exact integer solutions
     of those equations.  Every candidate is then settled by the direct
     primitive-part computation and compared against classify_defects;
-    every non-candidate provably has no defect and classify_defects can
-    only fire on candidates (its membership equations are a subset of the
-    target equations).  The reduction itself is cross-validated by blind
-    full scans of every exponent-3 stratum.
+    every non-candidate provably has no defect.  The blind full scans of
+    every exponent-3 stratum cross-validate the reduction and compare
+    classify_defects on the non-candidates too.
     """
     t0 = time.monotonic()
-    sporadic = json.loads(
-        resources.files("tauhunt.data").joinpath("defect_tables.json").read_text()
-    )["sporadic"]
     pairs_checked = 0
     for p in primes_up_to(50):
         for e in (3, 5, 7, 9, 11):
             B = p**e
-            for a in sorted(defect_candidate_as(p, e, sporadic)):
+            for a in sorted(defect_candidate_as(p, e)):
                 if a * a > 4 * B:
                     continue
                 for A in (a, -a):
@@ -122,7 +117,7 @@ def test_criterion_04_defect_closure():
     blind = 0
     for p in primes_up_to(50):
         B = p**3
-        cands = defect_candidate_as(p, 3, sporadic)
+        cands = defect_candidate_as(p, 3)
         for a in range(1, math.isqrt(4 * B) + 1):
             if math.gcd(a, p) != 1 or a * a in (B, 2 * B, 3 * B, 4 * B):
                 continue
@@ -134,7 +129,7 @@ def test_criterion_04_defect_closure():
             assert brute == [r["n"] for r in lucas.classify_defects(pair)]
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"defect closure took {elapsed:.1f}s"
-    _ok(4, "table classification == primitive-divisor brute force on the whole domain",
+    _ok(4, "computed classification == primitive-divisor brute force on the whole domain",
         f"{pairs_checked} candidate pairs, {blind} blind pairs, {elapsed:.1f}s")
 
 

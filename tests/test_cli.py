@@ -110,7 +110,9 @@ def test_lucas_verb(capsys):
     data = json.loads(out)
     assert data["terms"] == [1, 1, -1, -3, -1, 5, 7]
     assert data["rank_of_apparition"]["rank"] == 7
-    assert [d["n"] for d in data["defects"]] == [5, 7, 8, 12, 13, 18, 30]
+    assert data["defects"][:3] == [{"n": 3, "value": -1}, {"n": 5, "value": -1},
+                                   {"n": 7, "value": 7}]
+    assert [d["n"] for d in data["defects"]] == [3, 5, 7, 8, 12, 13, 18, 30]
 
 
 def test_lucas_refused_at_first_long_term(capsys):
@@ -321,9 +323,12 @@ _ZERO_AT_3 = '{"weight": 4, "level": 1, "ap": {"3": 0}, "trivial_mod2": true}'
     (_ZERO_AT_3, ["--n", "3"], None),
     (_ZERO_AT_3, ["--n", "27"], None),
     (_ZERO_AT_3, ["--n", "9"], 1),  # a_f(9) = -27, Omega 3
+    # a_f(27) = a_f(3)^3 - 2 * 27 a_f(3) = -53, a prime: the unit
+    # a_f(3) = 1 counts for no prime factor
+    ('{"weight": 4, "level": 1, "ap": {"3": 1}}', ["--n", "27"], 1),
 ])
 def test_omega_bound_specs(text, argv, want, tmp_path, capsys):
-    # a long p^(w-1) builds no Lucas term; a zero coefficient is refused,
+    # a long p^(w-1) is bounded as a short one; a zero coefficient is refused,
     # from a square dividing the level or a stored a_f(p) = 0 at an odd
     # power of p
     spec = tmp_path / "form.json"

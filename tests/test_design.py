@@ -187,9 +187,10 @@ def test_solve_builds_no_coefficients():
 
 def test_one_lucas_ladder(monkeypatch):
     """arith.lucas_ladder is the one code that computes a Lucas term: a
-    Thue value, the residue index, a rank of apparition, a Hecke
-    coefficient at a prime power and the strong Lucas test of a 30-digit
-    prime each reach it, wrapped in every namespace that imports it."""
+    Thue value, the residue index, a rank of apparition, the defects and
+    the Omega bound of a Lucas pair, a Hecke coefficient at a prime power
+    and the strong Lucas test of a 30-digit prime each reach it, wrapped
+    in every namespace that imports it."""
     import importlib
 
     from tauhunt import arith, lucas, newform, thue
@@ -211,6 +212,8 @@ def test_one_lucas_ladder(monkeypatch):
         "evaluate": lambda: thue.evaluate(thue.build_reduced_form(7), 2, 3),
         "index": lambda: thue.ThueForm(7)._context(100).index(101),
         "rank_of_apparition": lambda: lucas.rank_of_apparition(lucas.LucasPair(1, 2), 10**9 + 7),
+        "classify_defects": lambda: lucas.classify_defects(lucas.LucasPair(7, 27)),
+        "sigma_hat": lambda: lucas.sigma_hat(7, 27, 11),
         "coeff_prime_power": lambda: newform.coeff_prime_power(newform.delta_newform(), 2, 5),
         "is_prime": lambda: arith.is_prime(10**29 + 319),
     }
@@ -372,11 +375,16 @@ def test_no_runtime_dependency():
 
 
 def test_one_row_shape_per_catalog():
-    """The curve and Thue catalogs are each one list of rows of one key
-    set, at most one row per key, read through catalog.entry; the four
-    ell = 691 curve rows also name their method.  verify_tables reports
-    exactly one row per curve row, in catalog order."""
+    """The curve and Thue catalogs are the only shipped data, each one
+    list of rows of one key set, at most one row per key, read through
+    catalog.entry; the four ell = 691 curve rows also name their method.
+    verify_tables reports exactly one row per curve row, in catalog
+    order."""
     from tauhunt import catalog, curves
+
+    data = Path(catalog.__file__).with_name("data")
+    assert sorted(path.name for path in data.iterdir()) == [
+        "curve_tables.json", "thue_tables.json"]
 
     shapes = {
         "curve_tables.json": ({"family", "w", "ell", "sign", "points", "status"},

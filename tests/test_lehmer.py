@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import signed_block_scenarios, tau_series
+from oracles import nonunit_cyclotomic_count, signed_block_scenarios, tau_series
 from tauhunt import lehmer as LE
 from tauhunt import thue
 from tauhunt.arith import DomainError, factor, primes_up_to
@@ -318,7 +318,7 @@ def test_omega_lower_bound_past_stored_eigenvalues(q):
     # Delta reads tau(q) past its stored primes, as coeff does
     tau_q = tau_series(99992)[q - 1]
     for e in (2, 3):
-        want = max(0, sigma_hat(tau_q, q**11, e))
+        want = sigma_hat(tau_q, q**11, e)
         assert want == _divisor_count(e + 1) - 1
         assert LE.omega_lower_bound(DELTA, q**e) == want
         assert LE.omega_lower_bound(DELTA, 3 * q**e) == want + 1
@@ -336,13 +336,43 @@ def test_omega_lower_bound_zero_coefficient_refused():
 
 
 def test_omega_lower_bound_long_norm():
-    # (2, 3^7999) is in no family: sigma_hat builds no Lucas term, however
-    # long p^(w-1) is, and the bound is the generic sigma_0(3) - 1
+    # (2, 3^7999): a_f(9) = u_3 = 4 - 3^7999 is one cyclotomic part, not
+    # a unit, however long p^(w-1) is
     spec = NewformSpec(weight=8000, level=1, ap={3: 2})
     assert LE.omega_lower_bound(spec, 9) == 1
-    # (7, 27) is a family member: sigma_0(12) less its discount 4
+    # (7, 27): a_f(3^11) = u_12, none of whose parts Phi_2, Phi_3, Phi_4,
+    # Phi_6, Phi_12 (7, 22, -5, -32, -2162) is a unit
     fam = NewformSpec(weight=4, level=1, ap={3: 7})
-    assert LE.omega_lower_bound(fam, 3**11) == 2 == _divisor_count(12) - 4
+    want = nonunit_cyclotomic_count(7, 27, 12)
+    assert LE.omega_lower_bound(fam, 3**11) == want == _divisor_count(12) - 1
+
+
+def test_omega_lower_bound_never_exceeds_omega():
+    """omega_lower_bound(f, p^e) <= Omega(a_f(p^e)) on weight-4 and
+    weight-6 level-1 specs with small a_f(3), a_f(5), a_f(7), units
+    included: a unit a_f(p) = u_2 is no prime factor."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    small = st.sampled_from((1, -1)) | st.integers(-12, 12)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.sampled_from((4, 6)), small, small, small,
+                      st.sampled_from((3, 5, 7)), st.integers(2, 6))
+    @hypothesis.example(4, 1, 0, 0, 3, 3)  # a_f(27) = 1 - 54 = -53, a prime
+    def sound(weight, a3, a5, a7, p, e):
+        try:
+            spec = NewformSpec(weight=weight, level=1, ap={3: a3, 5: a5, 7: a7})
+        except DomainError:
+            hypothesis.reject()
+        value = coeff(spec, p**e)
+        if value == 0:
+            with pytest.raises(DomainError, match="= 0, as"):
+                LE.omega_lower_bound(spec, p**e)
+            return
+        big_omega = sum(k for _, k in factor(abs(value)))
+        assert LE.omega_lower_bound(spec, p**e) <= big_omega, (spec, p, e, value)
+
+    sound()
 
 
 def test_omega_bound_is_actually_a_lower_bound():

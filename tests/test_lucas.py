@@ -3,18 +3,13 @@ import math
 import random
 import sys
 import time
-from importlib import resources
 
 import pytest
 
-from oracles import (brute_force_defect_indices, has_primitive_prime_divisor, primitive_part,
-                     rank_by_scan)
+from oracles import (brute_force_defect_indices, has_primitive_prime_divisor,
+                     nonunit_cyclotomic_count, primitive_part, rank_by_scan)
 from tauhunt import lucas as L
 from tauhunt.arith import DomainError, primes_up_to
-
-
-def load_table():
-    return json.loads(resources.files("tauhunt.data").joinpath("defect_tables.json").read_text())
 
 
 def random_modularity_pair(rng):
@@ -160,32 +155,23 @@ def test_bhv_bound_property():
             assert primitive_part(pair, n, terms) > 1, (pair, n)
 
 
-def test_sporadic_values_match_recomputation():
-    table = load_table()
-    for row in table["sporadic"]:
-        pair = L.LucasPair(row["A"], row["B"])
-        terms = L.lucas_terms(pair, 30)
-        for n, v in row["defects"]:
-            assert terms[n - 1] == v, (row["A"], row["B"], n)
-        # sign flip: u_n(-A, B) = (-1)^(n-1) u_n(A, B)
-        neg = L.lucas_terms(L.LucasPair(-row["A"], row["B"]), 30)
-        for n, v in row["defects"]:
-            assert neg[n - 1] == (-1) ** (n - 1) * v
-
-
 def test_classification_examples():
-    assert [(d["n"], d["value"]) for d in L.classify_defects(L.LucasPair(3, 8))] == [(3, 1)]
-    assert [(d["n"], d["value"]) for d in L.classify_defects(L.LucasPair(-3, 8))] == [(3, 1)]
-    assert [(d["n"], d["source"], d["value"]) for d in L.classify_defects(L.LucasPair(2, 5))] == [
-        (3, "P1", -1)
-    ]
-    # (7, 27): A^2 - 3B = -32 = (-2)^5, a defective u_6 family member
-    recs = L.classify_defects(L.LucasPair(7, 27))
-    assert [(d["n"], d["source"]) for d in recs] == [(6, "B4")]
-    assert recs[0]["value"] == -4928
-    assert brute_force_defect_indices(L.LucasPair(7, 27)) == [6]
-    # B1 instance: 16 = 13 + 3
-    assert [(d["n"], d["source"]) for d in L.classify_defects(L.LucasPair(4, 13))] == [(3, "B1")]
+    examples = {
+        (3, 8): [(3, 1)],
+        (-3, 8): [(3, 1)],
+        (2, 5): [(3, -1)],          # B = A^2 + 1: u_3 = -1
+        (7, 27): [(6, -4928)],      # Phi_6 = A^2 - 3B = -32 = (-2)^5
+        (4, 13): [(3, 3)],          # Phi_3 = A^2 - B = 3
+        (1, 2): [(3, -1), (5, -1), (7, 7), (8, -3), (12, 45), (13, -1), (18, 85), (30, -24475)],
+        (5, 7): [(6, 360), (10, -3725)],
+        (-5, 7): [(6, -360), (10, 3725)],  # u_n(-A, B) = (-1)^(n-1) u_n(A, B)
+    }
+    for (a, b), want in examples.items():
+        pair = L.LucasPair(a, b)
+        recs = L.classify_defects(pair)
+        assert all(set(d) == {"n", "value"} for d in recs)
+        assert [(d["n"], d["value"]) for d in recs] == want, (a, b)
+        assert [n for n, _ in want] == brute_force_defect_indices(pair), (a, b)
 
 
 def test_no_defects_case():
@@ -194,33 +180,20 @@ def test_no_defects_case():
     assert brute_force_defect_indices(pair) == []
 
 
-def test_weight2_exclusions_are_pinned():
-    """The published family constraints (m > 1, m > 2 even, r >= 1) exclude
-    a handful of exponent-1 (weight-2) pairs whose terms are genuinely
-    defective.  Pin them: the discrepancy set must be exactly these, so a
-    transcription slip elsewhere still fails."""
-    known = {
-        (1, 2): [3], (-1, 2): [3],       # p = m^2 + 1 with m = 1
-        (2, 3): [4], (-2, 3): [4],       # A^2 = 2B + 2eps with m = 2
-        (1, 3): [6], (-1, 3): [6],       # (r, m) = (1, 1) exclusion
-        (5, 7): [6], (-5, 7): [6],       # Phi_6 = 4, below the r >= 1 range
-        (7, 17): [6], (-7, 17): [6],     # Phi_6 = -2
-        (11, 41): [6], (-11, 41): [6],   # Phi_6 = -2
-    }
-    diffs = {}
+def test_weight2_defects_match_brute_force():
+    """On every exponent-1 (weight-2) pair with p < 50 the computed
+    defects are the primitive-divisor brute force's, values included:
+    among them the u_3 of (1, 2) and the u_6 of (5, 7) that the published
+    family constraints leave out."""
     for p in primes_up_to(50):
         amax = math.isqrt(4 * p)
         for a in range(-amax, amax + 1):
             if a == 0 or math.gcd(a, p) != 1 or a * a in (p, 2 * p, 3 * p, 4 * p):
                 continue
             pair = L.LucasPair(a, p)
-            brute = brute_force_defect_indices(pair)
-            cls = sorted(d["n"] for d in L.classify_defects(pair))
-            missing = sorted(set(brute) - set(cls))
-            assert not set(cls) - set(brute), (a, p, cls, brute)
-            if missing:
-                diffs[(a, p)] = missing
-    assert diffs == known
+            terms = L.lucas_terms(pair, 30)
+            want = [(n, terms[n - 1]) for n in brute_force_defect_indices(pair)]
+            assert [(d["n"], d["value"]) for d in L.classify_defects(pair)] == want, (a, p)
 
 
 def test_parity_of_terms():
@@ -232,15 +205,26 @@ def test_parity_of_terms():
 
 
 def test_sigma_hat():
-    assert L.sigma_hat(10, 49, 2) == 1          # generic sigma_0(3) - 1
-    assert L.sigma_hat(10, 49, 1) == 1
-    assert L.sigma_hat(3, 8, 2) == 0            # 3 | m + 1
-    assert L.sigma_hat(-3, 8, 2) == 0
-    assert L.sigma_hat(3, 8, 1) == 1
-    assert L.sigma_hat(5, 8, 5) == 2            # 6 | m + 1: sigma_0(6) - 2
-    assert L.sigma_hat(5, 8, 2) == 1
-    assert L.sigma_hat(7, 27, 3) == -1          # family member: sigma_0(4) - 4
-    assert L.sigma_hat(2, 1, 3) == 2            # B < 2 or A = 0: generic
+    # each against the oracle's count of the d | m + 1, d >= 2, with
+    # |Phi_d| != 1, from the cyclotomic polynomials themselves
+    cases = {
+        (10, 49, 2): 1,   # Phi_3 = 51
+        (10, 49, 1): 1,   # Phi_2 = A = 10
+        (3, 8, 2): 0,     # Phi_3 = 9 - 8 = 1
+        (-3, 8, 2): 0,
+        (3, 8, 1): 1,
+        (5, 8, 5): 2,     # Phi_2 = 5, Phi_3 = 17, Phi_6 = 25 - 24 = 1
+        (5, 8, 2): 1,
+        (7, 27, 3): 2,    # Phi_2 = 7, Phi_4 = 49 - 54 = -5
+        (1, 27, 3): 1,    # Phi_2 = 1, Phi_4 = -53: a_f(27) = -53 is prime
+        (-1, 27, 1): 0,   # a_f(3) = -1, a unit
+    }
+    for (a, b, m), want in cases.items():
+        assert L.sigma_hat(a, b, m) == want == nonunit_cyclotomic_count(a, b, m + 1), (a, b, m)
+    # off the Lucas pairs (A^2 = 4B, B = 0, A = 0, gcd(A, B) > 1):
+    # sigma_0(m + 1) - 1
+    assert L.sigma_hat(2, 1, 3) == 2
+    assert L.sigma_hat(-24, 2**11, 3) == 2      # tau(2) = -24
     assert L.sigma_hat(3, 0, 3) == 2
     assert L.sigma_hat(0, 27, 3) == 2
     with pytest.raises(DomainError):
@@ -249,20 +233,20 @@ def test_sigma_hat():
 
 def test_sigma_hat_counts_divisors():
     # sigma_0(m + 1), read off the factorization, against counting the
-    # divisors up to sqrt(m + 1): less 1 on a generic pair, less 4 on the
-    # family member (7, 27)
+    # divisors up to sqrt(m + 1): no Phi_d of (10, 49) or of (7, 27) is a
+    # unit, so both bounds are sigma_0(m + 1) - 1, as the oracle counts
     for m in [*range(1, 400), 719, 5039, 720719]:
         n = m + 1
         count = sum(1 + (d * d != n) for d in range(1, math.isqrt(n) + 1) if n % d == 0)
-        assert L.sigma_hat(10, 49, m) == count - 1, m
-        assert L.sigma_hat(7, 27, m) == count - 4, m
+        assert L.sigma_hat(10, 49, m) == count - 1 == nonunit_cyclotomic_count(10, 49, n), m
+        assert L.sigma_hat(7, 27, m) == count - 1 == nonunit_cyclotomic_count(7, 27, n), m
     assert L.sigma_hat(10, 49, 2**61 - 2) == 1  # 2^61 - 1 is prime
 
 
 def test_data_dir_override(data_dir, monkeypatch):
-    """Edited catalogs reach the defect classifier, the Thue catalog lookup
-    and the curve catalog lookup, all through the one loader catalog.load,
-    and the shipped ones come back once it is restored."""
+    """Edited catalogs reach the Thue catalog lookup and the curve catalog
+    lookup, both through the one loader catalog.load, and the shipped
+    ones come back once it is restored."""
     from tauhunt import catalog, curves
 
     def drop_points(table):  # of Y^2 = X^3 + 3
@@ -271,8 +255,6 @@ def test_data_dir_override(data_dir, monkeypatch):
                 row["points"] = []
 
     edits = {
-        "defect_tables.json": lambda t: t.update(
-            sporadic=[r for r in t["sporadic"] if (r["A"], r["B"]) != (3, 8)]),
         "thue_tables.json": lambda t: t.update(
             rows=[r for r in t["rows"] if (r["d"], r["D"]) != (7, 7)]),
         "curve_tables.json": drop_points,
@@ -281,10 +263,8 @@ def test_data_dir_override(data_dir, monkeypatch):
         table = json.loads((data_dir / name).read_text())
         edit(table)
         (data_dir / name).write_text(json.dumps(table))
-    assert L.classify_defects(L.LucasPair(3, 8)) == []
     assert catalog.entry("thue_tables.json", d=7, D=7) is None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == []
     monkeypatch.undo()
-    assert [d["n"] for d in L.classify_defects(L.LucasPair(3, 8))] == [3]
     assert catalog.entry("thue_tables.json", d=7, D=7) is not None
     assert curves.catalog_entry("C", 3, 3, 1)["points"] == [[1, 2]]
