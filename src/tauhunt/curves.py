@@ -43,6 +43,7 @@ __all__ = [
     "CurveSpec",
     "CurveSearch",
     "search_points",
+    "close",
     "catalog_entry",
     "verify_tables",
 ]
@@ -245,6 +246,19 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
         "scan": {"values": values, "survivors": survivors, "confirmed": confirmed},
     }
     return CurveSearch(spec, tuple(sorted(pts)), cert)
+
+
+def close(spec: CurveSpec, bounds, ell: int, sign: int, m: int) -> dict:
+    """The curve of sign * ell^m searched to the SearchBounds' x_max: its
+    points, proven_to = x_max, the certificate, the search's source and
+    the catalog row with the source it then gives, None for m > 1."""
+    search = search_points(spec, bounds.x_max)
+    w = spec.exponent // 2 if spec.family == "H" else spec.exponent
+    row = None if m > 1 else catalog_entry(spec.family, w, ell, sign)
+    return {"points": search.points, "proven_to": bounds.x_max,
+            "certificate": dict(search.certificate), "source": f"bounded search on {spec.label}",
+            "row": row and dict(row, unsigned_x=spec.family == "H",
+                                source=f"integer-point catalog for {spec.label} + bounded search")}
 
 
 # ---------------------------------------------------------------------------

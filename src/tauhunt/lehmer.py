@@ -14,28 +14,33 @@ with alpha = sign * ell^m.  Every Thue condition is solved as
 Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, exact as
 F_{d-1}(X, Y) = Fhat_d(X, Y - 2X) (thue.solve_unreduced).
 
-Each condition carries its search problem, its CurveSpec or Fhat_d,
-built on enumeration, so a form over the degree ceiling is refused
-before any search; d = ell is always a condition, so an Fhat_ell over
-the ceiling is refused before ell(ell^2 - 1) is factored.
+enumerate_conditions is the one branch on d: it gives each condition
+its equation text, its search problem, its CurveSpec or Fhat_d, and its
+closing call, curves.close or thue.close bound to the target.  The
+problem is built on enumeration, so a form over the degree ceiling is
+refused before any search; d = ell is always a condition, so an Fhat_ell
+over the ceiling is refused before ell(ell^2 - 1) is factored.
 check_admissibility takes every condition down one path and returns the
 tauhunt-admissibility/1 document that the admissible verb prints, each
-condition one dict from _condition.  _verdict runs the bounded search,
-compares it up to its certified bound (thue.certified_bound for Thue)
-through catalog.compare with the condition's catalog entry, {points,
-status} from catalog.entry (curves.catalog_entry for a curve), and hands
-every point to _dispose.  _dispose recovers p and the possible |a_f(p)|
-behind the point, then runs one eigenvalue check on each magnitude: the
-Deligne bound, the stored a_f(p) (spec.ap only: Delta's tau(p),
-p > 1000, is not read) and the trivial-mod-2 parity.  The flag is
-trusted only while no stored a_f(p), p not dividing 2N, is odd.  For the
-built-in discriminant form the classical congruences mod 9, 5, 7 and 691
-prune conditions whose rank of apparition is impossible.
+condition one dict from _condition.  _verdict, the same for every kind,
+closes the condition within the bounds, which gives its points, the
+bound proven_to below which every point is found, its certificate and
+the catalog row to compare with; it compares the row up to proven_to
+through catalog.compare, and hands every point to _dispose.  _dispose
+decodes a point by the condition's kind: it recovers p and the possible
+|a_f(p)| behind the point, then runs one eigenvalue check on each
+magnitude: the Deligne bound, the stored a_f(p) (spec.ap only: Delta's
+tau(p), p > 1000, is not read) and the trivial-mod-2 parity.  The flag
+is trusted only while no stored a_f(p), p not dividing 2N, is odd.  For
+the built-in discriminant form the classical congruences mod 9, 5, 7
+and 691 prune conditions whose rank of apparition is impossible.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from functools import partial
 
 from . import catalog, curves, thue
 from .arith import (
@@ -102,29 +107,19 @@ def _check_even_eigenvalues(spec: NewformSpec) -> None:
 class DiophantineCondition:
     d: int
     kind: str  # "curve-C" | "curve-H" | "thue"
-    alpha: int
-    ell: int
-    m: int
-    sign: int
-    weight: int
+    equation: str
     problem: curves.CurveSpec | thue.ThueForm  # the curve, or Fhat_d for "thue"
-
-    def describe(self) -> str:
-        w = self.weight - 1
-        if self.kind == "curve-C":
-            return f"Y^2 = X^{w} + ({self.alpha})"
-        if self.kind == "curve-H":
-            return f"Y^2 = 5*X^{2 * w} + ({4 * self.alpha})"
-        return f"F_{self.d - 1}(X, Y) = {self.alpha}"
+    close: Callable  # close(problem, bounds): curves.close or thue.close bound to the target
 
 
 def enumerate_conditions(
     spec: NewformSpec, ell: int, m: int, sign: int
 ) -> list[DiophantineCondition]:
     """One condition per odd prime d | ell(ell^2 - 1), sorted by d, each
-    with its search problem; a Fhat_d over the degree ceiling is refused.
-    Fhat_ell is built before the factoring: every other d divides
-    ell^2 - 1 and so is at most (ell + 1)/2, below ell."""
+    with its equation, its search problem and its closing call; a Fhat_d
+    over the degree ceiling is refused.  Fhat_ell is built before the
+    factoring: every other d divides ell^2 - 1 and so is at most
+    (ell + 1)/2, below ell."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     if m < 1:
@@ -135,16 +130,20 @@ def enumerate_conditions(
         thue.build_reduced_form(ell)  # refuses an Fhat_ell over the ceiling
     alpha = sign * prime_power(ell, m)
     w = spec.weight - 1
+    close_curve = partial(curves.close, ell=ell, sign=sign, m=m)
     out = []
     divisors = [p for p, _ in factor(ell * (ell * ell - 1)) if p > 2]
     for d in divisors:
         if d == 3:
-            kind, problem = "curve-C", curves.CurveSpec.c_family(w, ell, sign, m)
+            cond = ("curve-C", f"Y^2 = X^{w} + ({alpha})",
+                    curves.CurveSpec.c_family(w, ell, sign, m), close_curve)
         elif d == 5:
-            kind, problem = "curve-H", curves.CurveSpec.h_family(w, ell, sign, m)
+            cond = ("curve-H", f"Y^2 = 5*X^{2 * w} + ({4 * alpha})",
+                    curves.CurveSpec.h_family(w, ell, sign, m), close_curve)
         else:
-            kind, problem = "thue", thue.build_reduced_form(d)
-        out.append(DiophantineCondition(d, kind, alpha, ell, m, sign, spec.weight, problem))
+            cond = ("thue", f"F_{d - 1}(X, Y) = {alpha}", thue.build_reduced_form(d),
+                    partial(thue.close, rhs=alpha))
+        out.append(DiophantineCondition(d, *cond))
     return out
 
 
@@ -172,7 +171,7 @@ def _condition(cond: DiophantineCondition, mode: str, source: str, grh: bool,
                hits, dispositions: list, certificate: dict) -> dict:
     """One entry of the report's conditions list.  mode is
     "fixture+search", "search" or "congruence-excluded"."""
-    return {"d": cond.d, "kind": cond.kind, "equation": cond.describe(), "mode": mode,
+    return {"d": cond.d, "kind": cond.kind, "equation": cond.equation, "mode": mode,
             "source": source, "grh_conditional": grh, "raw_hits": [list(h) for h in hits],
             "dispositions": dispositions, "certificate": certificate}
 
@@ -238,29 +237,16 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> d
 
 
 def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds) -> dict:
-    """Search the condition, compare the search with its catalog entry
-    (if any) and dispose of every point found."""
-    if cond.kind == "thue":
-        res = thue.solve_unreduced(cond.problem, cond.alpha, bounds.x_small, bounds.x_mid)
-        hits = res.solutions
-        cert = dict(res.certificate, note="solved through the reduced form; solutions mapped back")
-        source = f"bounded search via reduced form {cond.problem.name}"
-        fixture_source = source + " + solution catalog"
-        entry = catalog.entry("thue_tables.json", d=cond.d, D=cond.alpha)
-        bound = thue.certified_bound(res.certificate)
-    else:
-        search = curves.search_points(cond.problem, bounds.x_max)
-        hits, cert = search.points, dict(search.certificate)
-        source = f"bounded search on {cond.problem.label}"
-        fixture_source = f"integer-point catalog for {cond.problem.label} + bounded search"
-        entry = None if cond.m > 1 else curves.catalog_entry(
-            cond.problem.family, spec.weight - 1, cond.ell, cond.sign)
-        bound = bounds.x_max
-    mode, grh = "search", False
-    if entry is not None and entry["status"] != "open":
-        mismatch = catalog.compare(entry["points"], hits, bound, cond.kind == "curve-H")
+    """Close the condition, compare its points with the closure's catalog
+    row (if any) up to proven_to, below which every point is found, and
+    dispose of every point."""
+    closure = cond.close(cond.problem, bounds)
+    hits, cert, row = closure["points"], closure["certificate"], closure["row"]
+    mode, source, grh = "search", closure["source"], False
+    if row is not None and row["status"] != "open":
+        mismatch = catalog.compare(row["points"], hits, closure["proven_to"], row["unsigned_x"])
         if mismatch is None:
-            mode, source, grh = "fixture+search", fixture_source, entry["status"] == "grh"
+            mode, source, grh = "fixture+search", row["source"], row["status"] == "grh"
         else:
             cert["catalog_discrepancy"] = mismatch
     disp = [_dispose(spec, cond, x, y) for x, y in hits]
@@ -329,16 +315,17 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     their square divides N.  A good prime p with a stored a_f(p) = 0
     refuses it too when ord_p(n) is odd, as the Hecke recursion then
     gives a_f(p^e) = -p^(w-1) a_f(p^(e-2)) = 0 for odd e; only spec.ap is
-    read there, so no tau list is built.  Other good primes with
-    ord e >= 2 contribute sigma_hat of newform.eigenvalue: a_f(p^e) is
-    the Lucas term u_(e+1) of (a_f(p), p^(w-1)), the product of the
-    cyclotomic parts Phi_d over d | e + 1, d >= 2, and sigma_hat counts
-    those that are not units, each d > 30 without computing it, as
-    Phi_d then holds a primitive prime (Bilu-Hanrot-Voutier).  With the
-    trivial-mod-2 flag, odd good primes exactly dividing n contribute 1
-    (even eigenvalue), and p = 2 contributes 1 when the stored a_f(2) is
-    not a unit.  The Lucas layer, which holds sigma_hat, is imported
-    here, so the admissible and reproduce verbs never load it.
+    read there, so no tau list is built.  With the trivial-mod-2 flag,
+    odd good primes exactly dividing n contribute 1 (even eigenvalue).
+    Other good primes contribute sigma_hat of newform.eigenvalue when
+    ord e >= 2 or a_f(p) is stored: a_f(p^e) is the Lucas term u_(e+1)
+    of (a_f(p), p^(w-1)), the product of the cyclotomic parts Phi_d over
+    d | e + 1, d >= 2, and sigma_hat counts those that are not units,
+    each d > 30 without computing it, as Phi_d then holds a primitive
+    prime (Bilu-Hanrot-Voutier); at e = 1 that is 1 unless
+    a_f(p) = Phi_2 is a unit.  The Lucas layer, which holds sigma_hat,
+    is imported here, so the admissible and reproduce verbs never load
+    it.
     """
     from .lucas import sigma_hat
 
@@ -353,14 +340,11 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
             total += (k - 1) * e
         elif e % 2 and spec.ap.get(p) == 0:
             raise DomainError(f"a_f({n}) = 0, as a_f({p}) = 0 and {p}^{e} exactly divides {n}")
-        elif e >= 2:
+        elif e == 1 and spec.trivial_mod2 and p != 2:
+            _check_even_eigenvalues(spec)
+            total += 1
+        elif e >= 2 or p in spec.ap:
             total += sigma_hat(eigenvalue(spec, p), spec.norm(p), e)
-        else:
-            if spec.trivial_mod2 and p != 2:
-                _check_even_eigenvalues(spec)
-                total += 1
-            elif p == 2 and 2 in spec.ap and abs(spec.ap[2]) != 1:
-                total += 1
     return total
 
 

@@ -100,6 +100,7 @@ import math
 from collections import defaultdict
 from functools import cached_property, lru_cache
 
+from . import catalog
 from .arith import (
     DomainError,
     continued_fraction_convergents,
@@ -118,7 +119,7 @@ __all__ = [
     "solve_bounded",
     "solve_unreduced",
     "unreduced_coeffs",
-    "certified_bound",
+    "close",
 ]
 
 # F(1, t) mod q, indexed by value, filters the exhaustive scan's candidates
@@ -651,8 +652,18 @@ def solve_unreduced(form: ThueForm, rhs: int, x_small: int, x_mid: int) -> ThueS
                          tuple((x, z + 2 * x) for x, z in res.solutions), res.certificate)
 
 
-def certified_bound(certificate: dict) -> int:
-    """The B with every solution |x| <= B found, from a solve's certificate:
-    x_mid once the scan reached x0 - 1 or there is no x0, else x_exhaustive."""
-    x0, x_e = certificate["x0"], certificate["x_exhaustive"]
-    return certificate["x_mid"] if x0 is None or x_e >= x0 - 1 else x_e
+def close(form: ThueForm, bounds, rhs: int) -> dict:
+    """F_{n-1} = rhs solved to the SearchBounds' x_small and x_mid: its
+    points, proven_to, the B with every solution |x| <= B found (x_mid
+    once the scan reached x0 - 1 or there is no x0, else x_exhaustive),
+    the certificate, the search's source and the catalog row of (n, rhs)
+    with the source it then gives, or None."""
+    res = solve_unreduced(form, rhs, bounds.x_small, bounds.x_mid)
+    cert, source = res.certificate, f"bounded search via reduced form {form.name}"
+    x0, x_e = cert["x0"], cert["x_exhaustive"]
+    row = catalog.entry("thue_tables.json", d=form.n, D=rhs)
+    proven_to = bounds.x_mid if x0 is None or x_e >= x0 - 1 else x_e
+    return {"points": res.solutions, "proven_to": proven_to,
+            "certificate": dict(cert, note="solved through the reduced form; solutions mapped back"),
+            "source": source, "row": row and dict(row, unsigned_x=False,
+                                                  source=source + " + solution catalog")}

@@ -48,6 +48,23 @@ def test_default_outputs_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("target, digest", [
+    ("-7", "8665acff487e2491032a8c4cf085b5dbecb5f92d67e44bf7af5b23631a8f40c7"),
+    ("11", "eaf4d0e80365d09592c8b9dd594bc64dde112a7855dcbf5097c6de50102469d0"),
+    ("41", "dd81a83af4b52e6497351cd009a9928e074428c390c94b001d74055bbafcd1ef"),
+    ("9", "073ea59bc87292327c27e92b75c0ec3e0a02feffa04d824540f6a011ff9790c4"),
+    ("7645373", "2725fddaba163b7feb788763f1b1a21c35721697e02a7cd2cd4325e22baf907a"),
+])
+def test_admissible_outputs_pinned(target, digest, capsys):
+    # admissible at default bounds, byte for byte: a congruence-excluded
+    # condition (-7), an H curve searched with no catalog row (11), GRH
+    # catalog rows (41), m > 1 (9 = 3^2) and a Thue condition proven only
+    # to its scanned x_exhaustive, below x_mid (197^3)
+    code, out = run_cli(["admissible", "--target", target], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tau_bound_refused(capsys):
     start = time.perf_counter()
     code = main(["tau", "--up-to", "100000000"])
@@ -326,6 +343,9 @@ _ZERO_AT_3 = '{"weight": 4, "level": 1, "ap": {"3": 0}, "trivial_mod2": true}'
     # a_f(27) = a_f(3)^3 - 2 * 27 a_f(3) = -53, a prime: the unit
     # a_f(3) = 1 counts for no prime factor
     ('{"weight": 4, "level": 1, "ap": {"3": 1}}', ["--n", "27"], 1),
+    # a_f(3) = 7 is prime: a stored eigenvalue at an exactly dividing
+    # prime counts once it is no unit
+    ('{"weight": 4, "level": 1, "ap": {"3": 7}}', ["--n", "3"], 1),
 ])
 def test_omega_bound_specs(text, argv, want, tmp_path, capsys):
     # a long p^(w-1) is bounded as a short one; a zero coefficient is refused,

@@ -271,6 +271,23 @@ def test_catalog_lookup_helpers():
     assert C.catalog_entry("H", 7, 5, -1)["points"] == []
 
 
+def test_close():
+    # the curve closure is proven to x_max and carries the catalog row of
+    # its curve at m = 1, H rows compared on |x|; m > 1 has no row
+    from tauhunt.bounds import SearchBounds
+
+    bounds = SearchBounds(x_max=1000, x_small=0, x_mid=0)
+    spec = C.CurveSpec.h_family(3, 11, 1)
+    closure = C.close(spec, bounds, 11, 1, 1)
+    assert closure["points"] == C.search_points(spec, 1000).points
+    assert closure["proven_to"] == 1000 and closure["source"] == "bounded search on H+[3,11^1]"
+    assert closure["row"] == dict(
+        C.catalog_entry("H", 3, 11, 1), unsigned_x=True,
+        source="integer-point catalog for H+[3,11^1] + bounded search")
+    assert not C.close(C.CurveSpec.c_family(3, 3, 1), bounds, 3, 1, 1)["row"]["unsigned_x"]
+    assert C.close(C.CurveSpec.c_family(3, 3, 1, 2), bounds, 3, 1, 2)["row"] is None
+
+
 def test_ell5_h_row_stands_for_every_w_above_2():
     # Bugeaud-Mignotte-Siksek: Y^2 = 5X^(2w) + 20 has only (+-1, +-5) and
     # Y^2 = 5X^(2w) - 20 no point once w > 2; the w = 3 row answers for

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -86,16 +87,18 @@ def test_thue_form_is_n():
 def test_one_thue_family():
     """Every Thue form is Fhat_n: thue.py holds no second family (no
     family, shift or "standard"), and lehmer and the CLI reach F_{2m}
-    through thue.solve_unreduced alone, the CLI its coefficients through
-    thue.unreduced_coeffs, with no loop over a solve's solutions of their
-    own that could map (x, z) to (x, z + 2x)."""
+    through thue.solve_unreduced alone (lehmer by thue.close, which calls
+    it), the CLI its coefficients through thue.unreduced_coeffs, with no
+    loop over a solve's solutions of their own that could map (x, z) to
+    (x, z + 2x)."""
     from tauhunt import thue
 
     text = (SRC / "thue.py").read_text()
     for word in ("shift", "family", '"standard"', "build_form"):
         assert word not in text, word
     assert not hasattr(thue, "build_form")
-    for name, calls in (("lehmer.py", {"solve_unreduced"}),
+    assert _references(_function(ast.parse(text), "close"))["solve_unreduced"]
+    for name, calls in (("lehmer.py", {"close"}),
                         ("cli.py", {"solve_unreduced", "unreduced_coeffs"})):
         tree = ast.parse((SRC / name).read_text())
         assert all(_references(tree)[call] for call in calls), name
@@ -103,6 +106,36 @@ def test_one_thue_family():
                  if isinstance(node, (ast.comprehension, ast.For))
                  and "solutions" in _references(node.iter)]
         assert not loops, (name, loops)
+    assert not _references(ast.parse((SRC / "lehmer.py").read_text()))["solve_unreduced"]
+
+
+def _function(tree, name):
+    """The top-level def called name."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_closure_per_condition():
+    """Each condition is closed by the one call enumerate_conditions binds
+    to it (thue.close or curves.close), which also gives the bound to
+    compare its catalog row to: lehmer._verdict names no kind, and the
+    equation text is bound with the call, so thue.certified_bound and
+    DiophantineCondition.describe are gone."""
+    from tauhunt import curves, lehmer, newform, thue
+
+    verdict = _function(ast.parse((SRC / "lehmer.py").read_text()), "_verdict")
+    assert not _references(verdict)["kind"]
+    kinds = [node.value for node in ast.walk(verdict)
+             if isinstance(node, ast.Constant) and node.value in ("thue", "curve-C", "curve-H")]
+    assert not kinds, kinds
+    assert not hasattr(thue, "certified_bound")
+    assert not hasattr(lehmer.DiophantineCondition, "describe")
+    assert lehmer.DiophantineCondition.__record_fields__ == (
+        "d", "kind", "equation", "problem", "close")
+    # 29 (29^2 - 1) = 2^3 * 3 * 5 * 7 * 29: the C and H curves, then Fhat_7 and Fhat_29
+    spec = newform.NewformSpec(weight=4, level=5)
+    closes = [c.close.func for c in lehmer.enumerate_conditions(spec, 29, 1, 1)]
+    assert closes == [curves.close, curves.close, thue.close, thue.close]
 
 
 def test_frozen_records():
@@ -119,7 +152,8 @@ def test_frozen_records():
         bounds.SearchBounds(),
         spec,
         curves.CurveSearch(spec, ((2, 1),), {"x_max": 10}),
-        lehmer.DiophantineCondition(7, "thue", -7, 7, 1, -1, 12, form),
+        lehmer.DiophantineCondition(7, "thue", "F_6(X, Y) = -7", form,
+                                    partial(thue.close, rhs=-7)),
         lucas.LucasPair(1, 2),
         newform.NewformSpec(weight=4, level=5, ap={2: -4}, bad_signs={5: 1}),
         form,

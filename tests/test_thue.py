@@ -967,12 +967,20 @@ def test_solutions_past_threshold_found():
     planted()
 
 
-def test_certified_bound():
-    """The certified bound is x_mid once the scan reached x0 - 1 or there
-    is no x0 (degree 2), else the scanned x_exhaustive alone."""
+def test_close_proven_to():
+    """The Thue closure is proven to x_mid once the scan reached x0 - 1 or
+    there is no x0 (degree 2), else to the scanned x_exhaustive alone; it
+    carries the solutions of F_{n-1} = rhs and the catalog row of (n, rhs)."""
     fhat7 = T.build_reduced_form(7)
     for rhs, x_small, want in ((7, 28, 10000), (7, 27, 27), (7, 10000, 10000), (13, 0, 0)):
-        cert = T.solve_bounded(fhat7, rhs, x_small, 10000).certificate
-        assert T.certified_bound(cert) == want, (rhs, x_small)
-    cert = T.solve_bounded(T.build_reduced_form(5), 11, 0, 100).certificate
-    assert cert["x0"] is None and T.certified_bound(cert) == 100
+        closure = T.close(fhat7, SearchBounds(x_max=0, x_small=x_small, x_mid=10000), rhs)
+        assert closure["proven_to"] == want, (rhs, x_small)
+        res = T.solve_unreduced(fhat7, rhs, x_small, 10000)
+        assert closure["points"] == res.solutions
+        assert closure["certificate"] == dict(
+            res.certificate, note="solved through the reduced form; solutions mapped back")
+    assert closure["row"] == dict(catalog.entry("thue_tables.json", d=7, D=13), unsigned_x=False,
+                                  source="bounded search via reduced form Fhat_7 + solution catalog")
+    closure = T.close(T.build_reduced_form(5), SearchBounds(x_max=0, x_small=0, x_mid=100), 11)
+    assert closure["certificate"]["x0"] is None and closure["proven_to"] == 100
+    assert closure["row"] is None
