@@ -1,18 +1,19 @@
 """Exact big-integer utilities shared by every other module.
 
-Everything here is pure integer / rational arithmetic: deterministic
-primality testing, factorization into the ascending ``((p, e), ...)``
-tuple (trial division by the primes below 2^10, or below 2^16 and then
-gcds with chunks of the primes below 2^20 for a number above 2^64, then
-Brent's rho), the Lucas ladder, perfect-power tests, prime powers
-refused before they are built when they are over the int-to-str digit
-limit, exact polynomial signs at an int or a Fraction (sign_at reads
-only the numerator and denominator, so this module imports no
-fractions), and the continued-fraction convergents that a rational
-interval fixes.  No floating point participates in any mathematical
-decision; only that digit count reads a logarithm.  frozen_record, the
-one class decorator of the package, makes the frozen value records of
-every layer without the dataclasses module.
+Everything here is pure integer / rational arithmetic: primality
+(proven below 3.3*10^24, BPSW above), factorization into the ascending
+``((p, e), ...)`` tuple (trial division by the primes below 2^10, or
+below 2^16 and then gcds with chunks of the primes below 2^20 for a
+number above 2^64, then Brent's rho), the Lucas ladder and BHV_BOUND,
+perfect-power tests, prime powers refused before they are built when
+they are over the int-to-str digit limit, exact polynomial signs at an
+int or a Fraction (sign_at reads only the numerator and denominator, so
+this module imports no fractions), and the continued-fraction
+convergents that a rational interval fixes.  No floating point
+participates in any mathematical decision; only that digit count reads
+a logarithm.  frozen_record, the one class decorator of the package,
+makes the frozen value records of every layer without the dataclasses
+module.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ _CHUNK_SIZE = 1024
 # squarings Brent's rho may take on one cofactor: about a minute at about
 # 1 us each (0.6-0.9 us measured on 29- and 39-digit cofactors, 2-vCPU Xeon)
 _RHO_STEPS = 6 * 10**7
+# Bilu-Hanrot-Voutier (J. reine angew. Math. 539, 2001): for n > 30 every
+# u_n of a Lucas pair has a primitive prime divisor, so |u_n| > 1.
+BHV_BOUND = 30
 
 # Strong-pseudoprime bases proven sufficient for n < 3_317_044_064_679_887_385_961_981
 # (Sorenson-Webster).  Above that bound the same bases are combined with a
@@ -229,7 +233,8 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (fixed bases, no randomness)."""
+    """Primality with no randomness: proven below _MR_PROVEN_BOUND
+    (3.3*10^24); above it BPSW, a probable-prime test, not a proof."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -290,27 +295,30 @@ def factor(n: int) -> tuple[tuple[int, int], ...]:
     ascending order of the prime, so ``len()`` is omega(n); rejects n = 0.
 
     Trial division by the primes below 2^10 (2^16 for ``|n|`` above
-    2^64) stops as soon as the cofactor is 1 or prime, which is tested
-    only once it is at most 2^64.  A cofactor still above 2^64 loses its
-    primes below 2^20 by gcds with their chunk products
+    2^64) stops as soon as the cofactor is 1 or prime, tested only below
+    2^64 and then recorded at once.  A cofactor still above 2^64 loses
+    its primes below 2^20 by gcds with their chunk products
     (``_prime_chunks``), and Brent's rho (``_pollard_rho``) splits any
     cofactor left.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
     m = abs(n)
+    if not m >> 64 and is_prime(m):
+        return ((m, 1),)
     found: dict[int, int] = {}
-    if m >> 64 or m > 1 and not is_prime(m):
-        for p in primes_up_to(1 << (_LONG_TRIAL_BITS if m >> 64 else _TRIAL_BITS)):
-            if p * p > m:
-                break
-            if m % p:
-                continue
-            while m % p == 0:
-                found[p] = found.get(p, 0) + 1
-                m //= p
-            if m == 1 or not m >> 64 and is_prime(m):
-                break
+    for p in primes_up_to(1 << (_LONG_TRIAL_BITS if m >> 64 else _TRIAL_BITS)):
+        if p * p > m:
+            break
+        if m % p:
+            continue
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+        if 1 < m < 1 << 64 and is_prime(m):  # recorded, not tested again below
+            found[m], m = 1, 1
+        if m == 1:
+            break
     if m >> 64:
         for chunk, product in _prime_chunks():
             g = math.gcd(m, product)

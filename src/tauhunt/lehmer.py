@@ -20,20 +20,19 @@ closing call, curves.close or thue.close bound to the target.  The
 problem is built on enumeration, so a form over the degree ceiling is
 refused before any search; d = ell is always a condition, so an Fhat_ell
 over the ceiling is refused before ell(ell^2 - 1) is factored.
-check_admissibility takes every condition down one path and returns the
-tauhunt-admissibility/1 document that the admissible verb prints, each
-condition one dict from _condition.  _verdict, the same for every kind,
-closes the condition within the bounds, which gives its points, the
-bound proven_to below which every point is found, its certificate and
-the catalog row to compare with; it compares the row up to proven_to
-through catalog.compare, and hands every point to _dispose.  _dispose
-decodes a point by the condition's kind: it recovers p and the possible
-|a_f(p)| behind the point, then runs one eigenvalue check on each
-magnitude: the Deligne bound, the stored a_f(p) (spec.ap only: Delta's
-tau(p), p > 1000, is not read) and the trivial-mod-2 parity.  The flag
-is trusted only while no stored a_f(p), p not dividing 2N, is odd.  For
-the built-in discriminant form the classical congruences mod 9, 5, 7
-and 691 prune conditions whose rank of apparition is impossible.
+check_admissibility finds the unit set once and takes every condition
+down one path to the tauhunt-admissibility/1 document that admissible
+prints.  _verdict closes the condition within the bounds (its points,
+the bound proven_to below which every point is found, its certificate
+and catalog row), compares the row up to proven_to (catalog.compare)
+and hands every point to _dispose, which recovers p and the possible
+|a_f(p)| behind it and checks each against the Deligne bound, the
+stored a_f(p) and the trivial-mod-2 parity.  The unit set and those
+checks read only spec.ap, never Delta's tau(p) past it.  Both facts
+about the Lucas pair (a_f(p), p^(w-1)) are computed, not listed:
+unit_set finds the units a_f(2^e), and achievable_ranks the ranks of
+apparition that the congruences of tau (TAU_CONGRUENCES) allow, which
+prune the conditions of the built-in discriminant form.
 """
 
 from __future__ import annotations
@@ -44,27 +43,21 @@ from functools import partial
 
 from . import catalog, curves, thue
 from .arith import (
+    BHV_BOUND,
     DomainError,
     factor,
     frozen_record,
     is_perfect_square,
     is_prime,
+    lucas_ladder,
     prime_power,
     prime_power_root,
 )
 from .bounds import SearchBounds
 from .newform import NewformSpec, eigenvalue
 
-__all__ = [
-    "unit_set",
-    "DiophantineCondition",
-    "enumerate_conditions",
-    "achievable_ranks",
-    "check_admissibility",
-    "omega_lower_bound",
-    "decompose_odd_target",
-    "THEOREM_TARGETS",
-]
+__all__ = ["unit_set", "DiophantineCondition", "enumerate_conditions", "achievable_ranks",
+           "check_admissibility", "omega_lower_bound", "decompose_odd_target", "THEOREM_TARGETS"]
 
 # decompose_odd_target refuses a target with more scenarios than this.
 # The costliest accepted targets, such as the product of the first 14 odd
@@ -78,19 +71,27 @@ THEOREM_TARGETS = (
     1, -1, 3, -3, 5, -5, 7, -7, 13, -13, 17, -17, -19, 23, -23, 37, -37, 691, -691,
 )
 
-RAMANUJAN_PRIMES = (3, 5, 7, 691)
+# the classical congruences tau(p) = p^a + p^b (mod ell), p != ell, as ell: (a, b)
+TAU_CONGRUENCES = {3: (2, 3), 5: (1, 2), 7: (1, 4), 691: (0, 11)}
 
 
 def unit_set(spec: NewformSpec) -> tuple[int, ...]:
-    """All n with |a_f(n)| = 1: always 1, plus 4 for the weight-4
-    odd-level forms with a_f(2) = +-3 (then a_f(4) = 1)."""
+    """The n with |a_f(n)| = 1 under the unit classification, for a spec
+    whose trivial-mod-2 flag and stored parities are checked here: 1 and
+    each 2^e with |U_(e+1)| = 1, a_f(2^e) = U_(e+1) of (a, B = 2^(w-1)), a
+    the stored a_f(2) at an odd level.  An even a makes every U_(e+1)
+    even; an odd a gives a Lucas pair, whose U_(e+1) holds a primitive
+    prime past e = BHV_BOUND - 1.  As U_(e+1) = a^e - (e - 1) a^(e-2) B
+    (mod B^2), |U_(e+1)| = 1 at e >= 2 needs B | a^e -+ 1 != 0 or
+    B | e - 1: no B above |a|^(BHV_BOUND - 1) + BHV_BOUND is built."""
     if not spec.trivial_mod2:
         raise DomainError("unit classification needs the trivial-mod-2 flag")
     _check_even_eigenvalues(spec)
-    units = [1]
-    if spec.weight == 4 and spec.level % 2 == 1 and spec.ap.get(2) in (3, -3):
-        units.append(4)
-    return tuple(units)
+    a = spec.ap.get(2, 0) if spec.level % 2 else 0
+    if a % 2 == 0 or (abs(a) ** (BHV_BOUND - 1) + BHV_BOUND).bit_length() < spec.weight:
+        return (1, 2) if abs(a) == 1 else (1,)
+    B = spec.norm(2)
+    return (1,) + tuple(2**e for e in range(1, BHV_BOUND) if abs(lucas_ladder(e, a, B)[1]) == 1)
 
 
 def _check_even_eigenvalues(spec: NewformSpec) -> None:
@@ -148,18 +149,17 @@ def enumerate_conditions(
 
 
 def achievable_ranks(ell: int) -> set[int]:
-    """All values the congruence-derived rank can take over odd primes p."""
-    if ell == 3:
-        return {1, 2}
-    if ell == 5:
-        return {1, 3, 4}
-    if ell == 7:
-        return {1, 6}
-    if ell == 691:
-        out = {n for n in range(1, 690) if 690 % (n + 1) == 0}
-        out.add(690)
-        return out
-    raise DomainError("congruence filters exist only for ell in {3, 5, 7, 691}")
+    """Every rank over the primes p != ell: the first n with
+    ell | tau(p^n) = u_(n+1) of the pair (tau(p), p^11).  Mod ell its
+    roots are p^a and p^b (TAU_CONGRUENCES; p^(a+b) = p^11), so
+    u_(n+1) = p^(an) (1 + r + ... + r^n), r = p^(b-a), and n + 1 is ord(r),
+    or ell when r = 1; as p runs over the primes, r runs over the
+    subgroup of order h = (ell - 1)/gcd(ell - 1, b - a)."""
+    if ell not in TAU_CONGRUENCES:
+        raise DomainError("congruence filters exist only for ell in {3, 5, 7, 691}")
+    a, b = TAU_CONGRUENCES[ell]
+    h = (ell - 1) // math.gcd(ell - 1, b - a)
+    return {d - 1 for d in range(2, h + 1) if h % d == 0} | {ell - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +176,13 @@ def _condition(cond: DiophantineCondition, mode: str, source: str, grh: bool,
             "dispositions": dispositions, "certificate": certificate}
 
 
-def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> dict:
+def _dispose(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ...],
+             x: int, y: int) -> dict:
     """Recover p and the possible |a_f(p)| behind one point, then test
     each magnitude against the Deligne bound, the stored a_f(p) and the
-    trivial-mod-2 parity.  The points are (p, |a|) on C,
-    (+-p, +-(2a^2 - 3p^w)) on H and (p^w, a^2) for Thue, w = 2k - 1."""
+    trivial-mod-2 parity; a candidate predicts each m0 p^(d-1), m0 in
+    units.  The points are (p, |a|) on C, (+-p, +-(2a^2 - 3p^w)) on H and
+    (p^w, a^2) for Thue, w = 2k - 1."""
     w = spec.weight - 1
 
     def filtered(reason: str) -> dict:
@@ -231,12 +233,12 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, x: int, y: int) -> d
         "status": "candidate",
         "p": p,
         "eigenvalue_magnitudes": sorted(ok),
-        "predicted_n": [m0 * p ** (cond.d - 1) for m0 in unit_set(spec)
-                        if math.gcd(m0, p) == 1],
+        "predicted_n": [m0 * p ** (cond.d - 1) for m0 in units if math.gcd(m0, p) == 1],
     }
 
 
-def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds) -> dict:
+def _verdict(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ...],
+             bounds: SearchBounds) -> dict:
     """Close the condition, compare its points with the closure's catalog
     row (if any) up to proven_to, below which every point is found, and
     dispose of every point."""
@@ -249,41 +251,32 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, bounds: SearchBounds
             mode, source, grh = "fixture+search", row["source"], row["status"] == "grh"
         else:
             cert["catalog_discrepancy"] = mismatch
-    disp = [_dispose(spec, cond, x, y) for x, y in hits]
+    disp = [_dispose(spec, cond, units, x, y) for x, y in hits]
     return _condition(cond, mode, source, grh, hits, disp, cert)
 
 
-def check_admissibility(
-    spec: NewformSpec,
-    ell: int,
-    m: int,
-    sign: int,
-    bounds: SearchBounds = SearchBounds(),
-) -> dict:
-    """Search every Diophantine condition for target sign * ell^m and
-    return the tauhunt-admissibility/1 document the admissible verb
-    prints.
+def check_admissibility(spec: NewformSpec, ell: int, m: int, sign: int,
+                        bounds: SearchBounds = SearchBounds()) -> dict:
+    """The tauhunt-admissibility/1 document of target sign * ell^m.
 
-    Congruence-impossible conditions (built-in discriminant form with
-    ell in {3, 5, 7, 691}) are annotated and skipped, mirroring the
-    rank-of-apparition computation; everything else is searched within
-    the given bounds.  Nothing is silently truncated: every condition
-    carries its certificate.
+    unit_set, called once, refuses a spec without the trivial-mod-2 flag
+    or with an odd stored a_f(p), p not dividing 2N, and feeds the report
+    and every predicted_n.  For the built-in discriminant form a condition whose
+    d - 1 is not in achievable_ranks(ell) is congruence-excluded;
+    every other condition is searched within the bounds and carries
+    its certificate.
     """
-    if not spec.trivial_mod2:
-        raise DomainError("admissibility requires the trivial-mod-2 flag")
-    _check_even_eigenvalues(spec)
-    conds = enumerate_conditions(spec, ell, m, sign)
-    ranks = achievable_ranks(ell) if spec.is_delta and ell in RAMANUJAN_PRIMES else None
+    units = unit_set(spec)
+    ranks = achievable_ranks(ell) if spec.is_delta and ell in TAU_CONGRUENCES else None
     conditions = []
-    for cond in conds:
+    for cond in enumerate_conditions(spec, ell, m, sign):
         if ranks is not None and cond.d - 1 not in ranks:
             conditions.append(_condition(
                 cond, "congruence-excluded",
                 f"rank of apparition of {ell} in the tau congruences is never {cond.d - 1}",
                 False, (), [], {"achievable_ranks": sorted(ranks)}))
             continue
-        verdict = _verdict(spec, cond, bounds)
+        verdict = _verdict(spec, cond, units, bounds)
         if ranks is not None:
             verdict["certificate"]["congruence_rank_possible"] = True
         conditions.append(verdict)
@@ -297,7 +290,7 @@ def check_admissibility(
         "sign": sign,
         "status": "CANDIDATES_FOUND" if found else "EXCLUDED_WITHIN_BOUNDS",
         "grh_conditional": any(c["grh_conditional"] for c in conditions),
-        "unit_set": list(unit_set(spec)),
+        "unit_set": list(units),
         "bounds": bounds.to_dict(),
         "conditions": conditions,
     }

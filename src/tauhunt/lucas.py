@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .arith import DomainError, factor, frozen_record, is_prime, lucas_ladder
+from .arith import BHV_BOUND, DomainError, factor, frozen_record, is_prime, lucas_ladder
 
 __all__ = [
     "LucasPair",
@@ -119,11 +119,6 @@ def rank_of_apparition(pair: LucasPair, ell: int) -> tuple[int | None, str]:
 # ---------------------------------------------------------------------------
 # Cyclotomic parts: defects and Omega lower bounds
 # ---------------------------------------------------------------------------
-
-# Bilu-Hanrot-Voutier (J. reine angew. Math. 539, 2001): for n > 30 every
-# u_n of a Lucas pair has a primitive prime divisor.
-BHV_BOUND = 30
-
 
 def _cyclotomic_parts(pair: LucasPair, ds) -> dict[int, int]:
     """{d: Phi_d(alpha, beta)} for a divisor-closed set ds of d >= 2, so

@@ -9,8 +9,10 @@ base-10^w digits offset to be nonnegative, as one Decimal, which
 libmpdec squares with an exact number-theoretic transform; eta^12 stays
 slot text between them, and only tau becomes integers.  Arbitrary newforms are
 described by a NewformSpec holding weight, level and Hecke eigenvalue
-data a_f(p).  eigenvalue(spec, p) is the one reader of a_f(p): the
-stored value, or tau(p) for the built-in Delta up to 10^6.  At a good
+data a_f(p).  eigenvalue(spec, p) gives a_f(p) where its value is
+needed: the stored value, or tau(p) for the built-in Delta up to 10^6.
+Where only stored values count (lehmer's unit set, dispositions and
+Omega branches) spec.ap is read directly, not Delta's tau(p).  At a good
 prime a_f(p^m) = U_(m+1) for the Lucas sequence of (a_f(p), p^(w-1)),
 w the weight, and general indices follow multiplicativity.
 """

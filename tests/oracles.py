@@ -756,6 +756,18 @@ def nonunit_cyclotomic_count(A: int, B: int, n: int) -> int:
     return count
 
 
+def units_at_2(a: int, weight: int) -> tuple[int, ...]:
+    """1 and each 2^e, e <= 29, with |a_f(2^e)| = 1 for a good prime 2 with
+    a_f(2) = a, each a_f(2^e) from the Hecke recursion itself:
+    a_f(2^(e+1)) = a a_f(2^e) - 2^(weight-1) a_f(2^(e-1))."""
+    units, prev, cur = [1], 1, a
+    for e in range(1, BILU_HANROT_VOUTIER_BOUND):
+        if abs(cur) == 1:
+            units.append(2**e)
+        prev, cur = cur, a * cur - 2 ** (weight - 1) * prev
+    return tuple(units)
+
+
 def has_primitive_prime_divisor(pair: LucasPair, n: int) -> bool:
     """True iff some prime divides u_n but neither (A^2-4B) nor any u_k, k < n."""
     return primitive_part(pair, n) > 1

@@ -160,6 +160,22 @@ def test_factor_small_prime_times_large_prime():
         assert A.factor(big) == ((big, 1),)
 
 
+def test_factor_tests_each_cofactor_once(monkeypatch):
+    # a cofactor proven prime is recorded, not tested again on the rho stack
+    tested, is_prime = [], A.is_prime
+
+    def counted(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(A, "is_prime", counted)
+    assert A.factor(6 * 1000003) == ((2, 1), (3, 1), (1000003, 1))
+    assert tested == [6000018, 3000009, 1000003]
+    tested.clear()
+    assert A.factor(1000003) == ((1000003, 1),)
+    assert tested == [1000003]
+
+
 def test_factor_certifies_large_prime():
     v = 80561663527802406257321747
     assert A.is_prime(v)

@@ -379,6 +379,18 @@ def test_decompose(capsys):
     assert len(json.loads(out)["scenarios"]) == 2
 
 
+@pytest.mark.parametrize("text,units", [
+    ('{"weight": 4, "level": 7, "ap": {"2": -1}, "trivial_mod2": true}', [1, 2]),
+    ('{"weight": 4, "level": 5, "ap": {"2": 3}, "trivial_mod2": true}', [1, 4]),
+])
+def test_decompose_unit_set(text, units, tmp_path, capsys):
+    # the units are a_f(2^e) = +-1, from the stored a_f(2) of an odd level
+    spec = tmp_path / "form.json"
+    spec.write_text(text)
+    code, out = run_cli(["decompose", "--target", "-15", "--spec", str(spec)], capsys)
+    assert code == 0 and json.loads(out)["unit_set"] == units
+
+
 def test_trivial_mod2_with_odd_eigenvalue(tmp_path, capsys):
     spec = tmp_path / "odd.json"
     spec.write_text('{"weight": 4, "level": 5, "ap": {"3": 1, "7": 3}, "trivial_mod2": true}')

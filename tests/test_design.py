@@ -222,12 +222,12 @@ def test_solve_builds_no_coefficients():
 def test_one_lucas_ladder(monkeypatch):
     """arith.lucas_ladder is the one code that computes a Lucas term: a
     Thue value, the residue index, a rank of apparition, the defects and
-    the Omega bound of a Lucas pair, a Hecke coefficient at a prime power
-    and the strong Lucas test of a 30-digit prime each reach it, wrapped
-    in every namespace that imports it."""
+    the Omega bound of a Lucas pair, a Hecke coefficient at a prime power,
+    the unit set and the strong Lucas test of a 30-digit prime each reach
+    it, wrapped in every namespace that imports it."""
     import importlib
 
-    from tauhunt import arith, lucas, newform, thue
+    from tauhunt import arith, lehmer, lucas, newform, thue
 
     ladder, calls = arith.lucas_ladder, []
 
@@ -239,7 +239,7 @@ def test_one_lucas_ladder(monkeypatch):
                for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
     holders = [m for m in modules if getattr(m, "lucas_ladder", None) is ladder]
     assert {m.__name__ for m in holders} == {
-        "tauhunt.arith", "tauhunt.lucas", "tauhunt.newform", "tauhunt.thue"}
+        "tauhunt.arith", "tauhunt.lehmer", "tauhunt.lucas", "tauhunt.newform", "tauhunt.thue"}
     for module in holders:
         monkeypatch.setattr(module, "lucas_ladder", counted)
     probes = {
@@ -249,6 +249,8 @@ def test_one_lucas_ladder(monkeypatch):
         "classify_defects": lambda: lucas.classify_defects(lucas.LucasPair(7, 27)),
         "sigma_hat": lambda: lucas.sigma_hat(7, 27, 11),
         "coeff_prime_power": lambda: newform.coeff_prime_power(newform.delta_newform(), 2, 5),
+        "unit_set": lambda: lehmer.unit_set(newform.NewformSpec(
+            weight=4, level=5, ap={2: 3}, trivial_mod2=True)),
         "is_prime": lambda: arith.is_prime(10**29 + 319),
     }
     for name, probe in probes.items():

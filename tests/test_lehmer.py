@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import nonunit_cyclotomic_count, signed_block_scenarios, tau_series
+from oracles import nonunit_cyclotomic_count, signed_block_scenarios, tau_series, units_at_2
 from tauhunt import lehmer as LE
 from tauhunt import thue
 from tauhunt.arith import DomainError, factor, primes_up_to
@@ -27,11 +27,26 @@ def test_unit_set():
     assert LE.unit_set(even_level) == (1,)
     w6 = NewformSpec(weight=6, level=5, ap={2: 3}, trivial_mod2=True)
     assert LE.unit_set(w6) == (1,)
+    # a_f(2) = -1 is itself a unit
+    lvl7 = NewformSpec(weight=4, level=7, ap={2: -1}, trivial_mod2=True)
+    assert LE.unit_set(lvl7) == (1, 2) and coeff(lvl7, 2) == -1
+    # 2^(w-1) is past the digit limit, and no a_f(2^e), e >= 2, is a unit
+    assert LE.unit_set(NewformSpec(weight=20000, level=7, ap={2: 1}, trivial_mod2=True)) == (1, 2)
     with pytest.raises(DomainError):
         LE.unit_set(NewformSpec(weight=4, level=1, ap={2: 3}))
     # the flag is not trusted against a stored odd eigenvalue
     with pytest.raises(DomainError, match=r"a_f\(3\) = 1"):
         LE.unit_set(NewformSpec(weight=4, level=5, ap={3: 1, 7: 3}, trivial_mod2=True))
+
+
+def test_unit_set_matches_hecke_recursion():
+    # every a_f(2) inside the Deligne bound a^2 <= 4 * 2^(w-1) = 2^(w+1)
+    for level in (1, 3, 5, 7):
+        for weight in range(4, 17, 2):
+            bound = math.isqrt(2 ** (weight + 1))
+            for a in range(-bound, bound + 1):
+                spec = NewformSpec(weight=weight, level=level, ap={2: a}, trivial_mod2=True)
+                assert LE.unit_set(spec) == units_at_2(a, weight), (level, weight, a)
 
 
 def test_enumerate_conditions():
@@ -152,8 +167,8 @@ def test_ramanujan_filter_vs_tau_scan():
 
 def test_ramanujan_filter_vs_modular_scan_to_1e4():
     """Same check for every odd prime p <= 10^4, with the Hecke recursion
-    run modulo ell on the stored tau(p).  For ell in {3, 5, 7} every
-    achievable rank occurs.  This is the soundness fact behind
+    run modulo ell on the stored tau(p).  Every achievable rank occurs,
+    all 16 of 691 among them.  This is the soundness fact behind
     congruence-excluded."""
     big = delta_newform(10**4)
     for ell in (3, 5, 7, 691):
@@ -171,8 +186,20 @@ def test_ramanujan_filter_vs_modular_scan_to_1e4():
                 prev, cur = cur, (a * cur - B * prev) % ell
             assert scan in LE.achievable_ranks(ell), (ell, p)
             scanned.add(scan)
-        if ell != 691:
-            assert scanned == LE.achievable_ranks(ell), ell
+        assert scanned == LE.achievable_ranks(ell), ell
+
+
+def test_tau_congruences():
+    """tau(p) = p^a + p^b (mod ell) for every prime p <= 10^4, p != ell,
+    and p^(a+b) = p^11, so p^a and p^b are the roots of
+    X^2 - tau(p) X + p^11 mod ell."""
+    big = delta_newform(10**4)
+    assert sorted(LE.TAU_CONGRUENCES) == [3, 5, 7, 691]
+    for ell, (a, b) in LE.TAU_CONGRUENCES.items():
+        assert (a + b - 11) % (ell - 1) == 0, ell
+        for p in primes_up_to(10**4):
+            if p != ell:
+                assert (big.ap[p] - pow(p, a, ell) - pow(p, b, ell)) % ell == 0, (ell, p)
 
 
 def test_achievable_ranks():
@@ -180,6 +207,8 @@ def test_achievable_ranks():
     assert LE.achievable_ranks(5) == {1, 3, 4}
     assert LE.achievable_ranks(7) == {1, 6}
     r691 = LE.achievable_ranks(691)
+    assert r691 == {n for n in range(1, 690) if 690 % (n + 1) == 0} | {690}
+    assert len(r691) == 16
     assert {2, 4, 22, 690} <= r691
     assert 172 not in r691
     # d - 1 achievable for odd prime d dividing 691 * 690 * 692: exactly 3, 5, 23, 691
@@ -451,7 +480,7 @@ PARITY = "a_f(p) must be even (trivial mod 2)"
 def test_dispose_branches(kind, point, expected):
     # 29 * (29^2 - 1) = 2^3 * 3 * 5 * 7 * 29: conditions C (d = 3), H (d = 5), Thue (d = 7)
     cond = next(c for c in LE.enumerate_conditions(LVL5, 29, 1, 1) if c.kind == kind)
-    assert LE._dispose(LVL5, cond, *point) == expected
+    assert LE._dispose(LVL5, cond, LE.unit_set(LVL5), *point) == expected
 
 
 def test_decompose_matches_sign_vector_oracle():
