@@ -222,11 +222,9 @@ def _run(args) -> dict | tuple:
                     bounds={"x_small": args.x_small, "x_mid": args.x_mid})
     if verb == "curve-search":
         from . import curves
-        sign = 1 if args.sign == "plus" else -1
-        if args.family == "C":
-            spec = curves.CurveSpec.c_family(2 * args.d - 1, args.ell, sign, args.m)
-        else:
-            spec = curves.CurveSpec.h_family(args.d, args.ell, sign, args.m)
+        w = 2 * args.d - 1 if args.family == "C" else args.d
+        spec = curves.CurveSpec(args.family, w, args.ell, 1 if args.sign == "plus" else -1,
+                                args.m)
         return curves.search_points(spec, args.xmax).to_dict()
     if verb == "verify-tables":
         from . import curves

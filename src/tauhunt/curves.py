@@ -1,8 +1,10 @@
 """Bounded integer-point search on the curve families Y^2 = f(X).
 
-Families: C (Y^2 = X^(2d-1) + eps*ell^m, the Mordell / superelliptic
-family) and H (Y^2 = 5 X^(2d) + 4 eps ell^m, the Pell-power family).
-The searcher tests rhs(x) for squareness exactly; residue tables merely
+A curve is its parameters, CurveSpec(family, w, ell, sign, m): family
+C is Y^2 = X^w + sign ell^m (the Mordell / superelliptic family, w odd)
+and H is Y^2 = 5 X^(2w) + 4 sign ell^m (the Pell-power family), with
+w = 2k - 1 for the d = 3 and d = 5 conditions of weight 2k.  The
+searcher tests rhs(x) for squareness exactly; residue tables merely
 prune candidates before the exact isqrt check.  Per search, the integer
 T_q has bit r set iff lead r^e + constant is a square mod q, for q in
 64, 63, 65, 11 and the primes 17..97; it is read off by bytes.translate
@@ -19,8 +21,8 @@ chunks all empty early builds only the first few tables.  A scan of
 more than _SCAN_BUDGET x values is refused before it starts, as is an
 ell^m or an x_max^e too long to print.  Point catalogs for the
 table-covered cases ship as a JSON fixture of rows {family, w, ell,
-sign, points, status}; catalog_entry is its one lookup, and
-verify_tables replays every row against a bounded search.
+sign, points, status}; catalog_entry is its one lookup, and lehmer
+(handed the row by close) and verify_tables judge it by catalog.judge.
 """
 
 from __future__ import annotations
@@ -68,42 +70,40 @@ _SCAN_BUDGET = 12 * 10**9
 
 @frozen_record
 class CurveSpec:
-    """Y^2 = lead * X^exponent + constant."""
+    """Y^2 = lead * X^exponent + constant: X^w + sign ell^m on family C
+    (w odd and >= 3), 5 X^(2w) + 4 sign ell^m on family H (w >= 1), with
+    w = 2k - 1 as in the catalog rows; labelled C-[7,7^1] and so on."""
 
     family: str
-    lead: int
-    exponent: int
-    constant: int
-    label: str
+    w: int
+    ell: int
+    sign: int
+    m: int = 1
+
+    def __post_init__(self):
+        if self.family not in ("C", "H"):
+            raise DomainError("family must be C or H")
+        if self.sign not in (1, -1):
+            raise DomainError("sign must be +1 or -1")
+        if self.family == "C" and (self.w < 3 or self.w % 2 == 0):
+            raise DomainError("exponent 2k-1 must be odd and >= 3")
+        if self.w < 1:
+            raise DomainError("d must be >= 1")
+        if self.ell < 3 or not is_prime(self.ell):
+            raise DomainError("ell must be an odd prime")
+        if self.m < 1:
+            raise DomainError("m must be >= 1")
+        # derived once, here, and kept in the instance __dict__, outside the
+        # fields, eq and hash: an ell^m over the digit limit is refused on
+        # construction, and rhs reads plain attributes
+        h = self.family == "H"
+        self.__dict__.update(
+            lead=5 if h else 1, exponent=2 * self.w if h else self.w,
+            constant=(4 if h else 1) * self.sign * prime_power(self.ell, self.m),
+            label=f"{self.family}{'+' if self.sign > 0 else '-'}[{self.w},{self.ell}^{self.m}]")
 
     def rhs(self, x: int) -> int:
         return self.lead * x**self.exponent + self.constant
-
-    @classmethod
-    def c_family(cls, weight_exponent: int, ell: int, sign: int, m: int = 1) -> "CurveSpec":
-        """Y^2 = X^(2k-1) + sign * ell^m."""
-        if weight_exponent < 3 or weight_exponent % 2 == 0:
-            raise DomainError("exponent 2k-1 must be odd and >= 3")
-        tag = "+" if sign > 0 else "-"
-        return cls("C", 1, weight_exponent, sign * _ell_power(ell, m),
-                   f"C{tag}[{weight_exponent},{ell}^{m}]")
-
-    @classmethod
-    def h_family(cls, half_exponent: int, ell: int, sign: int, m: int = 1) -> "CurveSpec":
-        """Y^2 = 5 X^(2d) + 4 * sign * ell^m."""
-        if half_exponent < 1:
-            raise DomainError("d must be >= 1")
-        tag = "+" if sign > 0 else "-"
-        return cls("H", 5, 2 * half_exponent, 4 * sign * _ell_power(ell, m),
-                   f"H{tag}[{half_exponent},{ell}^{m}]")
-
-
-def _ell_power(ell: int, m: int) -> int:
-    if ell < 3 or not is_prime(ell):
-        raise DomainError("ell must be an odd prime")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    return prime_power(ell, m)
 
 
 @frozen_record
@@ -248,17 +248,16 @@ def search_points(spec: CurveSpec, x_max: int) -> CurveSearch:
     return CurveSearch(spec, tuple(sorted(pts)), cert)
 
 
-def close(spec: CurveSpec, bounds, ell: int, sign: int, m: int) -> dict:
-    """The curve of sign * ell^m searched to the SearchBounds' x_max: its
-    points, proven_to = x_max, the certificate, the search's source and
-    the catalog row with the source it then gives, None for m > 1."""
+def close(spec: CurveSpec, bounds) -> dict:
+    """The curve searched to the SearchBounds' x_max: its points,
+    proven_to = x_max, the certificate, the search's source and its
+    catalog row with the source it then gives, None for m > 1."""
     search = search_points(spec, bounds.x_max)
-    w = spec.exponent // 2 if spec.family == "H" else spec.exponent
-    row = None if m > 1 else catalog_entry(spec.family, w, ell, sign)
+    row = None if spec.m > 1 else catalog_entry(spec.family, spec.w, spec.ell, spec.sign)
     return {"points": search.points, "proven_to": bounds.x_max,
             "certificate": dict(search.certificate), "source": f"bounded search on {spec.label}",
-            "row": row and dict(row, unsigned_x=spec.family == "H",
-                                source=f"integer-point catalog for {spec.label} + bounded search")}
+            "row": row and dict(
+                row, source=f"integer-point catalog for {spec.label} + bounded search")}
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +266,9 @@ def close(spec: CurveSpec, bounds, ell: int, sign: int, m: int) -> dict:
 
 
 def catalog_entry(family: str, w: int, ell: int, sign: int) -> dict | None:
-    """Catalog entry {points, status} for Y^2 = X^w +- ell (family "C")
-    or Y^2 = 5X^(2w) +- 4 ell (family "H", points listed as (|x|, |y|)),
-    or None if the catalog does not cover the curve.
+    """The catalog row of Y^2 = X^w +- ell (family "C") or
+    Y^2 = 5X^(2w) +- 4 ell (family "H", points listed as (|x|, |y|)), or
+    None if the catalog does not cover the curve.
 
     At ell = 5 the H row of w = 3 stands for every w > 2: by the
     classification of perfect-power Lucas numbers
@@ -282,38 +281,24 @@ def catalog_entry(family: str, w: int, ell: int, sign: int) -> dict | None:
 
 def _verify_row(row: dict, x_max: int) -> dict:
     """Check every listed point of the catalog row satisfies the
-    equation and the bounded search finds nothing else.  Rows the source
-    leaves open are never compared, only reported with our bounded
-    findings."""
-    family, listed, status = row["family"], row["points"], row["status"]
-    spec = (CurveSpec.c_family if family == "C" else CurveSpec.h_family)(
-        row["w"], row["ell"], row["sign"])
-    unsigned_x = family == "H"
-    problems = []
-    for x, y in listed:
-        xs = (x, -x) if unsigned_x else (x,)
-        if not any(spec.rhs(xx) == y * y for xx in xs):
-            problems.append(f"listed point ({x}, {y}) fails the equation")
-    found = search_points(spec, x_max).points
-    found_keys = catalog.clip(found, x_max, unsigned_x)
-    out = {
-        "curve": spec.label,
-        "listed": len(listed),
-        "found_within_bound": len(found_keys),
-        "x_max": x_max,
-    }
-    if status == "open":
-        out["status"] = "unknown"
-        out["bounded_findings"] = found_keys
-        out["problems"] = problems
-        return out
-    mismatch = catalog.compare(listed, found, x_max, unsigned_x)
+    equation (an H row's |x| stands for both signs, as its exponent 2w is
+    even) and take the row's status from catalog.judge against the
+    bounded search.  An open row is never compared, only reported with
+    our bounded findings."""
+    spec = CurveSpec(row["family"], row["w"], row["ell"], row["sign"])
+    listed = row["points"]
+    problems = [f"listed point ({x}, {y}) fails the equation"
+                for x, y in listed if spec.rhs(x) != y * y]
+    status, mismatch, found = catalog.judge(row, search_points(spec, x_max).points, x_max)
     if mismatch is not None:
         problems.append(
-            f"bounded search found {mismatch['found']}, catalog lists {mismatch['listed']}"
-        )
-    out_status = {"known": "verified", "grh": "conditional-grh"}[status]
-    out["status"] = out_status if not problems else "discrepancy"
+            f"bounded search found {mismatch['found']}, catalog lists {mismatch['listed']}")
+    out = {"curve": spec.label, "listed": len(listed), "found_within_bound": len(found),
+           "x_max": x_max, "status": status}
+    if status == "unknown":
+        out["bounded_findings"] = found
+    elif problems:
+        out["status"] = "discrepancy"
     out["problems"] = problems
     return out
 

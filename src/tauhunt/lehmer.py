@@ -15,24 +15,25 @@ Fhat_d(X, Z) = alpha and mapped back by Y = Z + 2X, exact as
 F_{d-1}(X, Y) = Fhat_d(X, Y - 2X) (thue.solve_unreduced).
 
 enumerate_conditions is the one branch on d: it gives each condition
-its equation text, its search problem, its CurveSpec or Fhat_d, and its
-closing call, curves.close or thue.close bound to the target.  The
-problem is built on enumeration, so a form over the degree ceiling is
-refused before any search; d = ell is always a condition, so an Fhat_ell
-over the ceiling is refused before ell(ell^2 - 1) is factored.
-check_admissibility finds the unit set once and takes every condition
-down one path to the tauhunt-admissibility/1 document that admissible
-prints.  _verdict closes the condition within the bounds (its points,
-the bound proven_to below which every point is found, its certificate
-and catalog row), compares the row up to proven_to (catalog.compare)
-and hands every point to _dispose, which recovers p and the possible
-|a_f(p)| behind it and checks each against the Deligne bound, the
-stored a_f(p) and the trivial-mod-2 parity.  The unit set and those
-checks read only spec.ap, never Delta's tau(p) past it.  Both facts
-about the Lucas pair (a_f(p), p^(w-1)) are computed, not listed:
-unit_set finds the units a_f(2^e), and achievable_ranks the ranks of
-apparition that the congruences of tau (TAU_CONGRUENCES) allow, which
-prune the conditions of the built-in discriminant form.
+its equation text, its search problem, a CurveSpec(family, w, ell,
+sign, m) or Fhat_d, and its closing call, curves.close (the curve holds
+the target) or thue.close bound to the target.  The problem is built on
+enumeration, so a form over the degree ceiling is refused before any
+search; d = ell is always a condition, so an Fhat_ell over the ceiling
+is refused before ell(ell^2 - 1) is factored.  check_admissibility finds
+the unit set once and takes every condition down one path to the
+tauhunt-admissibility/1 document that admissible prints.  _verdict
+closes the condition within the bounds (its points, the bound proven_to
+below which every point is found, its certificate and catalog row),
+takes the row's outcome up to proven_to from catalog.judge and hands
+every point to _dispose, which recovers p and the possible |a_f(p)|
+behind it and checks each against the Deligne bound, the stored a_f(p)
+and the trivial-mod-2 parity.  The unit set and those checks read only
+spec.ap, never Delta's tau(p) past it.  Both facts about the Lucas pair
+(a_f(p), p^(w-1)) are computed, not listed: unit_set finds the units
+a_f(2^e), and achievable_ranks the ranks of apparition that the
+congruences of tau (TAU_CONGRUENCES) allow, which prune the conditions
+of the built-in discriminant form.
 """
 
 from __future__ import annotations
@@ -110,37 +111,30 @@ class DiophantineCondition:
     kind: str  # "curve-C" | "curve-H" | "thue"
     equation: str
     problem: curves.CurveSpec | thue.ThueForm  # the curve, or Fhat_d for "thue"
-    close: Callable  # close(problem, bounds): curves.close or thue.close bound to the target
+    close: Callable  # close(problem, bounds): curves.close, or thue.close bound to the target
 
 
 def enumerate_conditions(
     spec: NewformSpec, ell: int, m: int, sign: int
 ) -> list[DiophantineCondition]:
     """One condition per odd prime d | ell(ell^2 - 1), sorted by d, each
-    with its equation, its search problem and its closing call; a Fhat_d
-    over the degree ceiling is refused.  Fhat_ell is built before the
-    factoring: every other d divides ell^2 - 1 and so is at most
-    (ell + 1)/2, below ell."""
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if ell < 3 or not is_prime(ell):
-        raise DomainError("ell must be an odd prime")
+    with its equation, its search problem and its closing call.  The
+    d = 3 curve, a condition at every ell, is built first, and refuses a
+    sign, ell or m out of range; then Fhat_ell, so a Fhat_d over the
+    degree ceiling is refused before the factoring: every other d divides
+    ell^2 - 1 and so is at most (ell + 1)/2, below ell."""
+    w = spec.weight - 1
+    curve_c = curves.CurveSpec("C", w, ell, sign, m)
     if ell > 5:
         thue.build_reduced_form(ell)  # refuses an Fhat_ell over the ceiling
-    alpha = sign * prime_power(ell, m)
-    w = spec.weight - 1
-    close_curve = partial(curves.close, ell=ell, sign=sign, m=m)
+    alpha = curve_c.constant
     out = []
-    divisors = [p for p, _ in factor(ell * (ell * ell - 1)) if p > 2]
-    for d in divisors:
+    for d in (p for p, _ in factor(ell * (ell * ell - 1)) if p > 2):
         if d == 3:
-            cond = ("curve-C", f"Y^2 = X^{w} + ({alpha})",
-                    curves.CurveSpec.c_family(w, ell, sign, m), close_curve)
+            cond = ("curve-C", f"Y^2 = X^{w} + ({alpha})", curve_c, curves.close)
         elif d == 5:
             cond = ("curve-H", f"Y^2 = 5*X^{2 * w} + ({4 * alpha})",
-                    curves.CurveSpec.h_family(w, ell, sign, m), close_curve)
+                    curves.CurveSpec("H", w, ell, sign, m), curves.close)
         else:
             cond = ("thue", f"F_{d - 1}(X, Y) = {alpha}", thue.build_reduced_form(d),
                     partial(thue.close, rhs=alpha))
@@ -239,18 +233,18 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ..
 
 def _verdict(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ...],
              bounds: SearchBounds) -> dict:
-    """Close the condition, compare its points with the closure's catalog
-    row (if any) up to proven_to, below which every point is found, and
-    dispose of every point."""
+    """Close the condition, judge the closure's catalog row (if any)
+    against its points up to proven_to, below which every point is found,
+    and dispose of every point."""
     closure = cond.close(cond.problem, bounds)
     hits, cert, row = closure["points"], closure["certificate"], closure["row"]
     mode, source, grh = "search", closure["source"], False
-    if row is not None and row["status"] != "open":
-        mismatch = catalog.compare(row["points"], hits, closure["proven_to"], row["unsigned_x"])
-        if mismatch is None:
-            mode, source, grh = "fixture+search", row["source"], row["status"] == "grh"
-        else:
+    if row is not None:
+        outcome, mismatch, _ = catalog.judge(row, hits, closure["proven_to"])
+        if mismatch is not None:
             cert["catalog_discrepancy"] = mismatch
+        elif outcome != "unknown":
+            mode, source, grh = "fixture+search", row["source"], outcome == "conditional-grh"
     disp = [_dispose(spec, cond, units, x, y) for x, y in hits]
     return _condition(cond, mode, source, grh, hits, disp, cert)
 
@@ -305,10 +299,9 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
     """Lower bound for Omega(a_f(n)) from the Lucas structure.
 
     Bad primes contribute (k-1) ord_p(n), and refuse a_f(n) = 0 when
-    their square divides N.  A good prime p with a stored a_f(p) = 0
-    refuses it too when ord_p(n) is odd, as the Hecke recursion then
-    gives a_f(p^e) = -p^(w-1) a_f(p^(e-2)) = 0 for odd e; only spec.ap is
-    read there, so no tau list is built.  With the trivial-mod-2 flag,
+    their square divides N.  A good prime p refuses it too when its stored
+    a_f(p) makes a_f(p^e) = 0 (_vanishes); only spec.ap is read there, so
+    no tau list is built.  With the trivial-mod-2 flag,
     odd good primes exactly dividing n contribute 1 (even eigenvalue).
     Other good primes contribute sigma_hat of newform.eigenvalue when
     ord e >= 2 or a_f(p) is stored: a_f(p^e) is the Lucas term u_(e+1)
@@ -331,14 +324,29 @@ def omega_lower_bound(spec: NewformSpec, n: int) -> int:
             if (spec.level // p) % p == 0:
                 raise DomainError(f"a_f({n}) = 0, as {p}^2 divides the level")
             total += (k - 1) * e
-        elif e % 2 and spec.ap.get(p) == 0:
-            raise DomainError(f"a_f({n}) = 0, as a_f({p}) = 0 and {p}^{e} exactly divides {n}")
+        elif _vanishes(spec, p, e):
+            raise DomainError(
+                f"a_f({n}) = 0, as a_f({p}) = {spec.ap[p]} and {p}^{e} exactly divides {n}")
         elif e == 1 and spec.trivial_mod2 and p != 2:
             _check_even_eigenvalues(spec)
             total += 1
         elif e >= 2 or p in spec.ap:
             total += sigma_hat(eigenvalue(spec, p), spec.norm(p), e)
     return total
+
+
+def _vanishes(spec: NewformSpec, p: int, e: int) -> bool:
+    """Whether a_f(p^e) = u_(e+1) of (a, B = p^(w-1)) is 0, a the stored
+    a_f(p): a^2 = c B, c = 0, 2 or 3 (c = 1 would make B, an odd power of
+    p, a square), makes alpha/beta a root of unity of order 2, 4 or 6, and
+    u_(e+1) = 0 when that order divides e + 1.  B is built only when it
+    may be at most a^2."""
+    a = spec.ap.get(p)
+    if a is None or (a and (spec.weight - 1) * math.log2(p) > 2 * abs(a).bit_length() + 1):
+        return False
+    c, rest = divmod(a * a, spec.norm(p)) if a else (0, 0)
+    order = {0: 2, 2: 4, 3: 6}.get(c) if rest == 0 else None
+    return order is not None and (e + 1) % order == 0
 
 
 def decompose_odd_target(spec: NewformSpec, alpha: int) -> dict:
@@ -351,6 +359,7 @@ def decompose_odd_target(spec: NewformSpec, alpha: int) -> dict:
     partitions) is refused in 0.1 s in process, about 0.2 s by the CLI."""
     if alpha % 2 == 0 or abs(alpha) <= 1:
         raise DomainError("alpha must be odd with |alpha| > 1")
+    units = unit_set(spec)
     sign = 1 if alpha > 0 else -1
     scenarios = []
     for blocks in _signed_blocks(factor(alpha)):
@@ -362,7 +371,7 @@ def decompose_odd_target(spec: NewformSpec, alpha: int) -> dict:
     scenarios.sort(key=lambda sc: (len(sc), sc))
     return {
         "target": alpha,
-        "unit_set": list(unit_set(spec)) if spec.trivial_mod2 else [1],
+        "unit_set": list(units),
         "scenarios": [[{"sign": s, "ell": ell, "m": mm} for (s, ell, mm) in sc]
                       for sc in scenarios],
         "note": "each scenario needs its factors at pairwise distinct prime arguments",

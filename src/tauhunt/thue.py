@@ -665,5 +665,4 @@ def close(form: ThueForm, bounds, rhs: int) -> dict:
     proven_to = bounds.x_mid if x0 is None or x_e >= x0 - 1 else x_e
     return {"points": res.solutions, "proven_to": proven_to,
             "certificate": dict(cert, note="solved through the reduced form; solutions mapped back"),
-            "source": source, "row": row and dict(row, unsigned_x=False,
-                                                  source=source + " + solution catalog")}
+            "source": source, "row": row and dict(row, source=source + " + solution catalog")}

@@ -275,6 +275,56 @@ def test_catalog_discrepancy_reported(data_dir, capsys):
         "bound": 100, "listed": [], "found": [[2, 45]]}
 
 
+def _edit_curve_row(data_dir, key, edit):
+    """Apply edit to the points of the curve row (family, w, ell, sign)."""
+    path = data_dir / "curve_tables.json"
+    table = json.loads(path.read_text())
+    row = next(r for r in table["rows"] if (r["family"], r["w"], r["ell"], r["sign"]) == key)
+    edit(row["points"])
+    path.write_text(json.dumps(table))
+
+
+def test_planted_grh_point_judged_alike(data_dir, capsys):
+    # a false point in a grh row is a discrepancy on both paths: the row
+    # no longer stands behind the condition of admissible
+    _edit_curve_row(data_dir, ("H", 11, 11, -1), lambda points: points.append([2, 3]))
+    code, out = run_cli(["verify-tables", "--xmax", "100"], capsys)
+    assert code == 0
+    row = next(r for r in json.loads(out)["rows"] if r["curve"] == "H-[11,11^1]")
+    assert row["status"] == "discrepancy"
+    assert row["problems"] == ["listed point (2, 3) fails the equation",
+                               "bounded search found [], catalog lists [[2, 3]]"]
+    code, out = run_cli(
+        ["admissible", "--target", "-11", "--xmax", "100", "--x-small", "20", "--x-mid", "40"],
+        capsys)
+    assert code == 0
+    d5 = next(c for c in json.loads(out)["conditions"] if c["d"] == 5)
+    assert d5["mode"] == "search" and d5["grh_conditional"] is False
+    assert d5["source"] == "bounded search on H-[11,11^1]"
+    assert d5["certificate"]["catalog_discrepancy"] == {
+        "bound": 100, "listed": [[2, 3]], "found": []}
+
+
+def test_h_row_compared_on_unsigned_x(data_dir, capsys):
+    # an H row lists |x|: with (1, 5) dropped from Y^2 = 5X^6 + 20, which
+    # stands for every w > 2, the search's (-1, 5) and (1, 5) are one
+    # missing point on both paths
+    _edit_curve_row(data_dir, ("H", 3, 5, 1), lambda points: points.remove([1, 5]))
+    code, out = run_cli(["verify-tables", "--xmax", "100"], capsys)
+    assert code == 0
+    row = next(r for r in json.loads(out)["rows"] if r["curve"] == "H+[3,5^1]")
+    assert row["status"] == "discrepancy" and row["found_within_bound"] == 1
+    assert row["problems"] == ["bounded search found [[1, 5]], catalog lists []"]
+    code, out = run_cli(
+        ["admissible", "--target", "5", "--xmax", "100", "--x-small", "20", "--x-mid", "40"],
+        capsys)
+    assert code == 0
+    d5 = next(c for c in json.loads(out)["conditions"] if c["d"] == 5)
+    assert d5["mode"] == "search" and d5["raw_hits"] == [[-1, 5], [1, 5]]
+    assert d5["certificate"]["catalog_discrepancy"] == {
+        "bound": 100, "listed": [], "found": [[1, 5]]}
+
+
 def test_constants_beyond_int64(capsys):
     code, out = run_cli(["admissible", "--target", str(-(3**45))], capsys)
     assert code == 0
@@ -389,6 +439,21 @@ def test_decompose_unit_set(text, units, tmp_path, capsys):
     spec.write_text(text)
     code, out = run_cli(["decompose", "--target", "-15", "--spec", str(spec)], capsys)
     assert code == 0 and json.loads(out)["unit_set"] == units
+
+
+def test_decompose_refuses_spec_without_trivial_mod2(tmp_path, capsys):
+    # the unit classification needs the flag: decompose refuses as
+    # admissible does, where it once printed the unit set [1] although
+    # a_f(2) = -1 is a unit
+    spec = tmp_path / "form.json"
+    spec.write_text('{"weight": 4, "level": 7, "ap": {"2": -1}}')
+    code, out = run_cli(["coeff", "--spec", str(spec), "--n", "2"], capsys)
+    assert code == 0 and json.loads(out)["coefficient"] == -1
+    for args in (["decompose", "--target", "-15"], ["admissible", "--target", "3"]):
+        assert main(args + ["--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unit classification needs the trivial-mod-2 flag\n"
 
 
 def test_trivial_mod2_with_odd_eigenvalue(tmp_path, capsys):

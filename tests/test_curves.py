@@ -12,28 +12,61 @@ _SMALL_PRIMES = [p for p in range(3, 200, 2) if all(p % q for q in range(3, p, 2
 
 
 def test_search_examples():
-    spec = C.CurveSpec.c_family(3, 3, 1)      # Y^2 = X^3 + 3
+    spec = C.CurveSpec("C", 3, 3, 1)      # Y^2 = X^3 + 3
     assert C.search_points(spec, 100).points == ((1, 2),)
-    spec = C.CurveSpec.c_family(7, 7, -1)     # Y^2 = X^7 - 7
+    spec = C.CurveSpec("C", 7, 7, -1)     # Y^2 = X^7 - 7
     assert C.search_points(spec, 100).points == ((2, 11),)
-    spec = C.CurveSpec.h_family(3, 11, 1)     # Y^2 = 5 X^6 + 44
+    spec = C.CurveSpec("H", 3, 11, 1)     # Y^2 = 5 X^6 + 44
     assert C.search_points(spec, 100).points == ((-7, 767), (-1, 7), (1, 7), (7, 767))
 
 
+def test_curve_spec_fields():
+    # lead, exponent, constant and label follow from (family, w, ell, sign, m)
+    spec = C.CurveSpec("C", 7, 7, -1)
+    assert (spec.lead, spec.exponent, spec.constant, spec.label) == (1, 7, -7, "C-[7,7^1]")
+    spec = C.CurveSpec("H", 3, 11, 1, 2)
+    assert (spec.lead, spec.exponent, spec.constant, spec.label) == (5, 6, 484, "H+[3,11^2]")
+    assert spec.rhs(2) == 5 * 2**6 + 484
+
+
+@pytest.mark.parametrize("args, message", [
+    (("C", 3, 3, 2), "sign must be \\+1 or -1"),
+    (("C", 3, 3, 0), "sign must be \\+1 or -1"),
+    (("H", 3, 3, -2), "sign must be \\+1 or -1"),
+    (("E", 3, 3, 1), "family must be C or H"),
+    (("c", 3, 3, 1), "family must be C or H"),
+    (("C", 4, 3, 1), "exponent 2k-1 must be odd and >= 3"),
+    (("C", 1, 3, 1), "exponent 2k-1 must be odd and >= 3"),
+    (("C", -3, 3, 1), "exponent 2k-1 must be odd and >= 3"),
+    (("H", 0, 3, 1), "d must be >= 1"),
+    (("H", -1, 3, 1), "d must be >= 1"),
+    (("C", 3, 2, 1), "ell must be an odd prime"),
+    (("C", 3, 9, 1), "ell must be an odd prime"),
+    (("H", 1, 1, 1), "ell must be an odd prime"),
+    (("H", 1, -3, 1), "ell must be an odd prime"),
+    (("C", 3, 3, 1, 0), "m must be >= 1"),
+    (("H", 2, 5, -1, -1), "m must be >= 1"),
+])
+def test_curve_spec_refusals(args, message):
+    # Y^2 = X^3 + 6 was once built from sign 2 and labelled C+[3,3^1]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        C.CurveSpec(*args)
+
+
 def test_negative_x_handling():
-    spec = C.CurveSpec.c_family(3, 17, 1)
+    spec = C.CurveSpec("C", 3, 17, 1)
     pts = C.search_points(spec, 60).points
     assert (-2, 3) in pts and (-1, 4) in pts and (2, 5) in pts and (52, 375) in pts
     # minus family: rhs < 0 for every x <= 0, nothing emitted there
-    spec = C.CurveSpec.c_family(3, 7, -1)
+    spec = C.CurveSpec("C", 3, 7, -1)
     assert all(x > 0 for x, _ in C.search_points(spec, 100).points)
 
 
 def test_substitution_closure():
     for spec in (
-        C.CurveSpec.c_family(11, 23, -1),
-        C.CurveSpec.c_family(3, 73, 1),
-        C.CurveSpec.h_family(3, 41, -1),
+        C.CurveSpec("C", 11, 23, -1),
+        C.CurveSpec("C", 3, 73, 1),
+        C.CurveSpec("H", 3, 41, -1),
     ):
         for x, y in C.search_points(spec, 3000).points:
             assert spec.rhs(x) == y * y
@@ -41,7 +74,7 @@ def test_substitution_closure():
 
 
 def test_chunking_determinism(monkeypatch):
-    spec = C.CurveSpec.c_family(3, 17, 1)
+    spec = C.CurveSpec("C", 3, 17, 1)
     monkeypatch.setattr(C, "_CHUNK", 1 << 6)
     a = C.search_points(spec, 6000)
     monkeypatch.setattr(C, "_CHUNK", 1 << 14)
@@ -58,8 +91,8 @@ def test_search_matches_oracle():
                       st.sampled_from((1, -1)), st.integers(1, 3), st.integers(0, 3000))
     def agrees(family_c, w, ell, sign, m, x_max):
         # C exponents 2w + 1 = 3..23, H half-exponents 1..11
-        spec = (C.CurveSpec.c_family(2 * w + 1, ell, sign, m) if family_c
-                else C.CurveSpec.h_family(w, ell, sign, m))
+        spec = (C.CurveSpec("C", 2 * w + 1, ell, sign, m) if family_c
+                else C.CurveSpec("H", w, ell, sign, m))
         expected = curve_points(spec.lead, spec.exponent, spec.constant, x_max)
         assert list(C.search_points(spec, x_max).points) == expected
 
@@ -68,13 +101,13 @@ def test_search_matches_oracle():
 
 # C-plus curves start the scan at negative x; 3^42 exceeds int64
 _TABLE_SPECS = (
-    C.CurveSpec.c_family(3, 17, 1),
-    C.CurveSpec.c_family(3, 3, 1, 42),
-    C.CurveSpec.c_family(5, 17, 1),
-    C.CurveSpec.c_family(7, 7, -1),
-    C.CurveSpec.h_family(1, 11, 1),
-    C.CurveSpec.h_family(1, 5, -1),
-    C.CurveSpec.h_family(3, 11, 1),
+    C.CurveSpec("C", 3, 17, 1),
+    C.CurveSpec("C", 3, 3, 1, 42),
+    C.CurveSpec("C", 5, 17, 1),
+    C.CurveSpec("C", 7, 7, -1),
+    C.CurveSpec("H", 1, 11, 1),
+    C.CurveSpec("H", 1, 5, -1),
+    C.CurveSpec("H", 3, 11, 1),
 )
 
 
@@ -130,7 +163,7 @@ def test_residue_tables_built_on_demand(monkeypatch):
     monkeypatch.setattr(C, "_residue_tile", counted)
     n = len(C._SQUARE_MODULI)
     # Y^2 = X^5 - 3 and Y^2 = X^7 + 3^5 have no point with |x| <= 10^5
-    for spec in (C.CurveSpec.c_family(5, 3, -1), C.CurveSpec.c_family(7, 3, 1, 5)):
+    for spec in (C.CurveSpec("C", 5, 3, -1), C.CurveSpec("C", 7, 3, 1, 5)):
         for x_max in (100, 10**5):
             built.clear()
             assert C.search_points(spec, x_max).points == ()
@@ -157,11 +190,11 @@ def test_bitset_scan_any_chunk(monkeypatch):
         st.sampled_from(_TABLE_SPECS),
         # C-plus curves start the scan at negative x
         st.tuples(st.integers(1, 11), st.sampled_from(_SMALL_PRIMES), st.integers(1, 3)).map(
-            lambda wem: C.CurveSpec.c_family(2 * wem[0] + 1, wem[1], 1, wem[2])),
+            lambda wem: C.CurveSpec("C", 2 * wem[0] + 1, wem[1], 1, wem[2])),
         st.tuples(st.integers(1, 4), st.sampled_from((1, -1))).map(
-            lambda ws: C.CurveSpec.c_family(2 * ws[0] + 1, 3, ws[1], 42)),
+            lambda ws: C.CurveSpec("C", 2 * ws[0] + 1, 3, ws[1], 42)),
         st.tuples(st.integers(1, 11), st.sampled_from(_SMALL_PRIMES),
-                  st.sampled_from((1, -1))).map(lambda wes: C.CurveSpec.h_family(*wes)),
+                  st.sampled_from((1, -1))).map(lambda wes: C.CurveSpec("H", *wes)),
     )
 
     @hypothesis.settings(max_examples=80, deadline=None)
@@ -185,9 +218,9 @@ def test_chunk_offsets(monkeypatch):
 
 
 def test_scan_counters_in_certificate():
-    for spec, x_max, lo, confirmed in ((C.CurveSpec.c_family(3, 3, 1), 100, -2, 1),
-                                       (C.CurveSpec.c_family(3, 17, 1), 60, -3, 7),
-                                       (C.CurveSpec.h_family(3, 11, 1), 100, 0, 2)):
+    for spec, x_max, lo, confirmed in ((C.CurveSpec("C", 3, 3, 1), 100, -2, 1),
+                                       (C.CurveSpec("C", 3, 17, 1), 60, -3, 7),
+                                       (C.CurveSpec("H", 3, 11, 1), 100, 0, 2)):
         cert = C.search_points(spec, x_max).certificate
         assert cert["moduli_filter"] == list(C._SQUARE_MODULI)
         survivors = _filter_survivors(spec, lo, x_max)
@@ -198,12 +231,12 @@ def test_scan_counters_in_certificate():
 
 def test_scan_budget(monkeypatch):
     with pytest.raises(DomainError, match="budget"):
-        C.search_points(C.CurveSpec.c_family(3, 3, 1), C._SCAN_BUDGET)
+        C.search_points(C.CurveSpec("C", 3, 3, 1), C._SCAN_BUDGET)
     monkeypatch.setattr(C, "_SCAN_BUDGET", 1001)
-    C.search_points(C.CurveSpec.c_family(3, 3, -1), 1000)   # 1001 values
+    C.search_points(C.CurveSpec("C", 3, 3, -1), 1000)   # 1001 values
     monkeypatch.setattr(C, "_SCAN_BUDGET", 1000)
     with pytest.raises(DomainError, match="1001 x values"):
-        C.search_points(C.CurveSpec.c_family(3, 3, -1), 1000)
+        C.search_points(C.CurveSpec("C", 3, 3, -1), 1000)
     with pytest.raises(DomainError, match="budget"):
         C.verify_tables(10)
 
@@ -211,25 +244,25 @@ def test_scan_budget(monkeypatch):
 def test_digit_limit_refusals():
     # at the default limit of 4300 digits: 3^9012 has 4300, 3^9013 has 4301
     assert sys.get_int_max_str_digits() == 4300
-    assert C.CurveSpec.c_family(3, 3, 1, 9012).constant == 3**9012
+    assert C.CurveSpec("C", 3, 3, 1, 9012).constant == 3**9012
     with pytest.raises(DomainError, match="3\\^9013 has more than 4300 digits"):
-        C.CurveSpec.h_family(1, 3, -1, 9013)
+        C.CurveSpec("H", 1, 3, -1, 9013)
     # y^2 = x^20001 + 3: 2^20001 has 6021 digits, 3^20001 has 9544 > 2 * 4300
-    spec = C.CurveSpec.c_family(20001, 3, 1)
+    spec = C.CurveSpec("C", 20001, 3, 1)
     assert C.search_points(spec, 2).points == ((1, 2),)
     with pytest.raises(DomainError, match="more than 8600 digits"):
         C.search_points(spec, 3)
-    assert C.search_points(C.CurveSpec.c_family(2 * 10**18 + 1, 3, 1), 1).points == ((1, 2),)
+    assert C.search_points(C.CurveSpec("C", 2 * 10**18 + 1, 3, 1), 1).points == ((1, 2),)
     # an exponent too long for a float is compared, not converted
     with pytest.raises(DomainError, match="3\\^1000000000000000000000000000000\\d* has more"):
-        C.CurveSpec.c_family(3, 3, 1, 10**400)
+        C.CurveSpec("C", 3, 3, 1, 10**400)
     with pytest.raises(DomainError, match="more than 8600 digits"):
-        C.search_points(C.CurveSpec.c_family(2 * 10**400 + 1, 3, 1), 2)
+        C.search_points(C.CurveSpec("C", 2 * 10**400 + 1, 3, 1), 2)
 
 
 def test_point_set_stability():
     # no new points between the catalog maximum and 10x that range
-    spec = C.CurveSpec.c_family(5, 11, 1)     # listed max |x| = 5
+    spec = C.CurveSpec("C", 5, 11, 1)     # listed max |x| = 5
     assert C.search_points(spec, 50).points == C.search_points(spec, 500).points == ((5, 56),)
 
 
@@ -272,32 +305,34 @@ def test_catalog_lookup_helpers():
 
 
 def test_close():
-    # the curve closure is proven to x_max and carries the catalog row of
-    # its curve at m = 1, H rows compared on |x|; m > 1 has no row
+    # the curve closure reads ell, sign, m and w from the spec: it is
+    # proven to x_max and carries the catalog row of its curve at m = 1;
+    # m > 1 has no row
     from tauhunt.bounds import SearchBounds
 
     bounds = SearchBounds(x_max=1000, x_small=0, x_mid=0)
-    spec = C.CurveSpec.h_family(3, 11, 1)
-    closure = C.close(spec, bounds, 11, 1, 1)
+    spec = C.CurveSpec("H", 3, 11, 1)
+    closure = C.close(spec, bounds)
     assert closure["points"] == C.search_points(spec, 1000).points
     assert closure["proven_to"] == 1000 and closure["source"] == "bounded search on H+[3,11^1]"
     assert closure["row"] == dict(
-        C.catalog_entry("H", 3, 11, 1), unsigned_x=True,
+        C.catalog_entry("H", 3, 11, 1),
         source="integer-point catalog for H+[3,11^1] + bounded search")
-    assert not C.close(C.CurveSpec.c_family(3, 3, 1), bounds, 3, 1, 1)["row"]["unsigned_x"]
-    assert C.close(C.CurveSpec.c_family(3, 3, 1, 2), bounds, 3, 1, 2)["row"] is None
+    assert C.close(C.CurveSpec("C", 3, 3, 1), bounds)["row"]["points"] == [[1, 2]]
+    assert C.close(C.CurveSpec("C", 3, 3, 1, 2), bounds)["row"] is None
 
 
 def test_ell5_h_row_stands_for_every_w_above_2():
     # Bugeaud-Mignotte-Siksek: Y^2 = 5X^(2w) + 20 has only (+-1, +-5) and
     # Y^2 = 5X^(2w) - 20 no point once w > 2; the w = 3 row answers for
-    # every w, and a bounded search agrees
+    # every w, and a bounded search agrees on |x|
     for w in range(3, 30, 2):
         for sign, points in ((1, [[1, 5]]), (-1, [])):
             entry = C.catalog_entry("H", w, 5, sign)
-            assert entry == {"points": points, "status": "known"}, (w, sign)
-            found = C.search_points(C.CurveSpec.h_family(w, 5, sign), 100).points
-            assert catalog.compare(entry["points"], found, 100, True) is None, (w, sign)
+            assert entry == {"family": "H", "w": 3, "ell": 5, "sign": sign, "points": points,
+                             "status": "known"}, (w, sign)
+            found = C.search_points(C.CurveSpec("H", w, 5, sign), 100).points
+            assert catalog.judge(entry, found, 100) == ("verified", None, points), (w, sign)
 
 
 def test_uncovered_curves_have_no_entry():
@@ -307,7 +342,7 @@ def test_uncovered_curves_have_no_entry():
     # the w > 2 rule at ell = 5 does not reach w = 1: Y^2 = 5X^2 + 20 also
     # has (4, 10)
     assert C.catalog_entry("H", 1, 5, 1) is None
-    assert (4, 10) in C.search_points(C.CurveSpec.h_family(1, 5, 1), 10).points
+    assert (4, 10) in C.search_points(C.CurveSpec("H", 1, 5, 1), 10).points
 
 
 def test_supplemented_points_are_real():

@@ -132,10 +132,37 @@ def test_one_closure_per_condition():
     assert not hasattr(lehmer.DiophantineCondition, "describe")
     assert lehmer.DiophantineCondition.__record_fields__ == (
         "d", "kind", "equation", "problem", "close")
-    # 29 (29^2 - 1) = 2^3 * 3 * 5 * 7 * 29: the C and H curves, then Fhat_7 and Fhat_29
+    # 29 (29^2 - 1) = 2^3 * 3 * 5 * 7 * 29: the C and H curves, closed by
+    # curves.close itself, as each curve holds the target, then Fhat_7 and
+    # Fhat_29, closed by thue.close bound to it
     spec = newform.NewformSpec(weight=4, level=5)
-    closes = [c.close.func for c in lehmer.enumerate_conditions(spec, 29, 1, 1)]
+    closes = [getattr(c.close, "func", c.close)
+              for c in lehmer.enumerate_conditions(spec, 29, 1, 1)]
     assert closes == [curves.close, curves.close, thue.close, thue.close]
+
+
+def test_one_curve_record_and_one_row_judgement():
+    """A curve is its parameters, built by the one constructor
+    CurveSpec(family, w, ell, sign, m) (no c_family or h_family), and
+    curves.close reads the target from it.  catalog.judge is the one
+    reading of a catalog row (catalog.compare is gone): no other module
+    names a row status or tells its callers which rows list |x|."""
+    import inspect
+
+    from tauhunt import catalog, curves
+
+    assert curves.CurveSpec.__record_fields__ == ("family", "w", "ell", "sign", "m")
+    for name in ("c_family", "h_family"):
+        assert not hasattr(curves.CurveSpec, name), name
+    assert not hasattr(curves, "_ell_power") and not hasattr(catalog, "compare")
+    assert list(inspect.signature(curves.close).parameters) == ["spec", "bounds"]
+    for name in ("curves.py", "thue.py", "lehmer.py"):
+        assert "unsigned_x" not in (SRC / name).read_text(), name
+    statuses = [(path.name, node.value) for path in sorted(SRC.glob("*.py"))
+                if path.name != "catalog.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and node.value in ("open", "known", "grh")]
+    assert not statuses, statuses
 
 
 def test_frozen_records():
@@ -146,7 +173,7 @@ def test_frozen_records():
     from tauhunt import bounds, curves, lehmer, lucas, newform, thue
     from tauhunt.arith import DomainError, frozen_record
 
-    spec = curves.CurveSpec.c_family(3, 7, -1)
+    spec = curves.CurveSpec("C", 3, 7, -1)
     form = thue.ThueForm(7)
     records = [
         bounds.SearchBounds(),
@@ -174,7 +201,7 @@ def test_frozen_records():
         with pytest.raises(TypeError):
             cls(*values, 1)
     for record, same in ((form, thue.ThueForm(7)),
-                         (spec, curves.CurveSpec("C", 1, 3, -7, "C-[3,7^1]")),
+                         (spec, curves.CurveSpec("C", 3, 7, -1, 1)),
                          (bounds.SearchBounds(), bounds.SearchBounds(100000, 1000, 10000))):
         assert record == same and hash(record) == hash(same)
     assert form != thue.ThueForm(11) and form != (7,)
@@ -185,7 +212,7 @@ def test_frozen_records():
 
     assert Other(7) != form and form != Other(7)
     for make in (lambda: bounds.SearchBounds(x_max=-1), lambda: bounds.SearchBounds(5, 10, 9),
-                 lambda: curves.CurveSpec.c_family(4, 3, 1), lambda: lucas.LucasPair(2, 1),
+                 lambda: curves.CurveSpec("C", 4, 3, 1), lambda: lucas.LucasPair(2, 1),
                  lambda: newform.NewformSpec(weight=5, level=1),
                  lambda: newform.NewformSpec(weight=4, level=1, ap={4: 0}),
                  lambda: thue.ThueForm(8)):
@@ -436,8 +463,8 @@ def test_one_row_shape_per_catalog():
         keys = [tuple(row[f] for f in key) for row in rows]
         assert len(set(keys)) == len(keys), name
     rows = catalog.load("curve_tables.json")["rows"]
-    labels = [(curves.CurveSpec.c_family if row["family"] == "C" else curves.CurveSpec.h_family)(
-        row["w"], row["ell"], row["sign"]).label for row in rows]
+    labels = [curves.CurveSpec(row["family"], row["w"], row["ell"], row["sign"]).label
+              for row in rows]
     assert [r["curve"] for r in curves.verify_tables(0)["rows"]] == labels
 
 

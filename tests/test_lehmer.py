@@ -388,6 +388,7 @@ def test_omega_lower_bound_never_exceeds_omega():
     @hypothesis.given(st.sampled_from((4, 6)), small, small, small,
                       st.sampled_from((3, 5, 7)), st.integers(1, 6))
     @hypothesis.example(4, 1, 0, 0, 3, 3)  # a_f(27) = 1 - 54 = -53, a prime
+    @hypothesis.example(4, 9, 0, 0, 3, 5)  # a_f(3)^2 = 3 * 3^3, so a_f(3^5) = 0
     def sound(weight, a3, a5, a7, p, e):
         try:
             spec = NewformSpec(weight=weight, level=1, ap={3: a3, 5: a5, 7: a7})
@@ -402,6 +403,21 @@ def test_omega_lower_bound_never_exceeds_omega():
         assert LE.omega_lower_bound(spec, p**e) <= big_omega, (spec, p, e, value)
 
     sound()
+
+
+def test_omega_lower_bound_refuses_vanishing_prime_powers():
+    # a_f(p)^2 = c p^(w-1), c = 0, 2, 3, makes alpha/beta a root of unity
+    # of order 2, 4, 6: a_f(p^e) = 0 exactly when that order divides e + 1
+    for ap, p, order in (({3: 0}, 3, 2), ({2: 4}, 2, 4), ({2: -4}, 2, 4), ({3: 9}, 3, 6),
+                         ({3: -9}, 3, 6)):
+        spec = NewformSpec(weight=4, level=1, ap=ap)
+        for e in range(1, 13):
+            assert (coeff(spec, p**e) == 0) == ((e + 1) % order == 0), (ap, e)
+            if (e + 1) % order == 0:
+                with pytest.raises(DomainError, match=f"a_f\\({p}\\) = {ap[p]} and {p}\\^{e}"):
+                    LE.omega_lower_bound(spec, 5 * p**e)
+            else:
+                assert LE.omega_lower_bound(spec, p**e) >= 1
 
 
 def test_omega_bound_is_actually_a_lower_bound():

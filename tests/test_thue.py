@@ -241,12 +241,14 @@ def test_catalog_rows_evaluate():
 
 
 def test_catalog_lookup():
-    # the shape of curves.catalog_entry: {points, status}, "known" or "grh"
+    # the whole row {d, D, points, status}, status "known" or "grh"
     def entry(d, D):
         return catalog.entry("thue_tables.json", d=d, D=D)
 
-    assert entry(7, 7) == {"points": [[1, 4], [2, 1], [-3, -5]], "status": "known"}
-    assert entry(7, -41) == {"points": [[3, 7], [1, -2], [-4, -5]], "status": "grh"}
+    assert entry(7, 7) == {"d": 7, "D": 7, "points": [[1, 4], [2, 1], [-3, -5]],
+                           "status": "known"}
+    assert entry(7, -41) == {"d": 7, "D": -41, "points": [[3, 7], [1, -2], [-4, -5]],
+                             "status": "grh"}
     assert entry(7, 11) is None
 
 
@@ -979,7 +981,7 @@ def test_close_proven_to():
         assert closure["points"] == res.solutions
         assert closure["certificate"] == dict(
             res.certificate, note="solved through the reduced form; solutions mapped back")
-    assert closure["row"] == dict(catalog.entry("thue_tables.json", d=7, D=13), unsigned_x=False,
+    assert closure["row"] == dict(catalog.entry("thue_tables.json", d=7, D=13),
                                   source="bounded search via reduced form Fhat_7 + solution catalog")
     closure = T.close(T.build_reduced_form(5), SearchBounds(x_max=0, x_small=0, x_mid=100), 11)
     assert closure["certificate"]["x0"] is None and closure["proven_to"] == 100
