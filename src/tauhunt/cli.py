@@ -3,7 +3,9 @@ and prints one deterministic JSON document to stdout.
 
 A verb imports the layers it calls inside its own branch, so a process
 loads only those: verify-tables reaches curves and catalog, tau only
-newform, and none of them loads the Thue layer.
+newform, and none of them loads the Thue layer.  admissible hands the
+target as written to lehmer.check_admissibility, and reproduce calls
+lehmer.reproduce: lehmer owns the target grammar and the theorem sweep.
 
 Exit codes: 0 success, 1 domain error (bad mathematical input), 2 usage
 error.  Output is byte-identical across repeated runs.
@@ -21,7 +23,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import bounds
-from .arith import DomainError, factor, is_prime
+from .arith import DomainError, is_prime
 
 if TYPE_CHECKING:
     from .newform import NewformSpec
@@ -67,22 +69,6 @@ def _load_form(args) -> NewformSpec:
         with open(args.spec, "rb") as fh:  # json.loads finds the encoding of the bytes
             return newform.NewformSpec.from_json(fh.read())
     return newform.delta_newform(1000)
-
-
-def _parse_prime_power_target(target: int) -> tuple[int, int, int]:
-    """target = sign * ell^m with ell an odd prime; returns (sign, ell, m)."""
-    if target == 0 or target % 2 == 0:
-        raise DomainError("target must be a nonzero odd integer")
-    sign = 1 if target > 0 else -1
-    if abs(target) == 1:
-        raise DomainError("units +-1 are classified by the unit set, not searched")
-    pairs = factor(target)
-    if len(pairs) != 1:
-        raise DomainError(
-            f"{target} is not a prime power; run 'decompose' to split it into sub-targets"
-        )
-    (ell, m), = pairs
-    return sign, ell, m
 
 
 def _bounds_from(args) -> bounds.SearchBounds:
@@ -197,14 +183,15 @@ def _run(args) -> dict | tuple:
     if verb == "lucas":
         from . import lucas
         pair = lucas.LucasPair(args.a, args.b)
+        modular = pair.satisfies_modularity
         out = {
             "A": args.a,
             "B": args.b,
             "terms": lucas.lucas_terms(pair, args.count),
             "discriminant": pair.discriminant,
-            "satisfies_modularity_shape": pair.satisfies_modularity,
+            "satisfies_modularity_shape": modular,
         }
-        if pair.satisfies_modularity:
+        if modular:
             out["defects"] = lucas.classify_defects(pair)
         if args.ell is not None:
             rank, reason = lucas.rank_of_apparition(pair, args.ell)
@@ -231,9 +218,7 @@ def _run(args) -> dict | tuple:
         return curves.verify_tables(args.xmax)
     if verb == "admissible":
         from . import lehmer
-        spec = _load_form(args)
-        sign, ell, m = _parse_prime_power_target(args.target)
-        return lehmer.check_admissibility(spec, ell, m, sign, _bounds_from(args))
+        return lehmer.check_admissibility(_load_form(args), args.target, _bounds_from(args))
     if verb == "omega-bound":
         from . import lehmer
         spec = _load_form(args)
@@ -248,44 +233,7 @@ def _run(args) -> dict | tuple:
         return bounds.weight_bound_M(sign, args.ell, args.m, args.pre_rounding)
     if verb == "reproduce":
         from . import lehmer
-        spec = _load_form(args)
-        b = _bounds_from(args)
-        reports = []
-        all_excluded = True
-        for target in lehmer.THEOREM_TARGETS:
-            if abs(target) == 1:
-                reports.append({
-                    "target": target,
-                    "status": "EXCLUDED_WITHIN_BOUNDS",
-                    "method": "unit classification: |a_f(n)| = 1 only for n in the unit set",
-                    "unit_set": list(lehmer.unit_set(spec)),
-                })
-                continue
-            sign, ell, m = _parse_prime_power_target(target)
-            rep = lehmer.check_admissibility(spec, ell, m, sign, b)
-            all_excluded &= rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
-            reports.append({
-                "target": target,
-                "status": rep["status"],
-                "grh_conditional": rep["grh_conditional"],
-                "conditions": [
-                    {
-                        "d": c["d"],
-                        "mode": c["mode"],
-                        "source": c["source"],
-                        "raw_hits": len(c["raw_hits"]),
-                        "candidates": sum(d["status"] == "candidate" for d in c["dispositions"]),
-                    }
-                    for c in rep["conditions"]
-                ],
-            })
-        return {
-            "schema": "tauhunt-reproduction/1",
-            "claim": "the discriminant form never takes these values at n > 1",
-            "bounds": b.to_dict(),
-            "targets": reports,
-            "all_excluded_within_bounds": all_excluded,
-        }
+        return lehmer.reproduce(_load_form(args), _bounds_from(args))
     raise DomainError(f"unknown verb {verb}")  # pragma: no cover
 
 

@@ -20,9 +20,12 @@ sign, m) or Fhat_d, and its closing call, curves.close (the curve holds
 the target) or thue.close bound to the target.  The problem is built on
 enumeration, so a form over the degree ceiling is refused before any
 search; d = ell is always a condition, so an Fhat_ell over the ceiling
-is refused before ell(ell^2 - 1) is factored.  check_admissibility finds
-the unit set once and takes every condition down one path to the
-tauhunt-admissibility/1 document that admissible prints.  _verdict
+is refused before ell(ell^2 - 1) is factored.  check_admissibility
+takes the signed target as written, splits it into (sign, ell, m) or
+refuses it, finds the unit set once and takes every condition down one
+path to the tauhunt-admissibility/1 document that admissible prints;
+reproduce runs it over THEOREM_TARGETS and projects the
+tauhunt-reproduction/1 document that reproduce prints.  _verdict
 closes the condition within the bounds (its points, the bound proven_to
 below which every point is found, its certificate and catalog row),
 takes the row's outcome up to proven_to from catalog.judge and hands
@@ -51,14 +54,14 @@ from .arith import (
     is_perfect_square,
     is_prime,
     lucas_ladder,
-    prime_power,
     prime_power_root,
 )
 from .bounds import SearchBounds
 from .newform import NewformSpec, eigenvalue
 
 __all__ = ["unit_set", "DiophantineCondition", "enumerate_conditions", "achievable_ranks",
-           "check_admissibility", "omega_lower_bound", "decompose_odd_target", "THEOREM_TARGETS"]
+           "check_admissibility", "reproduce", "omega_lower_bound", "decompose_odd_target",
+           "THEOREM_TARGETS"]
 
 # decompose_odd_target refuses a target with more scenarios than this.
 # The costliest accepted targets, such as the product of the first 14 odd
@@ -174,9 +177,10 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ..
              x: int, y: int) -> dict:
     """Recover p and the possible |a_f(p)| behind one point, then test
     each magnitude against the Deligne bound, the stored a_f(p) and the
-    trivial-mod-2 parity; a candidate predicts each m0 p^(d-1), m0 in
-    units.  The points are (p, |a|) on C, (+-p, +-(2a^2 - 3p^w)) on H and
-    (p^w, a^2) for Thue, w = 2k - 1."""
+    trivial-mod-2 parity, an even a_f(p) at every odd p not dividing the
+    level (unit_set has refused a spec without the flag); a candidate
+    predicts each m0 p^(d-1), m0 in units.  The points are (p, |a|) on
+    C, (+-p, +-(2a^2 - 3p^w)) on H and (p^w, a^2) for Thue, w = 2k - 1."""
     w = spec.weight - 1
 
     def filtered(reason: str) -> dict:
@@ -216,7 +220,7 @@ def _dispose(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ..
             faults.append("Deligne bound violated (non-modular point)")
         elif p in spec.ap and abs(spec.ap[p]) != a:
             faults.append(f"stored a_f({p}) = {spec.ap[p]} differs from +-{a}")
-        elif spec.trivial_mod2 and (2 * spec.level) % p != 0 and a % 2 == 1:
+        elif p != 2 and a % 2 == 1:
             faults.append("a_f(p) must be even (trivial mod 2)")
         else:
             ok.append(a)
@@ -249,17 +253,35 @@ def _verdict(spec: NewformSpec, cond: DiophantineCondition, units: tuple[int, ..
     return _condition(cond, mode, source, grh, hits, disp, cert)
 
 
-def check_admissibility(spec: NewformSpec, ell: int, m: int, sign: int,
-                        bounds: SearchBounds = SearchBounds()) -> dict:
-    """The tauhunt-admissibility/1 document of target sign * ell^m.
+def _prime_power_target(target: int) -> tuple[int, int, int]:
+    """target = sign * ell^m with ell an odd prime; returns (sign, ell, m)."""
+    if target == 0 or target % 2 == 0:
+        raise DomainError("target must be a nonzero odd integer")
+    sign = 1 if target > 0 else -1
+    if abs(target) == 1:
+        raise DomainError("units +-1 are classified by the unit set, not searched")
+    pairs = factor(target)
+    if len(pairs) != 1:
+        raise DomainError(
+            f"{target} is not a prime power; run 'decompose' to split it into sub-targets"
+        )
+    (ell, m), = pairs
+    return sign, ell, m
 
-    unit_set, called once, refuses a spec without the trivial-mod-2 flag
-    or with an odd stored a_f(p), p not dividing 2N, and feeds the report
-    and every predicted_n.  For the built-in discriminant form a condition whose
-    d - 1 is not in achievable_ranks(ell) is congruence-excluded;
-    every other condition is searched within the bounds and carries
-    its certificate.
+
+def check_admissibility(spec: NewformSpec, target: int,
+                        bounds: SearchBounds = SearchBounds()) -> dict:
+    """The tauhunt-admissibility/1 document of target = sign * ell^m.
+
+    _prime_power_target first refuses a target that is even, a unit or
+    not a prime power.  unit_set, called once, then refuses a spec
+    without the trivial-mod-2 flag or with an odd stored a_f(p), p not
+    dividing 2N, and feeds the report and every predicted_n.  For the
+    built-in discriminant form a condition whose d - 1 is not in
+    achievable_ranks(ell) is congruence-excluded; every other condition
+    is searched within the bounds and carries its certificate.
     """
+    sign, ell, m = _prime_power_target(target)
     units = unit_set(spec)
     ranks = achievable_ranks(ell) if spec.is_delta and ell in TAU_CONGRUENCES else None
     conditions = []
@@ -278,7 +300,7 @@ def check_admissibility(spec: NewformSpec, ell: int, m: int, sign: int,
     return {
         "schema": "tauhunt-admissibility/1",
         "form": spec.name or f"weight-{spec.weight} level-{spec.level}",
-        "target": sign * prime_power(ell, m),
+        "target": target,
         "ell": ell,
         "m": m,
         "sign": sign,
@@ -287,6 +309,33 @@ def check_admissibility(spec: NewformSpec, ell: int, m: int, sign: int,
         "unit_set": list(units),
         "bounds": bounds.to_dict(),
         "conditions": conditions,
+    }
+
+
+def reproduce(spec: NewformSpec, bounds: SearchBounds) -> dict:
+    """The tauhunt-reproduction/1 document of THEOREM_TARGETS: the units
+    +-1 are excluded by the unit set, and every other target gets one
+    row projected from its check_admissibility report."""
+    rows = []
+    for target in THEOREM_TARGETS:
+        if abs(target) == 1:
+            rows.append({"target": target, "status": "EXCLUDED_WITHIN_BOUNDS",
+                         "method": "unit classification: |a_f(n)| = 1 only for n in the unit set",
+                         "unit_set": list(unit_set(spec))})
+            continue
+        rep = check_admissibility(spec, target, bounds)
+        conditions = [{"d": c["d"], "mode": c["mode"], "source": c["source"],
+                       "raw_hits": len(c["raw_hits"]),
+                       "candidates": sum(d["status"] == "candidate" for d in c["dispositions"])}
+                      for c in rep["conditions"]]
+        rows.append({"target": target, "status": rep["status"],
+                     "grh_conditional": rep["grh_conditional"], "conditions": conditions})
+    return {
+        "schema": "tauhunt-reproduction/1",
+        "claim": "the discriminant form never takes these values at n > 1",
+        "bounds": bounds.to_dict(),
+        "targets": rows,
+        "all_excluded_within_bounds": all(r["status"] == "EXCLUDED_WITHIN_BOUNDS" for r in rows),
     }
 
 

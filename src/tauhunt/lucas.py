@@ -48,22 +48,14 @@ class LucasPair:
     def discriminant(self) -> int:
         return self.A * self.A - 4 * self.B
 
-    def prime_power_decomposition(self) -> tuple[int, int] | None:
-        """(p, e) when B = p^e with e odd, else None."""
-        if self.B < 2:
-            return None
-        pairs = factor(self.B)
-        if len(pairs) == 1 and pairs[0][1] % 2 == 1:
-            return pairs[0]
-        return None
-
     @property
     def satisfies_modularity(self) -> bool:
-        """B an odd power of a prime and A^2 <= 4B."""
-        return (
-            self.prime_power_decomposition() is not None
-            and self.A * self.A <= 4 * self.B
-        )
+        """B an odd power of a prime and A^2 <= 4B; B is factored only
+        when A^2 <= 4B."""
+        if self.A * self.A > 4 * self.B:
+            return False
+        pairs = factor(self.B)
+        return len(pairs) == 1 and pairs[0][1] % 2 == 1
 
 
 def lucas_terms(pair: LucasPair, count: int) -> list[int]:

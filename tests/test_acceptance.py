@@ -180,24 +180,22 @@ def test_criterion_07_theorem_reproduction():
     t0 = time.monotonic()
     spec = newform.delta_newform(1000)
     bounds = lehmer.SearchBounds()  # defaults: 1e5 / 1e3 / 1e4
-    statuses = {}
-    for target in lehmer.THEOREM_TARGETS:
-        if abs(target) == 1:
-            assert lehmer.unit_set(spec) == (1,)
-            statuses[target] = "EXCLUDED_WITHIN_BOUNDS"
+    doc = lehmer.reproduce(spec, bounds)
+    assert doc["all_excluded_within_bounds"]
+    assert [row["target"] for row in doc["targets"]] == list(lehmer.THEOREM_TARGETS)
+    for row in doc["targets"]:
+        assert row["status"] == "EXCLUDED_WITHIN_BOUNDS"
+        if abs(row["target"]) == 1:
+            assert row["unit_set"] == [1]
             continue
-        sign = 1 if target > 0 else -1
-        (ell, m), = factor(target)
-        rep = lehmer.check_admissibility(spec, ell, m, sign, bounds)
-        statuses[target] = rep["status"]
-        assert not rep["grh_conditional"], target
+        assert not row["grh_conditional"], row["target"]
+        rep = lehmer.check_admissibility(spec, row["target"], bounds)
+        assert rep["status"] == row["status"] and not rep["grh_conditional"]
         for v in rep["conditions"]:
             assert v["mode"] in ("fixture+search", "search", "congruence-excluded")
             assert v["mode"] == "congruence-excluded" or v["certificate"]
             for d in v["dispositions"]:
-                assert d["status"] == "filtered", (target, d)
-    assert set(statuses.values()) == {"EXCLUDED_WITHIN_BOUNDS"}
-    assert set(statuses) == set(lehmer.THEOREM_TARGETS)
+                assert d["status"] == "filtered", (row["target"], d)
     elapsed = time.monotonic() - t0
     _ok(7, f"all {len(lehmer.THEOREM_TARGETS)} targets excluded within default bounds, "
            "unconditionally", f"{elapsed:.1f}s")

@@ -360,8 +360,17 @@ def test_curve_search_rejects_bad_prime_power(capsys):
 
 
 def test_admissible_rejects_composite(capsys):
-    code = main(["admissible", "--target", "-15"])
-    assert code == 1
+    # a target that is even, zero, a unit or not a prime power is refused
+    # before any search, each with its own message
+    even = "target must be a nonzero odd integer"
+    unit = "units +-1 are classified by the unit set, not searched"
+    for target, message in (
+        ("0", even), ("4", even), ("1", unit), ("-1", unit),
+        ("-15", "-15 is not a prime power; run 'decompose' to split it into sub-targets"),
+    ):
+        assert main(["admissible", "--target", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", target
 
 
 def test_omega_bound(capsys):

@@ -488,3 +488,25 @@ def test_tau_expansion_squares_twice(monkeypatch):
     monkeypatch.setattr(newform, "_DELTA_CACHE", [])
     assert newform.delta_expansion(10**5)[63000] == -80561663527802406257321747
     assert len(calls) == 2
+
+
+def test_lehmer_owns_targets_and_sweep():
+    """A target goes to a verdict only through lehmer: check_admissibility
+    takes the signed target as written and reproduce builds the theorem
+    sweep, so cli.py neither splits a target nor reads the admissibility
+    document."""
+    import inspect
+
+    from tauhunt import lehmer
+
+    assert list(inspect.signature(lehmer.check_admissibility).parameters) == [
+        "spec", "target", "bounds"]
+    assert callable(lehmer.reproduce)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names = _references(tree).keys() | imported
+    assert not names & {"factor", "THEOREM_TARGETS"}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & {"conditions", "raw_hits", "dispositions", "grh_conditional"}

@@ -98,13 +98,12 @@ def test_over_ceiling_ell_refused_before_factoring(monkeypatch):
 
 def test_long_target_refused_before_its_power():
     # 3^(10^8) has 47,712,126 digits: refused from its digit count alone,
-    # before the power is built, by enumerate_conditions and by
-    # check_admissibility, which reach it with no argparse limit before them
-    for check in (LE.enumerate_conditions, LE.check_admissibility):
-        start = time.perf_counter()
-        with pytest.raises(DomainError, match="3\\^100000000 has more than 4300 digits"):
-            check(DELTA, 3, 10**8, 1)
-        assert time.perf_counter() - start < 1
+    # before the power is built, by enumerate_conditions, which reaches it
+    # with no argparse limit before it
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="3\\^100000000 has more than 4300 digits"):
+        LE.enumerate_conditions(DELTA, 3, 10**8, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_parity_found_once_per_spec():
@@ -125,7 +124,7 @@ def test_catalog_status_read_alike():
     # one status vocabulary for both catalogs: the "grh" Thue rows of
     # F_6 = 41 and F_40 = 41 make their verdicts GRH-conditional, and the
     # "known" curve entry of Y^2 = X^11 + 41 does not
-    rep = LE.check_admissibility(DELTA, 41, 1, 1, FAST)
+    rep = LE.check_admissibility(DELTA, 41, FAST)
     assert [(v["d"], v["mode"], v["grh_conditional"]) for v in rep["conditions"]] == [
         (3, "fixture+search", False), (5, "search", False),
         (7, "fixture+search", True), (41, "fixture+search", True)]
@@ -258,7 +257,7 @@ def test_thue_catalog_compared_to_certified_bound(data_dir):
     path.write_text(json.dumps(table))
 
     def d7(bounds):
-        rep = LE.check_admissibility(DELTA, 7, 1, 1, bounds)
+        rep = LE.check_admissibility(DELTA, 7, bounds)
         return next(c for c in rep["conditions"] if c["d"] == 7)
 
     cond = d7(LE.SearchBounds(x_max=1000, x_small=1000, x_mid=10000))
@@ -271,7 +270,7 @@ def test_thue_catalog_compared_to_certified_bound(data_dir):
 
 
 def test_admissibility_delta_ell3():
-    rep = LE.check_admissibility(DELTA, 3, 1, 1, FAST)
+    rep = LE.check_admissibility(DELTA, 3, FAST)
     assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
     assert not rep["grh_conditional"]
     assert [v["d"] for v in rep["conditions"]] == [3]
@@ -279,23 +278,23 @@ def test_admissibility_delta_ell3():
     assert v["mode"] == "fixture+search"
     assert v["raw_hits"] == [[1, 2]]
     assert v["dispositions"][0]["status"] == "filtered"
-    rep = LE.check_admissibility(DELTA, 3, 1, -1, FAST)
+    rep = LE.check_admissibility(DELTA, -3, FAST)
     assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
 
 
 def test_admissibility_congruence_pruning():
-    rep = LE.check_admissibility(DELTA, 5, 1, 1, FAST)
+    rep = LE.check_admissibility(DELTA, 5, FAST)
     modes = {v["d"]: v["mode"] for v in rep["conditions"]}
     assert modes[3] == "congruence-excluded"
     assert modes[5] != "congruence-excluded"
-    rep = LE.check_admissibility(DELTA, 7, 1, 1, FAST)
+    rep = LE.check_admissibility(DELTA, 7, FAST)
     modes = {v["d"]: v["mode"] for v in rep["conditions"]}
     assert modes[3] == "congruence-excluded" and modes[7] == "fixture+search"
 
 
 def test_admissibility_eigenvalue_mismatch_filter():
     # Y^2 = X^11 - 23 has the point (2, 45); tau(2) = -24 rules it out
-    rep = LE.check_admissibility(DELTA, 23, 1, -1, FAST)
+    rep = LE.check_admissibility(DELTA, -23, FAST)
     assert rep["status"] == "EXCLUDED_WITHIN_BOUNDS"
     d3 = next(v for v in rep["conditions"] if v["d"] == 3)
     assert d3["raw_hits"] == [[2, 45]]
@@ -309,7 +308,7 @@ def _candidates(rep):
 def test_admissibility_candidate_found():
     # weight 4 odd level: a_f(3^2) = 37 is a genuine candidate at (3, +-8)
     w4 = NewformSpec(weight=4, level=1, ap={2: -2}, trivial_mod2=True, name="w4")
-    rep = LE.check_admissibility(w4, 37, 1, 1, FAST)
+    rep = LE.check_admissibility(w4, 37, FAST)
     assert rep["status"] == "CANDIDATES_FOUND"
     cands = _candidates(rep)
     assert any(c["p"] == 3 and c["predicted_n"] == [9] for c in cands)
@@ -318,7 +317,7 @@ def test_admissibility_candidate_found():
 def test_admissibility_unit_m0():
     # weight-4 form with 4 in the unit set: predicted n include 4 p^(d-1)
     w4 = NewformSpec(weight=4, level=1, ap={2: 3}, trivial_mod2=True, name="w4u")
-    rep = LE.check_admissibility(w4, 37, 1, 1, FAST)
+    rep = LE.check_admissibility(w4, 37, FAST)
     cands = _candidates(rep)
     assert any(c["p"] == 3 and c["predicted_n"] == [9, 36] for c in cands)
 
@@ -544,7 +543,7 @@ def test_decompose_budget_boundary(monkeypatch):
 
 
 def test_report_serialization():
-    d = LE.check_admissibility(DELTA, 3, 1, 1, FAST)
+    d = LE.check_admissibility(DELTA, 3, FAST)
     assert d["schema"] == "tauhunt-admissibility/1"
     assert d["status"] == "EXCLUDED_WITHIN_BOUNDS"
     assert d["target"] == 3
